@@ -145,14 +145,9 @@ type Cluster struct {
 	killedAt    []sim.Time
 	recoveredAt []sim.Time
 	suspectedAt []sim.Time
-	// Availability accounting (always on — it costs a few comparisons per
-	// lifecycle event, not per message): downSince[r] is the open down
-	// window's start (-1 = up), downTotal the closed windows' sum,
-	// repairTime/repairs the subset closed by a completed recovery.
-	downSince  []sim.Time
-	downTotal  sim.Time
-	repairTime sim.Time
-	repairs    int
+	// down is the availability accounting, fed by trackLifecycle (always on
+	// — it costs a few comparisons per lifecycle event, not per message).
+	down obs.Downtime
 	// announcedEpoch[r] is the incarnation of rank r the dispatcher has
 	// announced to the peers (0 until a false suspicion forces one); the
 	// witness scan uses it to mirror the receivers' fence on in-flight
@@ -235,11 +230,10 @@ func New(cfg Config) *Cluster {
 	c.killedAt = times[:cfg.NP]
 	c.recoveredAt = times[cfg.NP : 2*cfg.NP]
 	c.suspectedAt = times[2*cfg.NP : 3*cfg.NP]
-	c.downSince = times[3*cfg.NP:]
+	c.down = obs.NewDowntime(times[3*cfg.NP:])
 	c.announcedEpoch = make([]int, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
 		c.killedAt[r], c.recoveredAt[r], c.suspectedAt[r] = -1, -1, -1
-		c.downSince[r] = -1
 	}
 
 	wantEL := cfg.Stack == StackPessimistic || (cfg.Stack == StackVcausal && cfg.UseEL)
@@ -452,66 +446,21 @@ func (c *Cluster) liveRanks() int64 {
 	return live
 }
 
-// --- Availability accounting (fed by trackLifecycle) ---
-
-// openDown opens rank r's down window at t (no-op while already open: an
-// overlapping kill extends the same outage).
-func (c *Cluster) openDown(r int, t sim.Time) {
-	if c.downSince[r] < 0 {
-		c.downSince[r] = t
-	}
-}
-
-// closeDown closes rank r's down window at t. A window closed by a
-// completed recovery is a repair and feeds MTTR; one closed by program
-// completion (a suspected rank finishing behind a partition with its
-// respawn cancelled) is downtime only.
-func (c *Cluster) closeDown(r int, t sim.Time, repair bool) {
-	if c.downSince[r] < 0 {
-		return
-	}
-	d := t - c.downSince[r]
-	c.downTotal += d
-	if repair {
-		c.repairTime += d
-		c.repairs++
-	}
-	c.downSince[r] = -1
-}
+// --- Availability figures (obs.Downtime, fed by trackLifecycle) ---
 
 // Repairs counts completed fault repairs (down windows closed by a
 // recovery).
-func (c *Cluster) Repairs() int { return c.repairs }
+func (c *Cluster) Repairs() int { return c.down.Metrics(c.K.Now()).Repairs }
 
 // DowntimeTotal returns the accumulated rank-downtime, counting windows
 // still open at the current virtual time.
-func (c *Cluster) DowntimeTotal() sim.Time {
-	total := c.downTotal
-	now := c.K.Now()
-	for _, s := range c.downSince {
-		if s >= 0 {
-			total += now - s
-		}
-	}
-	return total
-}
+func (c *Cluster) DowntimeTotal() sim.Time { return c.down.Metrics(c.K.Now()).Downtime }
 
 // MTTR returns the mean time to repair across completed repairs (0 when
 // no repair completed).
-func (c *Cluster) MTTR() sim.Time {
-	if c.repairs == 0 {
-		return 0
-	}
-	return c.repairTime / sim.Time(c.repairs)
-}
+func (c *Cluster) MTTR() sim.Time { return c.down.Metrics(c.K.Now()).MTTR }
 
 // Availability returns the rank-availability fraction over the run so
 // far: 1 − DowntimeTotal / (NP · now). A zero-length run is fully
 // available.
-func (c *Cluster) Availability() float64 {
-	now := c.K.Now()
-	if now <= 0 {
-		return 1
-	}
-	return 1 - float64(c.DowntimeTotal())/(float64(c.Cfg.NP)*float64(now))
-}
+func (c *Cluster) Availability() float64 { return c.down.Metrics(c.K.Now()).Availability }

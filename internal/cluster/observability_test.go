@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpichv/internal/checkpoint"
+	"mpichv/internal/failure"
 	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 )
@@ -77,40 +78,136 @@ func TestTracedRunTimeline(t *testing.T) {
 	}
 }
 
-// TestAvailabilityMatchesTimeline pins the double-entry bookkeeping: the
-// cluster's live accounting (the mttr_ns/downtime_ns/availability probes)
-// and obs.ComputeMetrics over the recorded timeline must agree exactly.
+// TestAvailabilityMatchesTimeline: the cluster feeds obs.Downtime live and
+// obs.ComputeMetrics replays the recorded timeline through the same
+// accumulator, so the two agree exactly if and only if every lifecycle
+// event reached the timeline. The cases pin the window rules end to end.
 func TestAvailabilityMatchesTimeline(t *testing.T) {
 	const np = 4
-	c := New(tracedFaultedConfig(np))
-	d := c.PrepareRun(ringPrograms(np, 120, 512))
-	d.ScheduleFault(40*sim.Millisecond, 0)
-	d.ScheduleFault(90*sim.Millisecond, 2)
-	d.Launch()
-	res := c.RunLaunched(30 * sim.Minute)
-	res.MustCompleted()
+	cases := []struct {
+		name         string
+		restartDelay sim.Time
+		faults       func(c *Cluster, d *failure.Dispatcher)
+		wantRepairs  int
+		check        func(t *testing.T, c *Cluster, events []obs.Event)
+	}{
+		{
+			name: "two kills, two repairs",
+			faults: func(_ *Cluster, d *failure.Dispatcher) {
+				d.ScheduleFault(40*sim.Millisecond, 0)
+				d.ScheduleFault(90*sim.Millisecond, 2)
+			},
+			wantRepairs: 2,
+		},
+		{
+			// The second kill finds rank 0 inside its image fetch: the same
+			// outage continues, so one window — first kill to recovery —
+			// closes as one repair.
+			name: "kill lands mid-restore",
+			faults: func(_ *Cluster, d *failure.Dispatcher) {
+				d.ScheduleFault(40*sim.Millisecond, 0)
+				d.ScheduleFault(60*sim.Millisecond+100*sim.Microsecond, 0)
+			},
+			wantRepairs: 1,
+			check: func(t *testing.T, c *Cluster, events []obs.Event) {
+				var kills, restoreBegins, restoreEnds int
+				var firstKill, recovered sim.Time
+				for _, ev := range events {
+					if ev.Rank != 0 {
+						continue
+					}
+					switch ev.Kind {
+					case obs.KindKill:
+						if kills++; kills == 1 {
+							firstKill = ev.T
+						} else if restoreBegins != 1 || restoreEnds != 0 {
+							t.Errorf("second kill not mid-restore: %d restore-begin, %d restore-end before it", restoreBegins, restoreEnds)
+						}
+					case obs.KindRestoreBegin:
+						restoreBegins++
+					case obs.KindRestoreEnd:
+						restoreEnds++
+					case obs.KindRecovered:
+						recovered = ev.T
+					}
+				}
+				if kills != 2 || restoreBegins != 2 || restoreEnds != 1 {
+					t.Errorf("kills=%d restore-begin=%d restore-end=%d, want 2/2/1", kills, restoreBegins, restoreEnds)
+				}
+				if c.MTTR() != recovered-firstKill {
+					t.Errorf("MTTR %v, want the single window %v", c.MTTR(), recovered-firstKill)
+				}
+			},
+		},
+		{
+			// A live rank is declared dead (as behind a partition) and
+			// completes before its replacement would spawn: the respawn is
+			// cancelled, no recovery ever happens, and the window closes at
+			// completion as downtime — not as a repair.
+			name:         "suspected rank finishes before the respawn",
+			restartDelay: sim.Minute,
+			faults: func(c *Cluster, d *failure.Dispatcher) {
+				c.K.At(40*sim.Millisecond, func() { d.Suspect(1) })
+			},
+			wantRepairs: 0,
+			check: func(t *testing.T, c *Cluster, events []obs.Event) {
+				var suspected, finished sim.Time
+				for _, ev := range events {
+					if ev.Rank == 1 && ev.Kind == obs.KindSuspect {
+						suspected = ev.T
+					}
+					if ev.Rank == 1 && ev.Kind == obs.KindFinished {
+						finished = ev.T
+					}
+					if ev.Kind == obs.KindRestart || ev.Kind == obs.KindRecovered {
+						t.Errorf("unexpected %v event", ev.Kind)
+					}
+				}
+				if want := finished - suspected; c.DowntimeTotal() != want || c.MTTR() != 0 {
+					t.Errorf("downtime %v MTTR %v, want %v and 0", c.DowntimeTotal(), c.MTTR(), want)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tracedFaultedConfig(np)
+			if tc.restartDelay > 0 {
+				cfg.RestartDelay = tc.restartDelay
+			}
+			c := New(cfg)
+			d := c.PrepareRun(ringPrograms(np, 120, 512))
+			tc.faults(c, d)
+			d.Launch()
+			res := c.RunLaunched(30 * sim.Minute)
+			res.MustCompleted()
 
-	m := obs.ComputeMetrics(c.Timeline.Events(), np, res.End)
-	if m.Repairs != c.Repairs() {
-		t.Errorf("repairs: timeline %d, cluster %d", m.Repairs, c.Repairs())
-	}
-	if m.MTTR != c.MTTR() {
-		t.Errorf("MTTR: timeline %v, cluster %v", m.MTTR, c.MTTR())
-	}
-	if m.Downtime != c.DowntimeTotal() {
-		t.Errorf("downtime: timeline %v, cluster %v", m.Downtime, c.DowntimeTotal())
-	}
-	if m.Availability != c.Availability() {
-		t.Errorf("availability: timeline %v, cluster %v", m.Availability, c.Availability())
-	}
-	if c.Repairs() != 2 {
-		t.Fatalf("repairs = %d, want 2", c.Repairs())
-	}
-	if c.MTTR() <= 0 || c.DowntimeTotal() <= 0 {
-		t.Fatalf("MTTR %v / downtime %v not positive", c.MTTR(), c.DowntimeTotal())
-	}
-	if a := c.Availability(); a <= 0 || a >= 1 {
-		t.Fatalf("availability = %v, want in (0,1) for a faulted run", a)
+			m := obs.ComputeMetrics(c.Timeline.Events(), np, res.End)
+			if m.Repairs != c.Repairs() {
+				t.Errorf("repairs: timeline %d, cluster %d", m.Repairs, c.Repairs())
+			}
+			if m.MTTR != c.MTTR() {
+				t.Errorf("MTTR: timeline %v, cluster %v", m.MTTR, c.MTTR())
+			}
+			if m.Downtime != c.DowntimeTotal() {
+				t.Errorf("downtime: timeline %v, cluster %v", m.Downtime, c.DowntimeTotal())
+			}
+			if m.Availability != c.Availability() {
+				t.Errorf("availability: timeline %v, cluster %v", m.Availability, c.Availability())
+			}
+			if c.Repairs() != tc.wantRepairs {
+				t.Fatalf("repairs = %d, want %d", c.Repairs(), tc.wantRepairs)
+			}
+			if c.DowntimeTotal() <= 0 || (tc.wantRepairs > 0) != (c.MTTR() > 0) {
+				t.Fatalf("MTTR %v / downtime %v inconsistent with %d repairs", c.MTTR(), c.DowntimeTotal(), tc.wantRepairs)
+			}
+			if a := c.Availability(); a <= 0 || a >= 1 {
+				t.Fatalf("availability = %v, want in (0,1) for a faulted run", a)
+			}
+			if tc.check != nil {
+				tc.check(t, c, c.Timeline.Events())
+			}
+		})
 	}
 }
 

@@ -185,8 +185,9 @@ func (c *Cluster) witnessed(creator event.Rank, from, to uint64) []bool {
 	return out
 }
 
-// trackLifecycle subscribes to the dispatcher's event stream: kill and
-// recovery times feed determinant-loss diagnostics; a fence event (a
+// trackLifecycle subscribes to the dispatcher's event stream: every event
+// reaches the timeline and the availability accounting; kill and recovery
+// times feed determinant-loss diagnostics; a fence event (a
 // confirmed false suspicion) is recorded and its replacement incarnation
 // announced to every peer daemon — the simulation's equivalent of the
 // dispatcher publishing a restarted rank's new connection identity, which
@@ -194,26 +195,17 @@ func (c *Cluster) witnessed(creator event.Rank, from, to uint64) []bool {
 // healed partition releases it.
 func (c *Cluster) trackLifecycle(d *failure.Dispatcher) {
 	d.Observe(func(ev failure.Event) {
-		c.Timeline.Record(ev.Time, lifecycleKind(ev.Kind), ev.Rank, 0, "")
+		kind := lifecycleKind(ev.Kind)
+		c.Timeline.Record(ev.Time, kind, ev.Rank, 0, "")
+		c.down.Observe(kind, ev.Rank, ev.Time)
 		switch ev.Kind {
 		case failure.EvKill, failure.EvSuspect:
 			c.killedAt[ev.Rank] = ev.Time
-			c.openDown(ev.Rank, ev.Time)
 			if ev.Kind == failure.EvSuspect {
 				c.suspectedAt[ev.Rank] = ev.Time
 			}
-		case failure.EvRestart:
-			// A coordinated-rollback peer restarts without a prior kill
-			// event of its own; its down window opens here.
-			c.openDown(ev.Rank, ev.Time)
 		case failure.EvRecovered:
 			c.recoveredAt[ev.Rank] = ev.Time
-			c.closeDown(ev.Rank, ev.Time, true)
-		case failure.EvFinished:
-			// Covers a suspected rank completing behind a partition: the
-			// respawn is cancelled, so no EvRecovered ever closes the
-			// window — downtime, but not a repair.
-			c.closeDown(ev.Rank, ev.Time, false)
 		case failure.EvFenced:
 			next := c.Nodes[ev.Rank].NextIncarnation()
 			c.announcedEpoch[ev.Rank] = next

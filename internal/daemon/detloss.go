@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mpichv/internal/event"
 	"mpichv/internal/netmodel"
@@ -75,6 +77,71 @@ func (dl DeterminantLoss) String() string {
 		"rank %d incarnation %d lost %d determinant(s), clocks [%d,%d] (%s; base %d, died at %d, last send witnessed %d; concurrently dead peers %v)",
 		dl.Victim, dl.Incarnation, dl.Lost, dl.MissingFrom, dl.MissingTo,
 		form, dl.BaseClock, dl.PrevClock, dl.LastSendClock, dl.DeadPeers)
+}
+
+// assembleReplay turns the determinants collected for creator's recovery
+// into the deduplicated, ordered set to integrate (all, reusing collected's
+// storage) and the replay set appended to replay: creator's own
+// determinants above the restored checkpoint's clock base, in clock order.
+// Responses from different peers overlap and interleave, and the reducers
+// require per-creator ascending clock order, so the collection is sorted
+// stably and the first-arrived copy of each ID kept.
+//
+// The replay set must be gapless: a hole (returned as the range and count of
+// a Gap loss) means later determinants survived without their antecedents —
+// every copy of the missing ones died with crashed peers. That is not a
+// simulator bug but the paper's known limitation of EL-less causal logging
+// under concurrent failures, so it is reported as a first-class outcome (or,
+// without a handler, the legacy panic).
+func assembleReplay(collected, replay []event.Determinant, creator event.Rank, base uint64) (all, own []event.Determinant, gap DeterminantLoss) {
+	slices.SortStableFunc(collected, func(a, b event.Determinant) int {
+		return cmp.Or(cmp.Compare(a.ID.Creator, b.ID.Creator), cmp.Compare(a.ID.Clock, b.ID.Clock))
+	})
+	all = slices.CompactFunc(collected, func(a, b event.Determinant) bool { return a.ID == b.ID })
+	last := base
+	for _, d := range all {
+		if d.ID.Creator != creator || d.ID.Clock <= base {
+			continue
+		}
+		if want := last + 1; d.ID.Clock != want {
+			if gap.Lost == 0 {
+				gap.MissingFrom = want
+			}
+			gap.MissingTo = d.ID.Clock - 1
+			gap.Lost += int(d.ID.Clock - want)
+			gap.Gap = true
+		}
+		last = d.ID.Clock
+		replay = append(replay, d)
+	}
+	return all, replay, gap
+}
+
+// unwitnessedTail is the truncation form of determinant loss: the dead
+// incarnation's sends witnessed determinants up to lastSend, yet the
+// reassembled replay set stops at lastClock. Each missing clock that no
+// survivor still witnesses (protocol state, queued piggybacks) is lost —
+// held only by peers that crashed and restored regressed state. A clock
+// some survivor does witness is merely latent (it reaches the reducers
+// through normal piggyback flow), which is the benign single-failure case
+// and must not be flagged. Detection needs the cluster's omniscient scan
+// and only applies to logging protocols that promise replay.
+func (n *Node) unwitnessedTail(lastClock, lastSend uint64) (cut DeterminantLoss) {
+	if n.LossCheck == nil || !n.Proto.UsesSenderLog() || lastSend <= lastClock {
+		return cut
+	}
+	for i, w := range n.LossCheck(n.rank, lastClock+1, lastSend) {
+		if w {
+			continue
+		}
+		clk := lastClock + 1 + uint64(i)
+		if cut.Lost == 0 {
+			cut.MissingFrom = clk
+		}
+		cut.MissingTo = clk
+		cut.Lost++
+	}
+	return cut
 }
 
 // reportDeterminantLoss hands loss diagnostics to the deployment's handler

@@ -16,7 +16,6 @@ package daemon
 
 import (
 	"fmt"
-	"sort"
 
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
@@ -146,35 +145,36 @@ type Node struct {
 	skipUntil int64
 
 	// Replay: determinants the restarted process must conform to.
-	replayDets    []event.Determinant
-	replayIdx     int
-	recoveryStart sim.Time
+	replayDets []event.Determinant
+	replayIdx  int
 
 	// Checkpointing.
 	ckptRequested bool
 	ckptEpoch     int
 	awaitCkptAck  bool
 
-	// Recovery rendezvous state, filled by process() while recover() waits.
+	// Recovery state machine (recovery.go): transition is the only writer
+	// of phase, recoveryEpoch, recoveryStart and guarded. recoveryEpoch is
+	// the incarnation number; it tags recovery requests so responses
+	// addressed to a dead incarnation (killed mid-recovery) cannot satisfy
+	// the next incarnation's rendezvous with stale data. charged marks a
+	// recovery that feeds the recovery probes.
+	phase         phase
+	recoveryEpoch int
+	recoveryStart sim.Time
+	charged       bool
+	// Recovery rendezvous state, filled by recoveryResponse while the
+	// recovery steps wait; heldApp buffers phaseRestoring's arrivals.
 	pendingImage   *vproto.CheckpointImage
-	imageArrived   bool
 	collectedDets  []event.Determinant
 	collectedStab  *sparsevec.Vec
 	detRespsWanted int
-	// recovering buffers application packets in heldApp until the
-	// checkpoint image (and with it the duplicate-suppression floors) is
-	// restored; accepting them earlier would corrupt the trackers.
-	recovering bool
-	heldApp    []*vproto.Message
+	heldApp        []*vproto.Message
 	// heldDetReqs buffers service requests from other recovering ranks
 	// that arrived while this node was itself dead or restoring: serving
 	// them before the sender log and protocol state are back would replay
 	// from empty state and strand the peer's recovery forever.
 	heldDetReqs []detRequest
-	// recoveryEpoch tags determinant-collection requests so responses
-	// addressed to a dead incarnation (killed mid-recovery) cannot
-	// satisfy the next incarnation's collection with stale data.
-	recoveryEpoch int
 	// peerEpoch[r] is the lowest incarnation of rank r this daemon still
 	// accepts application packets from. It stays zero — and the fence
 	// inert — until the dispatcher fences a falsely suspected rank and the
@@ -185,11 +185,11 @@ type Node struct {
 	// survives this node's own restarts.
 	peerEpoch []int
 	// guarded folds the two PktApp admission checks — a live incarnation
-	// fence on any peer, or this node recovering — into one predictable
+	// fence on any peer, or this node restoring — into one predictable
 	// branch: in a fault-free run neither ever fires, so the application
 	// packet fast path tests a single always-false bool. fenced is the
-	// sticky half (a fence only ever tightens); recovering is the
-	// transient half.
+	// sticky half (a fence only ever tightens); phaseRestoring is the
+	// transient half, and transition derives guarded from the two.
 	guarded bool
 	fenced  bool
 	// pktObs caches the Proto's PacketObserver extension (set at Bind), so
@@ -197,15 +197,9 @@ type Node struct {
 	// interface type assertion.
 	pktObs PacketObserver
 	// fencedRestart marks that this rank's previous incarnation was fenced
-	// while alive (false suspicion): some of its sends may have been held
-	// on a partitioned link and discarded by the peers' fence, and the
-	// fast-forward will not re-execute them. The next recovery re-transmits
-	// the restored sender log so receivers can fill the gap (duplicate
-	// suppression absorbs everything they already consumed).
+	// while alive (false suspicion); the next PrepareRecovery re-transmits
+	// the restored sender log because of it.
 	fencedRestart bool
-	// dedupSeen is the recovery-time determinant dedup set, reused across
-	// recoveries so collection does not allocate a fresh map per restart.
-	dedupSeen map[event.EventID]bool
 
 	// LossCheck, when set, reports which of creator's determinants with
 	// clocks in [from, to] — missing from this node's reassembled replay
@@ -335,11 +329,9 @@ func (n *Node) FenceIncarnation(r event.Rank, inc int) {
 }
 
 // MarkFencedRestart tells the node its previous incarnation was fenced
-// while alive: the next PrepareRecovery re-transmits the restored sender
-// log, because sends the stale incarnation made into a partitioned link
-// were discarded by the peers' fence and the fast-forward skips their
-// program steps. Installed by the deployment layer on the dispatcher's
-// fence announcement.
+// while alive, so the next PrepareRecovery re-transmits the restored sender
+// log. Installed by the deployment layer on the dispatcher's fence
+// announcement.
 func (n *Node) MarkFencedRestart() { n.fencedRestart = true }
 
 // RecvQueueSnapshot returns copies of the currently delivered, unconsumed
@@ -489,7 +481,7 @@ func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 		// doing). The in-progress Recv has already been counted in step, so
 		// the image must exclude it: on restore the Recv re-executes and
 		// consumes its message.
-		if n.ckptRequested && !n.Skipping() && !n.Replaying() && n.CkptEndpoint >= 0 {
+		if n.checkpointDue() {
 			n.ckptRequested = false
 			n.step--
 			n.Proto.TakeSnapshot(n)
@@ -537,10 +529,8 @@ func (n *Node) CreateDeterminant(m *vproto.Message) (event.Determinant, bool) {
 		if d.Lamport > n.lamport {
 			n.lamport = d.Lamport
 		}
-		if !n.Replaying() && n.recoveryStart > 0 {
-			n.stats.RecoveryTotal += n.Now() - n.recoveryStart
-			n.recoveryStart = 0
-			n.Obs.Record(n.Now(), obs.KindRecoveryEnd, int(n.rank), 0, "")
+		if !n.Replaying() {
+			n.transition(phaseUp)
 		}
 		return d, false
 	}
@@ -616,7 +606,7 @@ func (n *Node) process(d netmodel.Delivery) {
 				n.stats.FencedStaleMsgs++
 				return
 			}
-			if n.recovering {
+			if n.phase == phaseRestoring {
 				n.heldApp = append(n.heldApp, m)
 				return
 			}
@@ -635,31 +625,12 @@ func (n *Node) process(d netmodel.Delivery) {
 	case vproto.PktCkptAck:
 		n.awaitCkptAck = false
 
-	case vproto.PktCkptImage:
-		if pkt.Incarnation != n.recoveryEpoch {
-			return // stale response to a dead incarnation's fetch
-		}
-		n.pendingImage = pkt.Image
-		n.imageArrived = true
-
-	case vproto.PktEventQueryResp:
-		if pkt.Incarnation != n.recoveryEpoch {
-			return // stale response to a dead incarnation's query
-		}
-		n.collectedDets = append(n.collectedDets, pkt.Determinants...)
-		n.collectedStab = pkt.StableVec
-		n.detRespsWanted--
-
-	case vproto.PktDetResponse:
-		if pkt.Incarnation != n.recoveryEpoch {
-			return // stale response to a dead incarnation's request
-		}
-		n.collectedDets = append(n.collectedDets, pkt.Determinants...)
-		n.detRespsWanted--
+	case vproto.PktCkptImage, vproto.PktEventQueryResp, vproto.PktDetResponse:
+		n.recoveryResponse(pkt)
 
 	case vproto.PktDetRequest:
 		req := detRequestFrom(pkt)
-		if n.recovering {
+		if n.phase == phaseRestoring {
 			// Our own sender log and protocol state are not restored yet;
 			// serve the peer once they are (flushHeldApp).
 			n.heldDetReqs = append(n.heldDetReqs, req)
@@ -763,14 +734,19 @@ func (n *Node) RequestCheckpoint(epoch int) {
 	n.ckptEpoch = epoch
 }
 
+// checkpointDue reports whether a pending checkpoint request can be
+// honoured now (never while fast-forwarding or replaying).
+func (n *Node) checkpointDue() bool {
+	return n.ckptRequested && !n.Skipping() && !n.Replaying() && n.CkptEndpoint >= 0
+}
+
 // maybeCheckpoint honours a pending checkpoint request at an operation
-// boundary (never while fast-forwarding or replaying).
+// boundary.
 func (n *Node) maybeCheckpoint() {
-	if !n.ckptRequested || n.Skipping() || n.Replaying() || n.CkptEndpoint < 0 {
-		return
+	if n.checkpointDue() {
+		n.ckptRequested = false
+		n.Proto.TakeSnapshot(n)
 	}
-	n.ckptRequested = false
-	n.Proto.TakeSnapshot(n)
 }
 
 // CheckpointEpoch returns the epoch of the most recent checkpoint request.
@@ -844,395 +820,4 @@ func (n *Node) TakeCheckpoint() {
 			n.SendPacket(r, 16, gc)
 		}
 	}
-}
-
-// --- Recovery ---
-
-// PrepareRecovery resets volatile state at the start of a restarted
-// incarnation, fetches the checkpoint image, collects determinants (from
-// the Event Logger if deployed, otherwise from every surviving peer) and
-// requests payload replay. It must be called before the application
-// program runs.
-func (n *Node) PrepareRecovery() {
-	n.recoveryStart = n.Now()
-	n.stats.Recoveries++
-	n.recoveryEpoch++
-	n.Obs.Record(n.recoveryStart, obs.KindRecoveryBegin, int(n.rank), 0, "")
-
-	// The dead incarnation's watermarks, read before the volatile reset:
-	// how far its event clock ran, and the highest clock a peer witnessed
-	// through one of its sends. The determinant-loss detector compares the
-	// reassembled replay set against them.
-	prevClock := n.clock
-	prevLastSend := n.lastSendClock
-
-	// Stale packets addressed to the previous incarnation are dropped
-	// (anything that matters is covered by replay) — except service
-	// requests from other recovering ranks, which are held and served
-	// after the restore.
-	n.drainForRecovery()
-	n.recvQ = nil
-	n.replayDets = n.replayDets[:0]
-	n.replayIdx = 0
-	n.step = 0
-	n.skipUntil = 0
-	n.clock, n.lamport = 0, 0
-	n.lastSendClock = 0
-	for i := range n.sendSeq {
-		n.sendSeq[i] = 0
-	}
-	n.lastEvent = event.EventID{}
-	n.ckptRequested = false
-	for i := range n.seqTrack {
-		n.seqTrack[i].reset(0)
-	}
-	n.Log = NewSenderLog()
-
-	// 1. Fetch the latest checkpoint image. Application packets arriving
-	// while the duplicate-suppression floors are unknown are held aside
-	// and re-accepted once the image is restored.
-	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
-	n.recovering = true
-	n.guarded = true
-	n.imageArrived = false
-	fetch := vproto.GetPacket()
-	fetch.Kind = vproto.PktCkptFetch
-	fetch.Rank = n.rank
-	fetch.Epoch = -1
-	fetch.Incarnation = n.recoveryEpoch
-	n.SendPacket(n.CkptEndpoint, 32, fetch)
-	for !n.imageArrived {
-		n.WaitPacket()
-	}
-	im := n.pendingImage
-	n.pendingImage = nil
-	if im != nil {
-		n.restoreImage(im)
-	} else {
-		// A zero-valued image works as-is: its sparse floor vectors read as
-		// all-zero without any np-sized allocation.
-		im = &vproto.CheckpointImage{Rank: n.rank}
-		n.Proto.Restore(n, im)
-	}
-	n.flushHeldApp()
-	n.Obs.Record(n.Now(), obs.KindRestoreEnd, int(n.rank), 0, "")
-
-	// 1b. A fenced predecessor (false suspicion) may have sent into a
-	// partitioned link: those packets are discarded by the peers' fence,
-	// and the steps that produced them are fast-forwarded, so nothing
-	// would ever re-send them. Re-transmit the restored sender log —
-	// receivers' duplicate suppression absorbs everything they already
-	// consumed, and the fenced gap is filled with payloads that carry this
-	// incarnation's epoch.
-	if n.fencedRestart {
-		n.fencedRestart = false
-		for r := 0; r < n.np; r++ {
-			if event.Rank(r) != n.rank {
-				n.replayLogged(event.Rank(r), 0)
-			}
-		}
-	}
-
-	// 2. Collect the determinants to replay (timed: the paper's Figure 10).
-	collectStart := n.Now()
-	n.Obs.Record(collectStart, obs.KindCollectBegin, int(n.rank), 0, "")
-	n.collectedDets = n.collectedDets[:0]
-	n.collectedStab = nil
-	if n.ELEndpoint >= 0 {
-		n.detRespsWanted = 1
-		q := vproto.GetPacket()
-		q.Kind = vproto.PktEventQuery
-		q.Creator = n.rank
-		q.Incarnation = n.recoveryEpoch
-		n.SendPacket(n.ELEndpoint, 32, q)
-	} else {
-		n.detRespsWanted = n.np - 1
-		for r := 0; r < n.np; r++ {
-			if event.Rank(r) == n.rank {
-				continue
-			}
-			req := vproto.GetPacket()
-			req.Kind = vproto.PktDetRequest
-			req.Creator = n.rank
-			req.WantDets = true
-			req.SeqFloor = n.seqTrack[r].consumedFloor()
-			req.Incarnation = n.recoveryEpoch
-			n.SendPacket(r, 32, req)
-		}
-	}
-	for n.detRespsWanted > 0 {
-		n.WaitPacket()
-	}
-	n.stats.RecoveryEventCollection += n.Now() - collectStart
-	n.Obs.Record(n.Now(), obs.KindCollectEnd, int(n.rank), 0, "")
-
-	// 3. With an Event Logger the determinants came from it; payload
-	// replay still comes from the senders' logs.
-	if n.ELEndpoint >= 0 {
-		for r := 0; r < n.np; r++ {
-			if event.Rank(r) == n.rank {
-				continue
-			}
-			req := vproto.GetPacket()
-			req.Kind = vproto.PktDetRequest
-			req.Creator = n.rank
-			req.SeqFloor = n.seqTrack[r].consumedFloor()
-			req.Incarnation = n.recoveryEpoch
-			n.SendPacket(r, 32, req)
-		}
-	}
-
-	// 4. Deduplicate, order and install the replay set; feed everything to
-	// the protocol so future piggybacks stay complete. Responses from
-	// different peers overlap and interleave, and the reducers require
-	// per-creator ascending clock order, so sort and deduplicate first.
-	if n.dedupSeen == nil {
-		n.dedupSeen = make(map[event.EventID]bool, len(n.collectedDets))
-	}
-	for id := range n.dedupSeen {
-		delete(n.dedupSeen, id)
-	}
-	dedup := n.collectedDets[:0]
-	for _, d := range n.collectedDets {
-		if !n.dedupSeen[d.ID] {
-			n.dedupSeen[d.ID] = true
-			dedup = append(dedup, d)
-		}
-	}
-	n.collectedDets = dedup
-	sort.Slice(n.collectedDets, func(i, j int) bool {
-		a, b := n.collectedDets[i].ID, n.collectedDets[j].ID
-		if a.Creator != b.Creator {
-			return a.Creator < b.Creator
-		}
-		return a.Clock < b.Clock
-	})
-	// The sorted, deduplicated collection already lists this rank's own
-	// post-checkpoint determinants in ascending clock order — the replay
-	// set is a filter pass, with no per-recovery map.
-	n.replayDets = n.replayDets[:0]
-	for _, d := range n.collectedDets {
-		if d.ID.Creator == n.rank && d.ID.Clock > im.Clock {
-			n.replayDets = append(n.replayDets, d)
-		}
-	}
-	// The replay set must be gapless: a hole means later determinants
-	// survived without their antecedents — every copy of the missing ones
-	// died with crashed peers. That is not a simulator bug but the paper's
-	// known limitation of EL-less causal logging under concurrent
-	// failures, so it is reported as a first-class outcome (or, without a
-	// handler, the legacy panic).
-	lastClock := im.Clock
-	gapFrom, gapTo, gapLost := uint64(0), uint64(0), 0
-	for _, d := range n.replayDets {
-		if want := lastClock + 1; d.ID.Clock != want {
-			if gapLost == 0 {
-				gapFrom = want
-			}
-			gapTo = d.ID.Clock - 1
-			gapLost += int(d.ID.Clock - want)
-		}
-		lastClock = d.ID.Clock
-	}
-	if gapLost > 0 {
-		n.reportDeterminantLoss(DeterminantLoss{
-			Victim: n.rank, Incarnation: n.recoveryEpoch,
-			BaseClock: im.Clock, PrevClock: prevClock, LastSendClock: prevLastSend,
-			MissingFrom: gapFrom, MissingTo: gapTo, Lost: gapLost, Gap: true,
-		})
-	}
-	// Truncation form: the dead incarnation's sends witnessed determinants
-	// up to prevLastSend, yet the reassembled set stops at lastClock. Each
-	// missing clock that no survivor still witnesses (protocol state,
-	// queued piggybacks) is lost — held only by peers that crashed and
-	// restored regressed state. A clock some survivor does witness is
-	// merely latent (it reaches the reducers through normal piggyback
-	// flow), which is the benign single-failure case and must not be
-	// flagged. Detection needs the cluster's omniscient scan and only
-	// applies to logging protocols that promise replay.
-	if n.LossCheck != nil && n.Proto.UsesSenderLog() && prevLastSend > lastClock {
-		witnessed := n.LossCheck(n.rank, lastClock+1, prevLastSend)
-		lost, missFrom, missTo := 0, uint64(0), uint64(0)
-		for i, w := range witnessed {
-			if w {
-				continue
-			}
-			clk := lastClock + 1 + uint64(i)
-			if lost == 0 {
-				missFrom = clk
-			}
-			missTo = clk
-			lost++
-		}
-		if lost > 0 {
-			n.reportDeterminantLoss(DeterminantLoss{
-				Victim: n.rank, Incarnation: n.recoveryEpoch,
-				BaseClock: im.Clock, PrevClock: prevClock, LastSendClock: prevLastSend,
-				MissingFrom: missFrom, MissingTo: missTo, Lost: lost,
-			})
-		}
-	}
-	n.Proto.Integrate(n, n.collectedDets, n.collectedStab)
-	n.collectedDets = n.collectedDets[:0]
-	n.replayIdx = 0
-	if n.Replaying() {
-		n.Obs.Record(n.Now(), obs.KindReplayBegin, int(n.rank), int64(len(n.replayDets)), "")
-	} else if n.recoveryStart > 0 {
-		n.stats.RecoveryTotal += n.Now() - n.recoveryStart
-		n.recoveryStart = 0
-		n.Obs.Record(n.Now(), obs.KindRecoveryEnd, int(n.rank), 0, "")
-	}
-}
-
-// drainForRecovery empties the inbox at the start of a recovery. In-flight
-// packets addressed to the dead incarnation are released, but PktDetRequest
-// service requests are addressed to the daemon, not the incarnation: a
-// concurrently recovering peer sent them exactly once, so dropping them
-// would strand that peer's recovery. They are held and served after this
-// node's own state is restored.
-func (n *Node) drainForRecovery() {
-	for {
-		d, ok := n.ep.Inbox.TryGet()
-		if !ok {
-			return
-		}
-		pkt := d.Payload.(*vproto.Packet)
-		if pkt.Kind == vproto.PktDetRequest {
-			n.heldDetReqs = append(n.heldDetReqs, detRequestFrom(pkt))
-		}
-		vproto.PutPacket(pkt)
-	}
-}
-
-// flushHeldApp re-runs acceptance for application packets that arrived
-// while the checkpoint image was being fetched, now that the
-// duplicate-suppression floors are authoritative, and serves the det
-// requests of concurrently recovering peers from the restored state.
-func (n *Node) flushHeldApp() {
-	held := n.heldApp
-	n.heldApp = nil
-	n.recovering = false
-	n.guarded = n.fenced
-	for _, m := range held {
-		if m.Inc < n.peerEpoch[m.Src] {
-			n.stats.FencedStaleMsgs++
-			continue // fenced while held (see process PktApp)
-		}
-		if n.seqTrack[m.Src].accept(m.SendSeq) {
-			n.recvQ = append(n.recvQ, m)
-		}
-	}
-	// Served one at a time, popping before the serve: serveDetRequest
-	// charges CPU and transmits (virtual time passes), so a kill can land
-	// mid-flush — the unserved remainder must survive into the next
-	// incarnation, which flushes it after its own restore, or the peers
-	// that sent them would wait forever.
-	for len(n.heldDetReqs) > 0 {
-		req := n.heldDetReqs[0]
-		n.heldDetReqs = n.heldDetReqs[1:]
-		n.serveDetRequest(req)
-	}
-}
-
-func (n *Node) restoreImage(im *vproto.CheckpointImage) {
-	n.skipUntil = im.Step
-	n.clock = im.Clock
-	for i := range n.sendSeq {
-		n.sendSeq[i] = 0
-	}
-	im.SendSeqs.Range(func(c int, f uint64) bool {
-		n.sendSeq[c] = f
-		return true
-	})
-	n.lamport = im.Lamport
-	if !n.lastEventFromImage(im) {
-		n.lastEvent = event.EventID{}
-	}
-	for i := range n.seqTrack {
-		n.seqTrack[i].reset(im.LastSeqSeen.Get(i))
-	}
-	n.Log.Restore(im.LoggedPayloads)
-	n.Proto.Restore(n, im)
-	// Re-inject the image's channel state: daemon-buffered messages (inside
-	// the floors) and Chandy-Lamport recorded in-transit messages (above
-	// them). Both are authoritative — append unconditionally, only marking
-	// the trackers so later stale copies are recognized as duplicates.
-	// Piggybacks are deep-copied: delivery hands the buffer to the
-	// piggyback free list, and the image (which may serve further restarts)
-	// must not alias recycled memory.
-	for i := range im.ChannelMsgs {
-		m := im.ChannelMsgs[i]
-		if len(m.Piggyback) > 0 {
-			m.Piggyback = append([]event.Determinant(nil), m.Piggyback...)
-		}
-		n.seqTrack[m.Src].accept(m.SendSeq)
-		n.recvQ = append(n.recvQ, &m)
-	}
-}
-
-func (n *Node) lastEventFromImage(im *vproto.CheckpointImage) bool {
-	if im.Clock == 0 {
-		return false
-	}
-	n.lastEvent = event.EventID{Creator: n.rank, Clock: im.Clock}
-	return true
-}
-
-// PrepareRollback resets the node to its latest consistent-wave checkpoint
-// (coordinated checkpointing: every process rolls back on any failure).
-// crashed marks the node whose failure triggered the rollback.
-func (n *Node) PrepareRollback(crashed bool) {
-	if crashed {
-		n.stats.Recoveries++
-		n.recoveryStart = n.Now()
-	}
-	n.Obs.Record(n.Now(), obs.KindRecoveryBegin, int(n.rank), 0, "")
-	n.recoveryEpoch++
-	n.drainForRecovery()
-	n.recvQ = nil
-	n.replayDets = n.replayDets[:0]
-	n.replayIdx = 0
-	n.step = 0
-	n.skipUntil = 0
-	n.clock, n.lamport = 0, 0
-	n.lastSendClock = 0
-	for i := range n.sendSeq {
-		n.sendSeq[i] = 0
-	}
-	n.lastEvent = event.EventID{}
-	n.ckptRequested = false
-	n.Recording = nil
-	n.RecordedMsgs = nil
-	for i := range n.seqTrack {
-		n.seqTrack[i].reset(0)
-	}
-	n.Log = NewSenderLog()
-
-	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
-	n.recovering = true
-	n.guarded = true
-	n.imageArrived = false
-	fetch := vproto.GetPacket()
-	fetch.Kind = vproto.PktCkptFetch
-	fetch.Rank = n.rank
-	fetch.Epoch = -2 // latest complete wave
-	fetch.Incarnation = n.recoveryEpoch
-	n.SendPacket(n.CkptEndpoint, 32, fetch)
-	for !n.imageArrived {
-		n.WaitPacket()
-	}
-	im := n.pendingImage
-	n.pendingImage = nil
-	if im != nil {
-		n.restoreImage(im)
-	} else {
-		n.Proto.Restore(n, &vproto.CheckpointImage{Rank: n.rank})
-	}
-	n.flushHeldApp()
-	n.Obs.Record(n.Now(), obs.KindRestoreEnd, int(n.rank), 0, "")
-	if crashed && n.recoveryStart > 0 {
-		n.stats.RecoveryTotal += n.Now() - n.recoveryStart
-		n.recoveryStart = 0
-	}
-	n.Obs.Record(n.Now(), obs.KindRecoveryEnd, int(n.rank), 0, "")
 }

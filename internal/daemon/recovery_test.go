@@ -1,0 +1,160 @@
+package daemon
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"mpichv/internal/event"
+	"mpichv/internal/obs"
+)
+
+// TestTransitionTable drives the transition function over every ordered
+// phase pair: an edge in phaseEdges must keep guarded == fenced ||
+// restoring, bump the epoch exactly on entry to restoring and emit exactly
+// its phase events; an edge outside it must panic and change nothing.
+func TestTransitionTable(t *testing.T) {
+	// Timeline events per legal edge; entering restoring aborts whatever
+	// the dead incarnation was doing, so it never emits an end event.
+	begin := []obs.Kind{obs.KindRecoveryBegin, obs.KindRestoreBegin}
+	wantEvents := map[[2]phase][]obs.Kind{
+		{phaseUp, phaseRestoring}:         begin,
+		{phaseRestoring, phaseRestoring}:  begin,
+		{phaseCollecting, phaseRestoring}: begin,
+		{phaseReplaying, phaseRestoring}:  begin,
+		{phaseRestoring, phaseCollecting}: {obs.KindRestoreEnd},
+		{phaseRestoring, phaseUp}:         {obs.KindRestoreEnd, obs.KindRecoveryEnd},
+		{phaseCollecting, phaseReplaying}: {obs.KindReplayBegin},
+		{phaseCollecting, phaseUp}:        {obs.KindRecoveryEnd},
+		{phaseReplaying, phaseUp}:         {obs.KindRecoveryEnd},
+	}
+	for from := phaseUp; from < phaseCount; from++ {
+		for to := phaseUp; to < phaseCount; to++ {
+			for _, fenced := range []bool{false, true} {
+				_, n, _ := twoNodes(t)
+				n.Obs = obs.NewRecorder()
+				n.phase, n.charged, n.recoveryEpoch = from, true, 7
+				if fenced {
+					n.FenceIncarnation(1, 1)
+				}
+				want, legal := wantEvents[[2]phase{from, to}]
+				if legal != phaseEdges[from][to] {
+					t.Fatalf("edge %d→%d: table says legal=%v, test expects %v", from, to, phaseEdges[from][to], legal)
+				}
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					n.transition(to)
+					return
+				}()
+				if panicked == legal {
+					t.Fatalf("edge %d→%d: panicked=%v, legal=%v", from, to, panicked, legal)
+				}
+				if !legal {
+					if n.phase != from || n.recoveryEpoch != 7 || n.Obs.Len() != 0 {
+						t.Fatalf("illegal edge %d→%d mutated the node", from, to)
+					}
+					continue
+				}
+				if n.phase != to {
+					t.Fatalf("edge %d→%d left phase %d", from, to, n.phase)
+				}
+				if n.guarded != (fenced || to == phaseRestoring) {
+					t.Fatalf("edge %d→%d fenced=%v: guarded=%v", from, to, fenced, n.guarded)
+				}
+				wantEpoch, wantRecoveries := 7, 0
+				if to == phaseRestoring {
+					wantEpoch, wantRecoveries = 8, 1
+				}
+				if n.recoveryEpoch != wantEpoch || n.stats.Recoveries != wantRecoveries {
+					t.Fatalf("edge %d→%d: epoch %d recoveries %d, want %d/%d",
+						from, to, n.recoveryEpoch, n.stats.Recoveries, wantEpoch, wantRecoveries)
+				}
+				var got []obs.Kind
+				for _, ev := range n.Obs.Events() {
+					got = append(got, ev.Kind)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("edge %d→%d emitted %v, want %v", from, to, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTransitionChargesOnlyOwnRecoveries: a coordinated-rollback peer's
+// restart (charged false) passes through the same phases but stays out of
+// the recovery probes.
+func TestTransitionChargesOnlyOwnRecoveries(t *testing.T) {
+	_, n, _ := twoNodes(t)
+	n.transition(phaseRestoring)
+	n.transition(phaseUp)
+	if n.stats.Recoveries != 0 || n.stats.RecoveryTotal != 0 || n.recoveryEpoch != 1 {
+		t.Fatalf("peer rollback charged: %+v epoch %d", n.stats, n.recoveryEpoch)
+	}
+}
+
+func det(creator event.Rank, clock uint64) event.Determinant {
+	return event.Determinant{ID: event.EventID{Creator: creator, Clock: clock}, Sender: 9, SendSeq: clock}
+}
+
+// TestAssembleReplay checks the replay-set assembly on hand-built
+// collections, with no cluster: ordering, cross-responder deduplication
+// (first arrival wins), the checkpoint base filter and gap detection.
+func TestAssembleReplay(t *testing.T) {
+	const me = event.Rank(1)
+	dup := det(me, 4)
+	dup.Sender = 3 // a later responder's differing copy must lose
+	cases := []struct {
+		name      string
+		collected []event.Determinant
+		base      uint64
+		wantAll   []event.Determinant
+		wantOwn   []event.Determinant
+		wantGap   DeterminantLoss
+	}{
+		{name: "empty"},
+		{
+			name:      "gapless, interleaved responders",
+			collected: []event.Determinant{det(me, 5), det(0, 2), det(me, 3), det(me, 4), det(0, 1)},
+			base:      2,
+			wantAll:   []event.Determinant{det(0, 1), det(0, 2), det(me, 3), det(me, 4), det(me, 5)},
+			wantOwn:   []event.Determinant{det(me, 3), det(me, 4), det(me, 5)},
+		},
+		{
+			name:      "duplicates across responders",
+			collected: []event.Determinant{det(me, 4), det(me, 3), dup, det(me, 3), det(2, 7), det(2, 7)},
+			base:      2,
+			wantAll:   []event.Determinant{det(me, 3), det(me, 4), det(2, 7)},
+			wantOwn:   []event.Determinant{det(me, 3), det(me, 4)},
+		},
+		{
+			name:      "at or below the checkpoint base is not replayed",
+			collected: []event.Determinant{det(me, 1), det(me, 2), det(me, 3)},
+			base:      2,
+			wantAll:   []event.Determinant{det(me, 1), det(me, 2), det(me, 3)},
+			wantOwn:   []event.Determinant{det(me, 3)},
+		},
+		{
+			name:      "hole in the middle and right above the base",
+			collected: []event.Determinant{det(me, 9), det(me, 5), det(me, 6)},
+			base:      3,
+			wantAll:   []event.Determinant{det(me, 5), det(me, 6), det(me, 9)},
+			wantOwn:   []event.Determinant{det(me, 5), det(me, 6), det(me, 9)},
+			wantGap:   DeterminantLoss{MissingFrom: 4, MissingTo: 8, Lost: 3, Gap: true},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			all, own, gap := assembleReplay(tc.collected, nil, me, tc.base)
+			if !slices.Equal(all, tc.wantAll) {
+				t.Errorf("all = %v, want %v", all, tc.wantAll)
+			}
+			if !slices.Equal(own, tc.wantOwn) {
+				t.Errorf("replay set = %v, want %v", own, tc.wantOwn)
+			}
+			if !reflect.DeepEqual(gap, tc.wantGap) { // DeterminantLoss holds a slice: not comparable
+				t.Errorf("gap = %+v, want %+v", gap, tc.wantGap)
+			}
+		})
+	}
+}

@@ -19,54 +19,83 @@ type Metrics struct {
 	Availability float64
 }
 
-// ComputeMetrics derives availability metrics from a timeline over np
-// ranks that ended at virtual time end. The accounting rules match the
-// cluster's live accounting exactly (cluster/outcome.go): a down window
-// opens at the first kill, suspect or restart event of an up rank — a
-// restart without a prior kill is how a coordinated-rollback peer goes
-// down — closes as a repair at the rank's recovery, and closes as plain
-// downtime at program completion or at end.
-func ComputeMetrics(events []Event, np int, end sim.Time) Metrics {
-	downSince := make([]sim.Time, np)
-	for r := range downSince {
-		downSince[r] = -1
+// Downtime is the one availability accounting: it turns a stream of rank
+// lifecycle events into the Metrics figures. A rank's down window opens at
+// the first kill, suspect or restart event of an up rank — an overlapping
+// kill extends the same outage, and a restart without a prior kill is how
+// a coordinated-rollback peer goes down. It closes as a repair (feeding
+// MTTR) at the rank's recovery, and as plain downtime at program completion
+// (a suspected rank finishing behind a partition, its respawn cancelled)
+// or, still open, at the instant the figures are read. The cluster feeds
+// it live from the dispatcher's event stream; ComputeMetrics feeds it a
+// recorded timeline.
+type Downtime struct {
+	since      []sim.Time // open window's start per rank; -1 = up
+	total      sim.Time   // closed windows
+	repairTime sim.Time   // the subset closed by a recovery
+	repairs    int
+}
+
+// NewDowntime returns an accumulator over len(since) ranks, all up. The
+// caller supplies the per-rank storage so a deployment can carve it from an
+// allocation it already makes.
+func NewDowntime(since []sim.Time) Downtime {
+	for r := range since {
+		since[r] = -1
 	}
-	var m Metrics
-	var repairTime sim.Time
-	closeWindow := func(rank int, t sim.Time, repair bool) {
-		if rank < 0 || rank >= np || downSince[rank] < 0 {
+	return Downtime{since: since}
+}
+
+// Observe applies one timeline event; kinds other than the rank lifecycle
+// and ranks outside the deployment are ignored.
+func (d *Downtime) Observe(kind Kind, rank int, t sim.Time) {
+	if rank < 0 || rank >= len(d.since) {
+		return
+	}
+	switch kind {
+	case KindKill, KindSuspect, KindRestart:
+		if d.since[rank] < 0 {
+			d.since[rank] = t
+		}
+	case KindRecovered, KindFinished:
+		if d.since[rank] < 0 {
 			return
 		}
-		d := t - downSince[rank]
-		m.Downtime += d
-		if repair {
-			repairTime += d
-			m.Repairs++
-		}
-		downSince[rank] = -1
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindKill, KindSuspect, KindRestart:
-			if ev.Rank >= 0 && ev.Rank < np && downSince[ev.Rank] < 0 {
-				downSince[ev.Rank] = ev.T
-			}
-		case KindRecovered:
-			closeWindow(ev.Rank, ev.T, true)
-		case KindFinished:
-			closeWindow(ev.Rank, ev.T, false)
+		w := t - d.since[rank]
+		d.since[rank] = -1
+		d.total += w
+		if kind == KindRecovered {
+			d.repairTime += w
+			d.repairs++
 		}
 	}
-	for r := range downSince {
-		closeWindow(r, end, false)
+}
+
+// Metrics returns the figures as of virtual time now, counting windows
+// still open as downtime up to now.
+func (d *Downtime) Metrics(now sim.Time) Metrics {
+	m := Metrics{Repairs: d.repairs, Downtime: d.total, Availability: 1}
+	for _, s := range d.since {
+		if s >= 0 {
+			m.Downtime += now - s
+		}
 	}
 	if m.Repairs > 0 {
-		m.MTTR = repairTime / sim.Time(m.Repairs)
+		m.MTTR = d.repairTime / sim.Time(m.Repairs)
 	}
-	if end > 0 && np > 0 {
-		m.Availability = 1 - float64(m.Downtime)/(float64(np)*float64(end))
-	} else {
-		m.Availability = 1
+	if now > 0 && len(d.since) > 0 {
+		m.Availability = 1 - float64(m.Downtime)/(float64(len(d.since))*float64(now))
 	}
 	return m
+}
+
+// ComputeMetrics derives availability metrics from a timeline over np
+// ranks that ended at virtual time end, by replaying it through the same
+// Downtime accumulator the cluster feeds live.
+func ComputeMetrics(events []Event, np int, end sim.Time) Metrics {
+	d := NewDowntime(make([]sim.Time, np))
+	for _, ev := range events {
+		d.Observe(ev.Kind, ev.Rank, ev.T)
+	}
+	return d.Metrics(end)
 }

@@ -30,12 +30,13 @@ const (
 	KindRecovered
 	KindFinished
 
-	// Recovery phase boundaries (stamped by the daemon). RecoveryBegin
-	// opens at the top of PrepareRecovery/PrepareRollback; RestoreBegin/
-	// RestoreEnd bracket the checkpoint-image fetch and restore;
-	// CollectBegin/CollectEnd bracket determinant collection; ReplayBegin
-	// marks the start of conformant replay (absent when the replay set is
-	// empty); RecoveryEnd closes when the rank resumes free execution.
+	// Recovery phase boundaries, stamped by the daemon's phase transition
+	// function (recovery.go). RecoveryBegin and RestoreBegin mark entry to
+	// the restoring phase, RestoreEnd its exit (checkpoint image fetched
+	// and restored); CollectBegin/CollectEnd bracket the determinant wait
+	// inside the collecting phase; ReplayBegin marks entry to replaying
+	// (absent when the replay set is empty); RecoveryEnd marks the return
+	// to up, when the rank resumes free execution.
 	KindRecoveryBegin
 	KindRestoreBegin
 	KindRestoreEnd
