@@ -7,6 +7,7 @@
 //
 //	experiments [-fig 1|6a|6b|7|8a|8b|9|10[,...]] [-parallel N]
 //	            [-json] [-csv] [-out DIR] [-trace DIR] [-timeout D] [-q]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 //	experiments -list
 //
 // -parallel sets the worker-pool width (0 = GOMAXPROCS); every cell of a
@@ -17,7 +18,10 @@
 // to stdout (suppressing the tables). -trace enables the observability
 // layer and writes one JSONL timeline plus one Chrome trace-event file
 // (Perfetto-viewable) per cell into DIR; tracing only observes, so traced
-// results are identical to untraced ones.
+// results are identical to untraced ones. -cpuprofile and -memprofile
+// write pprof profiles of the whole invocation (host CPU samples; the heap
+// after a final collection, with cumulative allocation counts), for
+// `go tool pprof`.
 package main
 
 import (
@@ -25,6 +29,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -41,6 +47,8 @@ func main() {
 	traceDir := flag.String("trace", "", "directory for per-cell run timelines (JSONL + Chrome trace-event; empty = no tracing)")
 	cellTimeout := flag.Duration("timeout", 0, "wall-clock timeout per sweep cell (0 = none)")
 	quiet := flag.Bool("q", false, "suppress progress reporting on stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
 
 	if *list {
@@ -72,6 +80,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal("%v", err)
+	}
+	// fatal exits skip this: a failed run leaves no usable profile.
+	defer stopProfiles()
 	// Structured output on stdout replaces the tables; with -out the
 	// tables stay on stdout and files carry the structured results.
 	printTables := !(*jsonOut || *csvOut) || *outDir != ""
@@ -134,6 +148,44 @@ func resolveFigures(figSpec string, reports map[string]func() *mpichv.Experiment
 		return nil, fmt.Errorf("-fig %q selects no experiments", figSpec)
 	}
 	return names, nil
+}
+
+// startProfiles begins a CPU profile into cpuFile and returns the function
+// that ends it and then writes the heap profile into memFile. Either name
+// may be empty.
+func startProfiles(cpuFile, memFile string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fatal("-cpuprofile: %v", err)
+			}
+		}
+		if memFile == "" {
+			return
+		}
+		mem, err := os.Create(memFile)
+		if err != nil {
+			fatal("-memprofile: %v", err)
+		}
+		runtime.GC() // so that in-use figures are what the run still holds
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			fatal("-memprofile: %v", err)
+		}
+		if err := mem.Close(); err != nil {
+			fatal("-memprofile: %v", err)
+		}
+	}, nil
 }
 
 // prepareOutDir creates the -out directory (with parents) when one is

@@ -56,6 +56,7 @@ func main() {
 	}
 
 	c := mpichv.NewCluster(cfg)
+	defer c.Close()
 	d := c.PrepareRun(b.Programs)
 	if *faultAt > 0 {
 		d.ScheduleFault(mpichv.Time(*faultAt), 0)

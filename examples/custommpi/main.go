@@ -45,6 +45,7 @@ func main() {
 		RestartDelay:  10 * mpichv.Millisecond,
 		AppStateBytes: 256 << 10,
 	})
+	defer c.Close()
 
 	programs := make([]mpichv.Program, np)
 	for r := 0; r < np; r++ {

@@ -35,5 +35,6 @@ func main() {
 		fmt.Printf("  completed in %v after %d fault(s)\n", elapsed, d.Kills)
 		fmt.Printf("  rank 0: %d recovery, determinant collection took %v, full recovery %v\n\n",
 			st.Recoveries, st.RecoveryEventCollection, st.RecoveryTotal)
+		c.Close()
 	}
 }

@@ -33,6 +33,7 @@ func main() {
 				st.PiggybackBytes, st.PiggybackEvents,
 				st.SendPiggybackTime+st.RecvPiggybackTime,
 				st.MaxHeldDeterminants)
+			c.Close()
 		}
 	}
 	fmt.Println("\nExpected: the EL rows piggyback far less, compute faster and hold less memory —")

@@ -19,6 +19,7 @@ func main() {
 		Reducer: "manetho",
 		UseEL:   true,
 	})
+	defer c.Close()
 	elapsed := c.Run(bench.Programs, 10*mpichv.Minute).MustCompleted()
 	stats := c.AggregateStats()
 

@@ -56,5 +56,6 @@ func main() {
 		fmt.Printf("  p50 %v  p99 %v  goodput %.1f req/s  availability %.3f%%\n\n",
 			s.Quantile(0.50), s.Quantile(0.99), s.GoodputRPS(res.End),
 			100*c.Availability())
+		c.Close()
 	}
 }

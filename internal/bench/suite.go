@@ -90,7 +90,7 @@ func benchKernelSchedulePop(b *testing.B) {
 }
 
 // benchProcSleep measures the park/unpark handshake: one timer event plus
-// two goroutine switches per operation, the unit cost of ChargeCPU.
+// two coroutine switches per operation, the unit cost of ChargeCPU.
 func benchProcSleep(b *testing.B) {
 	k := sim.NewKernel(1)
 	k.Spawn("sleeper", func(p *sim.Proc) {
@@ -221,10 +221,11 @@ func benchEncodeFlat(b *testing.B) {
 // recovery requests the 64-payload replay set and the serving daemon
 // re-transmits it. This is the recovery-path hot spot the batched replay
 // chain targets — the sequential path paid one blocking sleep (a kernel
-// timer plus two goroutine switches) per logged payload; the chain pays
+// timer plus two coroutine switches) per logged payload; the chain pays
 // one park for the whole set.
 func benchReplayServe(b *testing.B) {
 	k := sim.NewKernel(1)
+	defer k.Close() // the server never returns
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
 	n := daemon.NewNode(k, net, 0, 2, daemon.Vdaemon(), daemon.DefaultCalibration(),
 		protocols.NewVcausal("vcausal", 0, 2, false))
@@ -279,6 +280,7 @@ func cellBench(cfg cluster.Config, iterScale int) func(b *testing.B) {
 		runCell := func() {
 			in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP, IterScale: iterScale})
 			c := cluster.New(cfg)
+			defer c.Close()
 			c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
 		}
 		runCell()
@@ -313,6 +315,7 @@ func benchStormRecovery(b *testing.B) {
 		in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP})
 		c := cluster.New(cfg)
 		c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
+		c.Close()
 	}
 }
 

@@ -378,6 +378,14 @@ func (c *Cluster) RunLaunched(maxVirtual sim.Time) RunResult {
 	}
 }
 
+// Close ends the deployment's simulated processes (ranks still serving
+// peers, the Event Logger, the schedulers), which otherwise stay blocked —
+// with the whole cluster reachable from their stacks — for the life of the
+// program. Run and RunLaunched do not call it: their callers may inspect
+// the nodes or run on. Closing twice is a no-op; a closed cluster must not
+// be run again.
+func (c *Cluster) Close() { c.K.Close() }
+
 // AggregateStats sums all per-node probes.
 func (c *Cluster) AggregateStats() trace.Stats {
 	var total trace.Stats

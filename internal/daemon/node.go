@@ -123,6 +123,9 @@ type Node struct {
 	AppStateBytes int64
 
 	proc *sim.Proc
+	// inboxReady is Compute's poll predicate (a delivered packet waits),
+	// built once so that pacing a computation allocates nothing.
+	inboxReady func() bool
 
 	// MPI receive machinery.
 	recvQ    []*vproto.Message
@@ -255,6 +258,7 @@ func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
 		peerEpoch: make([]int, np),
 		Log:       NewSenderLog(),
 	}
+	n.inboxReady = func() bool { return n.ep.Inbox.Len() > 0 }
 	return n
 }
 
@@ -386,12 +390,7 @@ func (n *Node) Compute(d sim.Time) {
 		return
 	}
 	for d > 0 {
-		chunk := d
-		if chunk > computeChunk {
-			chunk = computeChunk
-		}
-		n.proc.Sleep(chunk)
-		d -= chunk
+		d = n.proc.SleepPolled(d, computeChunk, n.inboxReady)
 		n.drain()
 	}
 }
@@ -669,7 +668,7 @@ func (n *Node) serveDetRequest(req detRequest) {
 // above seqFloor — the batched sender-log replay of a peer's recovery.
 //
 // The sequential path charged each message's software cost with its own
-// blocking sleep: one kernel timer plus two goroutine switches per logged
+// blocking sleep: one kernel timer plus two process switches per logged
 // payload, which under fault storms made replay service the dominant host
 // cost of the recovery path. The batched path gathers the replay set once
 // and hands it to a chain of kernel events: each link emits one message at

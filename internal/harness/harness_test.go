@@ -3,12 +3,15 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mpichv/internal/cluster"
+	"mpichv/internal/daemon"
+	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
 
@@ -335,5 +338,54 @@ func TestCellTimeoutWatchdogPreservesDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("watchdog perturbed the simulation:\nunguarded: %s\nguarded:   %s", a, b)
+	}
+}
+
+// TestRunLeavesNoGoroutines: every cell's simulated processes are torn
+// down with the cell, however it ended — completed after a recovery, cut
+// at its virtual cap with every rank mid-run, or aborted by a panic in a
+// rank's program — so a sweep hands back the goroutines (and, through
+// their stacks, the clusters) it used.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	boom := func() *workload.Instance {
+		in := workload.BuildWitnessPair(40)
+		in.Programs[2] = func(n *daemon.Node) {
+			n.Compute(2 * sim.Millisecond)
+			panic("boom")
+		}
+		return in
+	}
+	spec := &SweepSpec{
+		Name: "teardown",
+		Workloads: []Workload{
+			{Key: "cg.A.2", Spec: workload.Spec{Bench: "cg", Class: "A", NP: 2}},
+			{Key: "boom", Make: boom},
+		},
+		Stacks: []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
+		Variants: []Variant{
+			{Key: "faulted", FaultAt: 5 * sim.Millisecond, RestartDelay: 5 * sim.Millisecond},
+			{Key: "capped", MaxVirtual: 5 * sim.Millisecond},
+		},
+	}
+	before := runtime.NumGoroutine()
+	res := Run(spec, Options{Parallel: 2})
+
+	if cr := res.Get("cg.A.2", "vc", "faulted"); !cr.Completed || cr.Stats.Recoveries != 1 {
+		t.Errorf("faulted cell: completed %v with %d recoveries, want a completed run with 1", cr.Completed, cr.Stats.Recoveries)
+	}
+	if cr := res.Get("cg.A.2", "vc", "capped"); cr.Outcome != cluster.OutcomeDiverged {
+		t.Errorf("capped cell outcome = %q, want diverged", cr.Outcome)
+	}
+	if cr := res.Get("boom", "vc", "faulted"); !strings.Contains(cr.Err, "boom") {
+		t.Errorf("panicking cell Err = %q, want the program's panic", cr.Err)
+	}
+	// Worker goroutines may still be exiting when Run returns.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 200 && after > before; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines after the sweep, %d before", after, before)
 	}
 }

@@ -177,6 +177,7 @@ func execute(cell *Cell, opts Options, deadline time.Time) (cr CellResult) {
 		cfg.Trace = &obs.Config{}
 	}
 	c := cluster.New(cfg)
+	defer c.Close()
 	d := c.PrepareRun(in.Programs)
 	if cell.FaultAt > 0 {
 		d.ScheduleFault(cell.FaultAt, 0)

@@ -20,7 +20,7 @@ type eventHeap struct {
 func (h *eventHeap) Len() int { return len(h.items) }
 
 func (h *eventHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+	a, b := &h.items[i], &h.items[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}

@@ -16,27 +16,16 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// yieldCh is the rendezvous on which a resumed process hands control
-	// back to the kernel loop (by parking, finishing, or dying).
-	yieldCh chan struct{}
-
-	procs     map[int]*Proc
-	nextProc  int
+	// procs holds, in spawn order, every process whose coroutine has not
+	// ended yet — a killed one stays until it has unwound. Close walks it.
+	procs     []*Proc
 	liveProcs int
-
-	// procPanic holds the message of a panic that unwound a process body;
-	// step re-raises it on the kernel goroutine.
-	procPanic string
 }
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		yieldCh: make(chan struct{}),
-		procs:   make(map[int]*Proc),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -61,6 +50,18 @@ func (k *Kernel) At(t Time, fn func()) {
 
 // After schedules fn to run d nanoseconds of virtual time from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
+
+// runNext runs fn as the next event of the current instant. It is for
+// timer events whose whole job is that hand-over (Sleep's wake-up, the
+// SleepPolled tick): when nothing else is pending at this instant, the
+// event they would push is the very next pop, so fn runs in place.
+func (k *Kernel) runNext(fn func()) {
+	if k.queue.Len() == 0 || k.queue.peek().at > k.now {
+		fn()
+		return
+	}
+	k.At(k.now, fn)
+}
 
 // Stop makes Run return after the currently executing event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -89,6 +90,21 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		ev.fn()
 	}
 	return k.now
+}
+
+// Close ends every process that has not finished — never started, blocked
+// in Sleep, SleepPolled, Mailbox.Get or Park, or killed but not yet unwound
+// — by unwinding it with ErrKilled, so that a finished simulation leaves no
+// coroutine, and nothing reachable from one, behind. A panic from a process
+// body's deferred calls surfaces here; calling Close again resumes with the
+// remaining processes. Closing twice is a no-op. A closed kernel must not
+// be run again.
+func (k *Kernel) Close() {
+	for len(k.procs) > 0 {
+		p := k.procs[0]
+		p.stop()
+		p.retire()
+	}
 }
 
 // LiveProcs reports the number of spawned processes that have not yet

@@ -119,10 +119,9 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		m.waiters = append(m.waiters, w)
 		// If p is killed while parked here, drop its waiter slot so a later
 		// Put does not waste a wakeup on a corpse.
-		unhook := p.addKillHook(w.drop)
+		p.onKill = w.drop
 		p.park()
-		//lint:allow noalloctrans unhook's only real targets are addKillHook's deregister closures; signature matching would pull in every func() in the module
-		unhook() //lint:allow hotcall one indirect call on the parked path, executed once per blocking Get
+		p.onKill = nil
 		// A normal wakeup means wakeOne already removed w from the queue.
 		m.recycle(w)
 	}

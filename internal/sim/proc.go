@@ -1,27 +1,39 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
-// ErrKilled is the panic value used to unwind a process goroutine when it is
-// killed. Process bodies must not recover from it; the kernel's wrapper does.
+// ErrKilled is the panic value used to unwind a process when it is killed
+// or its kernel is closed. Process bodies must not recover from it; the
+// kernel's wrapper does.
 var ErrKilled = fmt.Errorf("sim: process killed")
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
-// hands it control, and hands control back whenever it blocks (Sleep, park,
+// Proc is a simulated process: a coroutine that runs only when the kernel
+// switches to it, and switches back whenever it blocks (Sleep, park,
 // mailbox Get) or finishes.
 type Proc struct {
 	k    *Kernel
-	id   int
 	name string
 
-	// resume carries control from the kernel to the process goroutine.
-	resume chan struct{}
+	// next switches from the kernel to the process and returns when the
+	// process parks or finishes; yield is the switch back, and reports
+	// false once stop has asked the process to unwind. All three come
+	// from one iter.Pull: a switch is a direct coroutine switch on the
+	// caller's OS thread, not a trip through the Go scheduler.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
-	// stepFn and unparkFn are the two closures every park/unpark cycle
-	// schedules. They are built once at Spawn so that the simulation hot
-	// path (Sleep, mailbox waits) allocates nothing per operation.
-	stepFn   func()
-	unparkFn func()
+	// The closures every blocking operation schedules. They are built once
+	// at Spawn so that the simulation hot path (Sleep, mailbox waits, the
+	// compute poll) allocates nothing per operation.
+	stepFn  func() // resume p
+	wakeFn  func() // Sleep's timer: resume p at the instant it fires
+	tickFn  func() // SleepPolled's timer
+	checkFn func() // SleepPolled's poll
 
 	killed   bool
 	finished bool
@@ -31,74 +43,78 @@ type Proc struct {
 	// list) it is enqueued on at the moment it is killed. A process blocks
 	// on at most one queue at a time, so a single slot suffices.
 	onKill func()
+
+	// State of the SleepPolled the process is blocked in, if any.
+	pollLeft  Time // not yet slept when the pending tick was armed
+	pollEvery Time
+	pollReady func() bool
 }
 
 // Spawn creates a process named name running fn and schedules it to start at
 // the current virtual time. It returns the Proc handle immediately; the body
 // does not run until the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.nextProc++
-	p := &Proc{
-		k:      k,
-		id:     k.nextProc,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name}
 	p.stepFn = func() { k.step(p) }
-	p.unparkFn = p.unpark
-	k.procs[p.id] = p
+	p.wakeFn = func() { k.runNext(p.stepFn) }
+	p.tickFn = func() { k.runNext(p.checkFn) }
+	p.checkFn = p.check
+	k.procs = append(k.procs, p)
 	k.liveProcs++
 
-	go func() {
-		<-p.resume // wait for the kernel to start us
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil && r != any(ErrKilled) {
-				// Real bug in a process body: record it so the kernel loop
-				// (which is blocked on yieldCh) re-panics in its own
-				// goroutine, where callers can observe it.
-				k.procPanic = fmt.Sprintf("sim: process %q panicked: %v", name, r)
+			r := recover()
+			p.retire()
+			if r != nil && r != any(ErrKilled) {
+				// Real bug in a process body: re-raise it through next (or
+				// stop) into kernel context, where callers can observe it.
+				panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
 			}
-			p.finished = true
-			if !p.killed {
-				k.liveProcs--
-				delete(k.procs, p.id)
-			}
-			k.yieldCh <- struct{}{}
 		}()
 		if p.killed {
 			// Killed before ever running: do not execute the body.
 			return
 		}
 		fn(p)
-	}()
+	})
 
 	k.At(k.now, p.stepFn)
 	return p
 }
 
-// step transfers control to p and waits until p parks, finishes or dies.
-// A panic in the process body is re-raised here, in kernel context.
-func (k *Kernel) step(p *Proc) {
+// retire records that p's coroutine has ended: its body returned or unwound,
+// or Close stopped it before it ever started.
+func (p *Proc) retire() {
 	if p.finished {
 		return
 	}
-	p.resume <- struct{}{}
-	<-k.yieldCh
-	if k.procPanic != "" {
-		msg := k.procPanic
-		k.procPanic = ""
-		panic(msg)
+	p.finished = true
+	if !p.killed {
+		p.k.liveProcs--
+	}
+	if i := slices.Index(p.k.procs, p); i >= 0 {
+		p.k.procs = slices.Delete(p.k.procs, i, i+1)
+	}
+}
+
+// step switches to p and returns when p parks, finishes or dies. A panic in
+// the process body is re-raised here, in kernel context.
+func (k *Kernel) step(p *Proc) {
+	if !p.finished {
+		p.next()
 	}
 }
 
 // park blocks the calling process until another activity calls unpark. It
-// panics with ErrKilled if the process is killed while parked.
+// panics with ErrKilled if the process is killed, or its kernel closed,
+// while parked.
 func (p *Proc) park() {
 	p.parked = true
-	p.k.yieldCh <- struct{}{}
-	<-p.resume
+	open := p.yield(struct{}{})
 	p.parked = false
-	if p.killed {
+	if p.killed || !open {
 		panic(ErrKilled)
 	}
 }
@@ -128,8 +144,53 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.k.After(d, p.unparkFn)
+	p.k.After(d, p.wakeFn)
 	p.park()
+}
+
+// SleepPolled blocks the calling process for d of virtual time, or until
+// ready reports true at one of the instants now+every, now+2·every, …
+// before that; it returns how much of d was left unslept. ready runs in
+// kernel context and must not block or schedule.
+//
+// It is, event for event, the loop
+//
+//	for left > 0 { c := min(left, every); Sleep(c); left -= c; if left > 0 && ready() { break } }
+//
+// without switching to the process between polls: each poll is a timer
+// event (tick) that schedules a second event (check) at the same instant,
+// in the (time, seq) slots where Sleep's wake-up and the process's resume
+// would sit. Keeping the pair — rather than polling from the tick — is
+// what lets everything scheduled for that instant between the two still
+// run before the poll, exactly as it would before the process resumed.
+func (p *Proc) SleepPolled(d, every Time, ready func() bool) (left Time) {
+	if d < 0 || every <= 0 {
+		panic(fmt.Sprintf("sim: polled sleep of %v every %v", d, every))
+	}
+	if d == 0 {
+		return 0
+	}
+	p.pollLeft, p.pollEvery, p.pollReady = d, every, ready
+	p.armTick()
+	p.park()
+	return p.pollLeft
+}
+
+func (p *Proc) armTick() {
+	p.k.After(min(p.pollLeft, p.pollEvery), p.tickFn)
+}
+
+// check is SleepPolled's poll: it stands where the process's resume would,
+// and switches to the process only when the sleep is over.
+func (p *Proc) check() {
+	p.pollLeft -= min(p.pollLeft, p.pollEvery) // the interval armTick timed
+	if p.pollLeft == 0 || p.killed || p.pollReady() {
+		// A process killed mid-sleep unwinds here, unless the kill's own
+		// resume already ran (step is then a no-op); the chain ends.
+		p.k.step(p)
+		return
+	}
+	p.armTick()
 }
 
 // Yield parks the process and immediately reschedules it, letting every
@@ -160,7 +221,6 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	p.k.liveProcs--
-	delete(p.k.procs, p.id)
 	if p.onKill != nil {
 		p.onKill()
 		p.onKill = nil
@@ -175,11 +235,3 @@ func (p *Proc) Killed() bool { return p.killed }
 
 // Finished reports whether the process body has returned or unwound.
 func (p *Proc) Finished() bool { return p.finished }
-
-// addKillHook registers f to run if the process is killed while blocked; it
-// returns a function that deregisters the hook (called on normal wakeup).
-func (p *Proc) addKillHook(f func()) (remove func()) {
-	p.onKill = f
-	//lint:allow noalloctrans the deregister closure is built only when a receive parks; the drained steady path never blocks
-	return func() { p.onKill = nil }
-}

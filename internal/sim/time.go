@@ -2,11 +2,12 @@
 // simulation kernel.
 //
 // The kernel advances a virtual clock by executing scheduled events in
-// (time, sequence) order. Simulated processes are ordinary goroutines that
-// cooperate with the kernel through a strict yield/resume handshake: at any
-// instant at most one goroutine (either the kernel loop or a single process)
-// is runnable, so executions are fully deterministic and free of data races
-// by construction.
+// (time, sequence) order. Simulated processes are coroutines of the kernel
+// loop (iter.Pull): an event switches to a process, the process switches
+// back when it blocks, and exactly one of them runs at any instant, so
+// executions are fully deterministic and free of data races by
+// construction. Kernel.Close unwinds the processes a finished run leaves
+// blocked.
 //
 // The kernel knows nothing about networks or MPI; higher layers
 // (internal/netmodel, internal/daemon, ...) are built on the three

@@ -40,6 +40,7 @@
 //		Reducer: "manetho",
 //		UseEL:   true,
 //	})
+//	defer c.Close()
 //	elapsed := c.Run(bench.Programs, 10*mpichv.Minute).MustCompleted()
 //	fmt.Printf("%.1f Mflop/s\n", bench.Mflops(elapsed))
 //
