@@ -12,32 +12,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"mpichv"
 )
 
-func main() {
-	bench := flag.String("bench", "cg", "benchmark: bt, sp, cg, lu, ft, mg, pingpong")
-	class := flag.String("class", "A", "NAS class: A or B")
-	np := flag.Int("np", 4, "number of MPI processes")
-	stack := flag.String("stack", "vcausal", "stack: rawtcp, p4, vdummy, vcausal, pessimistic, coordinated")
-	reducer := flag.String("reducer", "vcausal", "piggyback reducer for vcausal: vcausal, manetho, logon")
-	useEL := flag.Bool("el", false, "deploy the Event Logger")
-	ckpt := flag.Duration("ckpt", 0, "checkpoint interval (0 disables)")
-	faultAt := flag.Duration("fault-at", 0, "kill rank 0 at this virtual time (0 disables)")
-	msgBytes := flag.Int("bytes", 1024, "pingpong message size")
-	reps := flag.Int("reps", 1000, "pingpong repetitions")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var b *mpichv.Benchmark
+// run is the command: it runs the job args describe, prints the report
+// on stdout and returns the exit status — 2, with one line on stderr, for
+// flag values the job cannot be built from.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpichv", flag.ExitOnError)
+	bench := fs.String("bench", "cg", "benchmark: bt, sp, cg, lu, ft, mg, pingpong")
+	class := fs.String("class", "A", "NAS class: A or B")
+	np := fs.Int("np", 4, "number of MPI processes")
+	stack := fs.String("stack", "vcausal", "stack: rawtcp, p4, vdummy, vcausal, pessimistic, coordinated")
+	reducer := fs.String("reducer", "vcausal", "piggyback reducer for vcausal: vcausal, manetho, logon")
+	useEL := fs.Bool("el", false, "deploy the Event Logger")
+	ckpt := fs.Duration("ckpt", 0, "checkpoint interval (0 disables)")
+	faultAt := fs.Duration("fault-at", 0, "kill rank 0 at this virtual time (0 disables)")
+	msgBytes := fs.Int("bytes", 1024, "pingpong message size")
+	reps := fs.Int("reps", 1000, "pingpong repetitions")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	fs.Parse(args) // exits on error
 	if *bench == "pingpong" {
 		*np = 2
-		b = mpichv.BuildPingPong(*msgBytes, *reps)
-	} else {
-		b = mpichv.BuildBenchmark(mpichv.BenchmarkSpec{Bench: *bench, Class: *class, NP: *np})
 	}
 
 	cfg := mpichv.Config{
@@ -55,7 +57,16 @@ func main() {
 		}
 	}
 
-	c := mpichv.NewCluster(cfg)
+	b, c, err := construct(cfg, func() *mpichv.Benchmark {
+		if *bench == "pingpong" {
+			return mpichv.BuildPingPong(*msgBytes, *reps)
+		}
+		return mpichv.BuildBenchmark(mpichv.BenchmarkSpec{Bench: *bench, Class: *class, NP: *np})
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "mpichv: %v\n", err)
+		return 2
+	}
 	defer c.Close()
 	d := c.PrepareRun(b.Programs)
 	if *faultAt > 0 {
@@ -67,27 +78,40 @@ func main() {
 	elapsed := c.RunLaunched(100 * 60 * mpichv.Minute).MustCompleted()
 	stats := c.AggregateStats()
 
-	fmt.Printf("benchmark      : %s on %d processes, stack=%s", *bench, *np, *stack)
+	fmt.Fprintf(stdout, "benchmark      : %s on %d processes, stack=%s", *bench, *np, *stack)
 	if *stack == mpichv.StackVcausal {
-		fmt.Printf("/%s el=%v", *reducer, *useEL)
+		fmt.Fprintf(stdout, "/%s el=%v", *reducer, *useEL)
 	}
-	fmt.Println()
-	fmt.Printf("virtual time   : %v  (wall %.2fs)\n", elapsed, time.Since(wall).Seconds())
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "virtual time   : %v  (wall %.2fs)\n", elapsed, time.Since(wall).Seconds())
 	if b.TotalFlops > 0 {
-		fmt.Printf("performance    : %.1f Mflop/s\n", b.Mflops(elapsed))
+		fmt.Fprintf(stdout, "performance    : %.1f Mflop/s\n", b.Mflops(elapsed))
 	}
-	fmt.Printf("app traffic    : %d messages, %d bytes\n", stats.AppMsgsSent, stats.AppBytesSent)
-	fmt.Printf("piggyback      : %d events, %d bytes (%.2f%% of app bytes)\n",
+	fmt.Fprintf(stdout, "app traffic    : %d messages, %d bytes\n", stats.AppMsgsSent, stats.AppBytesSent)
+	fmt.Fprintf(stdout, "piggyback      : %d events, %d bytes (%.2f%% of app bytes)\n",
 		stats.PiggybackEvents, stats.PiggybackBytes, 100*stats.PiggybackShare())
-	fmt.Printf("piggyback time : send %v, recv %v\n", stats.SendPiggybackTime, stats.RecvPiggybackTime)
-	fmt.Printf("events         : %d created, %d logged to EL\n", stats.EventsCreated, stats.EventsLogged)
-	fmt.Printf("checkpoints    : %d (%d bytes)\n", stats.Checkpoints, stats.CheckpointBytes)
+	fmt.Fprintf(stdout, "piggyback time : send %v, recv %v\n", stats.SendPiggybackTime, stats.RecvPiggybackTime)
+	fmt.Fprintf(stdout, "events         : %d created, %d logged to EL\n", stats.EventsCreated, stats.EventsLogged)
+	fmt.Fprintf(stdout, "checkpoints    : %d (%d bytes)\n", stats.Checkpoints, stats.CheckpointBytes)
 	if stats.Recoveries > 0 {
-		fmt.Printf("recoveries     : %d (event collection %v, total %v)\n",
+		fmt.Fprintf(stdout, "recoveries     : %d (event collection %v, total %v)\n",
 			stats.Recoveries, stats.RecoveryEventCollection, stats.RecoveryTotal)
 	}
 	if d.Kills > 0 {
-		fmt.Printf("faults         : %d injected, %d restarts\n", d.Kills, d.Restarts)
+		fmt.Fprintf(stdout, "faults         : %d injected, %d restarts\n", d.Kills, d.Restarts)
 	}
-	_ = os.Stdout
+	return 0
+}
+
+// construct builds the workload and the cluster. Both reject an unknown
+// benchmark, stack or reducer name, or a process count the benchmark
+// cannot be laid out on, by panicking with a message: here those values
+// are user input, so the message comes back as an error.
+func construct(cfg mpichv.Config, build func() *mpichv.Benchmark) (b *mpichv.Benchmark, c *mpichv.Cluster, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	return build(), mpichv.NewCluster(cfg), nil
 }

@@ -12,9 +12,9 @@
 //     "noalloctrans", which walks a conservative whole-module call graph
 //     and stops only at //mpichv:noalloc or //mpichv:amortized <reason>
 //     boundaries), and must avoid dynamic dispatch that defeats inlining
-//     (check "hotcall") — together giving the runtime equal-allocs bench
-//     gate a static twin that names the exact line when a regression
-//     appears;
+//     (check "hotcall") — together giving the runtime allocation test
+//     (TestHotPathAllocations, alloc_test.go at the repository root) a
+//     static twin that names the exact line when a regression appears;
 //   - pool discipline: vproto's packet pool must never see a use after
 //     PutPacket, a double put, or a leaked GetPacket (check
 //     "pooldiscipline").

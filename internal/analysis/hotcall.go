@@ -9,7 +9,7 @@ import (
 // HotCall flags dynamic dispatch inside //mpichv:noalloc-annotated
 // functions: interface method calls, func-value invocations, and defer
 // statements. None of these allocate by themselves, but all three defeat
-// the inliner on exactly the paths the equal-allocs bench gate protects —
+// the inliner on exactly the paths TestHotPathAllocations measures —
 // an interface call or a call through a stored func value is an indirect
 // jump the compiler cannot flatten, and a defer carries fixed bookkeeping
 // per invocation. A site that is deliberate (a never-nil hook invoked once

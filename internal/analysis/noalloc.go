@@ -11,7 +11,7 @@ import (
 // NoAllocDirective marks a function whose body must stay free of
 // allocating constructs. It is applied to the proven-zero-alloc paths
 // (reducer append/piggyback, the mailbox ring, obs nil-recorder emission,
-// LatencyHist recording) so the runtime equal-allocs bench gate has a
+// LatencyHist recording) so the runtime TestHotPathAllocations has a
 // static twin that names the exact line when an allocation creeps in.
 const NoAllocDirective = "//mpichv:noalloc"
 
@@ -23,10 +23,10 @@ const NoAllocDirective = "//mpichv:noalloc"
 //
 // The analysis is intra-procedural: calls to unannotated helpers are
 // trusted (the amortized grow/refill paths are deliberately factored into
-// such helpers), and the runtime bench.EqualAllocs gate remains the
+// such helpers), and the runtime TestHotPathAllocations remains the
 // authority on the composed steady state. The static check's job is to
 // catch the regression at the exact line, at compile time, instead of as
-// an anonymous allocs/op delta in CI.
+// an anonymous allocs/op delta in a test row.
 type NoAlloc struct{}
 
 // Name implements Check.

@@ -224,8 +224,8 @@ func New(cfg Config) *Cluster {
 	}
 	// One backing array for the per-rank lifecycle timestamps keeps the
 	// always-on availability accounting from costing an extra allocation
-	// per deployment (the bench gate holds cells to the pre-observability
-	// allocs/op exactly).
+	// per deployment (TestHotPathAllocations holds whole cells to a
+	// ceiling of mallocs per message).
 	times := make([]sim.Time, 4*cfg.NP)
 	c.killedAt = times[:cfg.NP]
 	c.recoveredAt = times[cfg.NP : 2*cfg.NP]

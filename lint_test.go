@@ -7,11 +7,12 @@ import (
 )
 
 // TestInvariantLintSuite runs the invariant lint suite (internal/analysis:
-// detmap, walltime, noalloc, pooldiscipline) over the whole module, so
-// `go test ./...` enforces the determinism, zero-alloc and pool-lifecycle
-// contracts without extra tooling — the same suite cmd/lint and the CI
-// lint job run. Zero findings are required; a suppression without a
-// written reason is itself a finding.
+// detmap, walltime, noalloc, noalloctrans, hotcall, pooldiscipline) over
+// the whole module, so `go test ./...` enforces the determinism, zero-alloc
+// and pool-lifecycle contracts without extra tooling — the same suite
+// cmd/lint and the CI lint job run. Zero findings are required; a
+// suppression without a written reason is itself a finding. Its runtime
+// twin is TestHotPathAllocations (alloc_test.go).
 //
 // Skipped in -short: the stdlib-only driver type-checks the standard
 // library from source, which costs a few seconds — the full (tier-1) run

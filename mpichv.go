@@ -70,7 +70,6 @@
 package mpichv
 
 import (
-	"mpichv/internal/bench"
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
@@ -226,14 +225,6 @@ type (
 	// latency histogram with deterministic quantiles; a nil histogram is
 	// the disabled layer (Observe is a branch, zero allocations).
 	LatencyHist = obs.LatencyHist
-
-	// BenchResult is one curated performance-suite measurement.
-	BenchResult = bench.Result
-	// BenchResults is a performance-suite run with provenance, the unit
-	// the BENCH_<label>.json baseline files serialize.
-	BenchResults = bench.Results
-	// BenchRegression is one perf-gate violation from BenchCompare.
-	BenchRegression = bench.Regression
 )
 
 // Time units.
@@ -322,19 +313,6 @@ func OnlyRank(r int) int { return faultplan.OnlyRank(r) }
 // Reducers lists the piggyback-reduction techniques usable with
 // StackVcausal: "vcausal", "manetho", "logon".
 func Reducers() []string { return []string{"vcausal", "manetho", "logon"} }
-
-// BenchNames lists the curated performance benchmarks (see cmd/bench).
-func BenchNames() []string { return bench.Names() }
-
-// LoadBenchBaseline reads a BENCH_<label>.json file written by cmd/bench.
-func LoadBenchBaseline(path string) (*BenchResults, error) { return bench.Load(path) }
-
-// BenchCompare reports curated benchmarks that regressed more than
-// thresholdPct percent (ns/op calibration-normalized, allocs/op) between
-// two suite runs — the CI perf gate's logic.
-func BenchCompare(cur, base *BenchResults, thresholdPct float64) []BenchRegression {
-	return bench.Compare(cur, base, thresholdPct)
-}
 
 // TimelineJSONL renders timeline events as one JSON object per line.
 func TimelineJSONL(events []TimelineEvent) []byte { return obs.JSONL(events) }
