@@ -104,6 +104,11 @@ func TestHotPathAllocations(t *testing.T) {
 	manethoEL := func(np int) cluster.Config {
 		return cluster.Config{NP: np, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}
 	}
+	noEL := func(reducer string) cluster.Config {
+		cfg := manethoEL(16)
+		cfg.Reducer, cfg.UseEL = reducer, false
+		return cfg
+	}
 	storm := manethoEL(4)
 	storm.CkptPolicy, storm.CkptInterval = checkpoint.PolicyRoundRobin, 20*sim.Millisecond
 	storm.RestartDelay = 20 * sim.Millisecond
@@ -121,11 +126,16 @@ func TestHotPathAllocations(t *testing.T) {
 		{"cell/vdummy", cluster.Config{NP: 4, Stack: cluster.StackVdummy}, 1, 1.111},           // 1.089
 		{"cell/pessimistic", cluster.Config{NP: 4, Stack: cluster.StackPessimistic}, 1, 1.181}, // 1.157
 		{"cell/coordinated", cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1, 1.114}, // 1.092
-		{"cell/vcausal-el", manethoEL(4), 1, 1.313},                                            // 1.287
+		{"cell/vcausal-el", manethoEL(4), 1, 1.288},                                            // 1.262
 		// Same message volume at both sizes: iterations scale inversely
 		// with NP.
-		{np16, manethoEL(16), 4, 1.091}, // 1.069
-		{np64, manethoEL(64), 1, 1.750}, // 1.715
+		{np16, manethoEL(16), 4, 1.085}, // 1.064
+		{np64, manethoEL(64), 1, 1.418}, // 1.390
+		// No Event Logger: nothing is ever collected, so every determinant
+		// stays in the antecedence graph and gets a clock. 33.2 when each
+		// held node carried a heap-allocated vector clock.
+		{"cell/manetho-noel-np16", noEL("manetho"), 4, 1.232}, // 1.208
+		{"cell/logon-noel-np16", noEL("logon"), 4, 1.232},     // 1.208
 		// Two correlated two-rank kills, four overlapping recoveries:
 		// checkpoint restores, determinant collection across restarting
 		// peers, replay-set assembly, sender-log replay service.

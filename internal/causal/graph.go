@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -24,20 +25,30 @@ import (
 // "crossing this graph allows to better estimate the events already known
 // by a receiver").
 //
-// All per-rank state is sparse: chains and per-peer knowledge live in
-// rankTable rows, clock floors and vector clocks are interval-coded
-// sparsevec.Vec values, and node lookup by event ID is a binary search on
-// the creator's chain (the chains are clock-ordered, so no side index is
-// needed). Host cost tracks active creators; the *op counts* the reducers
-// charge are computed arithmetically over the world size, exactly as the
-// dense implementation charged them.
+// Layout. A held determinant costs no heap object and no pointer: chains
+// are value slices of gnode in rankTable rows (as Vcausal's sequences are),
+// collected by copy-compaction. A node's vc field is its clock state: 0 not
+// computed, inFlight on vcOf's stack, > 0 the arena slot holding its causal
+// past as np plain words. vcOf visits the chain predecessor before the
+// parent, lets a parent that is absent when the clock is computed
+// contribute only its own identity, and never recomputes a clock: under an
+// Event Logger the cached value depends on what had been collected when it
+// was computed, so any other order or a re-evaluation would move the
+// piggybacks and with them every table. The arena costs np words per held,
+// materialised node, carved lazily from ≈ 32 KB blocks, slots recycled when
+// gc collects the node. lookup is index arithmetic on a chain without gaps
+// (clock − first clock is the index) and a binary search on one with gaps.
+//
+// Per-rank tables (knownBy, lastHeld, stable, the knowledge scratch) stay
+// interval-coded sparsevec.Vec values. Host cost tracks active creators;
+// the *op counts* the reducers charge are computed arithmetically over the
+// world size, exactly as the dense implementation charged them.
 type graph struct {
-	self event.Rank
-	np   int
+	np int
 
 	// chains holds, per active creator, the live nodes of that creator in
-	// clock order (a contiguous suffix above the stability horizon).
-	chains rankTable[[]*gnode]
+	// clock order (a suffix above the stability horizon).
+	chains rankTable[[]gnode]
 
 	// knownBy holds, per active peer, the floors of what that peer is known
 	// to hold from direct exchanges (the antecedence inference is applied on
@@ -50,26 +61,21 @@ type graph struct {
 	// owning reducer exposes it through TakeIDConflict).
 	conflict *conflictLatch
 
-	// headOwn is the local process's latest event; every held node is in
-	// its causal past (piggybacks are merged before the carrying reception
-	// is appended), so it is the root for frontier computations.
-	headOwn *gnode
-
 	held int
 
-	// Allocation-avoidance state. The reducer is a single-process state
-	// machine (never shared between goroutines), so plain free lists and
-	// reusable scratch buffers suffice:
-	//   slab/slabOff  block-allocates gnodes (pointer-stable arena);
-	//   free          recycles nodes collected by gc;
-	//   vecFree       recycles vector clocks of collected nodes;
+	// The clock arena: slot s (1-based) is np words of block
+	// (s-1)>>slotShift. slots counts the slots ever carved, slotFree the
+	// ones gc took back.
+	arena     [][]uint64
+	slotShift uint
+	slots     int32
+	slotFree  []int32
+
+	// Scratch, reused across calls (the reducer is a single-process state
+	// machine, never shared between goroutines):
 	//   knownScratch  backs knowledgeOf's per-send knowledge vector;
 	//   frontScratch  backs frontier's result (valid until the next call);
 	//   vcStack       backs vcOf's iterative dependency walk.
-	slab         []gnode
-	slabOff      int
-	free         []*gnode
-	vecFree      []*sparsevec.Vec
 	knownScratch *sparsevec.Vec
 	frontScratch []*gnode
 	vcStack      []*gnode
@@ -78,97 +84,76 @@ type graph struct {
 // gnode is one antecedence-graph vertex.
 type gnode struct {
 	d event.Determinant
-	// vc is the lazily computed causal past of the node (nil until needed).
-	vc *sparsevec.Vec
-	// visiting marks a node whose vc computation is in flight on vcOf's
-	// explicit stack; revisiting one means the antecedence edges form a
-	// cycle — corrupted causality, not a legal graph state.
-	visiting bool
+	// vc is the state of the node's lazily computed causal past: 0 not
+	// computed, inFlight, or the arena slot that holds it.
+	vc int32
 }
 
-func newGraph(self event.Rank, np int) *graph {
-	return &graph{
-		self:         self,
+// inFlight marks a node whose clock computation is on vcOf's explicit
+// stack; reaching one again means the antecedence edges form a cycle —
+// corrupted causality, not a legal graph state.
+const inFlight = -1
+
+// arenaBlockWords is the clock arena granularity (32 KB): large enough to
+// amortize the block allocation to noise, small enough not to bloat tiny
+// runs. A world wider than a block gets one slot per block.
+const arenaBlockWords = 4096
+
+func newGraph(np int) *graph {
+	g := &graph{
 		np:           np,
 		lastHeld:     sparsevec.New(np),
 		stable:       sparsevec.New(np),
 		knownScratch: sparsevec.New(np),
 	}
+	for w := 2 * np; 0 < w && w <= arenaBlockWords; w *= 2 {
+		g.slotShift++
+	}
+	return g
 }
 
-// slabBlock is the gnode arena granularity: large enough to amortize the
-// block allocation to noise, small enough not to bloat tiny runs.
-const slabBlock = 256
-
-// alloc returns a node holding d, from the free list or the arena.
+// clock returns the np words of a computed clock.
 //
-//mpichv:amortized slab refill: one make per slabBlock nodes, recycled through the free list thereafter
-func (g *graph) alloc(d event.Determinant) *gnode {
-	if k := len(g.free); k > 0 {
-		n := g.free[k-1]
-		g.free = g.free[:k-1]
-		n.d = d
-		return n
-	}
-	if g.slabOff == len(g.slab) {
-		g.slab = make([]gnode, slabBlock)
-		g.slabOff = 0
-	}
-	n := &g.slab[g.slabOff]
-	g.slabOff++
-	n.d = d
-	return n
+//mpichv:noalloc
+func (g *graph) clock(slot int32) []uint64 {
+	s := int(slot - 1)
+	off := (s & (1<<g.slotShift - 1)) * g.np
+	return g.arena[s>>g.slotShift][off : off+g.np]
 }
 
-// release recycles a node removed from the graph, salvaging its vector
-// clock for the next vcOf computation. The visiting flag is cleared here so
-// a recycled node can never leak an in-flight mark into a later vcOf walk
-// (which would misread it as an antecedence cycle).
-func (g *graph) release(n *gnode) {
-	if n.vc != nil {
-		g.vecFree = append(g.vecFree, n.vc)
-		n.vc = nil
+// newClock returns a free arena slot and its words, which hold whatever
+// the slot's previous owner left: the caller overwrites all of them.
+//
+//mpichv:amortized arena refill: one make per block of slots, and gc recycles the slots of collected nodes
+func (g *graph) newClock() (int32, []uint64) {
+	if k := len(g.slotFree); k > 0 {
+		slot := g.slotFree[k-1]
+		g.slotFree = g.slotFree[:k-1]
+		return slot, g.clock(slot)
 	}
-	n.d = event.Determinant{}
-	n.visiting = false
-	g.free = append(g.free, n)
-}
-
-// newVec returns an empty np-world vector clock, recycled when possible.
-func (g *graph) newVec() *sparsevec.Vec {
-	if k := len(g.vecFree); k > 0 {
-		vc := g.vecFree[k-1]
-		g.vecFree = g.vecFree[:k-1]
-		vc.Reset(g.np)
-		return vc
+	if int(g.slots)>>g.slotShift == len(g.arena) {
+		g.arena = append(g.arena, make([]uint64, g.np<<g.slotShift))
 	}
-	return sparsevec.New(g.np)
+	g.slots++
+	return g.slots, g.clock(g.slots)
 }
 
 // lookup returns the held node with the given event ID, or nil. The
-// creator's chain is clock-ordered (with possible gaps), so the node is
-// found by binary search — the chains themselves are the index.
+// pointer is into the creator's chain: valid until the next insert or gc.
 //
 //mpichv:noalloc
 func (g *graph) lookup(id event.EventID) *gnode {
-	chain, ok := g.chains.lookup(id.Creator)
-	if !ok || len(chain) == 0 {
+	chain, _ := g.chains.lookup(id.Creator)
+	if len(chain) == 0 {
 		return nil
 	}
-	lo, hi := 0, len(chain)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if chain[mid].d.ID.Clock < id.Clock {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(chain) && chain[lo].d.ID == id {
-		return chain[lo]
+	if i := clockIndex(chain, chain[0].d.ID.Clock, chain[len(chain)-1].d.ID.Clock, id.Clock, cmpNodeClock); i >= 0 {
+		return &chain[i]
 	}
 	return nil
 }
+
+func cmpNodeClock(n gnode, clock uint64) int { return cmp.Compare(n.d.ID.Clock, clock) }
 
 // insert adds d to the graph if it is neither held nor stable. The returned
 // op count is the raw structural cost (lookups + append); callers scale it
@@ -188,36 +173,23 @@ func (g *graph) insert(d event.Determinant) (inserted bool, ops int64) {
 		}
 		return false, 1
 	}
-	n := g.alloc(d)
 	chain := g.chains.row(c)
-	*chain = append(*chain, n)
+	*chain = append(*chain, gnode{d: d})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
 	g.held++
-	if c == g.self {
-		g.headOwn = n
-	}
 	return true, 3
-}
-
-// latest returns the newest held node created by rank c, or nil.
-func (g *graph) latest(c event.Rank) *gnode {
-	chain, _ := g.chains.lookup(c)
-	if len(chain) == 0 {
-		return nil
-	}
-	return chain[len(chain)-1]
 }
 
 // vcOf returns the vector clock (causal past) of n, computing and caching it
 // on demand. The computation walks antecedence edges iteratively so chains
 // of any length cannot overflow the Go stack.
 //
-//mpichv:amortized each node's vector clock is computed once, cached on the node, and recycled through vecFree
-func (g *graph) vcOf(n *gnode) *sparsevec.Vec {
-	if n.vc != nil {
-		return n.vc
+//mpichv:amortized the walk stack grows to the longest dependency path once and is reused; each clock is computed once, into an arena slot
+func (g *graph) vcOf(n *gnode) []uint64 {
+	if n.vc > 0 {
+		return g.clock(n.vc)
 	}
-	n.visiting = true
+	n.vc = inFlight
 	stack := append(g.vcStack[:0], n)
 	// Dependency pushes guard against antecedence cycles: a legal causal
 	// graph is a DAG, but determinant IDs re-created by an incarnation
@@ -227,52 +199,50 @@ func (g *graph) vcOf(n *gnode) *sparsevec.Vec {
 	// run is already causally corrupt.
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
-		if cur.vc != nil {
-			cur.visiting = false
-			stack = stack[:len(stack)-1]
+		chainPred := g.lookup(event.EventID{Creator: cur.d.ID.Creator, Clock: cur.d.ID.Clock - 1})
+		if chainPred != nil && chainPred.vc <= 0 {
+			if chainPred.vc == inFlight {
+				panic(antecedenceCycle(chainPred))
+			}
+			chainPred.vc = inFlight
+			stack = append(stack, chainPred)
 			continue
 		}
-		chainPred := g.lookup(event.EventID{Creator: cur.d.ID.Creator, Clock: cur.d.ID.Clock - 1})
 		var parent *gnode
 		if !cur.d.Parent.Zero() {
 			parent = g.lookup(cur.d.Parent)
 		}
-		if chainPred != nil && chainPred.vc == nil {
-			if chainPred.visiting {
-				panic(antecedenceCycle(chainPred))
-			}
-			chainPred.visiting = true
-			stack = append(stack, chainPred)
-			continue
-		}
-		if parent != nil && parent.vc == nil {
-			if parent.visiting {
+		if parent != nil && parent.vc <= 0 {
+			if parent.vc == inFlight {
 				panic(antecedenceCycle(parent))
 			}
-			parent.visiting = true
+			parent.vc = inFlight
 			stack = append(stack, parent)
 			continue
 		}
-		vc := g.newVec()
+		slot, vc := g.newClock()
 		if chainPred != nil {
-			vc.CopyFrom(chainPred.vc)
+			copy(vc, g.clock(chainPred.vc))
+		} else {
+			clear(vc)
 		}
 		if parent != nil {
-			vc.MaxFrom(parent.vc)
+			for c, f := range g.clock(parent.vc) {
+				vc[c] = max(vc[c], f)
+			}
 		} else if !cur.d.Parent.Zero() {
 			// Parent was garbage collected (stable) or never held: the only
 			// safe knowledge it contributes is its own identity.
-			vc.SetMax(int(cur.d.Parent.Creator), cur.d.Parent.Clock)
+			vc[cur.d.Parent.Creator] = max(vc[cur.d.Parent.Creator], cur.d.Parent.Clock)
 		}
 		// The node's own entry: always above anything its antecedents know
 		// of this creator (an event cannot be in its own causal past).
-		vc.SetMax(int(cur.d.ID.Creator), cur.d.ID.Clock)
-		cur.vc = vc
-		cur.visiting = false
+		vc[cur.d.ID.Creator] = max(vc[cur.d.ID.Creator], cur.d.ID.Clock)
+		cur.vc = slot
 		stack = stack[:len(stack)-1]
 	}
-	g.vcStack = stack[:0]
-	return n.vc
+	g.vcStack = stack
+	return g.clock(n.vc)
 }
 
 // antecedenceCycle builds the diagnostic for a cycle found by vcOf (cold
@@ -294,8 +264,10 @@ func (g *graph) knowledgeOf(dst event.Rank) *sparsevec.Vec {
 		known.Reset(g.np)
 	}
 	known.MaxFrom(g.stable)
-	if latest := g.latest(dst); latest != nil {
-		known.MaxFrom(g.vcOf(latest))
+	if chain, _ := g.chains.lookup(dst); len(chain) > 0 {
+		for c, f := range g.vcOf(&chain[len(chain)-1]) {
+			known.SetMax(c, f)
+		}
 	}
 	known.SetMax(int(dst), math.MaxUint64)
 	return known
@@ -344,7 +316,9 @@ func (g *graph) frontier(dst event.Rank) (out []*gnode, creators int64) {
 				lo = mid + 1
 			}
 		}
-		out = append(out, chain[lo:]...)
+		for j := lo; j < len(chain); j++ {
+			out = append(out, &chain[j])
+		}
 		if kb == nil {
 			kb = g.knownVec(dst)
 		}
@@ -373,57 +347,50 @@ func (g *graph) gc(vec *sparsevec.Vec) int64 {
 		return 0
 	}
 	ops := int64(0)
+	i := 0 // cursor into chains: Range and the table both ascend by rank
 	vec.Range(func(c int, f uint64) bool {
 		if f <= g.stable.Get(c) {
 			return true
 		}
 		g.stable.SetMax(c, f)
-		i, ok := g.chains.search(event.Rank(c))
-		if !ok {
+		var ok bool
+		if i, ok = g.chains.seek(i, event.Rank(c)); !ok {
 			return true
 		}
 		chain := g.chains.rows[i]
 		cut := 0
 		for cut < len(chain) && chain[cut].d.ID.Clock <= f {
-			g.release(chain[cut])
+			if chain[cut].vc > 0 {
+				g.slotFree = append(g.slotFree, chain[cut].vc)
+			}
 			cut++
 		}
 		if cut > 0 {
 			// Compact in place: the slice keeps its capacity for future
-			// appends, and the vacated tail is cleared so released nodes
-			// are not pinned.
-			kept := copy(chain, chain[cut:])
-			for j := kept; j < len(chain); j++ {
-				chain[j] = nil
-			}
-			g.chains.rows[i] = chain[:kept]
+			// appends.
+			g.chains.rows[i] = chain[:copy(chain, chain[cut:])]
 			g.held -= cut
 			ops += int64(cut)
 		}
 		return true
 	})
-	// The local head may have been collected; recovery still needs a root
-	// for frontier computation, so keep headOwn only if it is still live.
-	if g.headOwn != nil && g.lookup(g.headOwn.d.ID) != g.headOwn {
-		g.headOwn = g.latest(g.self)
-	}
 	return ops
 }
 
 func (g *graph) heldFor(creator event.Rank) []event.Determinant {
 	chain, _ := g.chains.lookup(creator)
 	out := make([]event.Determinant, len(chain))
-	for i, n := range chain {
-		out[i] = n.d
+	for i := range chain {
+		out[i] = chain[i].d
 	}
 	return out
 }
 
 func (g *graph) all() []event.Determinant {
 	out := make([]event.Determinant, 0, g.held)
-	for i := range g.chains.keys {
-		for _, n := range g.chains.rows[i] {
-			out = append(out, n.d)
+	for _, chain := range g.chains.rows {
+		for i := range chain {
+			out = append(out, chain[i].d)
 		}
 	}
 	return out

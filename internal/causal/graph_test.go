@@ -1,9 +1,13 @@
 package causal
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
 
@@ -14,7 +18,7 @@ func TestGraphVectorClockMatchesGroundTruth(t *testing.T) {
 	const np = 6
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		g := newGraph(0, np)
+		g := newGraph(np)
 		clock := make([]uint64, np)
 		lamport := make([]uint64, np)
 		lastEvt := make([]event.EventID, np)
@@ -62,8 +66,8 @@ func TestGraphVectorClockMatchesGroundTruth(t *testing.T) {
 			}
 			got := g.vcOf(n)
 			for c := 0; c < np; c++ {
-				if got.Get(c) != want[c] {
-					t.Fatalf("trial %d: vc(%v)[%d] = %d, want %d", trial, id, c, got.Get(c), want[c])
+				if got[c] != want[c] {
+					t.Fatalf("trial %d: vc(%v)[%d] = %d, want %d", trial, id, c, got[c], want[c])
 				}
 			}
 		}
@@ -74,7 +78,7 @@ func TestGraphVectorClockMatchesGroundTruth(t *testing.T) {
 // and verifies chains stay contiguous suffixes with a consistent index.
 func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 	const np = 4
-	g := newGraph(0, np)
+	g := newGraph(np)
 	for c := 0; c < np; c++ {
 		for k := uint64(1); k <= 20; k++ {
 			g.insert(event.Determinant{
@@ -89,7 +93,8 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 	}
 	for c := 0; c < np; c++ {
 		chain, _ := g.chains.lookup(event.Rank(c))
-		for i, n := range chain {
+		for i := range chain {
+			n := &chain[i]
 			if i > 0 && n.d.ID.Clock != chain[i-1].d.ID.Clock+1 {
 				t.Fatalf("chain %d not contiguous at %d", c, i)
 			}
@@ -102,23 +107,168 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 	if g.lookup(event.EventID{Creator: 0, Clock: 5}) != nil {
 		t.Fatal("collected node still resolvable")
 	}
-	// headOwn must survive only if still live.
-	if g.headOwn == nil || g.headOwn.d.ID.Clock != 20 {
-		t.Fatalf("headOwn = %+v", g.headOwn)
-	}
-	g.gc(stableVec(20, 20, 20, 20))
-	if g.headOwn != nil {
-		t.Fatal("headOwn should be nil after full GC of own chain")
-	}
 }
 
 // TestKnowledgeOfInfiniteForSelf checks a destination is always credited
 // with its own events.
 func TestKnowledgeOfInfiniteForSelf(t *testing.T) {
-	g := newGraph(0, 3)
+	g := newGraph(3)
 	g.insert(event.Determinant{ID: event.EventID{Creator: 1, Clock: 4}, Sender: 0, SendSeq: 4, Lamport: 1})
 	known := g.knowledgeOf(1)
 	if known.Get(1) != ^uint64(0) {
 		t.Fatalf("known[dst] = %d, want max", known.Get(1))
+	}
+}
+
+// oracle is the reference the arena-backed graph is compared against: the
+// same lazily cached clocks, on maps and recursion. A clock is computed
+// once, from the nodes held at that moment; an absent parent contributes
+// only its own identity; collecting a node drops its clock and leaves the
+// clocks computed from it as they are.
+type oracle struct {
+	np       int
+	nodes    map[event.EventID]event.Determinant
+	clocks   map[event.EventID][]uint64
+	stable   []uint64
+	computed int
+}
+
+func (o *oracle) clock(id event.EventID) []uint64 {
+	if vc, ok := o.clocks[id]; ok {
+		return vc
+	}
+	vc := make([]uint64, o.np)
+	pred := event.EventID{Creator: id.Creator, Clock: id.Clock - 1}
+	if _, ok := o.nodes[pred]; ok {
+		copy(vc, o.clock(pred))
+	}
+	if parent := o.nodes[id].Parent; !parent.Zero() {
+		if _, ok := o.nodes[parent]; ok {
+			for c, f := range o.clock(parent) {
+				vc[c] = max(vc[c], f)
+			}
+		}
+		vc[parent.Creator] = max(vc[parent.Creator], parent.Clock)
+	}
+	vc[id.Creator] = max(vc[id.Creator], id.Clock)
+	o.clocks[id] = vc
+	o.computed++
+	return vc
+}
+
+func (o *oracle) gc(c event.Rank, f uint64) {
+	for k := o.stable[c] + 1; k <= f; k++ {
+		id := event.EventID{Creator: c, Clock: k}
+		delete(o.nodes, id)
+		delete(o.clocks, id)
+	}
+	o.stable[c] = max(o.stable[c], f)
+}
+
+// TestGraphClocksMatchOracleUnderGC drives random causally valid
+// insertions — some determinants never reach the graph, leaving chains with
+// gaps and parents never held — with knowledgeOf queries and collections of
+// random stable prefixes interleaved, and checks every answer against the
+// oracle. Enough is collected that clocks are computed into recycled slots,
+// which still hold their previous owner's words.
+func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 30; trial++ {
+		np := 4 + r.Intn(37)
+		g := newGraph(np)
+		o := &oracle{np: np, nodes: map[event.EventID]event.Determinant{}, clocks: map[event.EventID][]uint64{}, stable: make([]uint64, np)}
+		clock := make([]uint64, np)
+		lastEvt := make([]event.EventID, np)
+		lastHeld := make([]event.EventID, np)
+		check := func(dst int) {
+			t.Helper()
+			want := slices.Clone(o.stable)
+			if latest := lastHeld[dst]; o.nodes[latest].ID == latest && !latest.Zero() {
+				for c, f := range o.clock(latest) {
+					want[c] = max(want[c], f)
+				}
+			}
+			want[dst] = math.MaxUint64
+			if got := g.knowledgeOf(event.Rank(dst)).Dense(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (np %d): knowledgeOf(%d) = %v, want %v", trial, np, dst, got, want)
+			}
+		}
+		for step := 0; step < 600; step++ {
+			src, dst := r.Intn(np), r.Intn(np-1)
+			if dst >= src {
+				dst++
+			}
+			clock[dst]++
+			d := event.Determinant{
+				ID:      event.EventID{Creator: event.Rank(dst), Clock: clock[dst]},
+				Sender:  event.Rank(src),
+				SendSeq: clock[dst],
+				Parent:  lastEvt[src],
+				Lamport: uint64(step + 1),
+			}
+			lastEvt[dst] = d.ID
+			if r.Intn(8) > 0 {
+				if inserted, _ := g.insert(d); inserted {
+					o.nodes[d.ID], lastHeld[dst] = d, d.ID
+				}
+			}
+			if step%3 == 0 {
+				check(r.Intn(np))
+			}
+			if step%12 == 11 {
+				ack := sparsevec.New(np)
+				for k := r.Intn(np); k >= 0; k-- {
+					c := r.Intn(np)
+					if f := o.stable[c] + uint64(r.Intn(int(clock[c]-o.stable[c])+1)); f > o.stable[c] {
+						ack.SetMax(c, f)
+						o.gc(event.Rank(c), f)
+					}
+				}
+				g.gc(ack)
+			}
+		}
+		for id := range o.nodes {
+			if got, want := g.vcOf(g.lookup(id)), o.clock(id); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, id, got, want)
+			}
+		}
+		if g.held != len(o.nodes) {
+			t.Fatalf("trial %d: held = %d, want %d", trial, g.held, len(o.nodes))
+		}
+		if int(g.slots) > o.computed/2 {
+			t.Fatalf("trial %d: %d arena slots carved for %d clocks: slots are not being recycled", trial, g.slots, o.computed)
+		}
+	}
+}
+
+// TestGraphAntecedenceCyclePanics closes a two-node cycle (each event names
+// the other as its parent, as IDs re-created after a regressed recovery can)
+// and requires vcOf to fail loudly, and the in-flight marks it leaves behind
+// not to survive into nodes later created in the same chain positions.
+func TestGraphAntecedenceCyclePanics(t *testing.T) {
+	g := newGraph(2)
+	a, b := event.EventID{Creator: 0, Clock: 1}, event.EventID{Creator: 1, Clock: 1}
+	g.insert(event.Determinant{ID: a, Sender: 1, SendSeq: 1, Parent: b, Lamport: 1})
+	g.insert(event.Determinant{ID: b, Sender: 0, SendSeq: 1, Parent: a, Lamport: 1})
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, "causal: antecedence cycle at "+a.String()) {
+				t.Fatalf("vcOf on a cycle: recovered %q", msg)
+			}
+		}()
+		g.vcOf(g.lookup(a))
+	}()
+	if g.lookup(a).vc != inFlight || g.lookup(b).vc != inFlight {
+		t.Fatal("the walk should have died with both nodes in flight")
+	}
+	g.gc(stableVec(1, 1))
+	a.Clock, b.Clock = 2, 2
+	g.insert(event.Determinant{ID: a, Sender: 1, SendSeq: 2, Lamport: 2})
+	g.insert(event.Determinant{ID: b, Sender: 0, SendSeq: 2, Parent: a, Lamport: 3})
+	if g.lookup(a).vc != 0 || g.lookup(b).vc != 0 {
+		t.Fatal("a node created where an in-flight one was collected must start uncomputed")
+	}
+	if got := g.vcOf(g.lookup(b)); got[0] != 2 || got[1] != 2 {
+		t.Fatalf("vc(%v) = %v, want [2 2]", b, got)
 	}
 }

@@ -22,7 +22,7 @@ type LogOn struct {
 
 // NewLogOn returns an empty LogOn reducer for rank self of np processes.
 func NewLogOn(self event.Rank, np int) *LogOn {
-	l := &LogOn{g: newGraph(self, np)}
+	l := &LogOn{g: newGraph(np)}
 	l.g.conflict = &l.conflictLatch
 	return l
 }

@@ -22,7 +22,7 @@ type Manetho struct {
 // NewManetho returns an empty Manetho reducer for rank self of np
 // processes.
 func NewManetho(self event.Rank, np int) *Manetho {
-	m := &Manetho{g: newGraph(self, np)}
+	m := &Manetho{g: newGraph(np)}
 	m.g.conflict = &m.conflictLatch
 	return m
 }

@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"cmp"
+
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
@@ -72,20 +74,10 @@ func (v *Vcausal) append(d event.Determinant) int64 {
 		// against the incoming content: a mismatch means the creator
 		// re-created this ID after a regressed recovery (see
 		// TakeIDConflict). Stable (collected) copies can no longer be
-		// compared. The sequence is clock-ordered but may carry gaps, so
-		// the copy is found by binary search.
-		if seq, _ := v.seqs.lookup(c); len(seq) > 0 && d.ID.Clock >= seq[0].ID.Clock {
-			lo, hi := 0, len(seq)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if seq[mid].ID.Clock < d.ID.Clock {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(seq) && seq[lo].ID == d.ID && conflicts(seq[lo], d) {
-				v.latch(seq[lo], d)
+		// compared.
+		if seq, _ := v.seqs.lookup(c); len(seq) > 0 {
+			if i := clockIndex(seq, seq[0].ID.Clock, seq[len(seq)-1].ID.Clock, d.ID.Clock, cmpDetClock); i >= 0 && conflicts(seq[i], d) {
+				v.latch(seq[i], d)
 			}
 		}
 		return 1 // one comparison on the fast path
@@ -96,6 +88,8 @@ func (v *Vcausal) append(d event.Determinant) int64 {
 	v.held++
 	return 1
 }
+
+func cmpDetClock(d event.Determinant, clock uint64) int { return cmp.Compare(d.ID.Clock, clock) }
 
 // Merge implements Reducer. Determinants from src also teach us what src
 // holds (it necessarily held what it piggybacked).
@@ -228,14 +222,15 @@ func (v *Vcausal) Stable(vec *sparsevec.Vec) int64 {
 		return 0
 	}
 	ops := int64(0)
-	//lint:allow noalloc the callback only captures v and the local op counter, never escapes Range, and stays stack-allocated
+	i := 0 // cursor into seqs: Range and the table both ascend by rank
+	//lint:allow noalloc the callback only captures v, the cursor and the local op counter, never escapes Range, and stays stack-allocated
 	vec.Range(func(c int, f uint64) bool {
 		if f <= v.stable.Get(c) {
 			return true
 		}
 		v.stable.SetMax(c, f)
-		i, ok := v.seqs.search(event.Rank(c))
-		if !ok {
+		var ok bool
+		if i, ok = v.seqs.seek(i, event.Rank(c)); !ok {
 			return true
 		}
 		seq := v.seqs.rows[i]
