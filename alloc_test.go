@@ -13,6 +13,7 @@ import (
 	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
 	"mpichv/internal/netmodel"
+	"mpichv/internal/obs"
 	"mpichv/internal/protocols"
 	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
@@ -20,13 +21,18 @@ import (
 )
 
 // TestHotPathAllocations is the repository's one runtime allocation gate
-// and the runtime twin of TestInvariantLintSuite: the lint proves from the
-// source that //mpichv:noalloc functions contain and reach no allocating
-// construct, this test proves by measurement that the steady state of
-// every hot-path layer allocates nothing and that a whole simulation cell
-// stays under a ceiling of heap objects per application message. Timing
-// is not its business: "did this PR make it slower" is answered by
-// `bash benchmark/run.sh` alone.
+// and the runtime counterpart of the lint's noalloc check
+// (TestInvariantLintSuite): the lint proves from the source that
+// //mpichv:noalloc functions contain and reach, along static calls, no
+// allocating construct and no dynamic dispatch; this test proves by
+// measurement that the steady state of every hot-path layer allocates
+// nothing and that a whole simulation cell stays under a ceiling of heap
+// objects per application message. It is the only guard that sees what
+// the compiler decides — a value boxed into an interface, a parameter
+// moved to the heap — so every //mpichv:noalloc function is executed by
+// some row (CHANGES.md, PR 24, lists which): annotating a new root means
+// driving it from a row here. Timing is not its business: "did this PR
+// make it slower" is answered by `bash benchmark/run.sh` alone.
 //
 // Every number it asserts is in one of the two tables below; raising one
 // is a reviewed edit of this file.
@@ -83,6 +89,8 @@ func TestHotPathAllocations(t *testing.T) {
 		{"event/enc-flat", setupEncoder(event.FlatSize, event.AppendFlat), 0},
 		// One op is a whole 64-payload sender-log replay service.
 		{"daemon/replay-serve", setupReplayServe, 4},
+		{"obs/latency-hist", setupLatencyHist, 0},
+		{"obs/recorder", setupRecorder, 0},
 	}
 	for _, row := range steady {
 		t.Run(row.name, func(t *testing.T) {
@@ -109,6 +117,8 @@ func TestHotPathAllocations(t *testing.T) {
 		cfg.Reducer, cfg.UseEL = reducer, false
 		return cfg
 	}
+	vcausalEL := manethoEL(4)
+	vcausalEL.Reducer = "vcausal"
 	storm := manethoEL(4)
 	storm.CkptPolicy, storm.CkptInterval = checkpoint.PolicyRoundRobin, 20*sim.Millisecond
 	storm.RestartDelay = 20 * sim.Millisecond
@@ -127,6 +137,9 @@ func TestHotPathAllocations(t *testing.T) {
 		{"cell/pessimistic", cluster.Config{NP: 4, Stack: cluster.StackPessimistic}, 1, 1.181}, // 1.157
 		{"cell/coordinated", cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1, 1.114}, // 1.092
 		{"cell/vcausal-el", manethoEL(4), 1, 1.288},                                            // 1.262
+		// The only cell on the vcausal reducer (the stack of that name runs
+		// manetho above): its Merge and Stable run nowhere else here.
+		{"cell/vcausal-reducer-el", vcausalEL, 1, 1.264}, // 1.240
 		// Same message volume at both sizes: iterations scale inversely
 		// with NP.
 		{np16, manethoEL(16), 4, 1.085}, // 1.064
@@ -380,6 +393,45 @@ func setupReplayServe(t *testing.T) func() uint64 {
 	}
 	serve()
 	return serve
+}
+
+// setupLatencyHist measures the service-latency histogram as the workload
+// drives it: an Observe per response on the enabled and on the nil
+// (disabled-layer) histogram, and the summary reads. Samples are spread
+// over the buckets and too large for the runtime's small-integer boxes, so
+// a sample that reached an interface would show.
+func setupLatencyHist(*testing.T) func() uint64 {
+	on, off := obs.NewLatencyHist(), (*obs.LatencyHist)(nil)
+	return func() uint64 {
+		for i := 0; i < microOps; i++ {
+			v := sim.Time(i+1) * sim.Microsecond
+			on.Observe(v)
+			off.Observe(v)
+			latencySink = on.Count() + off.Count() + int64(on.Quantile(0.99)+on.Max()+off.Quantile(0.99)+off.Max())
+		}
+		return microOps
+	}
+}
+
+// latencySink keeps the histogram reads of setupLatencyHist live.
+var latencySink int64
+
+// setupRecorder measures timeline emission: the nil recorder every
+// untraced run emits into (one branch per call), and an enabled one, whose
+// event slice doubles a handful of times over the section — far below one
+// object per op.
+func setupRecorder(t *testing.T) func() uint64 {
+	return func() uint64 {
+		on, off := obs.NewRecorder(), (*obs.Recorder)(nil)
+		for i := 0; i < microOps; i++ {
+			on.Record(sim.Time(i), obs.KindKill, i%4, int64(i), "")
+			off.Record(sim.Time(i), obs.KindKill, i%4, int64(i), "")
+		}
+		if !on.Enabled() || on.Len() != microOps || off.Enabled() || off.Len() != 0 {
+			t.Errorf("enabled recorder holds %d events, nil recorder %d; want %d and 0", on.Len(), off.Len(), microOps)
+		}
+		return microOps
+	}
 }
 
 // setupCell measures one complete CG.A simulation on the given deployment

@@ -1,26 +1,21 @@
 // Command lint runs the repository's invariant lint suite
 // (internal/analysis): detmap (no map-iteration order in simulation-core
 // results), walltime (virtual time and seeded randomness only), noalloc
-// (//mpichv:noalloc functions contain no allocating constructs),
-// noalloctrans (annotated functions reach no allocating helper through any
-// module-internal call chain), hotcall (no dynamic dispatch on annotated
-// functions) and pooldiscipline (packet-pool lifecycle safety).
+// (//mpichv:noalloc functions and everything they reach through static
+// calls contain no allocating construct and no dynamic dispatch) and
+// pooldiscipline (packet-pool lifecycle safety).
 //
 // Usage:
 //
-//	lint [-root DIR] [-checks LIST] [-escapes] [-json] [-report FILE] [./...]
+//	lint [-root DIR] [-checks LIST] [-json] [-report FILE] [./...]
 //
 // The only supported pattern is the module itself (./...), matching the
 // multichecker convention; the suite always analyzes every package of the
 // module rooted at the working directory (or -root). -checks scopes the
-// run to a comma-separated subset of check names. -escapes additionally
-// harvests `go build -gcflags=-m=2` diagnostics for the annotated
-// functions and diffs them against the committed HOTPATH.json manifest:
-// lost inlining or new escapes fail lint, improvements rewrite the
-// manifest. Findings go to stderr (one file:line: [check] message per
-// line, or a JSON array with -json) and to -report when set (the CI job
-// uploads that file as an artifact on failure). The exit status is 1 when
-// findings exist, 2 on a driver error.
+// run to a comma-separated subset of check names. Findings go to stderr
+// (one file:line: [check] message per line, or a JSON array with -json)
+// and to -report when set (the CI job uploads that file as an artifact on
+// failure). The exit status is 1 when findings exist, 2 on a driver error.
 package main
 
 import (
@@ -28,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"mpichv/internal/analysis"
@@ -39,7 +33,6 @@ func main() {
 	report := flag.String("report", "", "also write findings to this file (CI artifact)")
 	checks := flag.String("checks", "", "comma-separated check names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	escapes := flag.Bool("escapes", false, "also diff compiler escape/inline diagnostics against HOTPATH.json")
 	flag.Usage = usage
 	flag.Parse()
 	for _, arg := range flag.Args() {
@@ -59,16 +52,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	findings, err := analysis.RunModuleChecks(m, names)
+	findings, err := analysis.Run(m, names)
 	if err != nil {
 		fail(err)
-	}
-	if *escapes {
-		ef, err := analysis.EscapeGate(m, filepath.Join(*root, analysis.HotpathManifest))
-		if err != nil {
-			fail(err)
-		}
-		findings = append(findings, ef...)
 	}
 	if len(findings) == 0 {
 		return
@@ -105,11 +91,8 @@ func fail(err error) {
 
 // usage prints the flag help plus a one-line description of each check.
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: lint [-root DIR] [-checks LIST] [-escapes] [-json] [-report FILE] [./...]\n\nchecks:\n")
+	fmt.Fprintf(os.Stderr, "usage: lint [-root DIR] [-checks LIST] [-json] [-report FILE] [./...]\n\nchecks:\n")
 	for _, c := range analysis.Checks() {
-		fmt.Fprintf(os.Stderr, "  %-16s %s\n", c.Name(), c.Desc())
-	}
-	for _, c := range analysis.ModuleChecks() {
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", c.Name(), c.Desc())
 	}
 	fmt.Fprintf(os.Stderr, "\nsuppress one finding with `%s <check> <reason>` on or above the line;\nthe reason is mandatory.\n\nflags:\n", analysis.AllowPrefix)

@@ -17,30 +17,47 @@ import (
 //	go test ./internal/analysis -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixtureLoader caches one loader for all fixture packages (the stdlib
-// source importer is the expensive part; share it across subtests).
-var fixtureLoader = sync.OnceValues(func() (*analysis.Loader, error) {
-	return analysis.NewLoader(filepath.Join("testdata", "src"))
+// fixtureRoot is the one fixture module: a directory per fixture, each
+// with a golden of the same name.
+var fixtureRoot = filepath.Join("testdata", "src")
+
+// fixtureModule loads the fixture module once for all tests (the stdlib
+// source importer is the expensive part).
+var fixtureModule = sync.OnceValues(func() (*analysis.Module, error) {
+	return analysis.LoadModule(fixtureRoot)
 })
 
-// loadFixture loads one fixture package from testdata/src.
-func loadFixture(t *testing.T, name string) *analysis.Package {
+// fixtureFindings runs the named checks (none means the full suite) over
+// the fixture module through the driver, directive suppression included,
+// and returns the findings per fixture directory.
+func fixtureFindings(t *testing.T, names ...string) map[string][]analysis.Finding {
 	t.Helper()
-	loader, err := fixtureLoader()
-	if err != nil {
-		t.Fatalf("loader: %v", err)
+	if testing.Short() {
+		t.Skip("fixture type-checking loads the stdlib from source; skipped in -short")
 	}
-	pkg, err := loader.LoadDir(name)
+	m, err := fixtureModule()
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", name, err)
+		t.Fatalf("load fixture module: %v", err)
 	}
-	return pkg
+	findings, err := analysis.Run(m, names)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	byFixture := make(map[string][]analysis.Finding)
+	for _, f := range findings {
+		rel, err := filepath.Rel(fixtureRoot, f.Pos.Filename)
+		if err != nil {
+			t.Fatalf("finding outside the fixture module: %v", f)
+		}
+		fixture, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
+		byFixture[fixture] = append(byFixture[fixture], f)
+	}
+	return byFixture
 }
 
 // render formats findings with basenames so goldens are independent of
 // the checkout path.
 func render(findings []analysis.Finding) string {
-	analysis.Sort(findings)
 	var sb strings.Builder
 	for _, f := range findings {
 		fmt.Fprintf(&sb, "%s:%d: [%s] %s\n", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Check, f.Msg)
@@ -68,43 +85,28 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGolden runs each check over its bad-source fixture and compares the
-// surviving findings (after //lint:allow suppression) with the committed
-// golden file. The fixtures cover: each violation shape, each accepted
-// idiom, suppression by a well-formed directive, and a reasonless
-// directive being itself a finding.
+// TestGolden runs the full suite over the fixture module and compares
+// each fixture's surviving findings (after //lint:allow suppression) with
+// the committed golden file. The fixtures cover: each violation shape,
+// each accepted idiom, suppression by a well-formed directive, and
+// reasonless, unknown-check and retired-check directives being findings
+// themselves. Running every check on every fixture also pins that no
+// check fires outside its own fixture.
 func TestGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fixture type-checking loads the stdlib from source; skipped in -short")
-	}
-	cases := []struct {
-		fixture string
-		check   analysis.Check
-	}{
-		{"detmapfix", analysis.DetMap{}},
-		{"walltimefix", analysis.WallTime{}},
-		{"noallocfix", analysis.NoAlloc{}},
-		{"hotcallfix", analysis.HotCall{}},
-		{"poolfix", analysis.PoolDiscipline{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
-			pkg := loadFixture(t, tc.fixture)
-			findings := analysis.ApplyDirectives(pkg, tc.check.Run(pkg))
-			checkGolden(t, tc.fixture, render(findings))
+	byFixture := fixtureFindings(t)
+	for _, fixture := range []string{"detmapfix", "walltimefix", "noallocfix", "hotcallfix", "poolfix"} {
+		t.Run(fixture, func(t *testing.T) {
+			checkGolden(t, fixture, render(byFixture[fixture]))
 		})
 	}
 }
 
-// TestDriverScopesDeterminismChecks proves the suite driver applies
-// detmap/walltime only to simulation-core packages: identical code is
-// flagged in fixture package "sim" and accepted in fixture package
-// "tools".
+// TestDriverScopesDeterminismChecks proves detmap/walltime apply only to
+// simulation-core packages: identical code is flagged in fixture package
+// "sim" and accepted in fixture package "tools".
 func TestDriverScopesDeterminismChecks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fixture type-checking loads the stdlib from source; skipped in -short")
-	}
-	simFindings := analysis.RunPackage(loadFixture(t, "sim"))
+	byFixture := fixtureFindings(t)
+	simFindings := byFixture["sim"]
 	if got := len(simFindings); got != 2 {
 		t.Fatalf("sim fixture: want 2 findings (walltime, detmap), got %d: %v", got, simFindings)
 	}
@@ -115,42 +117,39 @@ func TestDriverScopesDeterminismChecks(t *testing.T) {
 	if !seen["walltime"] || !seen["detmap"] {
 		t.Fatalf("sim fixture: want one walltime and one detmap finding, got %v", simFindings)
 	}
-	if toolsFindings := analysis.RunPackage(loadFixture(t, "tools")); len(toolsFindings) != 0 {
+	if toolsFindings := byFixture["tools"]; len(toolsFindings) != 0 {
 		t.Fatalf("tools fixture: determinism checks must not apply outside simulation-core packages, got %v", toolsFindings)
 	}
 }
 
 // TestDirectiveValidation covers the directive grammar: a reasonless or
 // unknown-check directive is a finding under the non-suppressible
-// lint-directive pseudo-check.
+// lint-directive pseudo-check, whichever checks run, and a retired check
+// name is an unknown one.
 func TestDirectiveValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fixture type-checking loads the stdlib from source; skipped in -short")
-	}
-	pkg := loadFixture(t, "detmapfix")
-	findings := analysis.ApplyDirectives(pkg, nil)
-	var directiveFindings []analysis.Finding
-	for _, f := range findings {
-		if f.Check == analysis.DirectiveCheck {
-			directiveFindings = append(directiveFindings, f)
+	byFixture := fixtureFindings(t, "pooldiscipline")
+	for fixture, want := range map[string]string{
+		"detmapfix":  "no reason",
+		"hotcallfix": `unknown check "hotcall"`,
+	} {
+		got := byFixture[fixture]
+		if len(got) != 1 || got[0].Check != analysis.DirectiveCheck || !strings.Contains(got[0].Msg, want) {
+			t.Errorf("%s: want exactly one %s finding containing %q, got %v", fixture, analysis.DirectiveCheck, want, got)
 		}
 	}
-	if len(directiveFindings) != 1 {
-		t.Fatalf("want exactly 1 malformed-directive finding in detmapfix, got %v", directiveFindings)
-	}
-	if !strings.Contains(directiveFindings[0].Msg, "no reason") {
-		t.Fatalf("want a missing-reason message, got %q", directiveFindings[0].Msg)
+	if _, err := analysis.Run(&analysis.Module{}, []string{"noalloctrans"}); err == nil {
+		t.Errorf("Run accepted the retired check name noalloctrans")
 	}
 }
 
-// TestCheckMetadata pins the check names the directives reference, for
-// the per-package and module-level suites alike.
+// TestCheckMetadata pins the check names the directives reference.
 func TestCheckMetadata(t *testing.T) {
-	want := []string{"detmap", "walltime", "noalloc", "hotcall", "pooldiscipline"}
+	want := []string{"detmap", "walltime", "noalloc", "pooldiscipline"}
 	checks := analysis.Checks()
 	if len(checks) != len(want) {
 		t.Fatalf("want %d checks, got %d", len(want), len(checks))
 	}
+	known := analysis.KnownChecks()
 	for i, c := range checks {
 		if c.Name() != want[i] {
 			t.Errorf("check %d: want name %q, got %q", i, want[i], c.Name())
@@ -158,24 +157,35 @@ func TestCheckMetadata(t *testing.T) {
 		if c.Desc() == "" {
 			t.Errorf("check %s: empty description", c.Name())
 		}
-	}
-	wantModule := []string{"noalloctrans"}
-	moduleChecks := analysis.ModuleChecks()
-	if len(moduleChecks) != len(wantModule) {
-		t.Fatalf("want %d module checks, got %d", len(wantModule), len(moduleChecks))
-	}
-	for i, c := range moduleChecks {
-		if c.Name() != wantModule[i] {
-			t.Errorf("module check %d: want name %q, got %q", i, wantModule[i], c.Name())
-		}
-		if c.Desc() == "" {
-			t.Errorf("module check %s: empty description", c.Name())
+		if !known[c.Name()] {
+			t.Errorf("KnownChecks missing %q", c.Name())
 		}
 	}
-	known := analysis.KnownChecks()
-	for _, name := range append(append([]string{}, want...), wantModule...) {
-		if !known[name] {
-			t.Errorf("KnownChecks missing %q", name)
+	if len(known) != len(want) {
+		t.Errorf("KnownChecks has %d names, want %d: %v", len(known), len(want), known)
+	}
+}
+
+// TestTransitiveGolden is TestGolden for the fixture of the noalloc walk:
+// chains across functions and packages, boundaries, and dynamic calls at
+// and below the root.
+func TestTransitiveGolden(t *testing.T) {
+	checkGolden(t, "transfix", render(fixtureFindings(t)["transfix"]))
+}
+
+// TestTransitiveCatchesDeepHelper is the regression acceptance case: an
+// allocation and a dynamic call two static hops below the annotated root
+// are both caught, and the findings name the full chain.
+func TestTransitiveCatchesDeepHelper(t *testing.T) {
+	const chain = "transfix.Root -> transfix.levelOne -> transfix.levelTwo"
+	findings := fixtureFindings(t, "noalloc")["transfix"]
+	for _, construct := range []string{"make allocates", "call through func value Hook"} {
+		found := false
+		for _, f := range findings {
+			found = found || strings.Contains(f.Msg, chain) && strings.Contains(f.Msg, construct)
+		}
+		if !found {
+			t.Errorf("no noalloc finding for %q naming the chain %q", construct, chain)
 		}
 	}
 }

@@ -28,37 +28,39 @@ func (DetMap) Desc() string {
 }
 
 // Run implements Check.
-func (DetMap) Run(pkg *Package) []Finding {
+func (DetMap) Run(m *Module) []Finding {
 	var findings []Finding
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
+	for _, pkg := range m.simCore() {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
 				}
-				tv, ok := pkg.Info.Types[rng.X]
-				if !ok {
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					rng, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					tv, ok := pkg.Info.Types[rng.X]
+					if !ok {
+						return true
+					}
+					if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+						return true
+					}
+					if isClearIdiom(pkg, rng) || isCollectAndSort(pkg, fn, rng) {
+						return true
+					}
+					findings = append(findings, Finding{
+						Check: "detmap",
+						Pos:   pkg.Fset.Position(rng.Pos()),
+						Msg: fmt.Sprintf("range over map %s: iteration order is nondeterministic; collect and sort the keys before use, or add //lint:allow detmap <reason> if the body is order-insensitive",
+							types.ExprString(rng.X)),
+					})
 					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if isClearIdiom(pkg, rng) || isCollectAndSort(pkg, fn, rng) {
-					return true
-				}
-				findings = append(findings, Finding{
-					Check: "detmap",
-					Pos:   pkg.Fset.Position(rng.Pos()),
-					Msg: fmt.Sprintf("range over map %s: iteration order is nondeterministic; collect and sort the keys before use, or add //lint:allow detmap <reason> if the body is order-insensitive",
-						types.ExprString(rng.X)),
 				})
-				return true
-			})
+			}
 		}
 	}
 	return findings

@@ -32,6 +32,34 @@ type Package struct {
 	Info *types.Info
 }
 
+// Module is what the checks run on: every package of one module, loaded
+// and type-checked, in import-path order.
+type Module struct {
+	Pkgs []*Package
+}
+
+// LoadModule loads and type-checks every package of the module rooted at
+// root (PackageDirs is sorted, which is import-path order).
+func LoadModule(root string) (*Module, error) {
+	loader, err := NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := loader.PackageDirs()
+	if err != nil {
+		return nil, err
+	}
+	m := &Module{}
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			return nil, fmt.Errorf("load %s: %w", dir, err)
+		}
+		m.Pkgs = append(m.Pkgs, pkg)
+	}
+	return m, nil
+}
+
 // Loader parses and type-checks packages of a single module using only
 // the standard library: module-internal imports are type-checked from
 // source, and standard-library imports go through go/importer's source
@@ -78,12 +106,6 @@ func NewLoader(root string) (*Loader, error) {
 		loading: make(map[string]bool),
 	}, nil
 }
-
-// Module returns the module path read from go.mod.
-func (l *Loader) Module() string { return l.module }
-
-// Root returns the module root directory the loader was created with.
-func (l *Loader) Root() string { return l.root }
 
 // PackageDirs walks the module and returns every directory (relative to
 // the root, "." for the root itself) holding at least one non-test Go

@@ -35,33 +35,35 @@ func (PoolDiscipline) Desc() string {
 }
 
 // Run implements Check.
-func (PoolDiscipline) Run(pkg *Package) []Finding {
+func (PoolDiscipline) Run(m *Module) []Finding {
 	var findings []Finding
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, pkg := range m.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				findings = append(findings, checkPoolLeaks(pkg, fn)...)
 			}
-			findings = append(findings, checkPoolLeaks(pkg, fn)...)
-		}
-		// Straight-line rules apply to every statement list in the file,
-		// including closure bodies and switch-case arms.
-		ast.Inspect(file, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch x := n.(type) {
-			case *ast.BlockStmt:
-				list = x.List
-			case *ast.CaseClause:
-				list = x.Body
-			case *ast.CommClause:
-				list = x.Body
-			default:
+			// Straight-line rules apply to every statement list in the file,
+			// including closure bodies and switch-case arms.
+			ast.Inspect(file, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch x := n.(type) {
+				case *ast.BlockStmt:
+					list = x.List
+				case *ast.CaseClause:
+					list = x.Body
+				case *ast.CommClause:
+					list = x.Body
+				default:
+					return true
+				}
+				findings = append(findings, checkStraightLine(pkg, list)...)
 				return true
-			}
-			findings = append(findings, checkStraightLine(pkg, list)...)
-			return true
-		})
+			})
+		}
 	}
 	return findings
 }

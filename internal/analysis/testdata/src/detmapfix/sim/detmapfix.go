@@ -1,6 +1,6 @@
-// Package detmapfix is a lint-test fixture for the detmap check: each
-// function is one map-iteration shape, good or bad.
-package detmapfix
+// Package sim (simulation-core by its directory name) is the detmap
+// fixture: each function is one map-iteration shape, good or bad.
+package sim
 
 import "sort"
 

@@ -1,6 +1,6 @@
-// Package noallocfix is a lint-test fixture for the noalloc check:
-// annotated functions carrying each allocating construct, and one clean
-// annotated function using every allowed form.
+// Package noallocfix is the fixture of the noalloc check's allocation
+// rules: annotated functions carrying each allocating construct, and one
+// clean annotated function using every allowed form.
 package noallocfix
 
 import "fmt"

@@ -1,7 +1,7 @@
-// Package walltimefix is a lint-test fixture for the walltime check:
-// wall-clock reads and global-RNG draws are findings, seeded streams and
-// duration arithmetic are not.
-package walltimefix
+// Package sim (simulation-core by its directory name) is the walltime
+// fixture: wall-clock reads and global-RNG draws are findings, seeded
+// streams and duration arithmetic are not.
+package sim
 
 import (
 	"math/rand"

@@ -40,49 +40,51 @@ func (WallTime) Desc() string {
 }
 
 // Run implements Check.
-func (WallTime) Run(pkg *Package) []Finding {
+func (WallTime) Run(m *Module) []Finding {
 	var findings []Finding
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			// Only package-level functions: methods on *rand.Rand (a
-			// seeded stream) and on time.Time values are fine.
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if wallClockFuncs[fn.Name()] {
-					findings = append(findings, Finding{
-						Check: "walltime",
-						Pos:   pkg.Fset.Position(call.Pos()),
-						Msg: fmt.Sprintf("time.%s reads the wall clock: simulation state must advance on virtual time only (sim.Kernel.Now)",
-							fn.Name()),
-					})
+	for _, pkg := range m.simCore() {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			case "math/rand", "math/rand/v2":
-				if !seededRandConstructors[fn.Name()] {
-					findings = append(findings, Finding{
-						Check: "walltime",
-						Pos:   pkg.Fset.Position(call.Pos()),
-						Msg: fmt.Sprintf("rand.%s samples the global generator: draw from an explicit seeded stream (rand.New(rand.NewSource(seed))) so runs are a pure function of the seed",
-							fn.Name()),
-					})
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				// Only package-level functions: methods on *rand.Rand (a
+				// seeded stream) and on time.Time values are fine.
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+					return true
+				}
+				switch fn.Pkg().Path() {
+				case "time":
+					if wallClockFuncs[fn.Name()] {
+						findings = append(findings, Finding{
+							Check: "walltime",
+							Pos:   pkg.Fset.Position(call.Pos()),
+							Msg: fmt.Sprintf("time.%s reads the wall clock: simulation state must advance on virtual time only (sim.Kernel.Now)",
+								fn.Name()),
+						})
+					}
+				case "math/rand", "math/rand/v2":
+					if !seededRandConstructors[fn.Name()] {
+						findings = append(findings, Finding{
+							Check: "walltime",
+							Pos:   pkg.Fset.Position(call.Pos()),
+							Msg: fmt.Sprintf("rand.%s samples the global generator: draw from an explicit seeded stream (rand.New(rand.NewSource(seed))) so runs are a pure function of the seed",
+								fn.Name()),
+						})
+					}
+				}
+				return true
+			})
+		}
 	}
 	return findings
 }

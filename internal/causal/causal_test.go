@@ -33,19 +33,19 @@ func fig3Scenario(t *testing.T, name string) []event.Determinant {
 
 	rs[1].AddLocal(u)
 
-	pb, _ := rs[1].PiggybackFor(2) // m1
+	pb, _ := rs[1].AppendPiggybackFor(2, nil) // m1
 	rs[2].Merge(1, pb)
 	rs[2].AddLocal(x)
 
-	pb, _ = rs[2].PiggybackFor(1) // m2
+	pb, _ = rs[2].AppendPiggybackFor(1, nil) // m2
 	rs[1].Merge(2, pb)
 	rs[1].AddLocal(v)
 
-	pb, _ = rs[1].PiggybackFor(3) // m3
+	pb, _ = rs[1].AppendPiggybackFor(3, nil) // m3
 	rs[3].Merge(1, pb)
 	rs[3].AddLocal(w)
 
-	pb, _ = rs[3].PiggybackFor(2) // m4
+	pb, _ = rs[3].AppendPiggybackFor(2, nil) // m4
 	return pb
 }
 
@@ -99,16 +99,16 @@ func TestNoEventSentTwiceBetweenPair(t *testing.T) {
 	for _, name := range Names() {
 		r := New(name, 0, 3)
 		r.AddLocal(event.Determinant{ID: event.EventID{Creator: 0, Clock: 1}, Sender: 1, SendSeq: 1})
-		first, _ := r.PiggybackFor(1)
+		first, _ := r.AppendPiggybackFor(1, nil)
 		if len(first) != 1 {
 			t.Fatalf("%s: first piggyback = %v, want 1 event", name, first)
 		}
-		second, _ := r.PiggybackFor(1)
+		second, _ := r.AppendPiggybackFor(1, nil)
 		if len(second) != 0 {
 			t.Errorf("%s: event sent twice to the same destination: %v", name, second)
 		}
 		// A different destination must still receive it.
-		other, _ := r.PiggybackFor(2)
+		other, _ := r.AppendPiggybackFor(2, nil)
 		if len(other) != 1 {
 			t.Errorf("%s: piggyback to fresh destination = %v, want 1 event", name, other)
 		}
@@ -128,7 +128,7 @@ func TestStableEventsAreGarbageCollected(t *testing.T) {
 		if r.Held() != 3 {
 			t.Errorf("%s: held = %d after Stable(7), want 3", name, r.Held())
 		}
-		pb, _ := r.PiggybackFor(1)
+		pb, _ := r.AppendPiggybackFor(1, nil)
 		if len(pb) != 3 {
 			t.Errorf("%s: piggyback = %d events after Stable(7), want 3", name, len(pb))
 		}
@@ -222,7 +222,7 @@ func TestOpsCostOrdering(t *testing.T) {
 	for i, name := range Names() {
 		r := New(name, 0, 4)
 		mergeOps[i] = r.Merge(1, batch)
-		_, sendOps[i] = r.PiggybackFor(2)
+		_, sendOps[i] = r.AppendPiggybackFor(2, nil)
 	}
 	vc, man, lg := 0, 1, 2
 	if !(mergeOps[vc] <= mergeOps[lg] && mergeOps[lg] < mergeOps[man]) {

@@ -13,7 +13,7 @@ import (
 // TestPropertySparseDenseEquivalence pins the tentpole invariant of the
 // sparse causality state: the interval-coded and the dense representations
 // are observationally identical. The same random AddLocal/Merge/Stable/
-// PiggybackFor script runs once with every vector forced sparse and once
+// AppendPiggybackFor script runs once with every vector forced sparse and once
 // with every vector forced dense; the piggyback sets (content and order),
 // the op counts — the virtual-CPU cost model — and Held() must match
 // exactly at every step, for every reducer, at world sizes on both sides
@@ -62,7 +62,7 @@ func equivDigest(t *testing.T, name string, np, msgs int, seed int64, mode spars
 		if dst >= src {
 			dst++
 		}
-		pb, ops := rs[src].PiggybackFor(event.Rank(dst))
+		pb, ops := rs[src].AppendPiggybackFor(event.Rank(dst), nil)
 		fmt.Fprintf(h, "send %d->%d ops=%d n=%d\n", src, dst, ops, len(pb))
 		for _, e := range pb {
 			fmt.Fprintf(h, "pb %d:%d\n", e.ID.Creator, e.ID.Clock)

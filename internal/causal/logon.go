@@ -52,25 +52,11 @@ func (l *LogOn) Merge(src event.Rank, ds []event.Determinant) int64 {
 	return int64(len(ds))
 }
 
-// PiggybackFor implements Reducer. The frontier is reordered by the events'
-// Lamport clocks, which strictly increase along causal edges, realizing the
-// required partial order even across garbage-collected antecedents. Cost
-// model: traversal (1 op/event) plus the reorder (⌈log₂(K+1)⌉ ops/event)
-// plus one probe per creator chain.
-func (l *LogOn) PiggybackFor(dst event.Rank) ([]event.Determinant, int64) {
-	nodes, ops := l.orderedFrontier(dst)
-	if len(nodes) == 0 {
-		return nil, ops
-	}
-	out := make([]event.Determinant, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.d
-	}
-	return out, ops
-}
-
-// AppendPiggybackFor implements Reducer: PiggybackFor, appending into a
-// caller-owned buffer.
+// AppendPiggybackFor implements Reducer. The frontier is reordered by the
+// events' Lamport clocks, which strictly increase along causal edges,
+// realizing the required partial order even across garbage-collected
+// antecedents. Cost model: traversal (1 op/event) plus the reorder
+// (⌈log₂(K+1)⌉ ops/event) plus one probe per creator chain.
 //
 //mpichv:noalloc
 func (l *LogOn) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
@@ -92,7 +78,7 @@ func (l *LogOn) orderedFrontier(dst event.Rank) ([]*gnode, int64) {
 	// Stable sort: ancestors (strictly smaller Lamport value) come first;
 	// ties keep factored order, which is fine because equal-Lamport events
 	// are causally unordered.
-	//lint:allow noalloctrans the comparator captures nothing, so the compiler builds it once as a static value
+	//lint:allow noalloc the comparator captures nothing, so the compiler builds it once as a static value
 	slices.SortStableFunc(nodes, func(a, b *gnode) int {
 		switch {
 		case a.d.Lamport < b.d.Lamport:

@@ -53,25 +53,11 @@ func (m *Manetho) Merge(src event.Rank, ds []event.Determinant) int64 {
 	return 3*int64(len(ds)) + int64(m.g.held)/32
 }
 
-// PiggybackFor implements Reducer. Cost model: the emission crossing visits
-// the graph from the destination's last known reception (a term
+// AppendPiggybackFor implements Reducer. Cost model: the emission crossing
+// visits the graph from the destination's last known reception (a term
 // proportional to the held graph size — without an Event Logger the graph
 // keeps growing and so does this cost) plus 2 ops per emitted event and one
 // probe per creator chain.
-func (m *Manetho) PiggybackFor(dst event.Rank) ([]event.Determinant, int64) {
-	nodes, ops := m.costedFrontier(dst)
-	if len(nodes) == 0 {
-		return nil, ops
-	}
-	out := make([]event.Determinant, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.d
-	}
-	return out, ops
-}
-
-// AppendPiggybackFor implements Reducer: PiggybackFor, appending into a
-// caller-owned buffer.
 //
 //mpichv:noalloc
 func (m *Manetho) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {

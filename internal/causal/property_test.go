@@ -62,7 +62,7 @@ func newDriver(t *testing.T, name string, np int) *driver {
 // path, and checks per-message invariants.
 func (d *driver) send(src, dst int) {
 	t := d.t
-	pb, _ := d.rs[src].PiggybackFor(event.Rank(dst))
+	pb, _ := d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
 
 	// Invariant: no event is ever piggybacked twice between the same pair,
 	// no stable event is piggybacked and no event of dst is sent to dst.
@@ -227,8 +227,8 @@ func TestPropertyGraphSubsetOfVcausal(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			pbV, _ := dv.rs[src].PiggybackFor(event.Rank(dst))
-			pbM, _ := dm.rs[src].PiggybackFor(event.Rank(dst))
+			pbV, _ := dv.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
+			pbM, _ := dm.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
 			setV := make(map[event.EventID]bool, len(pbV))
 			for _, e := range pbV {
 				setV[e.ID] = true
@@ -244,7 +244,7 @@ func TestPropertyGraphSubsetOfVcausal(t *testing.T) {
 				}
 			}
 			// Drive both worlds identically (bypass driver.send's own
-			// PiggybackFor by replaying its bookkeeping).
+			// AppendPiggybackFor by replaying its bookkeeping).
 			for _, d := range []*driver{dv, dm} {
 				pb := pbV
 				if d == dm {
@@ -300,7 +300,7 @@ func TestPropertyPiggybackVolumeOrdering(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			pb, _ := d.rs[src].PiggybackFor(event.Rank(dst))
+			pb, _ := d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
 			events[idx] += int64(len(pb))
 			bytes[idx] += int64(d.rs[src].PiggybackBytes(pb))
 			// Bypass the duplicate bookkeeping of driver.send: replay merge

@@ -5,7 +5,8 @@
 // notifies the reducer of locally created reception determinants
 // (AddLocal), of determinants piggybacked on incoming messages (Merge) and
 // of Event Logger acknowledgments (Stable); before each send it asks which
-// held determinants must accompany the outgoing message (PiggybackFor).
+// held determinants must accompany the outgoing message
+// (AppendPiggybackFor).
 //
 // # Cost model
 //
@@ -68,18 +69,13 @@ type Reducer interface {
 	// from src, in the order the wire carried them. Returns the op count.
 	Merge(src event.Rank, ds []event.Determinant) int64
 
-	// PiggybackFor returns the held determinants that must accompany the
-	// next message to dst, in protocol emission order, plus the op count.
-	// The reducer commits the optimistic assumption that dst now knows
-	// them (no event is ever sent twice between the same pair, §III-B).
-	// The returned slice is freshly allocated at exact size (nil when
-	// empty) and owned by the caller.
-	PiggybackFor(dst event.Rank) ([]event.Determinant, int64)
-
-	// AppendPiggybackFor is PiggybackFor appending into a caller-owned
-	// buffer, so steady-state senders recycling their piggyback buffers
-	// (the daemon keeps a free list of consumed ones) allocate nothing.
-	// Semantics and op count are identical to PiggybackFor.
+	// AppendPiggybackFor appends to buf the held determinants that must
+	// accompany the next message to dst, in protocol emission order, and
+	// returns the grown buffer plus the op count. The reducer commits the
+	// optimistic assumption that dst now knows them (no event is ever sent
+	// twice between the same pair, §III-B). The buffer is caller-owned, so
+	// steady-state senders recycling their piggyback buffers (the daemon
+	// keeps a free list of consumed ones) allocate nothing.
 	AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64)
 
 	// Stable applies an Event Logger acknowledgment: for every creator c,

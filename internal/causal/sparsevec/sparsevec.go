@@ -209,7 +209,7 @@ func (v *Vec) Active() int {
 func (v *Vec) Range(fn func(c int, f uint64) bool) {
 	if len(v.dense) > 0 {
 		for c, f := range v.dense {
-			//lint:allow hotcall the callback is the iteration contract; callers pass non-escaping literals the compiler keeps off the heap
+			//lint:allow noalloc the callback is the iteration contract; callers pass non-escaping literals the compiler keeps off the heap
 			if f != 0 && !fn(c, f) {
 				return
 			}
@@ -217,7 +217,7 @@ func (v *Vec) Range(fn func(c int, f uint64) bool) {
 		return
 	}
 	for i, c := range v.creators {
-		//lint:allow hotcall the callback is the iteration contract; callers pass non-escaping literals the compiler keeps off the heap
+		//lint:allow noalloc the callback is the iteration contract; callers pass non-escaping literals the compiler keeps off the heap
 		if !fn(int(c), v.floors[i]) {
 			return
 		}

@@ -119,22 +119,13 @@ func (v *Vcausal) knownVec(src event.Rank) *sparsevec.Vec {
 	return *known
 }
 
-// PiggybackFor implements Reducer: every held determinant newer than what
-// dst is known to hold (and newer than the stability horizon), grouped by
-// creator in clock order — the factored emission order. The held-size term
-// models the management of the growing per-creator sequences: the paper's
-// Figure 8a shows Vcausal's send-side time growing roughly tenfold without
-// an Event Logger, so the cost cannot be independent of state size.
-func (v *Vcausal) PiggybackFor(dst event.Rank) ([]event.Determinant, int64) {
-	total, ops := v.planFor(dst)
-	if total == 0 {
-		return nil, ops
-	}
-	return v.emitTo(dst, make([]event.Determinant, 0, total)), ops
-}
-
-// AppendPiggybackFor implements Reducer: PiggybackFor, appending into a
-// caller-owned buffer.
+// AppendPiggybackFor implements Reducer: every held determinant newer than
+// what dst is known to hold (and newer than the stability horizon),
+// grouped by creator in clock order — the factored emission order. The
+// held-size term models the management of the growing per-creator
+// sequences: the paper's Figure 8a shows Vcausal's send-side time growing
+// roughly tenfold without an Event Logger, so the cost cannot be
+// independent of state size.
 //
 //mpichv:noalloc
 func (v *Vcausal) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {

@@ -81,8 +81,8 @@ const (
 
 // FactoredSize returns the wire size in bytes of ds in the factored
 // encoding. Determinants of the same creator that are adjacent in ds share
-// one group header, which matches how PiggybackFor emits them (grouped by
-// creator).
+// one group header, which matches how AppendPiggybackFor emits them
+// (grouped by creator).
 func FactoredSize(ds []Determinant) int {
 	if len(ds) == 0 {
 		return 0

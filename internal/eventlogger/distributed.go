@@ -26,7 +26,7 @@ import (
 //   - SyncBroadcast: each Event Logger periodically broadcasts its local
 //     stable array directly to every node (and to its peers).
 //
-// The ablation experiment (experiment.ExtDistributedEL) compares the two
+// The ablation experiment (experiment.ExtDistributedELReport) compares the two
 // against the single-logger baseline.
 
 // SyncPolicy selects how distributed Event Loggers disseminate stability.
@@ -50,16 +50,6 @@ type GroupConfig struct {
 	SyncInterval sim.Time
 	// Service is the per-server service cost model.
 	Service Config
-}
-
-// DefaultGroupConfig returns a two-logger exchange-synchronized group.
-func DefaultGroupConfig() GroupConfig {
-	return GroupConfig{
-		Servers:      2,
-		Sync:         SyncExchange,
-		SyncInterval: 2 * sim.Millisecond,
-		Service:      DefaultConfig(),
-	}
 }
 
 // Group is a set of Event Loggers sharing the logging load.

@@ -23,7 +23,7 @@ func TestFig06aLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep regenerates a full figure")
 	}
-	tab := Fig06aLatency()
+	tab := Fig06aReport().Table
 	if len(tab.Rows) != 8 {
 		t.Fatalf("got %d rows, want 8", len(tab.Rows))
 	}
@@ -58,7 +58,7 @@ func TestFig06bBandwidthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	tab := Fig06bBandwidth()
+	tab := Fig06bReport().Table
 	last := len(tab.Rows) - 1
 	raw := cell(t, tab, last, 1)
 	if raw < 85 || raw > 96 {
@@ -76,7 +76,7 @@ func TestFig07Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
 	}
-	tab := Fig07PiggybackSize()
+	tab := Fig07Report().Table
 	for i := range tab.Rows {
 		vcEL, manEL, logEL := cell(t, tab, i, 2), cell(t, tab, i, 3), cell(t, tab, i, 4)
 		vcNo, manNo, logNo := cell(t, tab, i, 5), cell(t, tab, i, 6), cell(t, tab, i, 7)
@@ -100,7 +100,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery grid is slow")
 	}
-	tab := Fig10Recovery()
+	tab := Fig10Report().Table
 	for i := range tab.Rows {
 		withEL, withoutEL := cell(t, tab, i, 2), cell(t, tab, i, 3)
 		if withEL >= withoutEL {
@@ -114,7 +114,7 @@ func TestRunSmoke(t *testing.T) {
 	res := harness.Run(&harness.SweepSpec{
 		Name:      "smoke",
 		Workloads: nasWorkloads([]workload.Spec{{Bench: "cg", Class: "A", NP: 4}}),
-		Stacks:    hStacks([]stackConfig{{"Manetho (EL)", cluster.StackVcausal, "manetho", true}}),
+		Stacks:    []harness.Stack{{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}},
 	}, harness.Options{})
 	cr := res.MustGet("cg.A.4", "Manetho (EL)", "base")
 	if cr.Elapsed <= 0 || cr.Stats.AppMsgsSent == 0 {

@@ -16,14 +16,13 @@ import (
 // Logger capacity ablation, in microseconds.
 var extELServiceTimes = []sim.Time{5, 15, 30, 60, 120, 240}
 
-// ExtELServiceSweep is an ablation over the Event Logger's service
+// ExtELServiceSweepReport is an ablation over the Event Logger's service
 // capacity: it locates the saturation onset the paper observes on LU.16 by
 // sweeping the per-request service time. Below the knee, acknowledgments
 // beat the application's send gaps and piggybacks vanish; above it, the
 // backlog grows and residual piggyback reappears.
-func ExtELServiceSweep() *Table { return ExtELServiceSweepReport().Table }
-
-// ExtELServiceSweepReport runs the EL capacity ablation as one sweep:
+//
+// It runs the EL capacity ablation as one sweep:
 // LU.A.16 × Vcausal+EL × one variant per service time.
 func ExtELServiceSweepReport() *Report {
 	variants := make([]harness.Variant, len(extELServiceTimes))
@@ -70,13 +69,12 @@ var extSchedulerPolicies = []checkpoint.Policy{
 	checkpoint.PolicyNone, checkpoint.PolicyRoundRobin, checkpoint.PolicyRandom,
 }
 
-// ExtSchedulerPolicies is an ablation over the checkpoint scheduler
+// ExtSchedulerPoliciesReport is an ablation over the checkpoint scheduler
 // policies of §IV-B.3: the paper argues uncoordinated scheduling should
 // maximize sender-based log garbage collection. The probe is the sender-log
 // memory high-water mark under identical checkpoint budgets.
-func ExtSchedulerPolicies() *Table { return ExtSchedulerPoliciesReport().Table }
-
-// ExtSchedulerPoliciesReport runs the scheduler ablation as one sweep:
+//
+// It runs the scheduler ablation as one sweep:
 // BT.A.9 × Manetho+EL × one variant per policy.
 func ExtSchedulerPoliciesReport() *Report {
 	variants := make([]harness.Variant, len(extSchedulerPolicies))
@@ -126,13 +124,12 @@ var extDuplexSpecs = []workload.Spec{
 	{Bench: "cg", Class: "A", NP: 8},
 }
 
-// ExtDuplexAblation isolates the full-duplex advantage the paper credits
-// for Vdummy beating MPICH-P4 on some NAS kernels: the same Vdaemon stack
-// is run over full- and half-duplex links.
-func ExtDuplexAblation() *Table { return ExtDuplexAblationReport().Table }
-
-// ExtDuplexAblationReport runs the duplex ablation as one sweep:
-// benchmarks × Vdummy × {full, half} duplex wire models.
+// ExtDuplexAblationReport isolates the full-duplex advantage the paper
+// credits for Vdummy beating MPICH-P4 on some NAS kernels: the same Vdaemon
+// stack is run over full- and half-duplex links.
+//
+// It runs the duplex ablation as one sweep: benchmarks × Vdummy × {full,
+// half} duplex wire models.
 func ExtDuplexAblationReport() *Report {
 	variants := make([]harness.Variant, 2)
 	for i, duplex := range []bool{true, false} {

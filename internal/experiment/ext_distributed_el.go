@@ -23,17 +23,16 @@ var extDistELPoints = []struct {
 	{4, eventlogger.SyncBroadcast},
 }
 
-// ExtDistributedEL is the reproduction's extension experiment: the paper's
-// future-work proposal (§VI) of distributing the event logging over several
-// Event Loggers. It runs the workload that saturates a single logger — LU
+// ExtDistributedELReport is the reproduction's extension experiment: the
+// paper's future-work proposal (§VI) of distributing the event logging over
+// several Event Loggers. It runs the workload that saturates a single logger — LU
 // class A on 16 nodes — under 1, 2 and 4 loggers with both stability
 // dissemination designs the paper sketches, and reports the three
 // quantities the distribution is supposed to improve: the residual
 // piggyback volume, the logger backlog, and application performance.
-func ExtDistributedEL() *Table { return ExtDistributedELReport().Table }
-
-// ExtDistributedELReport runs the extension as one sweep: LU.A.16 ×
-// Vcausal+EL × one variant per (logger count, sync design) point.
+//
+// The extension is one sweep: LU.A.16 × Vcausal+EL × one variant per
+// (logger count, sync design) point.
 func ExtDistributedELReport() *Report {
 	variants := make([]harness.Variant, len(extDistELPoints))
 	for i, pt := range extDistELPoints {

@@ -20,11 +20,11 @@ import (
 
 // extELCStacks pairs each reducer with and without the Event Logger so the
 // loss fractions isolate the EL's contribution.
-var extELCStacks = []stackConfig{
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Vcausal (no EL)", cluster.StackVcausal, "vcausal", false},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"Manetho (no EL)", cluster.StackVcausal, "manetho", false},
+var extELCStacks = []harness.Stack{
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Vcausal (no EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "Manetho (no EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: false},
 }
 
 // extELCWorkload is one row of the grid: a workload plus its per-trial
@@ -46,7 +46,7 @@ type extELCWorkload struct {
 type extELCConfig struct {
 	name      string
 	workloads []extELCWorkload
-	stacks    []stackConfig
+	stacks    []harness.Stack
 	trials    int
 }
 
@@ -132,12 +132,9 @@ func extELCSmoke() extELCConfig {
 	}
 }
 
-// ExtELContribution runs the full EL-contribution grid.
-func ExtELContribution() *Table { return ExtELContributionReport().Table }
-
-// ExtELContributionReport runs fault-free baselines, then the correlated
-// burst-storm trials, and tabulates the per-stack determinant-loss
-// fraction.
+// ExtELContributionReport runs the full EL-contribution grid: fault-free
+// baselines, then the correlated burst-storm trials; it tabulates the
+// per-stack determinant-loss fraction.
 func ExtELContributionReport() *Report { return extELCReport(extELCFull()) }
 
 // ExtELContributionSmokeReport is the CI-sized variant: the deterministic
@@ -145,7 +142,7 @@ func ExtELContributionReport() *Report { return extELCReport(extELCFull()) }
 func ExtELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
 
 func extELCReport(cfg extELCConfig) *Report {
-	stacks := hStacks(cfg.stacks)
+	stacks := cfg.stacks
 
 	base := extELCSpec(cfg, cfg.name+"-baseline",
 		[]harness.Variant{{Key: "fault-free"}}, nil)
@@ -236,7 +233,7 @@ func extELCSpec(cfg extELCConfig, name string, variants []harness.Variant, tune 
 	return &harness.SweepSpec{
 		Name:       name,
 		Workloads:  workloads,
-		Stacks:     hStacks(cfg.stacks),
+		Stacks:     cfg.stacks,
 		Variants:   variants,
 		BaseSeed:   2607,
 		MaxVirtual: 100 * sim.Minute,

@@ -13,12 +13,12 @@ import (
 // extFaultstormStacks is the protocol axis of the fault-storm extension:
 // the three causal reducers and the pessimistic baseline (all with the
 // Event Logger) against coordinated checkpointing.
-var extFaultstormStacks = []stackConfig{
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"LogOn (EL)", cluster.StackVcausal, "logon", true},
-	{"Pessimistic (EL)", cluster.StackPessimistic, "", true},
-	{"Coordinated (C/L)", cluster.StackCoordinated, "", false},
+var extFaultstormStacks = []harness.Stack{
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
+	{Label: "Pessimistic (EL)", Stack: cluster.StackPessimistic, UseEL: true},
+	{Label: "Coordinated (C/L)", Stack: cluster.StackCoordinated},
 }
 
 // extFaultstormRestart is the shared detection + relaunch delay; cascade
@@ -119,17 +119,16 @@ var extFaultstormScenarios = []struct {
 	},
 }
 
-// ExtFaultstorm compares the fault-tolerance stacks under overlapping
+// ExtFaultstormReport compares the fault-tolerance stacks under overlapping
 // failures: Poisson fault storms, correlated multi-rank kills, recovery-
 // triggered cascades, faults aimed into restart/recovery windows, and
 // stable-service outages.
-func ExtFaultstorm() *Table { return ExtFaultstormReport().Table }
-
-// ExtFaultstormReport runs the fault-storm grid as two sweeps: fault-free
+//
+// It runs the fault-storm grid as two sweeps: fault-free
 // baselines first, then one variant per scenario with each cell's
 // divergence cap derived from its stack's baseline.
 func ExtFaultstormReport() *Report {
-	stacks := hStacks(extFaultstormStacks)
+	stacks := extFaultstormStacks
 	base := extFaultstormSpec("ext-faultstorm-baseline",
 		[]harness.Variant{{Key: "fault-free"}}, nil)
 	baseRes := sweep(base)
@@ -190,7 +189,7 @@ func extFaultstormSpec(name string, variants []harness.Variant, tune func(*harne
 	return &harness.SweepSpec{
 		Name:       name,
 		Workloads:  []harness.Workload{extFaultstormWorkload()},
-		Stacks:     hStacks(extFaultstormStacks),
+		Stacks:     extFaultstormStacks,
 		Variants:   variants,
 		BaseSeed:   1905, // each cell samples its plans from its own derived seed
 		MaxVirtual: 100 * sim.Minute,

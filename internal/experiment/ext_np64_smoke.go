@@ -26,22 +26,20 @@ var extNP64Specs = []workload.Spec{
 
 // extNP64Stacks runs the three reducers with the Event Logger: the EL acks
 // drive the stable-vector path whose interval coding the smoke guards.
-var extNP64Stacks = []stackConfig{
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"LogOn (EL)", cluster.StackVcausal, "logon", true},
+var extNP64Stacks = []harness.Stack{
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
 }
 
-// ExtNP64Smoke runs the NP-64 scaling smoke grid.
-func ExtNP64Smoke() *Table { return ExtNP64SmokeReport().Table }
-
-// ExtNP64SmokeReport runs the CG.A.64 piggyback sweep across the three
-// reducers (with EL) and tabulates the piggyback share, Figure-7 style.
+// ExtNP64SmokeReport runs the NP-64 scaling smoke grid: the CG.A.64
+// piggyback sweep across the three reducers (with EL); it tabulates the
+// piggyback share, Figure-7 style.
 func ExtNP64SmokeReport() *Report {
 	res := sweep(&harness.SweepSpec{
 		Name:       "ext-np64-smoke",
 		Workloads:  nasWorkloads(extNP64Specs),
-		Stacks:     hStacks(extNP64Stacks),
+		Stacks:     extNP64Stacks,
 		MaxVirtual: 30 * sim.Minute,
 	})
 	header := []string{"Benchmark", "#proc"}

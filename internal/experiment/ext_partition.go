@@ -22,10 +22,10 @@ import (
 
 // extPartitionStacks is the protocol axis: the three causal reducers, all
 // with the Event Logger.
-var extPartitionStacks = []stackConfig{
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"LogOn (EL)", cluster.StackVcausal, "logon", true},
+var extPartitionStacks = []harness.Stack{
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
 }
 
 // extPartitionRestart is the constant detection + relaunch delay (the
@@ -123,7 +123,7 @@ func extPartitionScenarios(np int) []struct {
 type extPartitionConfig struct {
 	name      string
 	workloads []harness.Workload
-	stacks    []stackConfig
+	stacks    []harness.Stack
 	// restart overrides the constant restart delay (0 = extPartitionRestart).
 	restart sim.Time
 	// scenariosFor builds the variant axis for one workload's NP.
@@ -200,11 +200,9 @@ func extPartitionSmoke() extPartitionConfig {
 	}
 }
 
-// ExtPartition runs the full partition-vs-kill grid.
-func ExtPartition() *Table { return ExtPartitionReport().Table }
-
-// ExtPartitionReport runs fault-free baselines, then the partition-vs-kill
-// scenarios, and tabulates per-stack slowdowns with partition diagnostics.
+// ExtPartitionReport runs the full partition-vs-kill grid: fault-free
+// baselines, then the partition-vs-kill scenarios; it tabulates per-stack
+// slowdowns with partition diagnostics.
 func ExtPartitionReport() *Report { return extPartitionReport(extPartitionFull()) }
 
 // ExtPartitionSmokeReport is the CI-sized variant (witness-pair topology,
@@ -212,7 +210,7 @@ func ExtPartitionReport() *Report { return extPartitionReport(extPartitionFull()
 func ExtPartitionSmokeReport() *Report { return extPartitionReport(extPartitionSmoke()) }
 
 func extPartitionReport(cfg extPartitionConfig) *Report {
-	stacks := hStacks(cfg.stacks)
+	stacks := cfg.stacks
 
 	base := extPartitionSpec(cfg, cfg.name+"-baseline",
 		[]harness.Variant{{Key: "fault-free"}}, nil)
@@ -314,7 +312,7 @@ func extPartitionSpec(cfg extPartitionConfig, name string, variants []harness.Va
 	return &harness.SweepSpec{
 		Name:       name,
 		Workloads:  cfg.workloads,
-		Stacks:     hStacks(cfg.stacks),
+		Stacks:     cfg.stacks,
 		Variants:   variants,
 		BaseSeed:   2905,
 		MaxVirtual: 100 * sim.Minute,

@@ -21,10 +21,10 @@ import (
 
 // extServiceStacks is the protocol axis: the three causal reducers, all
 // with the Event Logger (the paper's recommended deployment).
-var extServiceStacks = []stackConfig{
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"LogOn (EL)", cluster.StackVcausal, "logon", true},
+var extServiceStacks = []harness.Stack{
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
 }
 
 // extServiceSeed derives the per-NP arrival schedules and the per-cell
@@ -48,7 +48,7 @@ type extServiceScenario struct {
 type extServiceConfig struct {
 	name      string
 	nps       []int
-	stacks    []stackConfig
+	stacks    []harness.Stack
 	service   func(np int) workload.ServiceConfig
 	horizon   sim.Time
 	scenarios []extServiceScenario
@@ -184,11 +184,9 @@ func extServiceSmoke() extServiceConfig {
 	}
 }
 
-// ExtService runs the full service-SLO grid.
-func ExtService() *Table { return ExtServiceReport().Table }
-
-// ExtServiceReport runs the always-on service workload across the causal
-// stacks and fault scenarios and tabulates the SLO probes.
+// ExtServiceReport runs the full service-SLO grid: the always-on service
+// workload across the causal stacks and fault scenarios; it tabulates the
+// SLO probes.
 func ExtServiceReport() *Report { return extServiceReport(extServiceFull()) }
 
 // ExtServiceSmokeReport is the CI-sized variant (4 ranks, compressed
@@ -229,7 +227,7 @@ func extServiceReport(cfg extServiceConfig) *Report {
 	spec := &harness.SweepSpec{
 		Name:      cfg.name,
 		Workloads: workloads,
-		Stacks:    hStacks(cfg.stacks),
+		Stacks:    cfg.stacks,
 		Variants:  variants,
 		BaseSeed:  extServiceSeed,
 		Probes: []string{
@@ -269,7 +267,7 @@ func extServiceReport(cfg extServiceConfig) *Report {
 	for _, w := range workloads {
 		for _, v := range variants {
 			row := []string{w.Key, v.Key}
-			for _, st := range hStacks(cfg.stacks) {
+			for _, st := range cfg.stacks {
 				row = append(row, extServiceCell(res.Get(w.Key, st.Label, v.Key)))
 			}
 			t.AddRow(row...)

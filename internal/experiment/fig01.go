@@ -13,10 +13,10 @@ import (
 // fig01Stacks is Figure 1's protocol axis: the coordinated-checkpointing
 // baseline against pessimistic and causal message logging (both with
 // sender-based payload storage and the Event Logger).
-var fig01Stacks = []stackConfig{
-	{"Coordinated (Chandy-Lamport)", cluster.StackCoordinated, "", false},
-	{"Pessimistic (EL)", cluster.StackPessimistic, "", true},
-	{"Causal (EL)", cluster.StackVcausal, "vcausal", true},
+var fig01Stacks = []harness.Stack{
+	{Label: "Coordinated (Chandy-Lamport)", Stack: cluster.StackCoordinated},
+	{Label: "Pessimistic (EL)", Stack: cluster.StackPessimistic, UseEL: true},
+	{Label: "Causal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
 }
 
 // divergenceFactor marks a run that did not finish within divergenceFactor
@@ -28,7 +28,7 @@ const divergenceFactor = 12
 var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Second,
 	5 * sim.Second, 3 * sim.Second}
 
-// Fig01FaultResilience reproduces Figure 1: the slowdown of NAS BT on 25
+// Fig01Report reproduces Figure 1: the slowdown of NAS BT on 25
 // nodes as the fault frequency increases, for coordinated checkpointing,
 // pessimistic message logging and causal message logging.
 //
@@ -38,13 +38,12 @@ var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Sec
 // reproduced result is the shape — coordinated checkpointing stops
 // progressing at a fault frequency where message logging still runs, and
 // causal logging tracks or beats pessimistic logging.
-func Fig01FaultResilience() *Table { return Fig01Report().Table }
-
-// Fig01Report runs Figure 1 as two sweeps: fault-free baselines first,
+//
+// It runs Figure 1 as two sweeps: fault-free baselines first,
 // then the fault-frequency grid with each cell's divergence cap derived
 // from its stack's baseline.
 func Fig01Report() *Report {
-	stacks := hStacks(fig01Stacks)
+	stacks := fig01Stacks
 	base := fig01Spec("fig1-baseline", []harness.Variant{{Key: "fault-free"}}, nil)
 	baseRes := sweep(base)
 
@@ -103,7 +102,7 @@ func fig01Spec(name string, variants []harness.Variant, tune func(*harness.Cell)
 	return &harness.SweepSpec{
 		Name:       name,
 		Workloads:  []harness.Workload{fig01Workload()},
-		Stacks:     hStacks(fig01Stacks),
+		Stacks:     fig01Stacks,
 		Variants:   variants,
 		MaxVirtual: 100 * sim.Minute,
 		Tune: func(c *harness.Cell) {

@@ -12,7 +12,7 @@ func TestFig01CausalPointNotPathological(t *testing.T) {
 		t.Skip("fault sweep is slow")
 	}
 	wl := fig01Workload()
-	causalOnly := hStacks(fig01Stacks[2:3]) // causal
+	causalOnly := fig01Stacks[2:3] // causal
 
 	baseSpec := fig01Spec("fig1-test-baseline", []harness.Variant{{Key: "fault-free"}}, nil)
 	baseSpec.Stacks = causalOnly

@@ -9,26 +9,25 @@ import (
 
 // latencyStacks is Figure 6(a)'s protocol axis: the reference MPI, the raw
 // framework, and the three causal protocols with and without Event Logger.
-var latencyStacks = append([]stackConfig{
-	{"P4", cluster.StackP4, "", false},
-	{"Vdummy", cluster.StackVdummy, "", false},
+var latencyStacks = append([]harness.Stack{
+	{Label: "P4", Stack: cluster.StackP4},
+	{Label: "Vdummy", Stack: cluster.StackVdummy},
 }, causalStacks...)
 
 // fig06aReps is the ping-pong repetition count of the latency measurement.
 const fig06aReps = 500
 
-// Fig06aLatency reproduces Figure 6(a): one-way small-message latency of
+// Fig06aReport reproduces Figure 6(a): one-way small-message latency of
 // every stack, measured by a 1-byte NetPIPE ping-pong.
-func Fig06aLatency() *Table { return Fig06aReport().Table }
-
-// Fig06aReport runs Figure 6(a) as one sweep: stacks × a single 1-byte
+//
+// It runs Figure 6(a) as one sweep: stacks × a single 1-byte
 // ping-pong workload.
 func Fig06aReport() *Report {
 	wl := harness.Workload{Key: "pingpong.1B", PingPongBytes: 1, PingPongReps: fig06aReps}
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig6a",
 		Workloads: []harness.Workload{wl},
-		Stacks:    hStacks(latencyStacks),
+		Stacks:    latencyStacks,
 	})
 	t := &Table{
 		Title:  "Figure 6(a): Ping-pong latency over Ethernet 100Mbit/s (µs, one-way)",
@@ -50,21 +49,20 @@ func Fig06aReport() *Report {
 var BandwidthSizes = []int{1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}
 
 // fig06bStacks is Figure 6(b)'s protocol axis.
-var fig06bStacks = []stackConfig{
-	{"RAW TCP", cluster.StackRawTCP, "", false},
-	{"MPICH-P4", cluster.StackP4, "", false},
-	{"MPICH-Vdummy", cluster.StackVdummy, "", false},
-	{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-	{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-	{"Manetho (no EL)", cluster.StackVcausal, "manetho", false},
-	{"LogOn (no EL)", cluster.StackVcausal, "logon", false},
+var fig06bStacks = []harness.Stack{
+	{Label: "RAW TCP", Stack: cluster.StackRawTCP},
+	{Label: "MPICH-P4", Stack: cluster.StackP4},
+	{Label: "MPICH-Vdummy", Stack: cluster.StackVdummy},
+	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+	{Label: "Manetho (no EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: false},
+	{Label: "LogOn (no EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: false},
 }
 
-// Fig06bBandwidth reproduces Figure 6(b): ping-pong bandwidth versus
+// Fig06bReport reproduces Figure 6(b): ping-pong bandwidth versus
 // message size for raw TCP, P4, Vdummy and the causal variants.
-func Fig06bBandwidth() *Table { return Fig06bReport().Table }
-
-// Fig06bReport runs Figure 6(b) as one sweep: stacks × one ping-pong
+//
+// It runs Figure 6(b) as one sweep: stacks × one ping-pong
 // workload per message size.
 func Fig06bReport() *Report {
 	workloads := make([]harness.Workload, len(BandwidthSizes))
@@ -78,7 +76,7 @@ func Fig06bReport() *Report {
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig6b",
 		Workloads: workloads,
-		Stacks:    hStacks(fig06bStacks),
+		Stacks:    fig06bStacks,
 	})
 
 	header := []string{"Message size"}

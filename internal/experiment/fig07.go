@@ -16,18 +16,17 @@ var fig07Specs = []workload.Spec{
 	{Bench: "lu", Class: "A", NP: 8}, {Bench: "lu", Class: "A", NP: 16},
 }
 
-// Fig07PiggybackSize reproduces Figure 7: the total piggybacked causality
+// Fig07Report reproduces Figure 7: the total piggybacked causality
 // data exchanged during BT, CG and LU class A, as a percentage of the total
 // application data, for the three reduction techniques with and without
 // Event Logger.
-func Fig07PiggybackSize() *Table { return Fig07Report().Table }
-
-// Fig07Report runs Figure 7 as one sweep: benchmarks × causal stacks.
+//
+// It runs Figure 7 as one sweep: benchmarks × causal stacks.
 func Fig07Report() *Report {
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig7",
 		Workloads: nasWorkloads(fig07Specs),
-		Stacks:    hStacks(causalStacks),
+		Stacks:    causalStacks,
 	})
 	header := []string{"Benchmark", "#proc"}
 	for _, sc := range causalStacks {

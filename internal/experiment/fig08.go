@@ -28,16 +28,13 @@ var fig08Sweep = sync.OnceValue(func() *harness.Results {
 	return sweep(&harness.SweepSpec{
 		Name:      "fig8",
 		Workloads: nasWorkloads(fig08Specs),
-		Stacks:    hStacks(causalStacks),
+		Stacks:    causalStacks,
 	})
 })
 
-// Fig08aPiggybackTime reproduces Figure 8(a): cumulative virtual CPU time
+// Fig08aReport reproduces Figure 8(a): cumulative virtual CPU time
 // spent preparing piggybacks at send and integrating them at receive, per
 // protocol, with and without Event Logger (seconds; send/recv split).
-func Fig08aPiggybackTime() *Table { return Fig08aReport().Table }
-
-// Fig08aReport runs Figure 8(a) through the sweep harness.
 func Fig08aReport() *Report {
 	res := fig08Sweep()
 	header := []string{"Benchmark", "#proc"}
@@ -66,11 +63,8 @@ func Fig08aReport() *Report {
 	return &Report{Name: "fig8a", Table: t, Sweeps: []*harness.Results{res}}
 }
 
-// Fig08bPiggybackShare reproduces Figure 8(b): causality-management time as
+// Fig08bReport reproduces Figure 8(b): causality-management time as
 // a percentage of total execution time.
-func Fig08bPiggybackShare() *Table { return Fig08bReport().Table }
-
-// Fig08bReport runs Figure 8(b) through the sweep harness.
 func Fig08bReport() *Report {
 	res := fig08Sweep()
 	header := []string{"Benchmark", "#proc"}

@@ -34,19 +34,18 @@ func fig09Specs() []workload.Spec {
 	return specs
 }
 
-// Fig09NAS reproduces Figure 9: NAS benchmark performance (Mflop/s) for
+// Fig09Report reproduces Figure 9: NAS benchmark performance (Mflop/s) for
 // MPICH-P4, MPICH-Vdummy and the three causal protocols with and without
 // Event Logger.
-func Fig09NAS() *Table { return Fig09Report().Table }
-
-// Fig09Report runs Figure 9 as one sweep: the full NAS panel grid × every
+//
+// It runs Figure 9 as one sweep: the full NAS panel grid × every
 // stack — the largest grid of the evaluation (27 workloads × 8 stacks).
 func Fig09Report() *Report {
 	specs := fig09Specs()
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig9",
 		Workloads: nasWorkloads(specs),
-		Stacks:    hStacks(allStacks),
+		Stacks:    allStacks,
 	})
 	header := []string{"Benchmark", "#proc"}
 	for _, sc := range allStacks {

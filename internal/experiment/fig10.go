@@ -21,9 +21,9 @@ var fig10Groups = []struct {
 }
 
 // fig10Stacks is the Vcausal protocol with and without the Event Logger.
-var fig10Stacks = []stackConfig{
-	{"with EL", cluster.StackVcausal, "vcausal", true},
-	{"without EL", cluster.StackVcausal, "vcausal", false},
+var fig10Stacks = []harness.Stack{
+	{Label: "with EL", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+	{Label: "without EL", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
 }
 
 // fig10Specs flattens the grids into the sweep's workload axis.
@@ -37,13 +37,12 @@ func fig10Specs() []workload.Spec {
 	return specs
 }
 
-// Fig10Recovery reproduces Figure 10: the time (in milliseconds) to recover
+// Fig10Report reproduces Figure 10: the time (in milliseconds) to recover
 // all determinants to replay when restarting rank 0 from the middle of the
 // run, with the Event Logger (one query) and without it (reclaiming events
 // from every surviving node).
-func Fig10Recovery() *Table { return Fig10Report().Table }
-
-// Fig10Report runs Figure 10 as two sweeps: fault-free runs locate each
+//
+// It runs Figure 10 as two sweeps: fault-free runs locate each
 // cell's midpoint, then the crash grid kills rank 0 there and probes the
 // measured determinant-collection time. No checkpoints are scheduled: the
 // restarted process reclaims its complete event history, which is exactly
@@ -51,7 +50,7 @@ func Fig10Recovery() *Table { return Fig10Report().Table }
 func Fig10Report() *Report {
 	specs := fig10Specs()
 	workloads := nasWorkloads(specs)
-	stacks := hStacks(fig10Stacks)
+	stacks := fig10Stacks
 
 	free := sweep(&harness.SweepSpec{
 		Name:      "fig10-baseline",

@@ -6,39 +6,21 @@ import (
 	"mpichv/internal/workload"
 )
 
-// stackConfig names one point of the protocol axis used across figures.
-type stackConfig struct {
-	Label   string
-	Stack   string
-	Reducer string
-	UseEL   bool
-}
-
 // The paper's protocol axes.
 var (
-	causalStacks = []stackConfig{
-		{"Vcausal (EL)", cluster.StackVcausal, "vcausal", true},
-		{"Manetho (EL)", cluster.StackVcausal, "manetho", true},
-		{"LogOn (EL)", cluster.StackVcausal, "logon", true},
-		{"Vcausal (no EL)", cluster.StackVcausal, "vcausal", false},
-		{"Manetho (no EL)", cluster.StackVcausal, "manetho", false},
-		{"LogOn (no EL)", cluster.StackVcausal, "logon", false},
+	causalStacks = []harness.Stack{
+		{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+		{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
+		{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
+		{Label: "Vcausal (no EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
+		{Label: "Manetho (no EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: false},
+		{Label: "LogOn (no EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: false},
 	}
-	allStacks = append([]stackConfig{
-		{"MPICH-P4", cluster.StackP4, "", false},
-		{"MPICH-Vdummy", cluster.StackVdummy, "", false},
+	allStacks = append([]harness.Stack{
+		{Label: "MPICH-P4", Stack: cluster.StackP4},
+		{Label: "MPICH-Vdummy", Stack: cluster.StackVdummy},
 	}, causalStacks...)
 )
-
-// hStacks converts a figure's protocol axis into harness form; the label
-// doubles as the lookup key.
-func hStacks(scs []stackConfig) []harness.Stack {
-	out := make([]harness.Stack, len(scs))
-	for i, sc := range scs {
-		out[i] = harness.Stack{Label: sc.Label, Stack: sc.Stack, Reducer: sc.Reducer, UseEL: sc.UseEL}
-	}
-	return out
-}
 
 // nasWorkloads converts NAS specs into harness form, keyed "bench.Class.NP".
 func nasWorkloads(specs []workload.Spec) []harness.Workload {

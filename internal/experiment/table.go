@@ -1,7 +1,7 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation section (§V): one function per artifact, each returning a
-// Table whose rows mirror what the paper plots. DESIGN.md §4 maps each
-// experiment to the modules it exercises and the expected shape.
+// Report whose Table rows mirror what the paper plots. ARCHITECTURE.md maps
+// each experiment to the modules it exercises.
 package experiment
 
 import (

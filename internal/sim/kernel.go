@@ -41,7 +41,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // causality in every layer above.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
-		//lint:allow noalloctrans formatting happens only on the fatal scheduling-in-the-past abort, never on a live run
+		//lint:allow noalloc formatting happens only on the fatal scheduling-in-the-past abort, never on a live run
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++

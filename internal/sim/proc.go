@@ -112,6 +112,7 @@ func (k *Kernel) step(p *Proc) {
 // while parked.
 func (p *Proc) park() {
 	p.parked = true
+	//lint:allow noalloc yield is the iter.Pull coroutine switch back to Kernel.step: it calls into no function and allocates nothing
 	open := p.yield(struct{}{})
 	p.parked = false
 	if p.killed || !open {

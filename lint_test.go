@@ -7,12 +7,13 @@ import (
 )
 
 // TestInvariantLintSuite runs the invariant lint suite (internal/analysis:
-// detmap, walltime, noalloc, noalloctrans, hotcall, pooldiscipline) over
-// the whole module, so `go test ./...` enforces the determinism, zero-alloc
-// and pool-lifecycle contracts without extra tooling — the same suite
-// cmd/lint and the CI lint job run. Zero findings are required; a
-// suppression without a written reason is itself a finding. Its runtime
-// twin is TestHotPathAllocations (alloc_test.go).
+// detmap, walltime, noalloc, pooldiscipline) over the whole module, so
+// `go test ./...` enforces the determinism, zero-alloc and pool-lifecycle
+// contracts without extra tooling — the same suite cmd/lint and the CI
+// lint job run. Zero findings are required; a suppression without a
+// written reason is itself a finding. The noalloc check's runtime
+// counterpart is TestHotPathAllocations (alloc_test.go), which executes
+// every annotated root.
 //
 // Skipped in -short: the stdlib-only driver type-checks the standard
 // library from source, which costs a few seconds — the full (tier-1) run
@@ -21,7 +22,11 @@ func TestInvariantLintSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-checking skipped in -short (covered by the full run and the CI lint job)")
 	}
-	findings, err := analysis.Run(".")
+	m, err := analysis.LoadModule(".")
+	if err != nil {
+		t.Fatalf("lint driver: %v", err)
+	}
+	findings, err := analysis.Run(m, nil)
 	if err != nil {
 		t.Fatalf("lint driver: %v", err)
 	}
