@@ -253,7 +253,7 @@ func TestUnknownReducerPanics(t *testing.T) {
 	New("bogus", 0, 2)
 }
 
-// stableVec builds an interval-coded stable vector from a dense value list
+// stableVec builds a stable vector from a dense value list
 // (test shorthand: index = creator, value = clock floor).
 func stableVec(vals ...uint64) *sparsevec.Vec {
 	v := sparsevec.New(len(vals))

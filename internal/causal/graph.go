@@ -39,10 +39,10 @@ import (
 // gc collects the node. lookup is index arithmetic on a chain without gaps
 // (clock − first clock is the index) and a binary search on one with gaps.
 //
-// Per-rank tables (knownBy, lastHeld, stable, the knowledge scratch) stay
-// interval-coded sparsevec.Vec values. Host cost tracks active creators;
-// the *op counts* the reducers charge are computed arithmetically over the
-// world size, exactly as the dense implementation charged them.
+// Per-rank tables (knownBy, lastHeld, stable, the knowledge scratch) are
+// sparsevec.Vec floor arrays, knownBy holding one only per active peer.
+// The *op counts* the reducers charge are computed arithmetically over the
+// world size.
 type graph struct {
 	np int
 

@@ -2,6 +2,7 @@ package sparsevec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -34,74 +35,57 @@ func TestZeroFloorIsNoOp(t *testing.T) {
 	}
 }
 
-func TestDensifyThreshold(t *testing.T) {
-	v := New(8)
-	for c := 0; c < 4; c++ {
-		v.SetMax(c, uint64(c+1))
-	}
-	if v.IsDense() {
-		t.Fatal("densified at half the world (threshold is strictly more)")
-	}
-	v.SetMax(4, 5)
-	if !v.IsDense() {
-		t.Fatal("did not densify past half the world")
-	}
-	// Semantics must not change across the conversion.
-	for c := 0; c < 5; c++ {
-		if v.Get(c) != uint64(c+1) {
-			t.Fatalf("floor %d lost in densify", c)
-		}
-	}
-}
-
-func TestZeroValueNeverDensifies(t *testing.T) {
+// TestZeroValue pins the contract a nil checkpoint image relies on: a Vec
+// never bound to a world reads as all zeros without allocating, and Reset
+// makes it writable.
+func TestZeroValue(t *testing.T) {
 	var v Vec
-	for c := 0; c < 100; c++ {
-		v.SetMax(c, uint64(c+1))
+	var got uint64
+	allocs := testing.AllocsPerRun(10, func() {
+		got = v.Get(0) | v.Get(3) | v.Get(1<<20)
+	})
+	if got != 0 || allocs != 0 {
+		t.Fatalf("zero Vec reads %d with %.0f allocs, want 0 and 0", got, allocs)
 	}
-	if v.IsDense() {
-		t.Fatal("zero-np vector densified")
+	if v.Active() != 0 || v.EncodedBytes() != RunHeaderBytes {
+		t.Fatalf("zero Vec: Active = %d, EncodedBytes = %d", v.Active(), v.EncodedBytes())
 	}
-	if v.Get(50) != 51 || v.Active() != 100 {
-		t.Fatal("zero-value vector lost entries")
+	v.Range(func(c int, f uint64) bool {
+		t.Fatalf("Range visited (%d, %d) on a zero Vec", c, f)
+		return false
+	})
+	v.Reset(8)
+	v.SetMax(5, 3)
+	if v.Get(5) != 3 || v.Get(4) != 0 || v.Active() != 1 {
+		t.Fatalf("after Reset+SetMax: %v", v.Dense())
 	}
 }
 
 func TestRangeOrderAndEarlyStop(t *testing.T) {
-	for _, m := range []Mode{ModeSparse, ModeDense} {
-		restore := SetModeForTest(m)
-		v := New(32)
-		for _, c := range []int{7, 2, 19, 4} {
-			v.SetMax(c, uint64(c)*10)
+	v := New(32)
+	for _, c := range []int{7, 2, 19, 4} {
+		v.SetMax(c, uint64(c)*10)
+	}
+	var got []int
+	v.Range(func(c int, f uint64) bool {
+		if f != uint64(c)*10 {
+			t.Fatalf("floor of %d is %d", c, f)
 		}
-		var got []int
-		v.Range(func(c int, f uint64) bool {
-			if f != uint64(c)*10 {
-				t.Fatalf("mode %v: floor of %d is %d", m, c, f)
-			}
-			got = append(got, c)
-			return true
-		})
-		want := []int{2, 4, 7, 19}
-		if len(got) != len(want) {
-			t.Fatalf("mode %v: visited %v", m, got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("mode %v: order %v, want %v", m, got, want)
-			}
-		}
-		n := 0
-		v.Range(func(int, uint64) bool { n++; return n < 2 })
-		if n != 2 {
-			t.Fatalf("mode %v: early stop visited %d", m, n)
-		}
-		restore()
+		got = append(got, c)
+		return true
+	})
+	if !slices.Equal(got, []int{2, 4, 7, 19}) {
+		t.Fatalf("visited %v, want [2 4 7 19]", got)
+	}
+	n := 0
+	v.Range(func(int, uint64) bool { n++; return n < 2 })
+	if n != 2 {
+		t.Fatalf("early stop visited %d", n)
 	}
 }
 
-// TestMaxFromMatchesBruteForce drives random merges through every
-// representation pairing and checks against dense ground truth.
+// TestMaxFromMatchesBruteForce drives random merges and checks them against
+// a plain-array ground truth.
 func TestMaxFromMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -125,36 +109,9 @@ func TestMaxFromMatchesBruteForce(t *testing.T) {
 		a.MaxFrom(b)
 		for c := 0; c < np; c++ {
 			if a.Get(c) != truth[c] {
-				t.Fatalf("trial %d: merged[%d] = %d, want %d (aDense=%v bDense=%v)",
-					trial, c, a.Get(c), truth[c], a.IsDense(), b.IsDense())
+				t.Fatalf("trial %d: merged[%d] = %d, want %d", trial, c, a.Get(c), truth[c])
 			}
 		}
-	}
-}
-
-func TestCopyFromPreservesRepresentation(t *testing.T) {
-	src := New(6)
-	src.SetMax(1, 3)
-	src.SetMax(5, 9)
-	dst := New(6)
-	dst.SetMax(0, 99)
-	dst.CopyFrom(src)
-	if dst.Get(0) != 0 || dst.Get(1) != 3 || dst.Get(5) != 9 {
-		t.Fatalf("copy wrong: %v", dst.Dense())
-	}
-	if dst.IsDense() != src.IsDense() {
-		t.Fatal("representation not copied")
-	}
-	// Densify the source and copy again.
-	for c := 0; c < 5; c++ {
-		src.SetMax(c, 1)
-	}
-	if !src.IsDense() {
-		t.Fatal("setup: source should be dense")
-	}
-	dst.CopyFrom(src)
-	if !dst.IsDense() || dst.Get(4) != 1 || dst.Get(5) != 9 {
-		t.Fatal("dense copy wrong")
 	}
 }
 
@@ -163,15 +120,18 @@ func TestResetReusesBuffers(t *testing.T) {
 	for c := 0; c < 8; c++ {
 		v.SetMax(c, 1)
 	}
-	if !v.IsDense() {
-		t.Fatal("setup: expected dense")
-	}
 	v.Reset(8)
 	if v.Active() != 0 || v.Get(3) != 0 {
 		t.Fatal("Reset did not clear")
 	}
-	// The dense buffer survives Reset (representation policy permitting),
-	// so a pooled vector re-densifies without allocating.
+	// The first write after Reset reuses the old array: no stale floor may
+	// survive into it.
+	v.SetMax(0, 5)
+	if v.Active() != 1 || v.Get(3) != 0 {
+		t.Fatalf("stale floors after Reset+SetMax: %v", v.Dense())
+	}
+	// The floor array survives Reset, so a pooled vector refills without
+	// allocating.
 	n := testing.AllocsPerRun(100, func() {
 		v.Reset(8)
 		for c := 0; c < 8; c++ {

@@ -14,11 +14,10 @@ import (
 // reduction is weaker than the graph-based protocols but every operation is
 // a sequence scan or append.
 //
-// All per-rank state is sparse (rankTable rows and interval-coded
-// sparsevec.Vec floors): memory and host-time cost track the set of active
-// creators and peers, while the *op counts* — the protocol's virtual cost
-// model — still charge one probe per world rank exactly as the dense
-// implementation did, so experiment tables are unchanged.
+// Per-rank tables hold rows only for active creators and peers (rankTable
+// rows, each peer's knowledge a sparsevec.Vec floor array), while the *op
+// counts* — the protocol's virtual cost model — charge one probe per world
+// rank.
 type Vcausal struct {
 	conflictLatch
 
@@ -29,7 +28,7 @@ type Vcausal struct {
 	// creator in clock order (always a contiguous suffix of the creator's
 	// event history above the stability horizon).
 	seqs rankTable[[]event.Determinant]
-	// knownBy holds, per active peer, the interval-coded floors of what that
+	// knownBy holds, per active peer, the per-creator floors of what that
 	// peer is known to hold, from what we sent it and what it sent us.
 	knownBy rankTable[*sparsevec.Vec]
 	// lastHeld[c] is the highest clock of c's events ever appended (dedup).

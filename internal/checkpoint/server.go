@@ -17,10 +17,6 @@ type ServerConfig struct {
 	WritePerByte sim.Time
 	// FixedPerOp is the transaction bookkeeping cost.
 	FixedPerOp sim.Time
-	// Explicit marks the config as intentionally complete: cluster.New
-	// replaces an all-zero ServerConfig with DefaultServerConfig unless
-	// this is set, so a deliberately free storage model stays zero.
-	Explicit bool
 }
 
 // DefaultServerConfig models the paper's IDE-disk checkpoint server

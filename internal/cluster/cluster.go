@@ -164,16 +164,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	// Defaulting semantics: an all-zero cost model means "use the default"
-	// UNLESS its Explicit sentinel is set, which marks the zero values as
-	// deliberate (e.g. a free CPU model isolating wire costs) — the set
-	// sentinel makes the struct compare non-zero, so the equality checks
-	// below leave it alone. A zero wire model is degenerate rather than
-	// free, so an explicit zero network is rejected instead of honoured.
+	// An all-zero cost model means "use the default"; a wire model with
+	// zero bandwidth is degenerate, so it is replaced too.
 	if cfg.Net.BandwidthBps == 0 {
-		if cfg.Net.Explicit {
-			panic("cluster: explicit network config has zero bandwidth")
-		}
 		cfg.Net = netmodel.FastEthernet()
 	}
 	if cfg.Cal == (daemon.Calibration{}) {

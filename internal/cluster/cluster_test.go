@@ -7,10 +7,8 @@ import (
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
-	"mpichv/internal/eventlogger"
 	"mpichv/internal/failure"
 	"mpichv/internal/mpi"
-	"mpichv/internal/netmodel"
 	"mpichv/internal/sim"
 )
 
@@ -348,42 +346,4 @@ func TestFaultDuringCheckpoint(t *testing.T) {
 		logs[r] = c.Nodes[r].Deliveries
 	}
 	compareDeliveryLogs(t, "fault-mid-checkpoint", ref, logs)
-}
-
-// TestExplicitZeroCostModelsHonored: the Explicit sentinel keeps
-// deliberately zero cost models instead of silently installing defaults.
-func TestExplicitZeroCostModelsHonored(t *testing.T) {
-	c := New(Config{
-		NP: 2, Stack: StackVcausal, Reducer: "vcausal", UseEL: true,
-		Cal:        daemon.Calibration{Explicit: true},
-		EL:         eventlogger.Config{Explicit: true},
-		CkptServer: checkpoint.ServerConfig{Explicit: true},
-	})
-	if c.Cfg.Cal.EventCreate != 0 || c.Cfg.Cal.PerEventSend != 0 {
-		t.Fatalf("explicit zero calibration replaced by defaults: %+v", c.Cfg.Cal)
-	}
-	if c.Cfg.EL.PerPacket != 0 {
-		t.Fatalf("explicit zero EL config replaced by defaults: %+v", c.Cfg.EL)
-	}
-	if c.Cfg.CkptServer.WritePerByte != 0 {
-		t.Fatalf("explicit zero ckpt-server config replaced by defaults: %+v", c.Cfg.CkptServer)
-	}
-	// The deployment must still run.
-	c.Run(ringPrograms(2, 20, 256), sim.Minute).MustCompleted()
-
-	// Default path unchanged: zero values without the sentinel get the
-	// calibrated models.
-	def := New(Config{NP: 2, Stack: StackVcausal, Reducer: "vcausal", UseEL: true})
-	if def.Cfg.Cal.EventCreate == 0 || def.Cfg.EL.PerPacket == 0 {
-		t.Fatal("implicit zero configs no longer defaulted")
-	}
-}
-
-func TestExplicitZeroNetworkRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("explicit zero-bandwidth network accepted")
-		}
-	}()
-	New(Config{NP: 2, Stack: StackVdummy, Net: netmodel.Config{Explicit: true}})
 }

@@ -228,7 +228,6 @@ type Node struct {
 	// daemon can re-inject recorded messages on restore.
 	Recording     map[event.Rank]bool
 	RecordedMsgs  []vproto.Message
-	MarkerEpoch   int
 	MarkersWanted int
 
 	// Log is the sender-based payload log (message-logging stacks).
@@ -762,9 +761,9 @@ func (n *Node) BuildImage() *vproto.CheckpointImage {
 		Clock:    n.clock,
 		Lamport:  n.lamport,
 	}
-	// The per-peer floors travel interval-coded: only peers this rank ever
-	// exchanged with contribute runs, so a sparse communication pattern in a
-	// wide world stores O(active peers), not O(np).
+	// The per-peer floors are charged interval-coded: only peers this rank
+	// ever exchanged with contribute runs, so a sparse communication pattern
+	// in a wide world costs O(active peers) bytes, not O(np).
 	im.SendSeqs.Reset(n.np)
 	for i, s := range n.sendSeq {
 		im.SendSeqs.SetMax(i, s)

@@ -126,8 +126,8 @@ func (n *Node) recoveryResponse(pkt *vproto.Packet) {
 	case vproto.PktCkptImage:
 		n.pendingImage = pkt.Image
 		if n.pendingImage == nil {
-			// None stored yet. A zero-valued image works as-is: its sparse
-			// floor vectors read as all-zero without any np-sized allocation.
+			// None stored yet. A zero-valued image works as-is: its zero
+			// floor vectors read as all-zero without allocating.
 			n.pendingImage = &vproto.CheckpointImage{Rank: n.rank}
 		}
 	case vproto.PktEventQueryResp:

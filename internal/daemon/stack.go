@@ -90,11 +90,6 @@ type Calibration struct {
 	SenderLogPerByte  sim.Time
 	// ELShip is the CPU cost of emitting one asynchronous event-log packet.
 	ELShip sim.Time
-	// Explicit marks the calibration as intentionally complete:
-	// cluster.New replaces an all-zero Calibration with
-	// DefaultCalibration unless this is set, so a deliberately zero-cost
-	// CPU model (protocol work charged nothing) stays zero.
-	Explicit bool
 }
 
 // DefaultCalibration matches the paper's AthlonXP 2800+ nodes: it places

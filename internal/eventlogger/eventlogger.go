@@ -31,10 +31,6 @@ type Config struct {
 	PerEvent sim.Time
 	// AckOverheadBytes is the ack packet size beyond the stable vector.
 	AckOverheadBytes int
-	// Explicit marks the config as intentionally complete: cluster.New
-	// replaces an all-zero Config with DefaultConfig unless this is set,
-	// so a deliberately free (zero-cost) service model stays zero.
-	Explicit bool
 }
 
 // DefaultConfig returns service costs calibrated so that a single Event
@@ -60,10 +56,8 @@ type Server struct {
 
 	// store[c] holds every determinant created by rank c, in clock order.
 	store [][]event.Determinant
-	// stable holds the highest stored clock per creator, interval-coded so
-	// acknowledgments copy O(active creators) runs instead of an NP-wide
-	// array. The wire size still charges the dense 4·np encoding (the
-	// paper's ack format); sparsity is an in-memory representation only.
+	// stable holds the highest stored clock per creator. Acknowledgments
+	// are charged the dense 4·np encoding (the paper's ack format).
 	stable *sparsevec.Vec
 
 	// EventsStored counts determinants persisted over the run.

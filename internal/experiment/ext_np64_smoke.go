@@ -11,12 +11,11 @@ import (
 
 // The NP-64 smoke is the scaling counterpart of Figure 7: the same
 // piggyback-share measurement, on a world four times larger than anything
-// the paper's cluster ran. It exists to keep the sparse causality state
-// honest in CI — interval-coded stable vectors, sparse reducer tables and
-// the sparse checkpoint floors are exactly the machinery that makes an
-// NP-64 cell affordable — and to pin the determinism guarantee at this
-// scale: CI runs the grid at two worker-pool widths and requires
-// byte-identical results.
+// the paper's cluster ran. It exists to keep the causality state honest in
+// CI — per-active-peer reducer tables and interval-coded vector sizes are
+// exactly the machinery that makes an NP-64 cell affordable — and to pin
+// the determinism guarantee at this scale: CI runs the grid at two
+// worker-pool widths and requires byte-identical results.
 
 // extNP64Specs is the smoke grid: one power-of-two CG row (CG requires
 // pow2 process counts; 64 is the first size beyond the paper's cluster).

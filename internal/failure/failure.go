@@ -87,11 +87,8 @@ type Dispatcher struct {
 	// fires if no newer kill superseded it.
 	gen []int64
 
-	// restarting[r] is true from a kill until the respawn fires;
-	// recovering[r] is true while the respawned incarnation executes its
-	// recovery procedure.
+	// restarting[r] is true from a kill until the respawn fires.
 	restarting []bool
-	recovering []bool
 
 	// launched flips at Launch; kills requested earlier are deferred.
 	launched     bool
@@ -128,7 +125,6 @@ func NewDispatcher(k *sim.Kernel, nodes []*daemon.Node, programs []Program) *Dis
 		RestartDelay: 250 * sim.Millisecond,
 		gen:          make([]int64, len(nodes)),
 		restarting:   make([]bool, len(nodes)),
-		recovering:   make([]bool, len(nodes)),
 	}
 }
 
@@ -167,25 +163,14 @@ func (d *Dispatcher) Launch() {
 	}
 }
 
-// Launched reports whether Launch has run.
-func (d *Dispatcher) Launched() bool { return d.launched }
-
 // NP returns the number of supervised ranks.
 func (d *Dispatcher) NP() int { return len(d.nodes) }
 
 // Alive reports whether rank r currently has a spawned incarnation (it may
-// still be inside its recovery procedure — see Recovering). A rank is not
-// alive before Launch or inside the detection/relaunch window after a kill.
+// still be inside its recovery procedure, between EvRestart and
+// EvRecovered). A rank is not alive before Launch or inside the
+// detection/relaunch window after a kill.
 func (d *Dispatcher) Alive(r int) bool { return d.launched && !d.restarting[r] }
-
-// Restarting reports whether rank r is inside the detection/relaunch
-// window: killed, with its respawn still pending.
-func (d *Dispatcher) Restarting(r int) bool { return d.restarting[r] }
-
-// Recovering reports whether rank r's current incarnation is executing its
-// recovery procedure (checkpoint restore, determinant collection, replay
-// installation) and has not yet resumed the program.
-func (d *Dispatcher) Recovering(r int) bool { return d.recovering[r] }
 
 // RankDone reports whether rank r's program has completed.
 func (d *Dispatcher) RankDone(r int) bool { return d.nodes[r].Done() }
@@ -198,14 +183,12 @@ func (d *Dispatcher) spawn(r int, recovery, crashed bool) {
 	d.procs[r] = d.k.Spawn(name, func(p *sim.Proc) {
 		n.Bind(p)
 		if recovery {
-			d.recovering[r] = true
 			d.emit(EvRestart, r)
 			if d.Coordinated {
 				n.PrepareRollback(crashed)
 			} else {
 				n.PrepareRecovery()
 			}
-			d.recovering[r] = false
 			d.emit(EvRecovered, r)
 		}
 		prog(n)
@@ -254,7 +237,6 @@ func (d *Dispatcher) Kill(r int) {
 		for i := range d.procs {
 			d.gen[i]++
 			d.restarting[i] = true
-			d.recovering[i] = false
 			// A finished rank rolls back too: its completion is revoked
 			// now, so fault targeting sees it as running during the
 			// restart window rather than only once the respawn binds.
@@ -275,7 +257,6 @@ func (d *Dispatcher) Kill(r int) {
 	d.gen[r]++
 	gen := d.gen[r]
 	d.restarting[r] = true
-	d.recovering[r] = false
 	d.procs[r].Kill()
 	d.emit(EvKill, r)
 	d.k.After(d.restartDelay(), func() {
@@ -326,7 +307,6 @@ func (d *Dispatcher) Suspect(r int) {
 	d.gen[r]++
 	gen := d.gen[r]
 	d.restarting[r] = true
-	d.recovering[r] = false
 	stale := d.procs[r]
 	d.emit(EvSuspect, r)
 	d.k.After(d.restartDelay(), func() {

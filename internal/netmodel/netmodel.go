@@ -41,11 +41,6 @@ type Config struct {
 	// FullDuplex selects whether a node can transmit and receive at the
 	// same time.
 	FullDuplex bool
-	// Explicit marks the config as intentionally complete: cluster.New
-	// replaces a config with zero BandwidthBps by FastEthernet unless
-	// this is set. (A zero-bandwidth wire is degenerate, so unlike the
-	// CPU models an explicit zero here is rejected, not honoured.)
-	Explicit bool
 }
 
 // FastEthernet returns the 100 Mbit/s switched-Ethernet configuration used

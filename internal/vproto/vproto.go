@@ -115,10 +115,10 @@ type Packet struct {
 	// packets.
 	Determinants []event.Determinant
 	// StableVec is set for PktEventAck, PktELSync and PktEventQueryResp: the
-	// interval-coded stable vector (highest safely stored clock per active
-	// creator). Ack-class packets point it at the pooled inline buffer (see
-	// AckVec); query responses carry freshly allocated vectors because the
-	// recovering node retains them.
+	// stable vector (highest safely stored clock per creator). Ack-class
+	// packets point it at the pooled inline buffer (see AckVec); query
+	// responses carry freshly allocated vectors because the recovering node
+	// retains them.
 	StableVec *sparsevec.Vec
 	// Creator scopes PktEventQuery / PktDetRequest.
 	Creator event.Rank
@@ -147,9 +147,8 @@ type Packet struct {
 	// pooled packets carry it without a per-send slice allocation.
 	det [1]event.Determinant
 	// stableBuf is the reusable stable-vector storage behind AckVec. Its
-	// run list survives pooling cycles sized by the *active* creator count,
-	// so an acknowledgment in an NP=1024 world costs O(active creators) —
-	// the pooled shell no longer drags a world-sized scratch array around.
+	// floor array survives pooling cycles, so a steady acknowledgment
+	// stream allocates nothing.
 	stableBuf sparsevec.Vec
 }
 
@@ -164,7 +163,7 @@ func (p *Packet) SetDeterminant(d event.Determinant) {
 	p.Determinants = p.det[:1]
 }
 
-// AckVec points StableVec at the packet-owned interval-coded buffer, reset
+// AckVec points StableVec at the packet-owned stable-vector buffer, reset
 // for a world of n creators, and returns it for the caller to fill. It must
 // only be used for packet kinds whose consumers do not retain StableVec
 // past packet processing (PktEventAck and PktELSync); recovery responses
@@ -219,14 +218,12 @@ type CheckpointImage struct {
 	// AppBytes is the modeled size of the application state.
 	AppBytes int64
 	// Clock and Lamport restore the process's logging counters; SendSeqs
-	// restores the per-destination channel sequence counters
-	// (interval-coded: one run per destination ever sent to).
+	// restores the per-destination channel sequence counters.
 	Clock    uint64
 	SendSeqs sparsevec.Vec
 	Lamport  uint64
 	// LastSeqSeen holds the highest send sequence consumed from each rank
-	// (duplicate suppression floor after restart), interval-coded: one run
-	// per sender ever consumed from.
+	// (duplicate suppression floor after restart).
 	LastSeqSeen sparsevec.Vec
 	// Determinants are the held causality events at snapshot time.
 	Determinants []event.Determinant
@@ -248,8 +245,8 @@ type CheckpointImage struct {
 const ChannelMsgHeaderBytes = 32
 
 // Bytes returns the modeled on-wire size of the image: application state,
-// sender log, held determinants (factored encoding), the interval-coded
-// channel-sequence floors (SendSeqs and LastSeqSeen, charged at their run
+// sender log, held determinants (factored encoding), the channel-sequence
+// floors (SendSeqs and LastSeqSeen, charged at their interval-coded run
 // encoding so the cost tracks active channels, not world size), recorded
 // in-transit channel messages, and a fixed header.
 func (im *CheckpointImage) Bytes() int64 {
