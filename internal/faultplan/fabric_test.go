@@ -1,10 +1,13 @@
 package faultplan_test
 
 import (
+	"slices"
 	"testing"
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/faultplan"
+	"mpichv/internal/netmodel"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 )
 
@@ -26,20 +29,23 @@ func TestValidateRejectsBadFabricOps(t *testing.T) {
 		{Degrades: []faultplan.DegradeLink{{From: 0, To: 1, LatencyFactor: 0.5}}},
 		{Degrades: []faultplan.DegradeLink{{From: 0, To: 1, BandwidthFactor: 2}}},
 		{Degrades: []faultplan.DegradeLink{{From: 0, To: 1, Jitter: -1}}},
-		// Heals.
-		{Heals: []faultplan.Heal{{From: 0, To: 9}}},
-		{Heals: []faultplan.Heal{{At: -1, All: true}}},
+		// Overlapping windows: the second cut lands while the first holds
+		// (and, in the second row, on the instant the first heals).
+		{Partitions: []faultplan.Partition{
+			{At: sim.Second, Groups: [][]int{{0}, {1}}, Duration: sim.Second},
+			{At: 3 * sim.Second / 2, Groups: [][]int{{2}, {3}}, Duration: sim.Second},
+		}},
+		{Partitions: []faultplan.Partition{
+			{At: 2 * sim.Second, Groups: [][]int{{2}, {3}}, Duration: sim.Second},
+			{At: sim.Second, Groups: [][]int{{0}, {1}}, Duration: sim.Second},
+		}},
 		// Restart-delay distributions.
 		{RestartDelay: faultplan.DelayDist{Dist: "gamma", Value: sim.Second}},
 		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistConstant}},
 		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistExponential}},
 		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: sim.Second, Max: sim.Millisecond}},
 	}
-	for i, p := range bad {
-		if err := p.Validate(4); err == nil {
-			t.Errorf("bad plan %d passed validation", i)
-		}
-	}
+	mustReject(t, bad)
 	good := faultplan.Plan{
 		Partitions: []faultplan.Partition{{
 			Groups: [][]int{{0}, {1, 2, 3}}, Duration: sim.Second,
@@ -47,7 +53,6 @@ func TestValidateRejectsBadFabricOps(t *testing.T) {
 		}},
 		Degrades: []faultplan.DegradeLink{{From: 0, To: 1, Both: true,
 			LatencyFactor: 2, BandwidthFactor: 0.5, Jitter: sim.Microsecond}},
-		Heals:        []faultplan.Heal{{At: 2 * sim.Second, All: true}},
 		RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: sim.Millisecond, Max: sim.Second},
 	}
 	if err := good.Validate(4); err != nil {
@@ -129,7 +134,7 @@ func TestPartitionFalseSuspicionFencesStaleTraffic(t *testing.T) {
 }
 
 // TestDegradeLinkSlowsTheRun: a degraded pair completes, slower than the
-// fault-free run, with both directions counted.
+// fault-free run, with both directions degraded until the run ends.
 func TestDegradeLinkSlowsTheRun(t *testing.T) {
 	base := runPlan(t, faultedConfig(nil, 5), 40)
 	plan := &faultplan.Plan{
@@ -140,11 +145,53 @@ func TestDegradeLinkSlowsTheRun(t *testing.T) {
 		}},
 	}
 	c := runPlan(t, faultedConfig(plan, 5), 40)
-	if c.Faults.LinksDegraded != 2 {
-		t.Fatalf("LinksDegraded=%d, want 2", c.Faults.LinksDegraded)
+	if c.Faults.Skipped != 0 {
+		t.Fatalf("Skipped=%d, want 0", c.Faults.Skipped)
+	}
+	for _, l := range [][2]int{{0, 1}, {1, 0}} {
+		if got := c.Net.Link(l[0], l[1]).State(); got != netmodel.LinkDegraded {
+			t.Fatalf("link %d->%d is %v at the end, want degraded (Duration 0 lasts the run)", l[0], l[1], got)
+		}
 	}
 	if c.K.Now() <= base.K.Now() {
 		t.Fatalf("degraded run (%v) not slower than fault-free (%v)", c.K.Now(), base.K.Now())
+	}
+}
+
+// TestSameInstantOpsKeepPlanOrder pins the tie-break the kernel applies to
+// plan operations landing on one instant: they execute in the order the
+// plan lists its components (outages, then partitions, then degrades), so
+// every recorded timeline is a function of the plan alone.
+func TestSameInstantOpsKeepPlanOrder(t *testing.T) {
+	const at = 5 * sim.Millisecond
+	plan := &faultplan.Plan{
+		Outages: []faultplan.Outage{{
+			Target: faultplan.OutageEventLogger, At: at, Duration: sim.Millisecond,
+		}},
+		Partitions: []faultplan.Partition{{
+			Key: "cut", At: at, Groups: [][]int{{0}, {1, 2, 3}}, Duration: sim.Millisecond,
+		}},
+		Degrades: []faultplan.DegradeLink{{
+			Key: "slow", At: at, From: 0, To: 1, LatencyFactor: 2,
+		}},
+	}
+	cfg := faultedConfig(plan, 3)
+	cfg.Trace = &obs.Config{}
+	c := runPlan(t, cfg, 40)
+	defer c.Close()
+	var got []string
+	for _, ev := range c.Timeline.Events() {
+		switch ev.Kind {
+		case obs.KindOutage, obs.KindPartitionCut, obs.KindDegrade:
+			if ev.T != at {
+				t.Fatalf("%v recorded at %v, want %v", ev.Kind, ev.T, at)
+			}
+			got = append(got, ev.Kind.String())
+		}
+	}
+	want := []string{"outage", "partition-cut", "degrade"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("same-instant ops ran as %v, want %v", got, want)
 	}
 }
 
@@ -175,53 +222,5 @@ func TestRestartDelayDistributionDeterministic(t *testing.T) {
 	}
 	if a == other {
 		t.Fatal("different plan seeds drew identical restart delays (suspicious)")
-	}
-}
-
-// TestDirectedHealDisarmsDetector: an explicit Heal restoring the cut
-// links before SuspectAfter fires must disarm the detector — reachable
-// ranks are never falsely suspected.
-func TestDirectedHealDisarmsDetector(t *testing.T) {
-	plan := &faultplan.Plan{
-		Partitions: []faultplan.Partition{{
-			At:           5 * sim.Millisecond,
-			Groups:       [][]int{{0}, {1, 2, 3}},
-			Duration:     40 * sim.Millisecond,
-			SuspectAfter: 20 * sim.Millisecond, // would fire at 25ms
-		}},
-		// Restore every cut pair at 10ms, well before the detector times
-		// out.
-		Heals: []faultplan.Heal{
-			{At: 10 * sim.Millisecond, From: 0, To: 1, Both: true},
-			{At: 10 * sim.Millisecond, From: 0, To: 2, Both: true},
-			{At: 10 * sim.Millisecond, From: 0, To: 3, Both: true},
-		},
-	}
-	c := runPlan(t, faultedConfig(plan, 17), 40)
-	if c.Dispatcher.Suspicions != 0 || c.Dispatcher.FalseSuspicions != 0 {
-		t.Fatalf("detector fired on a healed network: suspicions=%d false=%d",
-			c.Dispatcher.Suspicions, c.Dispatcher.FalseSuspicions)
-	}
-	if c.Faults.BlackoutSpan != 0 {
-		t.Fatalf("BlackoutSpan=%v, want 0 (window closed by the explicit heal)", c.Faults.BlackoutSpan)
-	}
-}
-
-// TestHealAllClosesOpenPartition: an open-ended partition (Duration 0) is
-// closed by an explicit Heal{All}, and the blackout span reflects it.
-func TestHealAllClosesOpenPartition(t *testing.T) {
-	plan := &faultplan.Plan{
-		Partitions: []faultplan.Partition{{
-			At:     5 * sim.Millisecond,
-			Groups: [][]int{{0}, {1, 2, 3}},
-		}},
-		Heals: []faultplan.Heal{{At: 9 * sim.Millisecond, All: true}},
-	}
-	c := runPlan(t, faultedConfig(plan, 13), 40)
-	if c.Faults.BlackoutSpan != 4*sim.Millisecond {
-		t.Fatalf("BlackoutSpan=%v, want 4ms", c.Faults.BlackoutSpan)
-	}
-	if c.Faults.HealsApplied != 1 {
-		t.Fatalf("HealsApplied=%d, want 1", c.Faults.HealsApplied)
 	}
 }

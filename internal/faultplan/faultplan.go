@@ -1,12 +1,11 @@
 // Package faultplan compiles declarative multi-failure scenarios into
-// scheduled dispatcher actions. The paper's central claim is that causal
-// message logging keeps working under high fault rates; a Plan expresses
-// the fault environments that stress that claim — stochastic fault storms
-// (Poisson or uniform arrivals), correlated multi-rank kills (a switch or
-// power-rail failure), cascades triggered by recovery-path events (a second
-// fault landing inside another rank's restart window, a kill arriving
-// mid-checkpoint), and outages of the auxiliary stable servers (Event
-// Logger, checkpoint server).
+// primitive operations on a running deployment. The paper's central claim
+// is that causal message logging keeps working under high fault rates; a
+// Plan expresses the fault environments that stress that claim — fault
+// storms, correlated multi-rank kills (a switch or power-rail failure),
+// cascades triggered by recovery-path events (a fault landing inside a
+// restart window or mid-checkpoint), stable-server outages, network
+// partitions and degraded links.
 //
 // A Plan is pure data and read-only after Apply: the same Plan value can be
 // shared across every cell of a sweep. All stochastic draws come from
@@ -17,9 +16,11 @@
 package faultplan
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/eventlogger"
@@ -140,8 +141,8 @@ type OutageTarget string
 const (
 	// OutageEventLogger suspends every deployed Event Logger server. A
 	// plan applied to a deployment without an Event Logger skips the
-	// outage (counted in Engine.OutagesSkipped) so one plan can sweep
-	// across stacks with and without the EL.
+	// outage (counted in Engine.Skipped) so one plan can sweep across
+	// stacks with and without the EL.
 	OutageEventLogger OutageTarget = "eventlogger"
 	// OutageCkptServer suspends the checkpoint server.
 	OutageCkptServer OutageTarget = "ckptserver"
@@ -160,7 +161,9 @@ type Outage struct {
 // directions) at At. Ranks absent from every group — and the stable
 // servers, which sit on dedicated endpoints — keep all their links: a
 // rank-level partition models a failed leaf switch, with the service
-// backbone on the dispatcher's side of the cut.
+// backbone on the dispatcher's side of the cut. A plan's partition windows
+// may not overlap, so a partition's cut links come back only through its
+// own heal.
 type Partition struct {
 	// Key names the partition in diagnostics (optional).
 	Key string
@@ -169,18 +172,17 @@ type Partition struct {
 	// its links to every rank of every other group.
 	Groups [][]int
 	// Duration bounds the blackout; the cross-group links heal (releasing
-	// held deliveries) at At+Duration. 0 means the partition lasts until an
-	// explicit Heal operation covers its links.
+	// held deliveries) at At+Duration. 0 means the partition lasts until
+	// the run ends.
 	Duration sim.Time
 	// SuspectAfter, when positive, models the majority side's failure
 	// detector timing out on the unreachable ranks: at At+SuspectAfter —
-	// if the partition has not healed yet — every rank outside the largest
-	// group (first listed on ties) is declared dead through
-	// Dispatcher.Suspect. The suspected processes stay alive behind the
-	// cut; when the link heals after their replacements spawned, the stale
-	// incarnations have been fenced and their held traffic is discarded by
-	// the incarnation guard. 0 disables suspicion: the partition is a pure
-	// blackout.
+	// inside the blackout — every rank outside the largest group (first
+	// listed on ties) is declared dead through Dispatcher.Suspect. The
+	// suspected processes stay alive behind the cut; when the link heals
+	// after their replacements spawned, the stale incarnations have been
+	// fenced and their held traffic is discarded by the incarnation guard.
+	// 0 disables suspicion: the partition is a pure blackout.
 	SuspectAfter sim.Time
 }
 
@@ -202,20 +204,9 @@ type DegradeLink struct {
 	BandwidthFactor float64
 	// Jitter is the maximum extra per-delivery latency.
 	Jitter sim.Time
-	// Duration bounds the degradation; 0 means it lasts until an explicit
-	// Heal operation covers the link.
+	// Duration bounds the degradation; 0 means it lasts until the run
+	// ends.
 	Duration sim.Time
-}
-
-// Heal restores links to the healthy state at At, releasing any held
-// deliveries: the whole fabric when All is set, otherwise the directed
-// link From→To (and To→From when Both). Healing a healthy link is a
-// no-op, so one Heal can close several overlapping operations.
-type Heal struct {
-	At       sim.Time
-	All      bool
-	From, To int
-	Both     bool
 }
 
 // Distribution names for RestartDelay draws.
@@ -243,27 +234,24 @@ type DelayDist struct {
 	Min, Max sim.Time
 }
 
-// set reports whether the distribution replaces the constant delay.
-func (dd DelayDist) set() bool { return dd.Dist != "" }
-
 // draw samples one restart delay.
 func (dd DelayDist) draw(rng *rand.Rand) sim.Time {
 	switch dd.Dist {
 	case DistUniform:
-		span := int64(dd.Max - dd.Min)
-		if span <= 0 {
-			return dd.Min
-		}
-		return dd.Min + sim.Time(rng.Int63n(span+1))
+		return uniform(rng, dd.Min, dd.Max)
 	case DistExponential:
-		d := sim.Time(rng.ExpFloat64() * float64(dd.Value))
-		if d <= 0 {
-			d = 1
-		}
-		return d
+		return max(sim.Time(rng.ExpFloat64()*float64(dd.Value)), 1)
 	default: // DistConstant
 		return dd.Value
 	}
+}
+
+// uniform draws from [lo, hi].
+func uniform(rng *rand.Rand, lo, hi sim.Time) sim.Time {
+	if hi <= lo {
+		return lo
+	}
+	return lo + sim.Time(rng.Int63n(int64(hi-lo)+1))
 }
 
 // Plan is a declarative multi-failure scenario. The zero value injects
@@ -279,418 +267,166 @@ type Plan struct {
 	Outages    []Outage
 	Partitions []Partition
 	Degrades   []DegradeLink
-	Heals      []Heal
 	// RestartDelay, when set, replaces the dispatcher's constant restart
 	// delay with per-fault draws from the plan's "restart-delay" stream.
 	RestartDelay DelayDist
+}
+
+// opKind names a primitive operation: every plan compiles to one list of
+// them, and storms and cascades, which decide at run time when to strike
+// and whom, emit the same kill. Every kind from opCut on acts on the link
+// fabric.
+type opKind uint8
+
+const (
+	opKill    opKind = iota // kill ranks
+	opOutage                // suspend Outages[idx]'s service for its Duration
+	opCut                   // sever Partitions[idx]'s cross-group links
+	opSuspect               // declare ranks dead behind Partitions[idx]'s cut
+	opHeal                  // restore Partitions[idx]'s cross-group links
+	opDegrade               // open Degrades[idx]'s window
+	opClear                 // close Degrades[idx]'s window
+)
+
+// op is one timed primitive operation.
+type op struct {
+	at    sim.Time
+	kind  opKind
+	idx   int   // plan component index (the timeline's Arg)
+	ranks []int // opKill victims, opSuspect suspects
 }
 
 // Validate checks the plan's shape against the given rank count (np <= 0
 // skips range checks). It is called by Apply; exported so specs can be
 // checked when they are built rather than when the simulation starts.
 func (p *Plan) Validate(np int) error {
-	checkRank := func(what string, r int) error {
-		if r < 0 || (np > 0 && r >= np) {
-			return fmt.Errorf("faultplan: %s rank %d out of range (np=%d)", what, r, np)
+	_, err := p.compile(np)
+	return err
+}
+
+// compile validates the plan and lowers its timed components to primitive
+// ops, in the order Apply schedules them: correlated kills, outages, each
+// partition's cut, suspect and heal, then each degrade's onset and clear.
+// The kernel breaks same-instant ties by scheduling order, so this order
+// is behaviour. Storms and cascades emit their kills at run time; only
+// their parameters are checked here.
+func (p *Plan) compile(np int) ([]op, error) {
+	var (
+		ops  []op
+		what string // the component under check, named by every error
+		err  error  // the first failure
+	)
+	fail := func(bad bool, format string, args ...any) {
+		if bad && err == nil {
+			err = fmt.Errorf("faultplan: %s: %s", what, fmt.Sprintf(format, args...))
 		}
-		return nil
+	}
+	rank := func(role string, r int) {
+		fail(r < 0 || (np > 0 && r >= np), "%s rank %d out of range (np=%d)", role, r, np)
+	}
+	victims := func(pol VictimPolicy, r int) {
+		fail(!slices.Contains([]VictimPolicy{"", VictimRoundRobin, VictimRandom, VictimFixed}, pol), "unknown victim policy %q", pol)
+		if pol == VictimFixed {
+			rank("victim", r)
+		}
+	}
+	emit := func(at sim.Time, kind opKind, i int, ranks []int) {
+		fail(at < 0, "negative time %v", at)
+		ops = append(ops, op{at: at, kind: kind, idx: i, ranks: ranks})
 	}
 	for i, s := range p.Storms {
-		if s.Poisson {
-			if s.MeanInterval <= 0 {
-				return fmt.Errorf("faultplan: storm %d: Poisson storm needs MeanInterval > 0", i)
-			}
-		} else if s.MinInterval <= 0 || s.MaxInterval < s.MinInterval {
-			return fmt.Errorf("faultplan: storm %d: uniform storm needs 0 < MinInterval <= MaxInterval", i)
-		}
-		if s.End != 0 && s.End < s.Start {
-			return fmt.Errorf("faultplan: storm %d: End %v before Start %v", i, s.End, s.Start)
-		}
-		if err := validVictims(s.Victims); err != nil {
-			return fmt.Errorf("faultplan: storm %d: %v", i, err)
-		}
-		if s.Victims == VictimFixed {
-			if err := checkRank(fmt.Sprintf("storm %d victim", i), s.Rank); err != nil {
-				return err
-			}
-		}
-		if s.Burst < 0 {
-			return fmt.Errorf("faultplan: storm %d: negative Burst %d", i, s.Burst)
-		}
-		if s.Burst > 1 && s.Victims == VictimFixed {
-			return fmt.Errorf("faultplan: storm %d: Burst %d needs distinct victims; VictimFixed names one rank", i, s.Burst)
-		}
-		if np > 0 && s.Burst > np {
-			return fmt.Errorf("faultplan: storm %d: Burst %d exceeds np %d", i, s.Burst, np)
-		}
+		what = fmt.Sprintf("storm %d", i)
+		fail(s.Poisson && s.MeanInterval <= 0, "Poisson storm needs MeanInterval > 0")
+		fail(!s.Poisson && (s.MinInterval <= 0 || s.MaxInterval < s.MinInterval), "uniform storm needs 0 < MinInterval <= MaxInterval")
+		fail(s.Start < 0, "negative Start %v", s.Start)
+		fail(s.End != 0 && s.End < s.Start, "End %v before Start %v", s.End, s.Start)
+		victims(s.Victims, s.Rank)
+		fail(s.Burst < 0, "negative Burst %d", s.Burst)
+		fail(s.Burst > 1 && s.Victims == VictimFixed, "Burst %d needs distinct victims; VictimFixed names one rank", s.Burst)
+		fail(np > 0 && s.Burst > np, "Burst %d exceeds np %d", s.Burst, np)
 	}
-	for i, c := range p.Correlated {
-		if c.At < 0 {
-			return fmt.Errorf("faultplan: correlated kill %d: negative At", i)
+	for i, ck := range p.Correlated {
+		what = fmt.Sprintf("correlated kill %d", i)
+		fail(len(ck.Ranks) == 0, "no ranks")
+		for _, r := range ck.Ranks {
+			rank("victim", r)
 		}
-		if len(c.Ranks) == 0 {
-			return fmt.Errorf("faultplan: correlated kill %d: no ranks", i)
-		}
-		for _, r := range c.Ranks {
-			if err := checkRank(fmt.Sprintf("correlated kill %d", i), r); err != nil {
-				return err
-			}
-		}
+		emit(ck.At, opKill, i, ck.Ranks)
 	}
-	for i, c := range p.Cascades {
-		switch c.Trigger {
-		case OnKill, OnRestart, OnRecovered, OnCheckpointWave:
-		default:
-			return fmt.Errorf("faultplan: cascade %d: unknown trigger %q", i, c.Trigger)
+	for i, cs := range p.Cascades {
+		what = fmt.Sprintf("cascade %d", i)
+		fail(!slices.Contains([]Trigger{OnKill, OnRestart, OnRecovered, OnCheckpointWave}, cs.Trigger), "unknown trigger %q", cs.Trigger)
+		fail(cs.OfRank < 0, "negative OfRank %d (0 matches any rank; use OnlyRank(r) to filter)", cs.OfRank)
+		if cs.OfRank > 0 && cs.Trigger != OnCheckpointWave {
+			rank("trigger (OnlyRank)", cs.OfRank-1)
 		}
-		if c.OfRank < 0 {
-			return fmt.Errorf("faultplan: cascade %d: negative OfRank %d (0 matches any rank; use OnlyRank(r) to filter)", i, c.OfRank)
-		}
-		if c.OfRank != 0 && c.Trigger != OnCheckpointWave {
-			if err := checkRank(fmt.Sprintf("cascade %d trigger (OnlyRank)", i), c.OfRank-1); err != nil {
-				return err
-			}
-		}
-		if c.Delay < 0 {
-			return fmt.Errorf("faultplan: cascade %d: negative Delay", i)
-		}
+		fail(cs.Delay < 0, "negative Delay")
 		// An unbounded kill-triggered cascade with zero delay re-kills at
 		// the same virtual instant forever: time never advances, so
 		// neither the virtual cap nor the harness watchdog (both kernel
 		// events) can fire. Demand a bound.
-		if c.Trigger == OnKill && c.Delay == 0 && c.MaxFires == 0 {
-			return fmt.Errorf("faultplan: cascade %d: OnKill with Delay 0 and unlimited MaxFires would livelock at one instant; set Delay > 0 or MaxFires > 0", i)
-		}
-		if c.Probability < 0 || c.Probability > 1 {
-			return fmt.Errorf("faultplan: cascade %d: Probability %v outside [0, 1]", i, c.Probability)
-		}
-		if err := validVictims(c.Victims); err != nil {
-			return fmt.Errorf("faultplan: cascade %d: %v", i, err)
-		}
-		if c.Victims == VictimFixed {
-			if err := checkRank(fmt.Sprintf("cascade %d victim", i), c.Rank); err != nil {
-				return err
-			}
-		}
+		fail(cs.Trigger == OnKill && cs.Delay == 0 && cs.MaxFires == 0,
+			"OnKill with Delay 0 and unlimited MaxFires would livelock at one instant; set Delay > 0 or MaxFires > 0")
+		fail(!(cs.Probability >= 0 && cs.Probability <= 1), "Probability %v outside [0, 1]", cs.Probability)
+		victims(cs.Victims, cs.Rank)
 	}
 	for i, o := range p.Outages {
-		switch o.Target {
-		case OutageEventLogger, OutageCkptServer:
-		default:
-			return fmt.Errorf("faultplan: outage %d: unknown target %q", i, o.Target)
-		}
-		if o.At < 0 || o.Duration <= 0 {
-			return fmt.Errorf("faultplan: outage %d: needs At >= 0 and Duration > 0", i)
-		}
+		what = fmt.Sprintf("outage %d", i)
+		fail(o.Target != OutageEventLogger && o.Target != OutageCkptServer, "unknown target %q", o.Target)
+		fail(o.Duration <= 0, "needs Duration > 0")
+		emit(o.At, opOutage, i, nil)
 	}
 	for i, pt := range p.Partitions {
-		if pt.At < 0 || pt.Duration < 0 || pt.SuspectAfter < 0 {
-			return fmt.Errorf("faultplan: partition %d: negative time field", i)
-		}
-		if len(pt.Groups) < 2 {
-			return fmt.Errorf("faultplan: partition %d: needs at least two groups", i)
-		}
-		seenRank := make(map[int]bool)
+		what = fmt.Sprintf("partition %d", i)
+		fail(pt.Duration < 0 || pt.SuspectAfter < 0, "negative time field")
+		fail(len(pt.Groups) < 2, "needs at least two groups")
+		seen := make(map[int]bool)
 		for gi, g := range pt.Groups {
-			if len(g) == 0 {
-				return fmt.Errorf("faultplan: partition %d: group %d is empty", i, gi)
-			}
+			fail(len(g) == 0, "group %d is empty", gi)
 			for _, r := range g {
-				if err := checkRank(fmt.Sprintf("partition %d", i), r); err != nil {
-					return err
-				}
-				if seenRank[r] {
-					return fmt.Errorf("faultplan: partition %d: rank %d in more than one group", i, r)
-				}
-				seenRank[r] = true
+				rank("member", r)
+				fail(seen[r], "rank %d in more than one group", r)
+				seen[r] = true
 			}
 		}
-		if pt.SuspectAfter > 0 && pt.Duration > 0 && pt.SuspectAfter >= pt.Duration {
-			return fmt.Errorf("faultplan: partition %d: SuspectAfter %v not inside Duration %v (the detector cannot time out on a healed link)", i, pt.SuspectAfter, pt.Duration)
+		fail(pt.SuspectAfter > 0 && pt.Duration > 0 && pt.SuspectAfter >= pt.Duration,
+			"SuspectAfter %v not inside Duration %v (the detector cannot time out on a healed link)", pt.SuspectAfter, pt.Duration)
+		// Only a partition's own heal restores its cut links. Windows that
+		// even touch would have one partition's heal and another's cut race
+		// at the shared instant, so one must heal strictly before the other
+		// cuts.
+		for j, q := range p.Partitions[:i] {
+			apart := (q.Duration > 0 && q.At+q.Duration < pt.At) || (pt.Duration > 0 && pt.At+pt.Duration < q.At)
+			fail(!apart, "window overlaps partition %d's", j)
+		}
+		emit(pt.At, opCut, i, nil)
+		if pt.SuspectAfter > 0 {
+			emit(pt.At+pt.SuspectAfter, opSuspect, i, suspectSet(pt.Groups))
+		}
+		if pt.Duration > 0 {
+			emit(pt.At+pt.Duration, opHeal, i, nil)
 		}
 	}
 	for i, dg := range p.Degrades {
-		if dg.At < 0 || dg.Duration < 0 || dg.Jitter < 0 {
-			return fmt.Errorf("faultplan: degrade %d: negative time field", i)
-		}
-		if err := checkRank(fmt.Sprintf("degrade %d From", i), dg.From); err != nil {
-			return err
-		}
-		if err := checkRank(fmt.Sprintf("degrade %d To", i), dg.To); err != nil {
-			return err
-		}
-		if dg.From == dg.To {
-			return fmt.Errorf("faultplan: degrade %d: From and To are both rank %d (loopback never degrades)", i, dg.From)
-		}
-		if dg.LatencyFactor < 0 || (dg.LatencyFactor != 0 && dg.LatencyFactor < 1) {
-			return fmt.Errorf("faultplan: degrade %d: LatencyFactor %v must be >= 1 (or 0 for unchanged)", i, dg.LatencyFactor)
-		}
-		if dg.BandwidthFactor < 0 || dg.BandwidthFactor > 1 {
-			return fmt.Errorf("faultplan: degrade %d: BandwidthFactor %v must be in (0, 1] (or 0 for unchanged)", i, dg.BandwidthFactor)
+		what = fmt.Sprintf("degrade %d", i)
+		fail(dg.Duration < 0 || dg.Jitter < 0, "negative time field")
+		rank("From", dg.From)
+		rank("To", dg.To)
+		fail(dg.From == dg.To, "From and To are both rank %d (loopback never degrades)", dg.From)
+		fail(!(dg.LatencyFactor == 0 || dg.LatencyFactor >= 1), "LatencyFactor %v must be >= 1 (or 0 for unchanged)", dg.LatencyFactor)
+		fail(!(dg.BandwidthFactor >= 0 && dg.BandwidthFactor <= 1), "BandwidthFactor %v must be in (0, 1] (or 0 for unchanged)", dg.BandwidthFactor)
+		emit(dg.At, opDegrade, i, nil)
+		if dg.Duration > 0 {
+			emit(dg.At+dg.Duration, opClear, i, nil)
 		}
 	}
-	for i, h := range p.Heals {
-		if h.At < 0 {
-			return fmt.Errorf("faultplan: heal %d: negative At", i)
-		}
-		if h.All {
-			continue
-		}
-		if err := checkRank(fmt.Sprintf("heal %d From", i), h.From); err != nil {
-			return err
-		}
-		if err := checkRank(fmt.Sprintf("heal %d To", i), h.To); err != nil {
-			return err
-		}
+	if dd := p.RestartDelay; dd.Dist != "" {
+		what = "restart delay"
+		fail(!slices.Contains([]string{DistConstant, DistUniform, DistExponential}, dd.Dist), "unknown distribution %q", dd.Dist)
+		fail(dd.Dist != DistUniform && dd.Value <= 0, "%s distribution needs Value > 0", dd.Dist)
+		fail(dd.Dist == DistUniform && (dd.Min <= 0 || dd.Max < dd.Min), "uniform distribution needs 0 < Min <= Max")
 	}
-	if dd := p.RestartDelay; dd.set() {
-		switch dd.Dist {
-		case DistConstant, DistExponential:
-			if dd.Value <= 0 {
-				return fmt.Errorf("faultplan: restart delay: %s distribution needs Value > 0", dd.Dist)
-			}
-		case DistUniform:
-			if dd.Min <= 0 || dd.Max < dd.Min {
-				return fmt.Errorf("faultplan: restart delay: uniform distribution needs 0 < Min <= Max")
-			}
-		default:
-			return fmt.Errorf("faultplan: restart delay: unknown distribution %q", dd.Dist)
-		}
-	}
-	return nil
-}
-
-func validVictims(v VictimPolicy) error {
-	switch v {
-	case "", VictimRoundRobin, VictimRandom, VictimFixed:
-		return nil
-	}
-	return fmt.Errorf("unknown victim policy %q", v)
-}
-
-// Targets is the running deployment a plan attaches to. Kernel and
-// Dispatcher are required; the rest may be nil/empty when the deployment
-// lacks them.
-type Targets struct {
-	Kernel     *sim.Kernel
-	Dispatcher *failure.Dispatcher
-	// Scheduler feeds OnCheckpointWave cascades (nil: such cascades never
-	// fire).
-	Scheduler *checkpoint.Scheduler
-	// EventLoggers are suspended by OutageEventLogger (empty: skipped).
-	EventLoggers []*eventlogger.Server
-	// CkptServer is suspended by OutageCkptServer (nil: skipped).
-	CkptServer *checkpoint.Server
-	// Network is the link fabric mutated by Partition/DegradeLink/Heal
-	// operations (nil: such operations are skipped, counted in
-	// Engine.FabricSkipped).
-	Network *netmodel.Network
-	// Seed is the fallback RNG seed when the plan's own Seed is 0.
-	Seed int64
-	// Recorder, when non-nil, receives fabric-operation and outage
-	// timeline events (Arg = plan component index, Note = component key).
-	// All emission sites are in cold compiled closures.
-	Recorder *obs.Recorder
-}
-
-// Engine is a plan compiled onto a deployment: it owns all mutable
-// scenario state (RNG streams, cursors, counters) so the Plan itself stays
-// shareable. The exported counters classify every injected fault.
-type Engine struct {
-	plan *Plan
-	t    Targets
-	seed int64
-
-	stormRng    []*rand.Rand
-	stormCursor []int
-	stormKills  []int
-
-	cascadeRng    []*rand.Rand
-	cascadeCursor []int
-	cascadeFires  []int
-
-	// StormKills, CorrelatedKills and CascadeKills count injected faults
-	// by scenario component; OutagesApplied and OutagesSkipped count
-	// outage windows; VictimMisses counts injections dropped because no
-	// eligible victim remained.
-	StormKills      int64
-	CorrelatedKills int64
-	CascadeKills    int64
-	OutagesApplied  int64
-	OutagesSkipped  int64
-	VictimMisses    int64
-
-	// PartitionsApplied, LinksDegraded and HealsApplied count fabric
-	// operations; FabricSkipped counts the ones dropped because the
-	// deployment exposed no network; BlackoutSpan sums the partition
-	// windows that have healed (each partition's heal minus its cut);
-	// Suspicions counts the detector declarations partitions issued.
-	PartitionsApplied int64
-	LinksDegraded     int64
-	HealsApplied      int64
-	FabricSkipped     int64
-	BlackoutSpan      sim.Time
-	Suspicions        int64
-
-	// partitionDownAt[i] is partition i's cut time while it is open
-	// (-1 before the cut and after the heal), feeding BlackoutSpan.
-	partitionDownAt []sim.Time
-}
-
-// Apply validates the plan and compiles it onto the deployment: storms and
-// correlated kills become kernel events, cascades subscribe to the
-// dispatcher's lifecycle stream (and the scheduler's wave stream), outages
-// schedule service suspensions. Call it after the dispatcher exists and
-// before the kernel runs; kills that fire before Launch are deferred by the
-// dispatcher to launch time.
-func Apply(t Targets, p *Plan) (*Engine, error) {
-	if t.Kernel == nil || t.Dispatcher == nil {
-		return nil, fmt.Errorf("faultplan: Apply needs a kernel and a dispatcher")
-	}
-	if err := p.Validate(t.Dispatcher.NP()); err != nil {
-		return nil, err
-	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = t.Seed
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	e := &Engine{
-		plan: p, t: t, seed: seed,
-		stormRng:      make([]*rand.Rand, len(p.Storms)),
-		stormCursor:   make([]int, len(p.Storms)),
-		stormKills:    make([]int, len(p.Storms)),
-		cascadeRng:    make([]*rand.Rand, len(p.Cascades)),
-		cascadeCursor: make([]int, len(p.Cascades)),
-		cascadeFires:  make([]int, len(p.Cascades)),
-	}
-	for i := range p.Storms {
-		e.stormRng[i] = subRNG(seed, fmt.Sprintf("storm|%d|%s", i, p.Storms[i].Key))
-		e.startStorm(i)
-	}
-	for i := range p.Cascades {
-		e.cascadeRng[i] = subRNG(seed, fmt.Sprintf("cascade|%d|%s", i, p.Cascades[i].Key))
-	}
-	for _, ck := range p.Correlated {
-		ranks := ck.Ranks
-		t.Kernel.At(ck.At, func() {
-			if e.t.Dispatcher.AllDone() {
-				return
-			}
-			for _, r := range ranks {
-				if !e.t.Dispatcher.RankDone(r) {
-					e.t.Dispatcher.Kill(r)
-					e.CorrelatedKills++
-				} else {
-					e.VictimMisses++
-				}
-			}
-		})
-	}
-	if len(p.Cascades) > 0 {
-		t.Dispatcher.Observe(e.onDispatcherEvent)
-		if t.Scheduler != nil {
-			t.Scheduler.ObserveWaves(func(int) { e.fireCascades(OnCheckpointWave, -1) })
-		}
-	}
-	for _, o := range p.Outages {
-		o := o
-		t.Kernel.At(o.At, func() { e.applyOutage(o) })
-	}
-	e.partitionDownAt = make([]sim.Time, len(p.Partitions))
-	for i := range p.Partitions {
-		e.partitionDownAt[i] = -1
-		e.compilePartition(i)
-	}
-	for i := range p.Degrades {
-		e.compileDegrade(i)
-	}
-	for _, h := range p.Heals {
-		h := h
-		t.Kernel.At(h.At, func() { e.applyHeal(h) })
-	}
-	if p.RestartDelay.set() {
-		rng := subRNG(seed, "restart-delay")
-		dd := p.RestartDelay
-		t.Dispatcher.RestartDelayFn = func() sim.Time { return dd.draw(rng) }
-	}
-	return e, nil
-}
-
-// compilePartition schedules partition i's cut, detector timeout and heal.
-func (e *Engine) compilePartition(i int) {
-	pt := e.plan.Partitions[i]
-	e.t.Kernel.At(pt.At, func() {
-		if e.t.Network == nil {
-			e.FabricSkipped++
-			return
-		}
-		e.t.Network.Partition(pt.Groups)
-		e.PartitionsApplied++
-		e.partitionDownAt[i] = e.t.Kernel.Now()
-		e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindPartitionCut, -1, int64(i), pt.Key)
-	})
-	if pt.SuspectAfter > 0 {
-		e.t.Kernel.At(pt.At+pt.SuspectAfter, func() {
-			if e.partitionDownAt[i] < 0 || e.t.Dispatcher.AllDone() {
-				return // never cut (no network) or already healed
-			}
-			if !partitionActive(e.t.Network, pt.Groups) {
-				// An explicit Heal op restored the cut links before the
-				// detector's patience ran out: the ranks are reachable
-				// again, nothing to suspect.
-				return
-			}
-			for _, r := range suspectSet(pt.Groups) {
-				if !e.t.Dispatcher.RankDone(r) {
-					e.t.Dispatcher.Suspect(r)
-					e.Suspicions++
-				}
-			}
-		})
-	}
-	if pt.Duration > 0 {
-		e.t.Kernel.At(pt.At+pt.Duration, func() { e.healPartition(i) })
-	}
-}
-
-// healPartition closes partition i's blackout window, releasing held
-// deliveries. If an explicit Heal op already restored every cut link, the
-// window closes without contributing to BlackoutSpan (the blackout ended
-// at the op, which the span bookkeeping cannot see per-link).
-func (e *Engine) healPartition(i int) {
-	if e.partitionDownAt[i] < 0 {
-		return
-	}
-	pt := e.plan.Partitions[i]
-	active := partitionActive(e.t.Network, pt.Groups)
-	e.t.Network.HealPartition(pt.Groups)
-	if active {
-		e.BlackoutSpan += e.t.Kernel.Now() - e.partitionDownAt[i]
-	}
-	e.partitionDownAt[i] = -1
-	e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindPartitionHeal, -1, int64(i), pt.Key)
-}
-
-// partitionActive reports whether any cross-group link of the partition
-// is still down.
-func partitionActive(net *netmodel.Network, groups [][]int) bool {
-	groupOf := make(map[int]int, 16)
-	for gi, g := range groups {
-		for _, r := range g {
-			groupOf[r] = gi
-		}
-	}
-	for a, ga := range groupOf { //lint:allow detmap existential query over pure link-state reads: any visiting order yields the same boolean
-		for b, gb := range groupOf {
-			if a != b && ga != gb && net.Link(a, b).State() == netmodel.LinkDown {
-				return true
-			}
-		}
-	}
-	return false
+	return ops, err
 }
 
 // suspectSet lists the ranks the majority side's detector times out on:
@@ -705,162 +441,247 @@ func suspectSet(groups [][]int) []int {
 	}
 	var out []int
 	for gi, g := range groups {
-		if gi == major {
-			continue
+		if gi != major {
+			out = append(out, g...)
 		}
-		out = append(out, g...)
 	}
 	return out
 }
 
-// compileDegrade schedules degrade i's onset and (bounded) recovery. The
-// jitter stream is derived per plan component and per direction, so one
-// degraded pair's draws perturb nothing else.
-func (e *Engine) compileDegrade(i int) {
-	dg := e.plan.Degrades[i]
-	jseed := int64(0)
-	if dg.Jitter > 0 {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|degrade|%d|%s", e.seed, i, dg.Key)
-		jseed = int64(h.Sum64() & (1<<63 - 1))
+// Targets is the running deployment a plan attaches to. Kernel and
+// Dispatcher are required; the rest may be nil/empty when the deployment
+// lacks them.
+type Targets struct {
+	Kernel     *sim.Kernel
+	Dispatcher *failure.Dispatcher
+	// Scheduler feeds OnCheckpointWave cascades (nil: they never fire).
+	Scheduler *checkpoint.Scheduler
+	// EventLoggers are suspended by OutageEventLogger (empty: skipped).
+	EventLoggers []*eventlogger.Server
+	// CkptServer is suspended by OutageCkptServer (nil: skipped).
+	CkptServer *checkpoint.Server
+	// Network is the link fabric mutated by Partition and DegradeLink
+	// windows (nil: such windows are skipped, counted in Engine.Skipped).
+	Network *netmodel.Network
+	// Seed is the fallback RNG seed when the plan's own Seed is 0.
+	Seed int64
+	// Recorder, when non-nil, receives fabric and outage timeline events
+	// (Arg = plan component index, Note = component key; an outage records
+	// its duration and target instead), all emitted by apply.
+	Recorder *obs.Recorder
+}
+
+// Engine is a plan compiled onto a deployment: it owns all mutable
+// scenario state (RNG streams, cursors, counters) so the Plan itself stays
+// shareable.
+type Engine struct {
+	plan *Plan
+	t    Targets
+	seed int64
+
+	storms, cascades []generator
+	// degradeGen[i] names degrade i's window on its forward and reverse
+	// links, so its clear ends that window and nothing newer.
+	degradeGen [][2]int
+
+	// Kills counts the faults the plan injected; VictimMisses counts the
+	// kills dropped because no eligible victim remained; Skipped counts
+	// the ops dropped because the deployment lacks their target (an Event
+	// Logger, a checkpoint server, a network). PartitionsApplied counts
+	// partition cuts and BlackoutSpan sums the windows of the partitions
+	// that have healed.
+	Kills             int64
+	VictimMisses      int64
+	Skipped           int64
+	PartitionsApplied int64
+	BlackoutSpan      sim.Time
+}
+
+// generator is the run-time state of one storm or cascade: its private
+// stream, its round-robin cursor, and the kills (storm) or fires (cascade)
+// it has issued.
+type generator struct {
+	rng    *rand.Rand
+	cursor int
+	count  int
+}
+
+// Apply validates the plan and compiles it onto the deployment: its timed
+// components become kernel events, storms schedule their first arrival,
+// cascades subscribe to the dispatcher's lifecycle stream (and the
+// scheduler's wave stream). Call it after the dispatcher exists and before
+// the kernel runs; kills that fire before Launch are deferred by the
+// dispatcher to launch time.
+func Apply(t Targets, p *Plan) (*Engine, error) {
+	if t.Kernel == nil || t.Dispatcher == nil {
+		return nil, fmt.Errorf("faultplan: Apply needs a kernel and a dispatcher")
 	}
-	var genFwd, genRev int
-	e.t.Kernel.At(dg.At, func() {
-		if e.t.Network == nil {
-			e.FabricSkipped++
+	ops, err := p.compile(t.Dispatcher.NP())
+	if err != nil {
+		return nil, err
+	}
+	seed := cmp.Or(p.Seed, t.Seed, 1)
+	e := &Engine{
+		plan: p, t: t, seed: seed,
+		storms:     make([]generator, len(p.Storms)),
+		cascades:   make([]generator, len(p.Cascades)),
+		degradeGen: make([][2]int, len(p.Degrades)),
+	}
+	// Storm first arrivals are scheduled ahead of every op, so they win
+	// same-instant ties.
+	for i := range p.Storms {
+		e.storms[i].rng = subRNG(seed, fmt.Sprintf("storm|%d|%s", i, p.Storms[i].Key))
+		e.startStorm(i)
+	}
+	for i := range p.Cascades {
+		e.cascades[i].rng = subRNG(seed, fmt.Sprintf("cascade|%d|%s", i, p.Cascades[i].Key))
+	}
+	if len(p.Cascades) > 0 {
+		t.Dispatcher.Observe(func(ev failure.Event) {
+			if trig, ok := triggers[ev.Kind]; ok {
+				e.fireCascades(trig, ev.Rank)
+			}
+		})
+		if t.Scheduler != nil {
+			t.Scheduler.ObserveWaves(func(int) { e.fireCascades(OnCheckpointWave, -1) })
+		}
+	}
+	for _, o := range ops {
+		t.Kernel.At(o.at, func() { e.apply(o) })
+	}
+	if p.RestartDelay.Dist != "" {
+		dd, rng := p.RestartDelay, subRNG(seed, "restart-delay")
+		t.Dispatcher.RestartDelayFn = func() sim.Time { return dd.draw(rng) }
+	}
+	return e, nil
+}
+
+// apply executes one primitive op. It is the only place a plan acts on
+// the dispatcher, the stable services or the fabric.
+func (e *Engine) apply(o op) {
+	d, net, now := e.t.Dispatcher, e.t.Network, e.t.Kernel.Now()
+	if o.kind >= opCut && net == nil {
+		e.Skipped++
+		return
+	}
+	if (o.kind == opKill || o.kind == opSuspect) && d.AllDone() {
+		return
+	}
+	switch o.kind {
+	case opKill:
+		for _, r := range o.ranks {
+			if d.RankDone(r) {
+				e.VictimMisses++
+				continue
+			}
+			d.Kill(r)
+			e.Kills++
+		}
+	case opOutage:
+		out := &e.plan.Outages[o.idx]
+		switch {
+		case out.Target == OutageEventLogger && len(e.t.EventLoggers) > 0:
+			for _, el := range e.t.EventLoggers {
+				el.Suspend(out.Duration)
+			}
+		case out.Target == OutageCkptServer && e.t.CkptServer != nil:
+			e.t.CkptServer.Suspend(out.Duration)
+		default:
+			e.Skipped++
 			return
 		}
-		genFwd = e.t.Network.DegradeLink(dg.From, dg.To, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
-		e.LinksDegraded++
-		if dg.Both {
-			genRev = e.t.Network.DegradeLink(dg.To, dg.From, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
-			e.LinksDegraded++
+		e.t.Recorder.Record(now, obs.KindOutage, -1, int64(out.Duration), string(out.Target))
+	case opCut:
+		pt := &e.plan.Partitions[o.idx]
+		net.Partition(pt.Groups)
+		e.PartitionsApplied++
+		e.t.Recorder.Record(now, obs.KindPartitionCut, -1, int64(o.idx), pt.Key)
+	case opSuspect:
+		for _, r := range o.ranks {
+			d.Suspect(r)
 		}
-		e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindDegrade, -1, int64(i), dg.Key)
-	})
-	if dg.Duration > 0 {
-		// The expiry ends this window and nothing else: it never un-severs
+	case opHeal:
+		pt := &e.plan.Partitions[o.idx]
+		net.HealPartition(pt.Groups)
+		e.BlackoutSpan += pt.Duration
+		e.t.Recorder.Record(now, obs.KindPartitionHeal, -1, int64(o.idx), pt.Key)
+	case opDegrade:
+		// The jitter stream is derived per plan component and per
+		// direction, so one degraded pair's draws perturb nothing else.
+		dg := &e.plan.Degrades[o.idx]
+		jseed := streamSeed(e.seed, fmt.Sprintf("degrade|%d|%s", o.idx, dg.Key))
+		e.degradeGen[o.idx][0] = net.DegradeLink(dg.From, dg.To, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
+		if dg.Both {
+			e.degradeGen[o.idx][1] = net.DegradeLink(dg.To, dg.From, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
+		}
+		e.t.Recorder.Record(now, obs.KindDegrade, -1, int64(o.idx), dg.Key)
+	case opClear:
+		// The clear ends this window and nothing else: it never un-severs
 		// a link a partition downed in the meantime, and a later degrade
 		// window that took the link over (newer generation) keeps its
 		// factors.
-		e.t.Kernel.At(dg.At+dg.Duration, func() {
-			if e.t.Network == nil {
-				return
-			}
-			e.t.Network.ClearDegrade(dg.From, dg.To, genFwd)
-			if dg.Both {
-				e.t.Network.ClearDegrade(dg.To, dg.From, genRev)
-			}
-			e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindDegradeClear, -1, int64(i), dg.Key)
-		})
+		dg := &e.plan.Degrades[o.idx]
+		net.ClearDegrade(dg.From, dg.To, e.degradeGen[o.idx][0])
+		if dg.Both {
+			net.ClearDegrade(dg.To, dg.From, e.degradeGen[o.idx][1])
+		}
+		e.t.Recorder.Record(now, obs.KindDegradeClear, -1, int64(o.idx), dg.Key)
 	}
 }
 
-// applyHeal executes one explicit Heal operation. Healing through a Heal
-// op also closes any still-open partition windows whose links it restores
-// (All only), so BlackoutSpan stays meaningful for open-ended partitions.
-func (e *Engine) applyHeal(h Heal) {
-	if e.t.Network == nil {
-		e.FabricSkipped++
-		return
-	}
-	if h.All {
-		for i := range e.partitionDownAt {
-			if e.partitionDownAt[i] >= 0 {
-				e.BlackoutSpan += e.t.Kernel.Now() - e.partitionDownAt[i]
-				e.partitionDownAt[i] = -1
-			}
-		}
-		e.t.Network.HealAll()
-		e.HealsApplied++
-		e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindFabricHeal, -1, 0, "")
-		return
-	}
-	e.t.Network.HealLink(h.From, h.To)
-	if h.Both {
-		e.t.Network.HealLink(h.To, h.From)
-	}
-	e.HealsApplied++
-	e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindFabricHeal, -1, 0, "")
+// streamSeed hashes one named stream of the plan seed.
+func streamSeed(seed int64, stream string) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s", seed, stream)
+	return int64(h.Sum64() & (1<<63 - 1))
 }
 
 // subRNG derives an independent deterministic stream per plan component,
 // so one component's draw count never perturbs another's sample path.
 func subRNG(seed int64, stream string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, stream)
-	s := int64(h.Sum64() & (1<<63 - 1))
-	if s == 0 {
-		s = 1
-	}
-	return rand.New(rand.NewSource(s))
+	return rand.New(rand.NewSource(max(streamSeed(seed, stream), 1)))
 }
 
 func (e *Engine) startStorm(i int) {
-	s := e.plan.Storms[i]
-	rng := e.stormRng[i]
+	s := &e.plan.Storms[i]
+	g := &e.storms[i]
 	draw := func() sim.Time {
 		if s.Poisson {
-			return sim.Time(rng.ExpFloat64() * float64(s.MeanInterval))
+			return sim.Time(g.rng.ExpFloat64() * float64(s.MeanInterval))
 		}
-		span := int64(s.MaxInterval - s.MinInterval)
-		if span <= 0 {
-			return s.MinInterval
-		}
-		return s.MinInterval + sim.Time(rng.Int63n(span+1))
+		return uniform(g.rng, s.MinInterval, s.MaxInterval)
 	}
-	burst := s.Burst
-	if burst < 1 {
-		burst = 1
-	}
+	capped := func() bool { return s.MaxKills > 0 && g.count >= s.MaxKills }
+	burst := max(s.Burst, 1)
 	var arrive func()
 	arrive = func() {
-		d := e.t.Dispatcher
-		if d.AllDone() {
-			return
-		}
-		if s.End > 0 && e.t.Kernel.Now() > s.End {
+		if e.t.Dispatcher.AllDone() || (s.End > 0 && e.t.Kernel.Now() > s.End) {
 			return
 		}
 		// A burst fells distinct ranks in the same instant (a shared
-		// failure domain); victims already chosen this arrival are
-		// excluded so the burst never doubles up on one rank.
+		// failure domain). Each victim dies before the next is picked — a
+		// coordinated rollback returns finished ranks to the pool — and is
+		// excluded from the rest of the burst.
 		var chosen []int
-		for b := 0; b < burst; b++ {
-			v := e.pickVictimExcluding(s.Victims, s.Rank, &e.stormCursor[i], rng, chosen)
+		for len(chosen) < burst && !capped() {
+			v := e.pick(s.Victims, s.Rank, g, chosen)
 			if v < 0 {
-				e.VictimMisses++
 				break
 			}
 			chosen = append(chosen, v)
-			d.Kill(v)
-			e.StormKills++
-			e.stormKills[i]++
-			if s.MaxKills > 0 && e.stormKills[i] >= s.MaxKills {
-				break
-			}
+			e.apply(op{kind: opKill, ranks: chosen[len(chosen)-1:]})
+			g.count++
 		}
-		if s.MaxKills > 0 && e.stormKills[i] >= s.MaxKills {
-			return
+		if !capped() {
+			e.t.Kernel.After(draw(), arrive)
 		}
-		e.t.Kernel.After(draw(), arrive)
 	}
 	e.t.Kernel.At(s.Start+draw(), arrive)
 }
 
-func (e *Engine) onDispatcherEvent(ev failure.Event) {
-	var trig Trigger
-	switch ev.Kind {
-	case failure.EvKill:
-		trig = OnKill
-	case failure.EvRestart:
-		trig = OnRestart
-	case failure.EvRecovered:
-		trig = OnRecovered
-	default:
-		return
-	}
-	e.fireCascades(trig, ev.Rank)
+// triggers maps the dispatcher lifecycle events cascades fire on.
+var triggers = map[failure.EventKind]Trigger{
+	failure.EvKill: OnKill, failure.EvRestart: OnRestart, failure.EvRecovered: OnRecovered,
 }
 
 // fireCascades launches every cascade matching the trigger. The cascaded
@@ -869,108 +690,57 @@ func (e *Engine) onDispatcherEvent(ev failure.Event) {
 // context.
 func (e *Engine) fireCascades(trig Trigger, rank int) {
 	for i := range e.plan.Cascades {
-		c := &e.plan.Cascades[i]
-		if c.Trigger != trig {
+		c, g := &e.plan.Cascades[i], &e.cascades[i]
+		// The probability draw comes last: only a matching cascade under
+		// its cap consumes its stream.
+		if c.Trigger != trig || (c.OfRank != 0 && rank >= 0 && c.OfRank != OnlyRank(rank)) ||
+			(c.MaxFires > 0 && g.count >= c.MaxFires) ||
+			(c.Probability > 0 && c.Probability < 1 && g.rng.Float64() >= c.Probability) {
 			continue
 		}
-		if c.OfRank != 0 && rank >= 0 && c.OfRank != OnlyRank(rank) {
-			continue
-		}
-		if c.MaxFires > 0 && e.cascadeFires[i] >= c.MaxFires {
-			continue
-		}
-		if c.Probability > 0 && c.Probability < 1 && e.cascadeRng[i].Float64() >= c.Probability {
-			continue
-		}
-		e.cascadeFires[i]++
-		idx := i
+		g.count++
 		e.t.Kernel.After(c.Delay, func() {
-			d := e.t.Dispatcher
-			if d.AllDone() {
+			if e.t.Dispatcher.AllDone() {
 				return
 			}
-			if v := e.pickVictim(c.Victims, c.Rank, &e.cascadeCursor[idx], e.cascadeRng[idx]); v >= 0 {
-				d.Kill(v)
-				e.CascadeKills++
-			} else {
-				e.VictimMisses++
+			if v := e.pick(c.Victims, c.Rank, g, nil); v >= 0 {
+				e.apply(op{kind: opKill, ranks: []int{v}})
 			}
 		})
 	}
 }
 
-// pickVictim resolves a victim policy against the current run state,
-// returning -1 when no eligible rank remains. Eligible means "program
-// still running": restarting ranks stay in the pool (killing them extends
-// their outage), finished ranks leave it.
-func (e *Engine) pickVictim(pol VictimPolicy, fixed int, cursor *int, rng *rand.Rand) int {
-	return e.pickVictimExcluding(pol, fixed, cursor, rng, nil)
-}
-
-// pickVictimExcluding is pickVictim with an exclusion list (the victims a
-// burst already chose this arrival).
-func (e *Engine) pickVictimExcluding(pol VictimPolicy, fixed int, cursor *int, rng *rand.Rand, exclude []int) int {
-	d := e.t.Dispatcher
-	np := d.NP()
-	excluded := func(r int) bool {
-		for _, x := range exclude {
-			if x == r {
-				return true
-			}
-		}
-		return false
-	}
+// pick resolves a victim policy against the current run state, skipping
+// the ranks in exclude (the victims a burst already chose). Eligible means
+// "program still running": restarting ranks stay in the pool (killing them
+// extends their outage), finished ranks leave it. When no eligible rank
+// remains it counts a victim miss and returns -1.
+func (e *Engine) pick(pol VictimPolicy, fixed int, g *generator, exclude []int) int {
+	d, np := e.t.Dispatcher, e.t.Dispatcher.NP()
+	eligible := func(r int) bool { return !d.RankDone(r) && !slices.Contains(exclude, r) }
 	switch pol {
 	case VictimFixed:
-		if !d.RankDone(fixed) && !excluded(fixed) {
+		if eligible(fixed) {
 			return fixed
 		}
-		return -1
 	case VictimRandom:
 		var candidates []int
 		for r := 0; r < np; r++ {
-			if !d.RankDone(r) && !excluded(r) {
+			if eligible(r) {
 				candidates = append(candidates, r)
 			}
 		}
-		if len(candidates) == 0 {
-			return -1
+		if len(candidates) > 0 {
+			return candidates[g.rng.Intn(len(candidates))]
 		}
-		return candidates[rng.Intn(len(candidates))]
 	default: // VictimRoundRobin
 		for i := 0; i < np; i++ {
-			r := (*cursor + i) % np
-			if !d.RankDone(r) && !excluded(r) {
-				*cursor = (r + 1) % np
+			if r := (g.cursor + i) % np; eligible(r) {
+				g.cursor = (r + 1) % np
 				return r
 			}
 		}
-		return -1
 	}
-}
-
-func (e *Engine) applyOutage(o Outage) {
-	switch o.Target {
-	case OutageEventLogger:
-		if len(e.t.EventLoggers) == 0 {
-			e.OutagesSkipped++
-			return
-		}
-		for _, el := range e.t.EventLoggers {
-			el.Suspend(o.Duration)
-		}
-	case OutageCkptServer:
-		if e.t.CkptServer == nil {
-			e.OutagesSkipped++
-			return
-		}
-		e.t.CkptServer.Suspend(o.Duration)
-	}
-	e.OutagesApplied++
-	e.t.Recorder.Record(e.t.Kernel.Now(), obs.KindOutage, -1, int64(o.Duration), string(o.Target))
-}
-
-// InjectedKills sums every fault the engine injected.
-func (e *Engine) InjectedKills() int64 {
-	return e.StormKills + e.CorrelatedKills + e.CascadeKills
+	e.VictimMisses++
+	return -1
 }

@@ -1,6 +1,8 @@
 package faultplan_test
 
 import (
+	"regexp"
+	"slices"
 	"testing"
 
 	"mpichv/internal/checkpoint"
@@ -58,12 +60,33 @@ func runPlan(t *testing.T, cfg cluster.Config, iters int) *cluster.Cluster {
 	return c
 }
 
+// rejection is the shape of every Validate error: the component kind and
+// its index (the restart delay is a single component).
+var rejection = regexp.MustCompile(`^faultplan: ((storm|correlated kill|cascade|outage|partition|degrade) \d+|restart delay): `)
+
+// mustReject demands that Validate refuse every plan at np 4, naming the
+// offending component.
+func mustReject(t *testing.T, bad []faultplan.Plan) {
+	t.Helper()
+	for i := range bad {
+		err := bad[i].Validate(4)
+		if err == nil {
+			t.Errorf("plan %d: Validate accepted an invalid plan", i)
+		} else if !rejection.MatchString(err.Error()) {
+			t.Errorf("plan %d: error %q does not name the component kind and index", i, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadPlans(t *testing.T) {
 	bad := []faultplan.Plan{
 		{Storms: []faultplan.Storm{{Poisson: true}}},
 		{Storms: []faultplan.Storm{{MinInterval: 0, MaxInterval: sim.Second}}},
 		{Storms: []faultplan.Storm{{MinInterval: 2 * sim.Second, MaxInterval: sim.Second}}},
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Start: sim.Second, End: sim.Millisecond}}},
+		// A negative Start schedules the first arrival before the run
+		// begins (FuzzPlan's first crasher).
+		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Start: -sim.Second}}},
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: "nearest"}}},
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: faultplan.VictimFixed, Rank: 99}}},
 		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second}}},
@@ -79,11 +102,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Outages: []faultplan.Outage{{Target: "scheduler", At: 0, Duration: sim.Second}}},
 		{Outages: []faultplan.Outage{{Target: faultplan.OutageCkptServer, At: 0, Duration: 0}}},
 	}
-	for i := range bad {
-		if err := bad[i].Validate(4); err == nil {
-			t.Errorf("plan %d: Validate accepted an invalid plan", i)
-		}
-	}
+	mustReject(t, bad)
 	good := faultplan.Plan{
 		Storms:     []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second}},
 		Correlated: []faultplan.CorrelatedKill{{At: sim.Second, Ranks: []int{0, 1}}},
@@ -147,7 +166,7 @@ func TestUniformStormWindowAndCap(t *testing.T) {
 		}},
 	}
 	c := runPlan(t, faultedConfig(plan, 3), 150)
-	if got := c.Faults.StormKills; got != 2 {
+	if got := c.Faults.Kills; got != 2 {
 		t.Fatalf("MaxKills=2 storm injected %d faults", got)
 	}
 	if c.Dispatcher.Kills != 2 {
@@ -169,11 +188,9 @@ func TestCorrelatedKillAndCascade(t *testing.T) {
 		}},
 	}
 	c := runPlan(t, faultedConfig(plan, 5), 150)
-	if c.Faults.CorrelatedKills != 2 {
-		t.Fatalf("correlated kills = %d, want 2", c.Faults.CorrelatedKills)
-	}
-	if c.Faults.CascadeKills != 1 {
-		t.Fatalf("cascade kills = %d, want 1", c.Faults.CascadeKills)
+	// Two correlated kills plus one cascaded kill.
+	if c.Faults.Kills != 3 {
+		t.Fatalf("plan kills = %d, want 3", c.Faults.Kills)
 	}
 	if c.Dispatcher.Restarts < 3 {
 		t.Fatalf("restarts = %d, want >= 3", c.Dispatcher.Restarts)
@@ -189,8 +206,8 @@ func TestCheckpointWaveCascade(t *testing.T) {
 		}},
 	}
 	c := runPlan(t, faultedConfig(plan, 11), 150)
-	if c.Faults.CascadeKills != 1 {
-		t.Fatalf("ckpt-wave cascade kills = %d, want 1", c.Faults.CascadeKills)
+	if c.Faults.Kills != 1 {
+		t.Fatalf("ckpt-wave cascade kills = %d, want 1", c.Faults.Kills)
 	}
 }
 
@@ -205,8 +222,9 @@ func TestCascadeProbabilityZeroOneSemantics(t *testing.T) {
 		}},
 	}
 	c := runPlan(t, faultedConfig(always, 2), 150)
-	if c.Faults.CascadeKills != 1 {
-		t.Fatalf("probability-0 cascade fired %d times, want 1", c.Faults.CascadeKills)
+	// The correlated kill plus the cascaded one.
+	if c.Faults.Kills != 2 {
+		t.Fatalf("plan kills = %d, want 2 (probability-0 cascade must fire once)", c.Faults.Kills)
 	}
 }
 
@@ -219,8 +237,8 @@ func TestEventLoggerOutageDelaysAcks(t *testing.T) {
 	}
 	base := runPlan(t, faultedConfig(nil, 1), 120)
 	hit := runPlan(t, faultedConfig(outage, 1), 120)
-	if hit.Faults.OutagesApplied != 1 {
-		t.Fatalf("outages applied = %d, want 1", hit.Faults.OutagesApplied)
+	if hit.Faults.Skipped != 0 {
+		t.Fatalf("outages skipped = %d, want 0", hit.Faults.Skipped)
 	}
 	// While the EL is down acknowledgments stall, so piggyback elimination
 	// lags and more determinant bytes ride on application messages.
@@ -241,9 +259,8 @@ func TestOutageSkippedWithoutService(t *testing.T) {
 		NP: 2, Stack: cluster.StackVdummy, Faults: plan, Seed: 1,
 	}
 	c := runPlan(t, cfg, 50)
-	if c.Faults.OutagesApplied != 0 || c.Faults.OutagesSkipped != 1 {
-		t.Fatalf("applied=%d skipped=%d, want 0/1",
-			c.Faults.OutagesApplied, c.Faults.OutagesSkipped)
+	if c.Faults.Skipped != 1 {
+		t.Fatalf("skipped=%d, want 1", c.Faults.Skipped)
 	}
 }
 
@@ -277,8 +294,8 @@ func TestVictimPoliciesSkipFinishedRanks(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("finished rank re-ran %d times", runs)
 	}
-	if c.Faults.StormKills != 0 {
-		t.Fatalf("storm killed a finished rank %d times", c.Faults.StormKills)
+	if c.Faults.Kills != 0 {
+		t.Fatalf("storm killed a finished rank %d times", c.Faults.Kills)
 	}
 	if c.Faults.VictimMisses == 0 {
 		t.Fatal("expected victim misses once the fixed target finished")
@@ -306,8 +323,8 @@ func TestBurstStormKillsDistinctRanksSimultaneously(t *testing.T) {
 	d.Launch()
 	c.RunLaunched(30 * sim.Minute).MustCompleted()
 
-	if c.Faults.StormKills != 4 {
-		t.Fatalf("storm injected %d kills, want 4", c.Faults.StormKills)
+	if c.Faults.Kills != 4 {
+		t.Fatalf("storm injected %d kills, want 4", c.Faults.Kills)
 	}
 	if len(byTime) != 2 {
 		t.Fatalf("kills landed at %d instants, want 2 bursts: %v", len(byTime), byTime)
@@ -323,15 +340,254 @@ func TestBurstStormKillsDistinctRanksSimultaneously(t *testing.T) {
 }
 
 func TestValidateRejectsBadBursts(t *testing.T) {
-	cases := []faultplan.Storm{
+	var bad []faultplan.Plan
+	for _, s := range []faultplan.Storm{
 		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: -1},
 		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: 2, Victims: faultplan.VictimFixed},
 		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: 9},
+	} {
+		bad = append(bad, faultplan.Plan{Storms: []faultplan.Storm{s}})
 	}
-	for i, s := range cases {
-		p := &faultplan.Plan{Storms: []faultplan.Storm{s}}
-		if err := p.Validate(4); err == nil {
-			t.Errorf("case %d: bad burst storm %+v accepted", i, s)
+	mustReject(t, bad)
+}
+
+// FuzzPlan decodes bytes into a plan on the 4-rank ring (correlated kills,
+// one partition, one degrade, one outage, one storm, one cascade and a
+// restart-delay distribution) and demands that Validate never panic and
+// that every plan it accepts runs, without a panic, to a typed outcome.
+// The seed corpus is the ext-faultstorm and ext-partition scenarios with
+// seconds rescaled to milliseconds and ranks folded onto the ring.
+func FuzzPlan(f *testing.F) {
+	ms := sim.Millisecond
+	ring := [][]int{{0}, {1, 2, 3}}
+	for _, p := range []faultplan.Plan{
+		// ext-faultstorm: poisson-storm, correlated, cascade,
+		// recovery-overlap, storm-outage.
+		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: 8 * ms, Victims: faultplan.VictimRandom}}},
+		{Correlated: []faultplan.CorrelatedKill{{At: 12 * ms, Ranks: []int{0, 1, 2}}, {At: 30 * ms, Ranks: []int{2, 3}}}},
+		{
+			Correlated: []faultplan.CorrelatedKill{{At: 10 * ms, Ranks: []int{0}}},
+			Cascades:   []faultplan.Cascade{{Trigger: faultplan.OnRecovered, Delay: ms / 10, Probability: 0.6, MaxFires: 4}},
+		},
+		{
+			Correlated: []faultplan.CorrelatedKill{{At: 10 * ms, Ranks: []int{0}}},
+			Cascades: []faultplan.Cascade{{
+				Trigger: faultplan.OnKill, OfRank: faultplan.OnlyRank(0), Delay: 7 * ms,
+				Victims: faultplan.VictimFixed, Rank: 0, MaxFires: 1,
+			}},
+		},
+		{
+			Storms:  []faultplan.Storm{{Poisson: true, MeanInterval: 12 * ms, Victims: faultplan.VictimRoundRobin}},
+			Outages: []faultplan.Outage{{Target: faultplan.OutageEventLogger, At: 15 * ms, Duration: 2 * ms}},
+		},
+		// ext-partition: kill, blackout, false-suspect, degraded-link,
+		// restart-jitter.
+		{Correlated: []faultplan.CorrelatedKill{{At: 10 * ms, Ranks: []int{0}}}},
+		{Partitions: []faultplan.Partition{{At: 10 * ms, Groups: ring, Duration: 3 * ms / 10}}},
+		{Partitions: []faultplan.Partition{{At: 10 * ms, Groups: ring, Duration: 8 * ms / 10, SuspectAfter: 4 * ms / 10}}},
+		{Degrades: []faultplan.DegradeLink{{
+			At: 5 * ms, From: 0, To: 1, Both: true, LatencyFactor: 4, BandwidthFactor: 0.25,
+			Jitter: ms / 10, Duration: 20 * ms,
+		}}},
+		{
+			Storms:       []faultplan.Storm{{MinInterval: 6 * ms, MaxInterval: 10 * ms, Victims: faultplan.VictimRoundRobin, MaxKills: 4}},
+			RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: ms / 10, Max: 6 * ms / 10},
+		},
+	} {
+		c := planCodec{enc: true}
+		c.plan(&p)
+		var back faultplan.Plan
+		(&planCodec{buf: c.buf}).plan(&back)
+		if err := back.Validate(4); err != nil {
+			f.Fatalf("seed %+v decodes to a plan Validate rejects: %v", p, err)
+		}
+		f.Add(c.buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p faultplan.Plan
+		(&planCodec{buf: data}).plan(&p)
+		if p.Validate(4) != nil {
+			return
+		}
+		c := cluster.New(faultedConfig(&p, 1))
+		defer c.Close()
+		d := c.PrepareRun(ringPrograms(4, 60, 256))
+		d.Launch()
+		if res := c.RunLaunched(30 * sim.Minute); res.Outcome == "" {
+			t.Fatalf("run ended without an outcome; plan %+v", p)
+		}
+	})
+}
+
+// fuzzTick is FuzzPlan's time unit: a signed 16-bit count of ticks spans
+// ±327 ms, several times the fuzzed ring's run.
+const fuzzTick = 10 * sim.Microsecond
+
+// planCodec walks a plan field by field, decoding bytes into it or (enc)
+// encoding it to bytes, so FuzzPlan's input format is written down once.
+// A decoder reads a missing byte as zero; an encoder drops what the format
+// cannot hold.
+type planCodec struct {
+	enc bool
+	buf []byte
+}
+
+func (c *planCodec) u8(v *int) {
+	if c.enc {
+		c.buf = append(c.buf, byte(*v))
+		return
+	}
+	*v = 0
+	if len(c.buf) > 0 {
+		*v, c.buf = int(c.buf[0]), c.buf[1:]
+	}
+}
+
+// i8 codes a signed byte: ranks, Burst, OfRank.
+func (c *planCodec) i8(v *int) {
+	b := *v
+	c.u8(&b)
+	if !c.enc {
+		*v = int(int8(b))
+	}
+}
+
+// upTo codes a value in [0, n].
+func (c *planCodec) upTo(v *int, n int) {
+	b := *v
+	c.u8(&b)
+	if !c.enc {
+		*v = b % (n + 1)
+	}
+}
+
+// capped codes a generator's cap in [1, n]: never 0 (unlimited), so every
+// fuzzed storm and cascade stops by itself.
+func (c *planCodec) capped(v *int, n int) {
+	b := *v - 1
+	c.upTo(&b, n-1)
+	*v = b + 1
+}
+
+func (c *planCodec) time(v *sim.Time) {
+	u := uint16(*v / fuzzTick)
+	hi, lo := int(u>>8), int(u&0xff)
+	c.u8(&hi)
+	c.u8(&lo)
+	*v = sim.Time(int16(hi<<8|lo)) * fuzzTick
+}
+
+func (c *planCodec) ratio(v *float64, scale float64) {
+	b := int(*v * scale)
+	c.u8(&b)
+	*v = float64(b) / scale
+}
+
+func (c *planCodec) flag(v *bool) {
+	b := 0
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	*v = b&1 == 1
+}
+
+func (c *planCodec) ranks(s *[]int) {
+	for i := range codeLen(c, s, 3) {
+		c.i8(&(*s)[i])
+	}
+}
+
+// codeLen codes a slice's length (at most n), allocating the slice when
+// decoding, and returns the length to walk.
+func codeLen[T any](c *planCodec, s *[]T, n int) int {
+	l := min(len(*s), n)
+	c.upTo(&l, n)
+	if !c.enc {
+		*s = make([]T, l)
+	}
+	return l
+}
+
+// codeEnum codes one of names, or an unknown value past them.
+func codeEnum[T ~string](c *planCodec, v *T, names ...T) {
+	i := slices.Index(names, *v)
+	if i < 0 {
+		i = len(names)
+	}
+	c.upTo(&i, len(names))
+	if i == len(names) {
+		*v = "unknown"
+	} else {
+		*v = names[i]
+	}
+}
+
+func (c *planCodec) victims(v *faultplan.VictimPolicy) {
+	codeEnum(c, v, "", faultplan.VictimRoundRobin, faultplan.VictimRandom, faultplan.VictimFixed)
+}
+
+func (c *planCodec) plan(p *faultplan.Plan) {
+	seed := int(p.Seed)
+	c.u8(&seed)
+	p.Seed = int64(seed)
+	for i := range codeLen(c, &p.Correlated, 3) {
+		k := &p.Correlated[i]
+		c.time(&k.At)
+		c.ranks(&k.Ranks)
+	}
+	for i := range codeLen(c, &p.Partitions, 1) {
+		pt := &p.Partitions[i]
+		c.time(&pt.At)
+		c.time(&pt.Duration)
+		c.time(&pt.SuspectAfter)
+		for g := range codeLen(c, &pt.Groups, 3) {
+			c.ranks(&pt.Groups[g])
 		}
 	}
+	for i := range codeLen(c, &p.Degrades, 1) {
+		dg := &p.Degrades[i]
+		c.time(&dg.At)
+		c.time(&dg.Duration)
+		c.time(&dg.Jitter)
+		c.i8(&dg.From)
+		c.i8(&dg.To)
+		c.flag(&dg.Both)
+		c.ratio(&dg.LatencyFactor, 16)
+		c.ratio(&dg.BandwidthFactor, 128)
+	}
+	for i := range codeLen(c, &p.Outages, 1) {
+		o := &p.Outages[i]
+		codeEnum(c, &o.Target, faultplan.OutageEventLogger, faultplan.OutageCkptServer)
+		c.time(&o.At)
+		c.time(&o.Duration)
+	}
+	for i := range codeLen(c, &p.Storms, 1) {
+		s := &p.Storms[i]
+		c.flag(&s.Poisson)
+		c.time(&s.MeanInterval)
+		c.time(&s.MinInterval)
+		c.time(&s.MaxInterval)
+		c.time(&s.Start)
+		c.time(&s.End)
+		c.victims(&s.Victims)
+		c.i8(&s.Rank)
+		c.i8(&s.Burst)
+		c.capped(&s.MaxKills, 8)
+	}
+	for i := range codeLen(c, &p.Cascades, 1) {
+		cs := &p.Cascades[i]
+		codeEnum(c, &cs.Trigger, faultplan.OnKill, faultplan.OnRestart, faultplan.OnRecovered, faultplan.OnCheckpointWave)
+		c.i8(&cs.OfRank)
+		c.time(&cs.Delay)
+		c.ratio(&cs.Probability, 128)
+		c.victims(&cs.Victims)
+		c.i8(&cs.Rank)
+		c.capped(&cs.MaxFires, 4)
+	}
+	dd := &p.RestartDelay
+	codeEnum(c, &dd.Dist, "", faultplan.DistConstant, faultplan.DistUniform, faultplan.DistExponential)
+	c.time(&dd.Value)
+	c.time(&dd.Min)
+	c.time(&dd.Max)
 }

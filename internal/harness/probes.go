@@ -48,7 +48,7 @@ const (
 	// healing partitions).
 	ProbeFencedStale = "fenced_stale"
 	// ProbeHeldDeliveries counts deliveries held on downed links over the
-	// run (released plus expired plus still held at the end).
+	// run (released plus still held at the end).
 	ProbeHeldDeliveries = "held_deliveries"
 	// ProbeMTTR is the mean time to repair in virtual nanoseconds: the
 	// mean length of the down windows closed by a completed recovery
@@ -99,7 +99,7 @@ var probeFuncs = map[string]func(*cluster.Cluster) float64{
 		if c.Faults == nil {
 			return 0
 		}
-		return float64(c.Faults.InjectedKills())
+		return float64(c.Faults.Kills)
 	},
 	ProbeDetLossCount: func(c *cluster.Cluster) float64 {
 		return float64(len(c.DetLosses))

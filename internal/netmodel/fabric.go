@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"mpichv/internal/sim"
 )
@@ -18,8 +19,7 @@ const (
 	// LinkDegraded applies the link's latency/bandwidth factors and jitter
 	// to every delivery.
 	LinkDegraded
-	// LinkDown holds deliveries on the in-flight list until the link heals
-	// (or drops them when it is healed with Expire).
+	// LinkDown holds deliveries on the in-flight list until the link heals.
 	LinkDown
 )
 
@@ -64,7 +64,7 @@ type Link struct {
 
 	// held chains the deliveries accepted while the link is down, in send
 	// order; they stay on the network's in-flight list (diagnostics see
-	// them) until Heal releases or Expire discards them.
+	// them) until a heal releases them.
 	held []*deliveryEvent
 }
 
@@ -175,16 +175,7 @@ func linkRNG(seed int64, src, dst int) *rand.Rand {
 // HealLink restores src→dst to the healthy state and releases its held
 // deliveries through the receive link's normal queueing math, in send
 // order, as if they departed at heal time.
-func (n *Network) HealLink(src, dst int) { n.healLink(src, dst, false) }
-
-// ExpireLink restores src→dst to the healthy state and discards its held
-// deliveries (the transport gave up on them during the outage); their
-// pooled delivery events are recycled. Callers model the consequences —
-// for application packets an expired delivery is a genuine message loss
-// that only a restarted sender's replay can repair.
-func (n *Network) ExpireLink(src, dst int) { n.healLink(src, dst, true) }
-
-func (n *Network) healLink(src, dst int, expire bool) {
+func (n *Network) HealLink(src, dst int) {
 	l := n.link(src, dst)
 	if l == nil {
 		return
@@ -192,8 +183,8 @@ func (n *Network) healLink(src, dst int, expire bool) {
 	if l.state == LinkDown && (l.latencyFactor != 1 || l.serFactor != 1 || l.jitter > 0) {
 		// A degrade window was opened on (or survives under) the downed
 		// link: healing the outage restores the degraded state, exactly as
-		// DegradeLink documents. A further heal — the degrade window's own
-		// expiry, or an explicit op — clears the factors.
+		// DegradeLink documents. A further heal, or the degrade window's
+		// own clear, resets the factors.
 		l.state = LinkDegraded
 	} else {
 		l.state = LinkUp
@@ -202,13 +193,6 @@ func (n *Network) healLink(src, dst int, expire bool) {
 	held := l.held
 	l.held = nil
 	if len(held) == 0 {
-		return
-	}
-	if expire {
-		for _, ev := range held {
-			n.discardHeld(ev)
-		}
-		n.ExpiredDeliveries += int64(len(held))
 		return
 	}
 	now := n.k.Now()
@@ -239,56 +223,22 @@ func (n *Network) healLink(src, dst int, expire bool) {
 	n.ReleasedDeliveries += int64(len(held))
 }
 
-// discardHeld drops one held delivery without delivering it, recycling the
-// pooled event exactly like a fired one.
-func (n *Network) discardHeld(ev *deliveryEvent) {
-	ev.to, ev.d = nil, Delivery{}
-	n.unlinkFlight(ev)
-	n.freeDeliveries = append(n.freeDeliveries, ev)
-}
-
-// HealAll heals every link in the fabric, releasing all held deliveries.
-func (n *Network) HealAll() {
-	if n.links == nil {
-		return
-	}
-	size := len(n.eps)
-	// Deterministic order: ascending (src, dst).
-	for src := 0; src < size; src++ {
-		for dst := 0; dst < size; dst++ {
-			if l := n.links[src*size+dst]; l != nil && l.state != LinkUp {
-				n.healLink(src, dst, false)
-			}
-		}
-	}
-}
-
 // Partition severs every link between endpoints of different groups (both
 // directions). Endpoints absent from every group keep all their links —
 // the stable servers, which sit on dedicated endpoints, stay reachable
 // from every side of a rank-level partition unless explicitly listed.
-func (n *Network) Partition(groups [][]int) {
-	groupOf := make(map[int]int, len(n.eps))
-	for gi, g := range groups {
-		for _, ep := range g {
-			groupOf[ep] = gi
-		}
-	}
-	for a, ga := range groupOf { //lint:allow detmap DownLink only flips per-link state; the final fabric is the same whatever the severing order
-		for b, gb := range groupOf {
-			if a != b && ga != gb {
-				n.DownLink(a, b)
-			}
-		}
-	}
-}
+func (n *Network) Partition(groups [][]int) { crossGroupPairs(groups, n.DownLink) }
 
 // HealPartition restores every cross-group link severed by Partition with
 // the same groups, releasing held deliveries in deterministic (src, dst)
 // order.
-func (n *Network) HealPartition(groups [][]int) {
-	groupOf := make(map[int]int, len(n.eps))
-	members := make([]int, 0, len(n.eps))
+func (n *Network) HealPartition(groups [][]int) { crossGroupPairs(groups, n.HealLink) }
+
+// crossGroupPairs calls fn for every ordered pair of endpoints in different
+// groups, in ascending (src, dst) order.
+func crossGroupPairs(groups [][]int, fn func(src, dst int)) {
+	groupOf := make(map[int]int)
+	var members []int
 	for gi, g := range groups {
 		for _, ep := range g {
 			if _, dup := groupOf[ep]; !dup {
@@ -297,22 +247,12 @@ func (n *Network) HealPartition(groups [][]int) {
 			groupOf[ep] = gi
 		}
 	}
-	sortInts(members)
+	slices.Sort(members)
 	for _, a := range members {
 		for _, b := range members {
 			if a != b && groupOf[a] != groupOf[b] {
-				n.HealLink(a, b)
+				fn(a, b)
 			}
-		}
-	}
-}
-
-// sortInts is a tiny insertion sort (member lists are small; avoids an
-// import for one call site).
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
 }

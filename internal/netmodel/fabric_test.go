@@ -92,14 +92,14 @@ func TestDownLinkHoldsUntilHeal(t *testing.T) {
 	if times[1]-times[0] != ser {
 		t.Fatalf("released deliveries must queue on the rx link: gap %v, want %v", times[1]-times[0], ser)
 	}
-	if n.HeldDeliveries != 2 || n.ReleasedDeliveries != 2 || n.ExpiredDeliveries != 0 {
-		t.Fatalf("counters held=%d released=%d expired=%d", n.HeldDeliveries, n.ReleasedDeliveries, n.ExpiredDeliveries)
+	if n.HeldDeliveries != 2 || n.ReleasedDeliveries != 2 {
+		t.Fatalf("counters held=%d released=%d", n.HeldDeliveries, n.ReleasedDeliveries)
 	}
 }
 
-// TestHeldDeliveryPoolReuse: delivery events recycled through the held
-// path (both released and expired) return to the pool and are reused; the
-// in-flight list ends empty either way.
+// TestHeldDeliveryPoolReuse: delivery events released from a downed link
+// return to the pool and are reused across two outages; the in-flight list
+// ends empty.
 func TestHeldDeliveryPoolReuse(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig(), 2)
@@ -107,26 +107,22 @@ func TestHeldDeliveryPoolReuse(t *testing.T) {
 	n.Endpoint(1).SetHandler(func(d Delivery) { delivered++ })
 
 	send := func() { n.Endpoint(0).Send(1, 100, nil) }
-	k.At(0, func() {
-		n.DownLink(0, 1)
-		send()
-		send()
-	})
-	k.At(sim.Millisecond, func() { n.ExpireLink(0, 1) })
-	k.At(2*sim.Millisecond, func() {
-		n.DownLink(0, 1)
-		send()
-		send()
-	})
-	k.At(3*sim.Millisecond, func() { n.HealLink(0, 1) })
+	for _, at := range []sim.Time{0, 2 * sim.Millisecond} {
+		k.At(at, func() {
+			n.DownLink(0, 1)
+			send()
+			send()
+		})
+		k.At(at+sim.Millisecond, func() { n.HealLink(0, 1) })
+	}
 	k.At(5*sim.Millisecond, func() { send() }) // healthy reuse of pooled events
 	k.Run()
 
-	if delivered != 3 {
-		t.Fatalf("delivered %d, want 3 (2 expired, 2 released, 1 direct)", delivered)
+	if delivered != 5 {
+		t.Fatalf("delivered %d, want 5 (4 released, 1 direct)", delivered)
 	}
-	if n.ExpiredDeliveries != 2 || n.ReleasedDeliveries != 2 || n.HeldDeliveries != 4 {
-		t.Fatalf("counters held=%d released=%d expired=%d", n.HeldDeliveries, n.ReleasedDeliveries, n.ExpiredDeliveries)
+	if n.ReleasedDeliveries != 4 || n.HeldDeliveries != 4 {
+		t.Fatalf("counters held=%d released=%d", n.HeldDeliveries, n.ReleasedDeliveries)
 	}
 	inFlight := 0
 	n.RangeInFlight(func(Delivery) bool { inFlight++; return true })

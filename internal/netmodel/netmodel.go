@@ -98,11 +98,9 @@ type Network struct {
 	// TotalMessages counts messages accepted for transmission.
 	TotalMessages int64
 	// HeldDeliveries counts deliveries accepted onto a down link (held for
-	// heal); ReleasedDeliveries and ExpiredDeliveries count how held ones
-	// left the fabric.
+	// heal); ReleasedDeliveries counts the held ones a heal released.
 	HeldDeliveries     int64
 	ReleasedDeliveries int64
-	ExpiredDeliveries  int64
 }
 
 // deliveryEvent carries one in-flight message through the kernel queue. The

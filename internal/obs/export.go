@@ -229,8 +229,6 @@ func ChromeTrace(events []Event, np int, end sim.Time) []byte {
 			if s, ok := degrades[ev.Arg]; ok && s.open {
 				b.close(s, "degraded", pidFabric, 1+int(ev.Arg), t, map[string]any{"spec": ev.Note})
 			}
-		case KindFabricHeal:
-			b.instant("fabric-heal", pidFabric, 0, t, nil)
 		case KindOutage:
 			b.slice("outage:"+ev.Note, pidServices, 0, t, t+sim.Time(ev.Arg), nil)
 		case KindELBacklog:

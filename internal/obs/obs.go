@@ -57,7 +57,6 @@ const (
 	KindPartitionHeal
 	KindDegrade
 	KindDegradeClear
-	KindFabricHeal
 
 	// Stable-service outage (Arg = outage duration in virtual ns; Note
 	// names the target service).
@@ -103,7 +102,6 @@ var kindNames = [kindCount]string{
 	KindPartitionHeal:       "partition-heal",
 	KindDegrade:             "degrade",
 	KindDegradeClear:        "degrade-clear",
-	KindFabricHeal:          "fabric-heal",
 	KindOutage:              "outage",
 	KindELQuery:             "el-query",
 	KindELBacklog:           "el-backlog",

@@ -19,8 +19,9 @@
 //     sender-based payload replay),
 //   - a declarative fault-scenario engine (FaultPlan): Poisson/uniform
 //     fault storms, correlated multi-rank kills, cascades triggered by
-//     recovery-path events, and Event Logger / checkpoint-server outages,
-//     with deterministic per-seed sampling,
+//     recovery-path events, Event Logger / checkpoint-server outages,
+//     network partitions and degraded links, compiled to one list of
+//     primitive operations with deterministic per-seed sampling,
 //   - NAS Parallel Benchmark communication skeletons (BT, SP, CG, LU, FT,
 //     MG; classes A and B) and a NetPIPE-style ping-pong,
 //   - one experiment per table/figure of the paper's evaluation, each
@@ -118,8 +119,9 @@ type (
 	EventLoggerConfig = eventlogger.Config
 
 	// FaultPlan is a declarative multi-failure scenario: storms,
-	// correlated kills, cascades and stable-service outages compiled onto
-	// a run's dispatcher (set Config.Faults or SweepVariant.Faults).
+	// correlated kills, cascades, stable-service outages, partitions and
+	// degraded links compiled onto a run (set Config.Faults or
+	// SweepVariant.Faults).
 	FaultPlan = faultplan.Plan
 	// FaultStorm is a stochastic fault-arrival process (Poisson or
 	// uniform inter-arrival times).
@@ -139,13 +141,10 @@ type (
 	// FaultDegradeLink runs a directed link at scaled latency/bandwidth
 	// with deterministic per-delivery jitter for a window.
 	FaultDegradeLink = faultplan.DegradeLink
-	// FaultHeal restores links (or the whole fabric) to the healthy
-	// state, releasing deliveries held on downed links.
-	FaultHeal = faultplan.Heal
 	// RestartDelayDist is a per-fault restart-delay distribution
 	// (constant/uniform/exponential) drawn from the plan's own stream.
 	RestartDelayDist = faultplan.DelayDist
-	// FaultEngine is a compiled plan with per-component fault counters.
+	// FaultEngine is a compiled plan with its fault counters.
 	FaultEngine = faultplan.Engine
 	// DispatcherEvent is one dispatcher lifecycle notification
 	// (kill/restart/recovered/finished/suspect/fenced), see
