@@ -184,3 +184,59 @@ func TestExtELContributionSmokeShape(t *testing.T) {
 		t.Fatalf("missing diagnostics: %+v", cr.DetLoss)
 	}
 }
+
+// TestFig08Shape encodes Figure 8(b)'s claim: the Event Logger never
+// makes causality management costlier (each reducer's EL column is at or
+// below its no-EL column in every row), and the cost peaks at LU.16
+// without the EL.
+func TestFig08Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid is slow")
+	}
+	tab := Fig08bReport().Table
+	peak, peakRow, peakCol := -1.0, 0, 0
+	for i, row := range tab.Rows {
+		for r := 0; r < 3; r++ {
+			if el, noEL := cell(t, tab, i, 2+r), cell(t, tab, i, 5+r); el > noEL {
+				t.Errorf("%s.%s %s: EL %.2f%% above no-EL %.2f%%", row[0], row[1], tab.Header[2+r], el, noEL)
+			}
+		}
+		for col := 2; col < len(row); col++ {
+			if v := cell(t, tab, i, col); v > peak {
+				peak, peakRow, peakCol = v, i, col
+			}
+		}
+	}
+	if row := tab.Rows[peakRow]; row[0]+" "+row[1] != "lu.A 16" || peakCol < 5 {
+		t.Errorf("largest cell %.2f%% at %s %s, %s; want lu.A 16 in a no-EL column",
+			peak, row[0], row[1], tab.Header[peakCol])
+	}
+}
+
+// TestExtPartitionSmokeShape encodes the partition smoke's claims: both
+// stacks complete both scenarios, the false suspicion is confirmed once,
+// and the crash-stop row counts exactly one kill.
+func TestExtPartitionSmokeShape(t *testing.T) {
+	rep := ExtPartitionSmokeReport()
+	for _, cr := range rep.Sweeps[1].Cells {
+		if !cr.Completed || cr.Err != "" {
+			t.Errorf("%s: completed %v, outcome %q, err %q", cr.ID, cr.Completed, cr.Outcome, cr.Err)
+		}
+	}
+	want := map[string]string{"kill": " (1)", "false-suspect": " (fs 1,"}
+	tab := rep.Table
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(tab.Rows), len(want))
+	}
+	for _, row := range tab.Rows {
+		note, ok := want[row[1]]
+		if !ok {
+			t.Fatalf("unexpected scenario row %q", row[1])
+		}
+		for col, c := range row[2:] {
+			if !strings.Contains(c, note) {
+				t.Errorf("%s %s: cell %q lacks %q", row[1], tab.Header[2+col], c, note)
+			}
+		}
+	}
+}

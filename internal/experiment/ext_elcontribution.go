@@ -20,22 +20,17 @@ import (
 
 // extELCStacks pairs each reducer with and without the Event Logger so the
 // loss fractions isolate the EL's contribution.
-var extELCStacks = []harness.Stack{
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Vcausal (no EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "Manetho (no EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: false},
-}
+var extELCStacks = []harness.Stack{causalStacks[0], causalStacks[3], causalStacks[1], causalStacks[4]}
 
 // extELCWorkload is one row of the grid: a workload plus its per-trial
 // fault plan and run budget.
 type extELCWorkload struct {
 	w harness.Workload
-	// planFor builds trial i's fault plan. Plans carry explicit seeds, so
-	// every stack of a (workload, trial) pair samples the identical storm
-	// — the EL/no-EL pairing compares outcomes under the same failure
-	// sequence.
-	planFor func(trial int) *faultplan.Plan
+	// planFor builds trial i's fault plan for the row's NP. Plans carry
+	// explicit seeds, so every stack of a (workload, trial) pair samples
+	// the identical storm — the EL/no-EL pairing compares outcomes under
+	// the same failure sequence.
+	planFor func(np, trial int) *faultplan.Plan
 	// maxVirtual fixes the faulted cells' cap; 0 derives it from the
 	// stack's fault-free baseline (× extELCDivergence).
 	maxVirtual sim.Time
@@ -49,9 +44,6 @@ type extELCConfig struct {
 	stacks    []harness.Stack
 	trials    int
 }
-
-// extELCRestart is the shared detection + relaunch delay.
-const extELCRestart = 250 * sim.Millisecond
 
 // extELCDivergence caps a storm run at this multiple of the stack's own
 // fault-free duration.
@@ -86,7 +78,7 @@ func extELCBurstStorm(np, trial int) *faultplan.Plan {
 // smoke): the victim's determinants have exactly one witness, and a
 // correlated kill fells both — certain loss without an EL, certain
 // recovery with one.
-func extELCWitnessKill(int) *faultplan.Plan {
+func extELCWitnessKill(_, _ int) *faultplan.Plan {
 	return &faultplan.Plan{
 		Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0, 1}}},
 	}
@@ -102,14 +94,11 @@ func extELCLossWorkload() harness.Workload {
 }
 
 func extELCFull() extELCConfig {
-	storm := func(np int) func(int) *faultplan.Plan {
-		return func(trial int) *faultplan.Plan { return extELCBurstStorm(np, trial) }
-	}
 	return extELCConfig{
 		name: "ext-elcontribution",
 		workloads: []extELCWorkload{
-			{w: harness.Workload{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: storm(9)},
-			{w: harness.Workload{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: storm(16)},
+			{w: harness.Workload{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
+			{w: harness.Workload{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
 		},
 		stacks: extELCStacks,
 		trials: 6,
@@ -117,7 +106,6 @@ func extELCFull() extELCConfig {
 }
 
 func extELCSmoke() extELCConfig {
-	storm := func(trial int) *faultplan.Plan { return extELCBurstStorm(9, trial) }
 	return extELCConfig{
 		name: "ext-elcontribution-smoke",
 		workloads: []extELCWorkload{
@@ -125,7 +113,7 @@ func extELCSmoke() extELCConfig {
 			// deterministically (CI asserts the outcome appears), while a
 			// short BT row exercises the stochastic storm path.
 			{w: extELCLossWorkload(), planFor: extELCWitnessKill, maxVirtual: 30 * sim.Minute},
-			{w: harness.Workload{Key: "bt.A.9x2", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 2}, AppStateBytes: 1 << 20}, planFor: storm},
+			{w: harness.Workload{Key: "bt.A.9x2", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 2}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
 		},
 		stacks: extELCStacks[:2], // Vcausal with and without EL
 		trials: 2,
@@ -142,49 +130,39 @@ func ExtELContributionReport() *Report { return extELCReport(extELCFull()) }
 func ExtELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
 
 func extELCReport(cfg extELCConfig) *Report {
-	stacks := cfg.stacks
-
-	base := extELCSpec(cfg, cfg.name+"-baseline",
-		[]harness.Variant{{Key: "fault-free"}}, nil)
-	baseRes := sweep(base)
-	baseline := make(map[string]sim.Time)
-	for _, ew := range cfg.workloads {
-		for _, st := range stacks {
-			baseline[ew.w.Key+"|"+st.Label] =
-				baseRes.MustGet(ew.w.Key, st.Label, "fault-free").Elapsed
-		}
-	}
-
-	// One variant per trial; the plan and cap resolve per workload in Tune.
+	// One variant per trial; the plan and cap resolve per workload.
 	variants := make([]harness.Variant, cfg.trials)
 	for i := range variants {
 		variants[i] = harness.Variant{Key: fmt.Sprintf("storm-%d", i+1)}
 	}
-	plans := make(map[string]*faultplan.Plan)
+	workloads := make([]harness.Workload, len(cfg.workloads))
+	rows := make(map[string]extELCWorkload)
 	caps := make(map[string]sim.Time)
-	for _, ew := range cfg.workloads {
+	for i, ew := range cfg.workloads {
+		workloads[i] = ew.w
+		rows[ew.w.Key] = ew
 		caps[ew.w.Key] = ew.maxVirtual
-		for i := 0; i < cfg.trials; i++ {
-			plans[ew.w.Key+"|"+variants[i].Key] = ew.planFor(i)
-		}
 	}
-	stormed := extELCSpec(cfg, cfg.name, variants, func(c *harness.Cell) {
-		c.Config.Faults = plans[c.Workload.Key+"|"+c.Variant.Key]
-		if fixed := caps[c.Workload.Key]; fixed > 0 {
-			c.MaxVirtual = fixed
-		} else {
-			c.MaxVirtual = baseline[c.Workload.Key+"|"+c.Stack.Label] * extELCDivergence
-		}
-	})
-	stormedRes := sweep(stormed)
+	run := faultedSweep{
+		name:      cfg.name,
+		workloads: workloads,
+		stacks:    cfg.stacks,
+		seed:      2607,
+		probes: []string{
+			harness.ProbeDetLossCount, harness.ProbeLostClockSpan,
+			harness.ProbeKills, harness.ProbePlanKills,
+		},
+		variants: variants,
+		planFor: func(w harness.Workload, np, trial int) *faultplan.Plan {
+			return rows[w.Key].planFor(np, trial)
+		},
+		factor: extELCDivergence,
+		caps:   caps,
+	}.run()
 
-	header := []string{"Workload"}
-	for _, sc := range cfg.stacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "EL contribution: determinant-loss fraction under correlated burst storms",
-		Header: header,
+		Header: stackHeader(cfg.stacks, "Workload"),
 		Notes: []string{
 			fmt.Sprintf("each cell: trials lost / %d storm trials (identical storm per trial across", cfg.trials),
 			"stacks: Poisson bursts felling NP/4 adjacent ranks per arrival); 'div' counts",
@@ -197,12 +175,12 @@ func extELCReport(cfg extELCConfig) *Report {
 			"the paper's argument for the EL, quantified",
 		},
 	}
-	for _, ew := range cfg.workloads {
-		row := []string{ew.w.Key}
-		for _, st := range stacks {
+	for _, w := range workloads {
+		row := []string{w.Key}
+		for _, st := range cfg.stacks {
 			lost, diverged := 0, 0
 			for _, v := range variants {
-				cr := stormedRes.Get(ew.w.Key, st.Label, v.Key)
+				cr := run.faulted.Get(w.Key, st.Label, v.Key)
 				switch {
 				case cr == nil:
 					diverged++
@@ -220,34 +198,5 @@ func extELCReport(cfg extELCConfig) *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: cfg.name, Table: t, Sweeps: []*harness.Results{baseRes, stormedRes}}
-}
-
-// extELCSpec assembles one sweep phase with the fig1-style checkpoint
-// budget (same per-process period for every stack).
-func extELCSpec(cfg extELCConfig, name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
-	workloads := make([]harness.Workload, len(cfg.workloads))
-	for i, ew := range cfg.workloads {
-		workloads[i] = ew.w
-	}
-	return &harness.SweepSpec{
-		Name:       name,
-		Workloads:  workloads,
-		Stacks:     cfg.stacks,
-		Variants:   variants,
-		BaseSeed:   2607,
-		MaxVirtual: 100 * sim.Minute,
-		Probes: []string{
-			harness.ProbeDetLossCount, harness.ProbeLostClockSpan,
-			harness.ProbeKills, harness.ProbePlanKills,
-		},
-		Tune: func(c *harness.Cell) {
-			c.Config.CkptPolicy = fig01PolicyFor(c.Stack.Stack)
-			c.Config.CkptInterval = fig01CkptInterval(c.Stack.Stack, c.Config.NP)
-			c.Config.RestartDelay = extELCRestart
-			if tune != nil {
-				tune(c)
-			}
-		},
-	}
+	return &Report{Name: cfg.name, Table: t, Sweeps: run.sweeps()}
 }

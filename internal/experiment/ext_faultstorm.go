@@ -13,17 +13,14 @@ import (
 // extFaultstormStacks is the protocol axis of the fault-storm extension:
 // the three causal reducers and the pessimistic baseline (all with the
 // Event Logger) against coordinated checkpointing.
-var extFaultstormStacks = []harness.Stack{
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
-	{Label: "Pessimistic (EL)", Stack: cluster.StackPessimistic, UseEL: true},
-	{Label: "Coordinated (C/L)", Stack: cluster.StackCoordinated},
-}
+var extFaultstormStacks = append(elStacks,
+	harness.Stack{Label: "Pessimistic (EL)", Stack: cluster.StackPessimistic, UseEL: true},
+	harness.Stack{Label: "Coordinated (C/L)", Stack: cluster.StackCoordinated},
+)
 
-// extFaultstormRestart is the shared detection + relaunch delay; cascade
-// delays below are chosen relative to it so faults land inside restart and
-// recovery windows.
+// extFaultstormRestart is the cluster's default detection + relaunch
+// delay; cascade delays below are chosen relative to it so faults land
+// inside restart and recovery windows.
 const extFaultstormRestart = 250 * sim.Millisecond
 
 // extFaultstormDivergence caps a scenario run at this multiple of the
@@ -35,10 +32,7 @@ const extFaultstormDivergence = 8
 // different scenario shape of the faultplan engine. Plans are shared
 // read-only across every cell; each cell samples them with its own derived
 // seed.
-var extFaultstormScenarios = []struct {
-	key  string
-	plan *faultplan.Plan
-}{
+var extFaultstormScenarios = []scenario{
 	{
 		// Independent faults arriving as a Poisson process across random
 		// ranks — the paper's Figure 1 regime pushed to overlapping
@@ -123,37 +117,24 @@ var extFaultstormScenarios = []struct {
 // failures: Poisson fault storms, correlated multi-rank kills, recovery-
 // triggered cascades, faults aimed into restart/recovery windows, and
 // stable-service outages.
-//
-// It runs the fault-storm grid as two sweeps: fault-free
-// baselines first, then one variant per scenario with each cell's
-// divergence cap derived from its stack's baseline.
 func ExtFaultstormReport() *Report {
-	stacks := extFaultstormStacks
-	base := extFaultstormSpec("ext-faultstorm-baseline",
-		[]harness.Variant{{Key: "fault-free"}}, nil)
-	baseRes := sweep(base)
-
-	baseline := make(map[string]sim.Time, len(stacks))
-	for _, st := range stacks {
-		baseline[st.Label] = baseRes.MustGet(extFaultstormWorkload().Key, st.Label, "fault-free").Elapsed
-	}
-
 	variants := make([]harness.Variant, len(extFaultstormScenarios))
 	for i, sc := range extFaultstormScenarios {
 		variants[i] = harness.Variant{Key: sc.key, Faults: sc.plan}
 	}
-	stormed := extFaultstormSpec("ext-faultstorm", variants, func(c *harness.Cell) {
-		c.MaxVirtual = baseline[c.Stack.Label] * extFaultstormDivergence
-	})
-	stormedRes := sweep(stormed)
+	run := faultedSweep{
+		name:      "ext-faultstorm",
+		workloads: []harness.Workload{extFaultstormWorkload()},
+		stacks:    extFaultstormStacks,
+		seed:      1905, // each cell samples its plans from its own derived seed
+		probes:    []string{harness.ProbeKills, harness.ProbeRestarts, harness.ProbePlanKills},
+		variants:  variants,
+		factor:    extFaultstormDivergence,
+	}.run()
 
-	header := []string{"Scenario"}
-	for _, sc := range extFaultstormStacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Fault storms: slowdown (%) of NAS BT.A on 9 nodes under overlapping failures",
-		Header: header,
+		Header: stackHeader(extFaultstormStacks, "Scenario"),
 		Notes: []string{
 			"100% = fault-free execution time of the same stack; 'diverged' = no completion",
 			fmt.Sprintf("within %dx the fault-free time; cells show slowdown (faults injected)",
@@ -165,44 +146,17 @@ func ExtFaultstormReport() *Report {
 			"coordinated checkpointing pays a rollback-all per fault and degrades first",
 		},
 	}
-	for i, sc := range extFaultstormScenarios {
+	kills := func(cr *harness.CellResult) string {
+		return fmt.Sprintf(" (%d)", int64(cr.Probes[harness.ProbeKills]))
+	}
+	for _, sc := range extFaultstormScenarios {
 		row := []string{sc.key}
-		for _, st := range stacks {
-			cr := stormedRes.Get(extFaultstormWorkload().Key, st.Label, variants[i].Key)
-			if cr == nil || cr.Err != "" || !cr.Completed {
-				row = append(row, "diverged")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%s (%d)",
-				f1(100*float64(cr.Elapsed)/float64(baseline[st.Label])),
-				int64(cr.Probes[harness.ProbeKills])))
+		for _, st := range extFaultstormStacks {
+			row = append(row, run.slowdown(extFaultstormWorkload().Key, st.Label, sc.key, kills))
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: "ext-faultstorm", Table: t, Sweeps: []*harness.Results{baseRes, stormedRes}}
-}
-
-// extFaultstormSpec assembles one sweep phase over the shared workload and
-// stack axes with the fig1-style checkpoint budget (same per-process
-// period for every stack).
-func extFaultstormSpec(name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
-	return &harness.SweepSpec{
-		Name:       name,
-		Workloads:  []harness.Workload{extFaultstormWorkload()},
-		Stacks:     extFaultstormStacks,
-		Variants:   variants,
-		BaseSeed:   1905, // each cell samples its plans from its own derived seed
-		MaxVirtual: 100 * sim.Minute,
-		Probes:     []string{harness.ProbeKills, harness.ProbeRestarts, harness.ProbePlanKills},
-		Tune: func(c *harness.Cell) {
-			c.Config.CkptPolicy = fig01PolicyFor(c.Stack.Stack)
-			c.Config.CkptInterval = fig01CkptInterval(c.Stack.Stack, c.Config.NP)
-			c.Config.RestartDelay = extFaultstormRestart
-			if tune != nil {
-				tune(c)
-			}
-		},
-	}
+	return &Report{Name: "ext-faultstorm", Table: t, Sweeps: run.sweeps()}
 }
 
 // extFaultstormWorkload is BT.A.9 lengthened 4x with a 1 MB checkpoint

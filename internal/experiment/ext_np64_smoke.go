@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
@@ -23,31 +22,21 @@ var extNP64Specs = []workload.Spec{
 	{Bench: "cg", Class: "A", NP: 64},
 }
 
-// extNP64Stacks runs the three reducers with the Event Logger: the EL acks
-// drive the stable-vector path whose interval coding the smoke guards.
-var extNP64Stacks = []harness.Stack{
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
-}
-
 // ExtNP64SmokeReport runs the NP-64 scaling smoke grid: the CG.A.64
 // piggyback sweep across the three reducers (with EL); it tabulates the
 // piggyback share, Figure-7 style.
 func ExtNP64SmokeReport() *Report {
+	// The three reducers with the Event Logger: the EL acks drive the
+	// stable-vector path whose interval coding the smoke guards.
 	res := sweep(&harness.SweepSpec{
 		Name:       "ext-np64-smoke",
 		Workloads:  nasWorkloads(extNP64Specs),
-		Stacks:     extNP64Stacks,
+		Stacks:     elStacks,
 		MaxVirtual: 30 * sim.Minute,
 	})
-	header := []string{"Benchmark", "#proc"}
-	for _, sc := range extNP64Stacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "NP-64 smoke: piggybacked data as % of exchanged application data (sparse state)",
-		Header: header,
+		Header: stackHeader(elStacks, "Benchmark", "#proc"),
 		Notes: []string{
 			"fig7-style measurement at four times the paper's largest process count;",
 			"expected shape: EL acknowledgments keep the share small for all three reducers",
@@ -55,7 +44,7 @@ func ExtNP64SmokeReport() *Report {
 	}
 	for _, spec := range extNP64Specs {
 		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range extNP64Stacks {
+		for _, sc := range elStacks {
 			cr := res.MustGet(spec.String(), sc.Label, "base")
 			row = append(row, pct(cr.Stats.PiggybackShare()))
 		}

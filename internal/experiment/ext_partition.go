@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"mpichv/internal/cluster"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
@@ -20,37 +19,14 @@ import (
 // recovery correctness hinges on the incarnation fence — the scenario the
 // paper's fail-stop assumption hides.
 
-// extPartitionStacks is the protocol axis: the three causal reducers, all
-// with the Event Logger.
-var extPartitionStacks = []harness.Stack{
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
-}
-
-// extPartitionRestart is the constant detection + relaunch delay (the
-// restart-jitter scenario replaces it with a distribution).
-const extPartitionRestart = 250 * sim.Millisecond
-
 // extPartitionDivergence caps a scenario run at this multiple of the
 // stack's fault-free duration.
 const extPartitionDivergence = 8
 
-// extPartitionScenarios are the fault environments. The partition group
-// layout isolates rank 0 from the rest of the machine; the stable servers
-// stay on the dispatcher's side of every cut.
-func extPartitionScenarios(np int) []struct {
-	key  string
-	plan *faultplan.Plan
-} {
-	rest := make([]int, 0, np-1)
-	for r := 1; r < np; r++ {
-		rest = append(rest, r)
-	}
-	return []struct {
-		key  string
-		plan *faultplan.Plan
-	}{
+// extPartitionScenarios are the fault environments; every partition
+// isolates rank 0 (isolateRank0).
+func extPartitionScenarios(np int) []scenario {
+	return []scenario{
 		{
 			// Crash-stop baseline: the same victim simply dies once.
 			key: "kill",
@@ -66,7 +42,7 @@ func extPartitionScenarios(np int) []struct {
 			plan: &faultplan.Plan{
 				Partitions: []faultplan.Partition{{
 					At:       10 * sim.Second,
-					Groups:   [][]int{{0}, rest},
+					Groups:   isolateRank0(np),
 					Duration: 300 * sim.Millisecond,
 				}},
 			},
@@ -81,7 +57,7 @@ func extPartitionScenarios(np int) []struct {
 			plan: &faultplan.Plan{
 				Partitions: []faultplan.Partition{{
 					At:           10 * sim.Second,
-					Groups:       [][]int{{0}, rest},
+					Groups:       isolateRank0(np),
 					Duration:     800 * sim.Millisecond,
 					SuspectAfter: 400 * sim.Millisecond,
 				}},
@@ -118,22 +94,32 @@ func extPartitionScenarios(np int) []struct {
 	}
 }
 
+// isolateRank0 is the partition group layout of every partition scenario:
+// rank 0 alone against the rest of the machine. The stable servers stay
+// on the dispatcher's side of the cut.
+func isolateRank0(np int) [][]int {
+	rest := make([]int, 0, np-1)
+	for r := 1; r < np; r++ {
+		rest = append(rest, r)
+	}
+	return [][]int{{0}, rest}
+}
+
 // extPartitionConfig sizes one partition-extension run; the full
 // experiment and the CI smoke variant share the machinery.
 type extPartitionConfig struct {
 	name      string
 	workloads []harness.Workload
 	stacks    []harness.Stack
-	// restart overrides the constant restart delay (0 = extPartitionRestart).
+	// restart overrides the constant restart delay (0 = the cluster
+	// default; the restart-jitter scenario replaces it with a
+	// distribution).
 	restart sim.Time
 	// scenariosFor builds the variant axis for one workload's NP.
-	scenariosFor func(np int) []struct {
-		key  string
-		plan *faultplan.Plan
-	}
-	// maxVirtual fixes the faulted cells' cap; 0 derives it from the
-	// stack's fault-free baseline (x extPartitionDivergence).
-	maxVirtual sim.Time
+	scenariosFor func(np int) []scenario
+	// caps fixes the faulted cells' cap per workload; the rest derive it
+	// from the stack's fault-free baseline (x extPartitionDivergence).
+	caps map[string]sim.Time
 }
 
 func extPartitionFull() extPartitionConfig {
@@ -143,7 +129,7 @@ func extPartitionFull() extPartitionConfig {
 			{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20},
 			{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20},
 		},
-		stacks:       extPartitionStacks,
+		stacks:       elStacks,
 		scenariosFor: extPartitionScenarios,
 	}
 }
@@ -153,18 +139,8 @@ func extPartitionFull() extPartitionConfig {
 // guaranteed to exercise a confirmed false suspicion and the stale-traffic
 // fence.
 func extPartitionSmoke() extPartitionConfig {
-	scen := func(np int) []struct {
-		key  string
-		plan *faultplan.Plan
-	} {
-		rest := make([]int, 0, np-1)
-		for r := 1; r < np; r++ {
-			rest = append(rest, r)
-		}
-		return []struct {
-			key  string
-			plan *faultplan.Plan
-		}{
+	scen := func(np int) []scenario {
+		return []scenario{
 			{
 				key: "kill",
 				plan: &faultplan.Plan{
@@ -179,7 +155,7 @@ func extPartitionSmoke() extPartitionConfig {
 				plan: &faultplan.Plan{
 					Partitions: []faultplan.Partition{{
 						At:           8 * sim.Millisecond,
-						Groups:       [][]int{{0}, rest},
+						Groups:       isolateRank0(np),
 						Duration:     7 * sim.Millisecond,
 						SuspectAfter: 2 * sim.Millisecond,
 					}},
@@ -193,10 +169,10 @@ func extPartitionSmoke() extPartitionConfig {
 			Key:  "witness-pair.3",
 			Make: func() *workload.Instance { return workload.BuildWitnessPair(40) },
 		}},
-		stacks:       extPartitionStacks[:2], // Vcausal and Manetho
+		stacks:       elStacks[:2], // Vcausal and Manetho
 		restart:      3 * sim.Millisecond,
 		scenariosFor: scen,
-		maxVirtual:   30 * sim.Minute,
+		caps:         map[string]sim.Time{"witness-pair.3": 30 * sim.Minute},
 	}
 }
 
@@ -210,49 +186,38 @@ func ExtPartitionReport() *Report { return extPartitionReport(extPartitionFull()
 func ExtPartitionSmokeReport() *Report { return extPartitionReport(extPartitionSmoke()) }
 
 func extPartitionReport(cfg extPartitionConfig) *Report {
-	stacks := cfg.stacks
-
-	base := extPartitionSpec(cfg, cfg.name+"-baseline",
-		[]harness.Variant{{Key: "fault-free"}}, nil)
-	baseRes := sweep(base)
-	baseline := make(map[string]sim.Time)
-	for _, w := range cfg.workloads {
-		for _, st := range stacks {
-			baseline[w.Key+"|"+st.Label] =
-				baseRes.MustGet(w.Key, st.Label, "fault-free").Elapsed
-		}
-	}
-
 	// The variant axis is the scenario key; the plan resolves per workload
-	// in Tune (partition groups depend on NP).
+	// (partition groups depend on NP).
 	first := cfg.scenariosFor(cfg.workloads[0].NP())
 	variants := make([]harness.Variant, len(first))
 	for i, sc := range first {
 		variants[i] = harness.Variant{Key: sc.key}
 	}
-	plans := make(map[string]*faultplan.Plan)
-	for _, w := range cfg.workloads {
-		for _, sc := range cfg.scenariosFor(w.NP()) {
-			plans[w.Key+"|"+sc.key] = sc.plan
-		}
-	}
-	stormed := extPartitionSpec(cfg, cfg.name, variants, func(c *harness.Cell) {
-		c.Config.Faults = plans[c.Workload.Key+"|"+c.Variant.Key]
-		if cfg.maxVirtual > 0 {
-			c.MaxVirtual = cfg.maxVirtual
-		} else {
-			c.MaxVirtual = baseline[c.Workload.Key+"|"+c.Stack.Label] * extPartitionDivergence
-		}
-	})
-	stormedRes := sweep(stormed)
+	run := faultedSweep{
+		name:      cfg.name,
+		workloads: cfg.workloads,
+		stacks:    cfg.stacks,
+		seed:      2905,
+		probes: []string{
+			harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
+			harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
+			harness.ProbeHeldDeliveries,
+			harness.ProbeKills, harness.ProbePlanKills,
+			harness.ProbeMTTR, harness.ProbeDowntime,
+			harness.ProbeAvailability,
+		},
+		restart:  cfg.restart,
+		variants: variants,
+		planFor: func(_ harness.Workload, np, i int) *faultplan.Plan {
+			return cfg.scenariosFor(np)[i].plan
+		},
+		factor: extPartitionDivergence,
+		caps:   cfg.caps,
+	}.run()
 
-	header := []string{"Workload", "Scenario"}
-	for _, sc := range cfg.stacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Partitions vs kills: slowdown (%) under link-fabric faults",
-		Header: header,
+		Header: stackHeader(cfg.stacks, "Workload", "Scenario"),
 		Notes: []string{
 			"100% = fault-free execution time of the same stack; cells show slowdown and",
 			"diagnostics: fs = confirmed false suspicions (live rank declared dead, stale",
@@ -265,72 +230,23 @@ func extPartitionReport(cfg extPartitionConfig) *Report {
 			"yet completes consistently — the incarnation fence, not replay, is load-bearing",
 		},
 	}
+	note := func(cr *harness.CellResult) string {
+		if fs := int64(cr.Probes[harness.ProbeFalseSuspicions]); fs > 0 {
+			return fmt.Sprintf(" (fs %d, fenced %d)", fs, int64(cr.Probes[harness.ProbeFencedStale]))
+		}
+		if kills := int64(cr.Probes[harness.ProbeKills]); kills > 0 {
+			return fmt.Sprintf(" (%d)", kills)
+		}
+		return ""
+	}
 	for _, w := range cfg.workloads {
 		for _, v := range variants {
 			row := []string{w.Key, v.Key}
-			for _, st := range stacks {
-				cr := stormedRes.Get(w.Key, st.Label, v.Key)
-				switch {
-				case cr == nil:
-					row = append(row, "error")
-					continue
-				case !cr.Completed:
-					// Render the typed outcome (determinant-loss,
-					// diverged, deadlock-timeout) rather than flattening
-					// everything to "diverged".
-					if cr.Outcome != "" {
-						row = append(row, string(cr.Outcome))
-					} else {
-						row = append(row, "error")
-					}
-					continue
-				case cr.Err != "":
-					row = append(row, "error")
-					continue
-				}
-				cell := f1(100 * float64(cr.Elapsed) / float64(baseline[w.Key+"|"+st.Label]))
-				if fs := int64(cr.Probes[harness.ProbeFalseSuspicions]); fs > 0 {
-					cell += fmt.Sprintf(" (fs %d, fenced %d)", fs, int64(cr.Probes[harness.ProbeFencedStale]))
-				} else if kills := int64(cr.Probes[harness.ProbeKills]); kills > 0 {
-					cell += fmt.Sprintf(" (%d)", kills)
-				}
-				row = append(row, cell)
+			for _, st := range cfg.stacks {
+				row = append(row, run.slowdown(w.Key, st.Label, v.Key, note))
 			}
 			t.AddRow(row...)
 		}
 	}
-	return &Report{Name: cfg.name, Table: t, Sweeps: []*harness.Results{baseRes, stormedRes}}
-}
-
-// extPartitionSpec assembles one sweep phase with the fig1-style
-// checkpoint budget.
-func extPartitionSpec(cfg extPartitionConfig, name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
-	restart := cfg.restart
-	if restart == 0 {
-		restart = extPartitionRestart
-	}
-	return &harness.SweepSpec{
-		Name:       name,
-		Workloads:  cfg.workloads,
-		Stacks:     cfg.stacks,
-		Variants:   variants,
-		BaseSeed:   2905,
-		MaxVirtual: 100 * sim.Minute,
-		Probes: []string{
-			harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
-			harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
-			harness.ProbeHeldDeliveries,
-			harness.ProbeKills, harness.ProbePlanKills,
-			harness.ProbeMTTR, harness.ProbeDowntime,
-			harness.ProbeAvailability,
-		},
-		Tune: func(c *harness.Cell) {
-			c.Config.CkptPolicy = fig01PolicyFor(c.Stack.Stack)
-			c.Config.CkptInterval = fig01CkptInterval(c.Stack.Stack, c.Config.NP)
-			c.Config.RestartDelay = restart
-			if tune != nil {
-				tune(c)
-			}
-		},
-	}
+	return &Report{Name: cfg.name, Table: t, Sweeps: run.sweeps()}
 }

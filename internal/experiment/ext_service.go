@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
@@ -18,14 +19,6 @@ import (
 // virtual-time horizon rather than kernel completion, and the grid reads
 // the SLO probes — p50/p99 latency, goodput, drops — next to the
 // availability accounting (MTTR, downtime, availability).
-
-// extServiceStacks is the protocol axis: the three causal reducers, all
-// with the Event Logger (the paper's recommended deployment).
-var extServiceStacks = []harness.Stack{
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "LogOn (EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: true},
-}
 
 // extServiceSeed derives the per-NP arrival schedules and the per-cell
 // simulation seeds. One schedule per workload key: every stack and fault
@@ -52,8 +45,9 @@ type extServiceConfig struct {
 	service   func(np int) workload.ServiceConfig
 	horizon   sim.Time
 	scenarios []extServiceScenario
-	// ckptInterval sets the checkpoint budget per stack and NP.
-	ckptInterval func(stack string, np int) sim.Time
+	// ckptInterval is the flat round-robin checkpoint period (every
+	// stack is a causal one, so there is no coordinated budget to match).
+	ckptInterval sim.Time
 }
 
 // extServiceFull is the paper-scale grid: NP 9 and 16, a ten-minute
@@ -64,7 +58,7 @@ func extServiceFull() extServiceConfig {
 	return extServiceConfig{
 		name:   "ext-service",
 		nps:    []int{9, 16},
-		stacks: extServiceStacks,
+		stacks: elStacks,
 		service: func(np int) workload.ServiceConfig {
 			return workload.ServiceConfig{
 				NP:          np,
@@ -104,14 +98,10 @@ func extServiceFull() extServiceConfig {
 				// all while requests keep arriving.
 				key: "partition",
 				plan: func(np int) *faultplan.Plan {
-					rest := make([]int, 0, np-1)
-					for r := 1; r < np; r++ {
-						rest = append(rest, r)
-					}
 					return &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           5 * sim.Minute,
-							Groups:       [][]int{{0}, rest},
+							Groups:       isolateRank0(np),
 							Duration:     800 * sim.Millisecond,
 							SuspectAfter: 400 * sim.Millisecond,
 						}},
@@ -122,7 +112,7 @@ func extServiceFull() extServiceConfig {
 		// A flat 5 s cadence instead of fig01's NP-scaled budget: frequent
 		// enough to bound storm replay to a few seconds of log, sparse
 		// enough that stalls don't dominate the fault-free tail.
-		ckptInterval: func(stack string, np int) sim.Time { return 5 * sim.Second },
+		ckptInterval: 5 * sim.Second,
 	}
 }
 
@@ -133,7 +123,7 @@ func extServiceSmoke() extServiceConfig {
 	return extServiceConfig{
 		name:   "ext-service-smoke",
 		nps:    []int{4},
-		stacks: extServiceStacks[:2], // Vcausal and Manetho
+		stacks: elStacks[:2], // Vcausal and Manetho
 		service: func(np int) workload.ServiceConfig {
 			return workload.ServiceConfig{
 				NP:            np,
@@ -165,14 +155,10 @@ func extServiceSmoke() extServiceConfig {
 				key:     "partition",
 				restart: 5 * sim.Millisecond,
 				plan: func(np int) *faultplan.Plan {
-					rest := make([]int, 0, np-1)
-					for r := 1; r < np; r++ {
-						rest = append(rest, r)
-					}
 					return &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           40 * sim.Millisecond,
-							Groups:       [][]int{{0}, rest},
+							Groups:       isolateRank0(np),
 							Duration:     30 * sim.Millisecond,
 							SuspectAfter: 10 * sim.Millisecond,
 						}},
@@ -180,7 +166,7 @@ func extServiceSmoke() extServiceConfig {
 				},
 			},
 		},
-		ckptInterval: func(stack string, np int) sim.Time { return 50 * sim.Millisecond },
+		ckptInterval: 50 * sim.Millisecond,
 	}
 }
 
@@ -211,18 +197,17 @@ func extServiceReport(cfg extServiceConfig) *Report {
 			Key:          sc.key,
 			Horizon:      cfg.horizon,
 			RestartDelay: sc.restart,
+			CkptPolicy:   checkpoint.PolicyRoundRobin,
+			CkptInterval: cfg.ckptInterval,
 		}
 	}
-	// Plans resolve per workload in Tune: partition groups depend on NP.
-	plans := make(map[string]*faultplan.Plan)
-	for _, w := range workloads {
-		np := w.NP()
-		for _, sc := range cfg.scenarios {
-			if sc.plan != nil {
-				plans[w.Key+"|"+sc.key] = sc.plan(np)
-			}
+	// Plans resolve per workload: partition groups depend on NP.
+	plans := planTune(workloads, variants, func(_ harness.Workload, np, i int) *faultplan.Plan {
+		if plan := cfg.scenarios[i].plan; plan != nil {
+			return plan(np)
 		}
-	}
+		return nil
+	})
 
 	spec := &harness.SweepSpec{
 		Name:      cfg.name,
@@ -237,21 +222,13 @@ func extServiceReport(cfg extServiceConfig) *Report {
 			harness.ProbeKills, harness.ProbePlanKills,
 			harness.ProbeFalseSuspicions,
 		},
-		Tune: func(c *harness.Cell) {
-			c.Config.CkptPolicy = fig01PolicyFor(c.Stack.Stack)
-			c.Config.CkptInterval = cfg.ckptInterval(c.Stack.Stack, c.Config.NP)
-			c.Config.Faults = plans[c.Workload.Key+"|"+c.Variant.Key]
-		},
+		Tune: plans,
 	}
 	res := sweep(spec)
 
-	header := []string{"Workload", "Scenario"}
-	for _, sc := range cfg.stacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Always-on service: latency and goodput SLOs under faults",
-		Header: header,
+		Header: stackHeader(cfg.stacks, "Workload", "Scenario"),
 		Notes: []string{
 			"open-loop Poisson request streams; latency is measured from each request's",
 			"scheduled issue time to response consumption (no coordinated omission), so",

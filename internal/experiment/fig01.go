@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
@@ -38,41 +37,13 @@ var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Sec
 // reproduced result is the shape — coordinated checkpointing stops
 // progressing at a fault frequency where message logging still runs, and
 // causal logging tracks or beats pessimistic logging.
-//
-// It runs Figure 1 as two sweeps: fault-free baselines first,
-// then the fault-frequency grid with each cell's divergence cap derived
-// from its stack's baseline.
 func Fig01Report() *Report {
-	stacks := fig01Stacks
-	base := fig01Spec("fig1-baseline", []harness.Variant{{Key: "fault-free"}}, nil)
-	baseRes := sweep(base)
+	f := fig01Sweep()
+	run := f.run()
 
-	baseline := make(map[string]sim.Time, len(stacks))
-	for _, st := range stacks {
-		baseline[st.Label] = baseRes.MustGet(fig01Workload().Key, st.Label, "fault-free").Elapsed
-	}
-
-	variants := make([]harness.Variant, len(fig01Intervals))
-	for i, interval := range fig01Intervals {
-		variants[i] = harness.Variant{
-			Key:        fmt.Sprintf("fault-every-%d", int64(interval)),
-			FaultEvery: interval,
-		}
-	}
-	faulted := fig01Spec("fig1-faulted", variants, func(c *harness.Cell) {
-		// The divergence cap is per stack: divergenceFactor times that
-		// stack's own fault-free duration.
-		c.MaxVirtual = baseline[c.Stack.Label] * divergenceFactor
-	})
-	faultedRes := sweep(faulted)
-
-	header := []string{"Faults/min"}
-	for _, sc := range fig01Stacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Figure 1: Slowdown (%) of NAS BT.A on 25 nodes vs fault frequency",
-		Header: header,
+		Header: stackHeader(fig01Stacks, "Faults/min"),
 		Notes: []string{
 			"100% = fault-free execution time of the same stack; 'diverged' = no completion",
 			fmt.Sprintf("within %dx the fault-free time (the paper's vertical slope)", divergenceFactor),
@@ -82,37 +53,31 @@ func Fig01Report() *Report {
 	}
 	for i, interval := range fig01Intervals {
 		row := []string{faultsPerMinute(interval)}
-		for _, st := range stacks {
-			cr := faultedRes.Get(fig01Workload().Key, st.Label, variants[i].Key)
-			if cr == nil || cr.Err != "" || !cr.Completed {
-				row = append(row, "diverged")
-				continue
-			}
-			row = append(row, f1(100*float64(cr.Elapsed)/float64(baseline[st.Label])))
+		for _, st := range fig01Stacks {
+			row = append(row, run.slowdown(fig01Workload().Key, st.Label, f.variants[i].Key, nil))
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: "fig1", Table: t, Sweeps: []*harness.Results{baseRes, faultedRes}}
+	return &Report{Name: "fig1", Table: t, Sweeps: run.sweeps()}
 }
 
-// fig01Spec assembles one Figure 1 sweep phase over the shared workload
-// and stack axes; tune (optional) runs after the per-stack checkpoint
-// configuration is applied.
-func fig01Spec(name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
-	return &harness.SweepSpec{
-		Name:       name,
-		Workloads:  []harness.Workload{fig01Workload()},
-		Stacks:     fig01Stacks,
-		Variants:   variants,
-		MaxVirtual: 100 * sim.Minute,
-		Tune: func(c *harness.Cell) {
-			c.Config.CkptPolicy = fig01PolicyFor(c.Stack.Stack)
-			c.Config.CkptInterval = fig01CkptInterval(c.Stack.Stack, c.Config.NP)
-			c.Config.RestartDelay = 250 * sim.Millisecond
-			if tune != nil {
-				tune(c)
-			}
-		},
+// fig01Sweep is Figure 1's grid: one variant per fault interval, each
+// cell capped at divergenceFactor times its stack's fault-free time.
+func fig01Sweep() faultedSweep {
+	variants := make([]harness.Variant, len(fig01Intervals))
+	for i, interval := range fig01Intervals {
+		variants[i] = harness.Variant{
+			Key:        fmt.Sprintf("fault-every-%d", int64(interval)),
+			FaultEvery: interval,
+		}
+	}
+	return faultedSweep{
+		name:      "fig1",
+		faulted:   "fig1-faulted",
+		workloads: []harness.Workload{fig01Workload()},
+		stacks:    fig01Stacks,
+		variants:  variants,
+		factor:    divergenceFactor,
 	}
 }
 
@@ -125,23 +90,6 @@ func fig01Workload() harness.Workload {
 		Spec:          workload.Spec{Bench: "bt", Class: "A", NP: 25, IterScale: 8},
 		AppStateBytes: 1 << 20,
 	}
-}
-
-func fig01PolicyFor(stack string) checkpoint.Policy {
-	if stack == cluster.StackCoordinated {
-		return checkpoint.PolicyCoordinated
-	}
-	return checkpoint.PolicyRoundRobin
-}
-
-// fig01CkptInterval gives every stack the same per-process checkpoint
-// period.
-func fig01CkptInterval(stack string, np int) sim.Time {
-	const period = 10 * sim.Second
-	if stack == cluster.StackCoordinated {
-		return period
-	}
-	return period / sim.Time(np)
 }
 
 func faultsPerMinute(interval sim.Time) string {

@@ -49,15 +49,8 @@ func Fig06aReport() *Report {
 var BandwidthSizes = []int{1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}
 
 // fig06bStacks is Figure 6(b)'s protocol axis.
-var fig06bStacks = []harness.Stack{
-	{Label: "RAW TCP", Stack: cluster.StackRawTCP},
-	{Label: "MPICH-P4", Stack: cluster.StackP4},
-	{Label: "MPICH-Vdummy", Stack: cluster.StackVdummy},
-	{Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
-	{Label: "Manetho (EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true},
-	{Label: "Manetho (no EL)", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: false},
-	{Label: "LogOn (no EL)", Stack: cluster.StackVcausal, Reducer: "logon", UseEL: false},
-}
+var fig06bStacks = append([]harness.Stack{{Label: "RAW TCP", Stack: cluster.StackRawTCP}},
+	allStacks[0], allStacks[1], allStacks[2], allStacks[3], allStacks[6], allStacks[7])
 
 // Fig06bReport reproduces Figure 6(b): ping-pong bandwidth versus
 // message size for raw TCP, P4, Vdummy and the causal variants.
@@ -79,13 +72,9 @@ func Fig06bReport() *Report {
 		Stacks:    fig06bStacks,
 	})
 
-	header := []string{"Message size"}
-	for _, sc := range fig06bStacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Figure 6(b): Ping-pong bandwidth over Ethernet 100Mbit/s (Mbit/s)",
-		Header: header,
+		Header: stackHeader(fig06bStacks, "Message size"),
 		Notes: []string{
 			"expected shape: raw TCP tops out ~90+ Mbit/s; all causal variants share one curve",
 			"below Vdummy; EL vs no-EL indistinguishable at large sizes",

@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"mpichv/internal/harness"
-	"mpichv/internal/workload"
 )
 
-// fig07Specs lists the benchmark/process-count grid of Figure 7.
-var fig07Specs = []workload.Spec{
-	{Bench: "bt", Class: "A", NP: 4}, {Bench: "bt", Class: "A", NP: 9}, {Bench: "bt", Class: "A", NP: 16},
-	{Bench: "cg", Class: "A", NP: 2}, {Bench: "cg", Class: "A", NP: 4},
-	{Bench: "cg", Class: "A", NP: 8}, {Bench: "cg", Class: "A", NP: 16},
-	{Bench: "lu", Class: "A", NP: 2}, {Bench: "lu", Class: "A", NP: 4},
-	{Bench: "lu", Class: "A", NP: 8}, {Bench: "lu", Class: "A", NP: 16},
+// fig07Groups is the benchmark/process-count grid of Figure 7.
+var fig07Groups = []benchGroup{
+	{"bt", "A", []int{4, 9, 16}},
+	{"cg", "A", []int{2, 4, 8, 16}},
+	{"lu", "A", []int{2, 4, 8, 16}},
 }
+
+var fig07Specs = groupSpecs(fig07Groups)
 
 // Fig07Report reproduces Figure 7: the total piggybacked causality
 // data exchanged during BT, CG and LU class A, as a percentage of the total
@@ -28,13 +27,9 @@ func Fig07Report() *Report {
 		Workloads: nasWorkloads(fig07Specs),
 		Stacks:    causalStacks,
 	})
-	header := []string{"Benchmark", "#proc"}
-	for _, sc := range causalStacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Figure 7: Piggybacked data as % of total exchanged application data",
-		Header: header,
+		Header: stackHeader(causalStacks, "Benchmark", "#proc"),
 		Notes: []string{
 			"expected shape: EL columns are a small fraction of their no-EL counterparts;",
 			"Vcausal piggybacks the most without EL; LogOn's bytes exceed Manetho's for the",

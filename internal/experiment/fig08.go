@@ -6,19 +6,10 @@ import (
 
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
-	"mpichv/internal/workload"
 )
 
-// fig08Specs lists the benchmark/process-count grid of Figure 8.
-var fig08Specs = []workload.Spec{
-	{Bench: "bt", Class: "A", NP: 4}, {Bench: "bt", Class: "A", NP: 9}, {Bench: "bt", Class: "A", NP: 16},
-	{Bench: "cg", Class: "A", NP: 2}, {Bench: "cg", Class: "A", NP: 4},
-	{Bench: "cg", Class: "A", NP: 8}, {Bench: "cg", Class: "A", NP: 16},
-	{Bench: "lu", Class: "A", NP: 2}, {Bench: "lu", Class: "A", NP: 4},
-	{Bench: "lu", Class: "A", NP: 8}, {Bench: "lu", Class: "A", NP: 16},
-	{Bench: "ft", Class: "A", NP: 2}, {Bench: "ft", Class: "A", NP: 4},
-	{Bench: "ft", Class: "A", NP: 8}, {Bench: "ft", Class: "A", NP: 16},
-}
+// fig08Specs is Figure 7's grid plus FT.
+var fig08Specs = groupSpecs(append(fig07Groups[:3:3], benchGroup{"ft", "A", []int{2, 4, 8, 16}}))
 
 // fig08Sweep runs the Figure 8 grid (benchmarks × causal stacks) once per
 // process: 8(a) and 8(b) are two renderings of the same 90 deterministic
@@ -67,13 +58,9 @@ func Fig08aReport() *Report {
 // a percentage of total execution time.
 func Fig08bReport() *Report {
 	res := fig08Sweep()
-	header := []string{"Benchmark", "#proc"}
-	for _, sc := range causalStacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Figure 8(b): Causality computation cost in % of total execution time",
-		Header: header,
+		Header: stackHeader(causalStacks, "Benchmark", "#proc"),
 		Notes: []string{
 			"expected shape: near zero with EL at small scale; grows with both process count",
 			"and message rate; largest for LU.16 without EL (paper: up to 41.5%)",

@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"mpichv/internal/harness"
-	"mpichv/internal/workload"
 )
 
 // fig09Groups lists the benchmark panels of Figure 9 with their process
 // counts.
-var fig09Groups = []struct {
-	Bench, Class string
-	NPs          []int
-}{
+var fig09Groups = []benchGroup{
 	{"cg", "A", []int{2, 4, 8, 16}},
 	{"cg", "B", []int{2, 4, 8, 16}},
 	{"mg", "A", []int{2, 4, 8, 16}},
@@ -23,17 +19,6 @@ var fig09Groups = []struct {
 	{"ft", "A", []int{2, 4, 8, 16}},
 }
 
-// fig09Specs flattens the panels into the sweep's workload axis.
-func fig09Specs() []workload.Spec {
-	var specs []workload.Spec
-	for _, g := range fig09Groups {
-		for _, np := range g.NPs {
-			specs = append(specs, workload.Spec{Bench: g.Bench, Class: g.Class, NP: np})
-		}
-	}
-	return specs
-}
-
 // Fig09Report reproduces Figure 9: NAS benchmark performance (Mflop/s) for
 // MPICH-P4, MPICH-Vdummy and the three causal protocols with and without
 // Event Logger.
@@ -41,19 +26,15 @@ func fig09Specs() []workload.Spec {
 // It runs Figure 9 as one sweep: the full NAS panel grid × every
 // stack — the largest grid of the evaluation (27 workloads × 8 stacks).
 func Fig09Report() *Report {
-	specs := fig09Specs()
+	specs := groupSpecs(fig09Groups)
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig9",
 		Workloads: nasWorkloads(specs),
 		Stacks:    allStacks,
 	})
-	header := []string{"Benchmark", "#proc"}
-	for _, sc := range allStacks {
-		header = append(header, sc.Label)
-	}
 	t := &Table{
 		Title:  "Figure 9: NAS benchmark performance (Mflop/s)",
-		Header: header,
+		Header: stackHeader(allStacks, "Benchmark", "#proc"),
 		Notes: []string{
 			"expected shape: every protocol/benchmark improves with the EL; Vcausal+EL competes",
 			"with the graph methods except at very high communication/computation ratios (LU.16);",

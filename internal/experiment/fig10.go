@@ -7,14 +7,10 @@ import (
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
-	"mpichv/internal/workload"
 )
 
 // fig10Groups lists Figure 10's benchmark/process grids.
-var fig10Groups = []struct {
-	Bench, Class string
-	NPs          []int
-}{
+var fig10Groups = []benchGroup{
 	{"bt", "A", []int{4, 9, 16, 25}},
 	{"cg", "B", []int{2, 4, 8, 16}},
 	{"lu", "A", []int{2, 4, 8, 16}},
@@ -24,17 +20,6 @@ var fig10Groups = []struct {
 var fig10Stacks = []harness.Stack{
 	{Label: "with EL", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
 	{Label: "without EL", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
-}
-
-// fig10Specs flattens the grids into the sweep's workload axis.
-func fig10Specs() []workload.Spec {
-	var specs []workload.Spec
-	for _, g := range fig10Groups {
-		for _, np := range g.NPs {
-			specs = append(specs, workload.Spec{Bench: g.Bench, Class: g.Class, NP: np})
-		}
-	}
-	return specs
 }
 
 // Fig10Report reproduces Figure 10: the time (in milliseconds) to recover
@@ -48,7 +33,7 @@ func fig10Specs() []workload.Spec {
 // restarted process reclaims its complete event history, which is exactly
 // the quantity Figure 10 reports ("time to recover all events to replay").
 func Fig10Report() *Report {
-	specs := fig10Specs()
+	specs := groupSpecs(fig10Groups)
 	workloads := nasWorkloads(specs)
 	stacks := fig10Stacks
 
