@@ -29,12 +29,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"mpichv"
+	"mpichv/internal/profile"
 )
 
 func main() {
@@ -80,12 +79,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal("%v", err)
 	}
-	// fatal exits skip this: a failed run leaves no usable profile.
-	defer stopProfiles()
 	// Structured output on stdout replaces the tables; with -out the
 	// tables stay on stdout and files carry the structured results.
 	printTables := !(*jsonOut || *csvOut) || *outDir != ""
@@ -120,6 +117,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "[%s regenerated in %.1fs]\n", name, time.Since(start).Seconds())
 		}
 	}
+	// fatal exits skip this: a failed run leaves no usable profile.
+	if err := stopProfiles(); err != nil {
+		fatal("%v", err)
+	}
 }
 
 // resolveFigures expands the -fig flag into experiment names: "all", or a
@@ -148,44 +149,6 @@ func resolveFigures(figSpec string, reports map[string]func() *mpichv.Experiment
 		return nil, fmt.Errorf("-fig %q selects no experiments", figSpec)
 	}
 	return names, nil
-}
-
-// startProfiles begins a CPU profile into cpuFile and returns the function
-// that ends it and then writes the heap profile into memFile. Either name
-// may be empty.
-func startProfiles(cpuFile, memFile string) (stop func(), err error) {
-	var cpu *os.File
-	if cpuFile != "" {
-		if cpu, err = os.Create(cpuFile); err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, fmt.Errorf("-cpuprofile: %v", err)
-		}
-	}
-	return func() {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				fatal("-cpuprofile: %v", err)
-			}
-		}
-		if memFile == "" {
-			return
-		}
-		mem, err := os.Create(memFile)
-		if err != nil {
-			fatal("-memprofile: %v", err)
-		}
-		runtime.GC() // so that in-use figures are what the run still holds
-		if err := pprof.WriteHeapProfile(mem); err != nil {
-			fatal("-memprofile: %v", err)
-		}
-		if err := mem.Close(); err != nil {
-			fatal("-memprofile: %v", err)
-		}
-	}, nil
 }
 
 // prepareOutDir creates the -out directory (with parents) when one is

@@ -7,6 +7,7 @@
 //	mpichv -bench cg -class A -np 8 -stack vcausal -reducer manetho -el
 //	mpichv -bench bt -class A -np 9 -stack coordinated -ckpt 5s
 //	mpichv -bench lu -class A -np 4 -stack vcausal -reducer logon -el -fault-at 2s -ckpt 500ms
+//	mpichv -bench cg -np 1024 -reducer manetho -el -cpuprofile cpu.pb -memprofile mem.pb
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"mpichv"
+	"mpichv/internal/profile"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -37,6 +39,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	msgBytes := fs.Int("bytes", 1024, "pingpong message size")
 	reps := fs.Int("reps", 1000, "pingpong repetitions")
 	seed := fs.Int64("seed", 1, "simulation seed")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	fs.Parse(args) // exits on error
 	if *bench == "pingpong" {
 		*np = 2
@@ -68,6 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer c.Close()
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(stderr, "mpichv: %v\n", err)
+		return 2
+	}
 	d := c.PrepareRun(b.Programs)
 	if *faultAt > 0 {
 		d.ScheduleFault(mpichv.Time(*faultAt), 0)
@@ -99,6 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if d.Kills > 0 {
 		fmt.Fprintf(stdout, "faults         : %d injected, %d restarts\n", d.Kills, d.Restarts)
+	}
+	// Before the deferred Close, so the heap profile holds the cell.
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(stderr, "mpichv: %v\n", err)
+		return 1
 	}
 	return 0
 }

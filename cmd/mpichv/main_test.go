@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,22 +36,43 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunReportsOneJob runs one small job, plain and with both profile
+// flags: the report is the same, and each profile is a written pprof file
+// (gzip-compressed protobuf).
 func TestRunReportsOneJob(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := "-bench cg -class A -np 4 -stack vcausal -reducer manetho -el"
-	if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit status %d, stderr %q", code, stderr.String())
-	}
-	for _, want := range []string{
-		"cg on 4 processes, stack=vcausal/manetho el=true",
-		"app traffic    : 2400 messages",
-		"events         : 2400 created, 2400 logged to EL",
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	for _, tc := range []struct {
+		name     string
+		extra    []string
+		profiles []string
+	}{
+		{"plain", nil, nil},
+		{"profiled", []string{"-cpuprofile", cpu, "-memprofile", mem}, []string{cpu, mem}},
 	} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("report lacks %q:\n%s", want, stdout.String())
-		}
-	}
-	if stderr.Len() != 0 {
-		t.Errorf("stderr = %q, want nothing", stderr.String())
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append(strings.Fields("-bench cg -class A -np 4 -stack vcausal -reducer manetho -el"), tc.extra...)
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit status %d, stderr %q", code, stderr.String())
+			}
+			for _, want := range []string{
+				"cg on 4 processes, stack=vcausal/manetho el=true",
+				"app traffic    : 2400 messages",
+				"events         : 2400 created, 2400 logged to EL",
+			} {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("report lacks %q:\n%s", want, stdout.String())
+				}
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("stderr = %q, want nothing", stderr.String())
+			}
+			for _, path := range tc.profiles {
+				if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+					t.Errorf("%s: not a written pprof profile (err %v, %d bytes)", path, err, len(data))
+				}
+			}
+		})
 	}
 }

@@ -27,17 +27,17 @@ import (
 //
 // Layout. A held determinant costs no heap object and no pointer: chains
 // are value slices of gnode in rankTable rows (as Vcausal's sequences are),
-// collected by copy-compaction. A node's vc field is its clock state: 0 not
-// computed, inFlight on vcOf's stack, > 0 the arena slot holding its causal
-// past as np plain words. vcOf visits the chain predecessor before the
-// parent, lets a parent that is absent when the clock is computed
-// contribute only its own identity, and never recomputes a clock: under an
-// Event Logger the cached value depends on what had been collected when it
-// was computed, so any other order or a re-evaluation would move the
-// piggybacks and with them every table. The arena costs np words per held,
-// materialised node, carved lazily from ≈ 32 KB blocks, slots recycled when
-// gc collects the node. lookup is index arithmetic on a chain without gaps
-// (clock − first clock is the index) and a binary search on one with gaps.
+// collected by copy-compaction. A node is 32 bytes, a heldDet and vc, its
+// clock state: 0 not computed, inFlight on vcOf's stack, > 0 the arena slot
+// holding its causal past as np 32-bit words. vcOf visits the chain
+// predecessor before the parent, lets a parent absent when the clock is
+// computed contribute only its own identity, and never recomputes a clock:
+// under an Event Logger the cached value depends on what had been collected
+// when it was computed, so any other order or a re-evaluation would move
+// the piggybacks and with them every table. The arena costs 4·np bytes per
+// held, materialised node, carved lazily from ≈ 32 KB blocks, slots
+// recycled when gc collects the node. lookup is index arithmetic on a chain
+// without gaps (clock − first clock is the index), else a binary search.
 //
 // Per-rank tables (knownBy, lastHeld, stable, the knowledge scratch) are
 // sparsevec.Vec floor arrays, knownBy holding one only per active peer.
@@ -66,7 +66,7 @@ type graph struct {
 	// The clock arena: slot s (1-based) is np words of block
 	// (s-1)>>slotShift. slots counts the slots ever carved, slotFree the
 	// ones gc took back.
-	arena     [][]uint64
+	arena     [][]uint32
 	slotShift uint
 	slots     int32
 	slotFree  []int32
@@ -83,7 +83,7 @@ type graph struct {
 
 // gnode is one antecedence-graph vertex.
 type gnode struct {
-	d event.Determinant
+	h heldDet
 	// vc is the state of the node's lazily computed causal past: 0 not
 	// computed, inFlight, or the arena slot that holds it.
 	vc int32
@@ -94,10 +94,10 @@ type gnode struct {
 // corrupted causality, not a legal graph state.
 const inFlight = -1
 
-// arenaBlockWords is the clock arena granularity (32 KB): large enough to
-// amortize the block allocation to noise, small enough not to bloat tiny
-// runs. A world wider than a block gets one slot per block.
-const arenaBlockWords = 4096
+// arenaBlockWords is the clock arena granularity (32 KB of 32-bit words):
+// large enough to amortize the block allocation to noise, small enough not
+// to bloat tiny runs. A world wider than a block gets one slot per block.
+const arenaBlockWords = 8192
 
 func newGraph(np int) *graph {
 	g := &graph{
@@ -115,7 +115,7 @@ func newGraph(np int) *graph {
 // clock returns the np words of a computed clock.
 //
 //mpichv:noalloc
-func (g *graph) clock(slot int32) []uint64 {
+func (g *graph) clock(slot int32) []uint32 {
 	s := int(slot - 1)
 	off := (s & (1<<g.slotShift - 1)) * g.np
 	return g.arena[s>>g.slotShift][off : off+g.np]
@@ -125,14 +125,14 @@ func (g *graph) clock(slot int32) []uint64 {
 // the slot's previous owner left: the caller overwrites all of them.
 //
 //mpichv:amortized arena refill: one make per block of slots, and gc recycles the slots of collected nodes
-func (g *graph) newClock() (int32, []uint64) {
+func (g *graph) newClock() (int32, []uint32) {
 	if k := len(g.slotFree); k > 0 {
 		slot := g.slotFree[k-1]
 		g.slotFree = g.slotFree[:k-1]
 		return slot, g.clock(slot)
 	}
 	if int(g.slots)>>g.slotShift == len(g.arena) {
-		g.arena = append(g.arena, make([]uint64, g.np<<g.slotShift))
+		g.arena = append(g.arena, make([]uint32, g.np<<g.slotShift))
 	}
 	g.slots++
 	return g.slots, g.clock(g.slots)
@@ -147,13 +147,13 @@ func (g *graph) lookup(id event.EventID) *gnode {
 	if len(chain) == 0 {
 		return nil
 	}
-	if i := clockIndex(chain, chain[0].d.ID.Clock, chain[len(chain)-1].d.ID.Clock, id.Clock, cmpNodeClock); i >= 0 {
+	if i := clockIndex(chain, uint64(chain[0].h.clock), uint64(chain[len(chain)-1].h.clock), id.Clock, cmpNodeClock); i >= 0 {
 		return &chain[i]
 	}
 	return nil
 }
 
-func cmpNodeClock(n gnode, clock uint64) int { return cmp.Compare(n.d.ID.Clock, clock) }
+func cmpNodeClock(n gnode, clock uint64) int { return cmp.Compare(uint64(n.h.clock), clock) }
 
 // insert adds d to the graph if it is neither held nor stable. The returned
 // op count is the raw structural cost (lookups + append); callers scale it
@@ -167,14 +167,14 @@ func (g *graph) insert(d event.Determinant) (inserted bool, ops int64) {
 		// here, at merge time, before the aliased antecedence edges can
 		// close a cycle (see TakeIDConflict).
 		if g.conflict != nil {
-			if held := g.lookup(d.ID); held != nil && conflicts(held.d, d) {
-				g.conflict.latch(held.d, d)
+			if n := g.lookup(d.ID); n != nil && conflicts(n.h.det(), d) {
+				g.conflict.latch(n.h.det(), d)
 			}
 		}
 		return false, 1
 	}
 	chain := g.chains.row(c)
-	*chain = append(*chain, gnode{d: d})
+	*chain = append(*chain, gnode{h: pack(d)})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
 	g.held++
 	return true, 3
@@ -185,7 +185,7 @@ func (g *graph) insert(d event.Determinant) (inserted bool, ops int64) {
 // of any length cannot overflow the Go stack.
 //
 //mpichv:amortized the walk stack grows to the longest dependency path once and is reused; each clock is computed once, into an arena slot
-func (g *graph) vcOf(n *gnode) []uint64 {
+func (g *graph) vcOf(n *gnode) []uint32 {
 	if n.vc > 0 {
 		return g.clock(n.vc)
 	}
@@ -199,7 +199,7 @@ func (g *graph) vcOf(n *gnode) []uint64 {
 	// run is already causally corrupt.
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
-		chainPred := g.lookup(event.EventID{Creator: cur.d.ID.Creator, Clock: cur.d.ID.Clock - 1})
+		chainPred := g.lookup(event.EventID{Creator: cur.h.creator, Clock: uint64(cur.h.clock) - 1})
 		if chainPred != nil && chainPred.vc <= 0 {
 			if chainPred.vc == inFlight {
 				panic(antecedenceCycle(chainPred))
@@ -209,8 +209,8 @@ func (g *graph) vcOf(n *gnode) []uint64 {
 			continue
 		}
 		var parent *gnode
-		if !cur.d.Parent.Zero() {
-			parent = g.lookup(cur.d.Parent)
+		if cur.h.parentClock != 0 {
+			parent = g.lookup(event.EventID{Creator: cur.h.parentCreator, Clock: uint64(cur.h.parentClock)})
 		}
 		if parent != nil && parent.vc <= 0 {
 			if parent.vc == inFlight {
@@ -230,14 +230,14 @@ func (g *graph) vcOf(n *gnode) []uint64 {
 			for c, f := range g.clock(parent.vc) {
 				vc[c] = max(vc[c], f)
 			}
-		} else if !cur.d.Parent.Zero() {
+		} else if cur.h.parentClock != 0 {
 			// Parent was garbage collected (stable) or never held: the only
 			// safe knowledge it contributes is its own identity.
-			vc[cur.d.Parent.Creator] = max(vc[cur.d.Parent.Creator], cur.d.Parent.Clock)
+			vc[cur.h.parentCreator] = max(vc[cur.h.parentCreator], cur.h.parentClock)
 		}
 		// The node's own entry: always above anything its antecedents know
 		// of this creator (an event cannot be in its own causal past).
-		vc[cur.d.ID.Creator] = max(vc[cur.d.ID.Creator], cur.d.ID.Clock)
+		vc[cur.h.creator] = max(vc[cur.h.creator], cur.h.clock)
 		cur.vc = slot
 		stack = stack[:len(stack)-1]
 	}
@@ -248,7 +248,7 @@ func (g *graph) vcOf(n *gnode) []uint64 {
 // antecedenceCycle builds the diagnostic for a cycle found by vcOf (cold
 // path, kept out of the walk so the hot loop allocates nothing).
 func antecedenceCycle(n *gnode) string {
-	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.d.ID)
+	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.h.det().ID)
 }
 
 // knowledgeOf returns, per creator, the highest clock dst is believed to
@@ -266,7 +266,7 @@ func (g *graph) knowledgeOf(dst event.Rank) *sparsevec.Vec {
 	known.MaxFrom(g.stable)
 	if chain, _ := g.chains.lookup(dst); len(chain) > 0 {
 		for c, f := range g.vcOf(&chain[len(chain)-1]) {
-			known.SetMax(c, f)
+			known.SetMax(c, uint64(f))
 		}
 	}
 	known.SetMax(int(dst), math.MaxUint64)
@@ -304,13 +304,13 @@ func (g *graph) frontier(dst event.Rank) (out []*gnode, creators int64) {
 		threshold := known.Get(int(key))
 		// Steady state: the whole chain already known — one tail comparison
 		// instead of a binary search.
-		if chain[len(chain)-1].d.ID.Clock <= threshold {
+		if uint64(chain[len(chain)-1].h.clock) <= threshold {
 			continue
 		}
 		lo, hi := 0, len(chain)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if chain[mid].d.ID.Clock > threshold {
+			if uint64(chain[mid].h.clock) > threshold {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -322,7 +322,7 @@ func (g *graph) frontier(dst event.Rank) (out []*gnode, creators int64) {
 		if kb == nil {
 			kb = g.knownVec(dst)
 		}
-		kb.SetMax(int(key), chain[len(chain)-1].d.ID.Clock)
+		kb.SetMax(int(key), uint64(chain[len(chain)-1].h.clock))
 	}
 	g.frontScratch = out[:0]
 	return out, creators
@@ -359,7 +359,7 @@ func (g *graph) gc(vec *sparsevec.Vec) int64 {
 		}
 		chain := g.chains.rows[i]
 		cut := 0
-		for cut < len(chain) && chain[cut].d.ID.Clock <= f {
+		for cut < len(chain) && uint64(chain[cut].h.clock) <= f {
 			if chain[cut].vc > 0 {
 				g.slotFree = append(g.slotFree, chain[cut].vc)
 			}
@@ -381,7 +381,7 @@ func (g *graph) heldFor(creator event.Rank) []event.Determinant {
 	chain, _ := g.chains.lookup(creator)
 	out := make([]event.Determinant, len(chain))
 	for i := range chain {
-		out[i] = chain[i].d
+		out[i] = chain[i].h.det()
 	}
 	return out
 }
@@ -390,7 +390,7 @@ func (g *graph) all() []event.Determinant {
 	out := make([]event.Determinant, 0, g.held)
 	for _, chain := range g.chains.rows {
 		for i := range chain {
-			out = append(out, chain[i].d)
+			out = append(out, chain[i].h.det())
 		}
 	}
 	return out

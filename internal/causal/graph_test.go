@@ -66,7 +66,7 @@ func TestGraphVectorClockMatchesGroundTruth(t *testing.T) {
 			}
 			got := g.vcOf(n)
 			for c := 0; c < np; c++ {
-				if got[c] != want[c] {
+				if uint64(got[c]) != want[c] {
 					t.Fatalf("trial %d: vc(%v)[%d] = %d, want %d", trial, id, c, got[c], want[c])
 				}
 			}
@@ -95,11 +95,11 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 		chain, _ := g.chains.lookup(event.Rank(c))
 		for i := range chain {
 			n := &chain[i]
-			if i > 0 && n.d.ID.Clock != chain[i-1].d.ID.Clock+1 {
+			if i > 0 && n.h.clock != chain[i-1].h.clock+1 {
 				t.Fatalf("chain %d not contiguous at %d", c, i)
 			}
-			if g.lookup(n.d.ID) != n {
-				t.Fatalf("lookup inconsistent for %v", n.d.ID)
+			if id := n.h.det().ID; g.lookup(id) != n {
+				t.Fatalf("lookup inconsistent for %v", id)
 			}
 		}
 	}
@@ -228,7 +228,7 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 			}
 		}
 		for id := range o.nodes {
-			if got, want := g.vcOf(g.lookup(id)), o.clock(id); !slices.Equal(got, want) {
+			if got, want := widen(g.vcOf(g.lookup(id))), o.clock(id); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, id, got, want)
 			}
 		}
@@ -239,6 +239,15 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 			t.Fatalf("trial %d: %d arena slots carved for %d clocks: slots are not being recycled", trial, g.slots, o.computed)
 		}
 	}
+}
+
+// widen returns a 32-bit arena clock as the oracle's 64-bit words.
+func widen(vc []uint32) []uint64 {
+	out := make([]uint64, len(vc))
+	for i, f := range vc {
+		out[i] = uint64(f)
+	}
+	return out
 }
 
 // TestGraphAntecedenceCyclePanics closes a two-node cycle (each event names

@@ -62,7 +62,7 @@ func (l *LogOn) Merge(src event.Rank, ds []event.Determinant) int64 {
 func (l *LogOn) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
 	nodes, ops := l.orderedFrontier(dst)
 	for _, n := range nodes {
-		buf = append(buf, n.d)
+		buf = append(buf, n.h.det())
 	}
 	return buf, ops
 }
@@ -81,9 +81,9 @@ func (l *LogOn) orderedFrontier(dst event.Rank) ([]*gnode, int64) {
 	//lint:allow noalloc the comparator captures nothing, so the compiler builds it once as a static value
 	slices.SortStableFunc(nodes, func(a, b *gnode) int {
 		switch {
-		case a.d.Lamport < b.d.Lamport:
+		case a.h.lamport < b.h.lamport:
 			return -1
-		case a.d.Lamport > b.d.Lamport:
+		case a.h.lamport > b.h.lamport:
 			return 1
 		}
 		return 0

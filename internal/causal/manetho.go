@@ -63,7 +63,7 @@ func (m *Manetho) Merge(src event.Rank, ds []event.Determinant) int64 {
 func (m *Manetho) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
 	nodes, ops := m.costedFrontier(dst)
 	for _, n := range nodes {
-		buf = append(buf, n.d)
+		buf = append(buf, n.h.det())
 	}
 	return buf, ops
 }

@@ -27,7 +27,7 @@ type Vcausal struct {
 	// seqs holds, per active creator, the unstable determinants of that
 	// creator in clock order (always a contiguous suffix of the creator's
 	// event history above the stability horizon).
-	seqs rankTable[[]event.Determinant]
+	seqs rankTable[[]heldDet]
 	// knownBy holds, per active peer, the per-creator floors of what that
 	// peer is known to hold, from what we sent it and what it sent us.
 	knownBy rankTable[*sparsevec.Vec]
@@ -75,20 +75,20 @@ func (v *Vcausal) append(d event.Determinant) int64 {
 		// TakeIDConflict). Stable (collected) copies can no longer be
 		// compared.
 		if seq, _ := v.seqs.lookup(c); len(seq) > 0 {
-			if i := clockIndex(seq, seq[0].ID.Clock, seq[len(seq)-1].ID.Clock, d.ID.Clock, cmpDetClock); i >= 0 && conflicts(seq[i], d) {
-				v.latch(seq[i], d)
+			if i := clockIndex(seq, uint64(seq[0].clock), uint64(seq[len(seq)-1].clock), d.ID.Clock, cmpHeldClock); i >= 0 && conflicts(seq[i].det(), d) {
+				v.latch(seq[i].det(), d)
 			}
 		}
 		return 1 // one comparison on the fast path
 	}
 	seq := v.seqs.row(c)
-	*seq = append(*seq, d)
+	*seq = append(*seq, pack(d))
 	v.lastHeld.SetMax(int(c), d.ID.Clock)
 	v.held++
 	return 1
 }
 
-func cmpDetClock(d event.Determinant, clock uint64) int { return cmp.Compare(d.ID.Clock, clock) }
+func cmpHeldClock(h heldDet, clock uint64) int { return cmp.Compare(uint64(h.clock), clock) }
 
 // Merge implements Reducer. Determinants from src also teach us what src
 // holds (it necessarily held what it piggybacked).
@@ -164,7 +164,7 @@ func (v *Vcausal) planFor(dst event.Rank) (total int, ops int64) {
 		}
 		// Steady state: everything already known — one tail comparison
 		// instead of a binary search.
-		if seq[len(seq)-1].ID.Clock <= threshold {
+		if uint64(seq[len(seq)-1].clock) <= threshold {
 			continue
 		}
 		// The sequence is clock-ordered: binary search for the first event
@@ -172,7 +172,7 @@ func (v *Vcausal) planFor(dst event.Rank) (total int, ops int64) {
 		lo, hi := 0, len(seq)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if seq[mid].ID.Clock > threshold {
+			if uint64(seq[mid].clock) > threshold {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -194,11 +194,11 @@ func (v *Vcausal) emitTo(dst event.Rank, buf []event.Determinant) []event.Determ
 	for i, key := range v.seqs.keys {
 		seq := v.seqs.rows[i]
 		if lo := v.cutScratch[i]; lo < len(seq) {
-			buf = append(buf, seq[lo:]...)
+			buf = appendDets(buf, seq[lo:])
 			if known == nil {
 				known = v.knownVec(dst)
 			}
-			known.SetMax(int(key), seq[len(seq)-1].ID.Clock)
+			known.SetMax(int(key), uint64(seq[len(seq)-1].clock))
 		}
 	}
 	return buf
@@ -225,7 +225,7 @@ func (v *Vcausal) Stable(vec *sparsevec.Vec) int64 {
 		}
 		seq := v.seqs.rows[i]
 		cut := 0
-		for cut < len(seq) && seq[cut].ID.Clock <= f {
+		for cut < len(seq) && uint64(seq[cut].clock) <= f {
 			cut++
 		}
 		if cut > 0 {
@@ -246,14 +246,14 @@ func (v *Vcausal) Held() int { return v.held }
 // HeldFor implements Reducer.
 func (v *Vcausal) HeldFor(creator event.Rank) []event.Determinant {
 	seq, _ := v.seqs.lookup(creator)
-	return append([]event.Determinant(nil), seq...)
+	return appendDets(make([]event.Determinant, 0, len(seq)), seq)
 }
 
 // All implements Reducer.
 func (v *Vcausal) All() []event.Determinant {
 	out := make([]event.Determinant, 0, v.held)
-	for i := range v.seqs.keys {
-		out = append(out, v.seqs.rows[i]...)
+	for _, seq := range v.seqs.rows {
+		out = appendDets(out, seq)
 	}
 	return out
 }
