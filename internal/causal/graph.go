@@ -1,49 +1,54 @@
 package causal
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
 
-// graph is the antecedence graph shared by the Manetho and LogOn reducers.
+// graph is the one held-determinant store the three reducers embed: one
+// clock-ordered chain of determinants per creator, what each peer is known
+// to hold, and the stability horizon. The reducers differ only in how they
+// bound what a destination already knows (frontier's infer switch), in
+// their op counts, their emission order and their wire encoding.
 //
-// Vertices are reception determinants. Two kinds of edges exist, both
-// implicit in the determinant fields:
+// Read as an antecedence graph, vertices are reception determinants and two
+// kinds of edges exist, both implicit in the determinant fields:
 //
 //   - chain edges: event (c, k-1) precedes (c, k) — per-creator total order;
 //   - cross edges: d.Parent (the sender's last event before the emission)
 //     precedes d.ID.
 //
 // The causal past of any single event is downward closed per creator, so it
-// is exactly a vector clock. Each node's vector clock is computed lazily
-// (most nodes never need one; only the latest event of a destination is
-// queried, to infer what that destination already knows — the paper's
-// "crossing this graph allows to better estimate the events already known
-// by a receiver").
+// is exactly a vector clock. With inference on (Manetho, LogOn), the clock
+// of the destination's latest held event is computed lazily and raises its
+// known floors — the paper's "crossing this graph allows to better estimate
+// the events already known by a receiver". With inference off (Vcausal),
+// only direct exchanges and the horizon count, and no clock is ever
+// materialised.
 //
 // Layout. A held determinant costs no heap object and no pointer: chains
-// are value slices of gnode in rankTable rows (as Vcausal's sequences are),
-// collected by copy-compaction. A node is 32 bytes, a heldDet and vc, its
-// clock state: 0 not computed, inFlight on vcOf's stack, > 0 the arena slot
-// holding its causal past as np 32-bit words. vcOf visits the chain
-// predecessor before the parent, lets a parent absent when the clock is
-// computed contribute only its own identity, and never recomputes a clock:
-// under an Event Logger the cached value depends on what had been collected
-// when it was computed, so any other order or a re-evaluation would move
-// the piggybacks and with them every table. The arena costs 4·np bytes per
+// are value slices of gnode in rankTable rows, collected by
+// copy-compaction. A node is 32 bytes, a heldDet and vc, its clock state: 0
+// not computed, inFlight on vcOf's stack, > 0 the arena slot holding its
+// causal past as np 32-bit words. vcOf visits the chain predecessor before
+// the parent, lets a parent absent when the clock is computed contribute
+// only its own identity, and never recomputes a clock: under an Event
+// Logger the cached value depends on what had been collected when it was
+// computed, so any other order or a re-evaluation would move the
+// piggybacks and with them every table. The arena costs 4·np bytes per
 // held, materialised node, carved lazily from ≈ 32 KB blocks, slots
-// recycled when gc collects the node. lookup is index arithmetic on a chain
-// without gaps (clock − first clock is the index), else a binary search.
+// recycled when Stable collects the node.
 //
-// Per-rank tables (knownBy, lastHeld, stable, the knowledge scratch) are
-// sparsevec.Vec floor arrays, knownBy holding one only per active peer.
-// The *op counts* the reducers charge are computed arithmetically over the
-// world size.
+// Per-rank tables (knownBy, lastHeld, stable) are sparsevec.Vec floor
+// arrays, knownBy holding one only per active peer. The *op counts* the
+// reducers charge are computed arithmetically over the world size.
 type graph struct {
+	// conflictLatch latches determinant-ID conflicts found by insert
+	// (TakeIDConflict).
+	conflictLatch
+
 	np int
 
 	// chains holds, per active creator, the live nodes of that creator in
@@ -51,21 +56,18 @@ type graph struct {
 	chains rankTable[[]gnode]
 
 	// knownBy holds, per active peer, the floors of what that peer is known
-	// to hold from direct exchanges (the antecedence inference is applied on
-	// top of this at send time).
-	knownBy  rankTable[*sparsevec.Vec]
+	// to hold from direct exchanges: what we sent it and what it sent us.
+	knownBy rankTable[*sparsevec.Vec]
+	// lastHeld[c] is the highest clock of c's events ever inserted (dedup).
 	lastHeld *sparsevec.Vec
-	stable   *sparsevec.Vec
-
-	// conflict latches determinant-ID conflicts found by insert (the
-	// owning reducer exposes it through TakeIDConflict).
-	conflict *conflictLatch
+	// stable[c] is the Event Logger's acknowledged clock for creator c.
+	stable *sparsevec.Vec
 
 	held int
 
 	// The clock arena: slot s (1-based) is np words of block
 	// (s-1)>>slotShift. slots counts the slots ever carved, slotFree the
-	// ones gc took back.
+	// ones Stable took back.
 	arena     [][]uint32
 	slotShift uint
 	slots     int32
@@ -73,15 +75,13 @@ type graph struct {
 
 	// Scratch, reused across calls (the reducer is a single-process state
 	// machine, never shared between goroutines):
-	//   knownScratch  backs knowledgeOf's per-send knowledge vector;
 	//   frontScratch  backs frontier's result (valid until the next call);
 	//   vcStack       backs vcOf's iterative dependency walk.
-	knownScratch *sparsevec.Vec
 	frontScratch []*gnode
 	vcStack      []*gnode
 }
 
-// gnode is one antecedence-graph vertex.
+// gnode is one held determinant, an antecedence-graph vertex.
 type gnode struct {
 	h heldDet
 	// vc is the state of the node's lazily computed causal past: 0 not
@@ -99,12 +99,11 @@ const inFlight = -1
 // to bloat tiny runs. A world wider than a block gets one slot per block.
 const arenaBlockWords = 8192
 
-func newGraph(np int) *graph {
-	g := &graph{
-		np:           np,
-		lastHeld:     sparsevec.New(np),
-		stable:       sparsevec.New(np),
-		knownScratch: sparsevec.New(np),
+func newGraph(np int) graph {
+	g := graph{
+		np:       np,
+		lastHeld: sparsevec.New(np),
+		stable:   sparsevec.New(np),
 	}
 	for w := 2 * np; 0 < w && w <= arenaBlockWords; w *= 2 {
 		g.slotShift++
@@ -124,7 +123,7 @@ func (g *graph) clock(slot int32) []uint32 {
 // newClock returns a free arena slot and its words, which hold whatever
 // the slot's previous owner left: the caller overwrites all of them.
 //
-//mpichv:amortized arena refill: one make per block of slots, and gc recycles the slots of collected nodes
+//mpichv:amortized arena refill: one make per block of slots, and Stable recycles the slots of collected nodes
 func (g *graph) newClock() (int32, []uint32) {
 	if k := len(g.slotFree); k > 0 {
 		slot := g.slotFree[k-1]
@@ -138,46 +137,64 @@ func (g *graph) newClock() (int32, []uint32) {
 	return g.slots, g.clock(g.slots)
 }
 
+// after returns the index of the first node of chain with a clock above
+// clock, len(chain) when none: the suffix a holder of clock lacks.
+func after(chain []gnode, clock uint64) int {
+	lo, hi := 0, len(chain)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if uint64(chain[mid].h.clock) > clock {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // lookup returns the held node with the given event ID, or nil. The
-// pointer is into the creator's chain: valid until the next insert or gc.
+// pointer is into the creator's chain: valid until the next insert or
+// Stable. In a chain without gaps the distance from the first clock is the
+// index; otherwise the chain is searched.
 //
 //mpichv:noalloc
 func (g *graph) lookup(id event.EventID) *gnode {
 	chain, _ := g.chains.lookup(id.Creator)
-	if len(chain) == 0 {
+	if len(chain) == 0 || id.Clock < uint64(chain[0].h.clock) {
 		return nil
 	}
-	if i := clockIndex(chain, uint64(chain[0].h.clock), uint64(chain[len(chain)-1].h.clock), id.Clock, cmpNodeClock); i >= 0 {
+	i := id.Clock - uint64(chain[0].h.clock)
+	if i >= uint64(len(chain)) || uint64(chain[i].h.clock) != id.Clock {
+		i = uint64(after(chain, id.Clock-1))
+	}
+	if i < uint64(len(chain)) && uint64(chain[i].h.clock) == id.Clock {
 		return &chain[i]
 	}
 	return nil
 }
 
-func cmpNodeClock(n gnode, clock uint64) int { return cmp.Compare(uint64(n.h.clock), clock) }
-
-// insert adds d to the graph if it is neither held nor stable. The returned
+// insert adds d to the store if it is neither held nor stable. The returned
 // op count is the raw structural cost (lookups + append); callers scale it
 // by their protocol's per-event factor.
-func (g *graph) insert(d event.Determinant) (inserted bool, ops int64) {
+func (g *graph) insert(d event.Determinant) (ops int64) {
 	c := d.ID.Creator
 	if d.ID.Clock <= g.lastHeld.Get(int(c)) || d.ID.Clock <= g.stable.Get(int(c)) {
-		// Duplicate or already stable. A copy still in the graph is
-		// compared against the incoming content: a mismatch means the
-		// creator re-created this ID after a regressed recovery — caught
-		// here, at merge time, before the aliased antecedence edges can
-		// close a cycle (see TakeIDConflict).
-		if g.conflict != nil {
-			if n := g.lookup(d.ID); n != nil && conflicts(n.h.det(), d) {
-				g.conflict.latch(n.h.det(), d)
-			}
+		// Duplicate or already stable. A copy still held is compared
+		// against the incoming content: a mismatch means the creator
+		// re-created this ID after a regressed recovery — caught here, at
+		// merge time, before the aliased antecedence edges can close a
+		// cycle (see TakeIDConflict). Stable (collected) copies can no
+		// longer be compared.
+		if n := g.lookup(d.ID); n != nil && conflicts(n.h.det(), d) {
+			g.latch(n.h.det(), d)
 		}
-		return false, 1
+		return 1
 	}
 	chain := g.chains.row(c)
 	*chain = append(*chain, gnode{h: pack(d)})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
 	g.held++
-	return true, 3
+	return 3
 }
 
 // vcOf returns the vector clock (causal past) of n, computing and caching it
@@ -251,28 +268,6 @@ func antecedenceCycle(n *gnode) string {
 	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.h.det().ID)
 }
 
-// knowledgeOf returns, per creator, the highest clock dst is believed to
-// hold: the max of direct-exchange knowledge, the stability horizon and —
-// the antecedence inference — the causal past of dst's latest event held
-// locally. Entry dst is infinite: a process knows its own events. The
-// returned vector is scratch, valid until the next call.
-func (g *graph) knowledgeOf(dst event.Rank) *sparsevec.Vec {
-	known := g.knownScratch
-	if kb, ok := g.knownBy.lookup(dst); ok && kb != nil {
-		known.CopyFrom(kb)
-	} else {
-		known.Reset(g.np)
-	}
-	known.MaxFrom(g.stable)
-	if chain, _ := g.chains.lookup(dst); len(chain) > 0 {
-		for c, f := range g.vcOf(&chain[len(chain)-1]) {
-			known.SetMax(c, uint64(f))
-		}
-	}
-	known.SetMax(int(dst), math.MaxUint64)
-	return known
-}
-
 // knownVec returns dst's direct-exchange knowledge floors, creating them on
 // first contact.
 //
@@ -285,50 +280,54 @@ func (g *graph) knownVec(dst event.Rank) *sparsevec.Vec {
 	return *known
 }
 
-// frontier returns the held determinants above dst's inferred knowledge, in
-// factored order (grouped by creator, clocks ascending), along with the
-// number of creator chains the cost model probes (one per world rank — the
-// sparse walk only visits active chains, the probe count is arithmetic).
-// It commits the result to knownBy[dst]. The returned slice is scratch,
-// valid until the next frontier call.
-func (g *graph) frontier(dst event.Rank) (out []*gnode, creators int64) {
-	out = g.frontScratch[:0]
-	known := g.knowledgeOf(dst)
-	creators = int64(g.np)
-	var kb *sparsevec.Vec
+// frontier returns the held determinants dst is not believed to hold, in
+// factored order (grouped by creator, clocks ascending), and commits them
+// to knownBy[dst]. Each active chain's threshold is the max, at that
+// chain's creator, of dst's direct-exchange knowledge, the stability
+// horizon and — only when infer is set — the causal past of dst's latest
+// held event. A process knows its own events, so dst's chain is skipped.
+// The returned slice is scratch, valid until the next frontier call.
+func (g *graph) frontier(dst event.Rank, infer bool) []*gnode {
+	out := g.frontScratch[:0]
+	known, _ := g.knownBy.lookup(dst)
+	var vc []uint32
+	if infer {
+		if chain, _ := g.chains.lookup(dst); len(chain) > 0 {
+			vc = g.vcOf(&chain[len(chain)-1])
+		}
+	}
 	for i, key := range g.chains.keys {
 		chain := g.chains.rows[i]
 		if len(chain) == 0 || event.Rank(key) == dst {
 			continue
 		}
-		threshold := known.Get(int(key))
+		threshold := g.stable.Get(int(key))
+		if known != nil {
+			threshold = max(threshold, known.Get(int(key)))
+		}
+		if vc != nil {
+			threshold = max(threshold, uint64(vc[key]))
+		}
 		// Steady state: the whole chain already known — one tail comparison
 		// instead of a binary search.
-		if uint64(chain[len(chain)-1].h.clock) <= threshold {
+		last := uint64(chain[len(chain)-1].h.clock)
+		if last <= threshold {
 			continue
 		}
-		lo, hi := 0, len(chain)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if uint64(chain[mid].h.clock) > threshold {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		for j := lo; j < len(chain); j++ {
+		for j := after(chain, threshold); j < len(chain); j++ {
 			out = append(out, &chain[j])
 		}
-		if kb == nil {
-			kb = g.knownVec(dst)
+		if known == nil {
+			known = g.knownVec(dst)
 		}
-		kb.SetMax(int(key), uint64(chain[len(chain)-1].h.clock))
+		known.SetMax(int(key), last)
 	}
 	g.frontScratch = out[:0]
-	return out, creators
+	return out
 }
 
-// mergeLearn updates direct-exchange knowledge after receiving ds from src.
+// mergeLearn updates direct-exchange knowledge after receiving ds from src
+// (it necessarily held what it piggybacked).
 //
 //mpichv:noalloc
 func (g *graph) mergeLearn(src event.Rank, ds []event.Determinant) {
@@ -341,43 +340,40 @@ func (g *graph) mergeLearn(src event.Rank, ds []event.Determinant) {
 	}
 }
 
-// gc removes nodes at or below the acknowledged vector.
-func (g *graph) gc(vec *sparsevec.Vec) int64 {
+// Stable implements Reducer: it raises the horizon to vec and collects, in
+// one walk over the active chains, every node at or below it.
+//
+//mpichv:noalloc
+func (g *graph) Stable(vec *sparsevec.Vec) int64 {
 	if vec == nil {
 		return 0
 	}
+	g.stable.MaxFrom(vec)
 	ops := int64(0)
-	i := 0 // cursor into chains: Range and the table both ascend by rank
-	vec.Range(func(c int, f uint64) bool {
-		if f <= g.stable.Get(c) {
-			return true
-		}
-		g.stable.SetMax(c, f)
-		var ok bool
-		if i, ok = g.chains.seek(i, event.Rank(c)); !ok {
-			return true
-		}
+	for i, key := range g.chains.keys {
 		chain := g.chains.rows[i]
-		cut := 0
-		for cut < len(chain) && uint64(chain[cut].h.clock) <= f {
-			if chain[cut].vc > 0 {
-				g.slotFree = append(g.slotFree, chain[cut].vc)
+		cut := after(chain, g.stable.Get(int(key)))
+		if cut == 0 {
+			continue
+		}
+		for j := range cut {
+			if chain[j].vc > 0 {
+				g.slotFree = append(g.slotFree, chain[j].vc)
 			}
-			cut++
 		}
-		if cut > 0 {
-			// Compact in place: the slice keeps its capacity for future
-			// appends.
-			g.chains.rows[i] = chain[:copy(chain, chain[cut:])]
-			g.held -= cut
-			ops += int64(cut)
-		}
-		return true
-	})
+		// Compact in place: the slice keeps its capacity for future appends.
+		g.chains.rows[i] = chain[:copy(chain, chain[cut:])]
+		g.held -= cut
+		ops += int64(cut)
+	}
 	return ops
 }
 
-func (g *graph) heldFor(creator event.Rank) []event.Determinant {
+// Held implements Reducer.
+func (g *graph) Held() int { return g.held }
+
+// HeldFor implements Reducer.
+func (g *graph) HeldFor(creator event.Rank) []event.Determinant {
 	chain, _ := g.chains.lookup(creator)
 	out := make([]event.Determinant, len(chain))
 	for i := range chain {
@@ -386,7 +382,8 @@ func (g *graph) heldFor(creator event.Rank) []event.Determinant {
 	return out
 }
 
-func (g *graph) all() []event.Determinant {
+// All implements Reducer.
+func (g *graph) All() []event.Determinant {
 	out := make([]event.Determinant, 0, g.held)
 	for _, chain := range g.chains.rows {
 		for i := range chain {

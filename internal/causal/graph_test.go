@@ -1,7 +1,6 @@
 package causal
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -86,7 +85,7 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 			})
 		}
 	}
-	g.gc(stableVec(5, 20, 0, 13))
+	g.Stable(stableVec(5, 20, 0, 13))
 	wantHeld := 15 + 0 + 20 + 7
 	if g.held != wantHeld {
 		t.Fatalf("held = %d, want %d", g.held, wantHeld)
@@ -106,17 +105,6 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 	// GC'd ids must no longer resolve.
 	if g.lookup(event.EventID{Creator: 0, Clock: 5}) != nil {
 		t.Fatal("collected node still resolvable")
-	}
-}
-
-// TestKnowledgeOfInfiniteForSelf checks a destination is always credited
-// with its own events.
-func TestKnowledgeOfInfiniteForSelf(t *testing.T) {
-	g := newGraph(3)
-	g.insert(event.Determinant{ID: event.EventID{Creator: 1, Clock: 4}, Sender: 0, SendSeq: 4, Lamport: 1})
-	known := g.knowledgeOf(1)
-	if known.Get(1) != ^uint64(0) {
-		t.Fatalf("known[dst] = %d, want max", known.Get(1))
 	}
 }
 
@@ -167,10 +155,12 @@ func (o *oracle) gc(c event.Rank, f uint64) {
 
 // TestGraphClocksMatchOracleUnderGC drives random causally valid
 // insertions — some determinants never reach the graph, leaving chains with
-// gaps and parents never held — with knowledgeOf queries and collections of
-// random stable prefixes interleaved, and checks every answer against the
-// oracle. Enough is collected that clocks are computed into recycled slots,
-// which still hold their previous owner's words.
+// gaps and parents never held — with collections of random stable prefixes
+// interleaved. At the moments a send would cross the graph it queries the
+// clock of the destination's latest held event, as frontier does, and
+// checks every answer against the oracle. Enough is collected that clocks
+// are computed into recycled slots, which still hold their previous owner's
+// words.
 func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -182,15 +172,20 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 		lastHeld := make([]event.EventID, np)
 		check := func(dst int) {
 			t.Helper()
-			want := slices.Clone(o.stable)
-			if latest := lastHeld[dst]; o.nodes[latest].ID == latest && !latest.Zero() {
-				for c, f := range o.clock(latest) {
-					want[c] = max(want[c], f)
+			chain, _ := g.chains.lookup(event.Rank(dst))
+			latest := lastHeld[dst]
+			if _, held := o.nodes[latest]; !held || latest.Zero() {
+				if len(chain) > 0 {
+					t.Fatalf("trial %d (np %d): rank %d's chain holds %v, want none", trial, np, dst, chain[len(chain)-1].h.det().ID)
 				}
+				return
 			}
-			want[dst] = math.MaxUint64
-			if got := g.knowledgeOf(event.Rank(dst)).Dense(); !slices.Equal(got, want) {
-				t.Fatalf("trial %d (np %d): knowledgeOf(%d) = %v, want %v", trial, np, dst, got, want)
+			n := &chain[len(chain)-1]
+			if n.h.det().ID != latest {
+				t.Fatalf("trial %d (np %d): rank %d's latest held event is %v, want %v", trial, np, dst, n.h.det().ID, latest)
+			}
+			if got, want := widen(g.vcOf(n)), o.clock(latest); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, latest, got, want)
 			}
 		}
 		for step := 0; step < 600; step++ {
@@ -208,7 +203,8 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 			}
 			lastEvt[dst] = d.ID
 			if r.Intn(8) > 0 {
-				if inserted, _ := g.insert(d); inserted {
+				held := g.held
+				if g.insert(d); g.held > held {
 					o.nodes[d.ID], lastHeld[dst] = d, d.ID
 				}
 			}
@@ -224,7 +220,7 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 						o.gc(event.Rank(c), f)
 					}
 				}
-				g.gc(ack)
+				g.Stable(ack)
 			}
 		}
 		for id := range o.nodes {
@@ -270,7 +266,7 @@ func TestGraphAntecedenceCyclePanics(t *testing.T) {
 	if g.lookup(a).vc != inFlight || g.lookup(b).vc != inFlight {
 		t.Fatal("the walk should have died with both nodes in flight")
 	}
-	g.gc(stableVec(1, 1))
+	g.Stable(stableVec(1, 1))
 	a.Clock, b.Clock = 2, 2
 	g.insert(event.Determinant{ID: a, Sender: 1, SendSeq: 2, Lamport: 2})
 	g.insert(event.Determinant{ID: b, Sender: 0, SendSeq: 2, Parent: a, Lamport: 3})

@@ -3,7 +3,6 @@ package causal
 import (
 	"slices"
 
-	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
 
@@ -14,18 +13,10 @@ import (
 // before their descendants). The reordering is paid at emission time, and
 // the order constraint prevents factoring events by receiver rank, so each
 // event carries its receiver id on the wire (flat encoding, §III-C).
-type LogOn struct {
-	conflictLatch
-
-	g *graph
-}
+type LogOn struct{ graph }
 
 // NewLogOn returns an empty LogOn reducer for rank self of np processes.
-func NewLogOn(self event.Rank, np int) *LogOn {
-	l := &LogOn{g: newGraph(np)}
-	l.g.conflict = &l.conflictLatch
-	return l
-}
+func NewLogOn(self event.Rank, np int) *LogOn { return &LogOn{newGraph(np)} }
 
 // Name implements Reducer.
 func (l *LogOn) Name() string { return "logon" }
@@ -33,10 +24,7 @@ func (l *LogOn) Name() string { return "logon" }
 // AddLocal implements Reducer.
 //
 //mpichv:noalloc
-func (l *LogOn) AddLocal(d event.Determinant) int64 {
-	_, ops := l.g.insert(d)
-	return ops
-}
+func (l *LogOn) AddLocal(d event.Determinant) int64 { return l.insert(d) }
 
 // Merge implements Reducer. Cost model: a single pass over the batch —
 // the partial order guarantees a vertex's antecedents are inserted before
@@ -46,9 +34,9 @@ func (l *LogOn) AddLocal(d event.Determinant) int64 {
 //mpichv:noalloc
 func (l *LogOn) Merge(src event.Rank, ds []event.Determinant) int64 {
 	for _, d := range ds {
-		l.g.insert(d)
+		l.insert(d)
 	}
-	l.g.mergeLearn(src, ds)
+	l.mergeLearn(src, ds)
 	return int64(len(ds))
 }
 
@@ -60,51 +48,24 @@ func (l *LogOn) Merge(src event.Rank, ds []event.Determinant) int64 {
 //
 //mpichv:noalloc
 func (l *LogOn) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
-	nodes, ops := l.orderedFrontier(dst)
-	for _, n := range nodes {
-		buf = append(buf, n.h.det())
-	}
-	return buf, ops
-}
-
-// orderedFrontier computes the frontier in emission (partial) order and the
-// total op cost. The returned slice is graph scratch, valid until the next
-// frontier computation.
-func (l *LogOn) orderedFrontier(dst event.Rank) ([]*gnode, int64) {
-	nodes, creators := l.g.frontier(dst)
-	if len(nodes) == 0 {
-		return nil, creators + int64(l.g.held)/3
-	}
+	nodes := l.frontier(dst, true)
 	// Stable sort: ancestors (strictly smaller Lamport value) come first;
 	// ties keep factored order, which is fine because equal-Lamport events
 	// are causally unordered.
-	//lint:allow noalloc the comparator captures nothing, so the compiler builds it once as a static value
-	slices.SortStableFunc(nodes, func(a, b *gnode) int {
-		switch {
-		case a.h.lamport < b.h.lamport:
-			return -1
-		case a.h.lamport > b.h.lamport:
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(nodes, byLamport)
 	k := int64(len(nodes))
-	return nodes, k*(1+log2ceil(len(nodes))) + creators + int64(l.g.held)/3
+	return appendDets(buf, nodes), k*(1+log2ceil(len(nodes))) + int64(l.np) + int64(l.held)/3
 }
 
-// Stable implements Reducer.
-func (l *LogOn) Stable(vec *sparsevec.Vec) int64 { return l.g.gc(vec) }
-
-// Held implements Reducer.
-func (l *LogOn) Held() int { return l.g.held }
-
-// HeldFor implements Reducer.
-func (l *LogOn) HeldFor(creator event.Rank) []event.Determinant {
-	return l.g.heldFor(creator)
+func byLamport(a, b *gnode) int {
+	switch {
+	case a.h.lamport < b.h.lamport:
+		return -1
+	case a.h.lamport > b.h.lamport:
+		return 1
+	}
+	return 0
 }
-
-// All implements Reducer.
-func (l *LogOn) All() []event.Determinant { return l.g.all() }
 
 // PiggybackBytes implements Reducer (flat encoding).
 func (l *LogOn) PiggybackBytes(ds []event.Determinant) int {

@@ -1,9 +1,6 @@
 package causal
 
-import (
-	"mpichv/internal/causal/sparsevec"
-	"mpichv/internal/event"
-)
+import "mpichv/internal/event"
 
 // Manetho is the reference antecedence-graph protocol (Elnozahy &
 // Zwaenepoel). On each emission it crosses the graph from the last known
@@ -13,19 +10,11 @@ import (
 // all vertices before resolving cross edges — a second pass over the batch
 // that makes Manetho's reception handling the most expensive of the three
 // protocols (paper §V-D.2).
-type Manetho struct {
-	conflictLatch
-
-	g *graph
-}
+type Manetho struct{ graph }
 
 // NewManetho returns an empty Manetho reducer for rank self of np
 // processes.
-func NewManetho(self event.Rank, np int) *Manetho {
-	m := &Manetho{g: newGraph(np)}
-	m.g.conflict = &m.conflictLatch
-	return m
-}
+func NewManetho(self event.Rank, np int) *Manetho { return &Manetho{newGraph(np)} }
 
 // Name implements Reducer.
 func (m *Manetho) Name() string { return "manetho" }
@@ -33,10 +22,7 @@ func (m *Manetho) Name() string { return "manetho" }
 // AddLocal implements Reducer.
 //
 //mpichv:noalloc
-func (m *Manetho) AddLocal(d event.Determinant) int64 {
-	_, ops := m.g.insert(d)
-	return ops
-}
+func (m *Manetho) AddLocal(d event.Determinant) int64 { return m.insert(d) }
 
 // Merge implements Reducer. Cost model: the factored batch carries no
 // ordering guarantee, so Manetho inserts all vertices first and then
@@ -47,10 +33,10 @@ func (m *Manetho) AddLocal(d event.Determinant) int64 {
 //mpichv:noalloc
 func (m *Manetho) Merge(src event.Rank, ds []event.Determinant) int64 {
 	for _, d := range ds {
-		m.g.insert(d)
+		m.insert(d)
 	}
-	m.g.mergeLearn(src, ds)
-	return 3*int64(len(ds)) + int64(m.g.held)/32
+	m.mergeLearn(src, ds)
+	return 3*int64(len(ds)) + int64(m.held)/32
 }
 
 // AppendPiggybackFor implements Reducer. Cost model: the emission crossing
@@ -61,40 +47,9 @@ func (m *Manetho) Merge(src event.Rank, ds []event.Determinant) int64 {
 //
 //mpichv:noalloc
 func (m *Manetho) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
-	nodes, ops := m.costedFrontier(dst)
-	for _, n := range nodes {
-		buf = append(buf, n.h.det())
-	}
-	return buf, ops
+	nodes := m.frontier(dst, true)
+	return appendDets(buf, nodes), int64(m.np) + int64(m.held)/4 + 2*int64(len(nodes))
 }
-
-// costedFrontier computes the emission frontier and the total op cost, the
-// single home of Manetho's send-side cost model. The returned slice is
-// graph scratch, valid until the next frontier computation.
-//
-//mpichv:noalloc
-func (m *Manetho) costedFrontier(dst event.Rank) ([]*gnode, int64) {
-	nodes, creators := m.g.frontier(dst)
-	ops := creators + int64(m.g.held)/4
-	if len(nodes) == 0 {
-		return nil, ops
-	}
-	return nodes, ops + 2*int64(len(nodes))
-}
-
-// Stable implements Reducer.
-func (m *Manetho) Stable(vec *sparsevec.Vec) int64 { return m.g.gc(vec) }
-
-// Held implements Reducer.
-func (m *Manetho) Held() int { return m.g.held }
-
-// HeldFor implements Reducer.
-func (m *Manetho) HeldFor(creator event.Rank) []event.Determinant {
-	return m.g.heldFor(creator)
-}
-
-// All implements Reducer.
-func (m *Manetho) All() []event.Determinant { return m.g.all() }
 
 // PiggybackBytes implements Reducer (factored encoding).
 func (m *Manetho) PiggybackBytes(ds []event.Determinant) int {

@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,8 @@ type driver struct {
 	// history records every determinant ever created, for completeness
 	// checks.
 	history map[event.EventID]event.Determinant
-	// depthOf is ground-truth antecedence depth, for LogOn order checks.
+	// vcAt is each event's ground-truth vector clock, for LogOn order
+	// checks.
 	vcAt map[event.EventID][]uint64
 }
 
@@ -58,11 +60,19 @@ func newDriver(t *testing.T, name string, np int) *driver {
 	return d
 }
 
-// send delivers one message from src to dst, exercising the full protocol
-// path, and checks per-message invariants.
-func (d *driver) send(src, dst int) {
-	t := d.t
+// send asks src's reducer for its piggyback to dst and delivers it.
+func (d *driver) send(src, dst int) []event.Determinant {
 	pb, _ := d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
+	d.deliver(src, dst, pb)
+	return pb
+}
+
+// deliver checks the per-message invariants of piggyback pb from src to dst,
+// then delivers the message: dst merges pb and creates the reception
+// determinant, and the ground truth follows.
+func (d *driver) deliver(src, dst int, pb []event.Determinant) {
+	t := d.t
+	t.Helper()
 
 	// Invariant: no event is ever piggybacked twice between the same pair,
 	// no stable event is piggybacked and no event of dst is sent to dst.
@@ -127,15 +137,21 @@ func (d *driver) send(src, dst int) {
 }
 
 // ackStable simulates an Event Logger acknowledgment covering a random
-// prefix of each creator's events, broadcast to every process.
+// prefix of each creator's events.
 func (d *driver) ackStable(r *rand.Rand) {
 	vec := make([]uint64, d.np)
 	for c := 0; c < d.np; c++ {
-		if d.clock[c] == 0 {
-			continue
+		if d.clock[c] > 0 {
+			vec[c] = d.stable[c] + uint64(r.Int63n(int64(d.clock[c]-d.stable[c]+1)))
 		}
-		vec[c] = d.stable[c] + uint64(r.Int63n(int64(d.clock[c]-d.stable[c]+1)))
-		d.stable[c] = vec[c]
+	}
+	d.ack(vec)
+}
+
+// ack broadcasts the Event Logger acknowledgment vec to every process.
+func (d *driver) ack(vec []uint64) {
+	for c, f := range vec {
+		d.stable[c] = max(d.stable[c], f)
 	}
 	for i := 0; i < d.np; i++ {
 		d.rs[i].Stable(stableVec(vec...))
@@ -243,40 +259,8 @@ func TestPropertyGraphSubsetOfVcausal(t *testing.T) {
 						seed, e.ID, src, dst)
 				}
 			}
-			// Drive both worlds identically (bypass driver.send's own
-			// AppendPiggybackFor by replaying its bookkeeping).
-			for _, d := range []*driver{dv, dm} {
-				pb := pbV
-				if d == dm {
-					pb = pbM
-				}
-				for _, e := range pb {
-					d.sentPair[src*np+dst][e.ID] = true
-				}
-				d.sendSeq[src]++
-				sendVC := append([]uint64(nil), d.trueVC[src]...)
-				d.rs[dst].Merge(event.Rank(src), pb)
-				d.clock[dst]++
-				if d.lamport[src] > d.lamport[dst] {
-					d.lamport[dst] = d.lamport[src]
-				}
-				d.lamport[dst]++
-				det := event.Determinant{
-					ID:      event.EventID{Creator: event.Rank(dst), Clock: d.clock[dst]},
-					Sender:  event.Rank(src),
-					SendSeq: d.sendSeq[src],
-					Parent:  d.lastEvt[src],
-					Lamport: d.lamport[dst],
-				}
-				d.rs[dst].AddLocal(det)
-				d.lastEvt[dst] = det.ID
-				for c := 0; c < np; c++ {
-					if sendVC[c] > d.trueVC[dst][c] {
-						d.trueVC[dst][c] = sendVC[c]
-					}
-				}
-				d.trueVC[dst][dst] = d.clock[dst]
-			}
+			dv.deliver(src, dst, pbV)
+			dm.deliver(src, dst, pbM)
 		}
 		dv.checkCompleteness()
 		dm.checkCompleteness()
@@ -300,27 +284,9 @@ func TestPropertyPiggybackVolumeOrdering(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			pb, _ := d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
+			pb := d.send(src, dst)
 			events[idx] += int64(len(pb))
 			bytes[idx] += int64(d.rs[src].PiggybackBytes(pb))
-			// Bypass the duplicate bookkeeping of driver.send: replay merge
-			// and local event manually for identical traffic.
-			d.sendSeq[src]++
-			d.rs[dst].Merge(event.Rank(src), pb)
-			d.clock[dst]++
-			if d.lamport[src] > d.lamport[dst] {
-				d.lamport[dst] = d.lamport[src]
-			}
-			d.lamport[dst]++
-			det := event.Determinant{
-				ID:      event.EventID{Creator: event.Rank(dst), Clock: d.clock[dst]},
-				Sender:  event.Rank(src),
-				SendSeq: d.sendSeq[src],
-				Parent:  d.lastEvt[src],
-				Lamport: d.lamport[dst],
-			}
-			d.rs[dst].AddLocal(det)
-			d.lastEvt[dst] = det.ID
 		}
 	}
 	vc, man, lg := 0, 1, 2
@@ -332,4 +298,79 @@ func TestPropertyPiggybackVolumeOrdering(t *testing.T) {
 		t.Errorf("byte volume: logon=%d should exceed manetho=%d (flat encoding)",
 			bytes[lg], bytes[man])
 	}
+}
+
+// FuzzReducers drives the three reducers over one identical history decoded
+// from the input: byte 0 picks the world size (2–12); then each byte below
+// 224 is a send (src and dst from its value) and each byte from 224 up is
+// an Event Logger acknowledgment, whose next np bytes pick a prefix of
+// each creator's events. Every delivery checks the driver's invariants;
+// every send also checks that Manetho and LogOn emit the same set. Until
+// the first acknowledgment, that set must also be within what Vcausal
+// emits now or sent to dst before: Vcausal assumes the least knowledge.
+// Once collection starts this no longer holds (seed 7816d7acba442dd1): a
+// clock computed after an antecedent was collected keeps only that
+// antecedent's own identity, so inference can know less than what Vcausal
+// learned from dst's own, larger, piggybacks. The run ends with a
+// completeness check.
+func FuzzReducers(f *testing.F) {
+	r := rand.New(rand.NewSource(7))
+	for _, np := range []byte{0, 3, 10} {
+		seed := []byte{np}
+		for range 300 {
+			seed = append(seed, byte(r.Intn(256)))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		script = script[:min(len(script), 2048)]
+		np := 2 + int(script[0])%11
+		var ds [3]*driver
+		for k, name := range Names() {
+			ds[k] = newDriver(t, name, np)
+		}
+		dv, acked := ds[0], false
+		for i := 1; i < len(script); i++ {
+			if b := int(script[i]); b < 224 {
+				src, dst := b%np, b/np%(np-1)
+				if dst >= src {
+					dst++
+				}
+				var pbs [3][]event.Determinant
+				for k, d := range ds {
+					pbs[k], _ = d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
+				}
+				if !maps.Equal(ids(pbs[1]), ids(pbs[2])) {
+					t.Fatalf("send %d->%d: manetho emitted %v, logon %v", src, dst, pbs[1], pbs[2])
+				}
+				sentV := ids(pbs[0])
+				for _, e := range pbs[1] {
+					if !acked && !sentV[e.ID] && !dv.sentPair[src*np+dst][e.ID] {
+						t.Fatalf("send %d->%d: manetho emitted %v, which vcausal neither emits nor sent before", src, dst, e.ID)
+					}
+				}
+				for k, d := range ds {
+					d.deliver(src, dst, pbs[k])
+				}
+				continue
+			}
+			vec := make([]uint64, np)
+			for c := range vec {
+				if i+1 < len(script) {
+					i++
+					vec[c] = dv.stable[c] + uint64(script[i])%(dv.clock[c]-dv.stable[c]+1)
+				}
+			}
+			for _, d := range ds {
+				d.ack(vec)
+			}
+			acked = true
+		}
+		for _, d := range ds {
+			d.checkCompleteness()
+		}
+	})
 }

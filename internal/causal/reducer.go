@@ -19,9 +19,11 @@
 // With K the piggyback length, C the number of creator chains, H the held
 // graph size:
 //
-//   - Vcausal needs no graph: send scans per-creator sequences (C + K),
-//     merge appends (K ops). No term depends on H — the paper's "light
-//     computation cost" protocol.
+//   - Vcausal keeps the same per-creator chains but never crosses them as
+//     a graph (the store's inference off, no clock materialised): send
+//     scans the chains (C + K + H/8 — the paper's Figure 8a shows its
+//     send-side time growing without an Event Logger), merge appends (K
+//     ops). The paper's "light computation cost" protocol.
 //   - Manetho crosses the antecedence graph on each emission
 //     (C + 2K + H/4 — the H term is the paper's "the complete graph has to
 //     be traversed for each emission", which makes no-EL costs grow with
@@ -39,11 +41,14 @@
 // the EL keeps state small but message counts are high (LU/CG with EL,
 // FT's all-to-all).
 //
+// All three hold one store (graph): one clock-ordered chain of determinants
+// per creator, what each peer is known to hold, and the stability horizon.
+// Each sends the held determinants above the destination's known floors.
 // The piggyback *set* produced by Manetho and LogOn is identical (both
-// protocols compute the complement of the destination's inferred
-// knowledge); they differ in emission order, wire encoding (factored vs
-// flat) and cost. Vcausal's set is larger because it only tracks knowledge
-// learned through direct exchanges, with no antecedence inference.
+// raise the floors by the destination's inferred knowledge, the causal
+// past of its latest held event); they differ in emission order, wire
+// encoding (factored vs flat) and cost. Vcausal's set is larger because
+// its floors are what it learned through direct exchanges alone.
 package causal
 
 import (
@@ -157,8 +162,8 @@ func (c *conflictLatch) latch(existing, incoming event.Determinant) {
 	}
 }
 
-// TakeIDConflict implements the Reducer method for every embedding
-// reducer.
+// TakeIDConflict implements Reducer for every reducer, through the store
+// they embed.
 func (c *conflictLatch) TakeIDConflict() (existing, incoming event.Determinant, ok bool) {
 	if !c.set {
 		return event.Determinant{}, event.Determinant{}, false
@@ -177,7 +182,7 @@ func conflicts(a, b event.Determinant) bool {
 	return a.Sender != b.Sender || a.SendSeq != b.SendSeq || a.Parent != b.Parent
 }
 
-// heldDet is a determinant as the reducers hold it, 28 bytes: clocks, send
+// heldDet is a determinant as the store holds it, 28 bytes: clocks, send
 // sequence and Lamport value at the wire codec's 32 bits (§III-C), ranks at
 // full width. pack and det convert exactly, zero-clock parents included.
 type heldDet struct {
@@ -197,10 +202,10 @@ func (h heldDet) det() event.Determinant {
 		Parent: event.EventID{Creator: h.parentCreator, Clock: uint64(h.parentClock)}, Lamport: uint64(h.lamport)}
 }
 
-// appendDets appends hs, unpacked, to buf.
-func appendDets(buf []event.Determinant, hs []heldDet) []event.Determinant {
-	for _, h := range hs {
-		buf = append(buf, h.det())
+// appendDets appends the determinants of nodes, unpacked, to buf.
+func appendDets(buf []event.Determinant, nodes []*gnode) []event.Determinant {
+	for _, n := range nodes {
+		buf = append(buf, n.h.det())
 	}
 	return buf
 }

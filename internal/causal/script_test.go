@@ -36,23 +36,30 @@ var scriptDigests = []struct {
 // same random AddLocal/Merge/Stable/AppendPiggybackFor script must produce
 // the piggyback sets (content and order), the op counts — the virtual-CPU
 // cost model — and the Held() values recorded in scriptDigests, at world
-// sizes from the paper's to NP 257.
+// sizes from the paper's to NP 257. Vcausal never crosses the store as a
+// graph, so its run must not carve a single clock slot.
 func TestReducerScriptDigests(t *testing.T) {
 	for _, want := range scriptDigests {
 		msgs := 300
 		if want.np >= 64 {
 			msgs = 150 // keep the large worlds affordable
 		}
-		if got := scriptDigest(want.reducer, want.np, msgs, 42); got != want.digest {
+		got, rs := scriptDigest(want.reducer, want.np, msgs, 42)
+		if got != want.digest {
 			t.Errorf("%s np=%d: digest %#x, want %#x", want.reducer, want.np, got, want.digest)
+		}
+		for i, r := range rs {
+			if v, ok := r.(*Vcausal); ok && v.slots != 0 {
+				t.Errorf("vcausal np=%d: rank %d carved %d clock slots, want 0", want.np, i, v.slots)
+			}
 		}
 	}
 }
 
 // scriptDigest runs one scripted random exchange and folds every observable
 // output — piggyback event IDs in emission order, op counts, Held() — into
-// one hash.
-func scriptDigest(name string, np, msgs int, seed int64) uint64 {
+// one hash. It also returns the reducers the script drove.
+func scriptDigest(name string, np, msgs int, seed int64) (uint64, []Reducer) {
 	r := rand.New(rand.NewSource(seed))
 	rs := make([]Reducer, np)
 	for i := range rs {
@@ -113,5 +120,5 @@ func scriptDigest(name string, np, msgs int, seed int64) uint64 {
 	for i := range rs {
 		fmt.Fprintf(h, "final held[%d]=%d\n", i, rs[i].Held())
 	}
-	return h.Sum64()
+	return h.Sum64(), rs
 }

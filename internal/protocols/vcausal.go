@@ -72,13 +72,7 @@ func (v *Vcausal) Name() string {
 	return fmt.Sprintf("vcausal/%s%s", v.reducerName, suffix)
 }
 
-// ReducerName returns the piggyback-reduction technique in use.
-func (v *Vcausal) ReducerName() string { return v.reducerName }
-
-// UsesEL reports whether the stack ships determinants to the Event Logger.
-func (v *Vcausal) UsesEL() bool { return v.useEL }
-
-// Held returns the volatile determinant count (graph/sequence size).
+// Held returns the volatile determinant count (the reducer store's size).
 func (v *Vcausal) Held() int { return v.reducer.Held() }
 
 // PreSend implements daemon.Protocol: attach the piggyback, log the

@@ -29,13 +29,9 @@ func (*Vdummy) PreSend(*daemon.Node, *vproto.Message) {}
 // OnDeliver implements daemon.Protocol.
 func (*Vdummy) OnDeliver(*daemon.Node, *vproto.Message) {}
 
-// OnControl implements daemon.Protocol.
-func (*Vdummy) OnControl(n *daemon.Node, pkt *vproto.Packet) {
-	if pkt.Kind == vproto.PktCkptRequest {
-		// No checkpointing either: ignore the scheduler.
-		return
-	}
-}
+// OnControl implements daemon.Protocol: no checkpointing either, so the
+// scheduler's requests are ignored.
+func (*Vdummy) OnControl(*daemon.Node, *vproto.Packet) {}
 
 // TakeSnapshot implements daemon.Protocol.
 func (*Vdummy) TakeSnapshot(*daemon.Node) {}

@@ -71,6 +71,7 @@
 package mpichv
 
 import (
+	"mpichv/internal/causal"
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
@@ -311,7 +312,7 @@ func OnlyRank(r int) int { return faultplan.OnlyRank(r) }
 
 // Reducers lists the piggyback-reduction techniques usable with
 // StackVcausal: "vcausal", "manetho", "logon".
-func Reducers() []string { return []string{"vcausal", "manetho", "logon"} }
+func Reducers() []string { return causal.Names() }
 
 // TimelineJSONL renders timeline events as one JSON object per line.
 func TimelineJSONL(events []TimelineEvent) []byte { return obs.JSONL(events) }
