@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-fig 1|6a|6b|7|8a|8b|9|10[,...]] [-parallel N]
-//	            [-json] [-csv] [-out DIR] [-trace DIR] [-timeout D] [-q]
+//	            [-json] [-csv] [-out DIR] [-trace DIR] [-q]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	experiments -list
 //
@@ -44,7 +44,6 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit structured sweep results as CSV")
 	outDir := flag.String("out", "", "directory for -json/-csv files (empty = stdout, suppressing tables)")
 	traceDir := flag.String("trace", "", "directory for per-cell run timelines (JSONL + Chrome trace-event; empty = no tracing)")
-	cellTimeout := flag.Duration("timeout", 0, "wall-clock timeout per sweep cell (0 = none)")
 	quiet := flag.Bool("q", false, "suppress progress reporting on stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
@@ -64,7 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := mpichv.SweepOptions{Parallel: *parallel, CellTimeout: *cellTimeout, TraceDir: *traceDir}
+	opts := mpichv.SweepOptions{Parallel: *parallel, TraceDir: *traceDir}
 	if !*quiet {
 		opts.OnProgress = func(p mpichv.SweepProgress) {
 			if p.Done == p.Total || p.Done%25 == 0 {
@@ -164,8 +163,8 @@ func prepareOutDir(dir string) error {
 }
 
 // generate runs one report generator, converting the harness's
-// loud-failure panics (a cell that timed out, errored or missed its
-// virtual cap feeding a table) into a clean CLI error.
+// loud-failure panics (a cell that errored or did not complete feeding a
+// table) into a clean CLI error.
 func generate(gen func() *mpichv.ExperimentReport) (rep *mpichv.ExperimentReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -303,9 +303,9 @@ func protoFor(cfg Config, rank event.Rank) daemon.Protocol {
 }
 
 // Run launches one program per rank and executes the simulation until all
-// programs complete, a determinant loss stops the run, or maxVirtual
-// elapses. The result carries the structured Outcome; callers that assume
-// completion chain .MustCompleted().
+// programs complete, a determinant loss stops the run, the event queue
+// drains, or maxVirtual elapses. The result carries the structured
+// Outcome; callers that assume completion chain .MustCompleted().
 func (c *Cluster) Run(programs []failure.Program, maxVirtual sim.Time) RunResult {
 	d := c.PrepareRun(programs)
 	d.Launch()
@@ -357,10 +357,10 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 }
 
 // RunLaunched executes an already-launched deployment until completion,
-// the first determinant loss, or the maxVirtual safety deadline, and
-// returns the structured result. Unlike completion and loss, divergence is
-// not a panic either: callers decide (tables render it, tests chain
-// MustCompleted).
+// the first determinant loss, a drained event queue, or the maxVirtual
+// safety deadline, and returns the structured result. Deadlock and
+// divergence are not panics either: callers decide (tables render them,
+// tests chain MustCompleted).
 func (c *Cluster) RunLaunched(maxVirtual sim.Time) RunResult {
 	end := c.K.RunUntil(maxVirtual)
 	return RunResult{

@@ -41,10 +41,10 @@ const (
 	OutcomeHorizon Outcome = "horizon"
 	// OutcomeDiverged: the run was still pending at its virtual-time cap.
 	OutcomeDiverged Outcome = "diverged"
-	// OutcomeDeadlockTimeout: a wall-clock watchdog stopped the kernel
-	// (assigned by harness layers that run one; the cluster itself only
-	// observes virtual time).
-	OutcomeDeadlockTimeout Outcome = "deadlock-timeout"
+	// OutcomeDeadlock: the kernel ran out of events with programs still
+	// pending, before its cap and without being stopped — every blocked
+	// rank waits for something no future event can bring.
+	OutcomeDeadlock Outcome = "deadlock"
 )
 
 // FalseSuspicion records one confirmed false suspicion: the detector
@@ -89,7 +89,7 @@ func (r RunResult) MustCompleted() sim.Time {
 	case OutcomeDeterminantLoss:
 		panic(fmt.Sprintf("cluster: determinant loss: %v", *r.DetLoss))
 	default:
-		panic(fmt.Sprintf("cluster: run did not complete (outcome %q at %v: deadlock or deadline too tight)", r.Outcome, r.End))
+		panic(fmt.Sprintf("cluster: run did not complete: outcome %q at %v", r.Outcome, r.End))
 	}
 }
 
@@ -107,6 +107,9 @@ func (c *Cluster) Outcome() Outcome {
 	}
 	if c.Cfg.Horizon > 0 && c.K.Now() >= c.Cfg.Horizon {
 		return OutcomeHorizon
+	}
+	if !c.K.Stopped() && c.K.Drained() {
+		return OutcomeDeadlock
 	}
 	return OutcomeDiverged
 }

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"cmp"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -157,4 +159,82 @@ func TestAssembleReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzAssembleReplay checks assembleReplay against referenceReplay. Byte 0
+// picks the recovering creator (of 4) and byte 1 the checkpoint's clock
+// base. Each following byte pair is one collected determinant: the first
+// byte's low two bits are its creator and the rest its sender; the second
+// byte's low five bits give its clock (1–32, so duplicates and holes are
+// common) and the rest a content variant, so a later duplicate can differ
+// from the copy that arrived first.
+func FuzzAssembleReplay(f *testing.F) {
+	f.Add([]byte{1, 2, 1 | 9<<2, 4, 9 << 2, 1, 1 | 9<<2, 2, 1 | 9<<2, 3, 9 << 2, 0}) // gapless, interleaved responders
+	f.Add([]byte{1, 2, 1, 3, 1, 2, 1 | 3<<2, 3 | 32, 1, 2, 2, 6, 2, 6})              // duplicates, a later copy differing
+	f.Add([]byte{1, 3, 1, 8, 1, 4, 1, 5})                                            // holes right above the base and inside
+	f.Add([]byte{3, 0, 3, 31, 2, 0, 3, 0, 3, 31 | 64})                               // one hole spanning almost every clock
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		in = in[:min(len(in), 512)]
+		creator, base := event.Rank(in[0]%4), uint64(in[1]%16)
+		var collected []event.Determinant
+		for i := 2; i+1 < len(in); i += 2 {
+			collected = append(collected, event.Determinant{
+				ID:      event.EventID{Creator: event.Rank(in[i] & 3), Clock: 1 + uint64(in[i+1]%32)},
+				Sender:  event.Rank(in[i] >> 2),
+				SendSeq: uint64(in[i+1] / 32),
+			})
+		}
+		wantAll, wantOwn, wantGap := referenceReplay(collected, creator, base)
+		all, own, gap := assembleReplay(slices.Clone(collected), nil, creator, base)
+		for i := 1; i < len(all); i++ {
+			if a, b := all[i-1].ID, all[i].ID; a.Creator > b.Creator || a.Creator == b.Creator && a.Clock >= b.Clock {
+				t.Fatalf("all is not strictly ascending at %d: %v then %v", i, a, b)
+			}
+		}
+		if !slices.Equal(all, wantAll) {
+			t.Fatalf("all = %v, want %v", all, wantAll)
+		}
+		if !slices.Equal(own, wantOwn) {
+			t.Fatalf("replay set = %v, want %v", own, wantOwn)
+		}
+		if !reflect.DeepEqual(gap, wantGap) {
+			t.Fatalf("gap = %+v, want %+v", gap, wantGap)
+		}
+	})
+}
+
+// referenceReplay is assembleReplay written plainly: the first-arrived copy
+// of each ID, kept in a map and then sorted; creator's determinants above
+// base; and every clock missing between base and the highest one held.
+func referenceReplay(collected []event.Determinant, creator event.Rank, base uint64) (all, own []event.Determinant, gap DeterminantLoss) {
+	first := make(map[event.EventID]event.Determinant)
+	for _, d := range collected {
+		if _, ok := first[d.ID]; !ok {
+			first[d.ID] = d
+		}
+	}
+	all = slices.SortedFunc(maps.Values(first), func(a, b event.Determinant) int {
+		return cmp.Or(cmp.Compare(a.ID.Creator, b.ID.Creator), cmp.Compare(a.ID.Clock, b.ID.Clock))
+	})
+	held, top := make(map[uint64]bool), base
+	for _, d := range all {
+		if d.ID.Creator == creator && d.ID.Clock > base {
+			own = append(own, d)
+			held[d.ID.Clock], top = true, d.ID.Clock
+		}
+	}
+	for c := base + 1; c <= top; c++ {
+		if held[c] {
+			continue
+		}
+		if gap.Lost == 0 {
+			gap.MissingFrom = c
+		}
+		gap.MissingTo, gap.Gap = c, true
+		gap.Lost++
+	}
+	return all, own, gap
 }

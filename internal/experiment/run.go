@@ -44,7 +44,7 @@ func nasWorkloads(specs []workload.Spec) []harness.Workload {
 var runnerOpts harness.Options
 
 // SetRunnerOptions installs the worker-pool options used by every figure
-// sweep (parallel width, cell timeout, progress and error callbacks).
+// sweep (parallel width, progress and error callbacks, trace directory).
 func SetRunnerOptions(o harness.Options) { runnerOpts = o }
 
 // RunnerOptions returns the currently installed sweep options.
@@ -163,8 +163,8 @@ func (r *faultedRun) sweeps() []*harness.Results { return []*harness.Results{r.b
 
 // slowdown renders one faulted cell as a percentage of its own fault-free
 // time, with note (if any) appending diagnostics. A run that did not
-// complete shows its typed outcome (diverged, determinant-loss,
-// deadlock-timeout) rather than a number.
+// complete shows its typed outcome (diverged, deadlock, determinant-loss)
+// rather than a number.
 func (r *faultedRun) slowdown(w, stack, variant string, note func(*harness.CellResult) string) string {
 	cr := r.faulted.Get(w, stack, variant)
 	switch {

@@ -11,6 +11,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
+	"mpichv/internal/failure"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
@@ -225,21 +226,63 @@ func TestCellPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestCellTimeout: a wall-clock-bounded cell is abandoned and reported as
-// errored instead of stalling the sweep.
-func TestCellTimeout(t *testing.T) {
+// crossedRecv is the smallest deadlock: rank 0 computes 3 ms and sends
+// once, then each rank waits for a message the other never sends.
+func crossedRecv() *workload.Instance {
+	return &workload.Instance{
+		Spec: workload.Spec{Bench: "custom", NP: 2},
+		Programs: []failure.Program{
+			func(n *daemon.Node) {
+				n.Compute(3 * sim.Millisecond)
+				n.Send(1, 0, 64)
+				n.Recv(1, 1)
+			},
+			func(n *daemon.Node) {
+				n.Recv(0, 0)
+				n.Recv(0, 1)
+			},
+		},
+	}
+}
+
+// TestDeadlockOutcome: a run whose event queue drains with ranks still
+// blocked ends in deadlock on every stack, decided in virtual time with no
+// option set and in well under a second of host time. Traced, it ends at
+// the same virtual time as untraced: the gauge sampler's ticks do not move
+// the end of a run.
+func TestDeadlockOutcome(t *testing.T) {
 	spec := &SweepSpec{
-		Name:      "timeout",
-		Workloads: []Workload{{Key: "pp-long", PingPongBytes: 1, PingPongReps: 2_000_000}},
-		Stacks:    []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
+		Name:      "deadlock",
+		Workloads: []Workload{{Key: "crossed-recv", Make: crossedRecv}},
+		Stacks: []Stack{
+			{Key: "vc-el", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+			{Key: "man", Stack: cluster.StackVcausal, Reducer: "manetho"},
+			{Key: "pess", Stack: cluster.StackPessimistic},
+			{Key: "coord", Stack: cluster.StackCoordinated},
+			{Key: "vdummy", Stack: cluster.StackVdummy},
+		},
 	}
-	res := Run(spec, Options{CellTimeout: time.Millisecond})
-	cr := res.Get("pp-long", "vc", "base")
-	if cr == nil || !strings.Contains(cr.Err, "timed out") {
-		t.Fatalf("cell result = %+v, want wall-clock timeout error", cr)
+	untraced := Run(spec, Options{OnProgress: func(p Progress) {
+		if p.Wall >= time.Second {
+			t.Errorf("cell %q took %v of host time to deadlock", p.Cell.ID, p.Wall)
+		}
+	}})
+	for _, cr := range untraced.Cells {
+		if cr.Outcome != cluster.OutcomeDeadlock || cr.Completed || cr.Err != "" {
+			t.Errorf("cell %q: outcome %q, completed %v, err %q; want deadlock", cr.ID, cr.Outcome, cr.Completed, cr.Err)
+		}
 	}
-	if cr.Completed {
-		t.Error("timed-out cell marked completed")
+	traced := Run(spec, Options{TraceDir: t.TempDir()})
+	a, err := untraced.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := traced.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("traced results differ from untraced:\nuntraced: %s\ntraced:   %s", a, b)
 	}
 }
 
@@ -286,58 +329,6 @@ func TestTuneHook(t *testing.T) {
 		if int64(c.Config.RestartDelay) != want {
 			t.Errorf("cell %q RestartDelay = %d, want %d", c.ID, c.Config.RestartDelay, want)
 		}
-	}
-}
-
-// TestCellTimeoutFreesWorkerForSiblings: a timed-out cell must release its
-// worker slot so the remaining cells of the sweep still execute; only the
-// over-budget cell reports the timeout.
-func TestCellTimeoutFreesWorkerForSiblings(t *testing.T) {
-	spec := &SweepSpec{
-		Name: "timeout-mixed",
-		Workloads: []Workload{
-			{Key: "pp-long", PingPongBytes: 1, PingPongReps: 2_000_000},
-			{Key: "pp-short", PingPongBytes: 1, PingPongReps: 5},
-		},
-		Stacks: []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
-	}
-	res := Run(spec, Options{Parallel: 1, CellTimeout: 50 * time.Millisecond})
-	long := res.Get("pp-long", "vc", "base")
-	if long == nil || !strings.Contains(long.Err, "timed out") {
-		t.Fatalf("long cell = %+v, want timeout error", long)
-	}
-	short := res.Get("pp-short", "vc", "base")
-	if short == nil || short.Err != "" || !short.Completed {
-		t.Fatalf("short cell after a sibling timeout = %+v, want clean completion", short)
-	}
-}
-
-// TestCellTimeoutWatchdogPreservesDeterminism: a cell that finishes under
-// its wall-clock deadline must produce results byte-identical to an
-// unguarded run — the watchdog may not disturb the simulation.
-func TestCellTimeoutWatchdogPreservesDeterminism(t *testing.T) {
-	spec := func() *SweepSpec {
-		return &SweepSpec{
-			Name: "watchdog",
-			Workloads: []Workload{
-				{Key: "cg.A.2", Spec: workload.Spec{Bench: "cg", Class: "A", NP: 2}},
-			},
-			Stacks:   []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
-			BaseSeed: 7,
-		}
-	}
-	unguarded := Run(spec(), Options{})
-	guarded := Run(spec(), Options{CellTimeout: time.Hour})
-	a, err := unguarded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := guarded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("watchdog perturbed the simulation:\nunguarded: %s\nguarded:   %s", a, b)
 	}
 }
 

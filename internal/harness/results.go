@@ -31,18 +31,18 @@ type CellResult struct {
 	// virtual-time cap.
 	Completed bool `json:"completed"`
 	// Outcome classifies how the cell's run ended (completed,
-	// determinant-loss, diverged, deadlock-timeout). Determinant loss is a
+	// determinant-loss, deadlock, diverged, ...). Determinant loss is a
 	// measured result of the protocol configuration under the fault
 	// scenario — it is distinct from Err, which records real failures
-	// (panics, probe errors, timeouts). Empty only when the cell erred
-	// before the run could be classified.
+	// (panics, probe errors). Empty only when the cell erred before the
+	// run could be classified.
 	Outcome cluster.Outcome `json:"outcome,omitempty"`
 	// DetLoss carries the first determinant loss's diagnostics (victim,
 	// missing clock range, concurrently dead peers) when Outcome is
 	// determinant-loss.
 	DetLoss *daemon.DeterminantLoss `json:"det_loss,omitempty"`
-	// Elapsed is the virtual completion time in nanoseconds (the cap if
-	// the run did not complete).
+	// Elapsed is the virtual time the run ended at, in nanoseconds: its
+	// completion, or where it stopped (the cap when it diverged).
 	Elapsed sim.Time `json:"elapsed_ns"`
 	// Mflops is the NAS figure of merit (0 when not completed).
 	Mflops float64 `json:"mflops"`
@@ -50,7 +50,7 @@ type CellResult struct {
 	Stats trace.Stats `json:"stats"`
 	// Probes holds the named extra metrics requested by the spec.
 	Probes map[string]float64 `json:"probes,omitempty"`
-	// Err records a panic, probe failure or wall-clock timeout.
+	// Err records a panic, probe failure or trace-write failure.
 	Err string `json:"error,omitempty"`
 }
 
@@ -101,7 +101,7 @@ func (r *Results) MustGet(workload, stack, variant string) *CellResult {
 		panic(fmt.Sprintf("harness: sweep %q cell %q failed: %s", r.Name, cr.ID, cr.Err))
 	}
 	if !cr.Completed {
-		panic(fmt.Sprintf("harness: sweep %q cell %q did not complete before its virtual cap", r.Name, cr.ID))
+		panic(fmt.Sprintf("harness: sweep %q cell %q did not complete: outcome %q at %v", r.Name, cr.ID, cr.Outcome, cr.Elapsed))
 	}
 	return cr
 }

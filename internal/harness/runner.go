@@ -14,18 +14,13 @@ import (
 )
 
 // Options tune a sweep execution. The zero value runs with a worker per
-// CPU, no cell timeout and no callbacks.
+// CPU and no callbacks. None of them changes a cell's result: a cell ends
+// in virtual time alone (see cluster.Outcome).
 type Options struct {
 	// Parallel is the worker-pool size; <= 0 selects GOMAXPROCS. Each
 	// worker runs one cell at a time; cells are independent simulations,
 	// so -parallel 1 and -parallel N produce identical results.
 	Parallel int
-
-	// CellTimeout is a wall-clock guard per cell. A watchdog inside the
-	// simulation stops the kernel at the first event past the deadline,
-	// so an over-budget cell frees both its worker slot and its CPU; the
-	// cell is recorded as errored. Zero disables the guard.
-	CellTimeout time.Duration
 
 	// OnProgress, when non-nil, is invoked after every cell completes.
 	// It may be called from multiple workers; calls are serialized.
@@ -102,7 +97,7 @@ func Run(spec *SweepSpec, opts Options) *Results {
 			for idx := range jobs {
 				cell := &cells[idx]
 				start := time.Now()
-				cr := executeWithTimeout(cell, opts)
+				cr := execute(cell, opts)
 				wall := time.Since(start)
 				res.Cells[idx] = cr
 
@@ -130,37 +125,11 @@ func Run(spec *SweepSpec, opts Options) *Results {
 	return res
 }
 
-// watchdogGrace is how long the runner waits past the deadline for the
-// in-simulation watchdog to unwind the kernel before abandoning the
-// goroutine (the backstop for a kernel stuck inside one event).
-const watchdogGrace = 2 * time.Second
-
-// executeWithTimeout runs one cell, optionally bounded by a wall-clock
-// deadline.
-func executeWithTimeout(cell *Cell, opts Options) CellResult {
-	timeout := opts.CellTimeout
-	if timeout <= 0 {
-		return execute(cell, opts, time.Time{})
-	}
-	deadline := time.Now().Add(timeout)
-	ch := make(chan CellResult, 1)
-	go func() { ch <- execute(cell, opts, deadline) }()
-	select {
-	case cr := <-ch:
-		return cr
-	case <-time.After(time.Until(deadline) + watchdogGrace):
-		cr := newCellResult(cell)
-		cr.Err = fmt.Sprintf("cell timed out after %v (wall clock) and its kernel did not stop", timeout)
-		return cr
-	}
-}
-
-// execute runs one cell's simulation to completion (or its virtual-time
-// cap, or the wall-clock deadline) and collects stats and probes.
-// Simulation panics — deadlocks, configuration errors — are captured as
-// the cell's error rather than tearing down the whole sweep.
-func execute(cell *Cell, opts Options, deadline time.Time) (cr CellResult) {
-	timeout := opts.CellTimeout
+// execute runs one cell's simulation until it ends (see
+// cluster.RunLaunched) and collects stats and probes. Simulation panics —
+// configuration errors, broken programs — are captured as the cell's
+// error rather than tearing down the whole sweep.
+func execute(cell *Cell, opts Options) (cr CellResult) {
 	cr = newCellResult(cell)
 	defer func() {
 		if r := recover(); r != nil {
@@ -185,41 +154,11 @@ func execute(cell *Cell, opts Options, deadline time.Time) (cr CellResult) {
 	if cell.FaultEvery > 0 {
 		d.PeriodicFaults(cell.FaultEvery)
 	}
-	if !deadline.IsZero() {
-		// A periodic kernel event checks the wall clock from simulator
-		// context — the only place the single-threaded kernel may be
-		// stopped — so a timed-out cell releases its CPU instead of
-		// running to the virtual cap. The watchdog touches no simulated
-		// state and draws no randomness, so a run that finishes under
-		// the deadline is identical to an unguarded one.
-		const watchPeriod = 10 * sim.Millisecond
-		var watch func()
-		watch = func() {
-			if time.Now().After(deadline) {
-				c.K.Stop()
-				return
-			}
-			c.K.At(c.K.Now()+watchPeriod, watch)
-		}
-		c.K.At(watchPeriod, watch)
-	}
 	d.Launch()
-	end := c.K.RunUntil(cell.MaxVirtual)
-
+	run := c.RunLaunched(cell.MaxVirtual)
+	end := run.End
 	cr.Completed = d.AllDone()
-	cr.Outcome = c.Outcome()
-	cr.DetLoss = c.FirstDetLoss()
-	if !cr.Completed && !deadline.IsZero() && time.Now().After(deadline) {
-		// The wall-clock watchdog stopped the kernel: the cell was most
-		// likely deadlocked (it would otherwise have reached its virtual
-		// cap quickly); a concurrently detected determinant loss keeps its
-		// own classification.
-		if cr.Outcome == cluster.OutcomeDiverged {
-			cr.Outcome = cluster.OutcomeDeadlockTimeout
-		}
-		cr.Err = fmt.Sprintf("cell timed out after %v (wall clock)", timeout)
-	}
-	cr.Elapsed = end
+	cr.Outcome, cr.DetLoss, cr.Elapsed = run.Outcome, run.DetLoss, end
 	cr.Stats = c.AggregateStats()
 	if cr.Completed {
 		cr.Mflops = in.Mflops(end)

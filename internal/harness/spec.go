@@ -2,10 +2,10 @@
 // names a cartesian grid of simulation cells — workload × protocol stack ×
 // variant — with deterministic per-cell seed derivation; a worker-pool
 // Runner executes the cells concurrently (each cell is one single-threaded,
-// fully independent cluster simulation) with ordered result collection,
-// progress callbacks and cell-level timeouts; the Results model serializes
-// to JSON and CSV for downstream tooling, alongside the experiment
-// package's paper-style text tables.
+// fully independent cluster simulation) with ordered result collection
+// and progress callbacks; a cell ends in virtual time alone, so its result
+// never depends on the host. The Results model serializes to JSON and CSV
+// alongside the experiment package's paper-style text tables.
 package harness
 
 import (

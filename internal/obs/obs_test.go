@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,7 +254,7 @@ func TestComputeMetricsEmptyRun(t *testing.T) {
 
 // TestSamplerTicks runs a sampler against a kernel that has activity for
 // a while, checking samples land on the interval and stop when the event
-// queue drains (a deadlocked run does not sample forever).
+// queue drains: the run ends at its last real event, not at a tick.
 func TestSamplerTicks(t *testing.T) {
 	k := sim.NewKernel(1)
 	rec := NewRecorder()
@@ -270,9 +271,8 @@ func TestSamplerTicks(t *testing.T) {
 	}
 	k.At(0, work)
 	s.Start()
-	end := k.RunUntil(sim.Second)
-	if end >= sim.Second {
-		t.Fatalf("kernel ran to the cap (%v): sampler never stopped", end)
+	if end := k.RunUntil(sim.Second); end != 35*sim.Millisecond {
+		t.Fatalf("run ended at %v, want the last real event at 35ms", end)
 	}
 	var ticks []sim.Time
 	for _, ev := range rec.Events() {
@@ -281,16 +281,10 @@ func TestSamplerTicks(t *testing.T) {
 		}
 		ticks = append(ticks, ev.T)
 	}
-	// Samples at 0, 10, 20, 30ms; the 40ms tick finds an empty queue
-	// (depending on pop order it may or may not record first), so accept
-	// 4 or 5 samples but require the first four on the exact interval.
-	if len(ticks) < 4 || len(ticks) > 5 {
-		t.Fatalf("got %d samples at %v, want 4 or 5", len(ticks), ticks)
-	}
-	for i, want := range []sim.Time{0, 10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond} {
-		if ticks[i] != want {
-			t.Fatalf("sample %d at %v, want %v", i, ticks[i], want)
-		}
+	// The 40ms tick never runs: only it was left once the work ended.
+	want := []sim.Time{0, 10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond}
+	if !slices.Equal(ticks, want) {
+		t.Fatalf("samples at %v, want %v", ticks, want)
 	}
 }
 

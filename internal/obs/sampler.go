@@ -11,11 +11,9 @@ type Gauge struct {
 }
 
 // Sampler records a set of gauges into a Recorder on a fixed virtual-time
-// interval. It rides the simulation kernel as a self-rescheduling event;
-// a tick that finds no other pending event does not reschedule, so a
-// deployment that deadlocks (or completes by draining its queue) is not
-// kept artificially alive until the virtual deadline by its own
-// instrumentation.
+// interval. Its ticks are kernel Background events: they never keep a run
+// alive, so a deployment that deadlocks (or completes by draining its
+// queue) ends at its last real event, traced or not.
 type Sampler struct {
 	k        *sim.Kernel
 	rec      *Recorder
@@ -32,24 +30,19 @@ func NewSampler(k *sim.Kernel, rec *Recorder, interval sim.Time, gauges []Gauge)
 }
 
 // Start schedules the first sample at the current virtual time (so every
-// timeline opens with a baseline row) and then every interval until the
-// kernel stops or the simulation has no other future.
+// timeline opens with a baseline row) and then every interval for as long
+// as the run goes on.
 func (s *Sampler) Start() {
 	if s.rec == nil || len(s.gauges) == 0 {
 		return
 	}
-	s.k.At(s.k.Now(), s.tick)
+	s.k.Background(s.k.Now(), s.tick)
 }
 
 func (s *Sampler) tick() {
-	// The tick's own event has been popped: an empty queue here means no
-	// other activity can ever fire, so sampling is over.
-	if s.k.Stopped() || s.k.QueueLen() == 0 {
-		return
-	}
 	now := s.k.Now()
 	for _, g := range s.gauges {
 		s.rec.Record(now, g.Kind, -1, g.Fn(), "")
 	}
-	s.k.After(s.interval, s.tick)
+	s.k.Background(now+s.interval, s.tick)
 }

@@ -15,6 +15,8 @@ type Kernel struct {
 	queue   eventHeap
 	rng     *rand.Rand
 	stopped bool
+	// background counts the pending events scheduled with Background.
+	background int
 
 	// procs holds, in spawn order, every process whose coroutine has not
 	// ended yet — a killed one stays until it has unwound. Close walks it.
@@ -51,6 +53,15 @@ func (k *Kernel) At(t Time, fn func()) {
 // After schedules fn to run d nanoseconds of virtual time from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
+// Background schedules fn at absolute virtual time t as an event that does
+// not keep the run alive: RunUntil returns once only such events remain,
+// with the clock at the last event that did. It is for observers (the gauge
+// sampler) whose ticks must not move the end of a run.
+func (k *Kernel) Background(t Time, fn func()) {
+	k.background++
+	k.At(t, func() { k.background--; fn() })
+}
+
 // runNext runs fn as the next event of the current instant. It is for
 // timer events whose whole job is that hand-over (Sleep's wake-up, the
 // SleepPolled tick): when nothing else is pending at this instant, the
@@ -78,9 +89,10 @@ func (k *Kernel) Run() Time {
 }
 
 // RunUntil executes events with timestamps ≤ deadline and returns the final
-// virtual time (which may be earlier than deadline if the queue drains).
+// virtual time, which is earlier than deadline if Stop is called or the
+// queue drains (see Drained).
 func (k *Kernel) RunUntil(deadline Time) Time {
-	for !k.stopped && k.queue.Len() > 0 {
+	for !k.stopped && k.queue.Len() > k.background {
 		if k.queue.peek().at > deadline {
 			k.now = deadline
 			return k.now
@@ -110,6 +122,12 @@ func (k *Kernel) Close() {
 // LiveProcs reports the number of spawned processes that have not yet
 // finished or been killed.
 func (k *Kernel) LiveProcs() int { return k.liveProcs }
+
+// Drained reports whether no pending event can keep the run alive: the
+// queue is empty or holds only Background events. A run that drained
+// without being stopped has processes blocked forever, not a cut at its
+// deadline.
+func (k *Kernel) Drained() bool { return k.queue.Len() == k.background }
 
 // QueueLen reports the number of pending events (useful in tests).
 func (k *Kernel) QueueLen() int { return k.queue.Len() }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -93,6 +94,34 @@ func TestStop(t *testing.T) {
 	}
 	if !k.Stopped() {
 		t.Fatal("Stopped() = false after Stop")
+	}
+}
+
+// TestBackgroundDoesNotKeepRunAlive: RunUntil stops once only Background
+// events remain, with the clock at the last real event, and reports the
+// queue drained; a real event still pending past the deadline does not.
+func TestBackgroundDoesNotKeepRunAlive(t *testing.T) {
+	k := NewKernel(1)
+	var ticks []Time
+	var tick func()
+	tick = func() {
+		ticks = append(ticks, k.Now())
+		k.Background(k.Now()+10, tick)
+	}
+	k.Background(0, tick)
+	k.At(25, func() {})
+	if end := k.RunUntil(1000); end != 25 {
+		t.Fatalf("RunUntil returned %v, want the last real event at 25", end)
+	}
+	if want := []Time{0, 10, 20}; !slices.Equal(ticks, want) {
+		t.Fatalf("background ticks at %v, want %v", ticks, want)
+	}
+	if !k.Drained() {
+		t.Fatal("Drained() = false with only a background event pending")
+	}
+	k.At(2000, func() {})
+	if end := k.RunUntil(1500); end != 1500 || k.Drained() {
+		t.Fatalf("RunUntil = %v, Drained = %v with a real event past the deadline; want 1500, false", end, k.Drained())
 	}
 }
 

@@ -181,9 +181,9 @@ type (
 	SweepVariant = harness.Variant
 	// SweepCell is one fully resolved grid point.
 	SweepCell = harness.Cell
-	// SweepOptions tune sweep execution (worker-pool size, cell timeout,
-	// progress and error callbacks, and an optional trace directory that
-	// enables the observability layer and writes per-cell timelines).
+	// SweepOptions tune sweep execution (worker-pool size, progress and
+	// error callbacks, and an optional trace directory that enables the
+	// observability layer and writes per-cell timelines).
 	SweepOptions = harness.Options
 	// SweepProgress reports one completed cell to the progress callback.
 	SweepProgress = harness.Progress
@@ -261,14 +261,15 @@ const (
 // declared dead (a partition outlasted the detector) — the ext-partition
 // experiment's regime. Horizon marks an always-on run cut at its planned
 // virtual-time end (Config.Horizon) with work still in flight — the
-// ext-service experiment's normal termination for faulted cells.
+// ext-service experiment's normal termination for faulted cells. Deadlock
+// marks a run whose event queue drained with ranks still blocked.
 const (
 	OutcomeCompleted       = cluster.OutcomeCompleted
 	OutcomeFalseSuspicion  = cluster.OutcomeFalseSuspicion
 	OutcomeHorizon         = cluster.OutcomeHorizon
 	OutcomeDeterminantLoss = cluster.OutcomeDeterminantLoss
 	OutcomeDiverged        = cluster.OutcomeDiverged
-	OutcomeDeadlockTimeout = cluster.OutcomeDeadlockTimeout
+	OutcomeDeadlock        = cluster.OutcomeDeadlock
 )
 
 // Link states of the fabric.
@@ -360,7 +361,7 @@ func FastEthernet() NetworkConfig { return netmodel.FastEthernet() }
 func Sweep(spec *SweepSpec, opts SweepOptions) *SweepResults { return harness.Run(spec, opts) }
 
 // SetExperimentRunner installs the sweep options (parallelism, progress
-// callbacks, cell timeout) used by every figure regeneration.
+// and error callbacks, trace directory) used by every figure regeneration.
 func SetExperimentRunner(opts SweepOptions) { experiment.SetRunnerOptions(opts) }
 
 // Experiment runs one of the paper's evaluation artifacts by name and
