@@ -75,11 +75,14 @@ type graph struct {
 
 	// Scratch, reused across calls (the reducer is a single-process state
 	// machine, never shared between goroutines):
-	//   frontScratch  backs frontier's result (valid until the next call);
-	//   vcStack       backs vcOf's iterative dependency walk.
-	frontScratch []*gnode
-	vcStack      []*gnode
+	//   spans    backs frontier's result (valid until the next call);
+	//   vcStack  backs vcOf's iterative dependency walk.
+	spans   []span
+	vcStack []*gnode
 }
+
+// span is chains.rows[row][from:to], one chain's part of a frontier.
+type span struct{ row, from, to int32 }
 
 // gnode is one held determinant, an antecedence-graph vertex.
 type gnode struct {
@@ -280,15 +283,15 @@ func (g *graph) knownVec(dst event.Rank) *sparsevec.Vec {
 	return *known
 }
 
-// frontier returns the held determinants dst is not believed to hold, in
-// factored order (grouped by creator, clocks ascending), and commits them
+// frontier returns the held determinants dst is not believed to hold, as
+// chain suffixes in factored order, with their count, and commits them
 // to knownBy[dst]. Each active chain's threshold is the max, at that
 // chain's creator, of dst's direct-exchange knowledge, the stability
 // horizon and — only when infer is set — the causal past of dst's latest
 // held event. A process knows its own events, so dst's chain is skipped.
-// The returned slice is scratch, valid until the next frontier call.
-func (g *graph) frontier(dst event.Rank, infer bool) []*gnode {
-	out := g.frontScratch[:0]
+// The spans are scratch, valid until the next frontier, insert or Stable.
+func (g *graph) frontier(dst event.Rank, infer bool) (spans []span, k int) {
+	out := g.spans[:0]
 	known, _ := g.knownBy.lookup(dst)
 	var vc []uint32
 	if infer {
@@ -314,16 +317,27 @@ func (g *graph) frontier(dst event.Rank, infer bool) []*gnode {
 		if last <= threshold {
 			continue
 		}
-		for j := after(chain, threshold); j < len(chain); j++ {
-			out = append(out, &chain[j])
-		}
+		from := after(chain, threshold)
+		out = append(out, span{int32(i), int32(from), int32(len(chain))})
+		k += len(chain) - from
 		if known == nil {
 			known = g.knownVec(dst)
 		}
 		known.SetMax(int(key), last)
 	}
-	g.frontScratch = out[:0]
-	return out
+	g.spans = out[:0]
+	return out, k
+}
+
+// appendSpans appends the determinants of spans, unpacked, to buf.
+func (g *graph) appendSpans(buf []event.Determinant, spans []span) []event.Determinant {
+	for _, s := range spans {
+		chain := g.chains.rows[s.row]
+		for j := s.from; j < s.to; j++ {
+			buf = append(buf, chain[j].h.det())
+		}
+	}
+	return buf
 }
 
 // mergeLearn updates direct-exchange knowledge after receiving ds from src

@@ -47,8 +47,8 @@ func (m *Manetho) Merge(src event.Rank, ds []event.Determinant) int64 {
 //
 //mpichv:noalloc
 func (m *Manetho) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
-	nodes := m.frontier(dst, true)
-	return appendDets(buf, nodes), int64(m.np) + int64(m.held)/4 + 2*int64(len(nodes))
+	spans, k := m.frontier(dst, true)
+	return m.appendSpans(buf, spans), int64(m.np) + int64(m.held)/4 + 2*int64(k)
 }
 
 // PiggybackBytes implements Reducer (factored encoding).

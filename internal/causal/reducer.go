@@ -202,14 +202,6 @@ func (h heldDet) det() event.Determinant {
 		Parent: event.EventID{Creator: h.parentCreator, Clock: uint64(h.parentClock)}, Lamport: uint64(h.lamport)}
 }
 
-// appendDets appends the determinants of nodes, unpacked, to buf.
-func appendDets(buf []event.Determinant, nodes []*gnode) []event.Determinant {
-	for _, n := range nodes {
-		buf = append(buf, n.h.det())
-	}
-	return buf
-}
-
 // tooWide aborts on a determinant pack cannot hold: a creator would need
 // 2³² events first.
 //

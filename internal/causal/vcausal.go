@@ -48,8 +48,8 @@ func (v *Vcausal) Merge(src event.Rank, ds []event.Determinant) int64 {
 //
 //mpichv:noalloc
 func (v *Vcausal) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]event.Determinant, int64) {
-	nodes := v.frontier(dst, false)
-	return appendDets(buf, nodes), int64(v.held)/8 + int64(v.np) + int64(len(nodes))
+	spans, k := v.frontier(dst, false)
+	return v.appendSpans(buf, spans), int64(v.held)/8 + int64(v.np) + int64(k)
 }
 
 // PiggybackBytes implements Reducer (factored encoding).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
+	"mpichv/internal/event"
 	"mpichv/internal/failure"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
@@ -183,6 +185,60 @@ func TestProgressAndOrdering(t *testing.T) {
 	}
 	if res.Get("cg.A.2", "vc-el", "nope") != nil {
 		t.Error("Get returned a cell for unknown coordinates")
+	}
+}
+
+// ring is an np-rank workload of one message around a ring.
+func ring(np int) Workload {
+	return Workload{Key: fmt.Sprintf("ring.%d", np), Make: func() *workload.Instance {
+		progs := make([]failure.Program, np)
+		for r := range progs {
+			progs[r] = func(n *daemon.Node) {
+				n.Send(event.Rank((r+1)%np), 0, 64)
+				n.Recv(event.Rank((r+np-1)%np), 0)
+			}
+		}
+		return &workload.Instance{Spec: workload.Spec{Bench: "custom", NP: np}, Programs: progs}
+	}}
+}
+
+// TestDispatchOrder: one worker takes the cells largest NP first, ties in
+// grid order, while results stay in grid order and byte-identical at any
+// worker count.
+func TestDispatchOrder(t *testing.T) {
+	spec := &SweepSpec{
+		Name:      "dispatch",
+		Workloads: []Workload{ring(4), ring(2), ring(8)},
+		Stacks: []Stack{
+			{Key: "vc-el", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},
+			{Key: "man", Stack: cluster.StackVcausal, Reducer: "manetho"},
+			{Key: "logon", Stack: cluster.StackVcausal, Reducer: "logon"},
+		},
+	}
+	var got []string
+	res := Run(spec, Options{Parallel: 1, OnProgress: func(p Progress) { got = append(got, p.Cell.ID) }})
+	want := []string{
+		"ring.8|vc-el|base", "ring.8|man|base", "ring.8|logon|base",
+		"ring.4|vc-el|base", "ring.4|man|base", "ring.4|logon|base",
+		"ring.2|vc-el|base", "ring.2|man|base", "ring.2|logon|base",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("dispatch order %v, want %v", got, want)
+	}
+	first, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3} {
+		res := Run(spec, Options{Parallel: p})
+		for i, cr := range res.Cells {
+			if cr.Index != i || !cr.Completed {
+				t.Errorf("parallel %d: result %d is cell %d (%q), completed %v", p, i, cr.Index, cr.ID, cr.Completed)
+			}
+		}
+		if data, err := res.JSON(); err != nil || !bytes.Equal(data, first) {
+			t.Errorf("parallel %d: results differ from the first run (err %v)", p, err)
+		}
 	}
 }
 

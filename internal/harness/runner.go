@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +64,8 @@ func (e CellError) Error() string {
 }
 
 // Run expands the spec and executes every cell across the worker pool,
-// returning results in cell (grid) order regardless of completion order.
+// largest NP first, returning results in cell (grid) order regardless of
+// dispatch or completion order.
 func Run(spec *SweepSpec, opts Options) *Results {
 	cells := spec.Cells()
 	res := &Results{Name: spec.Name, Cells: make([]CellResult, len(cells))}
@@ -116,8 +119,13 @@ func Run(spec *SweepSpec, opts Options) *Results {
 			}
 		}()
 	}
-	for idx := range cells {
-		jobs <- idx
+	// Largest NP first, ties in grid order: NP is the size axis every sweep
+	// has and is known before a cell runs, so no worker idles through a
+	// long last cell (Graham's longest-first rule).
+	order := slices.Clone(cells)
+	slices.SortStableFunc(order, func(a, b Cell) int { return cmp.Compare(b.Config.NP, a.Config.NP) })
+	for _, c := range order {
+		jobs <- c.Index
 	}
 	close(jobs)
 	wg.Wait()

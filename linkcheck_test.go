@@ -19,8 +19,9 @@ var (
 // TestMarkdownLinks is the docs link checker: every relative link in the
 // operator-facing markdown must resolve to a file in the repository, and
 // every file.go:line cross-reference must name an existing file with at
-// least that many lines. It keeps ARCHITECTURE.md's code anchors from
-// rotting as the code moves.
+// least that many lines, and the line must not be blank or a lone closing
+// brace. It keeps ARCHITECTURE.md's code anchors from rotting as the code
+// moves.
 func TestMarkdownLinks(t *testing.T) {
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md", "CHANGES.md"} {
 		doc := doc
@@ -54,8 +55,13 @@ func TestMarkdownLinks(t *testing.T) {
 					continue
 				}
 				line, _ := strconv.Atoi(lineStr)
-				if n := bytes.Count(src, []byte("\n")) + 1; line > n {
-					t.Errorf("%s: ref %q points past end of %s (%d lines)", doc, m[0], target, n)
+				lines := bytes.Split(src, []byte("\n"))
+				if line < 1 || line > len(lines) {
+					t.Errorf("%s: ref %q points past end of %s (%d lines)", doc, m[0], target, len(lines))
+					continue
+				}
+				if text := string(bytes.TrimSpace(lines[line-1])); text == "" || text == "}" {
+					t.Errorf("%s: ref %q lands on %q in %s, not on code it can name", doc, m[0], text, target)
 				}
 			}
 		})
