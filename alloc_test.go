@@ -75,6 +75,7 @@ func TestHotPathAllocations(t *testing.T) {
 	}{
 		{"kernel/schedule-run", setupKernelScheduleRun, 0},
 		{"kernel/proc-sleep", setupProcSleep, 0},
+		{"kernel/proc-poll", setupProcPoll, 0},
 		{"sim/mailbox", setupMailbox, 0},
 		{"net/send", setupNetSend, 0},
 		{"reducer/vcausal-np16", setupReducer("vcausal", 16), 0},
@@ -238,6 +239,45 @@ func spawnBatches(t *testing.T, k *sim.Kernel, op func(p *sim.Proc, i int)) func
 // two coroutine switches per operation, the unit cost of ChargeCPU.
 func setupProcSleep(t *testing.T) func() uint64 {
 	return spawnBatches(t, sim.NewKernel(1), func(p *sim.Proc, _ int) { p.Sleep(10) })
+}
+
+// setupProcPoll measures the compute-pacing poll as Node.Compute drives
+// it: four processes on one grid, each in a long SleepPolled whose
+// predicate stays false, so their ticks share the kernel's poll lane and
+// are re-armed in place. A fifth process's Sleep wake-up lands on every
+// other instant of the grid and sends those ticks through their check
+// event instead. One op is one poll tick.
+func setupProcPoll(t *testing.T) func() uint64 {
+	const pollers, every = 4, 10
+	const ticks = microOps / pollers
+	k := sim.NewKernel(1)
+	t.Cleanup(k.Close)
+	never := func() bool { return false }
+	var procs []*sim.Proc
+	for i := 0; i < pollers; i++ {
+		procs = append(procs, k.Spawn("poller", func(p *sim.Proc) {
+			for {
+				p.SleepPolled(ticks*every, every, never)
+				p.Park()
+			}
+		}))
+	}
+	procs = append(procs, k.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			for i := 0; i < ticks/2; i++ {
+				p.Sleep(2 * every)
+			}
+			p.Park()
+		}
+	}))
+	k.Run()
+	return func() uint64 {
+		for _, p := range procs {
+			p.Unpark()
+		}
+		k.Run()
+		return microOps
+	}
 }
 
 // setupMailbox measures a blocking producer/consumer cycle through one

@@ -10,11 +10,18 @@ import (
 // safe for concurrent use from multiple OS threads; the whole point is that
 // exactly one simulated activity runs at a time.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
-	rng     *rand.Rand
-	stopped bool
+	now   Time
+	seq   uint64
+	queue eventHeap
+	// polls is the poll lane: SleepPolled ticks armed a full interval,
+	// pollEvery, ahead. Each is pushed at now+pollEvery with a fresh seq, so
+	// the FIFO is already in (time, seq) order and needs no heap.
+	polls     ring[pollTick]
+	pollEvery Time
+	// pollStats counts how lane ticks were served; tests read it.
+	pollStats struct{ rearmed, checked, fellBack int }
+	rng       *rand.Rand
+	stopped   bool
 	// background counts the pending events scheduled with Background.
 	background int
 
@@ -62,16 +69,48 @@ func (k *Kernel) Background(t Time, fn func()) {
 	k.At(t, func() { k.background--; fn() })
 }
 
+// pollTick is a pending lane tick: poll p at virtual time at.
+type pollTick struct {
+	at  Time
+	seq uint64
+	p   *Proc
+}
+
+// heapAt reports whether the heap holds an event at t or earlier.
+func (k *Kernel) heapAt(t Time) bool { return k.queue.Len() > 0 && k.queue.items[0].at <= t }
+
 // runNext runs fn as the next event of the current instant. It is for
 // timer events whose whole job is that hand-over (Sleep's wake-up, the
 // SleepPolled tick): when nothing else is pending at this instant, the
 // event they would push is the very next pop, so fn runs in place.
 func (k *Kernel) runNext(fn func()) {
-	if k.queue.Len() == 0 || k.queue.peek().at > k.now {
-		fn()
+	if k.heapAt(k.now) || k.polls.Len() > 0 && k.polls.at(0).at == k.now {
+		k.At(k.now, fn)
 		return
 	}
-	k.At(k.now, fn)
+	fn()
+}
+
+// runTick serves the lane tick of p at t. When the heap holds nothing at
+// t, only other lane ticks could run before the check this tick would
+// push, and a tick changes nothing a poll sees, so the poll runs here: it
+// re-arms in place, or its resume takes the check's slot. Otherwise the
+// check is scheduled behind the events at t, as a heap tick's would be.
+func (k *Kernel) runTick(t Time, p *Proc) {
+	fresh := t > k.now
+	k.now = t
+	switch {
+	case k.heapAt(t):
+		k.pollStats.checked++
+		if fresh {
+			k.pollStats.fellBack++
+		}
+		k.runNext(p.checkFn)
+	case p.poll():
+		k.runNext(p.stepFn)
+	default:
+		k.pollStats.rearmed++
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -90,9 +129,22 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps ≤ deadline and returns the final
 // virtual time, which is earlier than deadline if Stop is called or the
-// queue drains (see Drained).
+// queue drains (see Drained). A deadline already passed runs nothing: the
+// clock never moves backwards.
 func (k *Kernel) RunUntil(deadline Time) Time {
-	for !k.stopped && k.queue.Len() > k.background {
+	if deadline < k.now {
+		return k.now
+	}
+	for !k.stopped && k.QueueLen() > k.background {
+		if k.laneFirst() {
+			if k.polls.at(0).at > deadline {
+				k.now = deadline
+				return k.now
+			}
+			tick := k.polls.pop()
+			k.runTick(tick.at, tick.p)
+			continue
+		}
 		if k.queue.peek().at > deadline {
 			k.now = deadline
 			return k.now
@@ -102,6 +154,16 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		ev.fn()
 	}
 	return k.now
+}
+
+// laneFirst reports whether the poll lane's head is the earliest pending
+// event by (time, seq).
+func (k *Kernel) laneFirst() bool {
+	if k.polls.Len() == 0 {
+		return false
+	}
+	tick := k.polls.at(0)
+	return !k.heapAt(tick.at) || tick.at == k.queue.items[0].at && tick.seq < k.queue.items[0].seq
 }
 
 // Close ends every process that has not finished — never started, blocked
@@ -127,7 +189,7 @@ func (k *Kernel) LiveProcs() int { return k.liveProcs }
 // queue is empty or holds only Background events. A run that drained
 // without being stopped has processes blocked forever, not a cut at its
 // deadline.
-func (k *Kernel) Drained() bool { return k.queue.Len() == k.background }
+func (k *Kernel) Drained() bool { return k.QueueLen() == k.background }
 
 // QueueLen reports the number of pending events (useful in tests).
-func (k *Kernel) QueueLen() int { return k.queue.Len() }
+func (k *Kernel) QueueLen() int { return k.queue.Len() + k.polls.Len() }

@@ -83,6 +83,26 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilNeverRewinds: a deadline the run has already passed runs
+// nothing and leaves the clock where it is, so a time before it stays in
+// the past.
+func TestRunUntilNeverRewinds(t *testing.T) {
+	k := NewKernel(1)
+	k.At(100, func() {})
+	if end := k.RunUntil(50); end != 50 {
+		t.Fatalf("RunUntil(50) = %v, want 50", end)
+	}
+	if end := k.RunUntil(20); end != 50 || k.Now() != 50 {
+		t.Fatalf("RunUntil(20) after RunUntil(50) = %v with now %v, want 50 and 50", end, k.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("At(30) after the clock reached 50 did not panic")
+		}
+	}()
+	k.At(30, func() {})
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel(1)
 	ran := 0

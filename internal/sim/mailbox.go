@@ -11,9 +11,7 @@ package sim
 // mailbox's high-water mark.
 type Mailbox[T any] struct {
 	k     *Kernel
-	ring  []T // ring storage; empty means an un-grown mailbox
-	head  int // index of the oldest item
-	count int
+	items ring[T]
 
 	waiters    []*waiter
 	waiterFree []*waiter
@@ -32,28 +30,12 @@ func NewMailbox[T any](k *Kernel) *Mailbox[T] {
 	return &Mailbox[T]{k: k}
 }
 
-// grow doubles the ring (minimum 8), unwrapping items into FIFO order.
-//
-//mpichv:amortized ring doubling: geometric growth costs nothing once the ring reaches the mailbox's high-water mark
-func (m *Mailbox[T]) grow() {
-	next := make([]T, max(8, 2*len(m.ring)))
-	for i := 0; i < m.count; i++ {
-		next[i] = m.ring[(m.head+i)%len(m.ring)]
-	}
-	m.ring = next
-	m.head = 0
-}
-
 // Put appends v and wakes the oldest live waiter, if any. It may be called
 // from event context or from any process.
 //
 //mpichv:noalloc
 func (m *Mailbox[T]) Put(v T) {
-	if m.count == len(m.ring) {
-		m.grow()
-	}
-	m.ring[(m.head+m.count)%len(m.ring)] = v
-	m.count++
+	m.items.push(v)
 	m.wakeOne()
 }
 
@@ -96,25 +78,13 @@ func (m *Mailbox[T]) recycle(w *waiter) {
 	m.waiterFree = append(m.waiterFree, w)
 }
 
-// pop removes and returns the oldest item (count must be positive).
-//
-//mpichv:noalloc
-func (m *Mailbox[T]) pop() T {
-	v := m.ring[m.head]
-	var zero T
-	m.ring[m.head] = zero // release the reference for GC
-	m.head = (m.head + 1) % len(m.ring)
-	m.count--
-	return v
-}
-
 // Get removes and returns the oldest item, blocking the calling process
 // until one is available. If the process is killed while waiting, Get
 // unwinds with ErrKilled.
 //
 //mpichv:noalloc
 func (m *Mailbox[T]) Get(p *Proc) T {
-	for m.count == 0 {
+	for m.items.Len() == 0 {
 		w := m.newWaiter(p)
 		m.waiters = append(m.waiters, w)
 		// If p is killed while parked here, drop its waiter slot so a later
@@ -125,10 +95,10 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		// A normal wakeup means wakeOne already removed w from the queue.
 		m.recycle(w)
 	}
-	v := m.pop()
+	v := m.items.pop()
 	// If items remain and other waiters exist (possible when several Puts
 	// landed before we ran), pass the wakeup along.
-	if m.count > 0 {
+	if m.items.Len() > 0 {
 		m.wakeOne()
 	}
 	return v
@@ -139,22 +109,22 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 //
 //mpichv:noalloc
 func (m *Mailbox[T]) TryGet() (T, bool) {
-	if m.count == 0 {
+	if m.items.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return m.pop(), true
+	return m.items.pop(), true
 }
 
 // Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int { return m.count }
+func (m *Mailbox[T]) Len() int { return m.items.Len() }
 
 // Range calls fn on every queued item in FIFO order without consuming any,
 // stopping early when fn returns false. It is a pure read: recovery
 // diagnostics use it to inspect undelivered traffic.
 func (m *Mailbox[T]) Range(fn func(T) bool) {
-	for i := 0; i < m.count; i++ {
-		if !fn(m.ring[(m.head+i)%len(m.ring)]) {
+	for i := 0; i < m.items.Len(); i++ {
+		if !fn(*m.items.at(i)) {
 			return
 		}
 	}

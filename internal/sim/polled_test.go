@@ -78,10 +78,16 @@ type pollScenario struct {
 // genPollScenario draws a scenario. With a coarse quantum every duration
 // and every Put lands on a few shared instants (poll-grid points, other
 // processes' wake-ups: ties decided by seq, shortcut not taken); with
-// quantum 1 instants are mostly private (shortcut taken).
+// quantum 1 instants are mostly private (shortcut taken). Half the
+// scenarios poll at one interval shared by all processes, so that their
+// grids align and several lane ticks fall on one instant.
 func genPollScenario(rng *rand.Rand) pollScenario {
 	quantum := []Time{1, 5, 10}[rng.Intn(3)]
 	dur := func(n int) Time { return quantum * Time(1+rng.Intn(n)) }
+	var every Time
+	if rng.Intn(2) == 0 {
+		every = dur(4)
+	}
 	var sc pollScenario
 	np := 1 + rng.Intn(5)
 	var horizon Time
@@ -90,6 +96,9 @@ func genPollScenario(rng *rand.Rand) pollScenario {
 		var total Time
 		for j, n := 0, 1+rng.Intn(6); j < n; j++ {
 			op := pollOp{kind: opPoll, d: dur(40), every: dur(4), cost: Time(rng.Intn(3)) * quantum, putTo: -1}
+			if every > 0 {
+				op.every = every
+			}
 			switch r := rng.Intn(10); {
 			case r < 2:
 				op.kind = opSleep
@@ -126,11 +135,13 @@ func genPollScenario(rng *rand.Rand) pollScenario {
 }
 
 // pollRun is what one execution of a scenario leaves behind: every action
-// as "now process action", and how often a Sleep wake-up or a poll tick
-// fired with nothing else pending at its instant (the shortcut's condition).
+// as "now process action", how often a Sleep wake-up or a heap poll tick
+// fired with nothing else pending at its instant (the shortcut's condition),
+// and the kernel's count of how lane ticks were served.
 type pollRun struct {
 	log           []string
 	alone, shared int
+	lane          struct{ rearmed, checked, fellBack int }
 }
 
 func runPollScenario(sc pollScenario, by blocking) pollRun {
@@ -212,7 +223,27 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 	logf("kernel", "paused queue=%d live=%d", k.QueueLen(), k.LiveProcs())
 	k.Run()
 	logf("kernel", "end queue=%d live=%d", k.QueueLen(), k.LiveProcs())
+	run.lane = k.pollStats
 	return run
+}
+
+// matchReference runs the scenario of seed through Sleep and SleepPolled
+// and through the reference, fails t at the first action where the two
+// differ, and returns the SleepPolled run.
+func matchReference(t *testing.T, seed int64) pollRun {
+	t.Helper()
+	sc := genPollScenario(rand.New(rand.NewSource(seed)))
+	want := runPollScenario(sc, reference)
+	got := runPollScenario(sc, blocking{sleep: (*Proc).Sleep, poll: (*Proc).SleepPolled})
+	if !slices.Equal(got.log, want.log) {
+		i := 0
+		for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
+			i++
+		}
+		t.Fatalf("seed %d: diverged at action %d of %d/%d:\n  SleepPolled: %v\n  reference:   %v\nscenario: %+v",
+			seed, i, len(got.log), len(want.log), got.log[i:min(i+3, len(got.log))], want.log[i:min(i+3, len(want.log))], sc)
+	}
+	return got
 }
 
 // TestSleepPolledMatchesSleepLoop is the equivalence SleepPolled promises:
@@ -221,27 +252,33 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 // with the run resumed, Stop from an event — every action happens at the
 // same virtual time and in the same order whether processes block through
 // Sleep and SleepPolled or through the reference, with the kernel's
-// run-in-place shortcut both taken and not taken along the way.
+// run-in-place shortcut both taken and not taken along the way, and lane
+// ticks both re-armed in place and run as checks, behind another tick's
+// resume or behind a heap event at their instant.
 func TestSleepPolledMatchesSleepLoop(t *testing.T) {
-	var alone, shared int
+	var alone, shared, rearmed, checked, fellBack int
 	for seed := int64(1); seed <= 300; seed++ {
-		sc := genPollScenario(rand.New(rand.NewSource(seed)))
-		want := runPollScenario(sc, reference)
-		got := runPollScenario(sc, blocking{sleep: (*Proc).Sleep, poll: (*Proc).SleepPolled})
-		if !slices.Equal(got.log, want.log) {
-			i := 0
-			for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
-				i++
-			}
-			t.Fatalf("seed %d: diverged at action %d of %d/%d:\n  SleepPolled: %v\n  reference:   %v\nscenario: %+v",
-				seed, i, len(got.log), len(want.log), got.log[i:min(i+3, len(got.log))], want.log[i:min(i+3, len(want.log))], sc)
-		}
+		got := matchReference(t, seed)
 		alone += got.alone
 		shared += got.shared
+		rearmed += got.lane.rearmed
+		checked += got.lane.checked
+		fellBack += got.lane.fellBack
 	}
+	t.Logf("timers alone %d, shared %d; lane ticks re-armed in place %d, checked %d, fell back at %d instants", alone, shared, rearmed, checked, fellBack)
 	if alone == 0 || shared == 0 {
 		t.Fatalf("timers fired alone at their instant %d times and beside other events %d times: the scenarios must cover both", alone, shared)
 	}
+	if rearmed == 0 || checked == 0 || fellBack == 0 {
+		t.Fatalf("lane ticks re-armed in place %d times, ran their check %d times, fell back at %d instants for a heap event: the scenarios must cover all three",
+			rearmed, checked, fellBack)
+	}
+}
+
+// FuzzSleepPolled widens TestSleepPolledMatchesSleepLoop to any scenario
+// seed. Its committed seeds under testdata/fuzz run in every go test.
+func FuzzSleepPolled(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
 }
 
 // TestSleepPolledReturnsRemainder pins the contract on its own: polls fall

@@ -32,7 +32,7 @@ type Proc struct {
 	// compute poll) allocates nothing per operation.
 	stepFn  func() // resume p
 	wakeFn  func() // Sleep's timer: resume p at the instant it fires
-	tickFn  func() // SleepPolled's timer
+	tickFn  func() // SleepPolled's timer when it is not on the poll lane
 	checkFn func() // SleepPolled's poll
 
 	killed   bool
@@ -45,7 +45,7 @@ type Proc struct {
 	onKill func()
 
 	// State of the SleepPolled the process is blocked in, if any.
-	pollLeft  Time // not yet slept when the pending tick was armed
+	pollEnd   Time // when the sleep is over
 	pollEvery Time
 	pollReady func() bool
 }
@@ -164,6 +164,8 @@ func (p *Proc) Sleep(d Time) {
 // would sit. Keeping the pair — rather than polling from the tick — is
 // what lets everything scheduled for that instant between the two still
 // run before the poll, exactly as it would before the process resumed.
+// A tick a full interval ahead waits on the kernel's poll lane, and at an
+// instant where nothing else is pending it polls at once (Kernel.runTick).
 func (p *Proc) SleepPolled(d, every Time, ready func() bool) (left Time) {
 	if d < 0 || every <= 0 {
 		panic(fmt.Sprintf("sim: polled sleep of %v every %v", d, every))
@@ -171,27 +173,47 @@ func (p *Proc) SleepPolled(d, every Time, ready func() bool) (left Time) {
 	if d == 0 {
 		return 0
 	}
-	p.pollLeft, p.pollEvery, p.pollReady = d, every, ready
+	p.pollEnd, p.pollEvery, p.pollReady = p.k.now+d, every, ready
 	p.armTick()
 	p.park()
-	return p.pollLeft
+	return p.pollEnd - p.k.now
 }
 
+// armTick schedules the next poll: on the lane when it is a full interval
+// ahead and the lane is empty or runs at that interval, else on the heap.
+//
+//mpichv:noalloc
 func (p *Proc) armTick() {
-	p.k.After(min(p.pollLeft, p.pollEvery), p.tickFn)
+	k := p.k
+	d := min(p.pollEnd-k.now, p.pollEvery)
+	if d < p.pollEvery || k.polls.Len() > 0 && k.pollEvery != d {
+		k.After(d, p.tickFn)
+		return
+	}
+	k.pollEvery = d
+	k.seq++
+	k.polls.push(pollTick{at: k.now + d, seq: k.seq, p: p})
 }
 
-// check is SleepPolled's poll: it stands where the process's resume would,
-// and switches to the process only when the sleep is over.
+// poll is SleepPolled's poll at the current instant: it reports whether
+// the sleep is over (due, killed, or ready), and re-arms the next tick if
+// not.
+func (p *Proc) poll() bool {
+	if p.pollEnd == p.k.now || p.killed || p.pollReady() {
+		return true
+	}
+	p.armTick()
+	return false
+}
+
+// check is SleepPolled's poll event: it stands where the process's resume
+// would, and switches to the process only when the sleep is over.
 func (p *Proc) check() {
-	p.pollLeft -= min(p.pollLeft, p.pollEvery) // the interval armTick timed
-	if p.pollLeft == 0 || p.killed || p.pollReady() {
+	if p.poll() {
 		// A process killed mid-sleep unwinds here, unless the kill's own
 		// resume already ran (step is then a no-op); the chain ends.
 		p.k.step(p)
-		return
 	}
-	p.armTick()
 }
 
 // Yield parks the process and immediately reschedules it, letting every
