@@ -389,7 +389,7 @@ func setupReplayServe(t *testing.T) func() uint64 {
 	t.Cleanup(k.Close) // the server never returns
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
 	n := daemon.NewNode(k, net, 0, 2, daemon.Vdaemon(), daemon.DefaultCalibration(),
-		protocols.NewVcausal("vcausal", 0, 2, false))
+		protocols.NewVcausal("vcausal", 0, 2))
 	const entries = 64
 	for s := 1; s <= entries; s++ {
 		n.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 1024, SendSeq: uint64(s)})

@@ -45,7 +45,7 @@ func main() {
 			d.PeriodicFaults(10 * mpichv.Second)
 		}
 		d.Launch()
-		// The watchdog cap sits well past the horizon, so the horizon —
+		// The virtual-time cap sits well past the horizon, so the horizon —
 		// not the cap — decides when a faulted run ends.
 		res := c.RunLaunched(60 * mpichv.Second)
 

@@ -52,17 +52,11 @@ type Config struct {
 	// ELSync selects the stability dissemination design for distributed
 	// Event Loggers ("exchange" or "broadcast"; default exchange).
 	ELSync eventlogger.SyncPolicy
-	// ELSyncInterval is the dissemination period (default 2ms).
-	ELSyncInterval sim.Time
 
 	// Net is the wire model; zero value selects Fast Ethernet.
 	Net netmodel.Config
-	// Cal is the protocol CPU cost model; zero value selects the default.
-	Cal daemon.Calibration
 	// EL is the Event Logger service model; zero value selects the default.
 	EL eventlogger.Config
-	// CkptServer is the checkpoint server cost model; zero selects default.
-	CkptServer checkpoint.ServerConfig
 
 	// CkptPolicy and CkptInterval drive the checkpoint scheduler.
 	// PolicyNone / zero interval disables checkpointing.
@@ -155,6 +149,10 @@ type Cluster struct {
 	announcedEpoch []int
 }
 
+// elSyncInterval is the stability dissemination period of distributed
+// Event Loggers.
+const elSyncInterval = 2 * sim.Millisecond
+
 // New builds a cluster per cfg. Endpoint layout: 0..NP-1 computing nodes,
 // NP Event Logger, NP+1 checkpoint server, NP+2 scheduler/dispatcher.
 func New(cfg Config) *Cluster {
@@ -169,14 +167,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Net.BandwidthBps == 0 {
 		cfg.Net = netmodel.FastEthernet()
 	}
-	if cfg.Cal == (daemon.Calibration{}) {
-		cfg.Cal = daemon.DefaultCalibration()
-	}
 	if cfg.EL == (eventlogger.Config{}) {
 		cfg.EL = eventlogger.DefaultConfig()
-	}
-	if cfg.CkptServer == (checkpoint.ServerConfig{}) {
-		cfg.CkptServer = checkpoint.DefaultServerConfig()
 	}
 	if cfg.RestartDelay == 0 {
 		cfg.RestartDelay = 250 * sim.Millisecond
@@ -192,9 +184,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.ELSync == "" {
 		cfg.ELSync = eventlogger.SyncExchange
-	}
-	if cfg.ELSyncInterval == 0 {
-		cfg.ELSyncInterval = 2 * sim.Millisecond
 	}
 	if cfg.Stack == StackCoordinated && cfg.CkptPolicy != checkpoint.PolicyNone {
 		cfg.CkptPolicy = checkpoint.PolicyCoordinated
@@ -234,7 +223,7 @@ func New(cfg Config) *Cluster {
 		c.ELGroup = eventlogger.NewGroup(k, net, elFirst, cfg.NP, eventlogger.GroupConfig{
 			Servers:      cfg.EventLoggers,
 			Sync:         cfg.ELSync,
-			SyncInterval: cfg.ELSyncInterval,
+			SyncInterval: elSyncInterval,
 			Service:      cfg.EL,
 		})
 		c.EL = c.ELGroup.Servers()[0]
@@ -242,7 +231,7 @@ func New(cfg Config) *Cluster {
 			s.Obs = c.Timeline
 		}
 	}
-	c.CkptServer = checkpoint.NewServer(k, net, ckptEndpoint, cfg.NP, cfg.CkptServer)
+	c.CkptServer = checkpoint.NewServer(k, net, ckptEndpoint, cfg.NP, checkpoint.DefaultServerConfig())
 	c.Scheduler = checkpoint.NewScheduler(k, net, schedEndpoint, cfg.NP, cfg.CkptPolicy, cfg.CkptInterval)
 	if c.Timeline != nil {
 		c.Scheduler.ObserveWaves(func(epoch int) {
@@ -250,9 +239,10 @@ func New(cfg Config) *Cluster {
 		})
 	}
 
+	cal := daemon.DefaultCalibration()
 	for r := 0; r < cfg.NP; r++ {
 		proto := protoFor(cfg, event.Rank(r))
-		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, cfg.Cal, proto)
+		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, cal, proto)
 		n.CkptEndpoint = ckptEndpoint
 		n.DispatcherEndpoint = schedEndpoint
 		n.AppStateBytes = cfg.AppStateBytes
@@ -293,7 +283,7 @@ func protoFor(cfg Config, rank event.Rank) daemon.Protocol {
 		if reducer == "" {
 			reducer = "vcausal"
 		}
-		return protocols.NewVcausal(reducer, rank, cfg.NP, cfg.UseEL)
+		return protocols.NewVcausal(reducer, rank, cfg.NP)
 	case StackPessimistic:
 		return protocols.NewPessimistic()
 	case StackCoordinated:

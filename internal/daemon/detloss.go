@@ -124,10 +124,10 @@ func assembleReplay(collected, replay []event.Determinant, creator event.Rank, b
 // held only by peers that crashed and restored regressed state. A clock
 // some survivor does witness is merely latent (it reaches the reducers
 // through normal piggyback flow), which is the benign single-failure case
-// and must not be flagged. Detection needs the cluster's omniscient scan
-// and only applies to logging protocols that promise replay.
+// and must not be flagged. Detection needs the cluster's omniscient scan.
+// Stacks that create no determinants never advance lastSend past 0.
 func (n *Node) unwitnessedTail(lastClock, lastSend uint64) (cut DeterminantLoss) {
-	if n.LossCheck == nil || !n.Proto.UsesSenderLog() || lastSend <= lastClock {
+	if n.LossCheck == nil || lastSend <= lastClock {
 		return cut
 	}
 	for i, w := range n.LossCheck(n.rank, lastClock+1, lastSend) {

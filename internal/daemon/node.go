@@ -60,10 +60,8 @@ func detRequestFrom(pkt *vproto.Packet) detRequest {
 // calls these hooks at fixed points; implementations (Vdummy, Vcausal,
 // pessimistic, coordinated) supply the fault-tolerance behaviour.
 type Protocol interface {
-	// Name identifies the stack ("vdummy", "vcausal", "pessimistic", ...).
-	Name() string
 	// PreSend runs in the sender's context before m is transmitted; it may
-	// attach piggyback, log the payload, charge CPU or block.
+	// attach piggyback, log the payload (LogPayload), charge CPU or block.
 	PreSend(n *Node, m *vproto.Message)
 	// OnDeliver runs in the receiver's context when an application message
 	// is delivered to the application (MPI match).
@@ -86,8 +84,6 @@ type Protocol interface {
 	// HeldFor returns held determinants created by the given rank, for
 	// serving a recovering peer (nil when the protocol keeps none).
 	HeldFor(creator event.Rank) []event.Determinant
-	// UsesSenderLog reports whether the stack logs payloads for replay.
-	UsesSenderLog() bool
 }
 
 // PacketObserver is an optional Protocol extension invoked when an
@@ -370,6 +366,33 @@ func (n *Node) SendPacket(endpoint int, bytes int, pkt *vproto.Packet) {
 		n.stats.ControlMsgs++
 	}
 	n.ep.Send(endpoint, bytes, pkt)
+}
+
+// LogPayload is sender-based payload logging, shared by every logging
+// stack: it appends m to the sender log and returns the logging CPU cost,
+// which the caller charges (folded into its own charge, so the send path
+// keeps one sleep).
+func (n *Node) LogPayload(m *vproto.Message) sim.Time {
+	n.Log.Append(*m)
+	if n.Log.Bytes() > n.stats.MaxSenderLogBytes {
+		n.stats.MaxSenderLogBytes = n.Log.Bytes()
+	}
+	return n.Cal.SenderLogOverhead + sim.Time(int64(m.Bytes)*int64(n.Cal.SenderLogPerByte))
+}
+
+// elLogPacketBytes is the wire size of one asynchronous event-log packet:
+// a factored single-event body plus the daemon packet header.
+const elLogPacketBytes = event.FactoredGroupHeader + event.FactoredEventSize + 24
+
+// ShipDeterminant charges the shipping cost and sends d asynchronously to
+// the Event Logger, whose acknowledgment arrives later as a PktEventAck.
+func (n *Node) ShipDeterminant(d event.Determinant) {
+	n.ChargeCPU(n.Cal.ELShip)
+	n.stats.EventsLogged++
+	pkt := vproto.GetPacket()
+	pkt.Kind = vproto.PktEventLog
+	pkt.SetDeterminant(d)
+	n.SendPacket(n.ELEndpoint, elLogPacketBytes, pkt)
 }
 
 // --- Application-facing operations (the MPI layer builds on these) ---
@@ -658,9 +681,7 @@ func (n *Node) serveDetRequest(req detRequest) {
 		resp.Incarnation = req.incarnation
 		n.SendPacket(int(requester), bytes, resp)
 	}
-	if n.Proto.UsesSenderLog() {
-		n.replayLogged(requester, req.seqFloor)
-	}
+	n.replayLogged(requester, req.seqFloor)
 }
 
 // replayLogged re-transmits the logged payloads sent to dst with sequence
@@ -684,16 +705,15 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 	if len(entries) == 0 {
 		return
 	}
-	// Copy the burst out of the log's scratch: the chain outlives this
-	// call, and the scratch is reused by the next For. The buffer is
-	// freshly allocated per replay — receivers retain pointers to the
+	// Copy the burst out of the log: the chain outlives this call, and the
+	// log may be trimmed or appended to meanwhile. The buffer is freshly
+	// allocated per replay — receivers retain pointers to the
 	// delivered messages, so it must never be recycled — but it is one
 	// allocation per replay set instead of the sequential path's one
 	// escaping copy per message.
 	burst := make([]vproto.Message, 0, len(entries))
 	total := sim.Time(0)
-	for _, lp := range entries {
-		m := lp.Msg
+	for _, m := range entries {
 		m.Replay = true
 		burst = append(burst, m)
 		total += n.transmitCPU(&m)
@@ -777,6 +797,9 @@ func (n *Node) BuildImage() *vproto.CheckpointImage {
 	// suppression floors, so they must travel with the image or they would
 	// be lost on restore.
 	im.ChannelMsgs = n.RecvQueueSnapshot()
+	// The sender log travels too, so a restarted process can still serve
+	// replay requests from before its own crash (nil when empty).
+	im.LoggedPayloads = n.Log.Snapshot()
 	n.Proto.Snapshot(n, im)
 	return im
 }
@@ -806,16 +829,14 @@ func (n *Node) TakeCheckpoint() {
 	// covers. The floors must come from the image itself — messages
 	// accepted while we waited for the store acknowledgment are not in the
 	// image and will be needed again if we restart from it.
-	if n.Proto.UsesSenderLog() {
-		for r := 0; r < n.np; r++ {
-			if event.Rank(r) == n.rank {
-				continue
-			}
-			gc := vproto.GetPacket()
-			gc.Kind = vproto.PktCkptGC
-			gc.Rank = n.rank
-			gc.SeqFloor = im.LastSeqSeen.Get(r)
-			n.SendPacket(r, 16, gc)
+	for r := 0; r < n.np; r++ {
+		if event.Rank(r) == n.rank {
+			continue
 		}
+		gc := vproto.GetPacket()
+		gc.Kind = vproto.PktCkptGC
+		gc.Rank = n.rank
+		gc.SeqFloor = im.LastSeqSeen.Get(r)
+		n.SendPacket(r, 16, gc)
 	}
 }

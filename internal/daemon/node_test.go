@@ -14,7 +14,6 @@ import (
 // replay machinery are exercised) but keeps nothing.
 type nullProto struct{ dets []event.Determinant }
 
-func (*nullProto) Name() string                   { return "null" }
 func (*nullProto) PreSend(*Node, *vproto.Message) {}
 func (p *nullProto) OnDeliver(n *Node, m *vproto.Message) {
 	d, _ := n.CreateDeterminant(m)
@@ -26,7 +25,6 @@ func (*nullProto) Snapshot(*Node, *vproto.CheckpointImage)              {}
 func (*nullProto) Restore(*Node, *vproto.CheckpointImage)               {}
 func (*nullProto) Integrate(*Node, []event.Determinant, *sparsevec.Vec) {}
 func (*nullProto) HeldFor(event.Rank) []event.Determinant               { return nil }
-func (*nullProto) UsesSenderLog() bool                                  { return false }
 
 func twoNodes(t *testing.T) (*sim.Kernel, *Node, *Node) {
 	t.Helper()

@@ -12,24 +12,22 @@ import (
 // in the sender's volatile memory until the receiver's next checkpoint
 // covers it, so a crashed receiver can ask for it to be re-sent.
 type SenderLog struct {
-	// perDst[d] holds the logged messages sent to rank d, in send order.
-	perDst map[event.Rank][]vproto.LoggedPayload
+	// perDst[d] holds the logged messages sent to rank d, in ascending
+	// send sequence.
+	perDst map[event.Rank][]vproto.Message
 	bytes  int64
-	// scratch backs For's result between calls, so each recovery served
-	// does not allocate a fresh replay slice.
-	scratch []vproto.LoggedPayload
 }
 
 // NewSenderLog returns an empty log.
 func NewSenderLog() *SenderLog {
-	return &SenderLog{perDst: make(map[event.Rank][]vproto.LoggedPayload)}
+	return &SenderLog{perDst: make(map[event.Rank][]vproto.Message)}
 }
 
 // Append stores a copy of m's payload metadata.
 func (l *SenderLog) Append(m vproto.Message) {
 	m.Piggyback = nil // piggyback is regenerated at replay time
 	m.PiggybackBytes = 0
-	l.perDst[m.Dst] = append(l.perDst[m.Dst], vproto.LoggedPayload{Msg: m})
+	l.perDst[m.Dst] = append(l.perDst[m.Dst], m)
 	l.bytes += int64(m.Bytes)
 }
 
@@ -41,8 +39,8 @@ func (l *SenderLog) Bytes() int64 { return l.bytes }
 func (l *SenderLog) TrimTo(dst event.Rank, seqFloor uint64) {
 	entries := l.perDst[dst]
 	cut := 0
-	for cut < len(entries) && entries[cut].Msg.SendSeq <= seqFloor {
-		l.bytes -= int64(entries[cut].Msg.Bytes)
+	for cut < len(entries) && entries[cut].SendSeq <= seqFloor {
+		l.bytes -= int64(entries[cut].Bytes)
 		cut++
 	}
 	if cut > 0 {
@@ -51,33 +49,34 @@ func (l *SenderLog) TrimTo(dst event.Rank, seqFloor uint64) {
 		// reachable past the bytes accounting that released them.
 		kept := copy(entries, entries[cut:])
 		for i := kept; i < len(entries); i++ {
-			entries[i] = vproto.LoggedPayload{}
+			entries[i] = vproto.Message{}
 		}
 		l.perDst[dst] = entries[:kept]
 	}
 }
 
 // For returns the logged payloads sent to dst with sequence > seqFloor, in
-// send order — the replay set for dst's recovery. The returned slice is
-// backed by a scratch buffer owned by the log and is only valid until the
-// next For call.
-func (l *SenderLog) For(dst event.Rank, seqFloor uint64) []vproto.LoggedPayload {
-	out := l.scratch[:0]
-	for _, e := range l.perDst[dst] {
-		if e.Msg.SendSeq > seqFloor {
-			out = append(out, e)
-		}
+// send order — the replay set for dst's recovery. Each destination's
+// entries ascend in send sequence (Append follows the channel counter,
+// Restore rebuilds from an image ordered the same way, TrimTo cuts only a
+// prefix), so the set is a suffix and For returns a view of the log
+// itself, allocating nothing. The view is only valid until the log next
+// changes: replayLogged copies it before any virtual time passes.
+func (l *SenderLog) For(dst event.Rank, seqFloor uint64) []vproto.Message {
+	entries := l.perDst[dst]
+	i := 0
+	for i < len(entries) && entries[i].SendSeq <= seqFloor {
+		i++
 	}
-	l.scratch = out
-	return out
+	return entries[i:]
 }
 
 // Snapshot returns all entries (checkpoint image content), ordered by
 // (destination, send sequence) so identical logs produce identical images
-// regardless of map iteration order. Per-destination slices are already in
-// send order (Append/TrimTo maintain it), so only the destination keys —
-// at most one per rank — need sorting.
-func (l *SenderLog) Snapshot() []vproto.LoggedPayload {
+// regardless of map iteration order, or nil when the log is empty.
+// Per-destination slices are already in send order (Append/TrimTo maintain
+// it), so only the destination keys — at most one per rank — need sorting.
+func (l *SenderLog) Snapshot() []vproto.Message {
 	dsts := make([]event.Rank, 0, len(l.perDst))
 	total := 0
 	for dst, entries := range l.perDst {
@@ -86,8 +85,11 @@ func (l *SenderLog) Snapshot() []vproto.LoggedPayload {
 			total += len(entries)
 		}
 	}
+	if total == 0 {
+		return nil
+	}
 	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	out := make([]vproto.LoggedPayload, 0, total)
+	out := make([]vproto.Message, 0, total)
 	for _, dst := range dsts {
 		out = append(out, l.perDst[dst]...)
 	}
@@ -95,11 +97,11 @@ func (l *SenderLog) Snapshot() []vproto.LoggedPayload {
 }
 
 // Restore replaces the log content from a checkpoint image.
-func (l *SenderLog) Restore(entries []vproto.LoggedPayload) {
-	l.perDst = make(map[event.Rank][]vproto.LoggedPayload)
+func (l *SenderLog) Restore(entries []vproto.Message) {
+	l.perDst = make(map[event.Rank][]vproto.Message)
 	l.bytes = 0
-	for _, e := range entries {
-		l.perDst[e.Msg.Dst] = append(l.perDst[e.Msg.Dst], e)
-		l.bytes += int64(e.Msg.Bytes)
+	for _, m := range entries {
+		l.perDst[m.Dst] = append(l.perDst[m.Dst], m)
+		l.bytes += int64(m.Bytes)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
+	"mpichv/internal/workload"
 )
 
 // latencyStacks is Figure 6(a)'s protocol axis: the reference MPI, the raw
@@ -23,7 +24,9 @@ const fig06aReps = 500
 // It runs Figure 6(a) as one sweep: stacks × a single 1-byte
 // ping-pong workload.
 func Fig06aReport() *Report {
-	wl := harness.Workload{Key: "pingpong.1B", PingPongBytes: 1, PingPongReps: fig06aReps}
+	wl := harness.Workload{Key: "pingpong.1B", Make: func() *workload.Instance {
+		return workload.BuildPingPong(1, fig06aReps)
+	}}
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig6a",
 		Workloads: []harness.Workload{wl},
@@ -60,11 +63,9 @@ var fig06bStacks = append([]harness.Stack{{Label: "RAW TCP", Stack: cluster.Stac
 func Fig06bReport() *Report {
 	workloads := make([]harness.Workload, len(BandwidthSizes))
 	for i, size := range BandwidthSizes {
-		workloads[i] = harness.Workload{
-			Key:           sizeLabel(size),
-			PingPongBytes: size,
-			PingPongReps:  fig06bReps(size),
-		}
+		workloads[i] = harness.Workload{Key: sizeLabel(size), Make: func() *workload.Instance {
+			return workload.BuildPingPong(size, fig06bReps(size))
+		}}
 	}
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig6b",

@@ -15,7 +15,6 @@ import (
 // only exercise process lifecycle, not logging.
 type inertProto struct{}
 
-func (*inertProto) Name() string                                                { return "inert" }
 func (*inertProto) PreSend(*daemon.Node, *vproto.Message)                       {}
 func (*inertProto) OnDeliver(n *daemon.Node, m *vproto.Message)                 { n.CreateDeterminant(m) }
 func (*inertProto) OnControl(*daemon.Node, *vproto.Packet)                      {}
@@ -24,7 +23,6 @@ func (*inertProto) Snapshot(*daemon.Node, *vproto.CheckpointImage)              
 func (*inertProto) Restore(*daemon.Node, *vproto.CheckpointImage)               {}
 func (*inertProto) Integrate(*daemon.Node, []event.Determinant, *sparsevec.Vec) {}
 func (*inertProto) HeldFor(event.Rank) []event.Determinant                      { return nil }
-func (*inertProto) UsesSenderLog() bool                                         { return false }
 
 func testWorld(t *testing.T, np int) (*sim.Kernel, []*daemon.Node) {
 	t.Helper()

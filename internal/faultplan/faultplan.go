@@ -362,9 +362,8 @@ func (p *Plan) compile(np int) ([]op, error) {
 		}
 		fail(cs.Delay < 0, "negative Delay")
 		// An unbounded kill-triggered cascade with zero delay re-kills at
-		// the same virtual instant forever: time never advances, so
-		// neither the virtual cap nor the harness watchdog (both kernel
-		// events) can fire. Demand a bound.
+		// the same virtual instant forever: virtual time stops advancing,
+		// so the virtual cap can never fire. Demand a bound.
 		fail(cs.Trigger == OnKill && cs.Delay == 0 && cs.MaxFires == 0,
 			"OnKill with Delay 0 and unlimited MaxFires would livelock at one instant; set Delay > 0 or MaxFires > 0")
 		fail(!(cs.Probability >= 0 && cs.Probability <= 1), "Probability %v outside [0, 1]", cs.Probability)

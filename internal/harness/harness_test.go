@@ -25,7 +25,7 @@ func smallSpec() *SweepSpec {
 		Name: "test-grid",
 		Workloads: []Workload{
 			{Key: "cg.A.2", Spec: workload.Spec{Bench: "cg", Class: "A", NP: 2}},
-			{Key: "pp", PingPongBytes: 1 << 10, PingPongReps: 50},
+			{Key: "pp", Make: func() *workload.Instance { return workload.BuildPingPong(1<<10, 50) }},
 		},
 		Stacks: []Stack{
 			{Key: "vc-el", Label: "Vcausal (EL)", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true},

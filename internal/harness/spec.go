@@ -44,21 +44,17 @@ func (s Stack) key() string {
 	return s.Label
 }
 
-// Workload is one point of the application axis: a NAS skeleton spec
-// (Spec.Bench != ""), a NetPIPE ping-pong, or an arbitrary custom
-// instance (Make != nil).
+// Workload is one point of the application axis: a NAS skeleton spec, or
+// any other instance (a NetPIPE ping-pong, custom per-rank programs)
+// built by Make.
 type Workload struct {
 	// Key is the stable identifier; empty defaults to the spec string
-	// ("bt.A.9") or "pingpong.<bytes>x<reps>". Custom workloads (Make)
-	// must set it.
+	// ("bt.A.9"). Custom workloads (Make) must set it.
 	Key string
 	// Spec names a NAS skeleton instance.
 	Spec workload.Spec
-	// PingPongBytes/PingPongReps select the NetPIPE benchmark instead.
-	PingPongBytes int
-	PingPongReps  int
-	// Make, when non-nil, builds an arbitrary instance (custom per-rank
-	// programs) and takes precedence over Spec and the ping-pong fields.
+	// Make, when non-nil, builds an arbitrary instance and takes
+	// precedence over Spec.
 	// It is invoked once per cell execution — plus once per sweep
 	// expansion, to read the instance's NP — and must return a fresh
 	// instance each time (instances hold per-run program state).
@@ -75,10 +71,7 @@ func (w Workload) key() string {
 	if w.Make != nil {
 		panic("harness: custom workloads (Make) must set Key")
 	}
-	if w.Spec.Bench != "" {
-		return w.Spec.String()
-	}
-	return fmt.Sprintf("pingpong.%dx%d", w.PingPongBytes, w.PingPongReps)
+	return w.Spec.String()
 }
 
 // NP returns the process count the workload deploys on.
@@ -86,23 +79,17 @@ func (w Workload) NP() int {
 	if w.Make != nil {
 		return w.Make().NP
 	}
-	if w.Spec.Bench != "" {
-		return w.Spec.NP
-	}
-	return 2
+	return w.Spec.NP
 }
 
 // Build constructs a fresh runnable instance. Instances hold per-run
 // program state, so every cell execution builds its own.
 func (w Workload) Build() *workload.Instance {
 	var in *workload.Instance
-	switch {
-	case w.Make != nil:
+	if w.Make != nil {
 		in = w.Make()
-	case w.Spec.Bench != "":
+	} else {
 		in = workload.Build(w.Spec)
-	default:
-		in = workload.BuildPingPong(w.PingPongBytes, w.PingPongReps)
 	}
 	if w.AppStateBytes > 0 {
 		in.AppStateBytes = w.AppStateBytes

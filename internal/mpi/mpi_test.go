@@ -14,7 +14,6 @@ import (
 // passProto is the minimal protocol for MPI-layer tests.
 type passProto struct{}
 
-func (*passProto) Name() string                          { return "pass" }
 func (*passProto) PreSend(*daemon.Node, *vproto.Message) {}
 func (*passProto) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	n.CreateDeterminant(m)
@@ -25,7 +24,6 @@ func (*passProto) Snapshot(*daemon.Node, *vproto.CheckpointImage)              {
 func (*passProto) Restore(*daemon.Node, *vproto.CheckpointImage)               {}
 func (*passProto) Integrate(*daemon.Node, []event.Determinant, *sparsevec.Vec) {}
 func (*passProto) HeldFor(event.Rank) []event.Determinant                      { return nil }
-func (*passProto) UsesSenderLog() bool                                         { return false }
 
 // world spawns np communicators running body and returns after completion.
 func world(t *testing.T, np int, body func(c *Comm)) []*daemon.Node {

@@ -28,9 +28,6 @@ func NewCoordinated() *Coordinated {
 	return &Coordinated{earlyMarkers: make(map[int][]event.Rank)}
 }
 
-// Name implements daemon.Protocol.
-func (*Coordinated) Name() string { return "coordinated" }
-
 // PreSend implements daemon.Protocol: nothing to do (no logging).
 func (*Coordinated) PreSend(*daemon.Node, *vproto.Message) {}
 
@@ -161,6 +158,3 @@ func (*Coordinated) Integrate(*daemon.Node, []event.Determinant, *sparsevec.Vec)
 
 // HeldFor implements daemon.Protocol.
 func (*Coordinated) HeldFor(event.Rank) []event.Determinant { return nil }
-
-// UsesSenderLog implements daemon.Protocol.
-func (*Coordinated) UsesSenderLog() bool { return false }

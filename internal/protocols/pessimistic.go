@@ -4,7 +4,6 @@ import (
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
-	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
 
@@ -22,9 +21,6 @@ type Pessimistic struct {
 // Event Logger in the deployment.
 func NewPessimistic() *Pessimistic { return &Pessimistic{} }
 
-// Name implements daemon.Protocol.
-func (*Pessimistic) Name() string { return "pessimistic" }
-
 // PreSend implements daemon.Protocol: block until the Event Logger has
 // acknowledged every local event, then log the payload.
 func (p *Pessimistic) PreSend(n *daemon.Node, m *vproto.Message) {
@@ -34,11 +30,7 @@ func (p *Pessimistic) PreSend(n *daemon.Node, m *vproto.Message) {
 	for p.ackedOwn < n.Clock() {
 		n.WaitPacket()
 	}
-	n.Log.Append(*m)
-	if n.Log.Bytes() > n.Stats().MaxSenderLogBytes {
-		n.Stats().MaxSenderLogBytes = n.Log.Bytes()
-	}
-	n.ChargeCPU(n.Cal.SenderLogOverhead + sim.Time(int64(m.Bytes)*int64(n.Cal.SenderLogPerByte)))
+	n.ChargeCPU(n.LogPayload(m))
 }
 
 // OnDeliver implements daemon.Protocol: create the determinant and ship it
@@ -47,12 +39,7 @@ func (p *Pessimistic) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	d, fresh := n.CreateDeterminant(m)
 	n.ChargeCPU(n.Cal.EventCreate)
 	if fresh {
-		n.ChargeCPU(n.Cal.ELShip)
-		n.Stats().EventsLogged++
-		pkt := vproto.GetPacket()
-		pkt.Kind = vproto.PktEventLog
-		pkt.SetDeterminant(d)
-		n.SendPacket(n.ELEndpoint, elLogPacketBytes, pkt)
+		n.ShipDeterminant(d)
 	} else if d.ID.Clock > p.ackedOwn {
 		// Replayed events were already collected from the EL.
 		p.ackedOwn = d.ID.Clock
@@ -74,11 +61,9 @@ func (p *Pessimistic) OnControl(n *daemon.Node, pkt *vproto.Packet) {
 // TakeSnapshot implements daemon.Protocol (uncoordinated blocking store).
 func (*Pessimistic) TakeSnapshot(n *daemon.Node) { n.TakeCheckpoint() }
 
-// Snapshot implements daemon.Protocol.
-func (*Pessimistic) Snapshot(n *daemon.Node, im *vproto.CheckpointImage) {
-	im.SenderLogBytes = n.Log.Bytes()
-	im.LoggedPayloads = n.Log.Snapshot()
-}
+// Snapshot implements daemon.Protocol: the daemon's image (clock, floors,
+// sender log) is the whole pessimistic state.
+func (*Pessimistic) Snapshot(*daemon.Node, *vproto.CheckpointImage) {}
 
 // Restore implements daemon.Protocol.
 func (p *Pessimistic) Restore(n *daemon.Node, im *vproto.CheckpointImage) {
@@ -98,6 +83,3 @@ func (p *Pessimistic) Integrate(n *daemon.Node, ds []event.Determinant, stable *
 // HeldFor implements daemon.Protocol: pessimistic nodes hold no peers'
 // determinants (everything lives at the Event Logger).
 func (*Pessimistic) HeldFor(event.Rank) []event.Determinant { return nil }
-
-// UsesSenderLog implements daemon.Protocol.
-func (*Pessimistic) UsesSenderLog() bool { return true }

@@ -29,16 +29,13 @@ func TestVdummyIsInert(t *testing.T) {
 	if a.Stats().PiggybackBytes != 0 || a.Log.Bytes() != 0 {
 		t.Error("vdummy produced protocol overhead")
 	}
-	if NewVdummy().UsesSenderLog() {
-		t.Error("vdummy claims a sender log")
-	}
 }
 
 func TestVcausalAttachesAndLogs(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), 3) // 2 nodes + EL slot
-	a := newNode(k, net, 0, 2, NewVcausal("vcausal", 0, 2, false))
-	b := newNode(k, net, 1, 2, NewVcausal("vcausal", 1, 2, false))
+	a := newNode(k, net, 0, 2, NewVcausal("vcausal", 0, 2))
+	b := newNode(k, net, 1, 2, NewVcausal("vcausal", 1, 2))
 	k.Spawn("a", func(p *sim.Proc) {
 		a.Bind(p)
 		a.Send(1, 0, 100)
@@ -68,8 +65,8 @@ func TestVcausalAttachesAndLogs(t *testing.T) {
 func TestVcausalShipsToELAndGCs(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), 3)
-	a := newNode(k, net, 0, 2, NewVcausal("manetho", 0, 2, true))
-	b := newNode(k, net, 1, 2, NewVcausal("manetho", 1, 2, true))
+	a := newNode(k, net, 0, 2, NewVcausal("manetho", 0, 2))
+	b := newNode(k, net, 1, 2, NewVcausal("manetho", 1, 2))
 	a.ELEndpoint, b.ELEndpoint = 2, 2
 
 	// Fake EL: immediately ack everything with a full stable vector.
@@ -128,7 +125,7 @@ func TestVcausalShipsToELAndGCs(t *testing.T) {
 func TestVcausalSnapshotRestore(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
-	proto := NewVcausal("logon", 0, 2, false)
+	proto := NewVcausal("logon", 0, 2)
 	n := newNode(k, net, 0, 2, proto)
 	k.Spawn("n", func(p *sim.Proc) {
 		n.Bind(p)

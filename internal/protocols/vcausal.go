@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"fmt"
-
 	"mpichv/internal/causal"
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
@@ -11,19 +9,15 @@ import (
 	"mpichv/internal/vproto"
 )
 
-// elLogPacketBytes is the wire size of one asynchronous event-log packet:
-// a factored single-event body plus the daemon packet header.
-const elLogPacketBytes = event.FactoredGroupHeader + event.FactoredEventSize + 24
-
 // Vcausal is the causal message logging V-protocol, parameterized by a
 // piggyback reducer ("vcausal", "manetho" or "logon" — the three protocols
-// the paper compares all share this stack, per Figure 4). When useEL is
-// true every reception determinant is shipped asynchronously to the Event
-// Logger and its acknowledgments garbage collect volatile causality state.
+// the paper compares all share this stack, per Figure 4). When the node
+// has an Event Logger every reception determinant is shipped to it
+// asynchronously, and its acknowledgments garbage collect volatile
+// causality state.
 type Vcausal struct {
 	reducer     causal.Reducer
 	reducerName string
-	useEL       bool
 
 	// pbFree recycles piggyback buffers: PreSend draws one, attaches it to
 	// the outgoing message, and the receiving stack returns the buffer here
@@ -55,21 +49,8 @@ func (v *Vcausal) putPBBuf(b []event.Determinant) {
 
 // NewVcausal builds the causal stack for rank self of np processes with
 // the named piggyback reducer.
-func NewVcausal(reducerName string, self event.Rank, np int, useEL bool) *Vcausal {
-	return &Vcausal{
-		reducer:     causal.New(reducerName, self, np),
-		reducerName: reducerName,
-		useEL:       useEL,
-	}
-}
-
-// Name implements daemon.Protocol.
-func (v *Vcausal) Name() string {
-	suffix := "+el"
-	if !v.useEL {
-		suffix = "-noel"
-	}
-	return fmt.Sprintf("vcausal/%s%s", v.reducerName, suffix)
+func NewVcausal(reducerName string, self event.Rank, np int) *Vcausal {
+	return &Vcausal{reducer: causal.New(reducerName, self, np), reducerName: reducerName}
 }
 
 // Held returns the volatile determinant count (the reducer store's size).
@@ -84,14 +65,7 @@ func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) {
 
 	cpu := sim.Time(ops)*n.Cal.CostPerOp + sim.Time(len(pb))*n.Cal.PerEventSend
 	n.Stats().SendPiggybackTime += cpu
-
-	// Sender-based payload logging.
-	n.Log.Append(*m)
-	if n.Log.Bytes() > n.Stats().MaxSenderLogBytes {
-		n.Stats().MaxSenderLogBytes = n.Log.Bytes()
-	}
-	cpu += n.Cal.SenderLogOverhead + sim.Time(int64(m.Bytes)*int64(n.Cal.SenderLogPerByte))
-	n.ChargeCPU(cpu)
+	n.ChargeCPU(cpu + n.LogPayload(m))
 }
 
 // checkIDConflict collects a determinant-ID conflict latched by the last
@@ -130,13 +104,8 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 		n.Stats().MaxHeldDeterminants = held
 	}
 
-	if fresh && v.useEL && n.ELEndpoint >= 0 {
-		n.ChargeCPU(n.Cal.ELShip)
-		n.Stats().EventsLogged++
-		pkt := vproto.GetPacket()
-		pkt.Kind = vproto.PktEventLog
-		pkt.SetDeterminant(d)
-		n.SendPacket(n.ELEndpoint, elLogPacketBytes, pkt)
+	if fresh && n.ELEndpoint >= 0 {
+		n.ShipDeterminant(d)
 	}
 }
 
@@ -156,11 +125,9 @@ func (v *Vcausal) TakeSnapshot(n *daemon.Node) { n.TakeCheckpoint() }
 
 // Snapshot implements daemon.Protocol: a message-logging checkpoint image
 // contains the process state, the held causality information and the
-// sender-based payload log (§IV-B.2 of the paper).
-func (v *Vcausal) Snapshot(n *daemon.Node, im *vproto.CheckpointImage) {
+// sender-based payload log (§IV-B.2 of the paper); the daemon adds the log.
+func (v *Vcausal) Snapshot(_ *daemon.Node, im *vproto.CheckpointImage) {
 	im.Determinants = v.reducer.All()
-	im.SenderLogBytes = n.Log.Bytes()
-	im.LoggedPayloads = n.Log.Snapshot()
 }
 
 // Restore implements daemon.Protocol: recovery rebuilds causality state
@@ -186,6 +153,3 @@ func (v *Vcausal) Integrate(n *daemon.Node, ds []event.Determinant, stable *spar
 func (v *Vcausal) HeldFor(creator event.Rank) []event.Determinant {
 	return v.reducer.HeldFor(creator)
 }
-
-// UsesSenderLog implements daemon.Protocol.
-func (v *Vcausal) UsesSenderLog() bool { return true }

@@ -20,9 +20,6 @@ type Vdummy struct{}
 // NewVdummy returns the no-fault-tolerance protocol.
 func NewVdummy() *Vdummy { return &Vdummy{} }
 
-// Name implements daemon.Protocol.
-func (*Vdummy) Name() string { return "vdummy" }
-
 // PreSend implements daemon.Protocol.
 func (*Vdummy) PreSend(*daemon.Node, *vproto.Message) {}
 
@@ -47,6 +44,3 @@ func (*Vdummy) Integrate(*daemon.Node, []event.Determinant, *sparsevec.Vec) {}
 
 // HeldFor implements daemon.Protocol.
 func (*Vdummy) HeldFor(event.Rank) []event.Determinant { return nil }
-
-// UsesSenderLog implements daemon.Protocol.
-func (*Vdummy) UsesSenderLog() bool { return false }

@@ -227,12 +227,10 @@ type CheckpointImage struct {
 	LastSeqSeen sparsevec.Vec
 	// Determinants are the held causality events at snapshot time.
 	Determinants []event.Determinant
-	// SenderLogBytes is the payload-log volume included in the image.
-	SenderLogBytes int64
 	// LoggedPayloads are the sender-log entries at snapshot time, so a
 	// restarted process can still serve replay requests from before its
 	// own crash.
-	LoggedPayloads []LoggedPayload
+	LoggedPayloads []Message
 	// ChannelMsgs are in-transit messages recorded by the Chandy-Lamport
 	// marker algorithm (coordinated checkpointing only); they are
 	// re-injected into the receive queue when the image is restored.
@@ -245,22 +243,18 @@ type CheckpointImage struct {
 const ChannelMsgHeaderBytes = 32
 
 // Bytes returns the modeled on-wire size of the image: application state,
-// sender log, held determinants (factored encoding), the channel-sequence
+// logged payloads, held determinants (factored encoding), the channel-sequence
 // floors (SendSeqs and LastSeqSeen, charged at their interval-coded run
 // encoding so the cost tracks active channels, not world size), recorded
 // in-transit channel messages, and a fixed header.
 func (im *CheckpointImage) Bytes() int64 {
-	b := im.AppBytes + im.SenderLogBytes +
-		int64(event.FactoredSize(im.Determinants)) + 64
+	b := im.AppBytes + int64(event.FactoredSize(im.Determinants)) + 64
 	b += im.SendSeqs.EncodedBytes() + im.LastSeqSeen.EncodedBytes()
+	for i := range im.LoggedPayloads {
+		b += int64(im.LoggedPayloads[i].Bytes)
+	}
 	for i := range im.ChannelMsgs {
 		b += ChannelMsgHeaderBytes + int64(im.ChannelMsgs[i].Bytes)
 	}
 	return b
-}
-
-// LoggedPayload is one sender-based-logging entry: enough to re-emit the
-// message during a peer's recovery.
-type LoggedPayload struct {
-	Msg Message
 }

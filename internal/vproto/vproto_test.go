@@ -30,7 +30,7 @@ func TestPacketKindStrings(t *testing.T) {
 func TestCheckpointImageBytes(t *testing.T) {
 	im := &CheckpointImage{
 		AppBytes:       1000,
-		SenderLogBytes: 500,
+		LoggedPayloads: []Message{{Bytes: 200}, {Bytes: 300}},
 		Determinants: []event.Determinant{
 			{ID: event.EventID{Creator: 0, Clock: 1}},
 			{ID: event.EventID{Creator: 0, Clock: 2}},

@@ -48,8 +48,9 @@
 // Run returns a structured RunResult: Outcome classifies completion,
 // determinant loss (the paper's known limitation of EL-less causal logging
 // under concurrent failures, reported as a measured result rather than an
-// error), divergence at the virtual cap, or a watchdog stop; MustCompleted
-// is the loud path for callers that assume completion.
+// error), divergence at the virtual cap, a deadlock (the event queue
+// drained with programs pending) or an always-on run reaching its horizon;
+// MustCompleted is the loud path for callers that assume completion.
 //
 // Custom applications implement Program: a function receiving the rank's
 // daemon node, typically wrapped in a Comm for the MPI API.
