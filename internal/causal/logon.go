@@ -21,9 +21,6 @@ type LogOn struct {
 // NewLogOn returns an empty LogOn reducer for rank self of np processes.
 func NewLogOn(self event.Rank, np int) *LogOn { return &LogOn{graph: newGraph(np)} }
 
-// Name implements Reducer.
-func (l *LogOn) Name() string { return "logon" }
-
 // AddLocal implements Reducer.
 //
 //mpichv:noalloc

@@ -16,9 +16,6 @@ type Manetho struct{ graph }
 // processes.
 func NewManetho(self event.Rank, np int) *Manetho { return &Manetho{newGraph(np)} }
 
-// Name implements Reducer.
-func (m *Manetho) Name() string { return "manetho" }
-
 // AddLocal implements Reducer.
 //
 //mpichv:noalloc

@@ -63,9 +63,6 @@ import (
 // they are not safe for concurrent use (the simulator is single-threaded by
 // construction).
 type Reducer interface {
-	// Name returns the protocol name ("vcausal", "manetho", "logon").
-	Name() string
-
 	// AddLocal records a determinant just created by the local process
 	// (delivery of a message). It must be called after Merge of the same
 	// message's piggyback, so antecedents are already present. Returns the

@@ -14,9 +14,6 @@ type Vcausal struct{ graph }
 // NewVcausal returns an empty Vcausal reducer for rank self of np processes.
 func NewVcausal(self event.Rank, np int) *Vcausal { return &Vcausal{newGraph(np)} }
 
-// Name implements Reducer.
-func (v *Vcausal) Name() string { return "vcausal" }
-
 // AddLocal implements Reducer: one comparison, or an append.
 //
 //mpichv:noalloc

@@ -40,7 +40,7 @@ func TestStoreAckAndFetch(t *testing.T) {
 		net.Endpoint(0).Send(2, int(im.Bytes()), &vproto.Packet{Kind: vproto.PktCkptStore, From: 0, Image: im})
 	})
 	k.At(sim.Second, func() {
-		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: -1})
+		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: vproto.FetchLatest})
 	})
 	k.Run()
 	if acked == nil || acked.Rank != 0 || acked.Epoch != 1 {
@@ -61,7 +61,7 @@ func TestFetchMissingImageReturnsNil(t *testing.T) {
 		fetched = d.Payload.(*vproto.Packet)
 	})
 	k.At(0, func() {
-		net.Endpoint(1).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 1, Rank: 1, Epoch: -1})
+		net.Endpoint(1).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 1, Rank: 1, Epoch: vproto.FetchLatest})
 	})
 	k.Run()
 	if fetched == nil || fetched.Image != nil {
@@ -85,7 +85,7 @@ func TestLatestImageWins(t *testing.T) {
 		net.Endpoint(0).Send(2, 64, &vproto.Packet{Kind: vproto.PktCkptStore, From: 0, Image: image(0, 2, 20)})
 	})
 	k.At(2*sim.Second, func() {
-		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: -1})
+		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: vproto.FetchLatest})
 	})
 	k.Run()
 	if fetched.Image.Step != 20 {
@@ -111,7 +111,7 @@ func TestCompleteWaveSemantics(t *testing.T) {
 		net.Endpoint(0).Send(2, 64, &vproto.Packet{Kind: vproto.PktCkptStore, From: 0, Image: image(0, 2, 20)})
 	})
 	k.At(2*sim.Second, func() {
-		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: -2})
+		net.Endpoint(0).Send(2, 32, &vproto.Packet{Kind: vproto.PktCkptFetch, From: 0, Rank: 0, Epoch: vproto.FetchLatestWave})
 	})
 	k.Run()
 	if s.CompleteEpoch() != 1 {

@@ -104,6 +104,3 @@ func (s *Scheduler) request(rank int) {
 	pkt.Epoch = s.epoch
 	s.ep.Send(rank, 16, pkt)
 }
-
-// Epoch returns the last issued wave number.
-func (s *Scheduler) Epoch() int { return s.epoch }

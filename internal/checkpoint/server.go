@@ -117,11 +117,11 @@ func (s *Server) handle(d netmodel.Delivery) {
 		s.Fetches++
 		var im *vproto.CheckpointImage
 		switch pkt.Epoch {
-		case -2: // latest complete wave (coordinated rollback)
+		case vproto.FetchLatestWave: // coordinated rollback
 			if s.completeEpoch >= 0 {
 				im = s.byEpoch[s.completeEpoch][rank]
 			}
-		default: // latest committed image for the rank
+		default: // vproto.FetchLatest: the rank's latest committed image
 			im = s.latest[rank]
 		}
 		bytes := int64(32)

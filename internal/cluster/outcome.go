@@ -197,19 +197,18 @@ func (c *Cluster) witnessed(creator event.Rank, from, to uint64) []bool {
 // is what lets survivors refuse the stale incarnation's traffic when a
 // healed partition releases it.
 func (c *Cluster) trackLifecycle(d *failure.Dispatcher) {
-	d.Observe(func(ev failure.Event) {
-		kind := lifecycleKind(ev.Kind)
-		c.Timeline.Record(ev.Time, kind, ev.Rank, 0, "")
-		c.down.Observe(kind, ev.Rank, ev.Time)
+	d.Observe(func(ev obs.Event) {
+		c.Timeline.Record(ev.T, ev.Kind, ev.Rank, 0, "")
+		c.down.Observe(ev)
 		switch ev.Kind {
-		case failure.EvKill, failure.EvSuspect:
-			c.killedAt[ev.Rank] = ev.Time
-			if ev.Kind == failure.EvSuspect {
-				c.suspectedAt[ev.Rank] = ev.Time
+		case obs.KindKill, obs.KindSuspect:
+			c.killedAt[ev.Rank] = ev.T
+			if ev.Kind == obs.KindSuspect {
+				c.suspectedAt[ev.Rank] = ev.T
 			}
-		case failure.EvRecovered:
-			c.recoveredAt[ev.Rank] = ev.Time
-		case failure.EvFenced:
+		case obs.KindRecovered:
+			c.recoveredAt[ev.Rank] = ev.T
+		case obs.KindFenced:
 			next := c.Nodes[ev.Rank].NextIncarnation()
 			c.announcedEpoch[ev.Rank] = next
 			c.Nodes[ev.Rank].MarkFencedRestart()
@@ -221,28 +220,9 @@ func (c *Cluster) trackLifecycle(d *failure.Dispatcher) {
 			c.FalseSuspicions = append(c.FalseSuspicions, FalseSuspicion{
 				Rank:        ev.Rank,
 				SuspectedAt: c.suspectedAt[ev.Rank],
-				FencedAt:    ev.Time,
+				FencedAt:    ev.T,
 				Incarnation: next,
 			})
 		}
 	})
-}
-
-// lifecycleKind maps dispatcher lifecycle events to timeline kinds.
-func lifecycleKind(k failure.EventKind) obs.Kind {
-	switch k {
-	case failure.EvKill:
-		return obs.KindKill
-	case failure.EvSuspect:
-		return obs.KindSuspect
-	case failure.EvFenced:
-		return obs.KindFenced
-	case failure.EvRestart:
-		return obs.KindRestart
-	case failure.EvRecovered:
-		return obs.KindRecovered
-	case failure.EvFinished:
-		return obs.KindFinished
-	}
-	panic(fmt.Sprintf("cluster: unknown lifecycle event %v", k))
 }

@@ -276,9 +276,6 @@ func (n *Node) NP() int { return n.np }
 // Now returns the current virtual time.
 func (n *Node) Now() sim.Time { return n.k.Now() }
 
-// Kernel returns the owning simulation kernel.
-func (n *Node) Kernel() *sim.Kernel { return n.k }
-
 // Network returns the network the node is attached to.
 func (n *Node) Network() *netmodel.Network { return n.net }
 
@@ -305,10 +302,6 @@ func (n *Node) Lamport() uint64 { return n.lamport }
 // Clock returns the node's nondeterministic-event clock (the number of
 // reception determinants it has created).
 func (n *Node) Clock() uint64 { return n.clock }
-
-// Incarnation returns the node's current incarnation (its recovery epoch:
-// 0 for the initial incarnation, incremented by every recovery).
-func (n *Node) Incarnation() int { return n.recoveryEpoch }
 
 // NextIncarnation returns the incarnation the node's next recovery will
 // run as. The dispatcher announces it when it fences a falsely suspected

@@ -72,12 +72,6 @@ func (n *Node) transition(to phase) {
 	n.guarded = n.fenced || to == phaseRestoring
 }
 
-// PktCkptFetch epoch selectors.
-const (
-	fetchLatest     = -1 // the rank's latest committed image
-	fetchLatestWave = -2 // the latest complete coordinated wave
-)
-
 // restore opens a new incarnation: it enters phaseRestoring, resets the
 // volatile state, fetches and restores the checkpoint image fetchEpoch
 // selects, and flushes what was held meanwhile. charged is false for a
@@ -151,7 +145,7 @@ func (n *Node) PrepareRecovery() {
 	// reassembled replay set against them.
 	prevClock, prevLastSend := n.clock, n.lastSendClock
 
-	im := n.restore(fetchLatest, true)
+	im := n.restore(vproto.FetchLatest, true)
 	n.transition(phaseCollecting)
 
 	// A fenced predecessor (false suspicion) may have sent into a
@@ -251,7 +245,7 @@ func (n *Node) requestFromPeers(wantDets bool) {
 // (coordinated checkpointing: every process rolls back on any failure).
 // crashed marks the node whose failure triggered the rollback.
 func (n *Node) PrepareRollback(crashed bool) {
-	n.restore(fetchLatestWave, crashed)
+	n.restore(vproto.FetchLatestWave, crashed)
 	n.transition(phaseUp)
 }
 

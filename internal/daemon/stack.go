@@ -8,8 +8,6 @@ import "mpichv/internal/sim"
 // which is precisely where the paper's MPICH-P4 vs MPICH-Vdummy latency gap
 // lives (the Vdaemon's extra process hop costs pipe crossings and copies).
 type StackConfig struct {
-	Name string
-
 	// SendOverhead / RecvOverhead are fixed per-message software costs
 	// (system calls, TCP stack, MPI matching).
 	SendOverhead sim.Time
@@ -29,15 +27,15 @@ type StackConfig struct {
 
 	// HalfDuplex models MPICH-P4's inability to exploit full-duplex links
 	// (the paper notes Vdummy beats P4 on some NAS kernels for exactly
-	// this reason). It is applied by serializing a node's send behind its
-	// in-progress receives at the stack level.
+	// this reason). cluster.New applies it to the wire: a half-duplex
+	// stack runs on a network whose nodes cannot transmit and receive at
+	// the same time (netmodel.Config.FullDuplex off).
 	HalfDuplex bool
 }
 
 // RawTCP is the cost model of the NetPIPE raw-TCP baseline.
 func RawTCP() StackConfig {
 	return StackConfig{
-		Name:         "rawtcp",
 		SendOverhead: 2 * sim.Microsecond,
 		RecvOverhead: 2 * sim.Microsecond,
 		CopyPerByte:  sim.Time(2), // 2ns/B ≈ one 500 MB/s copy
@@ -48,7 +46,6 @@ func RawTCP() StackConfig {
 // P4 is the cost model of the MPICH-P4 reference implementation.
 func P4() StackConfig {
 	return StackConfig{
-		Name:         "p4",
 		SendOverhead: 19 * sim.Microsecond,
 		RecvOverhead: 19 * sim.Microsecond,
 		CopyPerByte:  sim.Time(4), // extra MPI-layer copy
@@ -61,7 +58,6 @@ func P4() StackConfig {
 // P4-like MPI costs plus the application↔daemon pipe crossing.
 func Vdaemon() StackConfig {
 	return StackConfig{
-		Name:         "vdaemon",
 		SendOverhead: 19 * sim.Microsecond,
 		RecvOverhead: 19 * sim.Microsecond,
 		PipeOverhead: 17 * sim.Microsecond,

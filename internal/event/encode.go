@@ -7,10 +7,9 @@ import (
 
 // This file implements the two on-wire piggyback encodings for real. The
 // simulator itself passes determinants as Go values and only charges the
-// byte counts from FactoredSize/FlatSize, but the codecs are exercised by
-// the checkpoint server (determinant logs are part of a checkpoint image)
-// and validated against the size accounting by property tests, so the
-// accounting can never drift from a byte-accurate format.
+// byte counts from FactoredSize/FlatSize. The codecs exist so property
+// tests can check that accounting against a byte-accurate format, which
+// keeps it from drifting; the benchmark also times them.
 
 // EncodeFactored serializes ds in the factored {rid, nb, events...} format.
 // Adjacent determinants of the same creator share a group header.
@@ -19,9 +18,8 @@ func EncodeFactored(ds []Determinant) []byte {
 }
 
 // AppendFactored appends the factored encoding of ds to buf and returns the
-// extended buffer. Encoding into a caller-owned scratch buffer keeps
-// checkpoint-image serialization and the codec benchmarks allocation-free
-// in steady state.
+// extended buffer. Encoding into a caller-owned scratch buffer keeps the
+// codec's timing allocation-free in steady state.
 //
 //mpichv:noalloc
 func AppendFactored(buf []byte, ds []Determinant) []byte {

@@ -68,10 +68,7 @@ func NewGroup(k *sim.Kernel, net *netmodel.Network, firstEndpoint, np int, cfg G
 	}
 	g := &Group{cfg: cfg, np: np}
 	for i := 0; i < cfg.Servers; i++ {
-		s := New(k, net, firstEndpoint+i, np, cfg.Service)
-		s.group = g
-		s.serverIdx = i
-		g.servers = append(g.servers, s)
+		g.servers = append(g.servers, New(k, net, firstEndpoint+i, np, cfg.Service))
 	}
 	if cfg.Servers > 1 && cfg.SyncInterval > 0 {
 		for _, s := range g.servers {

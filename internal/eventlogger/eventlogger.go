@@ -77,11 +77,6 @@ type Server struct {
 	// new high-water mark and the per-recovery query emit), and a nil
 	// recorder costs one branch.
 	Obs *obs.Recorder
-
-	// group and serverIdx are set when the server belongs to a distributed
-	// Event Logger group (nil/0 for the classic single logger).
-	group     *Group
-	serverIdx int
 }
 
 // New builds an Event Logger bound to endpoint ep of the network, serving

@@ -9,62 +9,13 @@ import (
 	"fmt"
 
 	"mpichv/internal/daemon"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 )
 
 // Program is one rank's application code, run against its node after the
 // daemon finishes any recovery procedure.
 type Program func(n *daemon.Node)
-
-// EventKind classifies dispatcher lifecycle events (see Observe).
-type EventKind int
-
-// Dispatcher lifecycle events, in the order a fault produces them.
-const (
-	// EvKill: a fault was injected on the rank (its incarnation died).
-	EvKill EventKind = iota
-	// EvRestart: the rank's new incarnation started and entered recovery.
-	EvRestart
-	// EvRecovered: the recovery procedure finished; the program resumes.
-	EvRecovered
-	// EvFinished: the rank's program completed.
-	EvFinished
-	// EvSuspect: the failure detector declared the rank dead without
-	// killing its process (a network partition made it unreachable); a
-	// replacement incarnation is scheduled exactly as after a kill.
-	EvSuspect
-	// EvFenced: at respawn time the suspected rank's process was still
-	// alive — the suspicion was false, both incarnations were observed
-	// alive, and the stale one was fenced (terminated and its future
-	// traffic marked discardable by the incarnation announcement).
-	EvFenced
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvKill:
-		return "kill"
-	case EvRestart:
-		return "restart"
-	case EvRecovered:
-		return "recovered"
-	case EvFinished:
-		return "finished"
-	case EvSuspect:
-		return "suspect"
-	case EvFenced:
-		return "fenced"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// Event is one dispatcher lifecycle notification.
-type Event struct {
-	Kind EventKind
-	Rank int
-	Time sim.Time
-}
 
 // Dispatcher supervises the MPI run.
 type Dispatcher struct {
@@ -95,7 +46,7 @@ type Dispatcher struct {
 	pendingKills []int
 
 	// observers receive lifecycle events (fault-scenario engines, tests).
-	observers []func(Event)
+	observers []func(obs.Event)
 
 	// OnAllDone, when set, is invoked as soon as every program completes
 	// (typically kernel.Stop).
@@ -128,19 +79,21 @@ func NewDispatcher(k *sim.Kernel, nodes []*daemon.Node, programs []Program) *Dis
 	}
 }
 
-// Observe subscribes fn to the dispatcher's lifecycle event stream. Every
-// kill, restart, recovery completion and program completion is reported, in
-// kernel event order; observers run synchronously and must not call Kill
-// directly (schedule it through the kernel instead).
-func (d *Dispatcher) Observe(fn func(Event)) {
+// Observe subscribes fn to the dispatcher's lifecycle event stream, the
+// timeline's rank-lifecycle kinds obs.KindKill … obs.KindFinished. Every
+// kill, suspicion, fence, restart, recovery completion and program
+// completion is reported, in kernel event order; observers run
+// synchronously and must not call Kill directly (schedule it through the
+// kernel instead).
+func (d *Dispatcher) Observe(fn func(obs.Event)) {
 	d.observers = append(d.observers, fn)
 }
 
-func (d *Dispatcher) emit(kind EventKind, r int) {
+func (d *Dispatcher) emit(kind obs.Kind, r int) {
 	if len(d.observers) == 0 {
 		return
 	}
-	ev := Event{Kind: kind, Rank: r, Time: d.k.Now()}
+	ev := obs.Event{T: d.k.Now(), Kind: kind, Rank: r}
 	for _, fn := range d.observers {
 		fn(ev)
 	}
@@ -167,8 +120,8 @@ func (d *Dispatcher) Launch() {
 func (d *Dispatcher) NP() int { return len(d.nodes) }
 
 // Alive reports whether rank r currently has a spawned incarnation (it may
-// still be inside its recovery procedure, between EvRestart and
-// EvRecovered). A rank is not alive before Launch or inside the
+// still be inside its recovery procedure, between obs.KindRestart and
+// obs.KindRecovered). A rank is not alive before Launch or inside the
 // detection/relaunch window after a kill.
 func (d *Dispatcher) Alive(r int) bool { return d.launched && !d.restarting[r] }
 
@@ -183,17 +136,17 @@ func (d *Dispatcher) spawn(r int, recovery, crashed bool) {
 	d.procs[r] = d.k.Spawn(name, func(p *sim.Proc) {
 		n.Bind(p)
 		if recovery {
-			d.emit(EvRestart, r)
+			d.emit(obs.KindRestart, r)
 			if d.Coordinated {
 				n.PrepareRollback(crashed)
 			} else {
 				n.PrepareRecovery()
 			}
-			d.emit(EvRecovered, r)
+			d.emit(obs.KindRecovered, r)
 		}
 		prog(n)
 		n.Finish()
-		d.emit(EvFinished, r)
+		d.emit(obs.KindFinished, r)
 		if d.OnAllDone != nil && d.AllDone() {
 			d.OnAllDone()
 		}
@@ -243,7 +196,7 @@ func (d *Dispatcher) Kill(r int) {
 			d.nodes[i].Unfinish()
 			d.procs[i].Kill()
 		}
-		d.emit(EvKill, r)
+		d.emit(obs.KindKill, r)
 		gen := append([]int64(nil), d.gen...)
 		d.k.After(d.restartDelay(), func() {
 			for i := range d.nodes {
@@ -258,7 +211,7 @@ func (d *Dispatcher) Kill(r int) {
 	gen := d.gen[r]
 	d.restarting[r] = true
 	d.procs[r].Kill()
-	d.emit(EvKill, r)
+	d.emit(obs.KindKill, r)
 	d.k.After(d.restartDelay(), func() {
 		if d.gen[r] == gen {
 			d.spawn(r, true, true)
@@ -282,12 +235,12 @@ func (d *Dispatcher) restartDelay() sim.Time {
 // as for a kill; when the respawn fires and the suspected process is still
 // alive, the suspicion was false: the stale incarnation is fenced
 // (terminated — in the real system its connections are refused once the
-// dispatcher publishes the new incarnation) and EvFenced is emitted so the
-// deployment can announce the new incarnation to every peer. Suspecting a
-// finished or already-restarting rank is a no-op; under coordinated
-// checkpointing a suspicion is equivalent to a kill (rollback-all has no
-// per-rank fencing to model). A suspicion before Launch is deferred like a
-// kill.
+// dispatcher publishes the new incarnation) and obs.KindFenced is emitted
+// so the deployment can announce the new incarnation to every peer.
+// Suspecting a finished or already-restarting rank is a no-op; under
+// coordinated checkpointing a suspicion is equivalent to a kill
+// (rollback-all has no per-rank fencing to model). A suspicion before
+// Launch is deferred like a kill.
 func (d *Dispatcher) Suspect(r int) {
 	if r < 0 || r >= len(d.nodes) {
 		panic(fmt.Sprintf("failure: Suspect(%d) out of range (np=%d)", r, len(d.nodes)))
@@ -308,7 +261,7 @@ func (d *Dispatcher) Suspect(r int) {
 	gen := d.gen[r]
 	d.restarting[r] = true
 	stale := d.procs[r]
-	d.emit(EvSuspect, r)
+	d.emit(obs.KindSuspect, r)
 	d.k.After(d.restartDelay(), func() {
 		if d.gen[r] != gen {
 			return // superseded by a real kill (or another suspicion path)
@@ -325,7 +278,7 @@ func (d *Dispatcher) Suspect(r int) {
 			// before its replacement binds the node.
 			d.FalseSuspicions++
 			stale.Kill()
-			d.emit(EvFenced, r)
+			d.emit(obs.KindFenced, r)
 		}
 		d.spawn(r, true, true)
 	})

@@ -7,6 +7,7 @@ import (
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
 	"mpichv/internal/netmodel"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
@@ -271,9 +272,9 @@ func TestKillWhileRestartingExtendsWindow(t *testing.T) {
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond
 	var restarts []sim.Time
-	d.Observe(func(ev Event) {
-		if ev.Kind == EvRestart && ev.Rank == 0 {
-			restarts = append(restarts, ev.Time)
+	d.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.KindRestart && ev.Rank == 0 {
+			restarts = append(restarts, ev.T)
 		}
 	})
 	d.Launch()
@@ -306,16 +307,16 @@ func TestObserverEventStream(t *testing.T) {
 	}
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond
-	var kinds []EventKind
-	d.Observe(func(ev Event) {
+	var kinds []obs.Kind
+	d.Observe(func(ev obs.Event) {
 		if ev.Rank != 0 {
 			return
 		}
 		kinds = append(kinds, ev.Kind)
-		// Dead from the kill until the respawn; alive from EvRestart on,
-		// through the recovery window the stream brackets with EvRecovered.
-		if alive := ev.Kind != EvKill; d.Alive(0) != alive {
-			t.Errorf("at %v: %v but Alive=%v", ev.Time, ev.Kind, d.Alive(0))
+		// Dead from the kill until the respawn; alive from the restart on,
+		// through the recovery window the stream brackets with recovered.
+		if alive := ev.Kind != obs.KindKill; d.Alive(0) != alive {
+			t.Errorf("at %v: %v but Alive=%v", ev.T, ev.Kind, d.Alive(0))
 		}
 	})
 	if d.Alive(0) {
@@ -324,7 +325,7 @@ func TestObserverEventStream(t *testing.T) {
 	d.Launch()
 	d.ScheduleFault(20*sim.Millisecond, 0)
 	k.Run()
-	want := []EventKind{EvKill, EvRestart, EvRecovered, EvFinished}
+	want := []obs.Kind{obs.KindKill, obs.KindRestart, obs.KindRecovered, obs.KindFinished}
 	if len(kinds) != len(want) {
 		t.Fatalf("event stream %v, want %v", kinds, want)
 	}

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"mpichv/internal/daemon"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 )
 
 // observeScenario runs one fixed overlapping-fault scenario — kills on
 // ranks 0 and 1 at the same instant, a false suspicion on rank 2 while
 // both are still down — and returns the full lifecycle event stream.
-func observeScenario(t *testing.T) []Event {
+func observeScenario(t *testing.T) []obs.Event {
 	t.Helper()
 	k, nodes := suspectWorld(t, 3)
 	progs := []Program{
@@ -21,8 +22,8 @@ func observeScenario(t *testing.T) []Event {
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond
 
-	var events []Event
-	d.Observe(func(ev Event) { events = append(events, ev) })
+	var events []obs.Event
+	d.Observe(func(ev obs.Event) { events = append(events, ev) })
 	d.Launch()
 	d.ScheduleFault(20*sim.Millisecond, 0)
 	d.ScheduleFault(20*sim.Millisecond, 1)
@@ -52,25 +53,25 @@ func TestObserveDeterministicOrder(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("streams diverge at %d: %+v vs %+v", i, a[i], b[i])
 		}
-		if a[i].Time < last {
-			t.Fatalf("event %d out of order: %v after %v", i, a[i].Time, last)
+		if a[i].T < last {
+			t.Fatalf("event %d out of order: %v after %v", i, a[i].T, last)
 		}
-		last = a[i].Time
+		last = a[i].T
 	}
 
 	// The multiset is the full fault story: two kills, two repairs, one
 	// fenced false suspicion, three completions.
-	counts := map[EventKind]int{}
+	counts := map[obs.Kind]int{}
 	for _, ev := range a {
 		counts[ev.Kind]++
 	}
-	want := map[EventKind]int{
-		EvKill:      2,
-		EvSuspect:   1,
-		EvFenced:    1,
-		EvRestart:   3,
-		EvRecovered: 3,
-		EvFinished:  3,
+	want := map[obs.Kind]int{
+		obs.KindKill:      2,
+		obs.KindSuspect:   1,
+		obs.KindFenced:    1,
+		obs.KindRestart:   3,
+		obs.KindRecovered: 3,
+		obs.KindFinished:  3,
 	}
 	for kind, n := range want {
 		if counts[kind] != n {
@@ -79,11 +80,11 @@ func TestObserveDeterministicOrder(t *testing.T) {
 	}
 
 	// Per-rank kill/restart/recovered are causally ordered.
-	seen := map[int][]EventKind{}
+	seen := map[int][]obs.Kind{}
 	for _, ev := range a {
 		seen[ev.Rank] = append(seen[ev.Rank], ev.Kind)
 	}
-	idx := func(kinds []EventKind, k EventKind) int {
+	idx := func(kinds []obs.Kind, k obs.Kind) int {
 		for i, kk := range kinds {
 			if kk == k {
 				return i
@@ -93,18 +94,19 @@ func TestObserveDeterministicOrder(t *testing.T) {
 	}
 	for r := 0; r < 2; r++ {
 		ks := seen[r]
-		if !(idx(ks, EvKill) < idx(ks, EvRestart) && idx(ks, EvRestart) < idx(ks, EvRecovered)) {
+		if !(idx(ks, obs.KindKill) < idx(ks, obs.KindRestart) && idx(ks, obs.KindRestart) < idx(ks, obs.KindRecovered)) {
 			t.Errorf("rank %d lifecycle out of order: %v", r, ks)
 		}
 	}
-	if ks := seen[2]; !(idx(ks, EvSuspect) < idx(ks, EvFenced) && idx(ks, EvFenced) < idx(ks, EvRestart)) {
+	if ks := seen[2]; !(idx(ks, obs.KindSuspect) < idx(ks, obs.KindFenced) && idx(ks, obs.KindFenced) < idx(ks, obs.KindRestart)) {
 		t.Errorf("rank 2 suspicion out of order: %v", ks)
 	}
 }
 
 // TestObserveLateRegistration: an observer registered mid-run — after a
 // kill already fired — receives every subsequent event, including the
-// EvSuspect and EvFenced of a false suspicion raised after registration.
+// suspect and fenced events of a false suspicion raised after
+// registration.
 func TestObserveLateRegistration(t *testing.T) {
 	k, nodes := suspectWorld(t, 2)
 	progs := []Program{
@@ -114,12 +116,12 @@ func TestObserveLateRegistration(t *testing.T) {
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond
 
-	var early, late []EventKind
-	d.Observe(func(ev Event) { early = append(early, ev.Kind) })
+	var early, late []obs.Kind
+	d.Observe(func(ev obs.Event) { early = append(early, ev.Kind) })
 	d.Launch()
 	d.ScheduleFault(5*sim.Millisecond, 0)
 	k.At(20*sim.Millisecond, func() {
-		d.Observe(func(ev Event) { late = append(late, ev.Kind) })
+		d.Observe(func(ev obs.Event) { late = append(late, ev.Kind) })
 	})
 	k.At(25*sim.Millisecond, func() { d.Suspect(1) })
 	k.Run()
@@ -127,7 +129,7 @@ func TestObserveLateRegistration(t *testing.T) {
 		t.Fatal("run did not complete")
 	}
 
-	has := func(kinds []EventKind, k EventKind) bool {
+	has := func(kinds []obs.Kind, k obs.Kind) bool {
 		for _, kk := range kinds {
 			if kk == k {
 				return true
@@ -137,17 +139,17 @@ func TestObserveLateRegistration(t *testing.T) {
 	}
 	// The late observer missed the kill (before registration) but sees
 	// the suspicion, the fence and the completions.
-	if has(late, EvKill) {
+	if has(late, obs.KindKill) {
 		t.Fatalf("late observer saw the pre-registration kill: %v", late)
 	}
-	for _, kind := range []EventKind{EvSuspect, EvFenced, EvRestart, EvRecovered, EvFinished} {
+	for _, kind := range []obs.Kind{obs.KindSuspect, obs.KindFenced, obs.KindRestart, obs.KindRecovered, obs.KindFinished} {
 		if !has(late, kind) {
 			t.Errorf("late observer missed %v: %v", kind, late)
 		}
 	}
 	// The early observer saw the pre-registration kill/restart/recovered
 	// of rank 0, then exactly the late observer's stream as a suffix.
-	if !has(early, EvKill) || len(early) <= len(late) {
+	if !has(early, obs.KindKill) || len(early) <= len(late) {
 		t.Fatalf("early observer stream unexpected: early=%v late=%v", early, late)
 	}
 	suffix := early[len(early)-len(late):]

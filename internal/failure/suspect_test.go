@@ -5,6 +5,7 @@ import (
 
 	"mpichv/internal/daemon"
 	"mpichv/internal/netmodel"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
@@ -39,8 +40,8 @@ func TestSuspectFencesLiveProcess(t *testing.T) {
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond
 
-	var events []EventKind
-	d.Observe(func(ev Event) {
+	var events []obs.Kind
+	d.Observe(func(ev obs.Event) {
 		if ev.Rank == 0 {
 			events = append(events, ev.Kind)
 		}
@@ -58,7 +59,7 @@ func TestSuspectFencesLiveProcess(t *testing.T) {
 	if !d.AllDone() {
 		t.Fatal("run did not complete after the fenced respawn")
 	}
-	want := []EventKind{EvSuspect, EvFenced, EvRestart, EvRecovered, EvFinished}
+	want := []obs.Kind{obs.KindSuspect, obs.KindFenced, obs.KindRestart, obs.KindRecovered, obs.KindFinished}
 	if len(events) != len(want) {
 		t.Fatalf("event stream %v, want %v", events, want)
 	}
@@ -162,9 +163,9 @@ func TestRestartDelayFnDrawsPerFault(t *testing.T) {
 		return delay
 	}
 	var restartTimes []sim.Time
-	d.Observe(func(ev Event) {
-		if ev.Kind == EvRestart {
-			restartTimes = append(restartTimes, ev.Time)
+	d.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.KindRestart {
+			restartTimes = append(restartTimes, ev.T)
 		}
 	})
 	d.Launch()

@@ -536,7 +536,7 @@ func Apply(t Targets, p *Plan) (*Engine, error) {
 		e.cascades[i].rng = subRNG(seed, fmt.Sprintf("cascade|%d|%s", i, p.Cascades[i].Key))
 	}
 	if len(p.Cascades) > 0 {
-		t.Dispatcher.Observe(func(ev failure.Event) {
+		t.Dispatcher.Observe(func(ev obs.Event) {
 			if trig, ok := triggers[ev.Kind]; ok {
 				e.fireCascades(trig, ev.Rank)
 			}
@@ -679,8 +679,8 @@ func (e *Engine) startStorm(i int) {
 }
 
 // triggers maps the dispatcher lifecycle events cascades fire on.
-var triggers = map[failure.EventKind]Trigger{
-	failure.EvKill: OnKill, failure.EvRestart: OnRestart, failure.EvRecovered: OnRecovered,
+var triggers = map[obs.Kind]Trigger{
+	obs.KindKill: OnKill, obs.KindRestart: OnRestart, obs.KindRecovered: OnRecovered,
 }
 
 // fireCascades launches every cascade matching the trigger. The cascaded

@@ -11,6 +11,7 @@ import (
 	"mpichv/internal/failure"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/mpi"
+	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 	"mpichv/internal/trace"
 )
@@ -315,9 +316,9 @@ func TestBurstStormKillsDistinctRanksSimultaneously(t *testing.T) {
 	c := cluster.New(faultedConfig(plan, 5))
 	d := c.PrepareRun(ringPrograms(4, 150, 256))
 	byTime := map[sim.Time][]int{}
-	d.Observe(func(ev failure.Event) {
-		if ev.Kind == failure.EvKill {
-			byTime[ev.Time] = append(byTime[ev.Time], ev.Rank)
+	d.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.KindKill {
+			byTime[ev.T] = append(byTime[ev.T], ev.Rank)
 		}
 	})
 	d.Launch()

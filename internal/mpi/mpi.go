@@ -1,8 +1,9 @@
 // Package mpi provides the application-facing message passing interface on
-// top of the communication daemon: point-to-point operations and the
-// collectives the NAS benchmarks rely on (barrier, broadcast, reduce,
-// all-reduce, all-to-all, all-gather), implemented over point-to-point
-// messages with the classic binomial/dissemination algorithms.
+// top of the communication daemon: the calls the NAS skeletons, the
+// service and the ping-pong make — Send, Recv, Sendrecv, Compute, and the
+// broadcast, reduce, all-reduce and all-to-all collectives, implemented
+// over point-to-point messages with the classic binomial and pairwise
+// algorithms.
 //
 // Payloads carry only their size: the protocols under study never inspect
 // message content, so the simulation moves byte counts, not bytes.
@@ -17,18 +18,13 @@ import (
 
 // Reserved tag space for collectives, above any application tag.
 const (
-	tagBarrier = 1 << 20
-	tagBcast   = 2 << 20
-	tagReduce  = 3 << 20
-	tagGather  = 4 << 20
-	tagA2A     = 5 << 20
+	tagBcast  = 2 << 20
+	tagReduce = 3 << 20
+	tagA2A    = 5 << 20
 )
 
 // AnySource matches any sender in Recv.
 const AnySource = -1
-
-// AnyTag matches any tag in Recv.
-const AnyTag = -1
 
 // Comm is a communicator bound to one rank's node.
 type Comm struct {
@@ -43,9 +39,6 @@ func (c *Comm) Rank() int { return int(c.n.Rank()) }
 
 // Size returns the number of processes.
 func (c *Comm) Size() int { return c.n.NP() }
-
-// Node exposes the underlying daemon node.
-func (c *Comm) Node() *daemon.Node { return c.n }
 
 // Compute models local computation of duration d.
 func (c *Comm) Compute(d sim.Time) { c.n.Compute(d) }
@@ -65,21 +58,6 @@ func (c *Comm) Recv(src, tag int) *vproto.Message {
 func (c *Comm) Sendrecv(dst, sendBytes, src, tag int) *vproto.Message {
 	c.Send(dst, tag, sendBytes)
 	return c.Recv(src, tag)
-}
-
-// Barrier synchronizes all processes (dissemination algorithm: ⌈log₂ n⌉
-// rounds of token exchanges, correct for any process count).
-func (c *Comm) Barrier() {
-	np, rank := c.Size(), c.Rank()
-	if np == 1 {
-		return
-	}
-	for k, round := 1, 0; k < np; k, round = k<<1, round+1 {
-		to := (rank + k) % np
-		from := (rank - k + np) % np
-		c.Send(to, tagBarrier+round, 4)
-		c.Recv(from, tagBarrier+round)
-	}
 }
 
 // Bcast broadcasts bytes from root (binomial tree).
@@ -146,19 +124,5 @@ func (c *Comm) Alltoall(bytesPerPair int) {
 		from := (rank - i + np) % np
 		c.Send(to, tagA2A+i, bytesPerPair)
 		c.Recv(from, tagA2A+i)
-	}
-}
-
-// Allgather shares bytes from every process with every process (ring).
-func (c *Comm) Allgather(bytes int) {
-	np, rank := c.Size(), c.Rank()
-	if np == 1 {
-		return
-	}
-	right := (rank + 1) % np
-	left := (rank - 1 + np) % np
-	for i := 0; i < np-1; i++ {
-		c.Send(right, tagGather+i, bytes)
-		c.Recv(left, tagGather+i)
 	}
 }

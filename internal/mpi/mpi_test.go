@@ -51,26 +51,6 @@ func world(t *testing.T, np int, body func(c *Comm)) []*daemon.Node {
 	return nodes
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	for _, np := range []int{2, 3, 4, 7, 8} {
-		var after []sim.Time
-		world(t, np, func(c *Comm) {
-			// Stagger arrival; everyone must leave the barrier only after
-			// the latest arrival.
-			c.Compute(sim.Time(c.Rank()+1) * sim.Millisecond)
-			c.Barrier()
-			after = append(after, c.Node().Now())
-		})
-		latestArrival := sim.Time(np) * sim.Millisecond
-		for _, ts := range after {
-			if ts < latestArrival {
-				t.Fatalf("np=%d: a rank left the barrier at %v before the last arrival at %v",
-					np, ts, latestArrival)
-			}
-		}
-	}
-}
-
 func TestBcastReachesEveryone(t *testing.T) {
 	for _, np := range []int{2, 3, 5, 8} {
 		for root := 0; root < np; root += np/2 + 1 {
@@ -106,6 +86,30 @@ func TestAllreduceCompletes(t *testing.T) {
 	}
 }
 
+// TestAllreduceTrafficVolume pins Allreduce's cost: a binomial reduce to
+// rank 0 and a binomial broadcast back each move one message per non-root
+// rank, so np ranks send exactly 2(np−1) messages of the given size.
+func TestAllreduceTrafficVolume(t *testing.T) {
+	const bytes = 768
+	for _, np := range []int{2, 3, 5, 8, 16} {
+		nodes := world(t, np, func(c *Comm) {
+			c.Allreduce(bytes)
+		})
+		var msgs, sent int64
+		for _, n := range nodes {
+			st := n.Stats()
+			msgs += st.AppMsgsSent
+			sent += st.AppBytesSent
+		}
+		if want := int64(2 * (np - 1)); msgs != want {
+			t.Errorf("np=%d: allreduce sent %d messages, want %d", np, msgs, want)
+		}
+		if want := int64(2 * (np - 1) * bytes); sent != want {
+			t.Errorf("np=%d: allreduce moved %d bytes, want %d", np, sent, want)
+		}
+	}
+}
+
 func TestAlltoallTrafficVolume(t *testing.T) {
 	const np, bytes = 4, 1000
 	nodes := world(t, np, func(c *Comm) {
@@ -118,21 +122,6 @@ func TestAlltoallTrafficVolume(t *testing.T) {
 	want := int64(np * (np - 1) * bytes)
 	if total != want {
 		t.Fatalf("alltoall moved %d bytes, want %d", total, want)
-	}
-}
-
-func TestAllgatherCompletes(t *testing.T) {
-	for _, np := range []int{2, 3, 8} {
-		nodes := world(t, np, func(c *Comm) {
-			c.Allgather(256)
-		})
-		var msgs int64
-		for _, n := range nodes {
-			msgs += n.Stats().AppMsgsSent
-		}
-		if want := int64(np * (np - 1)); msgs != want {
-			t.Fatalf("np=%d: allgather sent %d messages, want %d", np, msgs, want)
-		}
 	}
 }
 

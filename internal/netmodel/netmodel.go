@@ -44,8 +44,8 @@ type Config struct {
 }
 
 // FastEthernet returns the 100 Mbit/s switched-Ethernet configuration used
-// by the paper's 32-node cluster (full-duplex; MPICH-P4's inability to
-// exploit duplex links is modeled in its stack, not in the wire).
+// by the paper's 32-node cluster (full-duplex; for MPICH-P4, which cannot
+// exploit duplex links, cluster.New turns FullDuplex off).
 func FastEthernet() Config {
 	return Config{
 		Latency:       51 * sim.Microsecond,
@@ -92,11 +92,6 @@ type Network struct {
 	// arrival (see RangeInFlight).
 	flightHead *deliveryEvent
 
-	// TotalBytes counts application-visible bytes accepted for transmission
-	// (excluding frame overhead), for whole-run accounting.
-	TotalBytes int64
-	// TotalMessages counts messages accepted for transmission.
-	TotalMessages int64
 	// HeldDeliveries counts deliveries accepted onto a down link (held for
 	// heal); ReleasedDeliveries counts the held ones a heal released.
 	HeldDeliveries     int64
@@ -177,11 +172,6 @@ type Endpoint struct {
 	// handler, when non-nil, is invoked in event context instead of
 	// enqueueing to Inbox.
 	handler func(Delivery)
-
-	BytesSent     int64
-	BytesReceived int64
-	MsgsSent      int64
-	MsgsReceived  int64
 }
 
 // New builds a network of n endpoints over kernel k.
@@ -245,11 +235,6 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 	n := ep.net
 	k := n.k
 	to := n.Endpoint(dst)
-
-	n.TotalBytes += int64(bytes)
-	n.TotalMessages++
-	ep.BytesSent += int64(bytes)
-	ep.MsgsSent++
 
 	if dst == ep.id {
 		// Loopback: no NIC involvement, a token in-memory latency. A node
@@ -337,8 +322,6 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 }
 
 func (ep *Endpoint) deliver(d Delivery) {
-	ep.BytesReceived += int64(d.Bytes)
-	ep.MsgsReceived++
 	if ep.handler != nil {
 		ep.handler(d)
 		return

@@ -48,11 +48,12 @@ func NewDowntime(since []sim.Time) Downtime {
 
 // Observe applies one timeline event; kinds other than the rank lifecycle
 // and ranks outside the deployment are ignored.
-func (d *Downtime) Observe(kind Kind, rank int, t sim.Time) {
+func (d *Downtime) Observe(ev Event) {
+	rank, t := ev.Rank, ev.T
 	if rank < 0 || rank >= len(d.since) {
 		return
 	}
-	switch kind {
+	switch ev.Kind {
 	case KindKill, KindSuspect, KindRestart:
 		if d.since[rank] < 0 {
 			d.since[rank] = t
@@ -64,7 +65,7 @@ func (d *Downtime) Observe(kind Kind, rank int, t sim.Time) {
 		w := t - d.since[rank]
 		d.since[rank] = -1
 		d.total += w
-		if kind == KindRecovered {
+		if ev.Kind == KindRecovered {
 			d.repairTime += w
 			d.repairs++
 		}
@@ -95,7 +96,7 @@ func (d *Downtime) Metrics(now sim.Time) Metrics {
 func ComputeMetrics(events []Event, np int, end sim.Time) Metrics {
 	d := NewDowntime(make([]sim.Time, np))
 	for _, ev := range events {
-		d.Observe(ev.Kind, ev.Rank, ev.T)
+		d.Observe(ev)
 	}
 	return d.Metrics(end)
 }

@@ -21,13 +21,26 @@ type Kind uint8
 
 // Timeline event kinds.
 const (
-	// Rank lifecycle (mirrors failure.EventKind, stamped by the cluster's
-	// dispatcher observer).
+	// Rank lifecycle, published by the dispatcher's Observe stream in the
+	// order a fault produces them.
+	//
+	// KindKill: a fault was injected on the rank (its incarnation died).
 	KindKill Kind = iota
+	// KindSuspect: the failure detector declared the rank dead without
+	// killing its process (a network partition made it unreachable); a
+	// replacement incarnation is scheduled exactly as after a kill.
 	KindSuspect
+	// KindFenced: at respawn time the suspected rank's process was still
+	// alive — the suspicion was false, both incarnations were observed
+	// alive, and the stale one was fenced (terminated and its future
+	// traffic marked discardable by the incarnation announcement).
 	KindFenced
+	// KindRestart: the rank's new incarnation started and entered
+	// recovery.
 	KindRestart
+	// KindRecovered: the recovery procedure finished; the program resumes.
 	KindRecovered
+	// KindFinished: the rank's program completed.
 	KindFinished
 
 	// Recovery phase boundaries, stamped by the daemon's phase transition

@@ -75,7 +75,8 @@ const (
 	PktCkptStore
 	// PktCkptAck acknowledges a completed checkpoint transaction.
 	PktCkptAck
-	// PktCkptFetch asks the checkpoint server for a rank's latest image.
+	// PktCkptFetch asks the checkpoint server for one of a rank's images;
+	// its Epoch is a fetch selector (FetchLatest, FetchLatestWave).
 	PktCkptFetch
 	// PktCkptImage answers a PktCkptFetch.
 	PktCkptImage
@@ -90,6 +91,15 @@ const (
 	// PktELSync carries one Event Logger's stable array to a peer logger
 	// (distributed Event Logger extension).
 	PktELSync
+)
+
+// PktCkptFetch selectors, carried in Packet.Epoch.
+const (
+	// FetchLatest selects the rank's latest committed image.
+	FetchLatest = -1
+	// FetchLatestWave selects the rank's image of the latest complete
+	// coordinated wave (coordinated rollback).
+	FetchLatestWave = -2
 )
 
 // String returns the packet kind mnemonic.

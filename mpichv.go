@@ -148,10 +148,6 @@ type (
 	RestartDelayDist = faultplan.DelayDist
 	// FaultEngine is a compiled plan with its fault counters.
 	FaultEngine = faultplan.Engine
-	// DispatcherEvent is one dispatcher lifecycle notification
-	// (kill/restart/recovered/finished/suspect/fenced), see
-	// Dispatcher.Observe.
-	DispatcherEvent = failure.Event
 	// FalseSuspicion records one confirmed false suspicion: a live rank
 	// declared dead behind a partition, its stale incarnation fenced when
 	// the replacement spawned.
@@ -207,7 +203,9 @@ type (
 	// TimelineRecorder accumulates a run's typed timeline events (see
 	// Cluster.Timeline); exportable as JSONL or Chrome trace-event JSON.
 	TimelineRecorder = obs.Recorder
-	// TimelineEvent is one typed, virtually-timestamped timeline event.
+	// TimelineEvent is one typed, virtually-timestamped timeline event; the
+	// dispatcher's lifecycle stream (Dispatcher.Observe) carries the same
+	// type.
 	TimelineEvent = obs.Event
 	// AvailabilityMetrics are the MTTR/downtime/availability figures
 	// derived from a timeline (see ComputeAvailability).
