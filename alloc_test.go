@@ -26,8 +26,9 @@ import (
 // //mpichv:noalloc functions contain and reach, along static calls, no
 // allocating construct and no dynamic dispatch; this test proves by
 // measurement that the steady state of every hot-path layer allocates
-// nothing and that a whole simulation cell stays under a ceiling of heap
-// objects per application message. It is the only guard that sees what
+// at most a handful of objects per measured section and that a whole
+// simulation cell stays under a ceiling of heap objects per application
+// message. It is the only guard that sees what
 // the compiler decides — a value boxed into an interface, a parameter
 // moved to the heap — so every //mpichv:noalloc function is executed by
 // some row (CHANGES.md, PR 24, lists which): annotating a new root means
@@ -60,46 +61,49 @@ func TestHotPathAllocations(t *testing.T) {
 		}
 	})
 
-	// Steady state, layer by layer: allocs/op in whole objects, as
-	// testing.AllocsPerRun counts them — a body that retains what it is
+	// Steady state, layer by layer: a ceiling on the heap objects the
+	// whole measured section allocates. A body that retains what it is
 	// given (a reducer keeps every determinant) refills a slab or doubles
-	// a slice now and then, which the lint knows as //mpichv:amortized and
-	// which stays far below one object per op. setup builds the state,
-	// runs the body once so that pools and queues have their working
-	// size, and returns the measured section, which reports how many
-	// operations it performed.
+	// a slice now and then, which the lint knows as //mpichv:amortized;
+	// the ceilings sit a little above those counts (0 for most rows, 3
+	// for the reducers, 21 for obs/recorder, 4 per replay service). They
+	// count objects, not whole objects per op, so a map that grows on
+	// every op (132 objects in 16,384 reducer ops) does not round to 0.
+	// setup builds the state, runs the body once so that pools and queues
+	// have their working size, and returns the measured section, which
+	// reports how many operations it performed.
 	steady := []struct {
-		name   string
-		setup  func(t *testing.T) (measured func() (ops uint64))
-		allocs uint64
+		name    string
+		setup   func(t *testing.T) (measured func() (ops uint64))
+		mallocs uint64
 	}{
-		{"kernel/schedule-run", setupKernelScheduleRun, 0},
-		{"kernel/proc-sleep", setupProcSleep, 0},
-		{"kernel/proc-poll", setupProcPoll, 0},
-		{"sim/mailbox", setupMailbox, 0},
-		{"net/send", setupNetSend, 0},
-		{"reducer/vcausal-np16", setupReducer("vcausal", 16), 0},
-		{"reducer/manetho-np16", setupReducer("manetho", 16), 0},
-		{"reducer/logon-np16", setupReducer("logon", 16), 0},
+		{"kernel/schedule-run", setupKernelScheduleRun, 16},
+		{"kernel/proc-sleep", setupProcSleep, 16},
+		{"kernel/proc-poll", setupProcPoll, 16},
+		{"sim/mailbox", setupMailbox, 16},
+		{"net/send", setupNetSend, 16},
+		{"reducer/vcausal-np16", setupReducer("vcausal", 16), 16},
+		{"reducer/manetho-np16", setupReducer("manetho", 16), 16},
+		{"reducer/logon-np16", setupReducer("logon", 16), 16},
 		// The same cycle in a 256-rank world with the same 15 active
 		// creators: cost tracks the active set, not the world size.
-		{"reducer/vcausal-np256", setupReducer("vcausal", 256), 0},
-		{"reducer/manetho-np256", setupReducer("manetho", 256), 0},
-		{"reducer/logon-np256", setupReducer("logon", 256), 0},
-		{"event/enc-factored", setupEncoder(event.FactoredSize, event.AppendFactored), 0},
-		{"event/enc-flat", setupEncoder(event.FlatSize, event.AppendFlat), 0},
-		// One op is a whole 64-payload sender-log replay service.
-		{"daemon/replay-serve", setupReplayServe, 4},
-		{"obs/latency-hist", setupLatencyHist, 0},
-		{"obs/recorder", setupRecorder, 0},
+		{"reducer/vcausal-np256", setupReducer("vcausal", 256), 16},
+		{"reducer/manetho-np256", setupReducer("manetho", 256), 16},
+		{"reducer/logon-np256", setupReducer("logon", 256), 16},
+		{"event/enc-factored", setupEncoder(event.FactoredSize, event.AppendFactored), 16},
+		{"event/enc-flat", setupEncoder(event.FlatSize, event.AppendFlat), 16},
+		// One op is a whole 64-payload sender-log replay service; the
+		// section runs 256 of them at 4 objects each.
+		{"daemon/replay-serve", setupReplayServe, 4*256 + 16},
+		{"obs/latency-hist", setupLatencyHist, 16},
+		{"obs/recorder", setupRecorder, 32},
 	}
 	for _, row := range steady {
 		t.Run(row.name, func(t *testing.T) {
 			mallocs, ops := countMallocs(t, row.setup)
-			got := mallocs / ops
 			t.Logf("%d mallocs in %d ops", mallocs, ops)
-			if got > row.allocs {
-				t.Errorf("%s: %d allocs/op (%d mallocs in %d ops), want at most %d", row.name, got, mallocs, ops, row.allocs)
+			if mallocs > row.mallocs {
+				t.Errorf("%s: %d mallocs in %d ops, want at most %d", row.name, mallocs, ops, row.mallocs)
 			}
 		})
 	}

@@ -32,7 +32,8 @@ import (
 	"strings"
 	"time"
 
-	"mpichv"
+	"mpichv/internal/experiment"
+	"mpichv/internal/harness"
 	"mpichv/internal/profile"
 )
 
@@ -50,29 +51,29 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range mpichv.ExperimentNames() {
+		for _, name := range experiment.Names() {
 			fmt.Println(name)
 		}
 		return
 	}
 
-	reports := mpichv.ExperimentReports()
+	reports := experiment.Index()
 	names, err := resolveFigures(*figs, reports)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
 		os.Exit(2)
 	}
 
-	opts := mpichv.SweepOptions{Parallel: *parallel, TraceDir: *traceDir}
+	opts := harness.Options{Parallel: *parallel, TraceDir: *traceDir}
 	if !*quiet {
-		opts.OnProgress = func(p mpichv.SweepProgress) {
+		opts.OnProgress = func(p harness.Progress) {
 			if p.Done == p.Total || p.Done%25 == 0 {
 				fmt.Fprintf(os.Stderr, "  [%s] %d/%d cells\n", p.Sweep, p.Done, p.Total)
 			}
 		}
-		opts.OnError = func(e mpichv.SweepCellError) { fmt.Fprintf(os.Stderr, "  cell error: %v\n", e) }
+		opts.OnError = func(e harness.CellError) { fmt.Fprintf(os.Stderr, "  cell error: %v\n", e) }
 	}
-	mpichv.SetExperimentRunner(opts)
+	experiment.SetRunnerOptions(opts)
 
 	if err := prepareOutDir(*outDir); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -126,9 +127,9 @@ func main() {
 // comma-separated list where each entry may use the short form ("7") or
 // the full name ("fig7"). Every entry must name a known experiment; an
 // empty expansion (e.g. "-fig ,") is also an error.
-func resolveFigures(figSpec string, reports map[string]func() *mpichv.ExperimentReport) ([]string, error) {
+func resolveFigures(figSpec string, reports map[string]func() *experiment.Report) ([]string, error) {
 	if figSpec == "all" {
-		return mpichv.ExperimentNames(), nil
+		return experiment.Names(), nil
 	}
 	var names []string
 	for _, f := range strings.Split(figSpec, ",") {
@@ -165,7 +166,7 @@ func prepareOutDir(dir string) error {
 // generate runs one report generator, converting the harness's
 // loud-failure panics (a cell that errored or did not complete feeding a
 // table) into a clean CLI error.
-func generate(gen func() *mpichv.ExperimentReport) (rep *mpichv.ExperimentReport, err error) {
+func generate(gen func() *experiment.Report) (rep *experiment.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)

@@ -6,18 +6,18 @@ import (
 	"reflect"
 	"testing"
 
-	"mpichv"
+	"mpichv/internal/experiment"
 )
 
 func TestResolveFigures(t *testing.T) {
-	reports := mpichv.ExperimentReports()
+	reports := experiment.Index()
 
 	t.Run("all", func(t *testing.T) {
 		names, err := resolveFigures("all", reports)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(names, mpichv.ExperimentNames()) {
+		if !reflect.DeepEqual(names, experiment.Names()) {
 			t.Errorf("all = %v, want the full experiment list", names)
 		}
 	})
@@ -50,13 +50,13 @@ func TestResolveFigures(t *testing.T) {
 			t.Errorf("resolve = %v, want %v", names, want)
 		}
 		found := false
-		for _, n := range mpichv.ExperimentNames() {
+		for _, n := range experiment.Names() {
 			if n == "ext-partition" {
 				found = true
 			}
 		}
 		if !found {
-			t.Error("ext-partition missing from ExperimentNames")
+			t.Error("ext-partition missing from experiment.Names")
 		}
 	})
 
@@ -70,13 +70,13 @@ func TestResolveFigures(t *testing.T) {
 			t.Errorf("resolve = %v, want %v", names, want)
 		}
 		found := false
-		for _, n := range mpichv.ExperimentNames() {
+		for _, n := range experiment.Names() {
 			if n == "ext-service" {
 				found = true
 			}
 		}
 		if !found {
-			t.Error("ext-service missing from ExperimentNames")
+			t.Error("ext-service missing from experiment.Names")
 		}
 	})
 

@@ -17,8 +17,11 @@ import (
 	"os"
 	"time"
 
-	"mpichv"
+	"mpichv/internal/checkpoint"
+	"mpichv/internal/cluster"
 	"mpichv/internal/profile"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -46,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*np = 2
 	}
 
-	cfg := mpichv.Config{
+	cfg := cluster.Config{
 		NP:      *np,
 		Stack:   *stack,
 		Reducer: *reducer,
@@ -54,18 +57,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:    *seed,
 	}
 	if *ckpt > 0 {
-		cfg.CkptPolicy = mpichv.PolicyRoundRobin
-		cfg.CkptInterval = mpichv.Time(*ckpt)
-		if *stack == mpichv.StackCoordinated {
-			cfg.CkptPolicy = mpichv.PolicyCoordinated
+		cfg.CkptPolicy = checkpoint.PolicyRoundRobin
+		cfg.CkptInterval = sim.Time(*ckpt)
+		if *stack == cluster.StackCoordinated {
+			cfg.CkptPolicy = checkpoint.PolicyCoordinated
 		}
 	}
 
-	b, c, err := construct(cfg, func() *mpichv.Benchmark {
+	b, c, err := construct(cfg, func() *workload.Instance {
 		if *bench == "pingpong" {
-			return mpichv.BuildPingPong(*msgBytes, *reps)
+			return workload.BuildPingPong(*msgBytes, *reps)
 		}
-		return mpichv.BuildBenchmark(mpichv.BenchmarkSpec{Bench: *bench, Class: *class, NP: *np})
+		return workload.Build(workload.Spec{Bench: *bench, Class: *class, NP: *np})
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "mpichv: %v\n", err)
@@ -79,16 +82,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	d := c.PrepareRun(b.Programs)
 	if *faultAt > 0 {
-		d.ScheduleFault(mpichv.Time(*faultAt), 0)
+		d.ScheduleFault(sim.Time(*faultAt), 0)
 	}
 	d.Launch()
 
 	wall := time.Now()
-	elapsed := c.RunLaunched(100 * 60 * mpichv.Minute).MustCompleted()
+	elapsed := c.RunLaunched(100 * 60 * sim.Minute).MustCompleted()
 	stats := c.AggregateStats()
 
 	fmt.Fprintf(stdout, "benchmark      : %s on %d processes, stack=%s", *bench, *np, *stack)
-	if *stack == mpichv.StackVcausal {
+	if *stack == cluster.StackVcausal {
 		fmt.Fprintf(stdout, "/%s el=%v", *reducer, *useEL)
 	}
 	fmt.Fprintln(stdout)
@@ -121,11 +124,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // benchmark, stack or reducer name, or a process count the benchmark
 // cannot be laid out on, by panicking with a message: here those values
 // are user input, so the message comes back as an error.
-func construct(cfg mpichv.Config, build func() *mpichv.Benchmark) (b *mpichv.Benchmark, c *mpichv.Cluster, err error) {
+func construct(cfg cluster.Config, build func() *workload.Instance) (b *workload.Instance, c *cluster.Cluster, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)
 		}
 	}()
-	return build(), mpichv.NewCluster(cfg), nil
+	return build(), cluster.New(cfg), nil
 }

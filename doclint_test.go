@@ -11,7 +11,7 @@ import (
 )
 
 // TestExportedIdentifiersDocumented is the missing-doc lint: every exported
-// identifier in the facade, in the operator-facing internal packages
+// identifier in the root package, in the operator-facing internal packages
 // (harness, obs, faultplan), and in the lint suite itself (analysis,
 // cmd/lint — the linter must meet its own documentation bar) must carry a
 // doc comment. It runs as part of the ordinary test suite, so CI enforces
@@ -66,7 +66,7 @@ func undocumentedExports(t *testing.T, dir string) []string {
 // checkGenDecl walks one const/var/type declaration. A doc comment on the
 // enclosing block covers single-spec declarations; inside multi-spec
 // blocks each exported spec needs its own comment unless the block itself
-// is documented (the grouped-constants idiom used throughout the facade).
+// is documented (the grouped-constants idiom).
 func checkGenDecl(d *ast.GenDecl, report func(token.Pos, string)) {
 	blockDoc := d.Doc != nil
 	for _, spec := range d.Specs {

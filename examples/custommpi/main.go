@@ -1,4 +1,4 @@
-// Custommpi: write your own MPI program against the library's public API —
+// Custommpi: write your own MPI program against the mpi package —
 // here a 5-point stencil halo exchange with periodic convergence
 // all-reduces — and run it fault tolerantly under LogOn causal logging,
 // surviving two injected failures.
@@ -7,7 +7,12 @@ package main
 import (
 	"fmt"
 
-	"mpichv"
+	"mpichv/internal/checkpoint"
+	"mpichv/internal/cluster"
+	"mpichv/internal/daemon"
+	"mpichv/internal/failure"
+	"mpichv/internal/mpi"
+	"mpichv/internal/sim"
 )
 
 const (
@@ -16,13 +21,13 @@ const (
 	halo  = 16 << 10 // 16 KB halo per neighbour
 )
 
-func worker(rank int) mpichv.Program {
-	return func(n *mpichv.Node) {
-		c := mpichv.NewComm(n)
+func worker(rank int) failure.Program {
+	return func(n *daemon.Node) {
+		c := mpi.NewComm(n)
 		left := (rank - 1 + np) % np
 		right := (rank + 1) % np
 		for it := 0; it < iters; it++ {
-			c.Compute(300 * mpichv.Microsecond)
+			c.Compute(300 * sim.Microsecond)
 			c.Send(left, 1, halo)
 			c.Send(right, 2, halo)
 			c.Recv(right, 1)
@@ -35,27 +40,27 @@ func worker(rank int) mpichv.Program {
 }
 
 func main() {
-	c := mpichv.NewCluster(mpichv.Config{
+	c := cluster.New(cluster.Config{
 		NP:            np,
-		Stack:         mpichv.StackVcausal,
+		Stack:         cluster.StackVcausal,
 		Reducer:       "logon",
 		UseEL:         true,
-		CkptPolicy:    mpichv.PolicyRoundRobin,
-		CkptInterval:  20 * mpichv.Millisecond,
-		RestartDelay:  10 * mpichv.Millisecond,
+		CkptPolicy:    checkpoint.PolicyRoundRobin,
+		CkptInterval:  20 * sim.Millisecond,
+		RestartDelay:  10 * sim.Millisecond,
 		AppStateBytes: 256 << 10,
 	})
 	defer c.Close()
 
-	programs := make([]mpichv.Program, np)
+	programs := make([]failure.Program, np)
 	for r := 0; r < np; r++ {
 		programs[r] = worker(r)
 	}
 	d := c.PrepareRun(programs)
-	d.ScheduleFault(15*mpichv.Millisecond, 3)
-	d.ScheduleFault(40*mpichv.Millisecond, 6)
+	d.ScheduleFault(15*sim.Millisecond, 3)
+	d.ScheduleFault(40*sim.Millisecond, 6)
 	d.Launch()
-	elapsed := c.RunLaunched(10 * mpichv.Minute).MustCompleted()
+	elapsed := c.RunLaunched(10 * sim.Minute).MustCompleted()
 
 	st := c.AggregateStats()
 	fmt.Printf("stencil on %d ranks under LogOn causal logging\n", np)

@@ -8,27 +8,30 @@ package main
 import (
 	"fmt"
 
-	"mpichv"
+	"mpichv/internal/checkpoint"
+	"mpichv/internal/cluster"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func main() {
 	for _, useEL := range []bool{true, false} {
-		spec := mpichv.BenchmarkSpec{Bench: "bt", Class: "A", NP: 4}
-		bench := mpichv.BuildBenchmark(spec)
+		spec := workload.Spec{Bench: "bt", Class: "A", NP: 4}
+		bench := workload.Build(spec)
 
-		c := mpichv.NewCluster(mpichv.Config{
+		c := cluster.New(cluster.Config{
 			NP:           spec.NP,
-			Stack:        mpichv.StackVcausal,
+			Stack:        cluster.StackVcausal,
 			Reducer:      "vcausal",
 			UseEL:        useEL,
-			CkptPolicy:   mpichv.PolicyRoundRobin,
-			CkptInterval: 8 * mpichv.Second,
-			RestartDelay: 250 * mpichv.Millisecond,
+			CkptPolicy:   checkpoint.PolicyRoundRobin,
+			CkptInterval: 8 * sim.Second,
+			RestartDelay: 250 * sim.Millisecond,
 		})
 		d := c.PrepareRun(bench.Programs)
-		d.ScheduleFault(12*mpichv.Second, 0) // kill rank 0 mid-run
+		d.ScheduleFault(12*sim.Second, 0) // kill rank 0 mid-run
 		d.Launch()
-		elapsed := c.RunLaunched(60 * mpichv.Minute).MustCompleted()
+		elapsed := c.RunLaunched(60 * sim.Minute).MustCompleted()
 
 		st := c.Nodes[0].Stats()
 		fmt.Printf("BT.A on 4 nodes, Vcausal, Event Logger = %v\n", useEL)

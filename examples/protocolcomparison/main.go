@@ -8,25 +8,28 @@ package main
 import (
 	"fmt"
 
-	"mpichv"
+	"mpichv/internal/causal"
+	"mpichv/internal/cluster"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func main() {
-	spec := mpichv.BenchmarkSpec{Bench: "cg", Class: "A", NP: 8}
+	spec := workload.Spec{Bench: "cg", Class: "A", NP: 8}
 	fmt.Printf("CG class A on %d nodes — causal protocol comparison\n\n", spec.NP)
 	fmt.Printf("%-10s %-6s %10s %12s %12s %12s %10s\n",
 		"protocol", "EL", "Mflop/s", "pb bytes", "pb events", "pb time", "max held")
 
-	for _, reducer := range mpichv.Reducers() {
+	for _, reducer := range causal.Names() {
 		for _, useEL := range []bool{true, false} {
-			bench := mpichv.BuildBenchmark(spec)
-			c := mpichv.NewCluster(mpichv.Config{
+			bench := workload.Build(spec)
+			c := cluster.New(cluster.Config{
 				NP:      spec.NP,
-				Stack:   mpichv.StackVcausal,
+				Stack:   cluster.StackVcausal,
 				Reducer: reducer,
 				UseEL:   useEL,
 			})
-			elapsed := c.Run(bench.Programs, 10*mpichv.Minute).MustCompleted()
+			elapsed := c.Run(bench.Programs, 10*sim.Minute).MustCompleted()
 			st := c.AggregateStats()
 			fmt.Printf("%-10s %-6v %10.1f %12d %12d %12v %10d\n",
 				reducer, useEL, bench.Mflops(elapsed),

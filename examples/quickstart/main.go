@@ -6,21 +6,23 @@ package main
 import (
 	"fmt"
 
-	"mpichv"
+	"mpichv/internal/cluster"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func main() {
-	spec := mpichv.BenchmarkSpec{Bench: "cg", Class: "A", NP: 4}
-	bench := mpichv.BuildBenchmark(spec)
+	spec := workload.Spec{Bench: "cg", Class: "A", NP: 4}
+	bench := workload.Build(spec)
 
-	c := mpichv.NewCluster(mpichv.Config{
+	c := cluster.New(cluster.Config{
 		NP:      spec.NP,
-		Stack:   mpichv.StackVcausal,
+		Stack:   cluster.StackVcausal,
 		Reducer: "manetho",
 		UseEL:   true,
 	})
 	defer c.Close()
-	elapsed := c.Run(bench.Programs, 10*mpichv.Minute).MustCompleted()
+	elapsed := c.Run(bench.Programs, 10*sim.Minute).MustCompleted()
 	stats := c.AggregateStats()
 
 	fmt.Printf("CG class A on %d nodes under Manetho causal logging (with Event Logger)\n", spec.NP)

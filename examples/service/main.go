@@ -9,7 +9,10 @@ package main
 import (
 	"fmt"
 
-	"mpichv"
+	"mpichv/internal/checkpoint"
+	"mpichv/internal/cluster"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func main() {
@@ -17,37 +20,37 @@ func main() {
 		// Per-rank Poisson arrivals are fixed at build time from the seed:
 		// every run below serves the identical offered load. An instance
 		// holds one run's statistics, so build a fresh one per run.
-		in := mpichv.BuildService(mpichv.ServiceConfig{
+		in := workload.BuildService(workload.ServiceConfig{
 			NP:          6,
 			Seed:        7,
-			RatePerRank: 5,                  // requests per rank per virtual second
-			Window:      30 * mpichv.Second, // arrivals stop here...
-			ServiceTime: 2 * mpichv.Millisecond,
+			RatePerRank: 5,               // requests per rank per virtual second
+			Window:      30 * sim.Second, // arrivals stop here...
+			ServiceTime: 2 * sim.Millisecond,
 			// A service checkpoints a working set, not solver matrices:
 			// keep routine checkpoint stalls out of the fault-free tail.
 			AppStateBytes: 128 << 10,
 		})
 
-		c := mpichv.NewCluster(mpichv.Config{
+		c := cluster.New(cluster.Config{
 			NP:           6,
-			Stack:        mpichv.StackVcausal,
+			Stack:        cluster.StackVcausal,
 			Reducer:      "vcausal",
 			UseEL:        true,
-			CkptPolicy:   mpichv.PolicyRoundRobin,
-			CkptInterval: 5 * mpichv.Second,
-			RestartDelay: 500 * mpichv.Millisecond,
-			Horizon:      45 * mpichv.Second, // ...and the run is cut here
+			CkptPolicy:   checkpoint.PolicyRoundRobin,
+			CkptInterval: 5 * sim.Second,
+			RestartDelay: 500 * sim.Millisecond,
+			Horizon:      45 * sim.Second, // ...and the run is cut here
 		})
 		d := c.PrepareRun(in.Programs)
 		if faulted {
 			// A kill every 10 s, round-robin across ranks: each recovery
 			// (restore + collect + replay) happens under live load.
-			d.PeriodicFaults(10 * mpichv.Second)
+			d.PeriodicFaults(10 * sim.Second)
 		}
 		d.Launch()
 		// The virtual-time cap sits well past the horizon, so the horizon —
 		// not the cap — decides when a faulted run ends.
-		res := c.RunLaunched(60 * mpichv.Second)
+		res := c.RunLaunched(60 * sim.Second)
 
 		s := in.Service
 		fmt.Printf("service on 6 ranks, Vcausal+EL, storm = %v\n", faulted)

@@ -14,7 +14,6 @@ import (
 	"mpichv/internal/eventlogger"
 	"mpichv/internal/failure"
 	"mpichv/internal/faultplan"
-	"mpichv/internal/mpi"
 	"mpichv/internal/netmodel"
 	"mpichv/internal/obs"
 	"mpichv/internal/protocols"
@@ -88,13 +87,13 @@ type Config struct {
 	// Seed drives all stochastic choices (default 1).
 	Seed int64
 
-	// Trace, when non-nil, enables the observability layer: a timeline
-	// Recorder wired into every emission site (dispatcher lifecycle,
-	// recovery phases, checkpoints, fabric operations, Event Logger marks)
-	// plus the virtual-time gauge sampler. Tracing only observes — it
-	// draws no randomness and mutates no simulation state — so a traced
-	// run produces the same results as an untraced one.
-	Trace *obs.Config
+	// Trace enables the observability layer: a timeline Recorder wired
+	// into every emission site (dispatcher lifecycle, recovery phases,
+	// checkpoints, fabric operations, Event Logger marks) plus the
+	// virtual-time gauge sampler. Tracing only observes — it draws no
+	// randomness and mutates no simulation state — so a traced run
+	// produces the same results as an untraced one.
+	Trace bool
 
 	// RecordDeliveries enables per-step delivery logging on every node
 	// (consistency validation in tests).
@@ -107,7 +106,6 @@ type Cluster struct {
 	K          *sim.Kernel
 	Net        *netmodel.Network
 	Nodes      []*daemon.Node
-	Comms      []*mpi.Comm
 	EL         *eventlogger.Server // first logger (nil when none deployed)
 	ELGroup    *eventlogger.Group  // all loggers (nil when none deployed)
 	CkptServer *checkpoint.Server
@@ -201,7 +199,7 @@ func New(cfg Config) *Cluster {
 	net := netmodel.New(k, cfg.Net, schedEndpoint+1)
 
 	c := &Cluster{Cfg: cfg, K: k, Net: net}
-	if cfg.Trace != nil {
+	if cfg.Trace {
 		c.Timeline = obs.NewRecorder()
 	}
 	// One backing array for the per-rank lifecycle timestamps keeps the
@@ -257,7 +255,6 @@ func New(cfg Config) *Cluster {
 		n.OnDeterminantLoss = c.recordDetLoss
 		n.Obs = c.Timeline
 		c.Nodes = append(c.Nodes, n)
-		c.Comms = append(c.Comms, mpi.NewComm(n))
 	}
 	return c
 }
@@ -393,7 +390,7 @@ func (c *Cluster) startSampler() {
 	if c.ELGroup != nil {
 		gauges = append(gauges, obs.Gauge{Kind: obs.KindGaugeELBacklog, Fn: c.elBacklog})
 	}
-	obs.NewSampler(c.K, c.Timeline, c.Cfg.Trace.Interval(), gauges).Start()
+	obs.NewSampler(c.K, c.Timeline, obs.DefaultSampleInterval, gauges).Start()
 }
 
 func (c *Cluster) heldDeterminants() int64 {

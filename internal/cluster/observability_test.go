@@ -18,7 +18,7 @@ func tracedFaultedConfig(np int) Config {
 		CkptPolicy: checkpoint.PolicyRoundRobin, CkptInterval: 5 * sim.Millisecond,
 		RestartDelay:  20 * sim.Millisecond,
 		AppStateBytes: 64 << 10,
-		Trace:         &obs.Config{},
+		Trace:         true,
 	}
 }
 
@@ -219,7 +219,7 @@ func TestTracingOnlyObserves(t *testing.T) {
 	run := func(traced bool) (*Cluster, RunResult) {
 		cfg := tracedFaultedConfig(np)
 		if !traced {
-			cfg.Trace = nil
+			cfg.Trace = false
 		}
 		c := New(cfg)
 		d := c.PrepareRun(ringPrograms(np, 120, 512))
@@ -252,7 +252,7 @@ func TestTracingOnlyObserves(t *testing.T) {
 func TestAvailabilityFaultFree(t *testing.T) {
 	const np = 4
 	cfg := tracedFaultedConfig(np)
-	cfg.Trace = nil
+	cfg.Trace = false
 	c := New(cfg)
 	c.Run(ringPrograms(np, 50, 512), 10*sim.Minute).MustCompleted()
 	if c.Repairs() != 0 || c.MTTR() != 0 || c.DowntimeTotal() != 0 {

@@ -29,9 +29,6 @@ import (
 // AnySource matches any sender rank in Recv.
 const AnySource = event.Rank(-1)
 
-// AnyTag matches any message tag in Recv.
-const AnyTag = -1
-
 // DeliveryRecord identifies the message consumed at one program step.
 type DeliveryRecord struct {
 	Src     event.Rank
@@ -461,8 +458,8 @@ func (n *Node) emit(m *vproto.Message) {
 }
 
 // Recv blocks until a message matching (src, tag) is delivered and returns
-// it. src may be AnySource and tag may be AnyTag. During replay the
-// collected determinants dictate the delivery order instead.
+// it. src may be AnySource. During replay the collected determinants
+// dictate the delivery order instead.
 func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 	n.maybeCheckpoint()
 	n.step++
@@ -517,7 +514,7 @@ func (n *Node) match(src event.Rank, tag int) int {
 		return -1
 	}
 	for i, m := range n.recvQ {
-		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
+		if (src == AnySource || m.Src == src) && m.Tag == tag {
 			return i
 		}
 	}

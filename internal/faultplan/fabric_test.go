@@ -176,7 +176,7 @@ func TestSameInstantOpsKeepPlanOrder(t *testing.T) {
 		}},
 	}
 	cfg := faultedConfig(plan, 3)
-	cfg.Trace = &obs.Config{}
+	cfg.Trace = true
 	c := runPlan(t, cfg, 40)
 	defer c.Close()
 	var got []string

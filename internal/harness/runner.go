@@ -43,12 +43,11 @@ type Options struct {
 
 // Progress reports one completed cell to the progress callback.
 type Progress struct {
-	Sweep  string
-	Done   int // cells finished so far, including this one
-	Total  int
-	Cell   *Cell
-	Result *CellResult
-	Wall   time.Duration // wall-clock time of this cell
+	Sweep string
+	Done  int // cells finished so far, including this one
+	Total int
+	Cell  *Cell
+	Wall  time.Duration // wall-clock time of this cell
 }
 
 // CellError identifies one failed cell.
@@ -112,7 +111,7 @@ func Run(spec *SweepSpec, opts Options) *Results {
 				if opts.OnProgress != nil {
 					opts.OnProgress(Progress{
 						Sweep: spec.Name, Done: done, Total: len(cells),
-						Cell: cell, Result: &res.Cells[idx], Wall: wall,
+						Cell: cell, Wall: wall,
 					})
 				}
 				mu.Unlock()
@@ -150,8 +149,8 @@ func execute(cell *Cell, opts Options) (cr CellResult) {
 	if in.AppStateBytes > 0 {
 		cfg.AppStateBytes = in.AppStateBytes
 	}
-	if opts.TraceDir != "" && cfg.Trace == nil {
-		cfg.Trace = &obs.Config{}
+	if opts.TraceDir != "" {
+		cfg.Trace = true
 	}
 	c := cluster.New(cfg)
 	defer c.Close()

@@ -157,24 +157,9 @@ type Event struct {
 	Note string
 }
 
-// Config enables the observability layer on a deployment.
-type Config struct {
-	// SampleInterval is the virtual-time gauge sampling period
-	// (0 selects DefaultSampleInterval).
-	SampleInterval sim.Time
-}
-
-// DefaultSampleInterval is the gauge sampling period when the config
-// leaves it zero.
+// DefaultSampleInterval is the virtual-time gauge sampling period of a
+// traced deployment.
 const DefaultSampleInterval = sim.Millisecond
-
-// Interval resolves the configured sampling period.
-func (c *Config) Interval() sim.Time {
-	if c == nil || c.SampleInterval <= 0 {
-		return DefaultSampleInterval
-	}
-	return c.SampleInterval
-}
 
 // Recorder accumulates timeline events in kernel execution order. Events
 // of one simulation are appended from a single goroutine (the kernel's),

@@ -299,19 +299,6 @@ func TestSamplerDisabled(t *testing.T) {
 	}
 }
 
-func TestConfigInterval(t *testing.T) {
-	var nilCfg *Config
-	if got := nilCfg.Interval(); got != DefaultSampleInterval {
-		t.Fatalf("nil config interval = %v", got)
-	}
-	if got := (&Config{}).Interval(); got != DefaultSampleInterval {
-		t.Fatalf("zero config interval = %v", got)
-	}
-	if got := (&Config{SampleInterval: 7 * sim.Millisecond}).Interval(); got != 7*sim.Millisecond {
-		t.Fatalf("explicit interval = %v", got)
-	}
-}
-
 // TestChromeTraceCloseOutOrder pins the end-of-run close-out pass for
 // still-open fabric windows. Partitions and degrades live in maps keyed
 // by plan component, and a run can end with many of them still open; the

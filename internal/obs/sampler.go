@@ -21,11 +21,8 @@ type Sampler struct {
 	gauges   []Gauge
 }
 
-// NewSampler builds a sampler; interval ≤ 0 selects DefaultSampleInterval.
+// NewSampler builds a sampler that records every interval.
 func NewSampler(k *sim.Kernel, rec *Recorder, interval sim.Time, gauges []Gauge) *Sampler {
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
 	return &Sampler{k: k, rec: rec, interval: interval, gauges: gauges}
 }
 

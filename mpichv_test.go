@@ -3,19 +3,27 @@ package mpichv_test
 import (
 	"testing"
 
-	"mpichv"
+	"mpichv/internal/causal"
+	"mpichv/internal/cluster"
+	"mpichv/internal/daemon"
+	"mpichv/internal/experiment"
+	"mpichv/internal/failure"
+	"mpichv/internal/mpi"
+	"mpichv/internal/sim"
+	"mpichv/internal/workload"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
-	spec := mpichv.BenchmarkSpec{Bench: "cg", Class: "A", NP: 4}
-	bench := mpichv.BuildBenchmark(spec)
-	c := mpichv.NewCluster(mpichv.Config{
+	spec := workload.Spec{Bench: "cg", Class: "A", NP: 4}
+	bench := workload.Build(spec)
+	c := cluster.New(cluster.Config{
 		NP:      spec.NP,
-		Stack:   mpichv.StackVcausal,
+		Stack:   cluster.StackVcausal,
 		Reducer: "manetho",
 		UseEL:   true,
 	})
-	elapsed := c.Run(bench.Programs, 10*mpichv.Minute).MustCompleted()
+	defer c.Close()
+	elapsed := c.Run(bench.Programs, 10*sim.Minute).MustCompleted()
 	if elapsed <= 0 {
 		t.Fatal("run failed")
 	}
@@ -29,35 +37,33 @@ func TestPublicQuickstartFlow(t *testing.T) {
 
 func TestPublicCustomProgram(t *testing.T) {
 	const np = 3
-	c := mpichv.NewCluster(mpichv.Config{NP: np, Stack: mpichv.StackVcausal, Reducer: "logon", UseEL: false})
-	programs := make([]mpichv.Program, np)
+	c := cluster.New(cluster.Config{NP: np, Stack: cluster.StackVcausal, Reducer: "logon", UseEL: false})
+	defer c.Close()
+	programs := make([]failure.Program, np)
 	sum := 0
 	for r := 0; r < np; r++ {
 		r := r
-		programs[r] = func(n *mpichv.Node) {
-			comm := mpichv.NewComm(n)
-			comm.Compute(100 * mpichv.Microsecond)
+		programs[r] = func(n *daemon.Node) {
+			comm := mpi.NewComm(n)
+			comm.Compute(100 * sim.Microsecond)
 			comm.Allreduce(8)
 			sum += r
 		}
 	}
-	c.Run(programs, mpichv.Minute).MustCompleted()
+	c.Run(programs, sim.Minute).MustCompleted()
 	if sum != 3 {
 		t.Fatalf("programs ran sum=%d, want 3", sum)
 	}
 }
 
 func TestExperimentIndexComplete(t *testing.T) {
-	idx := mpichv.ExperimentIndex()
-	for _, name := range mpichv.ExperimentNames() {
+	idx := experiment.Index()
+	for _, name := range experiment.Names() {
 		if idx[name] == nil {
 			t.Errorf("experiment %q missing from index", name)
 		}
 	}
-	if mpichv.Experiment("nope") != nil {
-		t.Error("unknown experiment should return nil")
-	}
-	if len(mpichv.Reducers()) != 3 {
+	if len(causal.Names()) != 3 {
 		t.Error("three reducers expected")
 	}
 }
@@ -66,7 +72,7 @@ func TestExperimentRunsByName(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment regeneration is slow")
 	}
-	tab := mpichv.Experiment("fig6a")
+	tab := experiment.Index()["fig6a"]().Table
 	if tab == nil || len(tab.Rows) == 0 {
 		t.Fatal("fig6a produced no table")
 	}
