@@ -17,11 +17,11 @@
 // <sweep>.json / <sweep>.csv file per sweep when -out is given, otherwise
 // to stdout (suppressing the tables). -trace enables the observability
 // layer and writes one JSONL timeline plus one Chrome trace-event file
-// (Perfetto-viewable) per cell into DIR; tracing only observes, so traced
-// results are identical to untraced ones. -cpuprofile and -memprofile
-// write pprof profiles of the whole invocation (host CPU samples; the heap
-// after a final collection, with cumulative allocation counts), for
-// `go tool pprof`.
+// (Perfetto-viewable) per cell into DIR/<sweep>/; tracing only observes,
+// so traced results are identical to untraced ones. -cpuprofile and
+// -memprofile write pprof profiles of the whole invocation (host CPU
+// samples; the heap after a final collection, with cumulative allocation
+// counts), for `go tool pprof`.
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,14 +52,14 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range experiment.Names() {
-			fmt.Println(name)
+		all, _ := resolveFigures("all")
+		for _, e := range all {
+			fmt.Println(e.Name)
 		}
 		return
 	}
 
-	reports := experiment.Index()
-	names, err := resolveFigures(*figs, reports)
+	exps, err := resolveFigures(*figs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
 		os.Exit(2)
@@ -87,12 +88,11 @@ func main() {
 	// tables stay on stdout and files carry the structured results.
 	printTables := !(*jsonOut || *csvOut) || *outDir != ""
 
-	for _, name := range names {
-		gen := reports[name]
+	for _, e := range exps {
 		start := time.Now()
-		rep, err := generate(gen)
+		rep, err := generate(e.Run)
 		if err != nil {
-			fatal("experiment %s failed: %v", name, err)
+			fatal("experiment %s failed: %v", e.Name, err)
 		}
 		if printTables {
 			fmt.Println(rep.Table.Render())
@@ -114,7 +114,7 @@ func main() {
 			}
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[%s regenerated in %.1fs]\n", name, time.Since(start).Seconds())
+			fmt.Fprintf(os.Stderr, "[%s regenerated in %.1fs]\n", e.Name, time.Since(start).Seconds())
 		}
 	}
 	// fatal exits skip this: a failed run leaves no usable profile.
@@ -123,32 +123,43 @@ func main() {
 	}
 }
 
-// resolveFigures expands the -fig flag into experiment names: "all", or a
-// comma-separated list where each entry may use the short form ("7") or
-// the full name ("fig7"). Every entry must name a known experiment; an
-// empty expansion (e.g. "-fig ,") is also an error.
-func resolveFigures(figSpec string, reports map[string]func() *experiment.Report) ([]string, error) {
+// resolveFigures expands the -fig flag into registry entries: "all" (every
+// experiment but the smoke variants, in registry order, which is also what
+// -list prints), or a comma-separated list where each entry may use the
+// short form ("7") or the full name ("fig7"). Every entry must name a
+// known experiment; an empty expansion (e.g. "-fig ,") is also an error.
+func resolveFigures(figSpec string) ([]experiment.Experiment, error) {
+	var exps []experiment.Experiment
 	if figSpec == "all" {
-		return experiment.Names(), nil
+		for _, e := range experiment.Experiments {
+			if !e.Smoke {
+				exps = append(exps, e)
+			}
+		}
+		return exps, nil
 	}
-	var names []string
+	find := func(name string) int {
+		return slices.IndexFunc(experiment.Experiments, func(e experiment.Experiment) bool { return e.Name == name })
+	}
 	for _, f := range strings.Split(figSpec, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
 		}
-		if _, ok := reports[f]; !ok {
+		i := find(f)
+		if i < 0 {
 			f = "fig" + strings.TrimPrefix(f, "fig")
+			i = find(f)
 		}
-		if _, ok := reports[f]; !ok {
+		if i < 0 {
 			return nil, fmt.Errorf("unknown experiment %q", f)
 		}
-		names = append(names, f)
+		exps = append(exps, experiment.Experiments[i])
 	}
-	if len(names) == 0 {
+	if len(exps) == 0 {
 		return nil, fmt.Errorf("-fig %q selects no experiments", figSpec)
 	}
-	return names, nil
+	return exps, nil
 }
 
 // prepareOutDir creates the -out directory (with parents) when one is

@@ -4,90 +4,82 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
-
-	"mpichv/internal/experiment"
 )
 
-func TestResolveFigures(t *testing.T) {
-	reports := experiment.Index()
+// names resolves a -fig value and returns the selected experiment names.
+func names(t *testing.T, figSpec string) ([]string, error) {
+	t.Helper()
+	exps, err := resolveFigures(figSpec)
+	var out []string
+	for _, e := range exps {
+		out = append(out, e.Name)
+	}
+	return out, err
+}
 
+func TestResolveFigures(t *testing.T) {
 	t.Run("all", func(t *testing.T) {
-		names, err := resolveFigures("all", reports)
+		got, err := names(t, "all")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(names, experiment.Names()) {
-			t.Errorf("all = %v, want the full experiment list", names)
+		// -list prints the same names, so this is also its output.
+		want := []string{"fig1", "fig6a", "fig6b", "fig7", "fig8a", "fig8b", "fig9", "fig10",
+			"ext-el", "ext-elsweep", "ext-sched", "ext-duplex", "ext-faultstorm",
+			"ext-elcontribution", "ext-partition", "ext-service"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("all = %v, want the full experiment list %v", got, want)
 		}
 	})
 
 	t.Run("short and long forms", func(t *testing.T) {
-		names, err := resolveFigures("7, fig6a ,8b", reports)
+		got, err := names(t, "7, fig6a ,8b")
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := []string{"fig7", "fig6a", "fig8b"}
-		if !reflect.DeepEqual(names, want) {
-			t.Errorf("resolve = %v, want %v", names, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("resolve = %v, want %v", got, want)
 		}
 	})
 
 	t.Run("extension names pass through", func(t *testing.T) {
-		names, err := resolveFigures("ext-el", reports)
-		if err != nil || len(names) != 1 || names[0] != "ext-el" {
-			t.Errorf("resolve(ext-el) = %v, %v", names, err)
+		got, err := names(t, "ext-el")
+		if err != nil || len(got) != 1 || got[0] != "ext-el" {
+			t.Errorf("resolve(ext-el) = %v, %v", got, err)
 		}
 	})
 
-	t.Run("partition experiments registered", func(t *testing.T) {
-		names, err := resolveFigures("ext-partition,ext-partition-smoke", reports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"ext-partition", "ext-partition-smoke"}
-		if !reflect.DeepEqual(names, want) {
-			t.Errorf("resolve = %v, want %v", names, want)
-		}
-		found := false
-		for _, n := range experiment.Names() {
-			if n == "ext-partition" {
-				found = true
+	all, _ := names(t, "all")
+	for _, family := range []string{"partition", "service"} {
+		t.Run(family+" experiments registered", func(t *testing.T) {
+			full, smoke := "ext-"+family, "ext-"+family+"-smoke"
+			got, err := names(t, full+","+smoke)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !found {
-			t.Error("ext-partition missing from experiment.Names")
-		}
-	})
-
-	t.Run("service experiments registered", func(t *testing.T) {
-		names, err := resolveFigures("ext-service,ext-service-smoke", reports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"ext-service", "ext-service-smoke"}
-		if !reflect.DeepEqual(names, want) {
-			t.Errorf("resolve = %v, want %v", names, want)
-		}
-		found := false
-		for _, n := range experiment.Names() {
-			if n == "ext-service" {
-				found = true
+			if want := []string{full, smoke}; !reflect.DeepEqual(got, want) {
+				t.Errorf("resolve = %v, want %v", got, want)
 			}
-		}
-		if !found {
-			t.Error("ext-service missing from experiment.Names")
-		}
-	})
+			if !slices.Contains(all, full) {
+				t.Errorf("%s missing from -fig all", full)
+			}
+			if slices.Contains(all, smoke) {
+				t.Errorf("smoke variant %s in -fig all", smoke)
+			}
+		})
+	}
 
 	t.Run("unknown figure", func(t *testing.T) {
-		if _, err := resolveFigures("99", reports); err == nil {
+		if _, err := resolveFigures("99"); err == nil {
 			t.Error("unknown figure should error")
 		}
 	})
 
 	t.Run("empty selection", func(t *testing.T) {
-		if _, err := resolveFigures(" , ", reports); err == nil {
+		if _, err := resolveFigures(" , "); err == nil {
 			t.Error("empty selection should error")
 		}
 	})

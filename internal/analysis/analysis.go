@@ -27,9 +27,9 @@
 // reason string is mandatory: a directive without one is itself a finding,
 // so every suppression in the tree carries a written justification.
 //
-// The suite is exposed three ways: the cmd/lint multichecker binary, the
-// repository-root lint_test.go (so `go test ./...` enforces it), and a CI
-// job that uploads the findings report on failure.
+// The suite has one driver: TestInvariantLintSuite in the repository-root
+// lint_test.go, so `go test ./...` (tier-1 and the CI test job) enforces
+// it. Run it alone with `go test -run '^TestInvariantLintSuite$' .`.
 package analysis
 
 import (
@@ -60,8 +60,6 @@ func (f Finding) String() string {
 type Check interface {
 	// Name is the check's short identifier, as used in allow directives.
 	Name() string
-	// Desc is a one-line description for the multichecker's usage text.
-	Desc() string
 	// Run analyzes the module and returns its raw findings.
 	Run(m *Module) []Finding
 }
@@ -72,7 +70,7 @@ func Checks() []Check {
 }
 
 // KnownChecks returns the set of valid check names, used to validate
-// //lint:allow directives and -checks selections.
+// //lint:allow directives and Run's check selections.
 func KnownChecks() map[string]bool {
 	known := make(map[string]bool)
 	for _, c := range Checks() {

@@ -154,9 +154,6 @@ func TestCheckMetadata(t *testing.T) {
 		if c.Name() != want[i] {
 			t.Errorf("check %d: want name %q, got %q", i, want[i], c.Name())
 		}
-		if c.Desc() == "" {
-			t.Errorf("check %s: empty description", c.Name())
-		}
 		if !known[c.Name()] {
 			t.Errorf("KnownChecks missing %q", c.Name())
 		}

@@ -22,11 +22,6 @@ type DetMap struct{}
 // Name implements Check.
 func (DetMap) Name() string { return "detmap" }
 
-// Desc implements Check.
-func (DetMap) Desc() string {
-	return "flags map iteration in simulation-core packages unless keys are sorted before use (determinism contract)"
-}
-
 // Run implements Check.
 func (DetMap) Run(m *Module) []Finding {
 	var findings []Finding

@@ -63,11 +63,6 @@ type NoAlloc struct{}
 // Name implements Check.
 func (NoAlloc) Name() string { return "noalloc" }
 
-// Desc implements Check.
-func (NoAlloc) Desc() string {
-	return "//mpichv:noalloc functions and their static callees must not allocate or dispatch dynamically (boundaries: //mpichv:noalloc, //mpichv:amortized <reason>)"
-}
-
 // Run implements Check. Traversal is deterministic: roots in position
 // order, calls in source order; every module function is scanned at most
 // once, attributed to the first chain that reaches it.

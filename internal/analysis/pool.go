@@ -29,11 +29,6 @@ type PoolDiscipline struct{}
 // Name implements Check.
 func (PoolDiscipline) Name() string { return "pooldiscipline" }
 
-// Desc implements Check.
-func (PoolDiscipline) Desc() string {
-	return "flags use-after-PutPacket, double puts, and GetPacket results that neither reach a put nor transfer ownership"
-}
-
 // Run implements Check.
 func (PoolDiscipline) Run(m *Module) []Finding {
 	var findings []Finding

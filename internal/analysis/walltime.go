@@ -34,11 +34,6 @@ var seededRandConstructors = map[string]bool{
 // Name implements Check.
 func (WallTime) Name() string { return "walltime" }
 
-// Desc implements Check.
-func (WallTime) Desc() string {
-	return "bans wall-clock reads and the global math/rand generator in simulation-core packages (virtual time and seeded streams only)"
-}
-
 // Run implements Check.
 func (WallTime) Run(m *Module) []Finding {
 	var findings []Finding

@@ -106,8 +106,7 @@ type Cluster struct {
 	K          *sim.Kernel
 	Net        *netmodel.Network
 	Nodes      []*daemon.Node
-	EL         *eventlogger.Server // first logger (nil when none deployed)
-	ELGroup    *eventlogger.Group  // all loggers (nil when none deployed)
+	ELs        []*eventlogger.Server // Event Loggers (nil when none deployed)
 	CkptServer *checkpoint.Server
 	Scheduler  *checkpoint.Scheduler
 	Dispatcher *failure.Dispatcher
@@ -146,10 +145,6 @@ type Cluster struct {
 	// traffic.
 	announcedEpoch []int
 }
-
-// elSyncInterval is the stability dissemination period of distributed
-// Event Loggers.
-const elSyncInterval = 2 * sim.Millisecond
 
 // New builds a cluster per cfg. Endpoint layout: 0..NP-1 computing nodes,
 // NP Event Logger, NP+1 checkpoint server, NP+2 scheduler/dispatcher.
@@ -218,14 +213,8 @@ func New(cfg Config) *Cluster {
 
 	wantEL := cfg.Stack == StackPessimistic || (cfg.Stack == StackVcausal && cfg.UseEL)
 	if wantEL {
-		c.ELGroup = eventlogger.NewGroup(k, net, elFirst, cfg.NP, eventlogger.GroupConfig{
-			Servers:      cfg.EventLoggers,
-			Sync:         cfg.ELSync,
-			SyncInterval: elSyncInterval,
-			Service:      cfg.EL,
-		})
-		c.EL = c.ELGroup.Servers()[0]
-		for _, s := range c.ELGroup.Servers() {
+		c.ELs = eventlogger.NewGroup(k, net, elFirst, cfg.NP, cfg.EventLoggers, cfg.ELSync, cfg.EL)
+		for _, s := range c.ELs {
 			s.Obs = c.Timeline
 		}
 	}
@@ -242,11 +231,10 @@ func New(cfg Config) *Cluster {
 		proto := protoFor(cfg, event.Rank(r))
 		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, cal, proto)
 		n.CkptEndpoint = ckptEndpoint
-		n.DispatcherEndpoint = schedEndpoint
 		n.AppStateBytes = cfg.AppStateBytes
 		n.RecordDeliveries = cfg.RecordDeliveries
 		if wantEL {
-			n.ELEndpoint = c.ELGroup.EndpointFor(event.Rank(r))
+			n.ELEndpoint = eventlogger.EndpointFor(c.ELs, event.Rank(r))
 		}
 		// Determinant loss is a first-class outcome: recoveries check
 		// missing determinants against the whole deployment and report a
@@ -322,19 +310,16 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 		c.K.At(c.Cfg.Horizon, c.K.Stop)
 	}
 	if c.Cfg.Faults != nil {
-		targets := faultplan.Targets{
-			Kernel:     c.K,
-			Dispatcher: d,
-			Scheduler:  c.Scheduler,
-			CkptServer: c.CkptServer,
-			Network:    c.Net,
-			Seed:       c.Cfg.Seed,
-			Recorder:   c.Timeline,
-		}
-		if c.ELGroup != nil {
-			targets.EventLoggers = c.ELGroup.Servers()
-		}
-		eng, err := faultplan.Apply(targets, c.Cfg.Faults)
+		eng, err := faultplan.Apply(faultplan.Targets{
+			Kernel:       c.K,
+			Dispatcher:   d,
+			Scheduler:    c.Scheduler,
+			CkptServer:   c.CkptServer,
+			Network:      c.Net,
+			Seed:         c.Cfg.Seed,
+			Recorder:     c.Timeline,
+			EventLoggers: c.ELs,
+		}, c.Cfg.Faults)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: invalid fault plan: %v", err))
 		}
@@ -387,10 +372,10 @@ func (c *Cluster) startSampler() {
 		{Kind: obs.KindGaugeSenderLogBytes, Fn: c.senderLogBytes},
 		{Kind: obs.KindGaugeLiveRanks, Fn: c.liveRanks},
 	}
-	if c.ELGroup != nil {
+	if c.ELs != nil {
 		gauges = append(gauges, obs.Gauge{Kind: obs.KindGaugeELBacklog, Fn: c.elBacklog})
 	}
-	obs.NewSampler(c.K, c.Timeline, obs.DefaultSampleInterval, gauges).Start()
+	obs.NewSampler(c.K, c.Timeline, gauges).Start()
 }
 
 func (c *Cluster) heldDeterminants() int64 {
@@ -412,13 +397,11 @@ func (c *Cluster) senderLogBytes() int64 {
 }
 
 func (c *Cluster) elBacklog() int64 {
-	var max int64
-	for _, s := range c.ELGroup.Servers() {
-		if q := int64(s.QueueLen()); q > max {
-			max = q
-		}
+	var m int64
+	for _, s := range c.ELs {
+		m = max(m, int64(s.QueueLen()))
 	}
-	return max
+	return m
 }
 
 func (c *Cluster) liveRanks() int64 {

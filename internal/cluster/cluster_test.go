@@ -104,7 +104,7 @@ func TestEventLoggerStoresAllEvents(t *testing.T) {
 	stats := c.AggregateStats()
 	stored := int64(0)
 	for r := 0; r < np; r++ {
-		stored += int64(c.EL.StoredFor(event.Rank(r)))
+		stored += int64(c.ELs[0].StoredFor(event.Rank(r)))
 	}
 	if stats.EventsCreated == 0 {
 		t.Fatal("no events created")

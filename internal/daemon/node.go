@@ -107,9 +107,8 @@ type Node struct {
 	Proto Protocol
 
 	// Endpoint ids of the auxiliary stable servers (-1 when not deployed).
-	ELEndpoint         int
-	CkptEndpoint       int
-	DispatcherEndpoint int
+	ELEndpoint   int
+	CkptEndpoint int
 
 	// AppStateBytes is the modeled size of the application state, included
 	// in checkpoint images (set by the workload).
@@ -244,7 +243,7 @@ func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
 		k: k, net: net, ep: net.Endpoint(int(rank)),
 		rank: rank, np: np,
 		Stack: stack, Cal: cal, Proto: proto,
-		ELEndpoint: -1, CkptEndpoint: -1, DispatcherEndpoint: -1,
+		ELEndpoint: -1, CkptEndpoint: -1,
 		seqTrack:  make([]seqTracker, np),
 		sendSeq:   make([]uint64, np),
 		peerEpoch: make([]int, np),

@@ -12,22 +12,24 @@ import (
 // the event logging over several Event Loggers to remove the single-server
 // bottleneck observed on LU with 16 nodes.
 //
-// Each process is assigned to one Event Logger (rank mod m, "assigning a
+// NewGroup deploys the loggers as a plain []*Server. Each process is
+// assigned to one Event Logger (rank mod m, see EndpointFor: "assigning a
 // subset of the nodes to one Event Logger seems the obvious way to gain
 // scalability"). The difficulty the paper identifies is stability
 // dissemination: a process may stop piggybacking an event only once it
 // knows the event is stored, so every node must keep receiving an
 // up-to-date array of logical clocks covering all creators. Two of the
-// paper's candidate designs are implemented:
+// paper's candidate designs are implemented, each running once every
+// SyncInterval on every logger:
 //
-//   - SyncExchange: each Event Logger periodically multicasts its local
-//     stable array to the other Event Loggers; nodes learn the merged
-//     array through their own logger's acknowledgments.
-//   - SyncBroadcast: each Event Logger periodically broadcasts its local
-//     stable array directly to every node (and to its peers).
+//   - SyncExchange: each Event Logger multicasts its local stable array to
+//     the other Event Loggers; nodes learn the merged array through their
+//     own logger's acknowledgments.
+//   - SyncBroadcast: each Event Logger broadcasts its local stable array
+//     directly to every node (and to its peers).
 //
-// The ablation experiment (experiment.ExtDistributedELReport) compares the two
-// against the single-logger baseline.
+// The ablation experiment ext-el compares the two against the
+// single-logger baseline.
 
 // SyncPolicy selects how distributed Event Loggers disseminate stability.
 type SyncPolicy string
@@ -40,101 +42,64 @@ const (
 	SyncBroadcast SyncPolicy = "broadcast"
 )
 
-// GroupConfig configures a distributed Event Logger group.
-type GroupConfig struct {
-	// Servers is the number of Event Loggers (≥ 1).
-	Servers int
-	// Sync selects the dissemination design (ignored for one server).
-	Sync SyncPolicy
-	// SyncInterval is the dissemination period.
-	SyncInterval sim.Time
-	// Service is the per-server service cost model.
-	Service Config
-}
+// SyncInterval is the stability dissemination period of distributed Event
+// Loggers.
+const SyncInterval = 2 * sim.Millisecond
 
-// Group is a set of Event Loggers sharing the logging load.
-type Group struct {
-	cfg     GroupConfig
-	np      int
-	servers []*Server
-}
-
-// NewGroup builds cfg.Servers Event Loggers on consecutive endpoints
-// starting at firstEndpoint, serving np application processes, and starts
-// their service and synchronization loops.
-func NewGroup(k *sim.Kernel, net *netmodel.Network, firstEndpoint, np int, cfg GroupConfig) *Group {
-	if cfg.Servers < 1 {
+// NewGroup builds n Event Loggers on consecutive endpoints starting at
+// firstEndpoint, serving np application processes, and starts their
+// service loops and, when there is more than one, their synchronization
+// loops under the given policy.
+func NewGroup(k *sim.Kernel, net *netmodel.Network, firstEndpoint, np, n int, sync SyncPolicy, cfg Config) []*Server {
+	if n < 1 {
 		panic("eventlogger: group needs at least one server")
 	}
-	g := &Group{cfg: cfg, np: np}
-	for i := 0; i < cfg.Servers; i++ {
-		g.servers = append(g.servers, New(k, net, firstEndpoint+i, np, cfg.Service))
+	els := make([]*Server, n)
+	for i := range els {
+		els[i] = New(k, net, firstEndpoint+i, np, cfg)
 	}
-	if cfg.Servers > 1 && cfg.SyncInterval > 0 {
-		for _, s := range g.servers {
-			s := s
-			k.Spawn("el-sync", func(p *sim.Proc) { g.syncLoop(p, s) })
+	if n > 1 {
+		for _, s := range els {
+			k.Spawn("el-sync", func(p *sim.Proc) { s.syncLoop(p, els, sync) })
 		}
 	}
-	return g
+	return els
 }
 
-// EndpointFor returns the Event Logger endpoint serving the given rank.
-func (g *Group) EndpointFor(rank event.Rank) int {
-	return g.servers[int(rank)%len(g.servers)].ep.ID()
+// EndpointFor returns the endpoint of the Event Logger in els that serves
+// the given rank: rank mod len(els).
+func EndpointFor(els []*Server, rank event.Rank) int {
+	return els[int(rank)%len(els)].ep.ID()
 }
 
-// Servers returns the group members.
-func (g *Group) Servers() []*Server { return g.servers }
-
-// EventsStored sums events persisted across the group.
-func (g *Group) EventsStored() int64 {
-	var total int64
-	for _, s := range g.servers {
-		total += s.EventsStored
-	}
-	return total
-}
-
-// MaxQueueLen returns the worst backlog across the group.
-func (g *Group) MaxQueueLen() int {
-	m := 0
-	for _, s := range g.servers {
-		if s.MaxQueueLen > m {
-			m = s.MaxQueueLen
-		}
-	}
-	return m
-}
-
-// syncLoop periodically disseminates s's merged stable array according to
-// the group's policy.
-func (g *Group) syncLoop(p *sim.Proc, s *Server) {
-	bytes := 16 + 4*g.np
+// syncLoop periodically disseminates s's merged stable array to the other
+// Event Loggers of the group and, under SyncBroadcast, to every node.
+func (s *Server) syncLoop(p *sim.Proc, group []*Server, sync SyncPolicy) {
+	bytes := 16 + 4*s.np
 	for {
-		p.Sleep(g.cfg.SyncInterval)
+		p.Sleep(SyncInterval)
 		// One pooled packet per destination, each with its own copy of the
 		// stable array in packet-owned scratch: packets are released (and
 		// their scratch reused) independently by each consumer, so sharing
 		// one packet or one vector across the multicast would corrupt
 		// whichever copies are still in flight.
-		for _, peer := range g.servers {
+		for _, peer := range group {
 			if peer != s {
 				pkt := vproto.GetPacket()
 				pkt.Kind = vproto.PktELSync
 				pkt.From = s.ep.ID()
-				pkt.AckVec(g.np).CopyFrom(s.stable)
+				pkt.AckVec(s.np).CopyFrom(s.stable)
 				s.ep.Send(peer.ep.ID(), bytes, pkt)
 			}
 		}
-		if g.cfg.Sync == SyncBroadcast {
-			for r := 0; r < g.np; r++ {
+		if sync == SyncBroadcast {
+			for r := 0; r < s.np; r++ {
 				// Nodes treat the broadcast exactly like an acknowledgment:
 				// both carry a stable array.
 				pkt := vproto.GetPacket()
 				pkt.Kind = vproto.PktEventAck
 				pkt.From = s.ep.ID()
-				pkt.AckVec(g.np).CopyFrom(s.stable)
+				pkt.AckVec(s.np).CopyFrom(s.stable)
 				s.ep.Send(r, bytes, pkt)
 			}
 		}

@@ -23,7 +23,7 @@ func TestFig06aLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep regenerates a full figure")
 	}
-	tab := Fig06aReport().Table
+	tab := fig06aReport().Table
 	if len(tab.Rows) != 8 {
 		t.Fatalf("got %d rows, want 8", len(tab.Rows))
 	}
@@ -58,7 +58,7 @@ func TestFig06bBandwidthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	tab := Fig06bReport().Table
+	tab := fig06bReport().Table
 	last := len(tab.Rows) - 1
 	raw := cell(t, tab, last, 1)
 	if raw < 85 || raw > 96 {
@@ -76,7 +76,7 @@ func TestFig07Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
 	}
-	tab := Fig07Report().Table
+	tab := fig07Report().Table
 	for i := range tab.Rows {
 		vcEL, manEL, logEL := cell(t, tab, i, 2), cell(t, tab, i, 3), cell(t, tab, i, 4)
 		vcNo, manNo, logNo := cell(t, tab, i, 5), cell(t, tab, i, 6), cell(t, tab, i, 7)
@@ -100,7 +100,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery grid is slow")
 	}
-	tab := Fig10Report().Table
+	tab := fig10Report().Table
 	for i := range tab.Rows {
 		withEL, withoutEL := cell(t, tab, i, 2), cell(t, tab, i, 3)
 		if withEL >= withoutEL {
@@ -158,7 +158,7 @@ func min3(a, b, c float64) float64 {
 // no-EL stack loses determinants in every witness-pair trial while the
 // EL-enabled stack loses none.
 func TestExtELContributionSmokeShape(t *testing.T) {
-	rep := ExtELContributionSmokeReport()
+	rep := extELContributionSmokeReport()
 	tab := rep.Table
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")
@@ -193,7 +193,7 @@ func TestFig08Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
 	}
-	tab := Fig08bReport().Table
+	tab := fig08bReport().Table
 	peak, peakRow, peakCol := -1.0, 0, 0
 	for i, row := range tab.Rows {
 		for r := 0; r < 3; r++ {
@@ -217,7 +217,7 @@ func TestFig08Shape(t *testing.T) {
 // stacks complete both scenarios, the false suspicion is confirmed once,
 // and the crash-stop row counts exactly one kill.
 func TestExtPartitionSmokeShape(t *testing.T) {
-	rep := ExtPartitionSmokeReport()
+	rep := extPartitionSmokeReport()
 	for _, cr := range rep.Sweeps[1].Cells {
 		if !cr.Completed || cr.Err != "" {
 			t.Errorf("%s: completed %v, outcome %q, err %q", cr.ID, cr.Completed, cr.Outcome, cr.Err)

@@ -16,7 +16,7 @@ import (
 // Logger capacity ablation, in microseconds.
 var extELServiceTimes = []sim.Time{5, 15, 30, 60, 120, 240}
 
-// ExtELServiceSweepReport is an ablation over the Event Logger's service
+// extELServiceSweepReport is an ablation over the Event Logger's service
 // capacity: it locates the saturation onset the paper observes on LU.16 by
 // sweeping the per-request service time. Below the knee, acknowledgments
 // beat the application's send gaps and piggybacks vanish; above it, the
@@ -24,7 +24,7 @@ var extELServiceTimes = []sim.Time{5, 15, 30, 60, 120, 240}
 //
 // It runs the EL capacity ablation as one sweep:
 // LU.A.16 × Vcausal+EL × one variant per service time.
-func ExtELServiceSweepReport() *Report {
+func extELServiceSweepReport() *Report {
 	variants := make([]harness.Variant, len(extELServiceTimes))
 	for i, perPacket := range extELServiceTimes {
 		variants[i] = harness.Variant{
@@ -69,14 +69,14 @@ var extSchedulerPolicies = []checkpoint.Policy{
 	checkpoint.PolicyNone, checkpoint.PolicyRoundRobin, checkpoint.PolicyRandom,
 }
 
-// ExtSchedulerPoliciesReport is an ablation over the checkpoint scheduler
+// extSchedulerPoliciesReport is an ablation over the checkpoint scheduler
 // policies of §IV-B.3: the paper argues uncoordinated scheduling should
 // maximize sender-based log garbage collection. The probe is the sender-log
 // memory high-water mark under identical checkpoint budgets.
 //
 // It runs the scheduler ablation as one sweep:
 // BT.A.9 × Manetho+EL × one variant per policy.
-func ExtSchedulerPoliciesReport() *Report {
+func extSchedulerPoliciesReport() *Report {
 	variants := make([]harness.Variant, len(extSchedulerPolicies))
 	for i, pol := range extSchedulerPolicies {
 		variants[i] = harness.Variant{
@@ -124,13 +124,13 @@ var extDuplexSpecs = []workload.Spec{
 	{Bench: "cg", Class: "A", NP: 8},
 }
 
-// ExtDuplexAblationReport isolates the full-duplex advantage the paper
+// extDuplexAblationReport isolates the full-duplex advantage the paper
 // credits for Vdummy beating MPICH-P4 on some NAS kernels: the same Vdaemon
 // stack is run over full- and half-duplex links.
 //
 // It runs the duplex ablation as one sweep: benchmarks × Vdummy × {full,
 // half} duplex wire models.
-func ExtDuplexAblationReport() *Report {
+func extDuplexAblationReport() *Report {
 	variants := make([]harness.Variant, 2)
 	for i, duplex := range []bool{true, false} {
 		net := netmodel.FastEthernet()

@@ -23,7 +23,7 @@ var extDistELPoints = []struct {
 	{4, eventlogger.SyncBroadcast},
 }
 
-// ExtDistributedELReport is the reproduction's extension experiment: the
+// extDistributedELReport is the reproduction's extension experiment: the
 // paper's future-work proposal (§VI) of distributing the event logging over
 // several Event Loggers. It runs the workload that saturates a single logger — LU
 // class A on 16 nodes — under 1, 2 and 4 loggers with both stability
@@ -33,7 +33,7 @@ var extDistELPoints = []struct {
 //
 // The extension is one sweep: LU.A.16 × Vcausal+EL × one variant per
 // (logger count, sync design) point.
-func ExtDistributedELReport() *Report {
+func extDistributedELReport() *Report {
 	variants := make([]harness.Variant, len(extDistELPoints))
 	for i, pt := range extDistELPoints {
 		variants[i] = harness.Variant{

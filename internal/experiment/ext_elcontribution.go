@@ -120,14 +120,14 @@ func extELCSmoke() extELCConfig {
 	}
 }
 
-// ExtELContributionReport runs the full EL-contribution grid: fault-free
+// extELContributionReport runs the full EL-contribution grid: fault-free
 // baselines, then the correlated burst-storm trials; it tabulates the
 // per-stack determinant-loss fraction.
-func ExtELContributionReport() *Report { return extELCReport(extELCFull()) }
+func extELContributionReport() *Report { return extELCReport(extELCFull()) }
 
-// ExtELContributionSmokeReport is the CI-sized variant: the deterministic
+// extELContributionSmokeReport is the CI-sized variant: the deterministic
 // witness-pair loss scenario plus one short BT storm row, Vcausal only.
-func ExtELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
+func extELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
 
 func extELCReport(cfg extELCConfig) *Report {
 	// One variant per trial; the plan and cap resolve per workload.

@@ -113,11 +113,11 @@ var extFaultstormScenarios = []scenario{
 	},
 }
 
-// ExtFaultstormReport compares the fault-tolerance stacks under overlapping
+// extFaultstormReport compares the fault-tolerance stacks under overlapping
 // failures: Poisson fault storms, correlated multi-rank kills, recovery-
 // triggered cascades, faults aimed into restart/recovery windows, and
 // stable-service outages.
-func ExtFaultstormReport() *Report {
+func extFaultstormReport() *Report {
 	variants := make([]harness.Variant, len(extFaultstormScenarios))
 	for i, sc := range extFaultstormScenarios {
 		variants[i] = harness.Variant{Key: sc.key, Faults: sc.plan}

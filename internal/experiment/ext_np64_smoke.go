@@ -22,10 +22,10 @@ var extNP64Specs = []workload.Spec{
 	{Bench: "cg", Class: "A", NP: 64},
 }
 
-// ExtNP64SmokeReport runs the NP-64 scaling smoke grid: the CG.A.64
+// extNP64SmokeReport runs the NP-64 scaling smoke grid: the CG.A.64
 // piggyback sweep across the three reducers (with EL); it tabulates the
 // piggyback share, Figure-7 style.
-func ExtNP64SmokeReport() *Report {
+func extNP64SmokeReport() *Report {
 	// The three reducers with the Event Logger: the EL acks drive the
 	// stable-vector path whose interval coding the smoke guards.
 	res := sweep(&harness.SweepSpec{

@@ -176,16 +176,16 @@ func extPartitionSmoke() extPartitionConfig {
 	}
 }
 
-// ExtPartitionReport runs the full partition-vs-kill grid: fault-free
+// extPartitionReport runs the full partition-vs-kill grid: fault-free
 // baselines, then the partition-vs-kill scenarios; it tabulates per-stack
 // slowdowns with partition diagnostics.
-func ExtPartitionReport() *Report { return extPartitionReport(extPartitionFull()) }
+func extPartitionReport() *Report { return partitionReport(extPartitionFull()) }
 
-// ExtPartitionSmokeReport is the CI-sized variant (witness-pair topology,
+// extPartitionSmokeReport is the CI-sized variant (witness-pair topology,
 // kill vs false-suspect, Vcausal and Manetho only).
-func ExtPartitionSmokeReport() *Report { return extPartitionReport(extPartitionSmoke()) }
+func extPartitionSmokeReport() *Report { return partitionReport(extPartitionSmoke()) }
 
-func extPartitionReport(cfg extPartitionConfig) *Report {
+func partitionReport(cfg extPartitionConfig) *Report {
 	// The variant axis is the scenario key; the plan resolves per workload
 	// (partition groups depend on NP).
 	first := cfg.scenariosFor(cfg.workloads[0].NP())

@@ -170,16 +170,16 @@ func extServiceSmoke() extServiceConfig {
 	}
 }
 
-// ExtServiceReport runs the full service-SLO grid: the always-on service
+// extServiceReport runs the full service-SLO grid: the always-on service
 // workload across the causal stacks and fault scenarios; it tabulates the
 // SLO probes.
-func ExtServiceReport() *Report { return extServiceReport(extServiceFull()) }
+func extServiceReport() *Report { return serviceReport(extServiceFull()) }
 
-// ExtServiceSmokeReport is the CI-sized variant (4 ranks, compressed
+// extServiceSmokeReport is the CI-sized variant (4 ranks, compressed
 // timeline, Vcausal and Manetho only).
-func ExtServiceSmokeReport() *Report { return extServiceReport(extServiceSmoke()) }
+func extServiceSmokeReport() *Report { return serviceReport(extServiceSmoke()) }
 
-func extServiceReport(cfg extServiceConfig) *Report {
+func serviceReport(cfg extServiceConfig) *Report {
 	workloads := make([]harness.Workload, len(cfg.nps))
 	for i, np := range cfg.nps {
 		key := fmt.Sprintf("service.%d", np)

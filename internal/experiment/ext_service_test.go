@@ -11,10 +11,9 @@ import (
 // worker-pool width and returns the report plus its serialized sweep.
 func runServiceSmoke(t *testing.T, parallel int) (*Report, []byte) {
 	t.Helper()
-	old := RunnerOptions()
 	SetRunnerOptions(harness.Options{Parallel: parallel})
-	defer SetRunnerOptions(old)
-	rep := ExtServiceSmokeReport()
+	defer SetRunnerOptions(harness.Options{})
+	rep := extServiceSmokeReport()
 	if len(rep.Sweeps) != 1 {
 		t.Fatalf("smoke report has %d sweeps, want 1", len(rep.Sweeps))
 	}
@@ -79,10 +78,9 @@ func TestExtServiceSmokeShape(t *testing.T) {
 func TestExtServiceSmokeRaceWide(t *testing.T) {
 	_, seq := runServiceSmoke(t, 1)
 
-	old := RunnerOptions()
 	SetRunnerOptions(harness.Options{Parallel: 8, TraceDir: t.TempDir()})
-	defer SetRunnerOptions(old)
-	rep := ExtServiceSmokeReport()
+	defer SetRunnerOptions(harness.Options{})
+	rep := extServiceSmokeReport()
 	if len(rep.Sweeps) != 1 {
 		t.Fatalf("smoke report has %d sweeps, want 1", len(rep.Sweeps))
 	}

@@ -27,7 +27,7 @@ const divergenceFactor = 12
 var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Second,
 	5 * sim.Second, 3 * sim.Second}
 
-// Fig01Report reproduces Figure 1: the slowdown of NAS BT on 25
+// fig01Report reproduces Figure 1: the slowdown of NAS BT on 25
 // nodes as the fault frequency increases, for coordinated checkpointing,
 // pessimistic message logging and causal message logging.
 //
@@ -37,7 +37,7 @@ var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Sec
 // reproduced result is the shape — coordinated checkpointing stops
 // progressing at a fault frequency where message logging still runs, and
 // causal logging tracks or beats pessimistic logging.
-func Fig01Report() *Report {
+func fig01Report() *Report {
 	f := fig01Sweep()
 	run := f.run()
 

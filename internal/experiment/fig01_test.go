@@ -62,13 +62,12 @@ func TestFaultedSweepCaps(t *testing.T) {
 	}
 
 	caps := make(map[string]sim.Time) // faulted cell ID -> MaxVirtual
-	old := RunnerOptions()
 	SetRunnerOptions(harness.Options{OnProgress: func(p harness.Progress) {
 		if p.Sweep == "caps" {
 			caps[p.Cell.ID] = p.Cell.MaxVirtual
 		}
 	}})
-	defer SetRunnerOptions(old)
+	defer SetRunnerOptions(harness.Options{})
 	run := f.run()
 
 	if run.base.Name != "caps-baseline" || run.faulted.Name != "caps" {

@@ -18,12 +18,12 @@ var latencyStacks = append([]harness.Stack{
 // fig06aReps is the ping-pong repetition count of the latency measurement.
 const fig06aReps = 500
 
-// Fig06aReport reproduces Figure 6(a): one-way small-message latency of
+// fig06aReport reproduces Figure 6(a): one-way small-message latency of
 // every stack, measured by a 1-byte NetPIPE ping-pong.
 //
 // It runs Figure 6(a) as one sweep: stacks × a single 1-byte
 // ping-pong workload.
-func Fig06aReport() *Report {
+func fig06aReport() *Report {
 	wl := harness.Workload{Key: "pingpong.1B", Make: func() *workload.Instance {
 		return workload.BuildPingPong(1, fig06aReps)
 	}}
@@ -48,21 +48,21 @@ func Fig06aReport() *Report {
 	return &Report{Name: "fig6a", Table: t, Sweeps: []*harness.Results{res}}
 }
 
-// BandwidthSizes is the message-size sweep of Figure 6(b).
-var BandwidthSizes = []int{1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}
+// bandwidthSizes is the message-size sweep of Figure 6(b).
+var bandwidthSizes = []int{1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}
 
 // fig06bStacks is Figure 6(b)'s protocol axis.
 var fig06bStacks = append([]harness.Stack{{Label: "RAW TCP", Stack: cluster.StackRawTCP}},
 	allStacks[0], allStacks[1], allStacks[2], allStacks[3], allStacks[6], allStacks[7])
 
-// Fig06bReport reproduces Figure 6(b): ping-pong bandwidth versus
+// fig06bReport reproduces Figure 6(b): ping-pong bandwidth versus
 // message size for raw TCP, P4, Vdummy and the causal variants.
 //
 // It runs Figure 6(b) as one sweep: stacks × one ping-pong
 // workload per message size.
-func Fig06bReport() *Report {
-	workloads := make([]harness.Workload, len(BandwidthSizes))
-	for i, size := range BandwidthSizes {
+func fig06bReport() *Report {
+	workloads := make([]harness.Workload, len(bandwidthSizes))
+	for i, size := range bandwidthSizes {
 		workloads[i] = harness.Workload{Key: sizeLabel(size), Make: func() *workload.Instance {
 			return workload.BuildPingPong(size, fig06bReps(size))
 		}}
@@ -81,7 +81,7 @@ func Fig06bReport() *Report {
 			"below Vdummy; EL vs no-EL indistinguishable at large sizes",
 		},
 	}
-	for i, size := range BandwidthSizes {
+	for i, size := range bandwidthSizes {
 		row := []string{sizeLabel(size)}
 		for _, sc := range fig06bStacks {
 			cr := res.MustGet(workloads[i].Key, sc.Label, "base")

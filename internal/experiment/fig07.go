@@ -15,13 +15,13 @@ var fig07Groups = []benchGroup{
 
 var fig07Specs = groupSpecs(fig07Groups)
 
-// Fig07Report reproduces Figure 7: the total piggybacked causality
+// fig07Report reproduces Figure 7: the total piggybacked causality
 // data exchanged during BT, CG and LU class A, as a percentage of the total
 // application data, for the three reduction techniques with and without
 // Event Logger.
 //
 // It runs Figure 7 as one sweep: benchmarks × causal stacks.
-func Fig07Report() *Report {
+func fig07Report() *Report {
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig7",
 		Workloads: nasWorkloads(fig07Specs),

@@ -23,10 +23,10 @@ var fig08Sweep = sync.OnceValue(func() *harness.Results {
 	})
 })
 
-// Fig08aReport reproduces Figure 8(a): cumulative virtual CPU time
+// fig08aReport reproduces Figure 8(a): cumulative virtual CPU time
 // spent preparing piggybacks at send and integrating them at receive, per
 // protocol, with and without Event Logger (seconds; send/recv split).
-func Fig08aReport() *Report {
+func fig08aReport() *Report {
 	res := fig08Sweep()
 	header := []string{"Benchmark", "#proc"}
 	for _, sc := range causalStacks {
@@ -54,9 +54,9 @@ func Fig08aReport() *Report {
 	return &Report{Name: "fig8a", Table: t, Sweeps: []*harness.Results{res}}
 }
 
-// Fig08bReport reproduces Figure 8(b): causality-management time as
+// fig08bReport reproduces Figure 8(b): causality-management time as
 // a percentage of total execution time.
-func Fig08bReport() *Report {
+func fig08bReport() *Report {
 	res := fig08Sweep()
 	t := &Table{
 		Title:  "Figure 8(b): Causality computation cost in % of total execution time",

@@ -19,13 +19,13 @@ var fig09Groups = []benchGroup{
 	{"ft", "A", []int{2, 4, 8, 16}},
 }
 
-// Fig09Report reproduces Figure 9: NAS benchmark performance (Mflop/s) for
+// fig09Report reproduces Figure 9: NAS benchmark performance (Mflop/s) for
 // MPICH-P4, MPICH-Vdummy and the three causal protocols with and without
 // Event Logger.
 //
 // It runs Figure 9 as one sweep: the full NAS panel grid × every
 // stack — the largest grid of the evaluation (27 workloads × 8 stacks).
-func Fig09Report() *Report {
+func fig09Report() *Report {
 	specs := groupSpecs(fig09Groups)
 	res := sweep(&harness.SweepSpec{
 		Name:      "fig9",

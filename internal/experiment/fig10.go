@@ -22,7 +22,7 @@ var fig10Stacks = []harness.Stack{
 	{Label: "without EL", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: false},
 }
 
-// Fig10Report reproduces Figure 10: the time (in milliseconds) to recover
+// fig10Report reproduces Figure 10: the time (in milliseconds) to recover
 // all determinants to replay when restarting rank 0 from the middle of the
 // run, with the Event Logger (one query) and without it (reclaiming events
 // from every surviving node).
@@ -32,7 +32,7 @@ var fig10Stacks = []harness.Stack{
 // measured determinant-collection time. No checkpoints are scheduled: the
 // restarted process reclaims its complete event history, which is exactly
 // the quantity Figure 10 reports ("time to recover all events to replay").
-func Fig10Report() *Report {
+func fig10Report() *Report {
 	specs := groupSpecs(fig10Groups)
 	workloads := nasWorkloads(specs)
 	stacks := fig10Stacks

@@ -11,37 +11,37 @@ type Report struct {
 	Sweeps []*harness.Results
 }
 
-// Index maps experiment names to their report generators, in no
-// particular order; Names gives the paper's presentation order.
-func Index() map[string]func() *Report {
-	return map[string]func() *Report{
-		"fig1":                     Fig01Report,
-		"fig6a":                    Fig06aReport,
-		"fig6b":                    Fig06bReport,
-		"fig7":                     Fig07Report,
-		"fig8a":                    Fig08aReport,
-		"fig8b":                    Fig08bReport,
-		"fig9":                     Fig09Report,
-		"fig10":                    Fig10Report,
-		"ext-el":                   ExtDistributedELReport,
-		"ext-elsweep":              ExtELServiceSweepReport,
-		"ext-sched":                ExtSchedulerPoliciesReport,
-		"ext-duplex":               ExtDuplexAblationReport,
-		"ext-faultstorm":           ExtFaultstormReport,
-		"ext-elcontribution":       ExtELContributionReport,
-		"ext-elcontribution-smoke": ExtELContributionSmokeReport,
-		"ext-partition":            ExtPartitionReport,
-		"ext-partition-smoke":      ExtPartitionSmokeReport,
-		"ext-service":              ExtServiceReport,
-		"ext-service-smoke":        ExtServiceSmokeReport,
-		"ext-np64-smoke":           ExtNP64SmokeReport,
-	}
+// Experiment is one registry entry: a name, its report generator, and
+// whether it is a CI smoke variant, which runs by name but is left out of
+// the listing and of "all".
+type Experiment struct {
+	Name  string
+	Run   func() *Report
+	Smoke bool
 }
 
-// Names returns the experiment names in the paper's order, followed by the
-// reproduction's extension experiments.
-func Names() []string {
-	return []string{"fig1", "fig6a", "fig6b", "fig7", "fig8a", "fig8b", "fig9", "fig10",
-		"ext-el", "ext-elsweep", "ext-sched", "ext-duplex", "ext-faultstorm",
-		"ext-elcontribution", "ext-partition", "ext-service"}
+// Experiments is the registry: the paper's figures in its order, then the
+// reproduction's extension experiments, each smoke variant after its full
+// grid.
+var Experiments = []Experiment{
+	{Name: "fig1", Run: fig01Report},
+	{Name: "fig6a", Run: fig06aReport},
+	{Name: "fig6b", Run: fig06bReport},
+	{Name: "fig7", Run: fig07Report},
+	{Name: "fig8a", Run: fig08aReport},
+	{Name: "fig8b", Run: fig08bReport},
+	{Name: "fig9", Run: fig09Report},
+	{Name: "fig10", Run: fig10Report},
+	{Name: "ext-el", Run: extDistributedELReport},
+	{Name: "ext-elsweep", Run: extELServiceSweepReport},
+	{Name: "ext-sched", Run: extSchedulerPoliciesReport},
+	{Name: "ext-duplex", Run: extDuplexAblationReport},
+	{Name: "ext-faultstorm", Run: extFaultstormReport},
+	{Name: "ext-elcontribution", Run: extELContributionReport},
+	{Name: "ext-elcontribution-smoke", Run: extELContributionSmokeReport, Smoke: true},
+	{Name: "ext-partition", Run: extPartitionReport},
+	{Name: "ext-partition-smoke", Run: extPartitionSmokeReport, Smoke: true},
+	{Name: "ext-service", Run: extServiceReport},
+	{Name: "ext-service-smoke", Run: extServiceSmokeReport, Smoke: true},
+	{Name: "ext-np64-smoke", Run: extNP64SmokeReport, Smoke: true},
 }

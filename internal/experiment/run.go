@@ -47,9 +47,6 @@ var runnerOpts harness.Options
 // sweep (parallel width, progress and error callbacks, trace directory).
 func SetRunnerOptions(o harness.Options) { runnerOpts = o }
 
-// RunnerOptions returns the currently installed sweep options.
-func RunnerOptions() harness.Options { return runnerOpts }
-
 // sweep executes one grid through the shared worker pool options.
 func sweep(spec *harness.SweepSpec) *harness.Results { return harness.Run(spec, runnerOpts) }
 

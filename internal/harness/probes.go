@@ -81,10 +81,11 @@ const (
 // probeFuncs maps probe names to their collectors.
 var probeFuncs = map[string]func(*cluster.Cluster) float64{
 	ProbeELBacklog: func(c *cluster.Cluster) float64 {
-		if c.ELGroup == nil {
-			return 0
+		m := 0
+		for _, s := range c.ELs {
+			m = max(m, s.MaxQueueLen)
 		}
-		return float64(c.ELGroup.MaxQueueLen())
+		return float64(m)
 	},
 	ProbeRecoveryEventNs: func(c *cluster.Cluster) float64 {
 		return float64(c.Nodes[0].Stats().RecoveryEventCollection)

@@ -33,11 +33,12 @@ type Options struct {
 	OnError func(CellError)
 
 	// TraceDir, when non-empty, enables the observability layer on every
-	// cell and writes two trace files per cell into the directory: a JSONL
-	// timeline (<cell>.jsonl) and a Chrome trace-event file
-	// (<cell>.trace.json, Perfetto-viewable). Tracing only observes, so
-	// traced results are identical to untraced ones, and timelines are
-	// byte-identical across worker counts.
+	// cell and writes two trace files per cell into the sweep's own
+	// subdirectory, <TraceDir>/<sweep>/: a JSONL timeline (<cell>.jsonl)
+	// and a Chrome trace-event file (<cell>.trace.json, Perfetto-viewable).
+	// Sweeps sharing a cell ID keep their own timelines. Tracing only
+	// observes, so traced results are identical to untraced ones, and
+	// timelines are byte-identical across worker counts.
 	TraceDir string
 }
 
@@ -70,6 +71,7 @@ func Run(spec *SweepSpec, opts Options) *Results {
 	res := &Results{Name: spec.Name, Cells: make([]CellResult, len(cells))}
 
 	if opts.TraceDir != "" {
+		opts.TraceDir = filepath.Join(opts.TraceDir, sanitizeFilename(spec.Name))
 		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
 			panic(fmt.Sprintf("harness: cannot create trace dir: %v", err))
 		}

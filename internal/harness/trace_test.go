@@ -80,7 +80,7 @@ func TestTraceFilesDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	filesSeq, filesPar := readDir(t, dirSeq), readDir(t, dirPar)
+	filesSeq, filesPar := readDir(t, filepath.Join(dirSeq, "trace-grid")), readDir(t, filepath.Join(dirPar, "trace-grid"))
 	wantFiles := 2 * len(seq.Cells) // .jsonl + .trace.json per cell
 	if len(filesSeq) != wantFiles || len(filesPar) != wantFiles {
 		t.Fatalf("got %d/%d trace files, want %d", len(filesSeq), len(filesPar), wantFiles)
@@ -145,6 +145,37 @@ func TestTraceFilesDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("tracing changed the sweep results")
+	}
+}
+
+// TestTraceDirPerSweep: two sweeps that share a cell ID and a TraceDir
+// each keep their own timeline, in a subdirectory named after the sweep,
+// instead of the later sweep overwriting the earlier one's files.
+func TestTraceDirPerSweep(t *testing.T) {
+	dir := t.TempDir()
+	first := tracedSpec()
+	first.Name, first.Variants = "first", first.Variants[:1]
+	second := tracedSpec()
+	second.Name = "second"
+	// Same cell ID as first's fault-free cell, but with a kill.
+	second.Variants = []Variant{{Key: "base", Faults: tracedSpec().Variants[1].Faults, RestartDelay: 5 * sim.Millisecond}}
+	for _, spec := range []*SweepSpec{first, second} {
+		for _, cr := range Run(spec, Options{Parallel: 1, TraceDir: dir}).Cells {
+			if cr.Err != "" {
+				t.Fatalf("%s: cell %q errored: %s", spec.Name, cr.ID, cr.Err)
+			}
+		}
+	}
+	name := sanitizeFilename("wp.3|vc-el|base") + ".jsonl"
+	kill := []byte(`"kind":"kill"`)
+	for sweep, wantKill := range map[string]bool{"first": false, "second": true} {
+		files := readDir(t, filepath.Join(dir, sweep))
+		if len(files) != 2 {
+			t.Errorf("%s: %d trace files, want 2", sweep, len(files))
+		}
+		if got := bytes.Contains(files[name], kill); got != wantKill {
+			t.Errorf("%s: timeline has a kill = %v, want %v", sweep, got, wantKill)
+		}
 	}
 }
 

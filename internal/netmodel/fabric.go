@@ -75,6 +75,23 @@ func (l *Link) State() LinkState { return l.state }
 // link.
 func (l *Link) HeldCount() int { return len(l.held) }
 
+// cost returns the serialization time and one-way latency of one delivery
+// on the link, given the healthy values. A degraded link scales both (the
+// scaled serialization is also the sender's occupancy, so a slow link
+// backs up its sender) and adds a jitter draw from the link's own stream;
+// a nil or healthy link returns them unchanged.
+func (l *Link) cost(ser, lat sim.Time) (sim.Time, sim.Time) {
+	if l == nil || l.state != LinkDegraded {
+		return ser, lat
+	}
+	ser = sim.Time(float64(ser) * l.serFactor)
+	lat = sim.Time(float64(lat) * l.latencyFactor)
+	if l.jitter > 0 {
+		lat += sim.Time(l.rng.Int63n(int64(l.jitter) + 1))
+	}
+	return ser, lat
+}
+
 // link returns the Link for src→dst, or nil while the pair has never been
 // touched (the homogeneous fast path: one nil check per send).
 func (n *Network) link(src, dst int) *Link {
@@ -93,8 +110,6 @@ func (n *Network) Link(src, dst int) *Link {
 	if n.links == nil {
 		n.links = make(map[int]*Link)
 	}
-	// The fabric is no longer untouched: every send must consult it.
-	n.plain = false
 	key := src*len(n.eps) + dst
 	l := n.links[key]
 	if l == nil {
@@ -197,28 +212,10 @@ func (n *Network) HealLink(src, dst int) {
 	}
 	now := n.k.Now()
 	for _, ev := range held {
-		to := ev.to
-		ser := n.SerializationTime(ev.d.Bytes)
-		lat := n.cfg.Latency
-		if l.state == LinkDegraded {
-			// The outage healed into a still-degraded link: the held burst
-			// crosses it at the degraded rates, like every later send.
-			ser = sim.Time(float64(ser) * l.serFactor)
-			lat = sim.Time(float64(lat) * l.latencyFactor)
-			if l.jitter > 0 {
-				lat += sim.Time(l.rng.Int63n(int64(l.jitter) + 1))
-			}
-		}
-		arrival := now + lat
-		if to.rxFree > arrival {
-			arrival = to.rxFree
-		}
-		deliverAt := arrival + ser
-		to.rxFree = deliverAt
-		if !n.cfg.FullDuplex {
-			to.txFree = maxTime(to.txFree, deliverAt)
-		}
-		n.k.At(deliverAt, ev.fire)
+		// An outage that healed into a still-degraded link releases the
+		// held burst at the degraded rates, like every later send.
+		ser, lat := l.cost(n.SerializationTime(ev.d.Bytes), n.cfg.Latency)
+		n.arrive(ev, now+lat, ser)
 	}
 	n.ReleasedDeliveries += int64(len(held))
 }

@@ -74,15 +74,6 @@ type Network struct {
 	// the homogeneous topology keeps the uniform model's exact arithmetic.
 	links map[int]*Link
 
-	// plain is the fault-free send fast path: true while the fabric has
-	// never been touched and the medium is full-duplex, so Send can skip
-	// the link lookup, the degraded/down branches and the half-duplex
-	// coupling in one predictable test. Link() — the sole creator of
-	// fabric entries — clears it for the rest of the run. The fast path
-	// computes the exact same occupancy arithmetic as the general path,
-	// so timelines are byte-identical either way.
-	plain bool
-
 	// freeDeliveries recycles delivery events (and their pre-bound kernel
 	// closures) so that Send allocates nothing per message in steady state.
 	// The network belongs to exactly one single-threaded kernel, so a plain
@@ -165,7 +156,7 @@ type Endpoint struct {
 	id  int
 
 	txFree sim.Time // transmit link busy until
-	rxFree sim.Time // receive link busy until
+	rxFree sim.Time // receive link (half-duplex: the one medium) busy until
 
 	// Inbox receives deliveries when no handler is set.
 	Inbox *sim.Mailbox[Delivery]
@@ -179,7 +170,7 @@ func New(k *sim.Kernel, cfg Config, n int) *Network {
 	if cfg.BandwidthBps <= 0 || cfg.MTU <= 0 {
 		panic("netmodel: bandwidth and MTU must be positive")
 	}
-	net := &Network{k: k, cfg: cfg, plain: cfg.FullDuplex}
+	net := &Network{k: k, cfg: cfg}
 	for i := 0; i < n; i++ {
 		net.eps = append(net.eps, &Endpoint{
 			net:   net,
@@ -244,53 +235,20 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 		return
 	}
 
-	ser := n.SerializationTime(bytes)
-
-	if n.plain {
-		// Fault-free full-duplex fabric: no links to consult, no
-		// degraded/down states, no tx/rx coupling. Same occupancy
-		// arithmetic as below, minus every branch that cannot fire.
-		depart := k.Now()
-		if ep.txFree > depart {
-			depart = ep.txFree
-		}
-		ep.txFree = depart + ser
-		ev := n.newDelivery(to, Delivery{Src: ep.id, Bytes: bytes, Payload: payload})
-		arrival := depart + n.cfg.Latency
-		if to.rxFree > arrival {
-			arrival = to.rxFree
-		}
-		deliverAt := arrival + ser
-		to.rxFree = deliverAt
-		k.At(deliverAt, ev.fire)
-		return
-	}
-
-	lat := n.cfg.Latency
 	lnk := n.link(ep.id, dst)
-	if lnk != nil && lnk.state == LinkDegraded {
-		// Degraded link: scaled serialization (occupancy below uses it too,
-		// so a slow link backs up its sender) plus scaled, jittered latency.
-		ser = sim.Time(float64(ser) * lnk.serFactor)
-		lat = sim.Time(float64(lat) * lnk.latencyFactor)
-		if lnk.jitter > 0 {
-			lat += sim.Time(lnk.rng.Int63n(int64(lnk.jitter) + 1))
-		}
-	}
+	ser, lat := lnk.cost(n.SerializationTime(bytes), n.cfg.Latency)
 
-	// Transmit side: wait for our transmit link (and, on half-duplex media,
-	// for any in-progress receive) before the first bit departs.
-	depart := k.Now()
-	if ep.txFree > depart {
-		depart = ep.txFree
-	}
-	if !n.cfg.FullDuplex && ep.rxFree > depart {
-		depart = ep.rxFree
+	// Transmit side: wait for our transmit link before the first bit
+	// departs. On a half-duplex medium rxFree is the one medium's
+	// busy-until: a transmit waits for it and then holds it, so receives
+	// queue behind the transmit (see arrive) and the next transmit waits
+	// for any receive.
+	depart := max(k.Now(), ep.txFree)
+	if !n.cfg.FullDuplex {
+		depart = max(depart, ep.rxFree)
+		ep.rxFree = depart + ser
 	}
 	ep.txFree = depart + ser
-	if !n.cfg.FullDuplex {
-		ep.rxFree = maxTime(ep.rxFree, depart+ser)
-	}
 
 	ev := n.newDelivery(to, Delivery{Src: ep.id, Bytes: bytes, Payload: payload})
 
@@ -303,22 +261,18 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 		n.HeldDeliveries++
 		return
 	}
+	n.arrive(ev, depart+lat, ser)
+}
 
-	// Receive side: the switch forwards frames as they arrive, so a single
-	// stream sees ser + Latency end to end; competing senders queue on the
-	// destination link.
-	arrival := depart + lat
-	shift := sim.Time(0)
-	if to.rxFree > arrival {
-		shift = to.rxFree - arrival
-	}
-	deliverAt := arrival + shift + ser
-	to.rxFree = deliverAt
-	if !n.cfg.FullDuplex {
-		to.txFree = maxTime(to.txFree, deliverAt)
-	}
-
-	k.At(deliverAt, ev.fire)
+// arrive schedules ev's delivery for a message whose first frame reaches
+// the destination's receive link at the given instant and occupies it for
+// ser. The switch forwards frames as they arrive, so a single stream sees
+// ser + latency end to end; competing senders queue on the destination
+// link.
+func (n *Network) arrive(ev *deliveryEvent, at, ser sim.Time) {
+	to := ev.to
+	to.rxFree = max(at, to.rxFree) + ser
+	n.k.At(to.rxFree, ev.fire)
 }
 
 func (ep *Endpoint) deliver(d Delivery) {
@@ -327,11 +281,4 @@ func (ep *Endpoint) deliver(d Delivery) {
 		return
 	}
 	ep.Inbox.Put(d)
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

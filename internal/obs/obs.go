@@ -157,9 +157,9 @@ type Event struct {
 	Note string
 }
 
-// DefaultSampleInterval is the virtual-time gauge sampling period of a
-// traced deployment.
-const DefaultSampleInterval = sim.Millisecond
+// SampleInterval is the virtual-time gauge sampling period of a traced
+// deployment.
+const SampleInterval = sim.Millisecond
 
 // Recorder accumulates timeline events in kernel execution order. Events
 // of one simulation are appended from a single goroutine (the kernel's),

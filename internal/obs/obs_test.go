@@ -259,20 +259,21 @@ func TestSamplerTicks(t *testing.T) {
 	k := sim.NewKernel(1)
 	rec := NewRecorder()
 	v := int64(0)
-	s := NewSampler(k, rec, 10*sim.Millisecond, []Gauge{
+	s := NewSampler(k, rec, []Gauge{
 		{Kind: KindGaugeLiveRanks, Fn: func() int64 { v++; return v }},
 	})
-	// Background activity keeps the queue non-empty until 35ms.
+	// Background activity keeps the queue non-empty until 3.5 intervals.
+	step := SampleInterval / 10
 	var work func()
 	work = func() {
-		if k.Now() < 35*sim.Millisecond {
-			k.After(sim.Millisecond, work)
+		if k.Now() < 35*step {
+			k.After(step, work)
 		}
 	}
 	k.At(0, work)
 	s.Start()
-	if end := k.RunUntil(sim.Second); end != 35*sim.Millisecond {
-		t.Fatalf("run ended at %v, want the last real event at 35ms", end)
+	if end := k.RunUntil(sim.Second); end != 35*step {
+		t.Fatalf("run ended at %v, want the last real event at %v", end, 35*step)
 	}
 	var ticks []sim.Time
 	for _, ev := range rec.Events() {
@@ -281,8 +282,9 @@ func TestSamplerTicks(t *testing.T) {
 		}
 		ticks = append(ticks, ev.T)
 	}
-	// The 40ms tick never runs: only it was left once the work ended.
-	want := []sim.Time{0, 10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond}
+	// The fourth-interval tick never runs: only it was left once the work
+	// ended.
+	want := []sim.Time{0, SampleInterval, 2 * SampleInterval, 3 * SampleInterval}
 	if !slices.Equal(ticks, want) {
 		t.Fatalf("samples at %v, want %v", ticks, want)
 	}
@@ -292,8 +294,8 @@ func TestSamplerTicks(t *testing.T) {
 // schedules anything.
 func TestSamplerDisabled(t *testing.T) {
 	k := sim.NewKernel(1)
-	NewSampler(k, nil, sim.Millisecond, []Gauge{{Kind: KindGaugeLiveRanks, Fn: func() int64 { return 0 }}}).Start()
-	NewSampler(k, NewRecorder(), sim.Millisecond, nil).Start()
+	NewSampler(k, nil, []Gauge{{Kind: KindGaugeLiveRanks, Fn: func() int64 { return 0 }}}).Start()
+	NewSampler(k, NewRecorder(), nil).Start()
 	if k.QueueLen() != 0 {
 		t.Fatalf("disabled sampler scheduled %d events", k.QueueLen())
 	}

@@ -10,25 +10,24 @@ type Gauge struct {
 	Fn   func() int64
 }
 
-// Sampler records a set of gauges into a Recorder on a fixed virtual-time
-// interval. Its ticks are kernel Background events: they never keep a run
-// alive, so a deployment that deadlocks (or completes by draining its
+// Sampler records a set of gauges into a Recorder every SampleInterval of
+// virtual time. Its ticks are kernel Background events: they never keep a
+// run alive, so a deployment that deadlocks (or completes by draining its
 // queue) ends at its last real event, traced or not.
 type Sampler struct {
-	k        *sim.Kernel
-	rec      *Recorder
-	interval sim.Time
-	gauges   []Gauge
+	k      *sim.Kernel
+	rec    *Recorder
+	gauges []Gauge
 }
 
-// NewSampler builds a sampler that records every interval.
-func NewSampler(k *sim.Kernel, rec *Recorder, interval sim.Time, gauges []Gauge) *Sampler {
-	return &Sampler{k: k, rec: rec, interval: interval, gauges: gauges}
+// NewSampler builds a sampler of the given gauges.
+func NewSampler(k *sim.Kernel, rec *Recorder, gauges []Gauge) *Sampler {
+	return &Sampler{k: k, rec: rec, gauges: gauges}
 }
 
 // Start schedules the first sample at the current virtual time (so every
-// timeline opens with a baseline row) and then every interval for as long
-// as the run goes on.
+// timeline opens with a baseline row) and then every SampleInterval for as
+// long as the run goes on.
 func (s *Sampler) Start() {
 	if s.rec == nil || len(s.gauges) == 0 {
 		return
@@ -41,5 +40,5 @@ func (s *Sampler) tick() {
 	for _, g := range s.gauges {
 		s.rec.Record(now, g.Kind, -1, g.Fn(), "")
 	}
-	s.k.Background(now+s.interval, s.tick)
+	s.k.Background(now+SampleInterval, s.tick)
 }

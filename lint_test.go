@@ -9,18 +9,19 @@ import (
 // TestInvariantLintSuite runs the invariant lint suite (internal/analysis:
 // detmap, walltime, noalloc, pooldiscipline) over the whole module, so
 // `go test ./...` enforces the determinism, zero-alloc and pool-lifecycle
-// contracts without extra tooling — the same suite cmd/lint and the CI
-// lint job run. Zero findings are required; a suppression without a
-// written reason is itself a finding. The noalloc check's runtime
+// contracts without extra tooling: it is the suite's one driver. Zero
+// findings are required; a suppression without a written reason is
+// itself a finding. On failure each finding is one file:line: [check]
+// message line of the test log. The noalloc check's runtime
 // counterpart is TestHotPathAllocations (alloc_test.go), which executes
 // every annotated root.
 //
 // Skipped in -short: the stdlib-only driver type-checks the standard
 // library from source, which costs a few seconds — the full (tier-1) run
-// and the dedicated CI lint job still enforce it on every change.
+// and the CI test job's `go test ./...` enforce it on every change.
 func TestInvariantLintSuite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-module type-checking skipped in -short (covered by the full run and the CI lint job)")
+		t.Skip("whole-module type-checking skipped in -short (covered by the full run)")
 	}
 	m, err := analysis.LoadModule(".")
 	if err != nil {

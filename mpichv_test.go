@@ -1,6 +1,7 @@
 package mpichv_test
 
 import (
+	"slices"
 	"testing"
 
 	"mpichv/internal/causal"
@@ -57,11 +58,12 @@ func TestPublicCustomProgram(t *testing.T) {
 }
 
 func TestExperimentIndexComplete(t *testing.T) {
-	idx := experiment.Index()
-	for _, name := range experiment.Names() {
-		if idx[name] == nil {
-			t.Errorf("experiment %q missing from index", name)
+	seen := make(map[string]bool)
+	for _, e := range experiment.Experiments {
+		if e.Run == nil || seen[e.Name] {
+			t.Errorf("experiment %q has no generator or a duplicate name", e.Name)
 		}
+		seen[e.Name] = true
 	}
 	if len(causal.Names()) != 3 {
 		t.Error("three reducers expected")
@@ -72,7 +74,8 @@ func TestExperimentRunsByName(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment regeneration is slow")
 	}
-	tab := experiment.Index()["fig6a"]().Table
+	i := slices.IndexFunc(experiment.Experiments, func(e experiment.Experiment) bool { return e.Name == "fig6a" })
+	tab := experiment.Experiments[i].Run().Table
 	if tab == nil || len(tab.Rows) == 0 {
 		t.Fatal("fig6a produced no table")
 	}
