@@ -392,8 +392,7 @@ func setupReplayServe(t *testing.T) func() uint64 {
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Close) // the server never returns
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
-	n := daemon.NewNode(k, net, 0, 2, daemon.Vdaemon(), daemon.DefaultCalibration(),
-		protocols.NewVcausal("vcausal", 0, 2))
+	n := daemon.NewNode(k, net, 0, 2, daemon.Vdaemon(), protocols.NewVcausal("vcausal", 0, 2))
 	const entries = 64
 	for s := 1; s <= entries; s++ {
 		n.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 1024, SendSeq: uint64(s)})

@@ -68,11 +68,13 @@ func main() {
 	opts := harness.Options{Parallel: *parallel, TraceDir: *traceDir}
 	if !*quiet {
 		opts.OnProgress = func(p harness.Progress) {
+			if p.Err != "" {
+				fmt.Fprintf(os.Stderr, "  cell error: %s: cell %q: %s\n", p.Sweep, p.Cell.ID, p.Err)
+			}
 			if p.Done == p.Total || p.Done%25 == 0 {
 				fmt.Fprintf(os.Stderr, "  [%s] %d/%d cells\n", p.Sweep, p.Done, p.Total)
 			}
 		}
-		opts.OnError = func(e harness.CellError) { fmt.Fprintf(os.Stderr, "  cell error: %v\n", e) }
 	}
 	experiment.SetRunnerOptions(opts)
 

@@ -118,10 +118,9 @@ type Cluster struct {
 	// every emission site is nil-safe).
 	Timeline *obs.Recorder
 
-	// DetLosses records every determinant loss reported during the run, in
-	// detection order; the kernel stops at the first, so the slice holds at
-	// most one entry per run in practice.
-	DetLosses []daemon.DeterminantLoss
+	// DetLoss is the run's determinant loss, nil when none was reported.
+	// The kernel stops at the first report, so a run holds at most one.
+	DetLoss *daemon.DeterminantLoss
 
 	// FalseSuspicions records every confirmed false suspicion: a live rank
 	// declared dead (a partition outlasted the detector's patience) whose
@@ -226,10 +225,9 @@ func New(cfg Config) *Cluster {
 		})
 	}
 
-	cal := daemon.DefaultCalibration()
 	for r := 0; r < cfg.NP; r++ {
 		proto := protoFor(cfg, event.Rank(r))
-		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, cal, proto)
+		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, proto)
 		n.CkptEndpoint = ckptEndpoint
 		n.AppStateBytes = cfg.AppStateBytes
 		n.RecordDeliveries = cfg.RecordDeliveries
@@ -338,7 +336,7 @@ func (c *Cluster) RunLaunched(maxVirtual sim.Time) RunResult {
 	return RunResult{
 		Outcome:         c.Outcome(),
 		End:             end,
-		DetLoss:         c.FirstDetLoss(),
+		DetLoss:         c.DetLoss,
 		FalseSuspicions: c.FalseSuspicions,
 	}
 }

@@ -80,8 +80,8 @@ func TestConcurrentKillWithELCompletes(t *testing.T) {
 	if res.Outcome != OutcomeCompleted {
 		t.Fatalf("outcome = %q (detloss=%v), want completed", res.Outcome, res.DetLoss)
 	}
-	if len(c.DetLosses) != 0 {
-		t.Fatalf("EL-enabled run recorded losses: %v", c.DetLosses)
+	if c.DetLoss != nil {
+		t.Fatalf("EL-enabled run recorded a loss: %v", c.DetLoss)
 	}
 }
 

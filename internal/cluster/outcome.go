@@ -31,7 +31,7 @@ const (
 	OutcomeFalseSuspicion Outcome = "false-suspicion"
 	// OutcomeDeterminantLoss: a recovery could not reassemble its replay
 	// set because every copy of some determinants died with crashed peers;
-	// the run stopped at the first detection (see Cluster.DetLosses).
+	// the run stopped at the first detection (see Cluster.DetLoss).
 	OutcomeDeterminantLoss Outcome = "determinant-loss"
 	// OutcomeHorizon: the deployment ran to its configured virtual-time
 	// horizon (Config.Horizon) with programs still pending — the planned
@@ -102,7 +102,7 @@ func (c *Cluster) Outcome() Outcome {
 		}
 		return OutcomeCompleted
 	}
-	if len(c.DetLosses) > 0 {
+	if c.DetLoss != nil {
 		return OutcomeDeterminantLoss
 	}
 	if c.Cfg.Horizon > 0 && c.K.Now() >= c.Cfg.Horizon {
@@ -114,14 +114,6 @@ func (c *Cluster) Outcome() Outcome {
 	return OutcomeDiverged
 }
 
-// FirstDetLoss returns the first recorded determinant loss, or nil.
-func (c *Cluster) FirstDetLoss() *daemon.DeterminantLoss {
-	if len(c.DetLosses) == 0 {
-		return nil
-	}
-	return &c.DetLosses[0]
-}
-
 // recordDetLoss is every node's OnDeterminantLoss handler: it completes
 // the diagnostics with deployment-level context (detection time, which
 // peers' death or recovery overlapped the victim's failure), records the
@@ -129,7 +121,7 @@ func (c *Cluster) FirstDetLoss() *daemon.DeterminantLoss {
 func (c *Cluster) recordDetLoss(dl daemon.DeterminantLoss) {
 	dl.At = c.K.Now()
 	dl.DeadPeers = c.concurrentDead(dl.Victim)
-	c.DetLosses = append(c.DetLosses, dl)
+	c.DetLoss = &dl
 	c.Timeline.Record(dl.At, obs.KindDetLoss, int(dl.Victim), int64(dl.Lost), "")
 	c.K.Stop()
 }

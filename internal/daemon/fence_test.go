@@ -83,7 +83,7 @@ func replayWorld(t *testing.T, entries int) (*sim.Kernel, *Node, *[]sim.Time) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
-	a := NewNode(k, net, 0, 2, Vdaemon(), DefaultCalibration(), &nullProto{})
+	a := NewNode(k, net, 0, 2, Vdaemon(), &nullProto{})
 	for s := 1; s <= entries; s++ {
 		a.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 512, SendSeq: uint64(s)})
 	}

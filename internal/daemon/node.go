@@ -100,10 +100,9 @@ type Node struct {
 	rank event.Rank
 	np   int
 
-	// Stack is the software cost model; Cal converts protocol work to CPU
-	// time; Proto is the fault-tolerance stack.
+	// Stack is the software cost model; Proto is the fault-tolerance
+	// stack.
 	Stack StackConfig
-	Cal   Calibration
 	Proto Protocol
 
 	// Endpoint ids of the auxiliary stable servers (-1 when not deployed).
@@ -238,11 +237,11 @@ type Node struct {
 
 // NewNode builds a node bound to endpoint rank of net.
 func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
-	stack StackConfig, cal Calibration, proto Protocol) *Node {
+	stack StackConfig, proto Protocol) *Node {
 	n := &Node{
 		k: k, net: net, ep: net.Endpoint(int(rank)),
 		rank: rank, np: np,
-		Stack: stack, Cal: cal, Proto: proto,
+		Stack: stack, Proto: proto,
 		ELEndpoint: -1, CkptEndpoint: -1,
 		seqTrack:  make([]seqTracker, np),
 		sendSeq:   make([]uint64, np),
@@ -366,7 +365,7 @@ func (n *Node) LogPayload(m *vproto.Message) sim.Time {
 	if n.Log.Bytes() > n.stats.MaxSenderLogBytes {
 		n.stats.MaxSenderLogBytes = n.Log.Bytes()
 	}
-	return n.Cal.SenderLogOverhead + sim.Time(int64(m.Bytes)*int64(n.Cal.SenderLogPerByte))
+	return SenderLogOverhead + sim.Time(m.Bytes)*SenderLogPerByte
 }
 
 // elLogPacketBytes is the wire size of one asynchronous event-log packet:
@@ -376,7 +375,7 @@ const elLogPacketBytes = event.FactoredGroupHeader + event.FactoredEventSize + 2
 // ShipDeterminant charges the shipping cost and sends d asynchronously to
 // the Event Logger, whose acknowledgment arrives later as a PktEventAck.
 func (n *Node) ShipDeterminant(d event.Determinant) {
-	n.ChargeCPU(n.Cal.ELShip)
+	n.ChargeCPU(ELShip)
 	n.stats.EventsLogged++
 	pkt := vproto.GetPacket()
 	pkt.Kind = vproto.PktEventLog
@@ -663,7 +662,7 @@ func (n *Node) serveDetRequest(req detRequest) {
 	if req.wantDets {
 		dets := n.Proto.HeldFor(req.creator)
 		bytes := event.FactoredSize(dets) + 32
-		n.ChargeCPU(sim.Time(len(dets)) * n.Cal.PerEventSend / 4)
+		n.ChargeCPU(sim.Time(len(dets)) * PerEventSend / 4)
 		resp := vproto.GetPacket()
 		resp.Kind = vproto.PktDetResponse
 		resp.Determinants = dets

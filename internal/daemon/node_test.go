@@ -30,8 +30,8 @@ func twoNodes(t *testing.T) (*sim.Kernel, *Node, *Node) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), 4)
-	a := NewNode(k, net, 0, 2, Vdaemon(), DefaultCalibration(), &nullProto{})
-	b := NewNode(k, net, 1, 2, Vdaemon(), DefaultCalibration(), &nullProto{})
+	a := NewNode(k, net, 0, 2, Vdaemon(), &nullProto{})
+	b := NewNode(k, net, 1, 2, Vdaemon(), &nullProto{})
 	return k, a, b
 }
 

@@ -67,38 +67,26 @@ func Vdaemon() StackConfig {
 	}
 }
 
-// Calibration converts protocol work into virtual CPU time. One calibration
-// is shared by all fault-tolerant stacks so that differences between
-// protocols come only from their op counts and byte volumes.
-type Calibration struct {
+// The CPU costs that turn protocol work into virtual time, the mechanism
+// of the paper's Figure 8. All fault-tolerant stacks pay the same costs,
+// so differences between protocols come only from their op counts and
+// byte volumes. The values match the paper's AthlonXP 2800+ nodes: they
+// place the causal stacks ~22µs above Vdummy on one-way latency (Figure
+// 6a) and let the no-EL penalty emerge from piggyback bytes and op counts.
+const (
 	// CostPerOp is the duration of one reducer elementary operation.
-	CostPerOp sim.Time
+	CostPerOp = 150 * sim.Nanosecond
 	// EventCreate is the fixed cost of creating and recording one local
 	// reception determinant.
-	EventCreate sim.Time
+	EventCreate = 4 * sim.Microsecond
 	// PerEventSend / PerEventRecv are the per-determinant serialization
 	// and integration costs on the piggyback path (alloc, iovec, copy).
-	PerEventSend sim.Time
-	PerEventRecv sim.Time
+	PerEventSend = 12 * sim.Microsecond
+	PerEventRecv = 6 * sim.Microsecond
 	// SenderLogOverhead + SenderLogPerByte model the sender-based payload
 	// copy every message-logging protocol pays.
-	SenderLogOverhead sim.Time
-	SenderLogPerByte  sim.Time
+	SenderLogOverhead = 3 * sim.Microsecond
+	SenderLogPerByte  = 2 * sim.Nanosecond
 	// ELShip is the CPU cost of emitting one asynchronous event-log packet.
-	ELShip sim.Time
-}
-
-// DefaultCalibration matches the paper's AthlonXP 2800+ nodes: it places
-// the causal stacks ~22µs above Vdummy on one-way latency (Figure 6a) and
-// lets the no-EL penalty emerge from piggyback bytes and op counts.
-func DefaultCalibration() Calibration {
-	return Calibration{
-		CostPerOp:         150 * sim.Nanosecond,
-		EventCreate:       4 * sim.Microsecond,
-		PerEventSend:      12 * sim.Microsecond,
-		PerEventRecv:      6 * sim.Microsecond,
-		SenderLogOverhead: 3 * sim.Microsecond,
-		SenderLogPerByte:  sim.Time(2),
-		ELShip:            2 * sim.Microsecond,
-	}
-}
+	ELShip = 2 * sim.Microsecond
+)

@@ -184,7 +184,7 @@ func serviceReport(cfg extServiceConfig) *Report {
 	for i, np := range cfg.nps {
 		key := fmt.Sprintf("service.%d", np)
 		sc := cfg.service(np)
-		sc.Seed = harness.DeriveSeed(extServiceSeed, key)
+		sc.Seed = sim.DeriveSeed(extServiceSeed, key)
 		workloads[i] = harness.Workload{
 			Key:  key,
 			Make: func() *workload.Instance { return workload.BuildService(sc) },

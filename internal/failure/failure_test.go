@@ -32,7 +32,7 @@ func testWorld(t *testing.T, np int) (*sim.Kernel, []*daemon.Node) {
 	nodes := make([]*daemon.Node, np)
 	for r := range nodes {
 		nodes[r] = daemon.NewNode(k, net, event.Rank(r), np,
-			daemon.Vdaemon(), daemon.DefaultCalibration(), &inertProto{})
+			daemon.Vdaemon(), &inertProto{})
 	}
 	return k, nodes
 }

@@ -18,7 +18,6 @@ package faultplan
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 
@@ -608,7 +607,7 @@ func (e *Engine) apply(o op) {
 		// The jitter stream is derived per plan component and per
 		// direction, so one degraded pair's draws perturb nothing else.
 		dg := &e.plan.Degrades[o.idx]
-		jseed := streamSeed(e.seed, fmt.Sprintf("degrade|%d|%s", o.idx, dg.Key))
+		jseed := sim.DeriveSeed(e.seed, fmt.Sprintf("degrade|%d|%s", o.idx, dg.Key))
 		e.degradeGen[o.idx][0] = net.DegradeLink(dg.From, dg.To, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
 		if dg.Both {
 			e.degradeGen[o.idx][1] = net.DegradeLink(dg.To, dg.From, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
@@ -628,17 +627,10 @@ func (e *Engine) apply(o op) {
 	}
 }
 
-// streamSeed hashes one named stream of the plan seed.
-func streamSeed(seed int64, stream string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, stream)
-	return int64(h.Sum64() & (1<<63 - 1))
-}
-
 // subRNG derives an independent deterministic stream per plan component,
 // so one component's draw count never perturbs another's sample path.
 func subRNG(seed int64, stream string) *rand.Rand {
-	return rand.New(rand.NewSource(max(streamSeed(seed, stream), 1)))
+	return rand.New(rand.NewSource(sim.DeriveSeed(seed, stream)))
 }
 
 func (e *Engine) startStorm(i int) {

@@ -96,19 +96,6 @@ func TestDuplicateCellIDsPanic(t *testing.T) {
 	spec.Cells()
 }
 
-func TestDeriveSeedStable(t *testing.T) {
-	a := DeriveSeed(7, "x|y|z")
-	if a != DeriveSeed(7, "x|y|z") {
-		t.Error("DeriveSeed not stable")
-	}
-	if a == DeriveSeed(8, "x|y|z") || a == DeriveSeed(7, "x|y|w") {
-		t.Error("DeriveSeed ignores an input")
-	}
-	if a <= 0 {
-		t.Errorf("DeriveSeed returned %d, want positive", a)
-	}
-}
-
 // TestDeterministicJSON: the same spec serializes byte-identically across
 // repeated parallel runs — the contract that makes BENCH/result snapshots
 // diffable.
@@ -257,7 +244,7 @@ func TestProbesCollected(t *testing.T) {
 // TestCellPanicBecomesError: a broken cell records its failure and the
 // rest of the sweep completes.
 func TestCellPanicBecomesError(t *testing.T) {
-	var cellErrs []CellError
+	var cellErrs []Progress
 	spec := &SweepSpec{
 		Name:      "bad-stack",
 		Workloads: []Workload{{Key: "cg.A.2", Spec: workload.Spec{Bench: "cg", Class: "A", NP: 2}}},
@@ -266,13 +253,17 @@ func TestCellPanicBecomesError(t *testing.T) {
 			{Key: "ok", Stack: cluster.StackVdummy},
 		},
 	}
-	res := Run(spec, Options{OnError: func(e CellError) { cellErrs = append(cellErrs, e) }})
+	res := Run(spec, Options{OnProgress: func(p Progress) {
+		if p.Err != "" {
+			cellErrs = append(cellErrs, p)
+		}
+	}})
 	bad := res.Get("cg.A.2", "bogus", "base")
 	if bad == nil || !strings.Contains(bad.Err, "unknown stack") {
 		t.Fatalf("bogus cell error = %q, want unknown-stack panic", bad.Err)
 	}
 	if len(cellErrs) != 1 || cellErrs[0].Cell.ID != bad.ID {
-		t.Errorf("OnError got %v, want exactly the bogus cell", cellErrs)
+		t.Errorf("OnProgress reported failures %v, want exactly the bogus cell", cellErrs)
 	}
 	if ok := res.Get("cg.A.2", "ok", "base"); ok == nil || !ok.Completed || ok.Err != "" {
 		t.Error("healthy cell should complete despite a sibling panic")
@@ -411,7 +402,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		Stacks: []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
 		Variants: []Variant{
 			{Key: "faulted", FaultAt: 5 * sim.Millisecond, RestartDelay: 5 * sim.Millisecond},
-			{Key: "capped", MaxVirtual: 5 * sim.Millisecond},
+			{Key: "capped"},
+		},
+		Tune: func(c *Cell) {
+			if c.Variant.Key == "capped" {
+				c.MaxVirtual = 5 * sim.Millisecond
+			}
 		},
 	}
 	before := runtime.NumGoroutine()

@@ -27,12 +27,12 @@ const (
 	// plan (0 when the variant carries none); it differs from ProbeKills
 	// when FaultAt/FaultEvery compose with a plan.
 	ProbePlanKills = "plan_kills"
-	// ProbeDetLossCount is the number of determinant losses recorded by
-	// the cell (the run stops at the first, so this is 0 or 1 in practice).
+	// ProbeDetLossCount is 1 when the cell recorded a determinant loss
+	// (the run stops at the first), else 0.
 	ProbeDetLossCount = "det_loss_count"
-	// ProbeLostClockSpan is the total number of lost determinant clocks
-	// across the cell's recorded losses (exact count — witnessed clocks
-	// interleaved inside a loss's bounding range are not included).
+	// ProbeLostClockSpan is the number of determinant clocks the cell's
+	// loss lost (exact count — witnessed clocks interleaved inside the
+	// loss's bounding range are not included).
 	ProbeLostClockSpan = "lost_clock_span"
 	// ProbePartitionCount is the number of partition windows the cell's
 	// fault plan cut into the link fabric.
@@ -103,14 +103,16 @@ var probeFuncs = map[string]func(*cluster.Cluster) float64{
 		return float64(c.Faults.Kills)
 	},
 	ProbeDetLossCount: func(c *cluster.Cluster) float64 {
-		return float64(len(c.DetLosses))
+		if c.DetLoss == nil {
+			return 0
+		}
+		return 1
 	},
 	ProbeLostClockSpan: func(c *cluster.Cluster) float64 {
-		lost := 0
-		for _, dl := range c.DetLosses {
-			lost += dl.Lost
+		if c.DetLoss == nil {
+			return 0
 		}
-		return float64(lost)
+		return float64(c.DetLoss.Lost)
 	},
 	ProbePartitionCount: func(c *cluster.Cluster) float64 {
 		if c.Faults == nil {

@@ -24,13 +24,10 @@ type Options struct {
 	// so -parallel 1 and -parallel N produce identical results.
 	Parallel int
 
-	// OnProgress, when non-nil, is invoked after every cell completes.
-	// It may be called from multiple workers; calls are serialized.
+	// OnProgress, when non-nil, is invoked after every cell completes,
+	// failed cells included. It may be called from multiple workers;
+	// calls are serialized.
 	OnProgress func(Progress)
-
-	// OnError, when non-nil, receives every cell failure as it happens
-	// (also recorded in the cell's result). Calls are serialized.
-	OnError func(CellError)
 
 	// TraceDir, when non-empty, enables the observability layer on every
 	// cell and writes two trace files per cell into the sweep's own
@@ -49,18 +46,7 @@ type Progress struct {
 	Total int
 	Cell  *Cell
 	Wall  time.Duration // wall-clock time of this cell
-}
-
-// CellError identifies one failed cell.
-type CellError struct {
-	Sweep string
-	Cell  *Cell
-	Err   error
-}
-
-// Error renders the failure as "<sweep>: cell <id>: <cause>".
-func (e CellError) Error() string {
-	return fmt.Sprintf("%s: cell %q: %v", e.Sweep, e.Cell.ID, e.Err)
+	Err   string        // the cell's failure (CellResult.Err), "" on success
 }
 
 // Run expands the spec and executes every cell across the worker pool,
@@ -107,13 +93,10 @@ func Run(spec *SweepSpec, opts Options) *Results {
 
 				mu.Lock()
 				done++
-				if cr.Err != "" && opts.OnError != nil {
-					opts.OnError(CellError{Sweep: spec.Name, Cell: cell, Err: fmt.Errorf("%s", cr.Err)})
-				}
 				if opts.OnProgress != nil {
 					opts.OnProgress(Progress{
 						Sweep: spec.Name, Done: done, Total: len(cells),
-						Cell: cell, Wall: wall,
+						Cell: cell, Wall: wall, Err: cr.Err,
 					})
 				}
 				mu.Unlock()

@@ -10,7 +10,6 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
@@ -128,9 +127,6 @@ type Variant struct {
 	// Net overrides the wire model (nil = Fast Ethernet).
 	Net *netmodel.Config
 
-	// MaxVirtual caps this variant's virtual run time (0 = spec default).
-	MaxVirtual sim.Time
-
 	// Horizon, when positive, plans the run's end at this virtual time
 	// (cluster.Config.Horizon): an always-on cell still pending there is
 	// classified OutcomeHorizon instead of OutcomeDiverged. The cell's
@@ -196,8 +192,8 @@ type SweepSpec struct {
 	Tune func(*Cell)
 }
 
-// DefaultMaxVirtual is the virtual-time safety cap applied when neither
-// the spec nor the variant sets one.
+// DefaultMaxVirtual is the virtual-time safety cap applied when the spec
+// sets none.
 const DefaultMaxVirtual = 100 * sim.Minute * 60
 
 // Cells expands the grid into its resolved cells.
@@ -241,16 +237,13 @@ func (s *SweepSpec) Cells() []Cell {
 					cfg.Net = *v.Net
 				}
 				if s.BaseSeed != 0 {
-					cfg.Seed = DeriveSeed(s.BaseSeed, id)
+					cfg.Seed = sim.DeriveSeed(s.BaseSeed, id)
 				} else {
 					// Record the cluster default explicitly so results
 					// state the seed the simulation actually ran with.
 					cfg.Seed = 1
 				}
-				maxV := v.MaxVirtual
-				if maxV == 0 {
-					maxV = s.MaxVirtual
-				}
+				maxV := s.MaxVirtual
 				if maxV == 0 {
 					maxV = DefaultMaxVirtual
 				}
@@ -279,18 +272,4 @@ func (s *SweepSpec) Cells() []Cell {
 		}
 	}
 	return cells
-}
-
-// DeriveSeed maps (base, cell ID) to a deterministic non-zero simulation
-// seed, so every cell of a sweep draws from an independent stream while the
-// whole sweep remains reproducible from the base seed alone.
-func DeriveSeed(base int64, id string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|", base)
-	h.Write([]byte(id))
-	seed := int64(h.Sum64() & (1<<63 - 1))
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
 }

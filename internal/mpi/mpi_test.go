@@ -33,7 +33,7 @@ func world(t *testing.T, np int, body func(c *Comm)) []*daemon.Node {
 	nodes := make([]*daemon.Node, np)
 	for r := 0; r < np; r++ {
 		nodes[r] = daemon.NewNode(k, net, event.Rank(r), np,
-			daemon.Vdaemon(), daemon.DefaultCalibration(), &passProto{})
+			daemon.Vdaemon(), &passProto{})
 	}
 	done := 0
 	for r := 0; r < np; r++ {

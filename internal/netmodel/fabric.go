@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 
@@ -150,7 +149,9 @@ func (n *Network) DegradeLink(src, dst int, latencyFactor, bandwidthFactor float
 	}
 	l.jitter = jitter
 	if jitter > 0 {
-		l.rng = linkRNG(jitterSeed, src, dst)
+		// The link's own stream, so a degraded pair's draws never perturb
+		// any other random decision in the simulation.
+		l.rng = rand.New(rand.NewSource(sim.DeriveSeed(jitterSeed, fmt.Sprintf("link|%d|%d", src, dst))))
 	} else {
 		l.rng = nil
 	}
@@ -172,19 +173,6 @@ func (n *Network) ClearDegrade(src, dst int, gen int) {
 	if l.state == LinkDegraded {
 		l.state = LinkUp
 	}
-}
-
-// linkRNG derives the deterministic jitter stream of one directed link, so
-// a degraded pair's draws never perturb any other random decision in the
-// simulation (nor any other link's).
-func linkRNG(seed int64, src, dst int) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|link|%d|%d", seed, src, dst)
-	s := int64(h.Sum64() & (1<<63 - 1))
-	if s == 0 {
-		s = 1
-	}
-	return rand.New(rand.NewSource(s))
 }
 
 // HealLink restores src→dst to the healthy state and releases its held

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
 
 	"mpichv/internal/sim"
 )
@@ -65,10 +64,49 @@ type span struct {
 	open  bool
 }
 
-// chromeBuilder accumulates trace events and per-track open windows.
+// window names the Chrome slice drawn between an opening and a closing
+// timeline kind.
+type window struct {
+	name        string
+	open, close Kind
+}
+
+// phaseWindows are each rank's recovery-phase and checkpoint slices, in
+// the order a kill, a completion or the end of the run force-closes them.
+var phaseWindows = [...]window{
+	{"restore", KindRestoreBegin, KindRestoreEnd},
+	{"collect", KindCollectBegin, KindCollectEnd},
+	{"replay", KindReplayBegin, KindRecoveryEnd},
+	{"recovery", KindRecoveryBegin, KindRecoveryEnd},
+	{"checkpoint", KindCkptBegin, KindCkptEnd},
+}
+
+// fabricWindows are the link-fabric slices, one track per plan component
+// (the event's Arg).
+var fabricWindows = [...]window{
+	{"partition", KindPartitionCut, KindPartitionHeal},
+	{"degraded", KindDegrade, KindDegradeClear},
+}
+
+// eventArgs are the arguments an event carries onto its instant or onto
+// the slice it closes.
+func eventArgs(ev Event) map[string]any {
+	switch ev.Kind {
+	case KindCkptEnd:
+		return map[string]any{"image_bytes": ev.Arg}
+	case KindPartitionHeal, KindDegradeClear:
+		return map[string]any{"spec": ev.Note}
+	case KindDetLoss:
+		return map[string]any{"lost_clocks": ev.Arg}
+	case KindCkptWave:
+		return map[string]any{"epoch": ev.Arg}
+	}
+	return nil
+}
+
+// chromeBuilder accumulates trace events.
 type chromeBuilder struct {
 	out []chromeEvent
-	end sim.Time
 }
 
 func (b *chromeBuilder) slice(name string, pid, tid int, from, to sim.Time, args map[string]any) {
@@ -105,129 +143,68 @@ func (b *chromeBuilder) close(s *span, name string, pid, tid int, to sim.Time, a
 	s.open = false
 }
 
-// rankSpans is the per-rank window state: a rank can simultaneously hold
-// an open down window, an open recovery window with one open sub-phase,
-// and (outside recovery) an open checkpoint transaction. Windows that a
-// re-kill interrupts are force-closed at the kill instant, so the output
-// never contains unbalanced slices.
-type rankSpans struct {
-	down, recovery, restore, collect, replay, ckpt span
+// track applies ev to one track's windows of table: an opening kind
+// (re)starts its window, a closing kind ends it as a slice.
+func (b *chromeBuilder) track(table []window, spans []span, pid, tid int, ev Event) {
+	for i, w := range table {
+		switch ev.Kind {
+		case w.open:
+			spans[i] = span{start: ev.T, open: true}
+		case w.close:
+			b.close(&spans[i], w.name, pid, tid, ev.T, eventArgs(ev))
+		}
+	}
 }
 
 // ChromeTrace renders the timeline in Chrome trace-event JSON (viewable
 // in Perfetto / chrome://tracing): one lifecycle track and one
 // recovery-phase track per rank, fabric windows paired by plan component,
-// service outages, and sampled gauges as counter tracks. Windows still
-// open when the timeline ends are closed at end.
+// service outages, and sampled gauges as counter tracks. The down slices
+// are the windows of a Downtime fed the same timeline, so the trace and
+// the availability figures agree. A kill or a completion force-closes the
+// rank's phase windows, so the output never holds unbalanced slices, and
+// windows still open when the timeline ends are closed at end.
 func ChromeTrace(events []Event, np int, end sim.Time) []byte {
-	b := &chromeBuilder{end: end}
+	b := &chromeBuilder{}
 	b.meta(pidLifecycle, 0, "process_name", "rank lifecycle")
 	b.meta(pidPhases, 0, "process_name", "recovery phases")
 	b.meta(pidFabric, 0, "process_name", "link fabric")
 	b.meta(pidServices, 0, "process_name", "stable services")
 	b.meta(pidGauges, 0, "process_name", "gauges")
 
-	ranks := make([]rankSpans, np)
-	rs := func(r int) *rankSpans {
-		if r < 0 || r >= np {
-			return nil
+	down := NewDowntime(make([]sim.Time, np))
+	phases := make([][len(phaseWindows)]span, np)
+	var fabric [][len(fabricWindows)]span // by plan component
+	interrupt := func(rank int, t sim.Time) {
+		for i, w := range phaseWindows {
+			b.close(&phases[rank][i], w.name, pidPhases, rank, t, nil)
 		}
-		return &ranks[r]
 	}
-	// interrupt force-closes every window a kill cuts short.
-	interrupt := func(r *rankSpans, rank int, t sim.Time) {
-		b.close(&r.restore, "restore", pidPhases, rank, t, nil)
-		b.close(&r.collect, "collect", pidPhases, rank, t, nil)
-		b.close(&r.replay, "replay", pidPhases, rank, t, nil)
-		b.close(&r.recovery, "recovery", pidPhases, rank, t, nil)
-		b.close(&r.ckpt, "checkpoint", pidPhases, rank, t, nil)
-	}
-	partitions := map[int64]*span{}
-	degrades := map[int64]*span{}
 
 	for _, ev := range events {
-		t := ev.T
+		t, rank := ev.T, ev.Rank
+		inRange := rank >= 0 && rank < np
+		if from := down.Observe(ev); from >= 0 {
+			b.slice("down", pidLifecycle, rank, from, t, nil)
+		}
 		switch ev.Kind {
-		case KindKill, KindSuspect:
-			if r := rs(ev.Rank); r != nil {
-				b.instant(ev.Kind.String(), pidLifecycle, ev.Rank, t, nil)
-				interrupt(r, ev.Rank, t)
-				if !r.down.open {
-					r.down = span{start: t, open: true}
-				}
-			}
-		case KindRestart:
-			if r := rs(ev.Rank); r != nil && !r.down.open {
-				// A coordinated-rollback peer restarts without a prior
-				// kill event; its down window opens here.
-				r.down = span{start: t, open: true}
-			}
-		case KindRecovered, KindFinished:
-			if r := rs(ev.Rank); r != nil {
-				b.close(&r.down, "down", pidLifecycle, ev.Rank, t, nil)
-				if ev.Kind == KindFinished {
-					b.instant("finished", pidLifecycle, ev.Rank, t, nil)
-					interrupt(r, ev.Rank, t)
-				}
+		case KindKill, KindSuspect, KindFinished:
+			if inRange {
+				b.instant(ev.Kind.String(), pidLifecycle, rank, t, nil)
+				interrupt(rank, t)
 			}
 		case KindFenced, KindDetLoss, KindELQuery:
-			if ev.Rank >= 0 {
-				args := map[string]any(nil)
-				if ev.Kind == KindDetLoss {
-					args = map[string]any{"lost_clocks": ev.Arg}
-				}
-				b.instant(ev.Kind.String(), pidLifecycle, ev.Rank, t, args)
-			}
-		case KindRecoveryBegin:
-			if r := rs(ev.Rank); r != nil {
-				r.recovery = span{start: t, open: true}
-			}
-		case KindRestoreBegin:
-			if r := rs(ev.Rank); r != nil {
-				r.restore = span{start: t, open: true}
-			}
-		case KindRestoreEnd:
-			if r := rs(ev.Rank); r != nil {
-				b.close(&r.restore, "restore", pidPhases, ev.Rank, t, nil)
-			}
-		case KindCollectBegin:
-			if r := rs(ev.Rank); r != nil {
-				r.collect = span{start: t, open: true}
-			}
-		case KindCollectEnd:
-			if r := rs(ev.Rank); r != nil {
-				b.close(&r.collect, "collect", pidPhases, ev.Rank, t, nil)
-			}
-		case KindReplayBegin:
-			if r := rs(ev.Rank); r != nil {
-				r.replay = span{start: t, open: true}
-			}
-		case KindRecoveryEnd:
-			if r := rs(ev.Rank); r != nil {
-				b.close(&r.replay, "replay", pidPhases, ev.Rank, t, nil)
-				b.close(&r.recovery, "recovery", pidPhases, ev.Rank, t, nil)
-			}
-		case KindCkptBegin:
-			if r := rs(ev.Rank); r != nil {
-				r.ckpt = span{start: t, open: true}
-			}
-		case KindCkptEnd:
-			if r := rs(ev.Rank); r != nil {
-				b.close(&r.ckpt, "checkpoint", pidPhases, ev.Rank, t, map[string]any{"image_bytes": ev.Arg})
+			if rank >= 0 {
+				b.instant(ev.Kind.String(), pidLifecycle, rank, t, eventArgs(ev))
 			}
 		case KindCkptWave:
-			b.instant("ckpt-wave", pidFabric, 0, t, map[string]any{"epoch": ev.Arg})
-		case KindPartitionCut:
-			partitions[ev.Arg] = &span{start: t, open: true}
-		case KindPartitionHeal:
-			if s, ok := partitions[ev.Arg]; ok && s.open {
-				b.close(s, "partition", pidFabric, 1+int(ev.Arg), t, map[string]any{"spec": ev.Note})
-			}
-		case KindDegrade:
-			degrades[ev.Arg] = &span{start: t, open: true}
-		case KindDegradeClear:
-			if s, ok := degrades[ev.Arg]; ok && s.open {
-				b.close(s, "degraded", pidFabric, 1+int(ev.Arg), t, map[string]any{"spec": ev.Note})
+			b.instant(ev.Kind.String(), pidFabric, 0, t, eventArgs(ev))
+		case KindPartitionCut, KindPartitionHeal, KindDegrade, KindDegradeClear:
+			if c := int(ev.Arg); c >= 0 {
+				for len(fabric) <= c {
+					fabric = append(fabric, [len(fabricWindows)]span{})
+				}
+				b.track(fabricWindows[:], fabric[c][:], pidFabric, 1+c, ev)
 			}
 		case KindOutage:
 			b.slice("outage:"+ev.Note, pidServices, 0, t, t+sim.Time(ev.Arg), nil)
@@ -235,20 +212,24 @@ func ChromeTrace(events []Event, np int, end sim.Time) []byte {
 			b.counter("el-backlog-highwater", t, ev.Arg)
 		case KindGaugeHeldDets, KindGaugeSenderLogBytes, KindGaugeELBacklog, KindGaugeLiveRanks:
 			b.counter(ev.Kind.String(), t, ev.Arg)
+		default:
+			if inRange {
+				b.track(phaseWindows[:], phases[rank][:], pidPhases, rank, ev)
+			}
 		}
 	}
 
 	// Close whatever the end of the run left open.
-	for rank := range ranks {
-		r := &ranks[rank]
-		interrupt(r, rank, end)
-		b.close(&r.down, "down", pidLifecycle, rank, end, nil)
+	for rank, from := range down.since {
+		interrupt(rank, end)
+		if from >= 0 {
+			b.slice("down", pidLifecycle, rank, from, end, nil)
+		}
 	}
-	for _, s := range sortedSpans(partitions) {
-		b.close(s.s, "partition", pidFabric, 1+int(s.idx), end, nil)
-	}
-	for _, s := range sortedSpans(degrades) {
-		b.close(s.s, "degraded", pidFabric, 1+int(s.idx), end, nil)
+	for i, w := range fabricWindows {
+		for c := range fabric {
+			b.close(&fabric[c][i], w.name, pidFabric, 1+c, end, nil)
+		}
 	}
 
 	for rank := 0; rank < np; rank++ {
@@ -270,27 +251,4 @@ func ChromeTrace(events []Event, np int, end sim.Time) []byte {
 	}
 	buf.WriteString("],\"displayTimeUnit\":\"ms\"}")
 	return buf.Bytes()
-}
-
-// sortedSpans yields still-open map spans in ascending key order so the
-// trailing close-out pass is deterministic.
-func sortedSpans(m map[int64]*span) []struct {
-	idx int64
-	s   *span
-} {
-	var keys []int64
-	for k, s := range m {
-		if s.open {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]struct {
-		idx int64
-		s   *span
-	}, len(keys))
-	for i, k := range keys {
-		out[i].idx, out[i].s = k, m[k]
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 
 	"mpichv/internal/sim"
@@ -74,7 +75,10 @@ func (h *LatencyHist) Quantile(q float64) sim.Time {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q * float64(h.total))
+	// The ceiling of q·total, shaved by a relative 1e-9 first: the float
+	// product overshoots some exact integer ranks (0.07·100 is
+	// 7.000000000000001), and those must stay exact.
+	rank := int64(math.Ceil(q * float64(h.total) * (1 - 1e-9)))
 	if rank < 1 {
 		rank = 1
 	}

@@ -34,6 +34,35 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	}
 }
 
+// TestLatencyHistQuantileCeilRank pins the ceil(q·Count)-th sample rule.
+// With ten samples the p99 rank is ceil(9.9) = 10, the one slow request;
+// rounding the rank down would report the fast bucket. Exact integer
+// ranks stay exact: 0.99·100 is rank 99, and 0.07·100 (7.000000000000001
+// in floating point) is rank 7.
+func TestLatencyHistQuantileCeilRank(t *testing.T) {
+	// fastThenSlow holds fast 1 ms samples followed by 1 s ones.
+	fastThenSlow := func(fast, total int) *LatencyHist {
+		h := NewLatencyHist()
+		for i := 0; i < total; i++ {
+			if i < fast {
+				h.Observe(sim.Millisecond)
+			} else {
+				h.Observe(sim.Second)
+			}
+		}
+		return h
+	}
+	if p99 := fastThenSlow(9, 10).Quantile(0.99); p99 < sim.Second {
+		t.Errorf("10 samples: p99 = %v, want the 1 s sample's bucket", p99)
+	}
+	if p99 := fastThenSlow(99, 100).Quantile(0.99); p99 >= sim.Second {
+		t.Errorf("100 samples: p99 = %v, want the 99th sample's 1 ms bucket", p99)
+	}
+	if q := fastThenSlow(7, 100).Quantile(0.07); q >= sim.Second {
+		t.Errorf("100 samples: Quantile(0.07) = %v, want the 7th sample's 1 ms bucket", q)
+	}
+}
+
 func TestLatencyHistQuantileMonotone(t *testing.T) {
 	h := NewLatencyHist()
 	for v := sim.Time(1); v < sim.Second; v *= 3 {

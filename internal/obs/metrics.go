@@ -46,12 +46,13 @@ func NewDowntime(since []sim.Time) Downtime {
 	return Downtime{since: since}
 }
 
-// Observe applies one timeline event; kinds other than the rank lifecycle
-// and ranks outside the deployment are ignored.
-func (d *Downtime) Observe(ev Event) {
+// Observe applies one timeline event and returns the start of the down
+// window it closes at ev.T, or -1 when it closes none. Kinds other than the
+// rank lifecycle and ranks outside the deployment are ignored.
+func (d *Downtime) Observe(ev Event) (from sim.Time) {
 	rank, t := ev.Rank, ev.T
 	if rank < 0 || rank >= len(d.since) {
-		return
+		return -1
 	}
 	switch ev.Kind {
 	case KindKill, KindSuspect, KindRestart:
@@ -59,17 +60,19 @@ func (d *Downtime) Observe(ev Event) {
 			d.since[rank] = t
 		}
 	case KindRecovered, KindFinished:
-		if d.since[rank] < 0 {
-			return
+		from = d.since[rank]
+		if from < 0 {
+			return -1
 		}
-		w := t - d.since[rank]
 		d.since[rank] = -1
-		d.total += w
+		d.total += t - from
 		if ev.Kind == KindRecovered {
-			d.repairTime += w
+			d.repairTime += t - from
 			d.repairs++
 		}
+		return from
 	}
+	return -1
 }
 
 // Metrics returns the figures as of virtual time now, counting windows

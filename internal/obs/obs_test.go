@@ -302,12 +302,9 @@ func TestSamplerDisabled(t *testing.T) {
 }
 
 // TestChromeTraceCloseOutOrder pins the end-of-run close-out pass for
-// still-open fabric windows. Partitions and degrades live in maps keyed
-// by plan component, and a run can end with many of them still open; the
-// close-out must visit them in ascending component order (collect the
-// keys, sort, then close) so the rendered trace is byte-identical no
-// matter how the map iterates. Sixteen open spans per map make an
-// unsorted iteration essentially certain to reorder between renders.
+// still-open fabric windows: a run can end with many partitions and
+// degrades open, and the close-out visits them in ascending plan-component
+// order so the rendered trace is byte-identical across renders.
 func TestChromeTraceCloseOutOrder(t *testing.T) {
 	const np, spans = 2, 16
 	end := 10 * sim.Millisecond

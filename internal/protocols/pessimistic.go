@@ -37,7 +37,7 @@ func (p *Pessimistic) PreSend(n *daemon.Node, m *vproto.Message) {
 // synchronously (the wait happens at the next send).
 func (p *Pessimistic) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	d, fresh := n.CreateDeterminant(m)
-	n.ChargeCPU(n.Cal.EventCreate)
+	n.ChargeCPU(daemon.EventCreate)
 	if fresh {
 		n.ShipDeterminant(d)
 	} else if d.ID.Clock > p.ackedOwn {

@@ -12,7 +12,7 @@ import (
 )
 
 func newNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int, proto daemon.Protocol) *daemon.Node {
-	return daemon.NewNode(k, net, rank, np, daemon.Vdaemon(), daemon.DefaultCalibration(), proto)
+	return daemon.NewNode(k, net, rank, np, daemon.Vdaemon(), proto)
 }
 
 func TestVdummyIsInert(t *testing.T) {

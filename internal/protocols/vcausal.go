@@ -63,7 +63,7 @@ func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) {
 	m.Piggyback = pb
 	m.PiggybackBytes = v.reducer.PiggybackBytes(pb)
 
-	cpu := sim.Time(ops)*n.Cal.CostPerOp + sim.Time(len(pb))*n.Cal.PerEventSend
+	cpu := sim.Time(ops)*daemon.CostPerOp + sim.Time(len(pb))*daemon.PerEventSend
 	n.Stats().SendPiggybackTime += cpu
 	n.ChargeCPU(cpu + n.LogPayload(m))
 }
@@ -94,9 +94,9 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	d, fresh := n.CreateDeterminant(m)
 	ops += v.reducer.AddLocal(d)
 
-	cpu := sim.Time(ops)*n.Cal.CostPerOp +
-		sim.Time(pbLen)*n.Cal.PerEventRecv +
-		n.Cal.EventCreate
+	cpu := sim.Time(ops)*daemon.CostPerOp +
+		sim.Time(pbLen)*daemon.PerEventRecv +
+		daemon.EventCreate
 	n.Stats().RecvPiggybackTime += cpu
 	n.ChargeCPU(cpu)
 
@@ -114,7 +114,7 @@ func (v *Vcausal) OnControl(n *daemon.Node, pkt *vproto.Packet) {
 	switch pkt.Kind {
 	case vproto.PktEventAck:
 		ops := v.reducer.Stable(pkt.StableVec)
-		n.ChargeCPU(sim.Time(ops) * n.Cal.CostPerOp)
+		n.ChargeCPU(sim.Time(ops) * daemon.CostPerOp)
 	case vproto.PktCkptRequest:
 		n.RequestCheckpoint(pkt.Epoch)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 )
 
@@ -35,6 +36,17 @@ type Kernel struct {
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+}
+
+// DeriveSeed maps a base seed and a stream name to a deterministic
+// non-zero seed: FNV-1a over "base|name", masked to 63 bits. Each named
+// stream (a sweep cell, a fault-plan component, a degraded link) draws
+// independently, so one stream's draw count never perturbs another's,
+// while everything stays reproducible from the base seed alone.
+func DeriveSeed(base int64, name string) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s", base, name)
+	return max(int64(h.Sum64()&(1<<63-1)), 1)
 }
 
 // Now returns the current virtual time.

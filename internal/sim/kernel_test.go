@@ -188,3 +188,20 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
+
+func TestDeriveSeedStable(t *testing.T) {
+	a := DeriveSeed(7, "x|y|z")
+	if a != DeriveSeed(7, "x|y|z") {
+		t.Error("DeriveSeed not stable")
+	}
+	if a == DeriveSeed(8, "x|y|z") || a == DeriveSeed(7, "x|y|w") {
+		t.Error("DeriveSeed ignores an input")
+	}
+	if a <= 0 {
+		t.Errorf("DeriveSeed returned %d, want positive", a)
+	}
+	// Every seed stream of every committed result hangs off these bytes.
+	if a != 3046723968519809295 {
+		t.Errorf("DeriveSeed(7, %q) = %d, want 3046723968519809295", "x|y|z", a)
+	}
+}

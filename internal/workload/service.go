@@ -42,7 +42,7 @@ import (
 // Deadlock freedom. Order every op by (nominal time, kind, request index)
 // with issue < serve < collect at equal times. An op blocks only in Recv,
 // and always on a message sent by an op with a strictly smaller key (a
-// serve waits on the same-time issue; a collect waits on a serve RespDelay
+// serve waits on the same-time issue; a collect waits on a serve respDelay
 // earlier), so the globally smallest blocked op's sender either already
 // ran or sits behind only non-blocking or smaller-keyed ops — some rank
 // can always progress.
@@ -79,15 +79,15 @@ type ServiceConfig struct {
 	ServiceTime sim.Time
 	// ReqBytes and RespBytes are the request and response payload sizes.
 	ReqBytes, RespBytes int
-	// RespDelay is the nominal offset between a request's issue and the
-	// client's response-collection op; it only orders ops (collection
-	// still blocks until the response arrives) and must be positive.
-	// Zero selects 1 ms.
-	RespDelay sim.Time
 	// AppStateBytes is the per-rank checkpoint image contribution
 	// (0 selects 1 MB — a service holds session state, not a NAS grid).
 	AppStateBytes int64
 }
+
+// respDelay is the nominal offset between a request's issue and the
+// client's response-collection op. It only orders ops (collection still
+// blocks until the response arrives) and must be positive.
+const respDelay = sim.Millisecond
 
 // serviceRequest is one scheduled request of the open-loop stream.
 type serviceRequest struct {
@@ -191,9 +191,6 @@ func BuildService(cfg ServiceConfig) *Instance {
 	if cfg.RespBytes <= 0 {
 		cfg.RespBytes = 8 << 10
 	}
-	if cfg.RespDelay <= 0 {
-		cfg.RespDelay = sim.Millisecond
-	}
 	if cfg.AppStateBytes <= 0 {
 		cfg.AppStateBytes = 1 << 20
 	}
@@ -214,7 +211,7 @@ func BuildService(cfg ServiceConfig) *Instance {
 	for _, r := range reqs {
 		ops[r.client] = append(ops[r.client], serviceOp{at: r.at, kind: opIssue, req: r})
 		ops[r.server] = append(ops[r.server], serviceOp{at: r.at, kind: opServe, req: r})
-		ops[r.client] = append(ops[r.client], serviceOp{at: r.at + cfg.RespDelay, kind: opCollect, req: r})
+		ops[r.client] = append(ops[r.client], serviceOp{at: r.at + respDelay, kind: opCollect, req: r})
 	}
 	for rank := range ops {
 		script := ops[rank]
