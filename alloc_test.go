@@ -239,8 +239,11 @@ func spawnBatches(t *testing.T, k *sim.Kernel, op func(p *sim.Proc, i int)) func
 	}
 }
 
-// setupProcSleep measures the park/unpark handshake: one timer event plus
-// two coroutine switches per operation, the unit cost of ChargeCPU.
+// setupProcSleep measures a lone process's Sleep, the unit cost of
+// ChargeCPU when its wake-up is the next event: it ends in place, with no
+// timer event and no switch. The parked path (a timer event plus two
+// coroutine switches) runs in kernel/proc-poll, where lane ticks are due
+// first, and in every cell row.
 func setupProcSleep(t *testing.T) func() uint64 {
 	return spawnBatches(t, sim.NewKernel(1), func(p *sim.Proc, _ int) { p.Sleep(10) })
 }

@@ -58,8 +58,9 @@ func detRequestFrom(pkt *vproto.Packet) detRequest {
 // pessimistic, coordinated) supply the fault-tolerance behaviour.
 type Protocol interface {
 	// PreSend runs in the sender's context before m is transmitted; it may
-	// attach piggyback, log the payload (LogPayload), charge CPU or block.
-	PreSend(n *Node, m *vproto.Message)
+	// attach piggyback, log the payload (LogPayload) or block. Send charges
+	// the CPU cost it returns with the transmit cost, as one sleep.
+	PreSend(n *Node, m *vproto.Message) sim.Time
 	// OnDeliver runs in the receiver's context when an application message
 	// is delivered to the application (MPI match).
 	OnDeliver(n *Node, m *vproto.Message)
@@ -372,10 +373,9 @@ func (n *Node) LogPayload(m *vproto.Message) sim.Time {
 // a factored single-event body plus the daemon packet header.
 const elLogPacketBytes = event.FactoredGroupHeader + event.FactoredEventSize + 24
 
-// ShipDeterminant charges the shipping cost and sends d asynchronously to
-// the Event Logger, whose acknowledgment arrives later as a PktEventAck.
+// ShipDeterminant sends d asynchronously to the Event Logger, whose ack
+// arrives later as a PktEventAck. The caller charges ELShip with its own.
 func (n *Node) ShipDeterminant(d event.Determinant) {
-	n.ChargeCPU(ELShip)
 	n.stats.EventsLogged++
 	pkt := vproto.GetPacket()
 	pkt.Kind = vproto.PktEventLog
@@ -418,15 +418,15 @@ func (n *Node) Send(dst event.Rank, tag int, bytes int) {
 		Src: n.rank, Dst: dst, Tag: tag, Bytes: bytes,
 		SendSeq: n.sendSeq[dst], Lamport: n.lamport, SenderLast: n.lastEvent,
 	}
-	n.Proto.PreSend(n, m)
-	n.transmit(m)
-	// Updated only after the packet reached the wire: a kill inside
-	// transmit's CPU charge means the piggyback was never witnessed.
+	n.ChargeCPU(n.Proto.PreSend(n, m) + n.transmitCPU(m))
+	n.emit(m)
+	// Updated only after the packet reached the wire: a kill inside the
+	// send's CPU charge means the piggyback was never witnessed.
 	n.lastSendClock = n.clock
 }
 
-// transmit charges the send-side software costs and puts m on the wire.
-// It is also used to re-emit logged payloads during a peer's recovery.
+// transmit charges the send-side software costs and puts m on the wire:
+// the re-emission of one logged payload during a peer's recovery.
 func (n *Node) transmit(m *vproto.Message) {
 	n.ChargeCPU(n.transmitCPU(m))
 	n.emit(m)

@@ -14,7 +14,7 @@ import (
 // replay machinery are exercised) but keeps nothing.
 type nullProto struct{ dets []event.Determinant }
 
-func (*nullProto) PreSend(*Node, *vproto.Message) {}
+func (*nullProto) PreSend(*Node, *vproto.Message) sim.Time { return 0 }
 func (p *nullProto) OnDeliver(n *Node, m *vproto.Message) {
 	d, _ := n.CreateDeterminant(m)
 	p.dets = append(p.dets, d)

@@ -16,7 +16,7 @@ import (
 // only exercise process lifecycle, not logging.
 type inertProto struct{}
 
-func (*inertProto) PreSend(*daemon.Node, *vproto.Message)                       {}
+func (*inertProto) PreSend(*daemon.Node, *vproto.Message) sim.Time              { return 0 }
 func (*inertProto) OnDeliver(n *daemon.Node, m *vproto.Message)                 { n.CreateDeterminant(m) }
 func (*inertProto) OnControl(*daemon.Node, *vproto.Packet)                      {}
 func (*inertProto) TakeSnapshot(*daemon.Node)                                   {}

@@ -14,7 +14,7 @@ import (
 // passProto is the minimal protocol for MPI-layer tests.
 type passProto struct{}
 
-func (*passProto) PreSend(*daemon.Node, *vproto.Message) {}
+func (*passProto) PreSend(*daemon.Node, *vproto.Message) sim.Time { return 0 }
 func (*passProto) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	n.CreateDeterminant(m)
 }

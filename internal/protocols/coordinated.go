@@ -4,6 +4,7 @@ import (
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
+	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
 
@@ -29,7 +30,7 @@ func NewCoordinated() *Coordinated {
 }
 
 // PreSend implements daemon.Protocol: nothing to do (no logging).
-func (*Coordinated) PreSend(*daemon.Node, *vproto.Message) {}
+func (*Coordinated) PreSend(*daemon.Node, *vproto.Message) sim.Time { return 0 }
 
 // OnDeliver implements daemon.Protocol: no determinants are created; the
 // channel recording happens at packet acceptance (OnPacketAccepted).

@@ -4,6 +4,7 @@ import (
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
+	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
 
@@ -23,21 +24,25 @@ func NewPessimistic() *Pessimistic { return &Pessimistic{} }
 
 // PreSend implements daemon.Protocol: block until the Event Logger has
 // acknowledged every local event, then log the payload.
-func (p *Pessimistic) PreSend(n *daemon.Node, m *vproto.Message) {
+func (p *Pessimistic) PreSend(n *daemon.Node, m *vproto.Message) sim.Time {
 	if n.ELEndpoint < 0 {
 		panic("protocols: pessimistic logging requires an Event Logger")
 	}
 	for p.ackedOwn < n.Clock() {
 		n.WaitPacket()
 	}
-	n.ChargeCPU(n.LogPayload(m))
+	return n.LogPayload(m)
 }
 
 // OnDeliver implements daemon.Protocol: create the determinant and ship it
-// synchronously (the wait happens at the next send).
+// synchronously (the wait happens at the next send), as one charge.
 func (p *Pessimistic) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	d, fresh := n.CreateDeterminant(m)
-	n.ChargeCPU(daemon.EventCreate)
+	cpu := daemon.EventCreate
+	if fresh {
+		cpu += daemon.ELShip
+	}
+	n.ChargeCPU(cpu)
 	if fresh {
 		n.ShipDeterminant(d)
 	} else if d.ID.Clock > p.ackedOwn {

@@ -57,15 +57,15 @@ func NewVcausal(reducerName string, self event.Rank, np int) *Vcausal {
 func (v *Vcausal) Held() int { return v.reducer.Held() }
 
 // PreSend implements daemon.Protocol: attach the piggyback, log the
-// payload, charge the serialization CPU time.
-func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) {
+// payload, and return the serialization and logging CPU time.
+func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) sim.Time {
 	pb, ops := v.reducer.AppendPiggybackFor(m.Dst, v.getPBBuf())
 	m.Piggyback = pb
 	m.PiggybackBytes = v.reducer.PiggybackBytes(pb)
 
 	cpu := sim.Time(ops)*daemon.CostPerOp + sim.Time(len(pb))*daemon.PerEventSend
 	n.Stats().SendPiggybackTime += cpu
-	n.ChargeCPU(cpu + n.LogPayload(m))
+	return cpu + n.LogPayload(m)
 }
 
 // checkIDConflict collects a determinant-ID conflict latched by the last
@@ -80,7 +80,7 @@ func (v *Vcausal) checkIDConflict(n *daemon.Node) {
 }
 
 // OnDeliver implements daemon.Protocol: merge the piggyback, create and
-// record the reception determinant, ship it to the Event Logger.
+// record the reception determinant, ship it to the Event Logger (one charge).
 func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	ops := v.reducer.Merge(m.Src, m.Piggyback)
 	v.checkIDConflict(n)
@@ -98,13 +98,17 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 		sim.Time(pbLen)*daemon.PerEventRecv +
 		daemon.EventCreate
 	n.Stats().RecvPiggybackTime += cpu
+	ship := fresh && n.ELEndpoint >= 0
+	if ship {
+		cpu += daemon.ELShip
+	}
 	n.ChargeCPU(cpu)
 
 	if held := v.reducer.Held(); held > n.Stats().MaxHeldDeterminants {
 		n.Stats().MaxHeldDeterminants = held
 	}
 
-	if fresh && n.ELEndpoint >= 0 {
+	if ship {
 		n.ShipDeterminant(d)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
+	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
 
@@ -21,7 +22,7 @@ type Vdummy struct{}
 func NewVdummy() *Vdummy { return &Vdummy{} }
 
 // PreSend implements daemon.Protocol.
-func (*Vdummy) PreSend(*daemon.Node, *vproto.Message) {}
+func (*Vdummy) PreSend(*daemon.Node, *vproto.Message) sim.Time { return 0 }
 
 // OnDeliver implements daemon.Protocol.
 func (*Vdummy) OnDeliver(*daemon.Node, *vproto.Message) {}

@@ -53,6 +53,7 @@ func (h *eventHeap) pop() scheduled {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
+	h.items[last] = scheduled{} // release the closure for GC
 	h.items = h.items[:last]
 	h.siftDown(0)
 	return top

@@ -55,3 +55,21 @@ func TestHeapPopOrderAfterMixedOps(t *testing.T) {
 		t.Fatalf("heap not drained: %d left", h.Len())
 	}
 }
+
+// TestDrainedHeapReleasesClosures: a popped event's slot no longer holds
+// its closure, so a drained queue pins nothing its events captured (a
+// process, a delivery) up to its high-water mark.
+func TestDrainedHeapReleasesClosures(t *testing.T) {
+	var h eventHeap
+	for i := 0; i < 8; i++ {
+		h.push(scheduled{at: Time(8 - i), seq: uint64(i), fn: func() {}})
+	}
+	for h.Len() > 0 {
+		h.pop()
+	}
+	for i, ev := range h.items[:cap(h.items)] {
+		if ev.fn != nil {
+			t.Errorf("slot %d of the drained heap still holds a closure", i)
+		}
+	}
+}

@@ -19,10 +19,10 @@ type Kernel struct {
 	// the FIFO is already in (time, seq) order and needs no heap.
 	polls     ring[pollTick]
 	pollEvery Time
-	// pollStats counts how lane ticks were served; tests read it.
-	pollStats struct{ rearmed, checked, fellBack int }
+	counts    Counts
 	rng       *rand.Rand
 	stopped   bool
+	deadline  Time // RunUntil's while it runs, else 0: no Sleep ends in place
 	// background counts the pending events scheduled with Background.
 	background int
 
@@ -31,6 +31,14 @@ type Kernel struct {
 	procs     []*Proc
 	liveProcs int
 }
+
+// Counts is what a kernel has done so far: parks (a process switched back
+// to the kernel), Sleeps that ended in place instead, and lane ticks
+// re-armed in place, run as a check, and run as one at an instant they opened.
+type Counts struct{ Parks, InPlaceSleeps, Rearmed, Checked, FellBack int }
+
+// Counts returns the kernel's counters.
+func (k *Kernel) Counts() Counts { return k.counts }
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
@@ -91,12 +99,16 @@ type pollTick struct {
 // heapAt reports whether the heap holds an event at t or earlier.
 func (k *Kernel) heapAt(t Time) bool { return k.queue.Len() > 0 && k.queue.items[0].at <= t }
 
+// dueBy reports whether the heap or the poll lane holds an event at t or
+// earlier.
+func (k *Kernel) dueBy(t Time) bool { return k.heapAt(t) || k.polls.Len() > 0 && k.polls.at(0).at <= t }
+
 // runNext runs fn as the next event of the current instant. It is for
 // timer events whose whole job is that hand-over (Sleep's wake-up, the
 // SleepPolled tick): when nothing else is pending at this instant, the
 // event they would push is the very next pop, so fn runs in place.
 func (k *Kernel) runNext(fn func()) {
-	if k.heapAt(k.now) || k.polls.Len() > 0 && k.polls.at(0).at == k.now {
+	if k.dueBy(k.now) {
 		k.At(k.now, fn)
 		return
 	}
@@ -113,15 +125,15 @@ func (k *Kernel) runTick(t Time, p *Proc) {
 	k.now = t
 	switch {
 	case k.heapAt(t):
-		k.pollStats.checked++
+		k.counts.Checked++
 		if fresh {
-			k.pollStats.fellBack++
+			k.counts.FellBack++
 		}
 		k.runNext(p.checkFn)
 	case p.poll():
 		k.runNext(p.stepFn)
 	default:
-		k.pollStats.rearmed++
+		k.counts.Rearmed++
 	}
 }
 
@@ -147,6 +159,8 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	if deadline < k.now {
 		return k.now
 	}
+	k.deadline = deadline
+	defer func() { k.deadline = 0 }()
 	for !k.stopped && k.QueueLen() > k.background {
 		if k.laneFirst() {
 			if k.polls.at(0).at > deadline {

@@ -137,11 +137,13 @@ func genPollScenario(rng *rand.Rand) pollScenario {
 // pollRun is what one execution of a scenario leaves behind: every action
 // as "now process action", how often a Sleep wake-up or a heap poll tick
 // fired with nothing else pending at its instant (the shortcut's condition),
-// and the kernel's count of how lane ticks were served.
+// how many Sleeps of a positive duration the processes made, and the
+// kernel's counts (lane ticks served, Sleeps ended in place).
 type pollRun struct {
 	log           []string
 	alone, shared int
-	lane          struct{ rearmed, checked, fellBack int }
+	sleeps        int
+	counts        Counts
 }
 
 func runPollScenario(sc pollScenario, by blocking) pollRun {
@@ -181,6 +183,7 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 			for n, op := range script {
 				switch op.kind {
 				case opSleep:
+					run.sleeps++
 					by.sleep(p, op.d)
 				case opGet:
 					logf(name, "got %d", mb.Get(p))
@@ -190,6 +193,9 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 						logf(name, "woke left=%d", int64(left))
 						for v, ok := mb.TryGet(); ok; v, ok = mb.TryGet() {
 							logf(name, "drained %d", v)
+							if op.cost > 0 {
+								run.sleeps++
+							}
 							by.sleep(p, op.cost)
 						}
 					}
@@ -223,7 +229,7 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 	logf("kernel", "paused queue=%d live=%d", k.QueueLen(), k.LiveProcs())
 	k.Run()
 	logf("kernel", "end queue=%d live=%d", k.QueueLen(), k.LiveProcs())
-	run.lane = k.pollStats
+	run.counts = k.counts
 	return run
 }
 
@@ -246,26 +252,33 @@ func matchReference(t *testing.T, seed int64) pollRun {
 	return got
 }
 
-// TestSleepPolledMatchesSleepLoop is the equivalence SleepPolled promises:
-// over generated scenarios — Puts landing on poll instants and on other
-// processes' wake-ups, kills mid-sleep, a RunUntil deadline between ticks
-// with the run resumed, Stop from an event — every action happens at the
-// same virtual time and in the same order whether processes block through
-// Sleep and SleepPolled or through the reference, with the kernel's
-// run-in-place shortcut both taken and not taken along the way, and lane
-// ticks both re-armed in place and run as checks, behind another tick's
-// resume or behind a heap event at their instant.
+// TestSleepPolledMatchesSleepLoop is the equivalence Sleep and SleepPolled
+// promise: over generated scenarios — Puts landing on poll instants and on
+// other processes' wake-ups, kills mid-sleep, a RunUntil deadline between
+// ticks with the run resumed, Stop from an event — every action happens
+// at the same virtual time and in the same order whether processes block
+// through Sleep and SleepPolled or through the reference, with Sleeps both
+// ended in place and parked, the kernel's run-in-place shortcut both taken
+// and not taken along the way, and lane ticks both re-armed in place and
+// run as checks, behind another tick's resume or behind a heap event at
+// their instant.
 func TestSleepPolledMatchesSleepLoop(t *testing.T) {
-	var alone, shared, rearmed, checked, fellBack int
+	var alone, shared, sleeps, inPlace, rearmed, checked, fellBack int
 	for seed := int64(1); seed <= 300; seed++ {
 		got := matchReference(t, seed)
 		alone += got.alone
 		shared += got.shared
-		rearmed += got.lane.rearmed
-		checked += got.lane.checked
-		fellBack += got.lane.fellBack
+		sleeps += got.sleeps
+		inPlace += got.counts.InPlaceSleeps
+		rearmed += got.counts.Rearmed
+		checked += got.counts.Checked
+		fellBack += got.counts.FellBack
 	}
-	t.Logf("timers alone %d, shared %d; lane ticks re-armed in place %d, checked %d, fell back at %d instants", alone, shared, rearmed, checked, fellBack)
+	t.Logf("sleeps %d, in place %d; timers alone %d, shared %d; lane ticks re-armed in place %d, checked %d, fell back at %d instants",
+		sleeps, inPlace, alone, shared, rearmed, checked, fellBack)
+	if inPlace == 0 || inPlace == sleeps {
+		t.Fatalf("%d of %d Sleeps ended in place: the scenarios must cover Sleeps that end in place and Sleeps that park", inPlace, sleeps)
+	}
 	if alone == 0 || shared == 0 {
 		t.Fatalf("timers fired alone at their instant %d times and beside other events %d times: the scenarios must cover both", alone, shared)
 	}

@@ -111,6 +111,7 @@ func (k *Kernel) step(p *Proc) {
 // panics with ErrKilled if the process is killed, or its kernel closed,
 // while parked.
 func (p *Proc) park() {
+	p.k.counts.Parks++
 	p.parked = true
 	//lint:allow noalloc yield is the iter.Pull coroutine switch back to Kernel.step: it calls into no function and allocates nothing
 	open := p.yield(struct{}{})
@@ -138,6 +139,8 @@ func (p *Proc) Now() Time { return p.k.now }
 // Sleep blocks the calling process for d nanoseconds of virtual time.
 // It models local computation as well as pure waiting; the network and CPU
 // layers charge their costs through Sleep.
+// When its wake-up would be RunUntil's next pop, and would resume p in
+// place (runNext), Sleep takes the wake-up's seq and moves the clock instead.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
@@ -145,7 +148,14 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.k.After(d, p.wakeFn)
+	k := p.k
+	if t := k.now + d; t <= k.deadline && !k.stopped && !p.killed && !k.dueBy(t) {
+		k.seq++
+		k.now = t
+		k.counts.InPlaceSleeps++
+		return
+	}
+	k.After(d, p.wakeFn)
 	p.park()
 }
 
