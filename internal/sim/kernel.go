@@ -23,6 +23,9 @@ type Kernel struct {
 	rng       *rand.Rand
 	stopped   bool
 	deadline  Time // RunUntil's while it runs, else 0: no Sleep ends in place
+	// held is the last instant at which a lane entry due then kept
+	// skipLane from skipping: no tick at it can be skipped.
+	held Time
 	// background counts the pending events scheduled with Background.
 	background int
 
@@ -34,8 +37,9 @@ type Kernel struct {
 
 // Counts is what a kernel has done so far: parks (a process switched back
 // to the kernel), Sleeps that ended in place instead, and lane ticks
-// re-armed in place, run as a check, and run as one at an instant they opened.
-type Counts struct{ Parks, InPlaceSleeps, Rearmed, Checked, FellBack int }
+// re-armed in place (served one by one or Skipped in a fast-forward), run
+// as a check, and run as one at an instant they opened.
+type Counts struct{ Parks, InPlaceSleeps, Rearmed, Skipped, Checked, FellBack int }
 
 // Counts returns the kernel's counters.
 func (k *Kernel) Counts() Counts { return k.counts }
@@ -167,6 +171,9 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 				k.now = deadline
 				return k.now
 			}
+			if k.skipLane(deadline) {
+				continue
+			}
 			tick := k.polls.pop()
 			k.runTick(tick.at, tick.p)
 			continue
@@ -180,6 +187,50 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		ev.fn()
 	}
 	return k.now
+}
+
+// skipLane fast-forwards the poll lane over the ticks that could only
+// re-arm in place, and reports whether it skipped any. ready is pure, and
+// a tick that re-arms changes nothing it reads, so every tick before b
+// fails: b is the earliest of the heap's next event, deadline+1 and, per
+// entry, its own tick if its process is killed or ready, else its first
+// tick with less than a full interval left. Each skipped tick is the FIFO
+// rotation serving it makes: pop, push back an interval later, fresh seq.
+func (k *Kernel) skipLane(deadline Time) bool {
+	every, head := k.pollEvery, k.polls.at(0).at
+	b := deadline + 1
+	if k.queue.Len() > 0 {
+		b = min(b, k.queue.peek().at)
+	}
+	if b-head <= every || head == k.held {
+		return false // a dense heap, or an entry due now bounds the lane
+	}
+	for i := 0; i < k.polls.Len(); i++ {
+		tick := k.polls.at(i)
+		end, p := tick.at, tick.p
+		if last := p.pollEnd - every; end <= last && !p.killed && !p.pollReady() {
+			end += ((last-end)/every + 1) * every
+		}
+		if end == head {
+			// Serving the ticks before it changes nothing read here, and
+			// serving it puts a bound within an interval in the heap: no
+			// rescan at this instant.
+			k.held = head
+			return false
+		}
+		b = min(b, end)
+	}
+	skipped := 0
+	for k.polls.at(0).at < b {
+		tick := k.polls.pop()
+		k.seq++
+		tick.at, tick.seq = tick.at+every, k.seq
+		k.polls.push(tick)
+		skipped++
+	}
+	k.counts.Rearmed += skipped
+	k.counts.Skipped += skipped
+	return true
 }
 
 // laneFirst reports whether the poll lane's head is the earliest pending

@@ -21,6 +21,9 @@ type blocking struct {
 // SleepPolled must match it event for event.
 var reference = blocking{sleep: sleepPushed, poll: sleepPolledLoop}
 
+// kernelBlocking is the kernel's own Sleep and SleepPolled.
+var kernelBlocking = blocking{sleep: (*Proc).Sleep, poll: (*Proc).SleepPolled}
+
 func sleepPushed(p *Proc, d Time) {
 	if d == 0 {
 		return
@@ -144,6 +147,54 @@ type pollRun struct {
 	alone, shared int
 	sleeps        int
 	counts        Counts
+	// refused counts, per bound, the lane ticks served one by one because
+	// that bound alone kept the fast-forward from skipping them (see
+	// refusal); unexplained counts those no bound explains, which the
+	// lane should have skipped.
+	refused     [numBounds]int
+	unexplained int
+}
+
+// The bounds of Kernel.skipLane: the heap's next event, the deadline, a
+// ready (or killed) poller, a final partial interval.
+const (
+	boundHeap = iota
+	boundDeadline
+	boundReady
+	boundPartial
+	numBounds
+)
+
+// refusal names the bound that kept the lane from skipping the tick of p
+// it serves one by one at the current instant: skipLane skips nothing when
+// the heap's next event or the deadline lies within an interval of the
+// tick, or when an entry due at the tick's instant is killed or ready, or
+// has less than an interval left. It returns -1 when several bounds are
+// that close, and numBounds when none is. The entries' readiness comes
+// from ready, never from their own predicate.
+func refusal(k *Kernel, p *Proc, ready func(*Proc) bool) int {
+	now, every := k.now, k.pollEvery
+	var near [numBounds]bool
+	near[boundHeap] = k.queue.Len() > 0 && k.queue.peek().at-now <= every
+	near[boundDeadline] = k.deadline+1-now <= every
+	due := []*Proc{p}
+	for i := 0; i < k.polls.Len() && k.polls.at(i).at == now; i++ {
+		due = append(due, k.polls.at(i).p)
+	}
+	for _, q := range due {
+		near[boundReady] = near[boundReady] || q.killed || ready(q)
+		near[boundPartial] = near[boundPartial] || q.pollEnd-now < every
+	}
+	cause := numBounds
+	for b, ok := range near {
+		switch {
+		case ok && cause == numBounds:
+			cause = b
+		case ok:
+			return -1
+		}
+	}
+	return cause
 }
 
 func runPollScenario(sc pollScenario, by blocking) pollRun {
@@ -171,11 +222,35 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 		boxes[i] = NewMailbox[int](k)
 	}
 	procs := make([]*Proc, len(sc.scripts))
+	pure := func(p *Proc) bool { return boxes[slices.Index(procs, p)].Len() > 0 }
+	// checking is set while a poll runs as a heap event (check), so that
+	// ready can tell the poll of a lane tick served one by one from those
+	// and from skipLane's, made while the tick is still on the lane.
+	checking := false
+	onLane := func(p *Proc) bool {
+		for i := 0; i < k.polls.Len(); i++ {
+			if k.polls.at(i).p == p {
+				return true
+			}
+		}
+		return false
+	}
 	for i, script := range sc.scripts {
 		name := fmt.Sprintf("p%d", i)
 		mb := boxes[i]
+		// ready is pure, as SleepPolled requires: the kernel may evaluate
+		// it at any instant between the events that can change it. What it
+		// records about the lane feeds the test alone, never the run.
 		ready := func() bool {
-			logf(name, "poll %d", mb.Len())
+			if p := procs[i]; p.pollReady != nil && !checking && !onLane(p) {
+				switch c := refusal(k, p, pure); c {
+				case numBounds:
+					run.unexplained++
+				case -1:
+				default:
+					run.refused[c]++
+				}
+			}
 			return mb.Len() > 0
 		}
 		procs[i] = k.Spawn(name, func(p *Proc) {
@@ -211,6 +286,8 @@ func runPollScenario(sc pollScenario, by blocking) pollRun {
 		})
 		procs[i].wakeFn = observed(procs[i].wakeFn)
 		procs[i].tickFn = observed(procs[i].tickFn)
+		check := procs[i].checkFn
+		procs[i].checkFn = func() { checking = true; check(); checking = false }
 	}
 	for n, a := range sc.puts {
 		k.At(a.at-a.lead, func() {
@@ -240,7 +317,10 @@ func matchReference(t *testing.T, seed int64) pollRun {
 	t.Helper()
 	sc := genPollScenario(rand.New(rand.NewSource(seed)))
 	want := runPollScenario(sc, reference)
-	got := runPollScenario(sc, blocking{sleep: (*Proc).Sleep, poll: (*Proc).SleepPolled})
+	got := runPollScenario(sc, kernelBlocking)
+	if got.unexplained > 0 {
+		t.Fatalf("seed %d: %d lane ticks served one by one with every bound more than an interval away: the lane should have skipped them", seed, got.unexplained)
+	}
 	if !slices.Equal(got.log, want.log) {
 		i := 0
 		for i < len(got.log) && i < len(want.log) && got.log[i] == want.log[i] {
@@ -259,11 +339,15 @@ func matchReference(t *testing.T, seed int64) pollRun {
 // at the same virtual time and in the same order whether processes block
 // through Sleep and SleepPolled or through the reference, with Sleeps both
 // ended in place and parked, the kernel's run-in-place shortcut both taken
-// and not taken along the way, and lane ticks both re-armed in place and
+// and not taken along the way, lane ticks both re-armed in place and
 // run as checks, behind another tick's resume or behind a heap event at
-// their instant.
+// their instant, and the lane's fast-forward both taken and refused for
+// each of its bounds. Every action the process sees is compared; the
+// predicate's evaluations are not, for the kernel may make them at any
+// instant between the events that can change it.
 func TestSleepPolledMatchesSleepLoop(t *testing.T) {
-	var alone, shared, sleeps, inPlace, rearmed, checked, fellBack int
+	var alone, shared, sleeps, inPlace, rearmed, skipped, checked, fellBack int
+	var refused [numBounds]int
 	for seed := int64(1); seed <= 300; seed++ {
 		got := matchReference(t, seed)
 		alone += got.alone
@@ -271,11 +355,19 @@ func TestSleepPolledMatchesSleepLoop(t *testing.T) {
 		sleeps += got.sleeps
 		inPlace += got.counts.InPlaceSleeps
 		rearmed += got.counts.Rearmed
+		skipped += got.counts.Skipped
 		checked += got.counts.Checked
 		fellBack += got.counts.FellBack
+		for b, n := range got.refused {
+			refused[b] += n
+		}
 	}
-	t.Logf("sleeps %d, in place %d; timers alone %d, shared %d; lane ticks re-armed in place %d, checked %d, fell back at %d instants",
-		sleeps, inPlace, alone, shared, rearmed, checked, fellBack)
+	t.Logf("sleeps %d, in place %d; timers alone %d, shared %d; lane ticks re-armed in place %d (skipped %d), checked %d, fell back at %d instants; served one by one for the heap, the deadline, a ready poller, a partial interval alone: %v",
+		sleeps, inPlace, alone, shared, rearmed, skipped, checked, fellBack, refused)
+	if skipped == 0 || slices.Contains(refused[:], 0) {
+		t.Fatalf("the lane skipped %d ticks and served %v one by one for the heap, the deadline, a ready poller, a partial interval alone: the scenarios must cover the fast-forward taken and refused for each bound",
+			skipped, refused)
+	}
 	if inPlace == 0 || inPlace == sleeps {
 		t.Fatalf("%d of %d Sleeps ended in place: the scenarios must cover Sleeps that end in place and Sleeps that park", inPlace, sleeps)
 	}
@@ -294,33 +386,50 @@ func FuzzSleepPolled(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
 }
 
-// TestSleepPolledReturnsRemainder pins the contract on its own: polls fall
-// every interval from the call and once at the end, the first true one ends
-// the sleep, and the unslept remainder is returned.
+// TestSleepPolledReturnsRemainder pins the contract on its own: the sleep
+// ends at the first poll instant (every interval from the call, and the
+// end) at which ready holds, and returns the unslept remainder. ready is
+// pure, so when the kernel evaluates it is not part of the contract; what
+// is pinned instead is how the lane serves the polls that fail. It skips
+// the first sleep's at 20 and 40, before the Put at 45. The never-ready
+// second sleep's 35 left at interval 20 hand over from the lane to the
+// heap: its poll at 80 is served one by one, as the next interval is a
+// partial one, and it ends at 95. The never-ready third sleep's six
+// failing polls are all skipped.
 func TestSleepPolledReturnsRemainder(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
 	mb := NewMailbox[int](k)
-	var polls []Time
-	var left, woke Time
+	var left, woke, slept Time
+	var skipped, served []int
+	counted := func() {
+		c := k.Counts()
+		skipped, served = append(skipped, c.Skipped), append(served, c.Rearmed-c.Skipped)
+	}
+	never := func() bool { return false }
 	k.Spawn("poller", func(p *Proc) {
-		left = p.SleepPolled(95, 20, func() bool {
-			polls = append(polls, p.Now())
-			return mb.Len() > 0
-		})
+		left = p.SleepPolled(95, 20, func() bool { return mb.Len() > 0 })
 		woke = p.Now()
-		if rest := p.SleepPolled(left, 20, func() bool { return false }); rest != 0 {
+		counted()
+		if rest := p.SleepPolled(left, 20, never); rest != 0 {
 			t.Errorf("uninterrupted polled sleep returned %v, want 0", rest)
 		}
+		slept = p.Now()
+		counted()
+		p.SleepPolled(35, 5, never)
+		counted()
 	})
 	k.At(45, func() { mb.Put(1) })
-	if end := k.Run(); end != 95 {
-		t.Errorf("run ended at %v, want 95", end)
+	if end := k.Run(); end != 130 {
+		t.Errorf("run ended at %v, want 130", end)
 	}
-	if want := []Time{20, 40, 60}; !slices.Equal(polls, want) {
-		t.Errorf("polled at %v, want %v", polls, want)
+	if left != 35 || woke != 60 || slept != 95 {
+		t.Errorf("woke at %v with %v left, then at %v; want 60 and 35, then 95", woke, left, slept)
 	}
-	if left != 35 || woke != 60 {
-		t.Errorf("woke at %v with %v left, want 60 and 35", woke, left)
+	if want := []int{2, 2, 8}; !slices.Equal(skipped, want) {
+		t.Errorf("skipped %v lane ticks after each sleep, want %v", skipped, want)
+	}
+	if want := []int{0, 1, 1}; !slices.Equal(served, want) {
+		t.Errorf("served %v failed lane ticks one by one after each sleep, want %v", served, want)
 	}
 }

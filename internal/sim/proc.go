@@ -162,9 +162,11 @@ func (p *Proc) Sleep(d Time) {
 // SleepPolled blocks the calling process for d of virtual time, or until
 // ready reports true at one of the instants now+every, now+2·every, …
 // before that; it returns how much of d was left unslept. ready runs in
-// kernel context and must not block or schedule.
+// kernel context and must not block or schedule. It must also be pure —
+// no side effects, no reading of the clock — for it is evaluated at any
+// instant between the events that can change it, not once per interval.
 //
-// It is, event for event, the loop
+// It acts, event for event, as the loop
 //
 //	for left > 0 { c := min(left, every); Sleep(c); left -= c; if left > 0 && ready() { break } }
 //
@@ -175,7 +177,9 @@ func (p *Proc) Sleep(d Time) {
 // what lets everything scheduled for that instant between the two still
 // run before the poll, exactly as it would before the process resumed.
 // A tick a full interval ahead waits on the kernel's poll lane, and at an
-// instant where nothing else is pending it polls at once (Kernel.runTick).
+// instant where nothing else is pending it polls at once (Kernel.runTick);
+// the lane skips the ticks before the next heap event that could only
+// fail (Kernel.skipLane).
 func (p *Proc) SleepPolled(d, every Time, ready func() bool) (left Time) {
 	if d < 0 || every <= 0 {
 		panic(fmt.Sprintf("sim: polled sleep of %v every %v", d, every))

@@ -17,6 +17,11 @@ import (
 // removes a park moves them and updates this test in the same diff. CI
 // prints the census line in the test job's summary.
 //
+// The lane census beside it: the compute polls (sim.Proc.SleepPolled's
+// lane ticks) that failed and re-armed, served one by one or skipped by
+// the lane's fast-forward to the next heap event. It is pinned exactly
+// too, and CI prints its line beside the parks line.
+//
 // The bound is the grid's, not a cell's: the Event Logger's acks cost
 // every EL cell but LU.2 and LU.4 more than five parks per message
 // (LU.A.16 with Vcausal: 5.57).
@@ -26,13 +31,14 @@ func TestParksPerMessage(t *testing.T) {
 	}
 	const (
 		wantParks, wantInPlace, wantMsgs = 3941986, 1033923, 885480
+		wantServed, wantSkipped          = 373092, 6212035
 		maxParksPerMsg                   = 5.0
 	)
 	grid := []struct {
 		bench string
 		nps   []int
 	}{{"bt", []int{4, 9, 16}}, {"cg", []int{2, 4, 8, 16}}, {"lu", []int{2, 4, 8, 16}}}
-	var parks, inPlace, msgs int
+	var parks, inPlace, msgs, served, skipped int
 	for _, g := range grid {
 		for _, np := range g.nps {
 			for _, el := range []bool{true, false} {
@@ -43,6 +49,8 @@ func TestParksPerMessage(t *testing.T) {
 					counts := c.K.Counts()
 					parks += counts.Parks
 					inPlace += counts.InPlaceSleeps
+					served += counts.Rearmed - counts.Skipped
+					skipped += counts.Skipped
 					msgs += int(c.AggregateStats().AppMsgsSent)
 					c.Close()
 				}
@@ -54,6 +62,10 @@ func TestParksPerMessage(t *testing.T) {
 		perMsg, parks, inPlace, msgs)
 	if parks != wantParks || inPlace != wantInPlace || msgs != wantMsgs {
 		t.Errorf("%d parks, %d in-place sleeps, %d messages; want %d, %d, %d", parks, inPlace, msgs, wantParks, wantInPlace, wantMsgs)
+	}
+	t.Logf("lane ticks re-armed: %d served one by one, %d skipped (Figure 7's 66 cells)", served, skipped)
+	if served != wantServed || skipped != wantSkipped {
+		t.Errorf("lane ticks re-armed: %d served one by one, %d skipped; want %d, %d", served, skipped, wantServed, wantSkipped)
 	}
 	if perMsg > maxParksPerMsg {
 		t.Errorf("%.2f parks per application message, want at most %v", perMsg, maxParksPerMsg)
