@@ -195,8 +195,8 @@ func TestSchedulerNoneIsSilent(t *testing.T) {
 	net := netmodel.New(k, netmodel.FastEthernet(), 2)
 	s := NewScheduler(k, net, 1, 1, PolicyNone, 10*sim.Millisecond)
 	k.RunUntil(100 * sim.Millisecond)
-	if s.Waves != 0 {
-		t.Fatalf("PolicyNone issued %d waves", s.Waves)
+	if s.epoch != 0 {
+		t.Fatalf("PolicyNone issued %d waves", s.epoch)
 	}
 }
 
@@ -224,6 +224,24 @@ func TestSchedulerWaveObservers(t *testing.T) {
 	k.RunUntil(35 * sim.Millisecond)
 	if len(epochs) != 3 || epochs[0] != 1 || epochs[2] != 3 {
 		t.Fatalf("wave observer saw %v, want [1 2 3]", epochs)
+	}
+}
+
+// TestSchedulerWaveRunsBehindDueEvents: a wave runs behind the events
+// already due at its instant, so what its observers write lands after
+// them. An event scheduled for the wave's instant after NewScheduler runs
+// first, although the scheduler's timer was armed before it.
+func TestSchedulerWaveRunsBehindDueEvents(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := netmodel.New(k, netmodel.FastEthernet(), 2)
+	net.Endpoint(0).SetHandler(func(netmodel.Delivery) {})
+	s := NewScheduler(k, net, 1, 1, PolicyRoundRobin, 10*sim.Millisecond)
+	var order []string
+	s.ObserveWaves(func(int) { order = append(order, "wave") })
+	k.At(10*sim.Millisecond, func() { order = append(order, "event") })
+	k.RunUntil(15 * sim.Millisecond)
+	if len(order) != 2 || order[0] != "event" || order[1] != "wave" {
+		t.Fatalf("order = %v, want [event wave]", order)
 	}
 }
 

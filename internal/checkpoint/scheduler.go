@@ -42,12 +42,12 @@ type Scheduler struct {
 	// (fault-scenario engines use this to land faults mid-checkpoint).
 	waveObservers []func(epoch int)
 
-	// Waves counts scheduling rounds issued.
-	Waves int64
+	// tickFn and waveFn are the timer's events, built once.
+	tickFn, waveFn func()
 }
 
-// NewScheduler builds a scheduler on the given endpoint and starts its
-// timer loop. interval ≤ 0 disables scheduling regardless of policy. An
+// NewScheduler builds a scheduler on the given endpoint and arms its
+// timer. interval ≤ 0 disables scheduling regardless of policy. An
 // unknown policy panics here, at construction, rather than at the first
 // wave deep inside the simulation loop.
 func NewScheduler(k *sim.Kernel, net *netmodel.Network, endpoint, np int,
@@ -63,38 +63,45 @@ func NewScheduler(k *sim.Kernel, net *netmodel.Network, endpoint, np int,
 		policy: policy, interval: interval,
 	}
 	if policy != PolicyNone && interval > 0 {
-		k.Spawn("ckpt-scheduler", s.run)
+		s.tickFn, s.waveFn = s.tick, s.wave
+		k.After(interval, s.tickFn)
 	}
 	return s
 }
 
-// ObserveWaves subscribes fn to wave notifications: it runs (in the
-// scheduler's process context) right after a wave's checkpoint requests
-// have been sent, while the images are still being built and stored.
+// ObserveWaves subscribes fn to wave notifications: it runs (in kernel
+// event context) right after a wave's checkpoint requests have been sent,
+// while the images are still being built and stored.
 func (s *Scheduler) ObserveWaves(fn func(epoch int)) {
 	s.waveObservers = append(s.waveObservers, fn)
 }
 
-func (s *Scheduler) run(p *sim.Proc) {
-	for {
-		p.Sleep(s.interval)
-		s.epoch++
-		s.Waves++
-		switch s.policy {
-		case PolicyRoundRobin:
-			target := (s.epoch - 1) % s.np
-			s.request(target)
-		case PolicyRandom:
-			s.request(s.k.Rand().Intn(s.np))
-		case PolicyCoordinated:
-			for r := 0; r < s.np; r++ {
-				s.request(r)
-			}
-		}
-		for _, fn := range s.waveObservers {
-			fn(s.epoch)
+// tick is the timer. It runs the wave behind the events already due at its
+// instant: the observers write the wave to the timeline (ckpt-wave), and
+// that record follows the instant's other events.
+//
+//mpichv:noalloc
+func (s *Scheduler) tick() { s.k.At(s.k.Now(), s.waveFn) }
+
+// wave asks the policy's targets to checkpoint, notifies the observers and
+// re-arms the timer.
+func (s *Scheduler) wave() {
+	s.epoch++
+	switch s.policy {
+	case PolicyRoundRobin:
+		target := (s.epoch - 1) % s.np
+		s.request(target)
+	case PolicyRandom:
+		s.request(s.k.Rand().Intn(s.np))
+	case PolicyCoordinated:
+		for r := 0; r < s.np; r++ {
+			s.request(r)
 		}
 	}
+	for _, fn := range s.waveObservers {
+		fn(s.epoch)
+	}
+	s.k.After(s.interval, s.tickFn)
 }
 
 func (s *Scheduler) request(rank int) {

@@ -1,7 +1,6 @@
 package eventlogger
 
 import (
-	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 	"mpichv/internal/netmodel"
 	"mpichv/internal/sim"
@@ -47,9 +46,8 @@ const (
 const SyncInterval = 2 * sim.Millisecond
 
 // NewGroup builds n Event Loggers on consecutive endpoints starting at
-// firstEndpoint, serving np application processes, and starts their
-// service loops and, when there is more than one, their synchronization
-// loops under the given policy.
+// firstEndpoint, serving np application processes, and, when there is
+// more than one, arms each one's sync timer under the given policy.
 func NewGroup(k *sim.Kernel, net *netmodel.Network, firstEndpoint, np, n int, sync SyncPolicy, cfg Config) []*Server {
 	if n < 1 {
 		panic("eventlogger: group needs at least one server")
@@ -60,7 +58,8 @@ func NewGroup(k *sim.Kernel, net *netmodel.Network, firstEndpoint, np, n int, sy
 	}
 	if n > 1 {
 		for _, s := range els {
-			k.Spawn("el-sync", func(p *sim.Proc) { s.syncLoop(p, els, sync) })
+			s.syncFn = func() { s.syncTick(els, sync) }
+			k.After(SyncInterval, s.syncFn)
 		}
 	}
 	return els
@@ -72,43 +71,37 @@ func EndpointFor(els []*Server, rank event.Rank) int {
 	return els[int(rank)%len(els)].ep.ID()
 }
 
-// syncLoop periodically disseminates s's merged stable array to the other
-// Event Loggers of the group and, under SyncBroadcast, to every node.
-func (s *Server) syncLoop(p *sim.Proc, group []*Server, sync SyncPolicy) {
+// syncTick disseminates s's merged stable array to the other Event
+// Loggers of the group and, under SyncBroadcast, to every node, then
+// re-arms itself one SyncInterval later.
+//
+//mpichv:noalloc
+func (s *Server) syncTick(group []*Server, sync SyncPolicy) {
 	bytes := 16 + 4*s.np
-	for {
-		p.Sleep(SyncInterval)
-		// One pooled packet per destination, each with its own copy of the
-		// stable array in packet-owned scratch: packets are released (and
-		// their scratch reused) independently by each consumer, so sharing
-		// one packet or one vector across the multicast would corrupt
-		// whichever copies are still in flight.
-		for _, peer := range group {
-			if peer != s {
-				pkt := vproto.GetPacket()
-				pkt.Kind = vproto.PktELSync
-				pkt.From = s.ep.ID()
-				pkt.AckVec(s.np).CopyFrom(s.stable)
-				s.ep.Send(peer.ep.ID(), bytes, pkt)
-			}
-		}
-		if sync == SyncBroadcast {
-			for r := 0; r < s.np; r++ {
-				// Nodes treat the broadcast exactly like an acknowledgment:
-				// both carry a stable array.
-				pkt := vproto.GetPacket()
-				pkt.Kind = vproto.PktEventAck
-				pkt.From = s.ep.ID()
-				pkt.AckVec(s.np).CopyFrom(s.stable)
-				s.ep.Send(r, bytes, pkt)
-			}
+	// One pooled packet per destination, each with its own copy of the
+	// stable array in packet-owned scratch: packets are released (and
+	// their scratch reused) independently by each consumer, so sharing
+	// one packet or one vector across the multicast would corrupt
+	// whichever copies are still in flight.
+	for _, peer := range group {
+		if peer != s {
+			pkt := vproto.GetPacket()
+			pkt.Kind = vproto.PktELSync
+			pkt.From = s.ep.ID()
+			pkt.AckVec(s.np).CopyFrom(s.stable)
+			s.ep.Send(peer.ep.ID(), bytes, pkt)
 		}
 	}
-}
-
-// mergeStable folds a peer's stable vector into s's view. Only entries for
-// creators the peer is authoritative for can exceed s's own, so a
-// componentwise max is safe.
-func (s *Server) mergeStable(vec *sparsevec.Vec) {
-	s.stable.MaxFrom(vec)
+	if sync == SyncBroadcast {
+		for r := 0; r < s.np; r++ {
+			// Nodes treat the broadcast exactly like an acknowledgment:
+			// both carry a stable array.
+			pkt := vproto.GetPacket()
+			pkt.Kind = vproto.PktEventAck
+			pkt.From = s.ep.ID()
+			pkt.AckVec(s.np).CopyFrom(s.stable)
+			s.ep.Send(r, bytes, pkt)
+		}
+	}
+	s.k.After(SyncInterval, s.syncFn)
 }

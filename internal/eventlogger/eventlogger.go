@@ -2,13 +2,13 @@
 // asynchronous storage for reception determinants that this paper shows to
 // be a fundamental component of causal message logging protocols.
 //
-// The server mirrors the paper's implementation: a single select-loop
-// process that stores each incoming event and answers with an
-// acknowledgment carrying, for every process, the last event safely stored
-// (the stable vector). Because it is single threaded with a per-event
-// service cost, a high aggregate event rate saturates it — exactly the
-// regime the paper observes on LU with 16 nodes, where acknowledgments lag
-// and piggybacks can no longer be fully eliminated.
+// The paper's server is a single select loop that stores each incoming
+// event and answers with an acknowledgment carrying, for every process,
+// the last event safely stored (the stable vector); it is modelled as the
+// FIFO server it is, an endpoint handler serving one request at a time.
+// With a per-event service cost, a high aggregate event rate saturates it
+// — exactly the regime the paper observes on LU with 16 nodes, where
+// acknowledgments lag and piggybacks can no longer be fully eliminated.
 package eventlogger
 
 import (
@@ -47,7 +47,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server is the Event Logger process.
+// Server is the Event Logger.
 type Server struct {
 	k   *sim.Kernel
 	ep  *netmodel.Endpoint
@@ -68,9 +68,14 @@ type Server struct {
 	// indicator).
 	MaxQueueLen int
 
-	// suspendedUntil models an outage: the select loop serves nothing
+	// suspendedUntil models an outage: the server starts no service
 	// before it (see Suspend).
 	suspendedUntil sim.Time
+
+	// queue holds the requests in arrival order; queue[0] is in service.
+	queue []*vproto.Packet
+	// The timer events of the service and of a group's sync, built once.
+	nextFn, finishFn, syncFn func()
 
 	// Obs, when non-nil, receives backlog high-water marks and recovery
 	// query marks. The emission sites are off the gated hot path (only a
@@ -80,7 +85,7 @@ type Server struct {
 }
 
 // New builds an Event Logger bound to endpoint ep of the network, serving
-// np application processes, and spawns its service loop.
+// np application processes, and installs its packet handler.
 func New(k *sim.Kernel, net *netmodel.Network, endpoint, np int, cfg Config) *Server {
 	s := &Server{
 		k:      k,
@@ -90,7 +95,8 @@ func New(k *sim.Kernel, net *netmodel.Network, endpoint, np int, cfg Config) *Se
 		store:  make([][]event.Determinant, np),
 		stable: sparsevec.New(np),
 	}
-	k.Spawn("event-logger", s.run)
+	s.nextFn, s.finishFn = s.next, s.finish
+	s.ep.SetHandler(s.handle)
 	return s
 }
 
@@ -106,57 +112,79 @@ func (s *Server) Suspend(d sim.Time) {
 	}
 }
 
-// run is the select loop: take one request, pay its service time, answer.
-func (s *Server) run(p *sim.Proc) {
-	for {
-		if qlen := s.ep.Inbox.Len(); qlen > s.MaxQueueLen {
-			s.MaxQueueLen = qlen
-			s.Obs.Record(s.k.Now(), obs.KindELBacklog, -1, int64(qlen), "")
-		}
-		d := s.ep.Inbox.Get(p)
-		// Re-check after waking: a Suspend landing mid-sleep extends the
-		// outage for the request in hand too.
-		for s.suspendedUntil > s.k.Now() {
-			p.Sleep(s.suspendedUntil - s.k.Now())
-		}
-		pkt := d.Payload.(*vproto.Packet)
-		switch pkt.Kind {
-		case vproto.PktEventLog:
-			p.Sleep(s.cfg.PerPacket + sim.Time(len(pkt.Determinants))*s.cfg.PerEvent)
-			s.storeEvents(pkt.Determinants)
-			// The acknowledgment's stable vector rides in packet-owned
-			// scratch (AckVec): no consumer retains it past processing,
-			// so the logging round-trip allocates nothing in steady state.
-			ack := vproto.GetPacket()
-			ack.Kind = vproto.PktEventAck
-			ack.From = s.ep.ID()
-			ack.AckVec(s.np).CopyFrom(s.stable)
-			s.ep.Send(pkt.From, s.cfg.AckOverheadBytes+4*s.np, ack)
+// handle queues a delivered request and starts it if the server is idle.
+//
+//mpichv:noalloc
+func (s *Server) handle(d netmodel.Delivery) {
+	if s.queue = append(s.queue, d.Payload.(*vproto.Packet)); len(s.queue) == 1 {
+		s.next()
+	}
+}
 
-		case vproto.PktELSync:
-			p.Sleep(s.cfg.PerPacket)
-			s.mergeStable(pkt.StableVec)
+// next starts the service time of queue[0] once no outage is pending. It
+// checks again when the outage ends: a Suspend landing during the wait
+// extends it for the request in hand too.
+//
+//mpichv:noalloc
+func (s *Server) next() {
+	if s.suspendedUntil > s.k.Now() {
+		s.k.At(s.suspendedUntil, s.nextFn)
+		return
+	}
+	service := s.cfg.PerPacket
+	if pkt := s.queue[0]; pkt.Kind == vproto.PktEventLog {
+		service += sim.Time(len(pkt.Determinants)) * s.cfg.PerEvent
+	}
+	s.k.After(service, s.finishFn)
+}
 
-		case vproto.PktEventQuery:
-			p.Sleep(s.cfg.PerPacket)
-			s.QueriesServed++
-			s.Obs.Record(s.k.Now(), obs.KindELQuery, int(pkt.Creator), 0, "")
-			// Recovery responses are retained by the recovering node
-			// (determinants and stable vector both), so they must carry
-			// freshly allocated slices, never packet scratch.
-			dets := append([]event.Determinant(nil), s.store[pkt.Creator]...)
-			resp := vproto.GetPacket()
-			resp.Kind = vproto.PktEventQueryResp
-			resp.From = s.ep.ID()
-			resp.Determinants = dets
-			resp.StableVec = s.stable.Clone()
-			resp.Incarnation = pkt.Incarnation // requester discards responses to a dead incarnation
-			s.ep.Send(pkt.From, event.FactoredSize(dets)+s.cfg.AckOverheadBytes+4*s.np, resp)
+// finish answers the request in service at the end of its service time,
+// records the backlog high-water mark and starts the next request.
+func (s *Server) finish() {
+	pkt := s.queue[0]
+	switch pkt.Kind {
+	case vproto.PktEventLog:
+		s.storeEvents(pkt.Determinants)
+		// The acknowledgment's stable vector rides in packet-owned
+		// scratch (AckVec): no consumer retains it past processing,
+		// so the logging round-trip allocates nothing in steady state.
+		ack := vproto.GetPacket()
+		ack.Kind = vproto.PktEventAck
+		ack.From = s.ep.ID()
+		ack.AckVec(s.np).CopyFrom(s.stable)
+		s.ep.Send(pkt.From, s.cfg.AckOverheadBytes+4*s.np, ack)
 
-		default:
-			panic(fmt.Sprintf("eventlogger: unexpected packet kind %v", pkt.Kind))
-		}
-		vproto.PutPacket(pkt)
+	case vproto.PktELSync:
+		// Only entries for creators the peer is authoritative for can
+		// exceed s's own, so a componentwise max is safe.
+		s.stable.MaxFrom(pkt.StableVec)
+
+	case vproto.PktEventQuery:
+		s.QueriesServed++
+		s.Obs.Record(s.k.Now(), obs.KindELQuery, int(pkt.Creator), 0, "")
+		// Recovery responses are retained by the recovering node
+		// (determinants and stable vector both), so they must carry
+		// freshly allocated slices, never packet scratch.
+		dets := append([]event.Determinant(nil), s.store[pkt.Creator]...)
+		resp := vproto.GetPacket()
+		resp.Kind = vproto.PktEventQueryResp
+		resp.From = s.ep.ID()
+		resp.Determinants = dets
+		resp.StableVec = s.stable.Clone()
+		resp.Incarnation = pkt.Incarnation // requester discards responses to a dead incarnation
+		s.ep.Send(pkt.From, event.FactoredSize(dets)+s.cfg.AckOverheadBytes+4*s.np, resp)
+
+	default:
+		panic(fmt.Sprintf("eventlogger: unexpected packet kind %v", pkt.Kind))
+	}
+	vproto.PutPacket(pkt)
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])]
+	if qlen := len(s.queue); qlen > s.MaxQueueLen {
+		s.MaxQueueLen = qlen
+		s.Obs.Record(s.k.Now(), obs.KindELBacklog, -1, int64(qlen), "")
+	}
+	if len(s.queue) > 0 {
+		s.next()
 	}
 }
 
@@ -183,9 +211,9 @@ func (s *Server) storeEvents(ds []event.Determinant) {
 // Stable returns the current stable vector densely (tests and probes).
 func (s *Server) Stable() []uint64 { return s.stable.Dense() }
 
-// QueueLen returns the current request-queue length (the gauge the
-// observability sampler reads; MaxQueueLen is its high-water mark).
-func (s *Server) QueueLen() int { return s.ep.Inbox.Len() }
+// QueueLen returns the number of requests waiting behind the one in service
+// (the gauge the observability sampler reads; MaxQueueLen is its maximum).
+func (s *Server) QueueLen() int { return max(len(s.queue)-1, 0) }
 
 // StoredFor returns the number of stored determinants of one creator.
 func (s *Server) StoredFor(c event.Rank) int { return len(s.store[c]) }

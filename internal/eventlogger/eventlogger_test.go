@@ -140,8 +140,10 @@ func TestServiceTimeSerializesRequests(t *testing.T) {
 }
 
 func TestMaxQueueTracksBacklog(t *testing.T) {
-	// Three nodes logging concurrently outpace the single service loop:
-	// the backlog must become visible (the paper's LU.16 saturation).
+	// Three nodes logging concurrently outpace the single server: the
+	// backlog must become visible (the paper's LU.16 saturation). 90
+	// requests reach it 9.44 µs apart on its link and take 38 µs each:
+	// 22 are done by the last arrival, 67 wait behind the one in service.
 	k, net, s := setup(t)
 	for i := 0; i < 3; i++ {
 		net.Endpoint(i).SetHandler(func(netmodel.Delivery) {})
@@ -154,7 +156,80 @@ func TestMaxQueueTracksBacklog(t *testing.T) {
 		}
 	})
 	k.Run()
-	if s.MaxQueueLen < 5 {
-		t.Fatalf("MaxQueueLen = %d, expected a visible backlog", s.MaxQueueLen)
+	if s.MaxQueueLen != 67 {
+		t.Fatalf("MaxQueueLen = %d, want 67", s.MaxQueueLen)
+	}
+}
+
+// wire is the one-way delivery time of a b-byte message over idle links.
+func wire(net *netmodel.Network, b int) sim.Time {
+	return net.SerializationTime(b) + net.Config().Latency
+}
+
+// recordAcks collects the instants at which endpoint 0 receives packets.
+func recordAcks(k *sim.Kernel, net *netmodel.Network) *[]sim.Time {
+	var at []sim.Time
+	net.Endpoint(0).SetHandler(func(netmodel.Delivery) { at = append(at, k.Now()) })
+	return &at
+}
+
+func TestOutageDelaysArrivingRequest(t *testing.T) {
+	// A request arriving during an outage is served once it ends.
+	k, net, s := setup(t)
+	cfg := DefaultConfig()
+	acks := recordAcks(k, net)
+	outage := 10 * sim.Millisecond
+	k.At(0, func() { s.Suspend(outage) })
+	k.At(sim.Millisecond, func() { net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 1))) })
+	k.Run()
+	want := outage + cfg.PerPacket + cfg.PerEvent + wire(net, cfg.AckOverheadBytes+4*3)
+	if len(*acks) != 1 || (*acks)[0] != want {
+		t.Fatalf("acks at %v, want [%v]", *acks, want)
+	}
+}
+
+func TestSuspendDuringServiceDelaysQueuedRequest(t *testing.T) {
+	// A Suspend landing while a request is in service leaves that request's
+	// ack on time; the request queued behind it waits for the outage's end.
+	k, net, s := setup(t)
+	cfg := DefaultConfig()
+	acks := recordAcks(k, net)
+	service := cfg.PerPacket + cfg.PerEvent
+	ack := wire(net, cfg.AckOverheadBytes+4*3)
+	arrive := wire(net, 40)
+	outage := 5 * sim.Millisecond
+	k.At(0, func() {
+		net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 1)))
+		net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 2)))
+	})
+	mid := arrive + service/2
+	k.At(mid, func() {
+		// The first request is in service, the second waits: the queue
+		// length counts only the waiting one.
+		if n := s.QueueLen(); n != 1 {
+			t.Errorf("QueueLen = %d mid-service, want 1 (the request in service excluded)", n)
+		}
+		s.Suspend(outage)
+	})
+	k.Run()
+	want := []sim.Time{arrive + service + ack, mid + outage + service + ack}
+	if len(*acks) != 2 || (*acks)[0] != want[0] || (*acks)[1] != want[1] {
+		t.Fatalf("acks at %v, want %v", *acks, want)
+	}
+}
+
+func TestSuspendExtendsOutageForWaitingRequest(t *testing.T) {
+	// A Suspend extending an outage while a request waits for its end
+	// delays that request to the new end.
+	k, net, s := setup(t)
+	cfg := DefaultConfig()
+	acks := recordAcks(k, net)
+	k.At(0, func() { s.Suspend(10 * sim.Millisecond) })
+	k.At(sim.Millisecond, func() { net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 1))) })
+	k.At(5*sim.Millisecond, func() { s.Suspend(20 * sim.Millisecond) })
+	k.Run()
+	want := 25*sim.Millisecond + cfg.PerPacket + cfg.PerEvent + wire(net, cfg.AckOverheadBytes+4*3)
+	if len(*acks) != 1 || (*acks)[0] != want {
+		t.Fatalf("acks at %v, want [%v]", *acks, want)
 	}
 }

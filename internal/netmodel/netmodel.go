@@ -102,6 +102,9 @@ type deliveryEvent struct {
 	prev, next *deliveryEvent
 }
 
+// newDelivery returns a delivery event for d, recycled when possible.
+//
+//mpichv:amortized free-list refill: an event and its fire closure are built once per slot and recycled forever after
 func (n *Network) newDelivery(to *Endpoint, d Delivery) *deliveryEvent {
 	var ev *deliveryEvent
 	if k := len(n.freeDeliveries); k > 0 {
@@ -188,6 +191,8 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) Size() int { return len(n.eps) }
 
 // Endpoint returns endpoint i.
+//
+//mpichv:amortized cold abort: it formats only on the out-of-range panic
 func (n *Network) Endpoint(i int) *Endpoint {
 	if i < 0 || i >= len(n.eps) {
 		panic(fmt.Sprintf("netmodel: endpoint %d out of range [0,%d)", i, len(n.eps)))

@@ -152,9 +152,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			k.Spawn("worker", func(p *Proc) {
 				for j := 0; j < 10; j++ {
-					d := Time(p.Kernel().Rand().Intn(1000) + 1)
+					d := Time(k.Rand().Intn(1000) + 1)
 					p.Sleep(d)
-					stamps = append(stamps, p.Now())
+					stamps = append(stamps, k.Now())
 				}
 			})
 		}

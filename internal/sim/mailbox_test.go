@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestMailboxFIFO(t *testing.T) {
 	k := NewKernel(1)
@@ -28,35 +32,12 @@ func TestMailboxGetBlocksUntilPut(t *testing.T) {
 	var when Time
 	k.Spawn("consumer", func(p *Proc) {
 		mb.Get(p)
-		when = p.Now()
+		when = k.Now()
 	})
 	k.At(500, func() { mb.Put("x") })
 	k.Run()
 	if when != 500 {
 		t.Fatalf("consumer woke at %v, want 500", when)
-	}
-}
-
-func TestMailboxMultipleWaitersServedInOrder(t *testing.T) {
-	k := NewKernel(1)
-	mb := NewMailbox[int](k)
-	var got []string
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		k.Spawn(name, func(p *Proc) {
-			v := mb.Get(p)
-			got = append(got, name+":"+string(rune('0'+v)))
-		})
-	}
-	k.At(10, func() { mb.Put(1) })
-	k.At(20, func() { mb.Put(2) })
-	k.At(30, func() { mb.Put(3) })
-	k.Run()
-	want := []string{"w1:1", "w2:2", "w3:3"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
 	}
 }
 
@@ -86,37 +67,35 @@ func TestMailboxKilledWaiterDoesNotEatWakeup(t *testing.T) {
 		victimGot = true
 	})
 	survivorGot := 0
-	k.At(5, func() {
-		// survivor queues behind victim
+	k.At(10, func() { victim.Kill() })
+	k.At(15, func() {
+		// The survivor takes over the reader slot the victim died in.
 		k.Spawn("survivor", func(p *Proc) {
 			survivorGot = mb.Get(p)
 		})
 	})
-	k.At(10, func() { victim.Kill() })
 	k.At(20, func() { mb.Put(99) })
 	k.Run()
 	if victimGot {
 		t.Fatal("killed waiter received an item")
 	}
 	if survivorGot != 99 {
-		t.Fatalf("survivor got %d, want 99 (wakeup must skip killed waiters)", survivorGot)
+		t.Fatalf("survivor got %d, want 99 (a kill must free the reader slot)", survivorGot)
 	}
 }
 
-func TestMailboxPendingItemsSurviveWaiterChurn(t *testing.T) {
-	// Two puts land while two consumers are parked: both must be served at
-	// the put instant, in order.
+func TestMailboxSecondReaderPanics(t *testing.T) {
 	k := NewKernel(1)
+	defer k.Close()
 	mb := NewMailbox[int](k)
-	var got []int
-	for i := 0; i < 2; i++ {
-		k.Spawn("c", func(p *Proc) { got = append(got, mb.Get(p)) })
-	}
-	k.At(10, func() { mb.Put(1); mb.Put(2) })
+	k.Spawn("first", func(p *Proc) { mb.Get(p) })
+	k.Spawn("second", func(p *Proc) { mb.Get(p) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "a second reader blocks in Mailbox.Get") {
+			t.Fatalf("recovered %v, want the second-reader panic", r)
+		}
+	}()
 	k.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
-	}
 }
 
 // TestMailboxRingWrapStress drives the ring buffer through many

@@ -409,12 +409,12 @@ func TestSleepPolledReturnsRemainder(t *testing.T) {
 	never := func() bool { return false }
 	k.Spawn("poller", func(p *Proc) {
 		left = p.SleepPolled(95, 20, func() bool { return mb.Len() > 0 })
-		woke = p.Now()
+		woke = k.Now()
 		counted()
 		if rest := p.SleepPolled(left, 20, never); rest != 0 {
 			t.Errorf("uninterrupted polled sleep returned %v, want 0", rest)
 		}
-		slept = p.Now()
+		slept = k.Now()
 		counted()
 		p.SleepPolled(35, 5, never)
 		counted()

@@ -15,8 +15,7 @@ var ErrKilled = fmt.Errorf("sim: process killed")
 // switches to it, and switches back whenever it blocks (Sleep, park,
 // mailbox Get) or finishes.
 type Proc struct {
-	k    *Kernel
-	name string
+	k *Kernel
 
 	// next switches from the kernel to the process and returns when the
 	// process parks or finishes; yield is the switch back, and reports
@@ -39,9 +38,9 @@ type Proc struct {
 	finished bool
 	parked   bool
 
-	// onKill detaches the proc from the wait queue (e.g. a mailbox waiter
-	// list) it is enqueued on at the moment it is killed. A process blocks
-	// on at most one queue at a time, so a single slot suffices.
+	// onKill detaches the proc from what it is blocked on (a mailbox's
+	// reader slot) at the moment it is killed. A process blocks on at most
+	// one thing at a time, so a single slot suffices.
 	onKill func()
 
 	// State of the SleepPolled the process is blocked in, if any.
@@ -54,7 +53,7 @@ type Proc struct {
 // the current virtual time. It returns the Proc handle immediately; the body
 // does not run until the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
+	p := &Proc{k: k}
 	p.stepFn = func() { k.step(p) }
 	p.wakeFn = func() { k.runNext(p.stepFn) }
 	p.tickFn = func() { k.runNext(p.checkFn) }
@@ -126,15 +125,6 @@ func (p *Proc) park() {
 func (p *Proc) unpark() {
 	p.k.At(p.k.now, p.stepFn)
 }
-
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
 
 // Sleep blocks the calling process for d nanoseconds of virtual time.
 // It models local computation as well as pure waiting; the network and CPU

@@ -7,7 +7,7 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 	var woke Time
 	k.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(100 * Microsecond)
-		woke = p.Now()
+		woke = k.Now()
 	})
 	k.Run()
 	if woke != 100*Microsecond {

@@ -81,7 +81,7 @@ func TestSleepInPlaceGuards(t *testing.T) {
 			name: "Stop from the sleeper", drive: run, parks: 1,
 			body: func(p *Proc, sleep func(Time), logf func(string)) {
 				logf("stop")
-				p.Kernel().Stop()
+				p.k.Stop()
 				sleepTen(p, sleep, logf)
 			},
 		},
