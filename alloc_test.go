@@ -10,6 +10,7 @@ import (
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
+	"mpichv/internal/eventlogger"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
 	"mpichv/internal/netmodel"
@@ -124,6 +125,8 @@ func TestHotPathAllocations(t *testing.T) {
 	}
 	vcausalEL := manethoEL(4)
 	vcausalEL.Reducer = "vcausal"
+	twoEL := manethoEL(4)
+	twoEL.EventLoggers, twoEL.ELSync = 2, eventlogger.SyncBroadcast
 	storm := manethoEL(4)
 	storm.CkptPolicy, storm.CkptInterval = checkpoint.PolicyRoundRobin, 20*sim.Millisecond
 	storm.RestartDelay = 20 * sim.Millisecond
@@ -138,13 +141,16 @@ func TestHotPathAllocations(t *testing.T) {
 		iterScale int
 		perMsg    float64
 	}{
-		{"cell/vdummy", cluster.Config{NP: 4, Stack: cluster.StackVdummy}, 1, 1.111},           // 1.089
+		{"cell/vdummy", cluster.Config{NP: 4, Stack: cluster.StackVdummy}, 1, 1.102},           // 1.080
 		{"cell/pessimistic", cluster.Config{NP: 4, Stack: cluster.StackPessimistic}, 1, 1.181}, // 1.157
-		{"cell/coordinated", cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1, 1.114}, // 1.092
+		{"cell/coordinated", cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1, 1.105}, // 1.083
 		{"cell/vcausal-el", manethoEL(4), 1, 1.288},                                            // 1.262
 		// The only cell on the vcausal reducer (the stack of that name runs
 		// manetho above): its Merge and Stable run nowhere else here.
 		{"cell/vcausal-reducer-el", vcausalEL, 1, 1.264}, // 1.240
+		// Two Event Loggers under broadcast sync: the only row whose
+		// run executes the loggers' sync timer (Server.syncTick).
+		{"cell/manetho-2el", twoEL, 1, 1.250}, // 1.225
 		// Same message volume at both sizes: iterations scale inversely
 		// with NP.
 		{np16, manethoEL(16), 4, 1.085}, // 1.064
@@ -157,7 +163,7 @@ func TestHotPathAllocations(t *testing.T) {
 		// Two correlated two-rank kills, four overlapping recoveries:
 		// checkpoint restores, determinant collection across restarting
 		// peers, replay-set assembly, sender-log replay service.
-		{"cell/storm-recovery", storm, 1, 45.29}, // 44.40
+		{"cell/storm-recovery", storm, 1, 24.78}, // 24.29; 44.40 when log entries were whole messages
 	}
 	got := make(map[string]float64, len(cells))
 	for _, row := range cells {

@@ -30,7 +30,7 @@ import (
 //
 // Layout. A held determinant costs no heap object and no pointer: chains
 // are value slices of gnode in rankTable rows, collected by
-// copy-compaction. A node is 32 bytes, a heldDet and vc, its clock state: 0
+// copy-compaction. A node is 32 bytes, an event.Held and vc, its clock state: 0
 // not computed, inFlight on vcOf's stack, > 0 the arena slot holding its
 // causal past as np 32-bit words. vcOf visits the chain predecessor before
 // the parent, lets a parent absent when the clock is computed contribute
@@ -86,7 +86,7 @@ type span struct{ row, from, to int32 }
 
 // gnode is one held determinant, an antecedence-graph vertex.
 type gnode struct {
-	h heldDet
+	h event.Held
 	// vc is the state of the node's lazily computed causal past: 0 not
 	// computed, inFlight, or the arena slot that holds it.
 	vc int32
@@ -146,7 +146,7 @@ func after(chain []gnode, clock uint64) int {
 	lo, hi := 0, len(chain)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if uint64(chain[mid].h.clock) > clock {
+		if uint64(chain[mid].h.Clock) > clock {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -163,14 +163,14 @@ func after(chain []gnode, clock uint64) int {
 //mpichv:noalloc
 func (g *graph) lookup(id event.EventID) *gnode {
 	chain, _ := g.chains.lookup(id.Creator)
-	if len(chain) == 0 || id.Clock < uint64(chain[0].h.clock) {
+	if len(chain) == 0 || id.Clock < uint64(chain[0].h.Clock) {
 		return nil
 	}
-	i := id.Clock - uint64(chain[0].h.clock)
-	if i >= uint64(len(chain)) || uint64(chain[i].h.clock) != id.Clock {
+	i := id.Clock - uint64(chain[0].h.Clock)
+	if i >= uint64(len(chain)) || uint64(chain[i].h.Clock) != id.Clock {
 		i = uint64(after(chain, id.Clock-1))
 	}
-	if i < uint64(len(chain)) && uint64(chain[i].h.clock) == id.Clock {
+	if i < uint64(len(chain)) && uint64(chain[i].h.Clock) == id.Clock {
 		return &chain[i]
 	}
 	return nil
@@ -188,13 +188,13 @@ func (g *graph) insert(d event.Determinant) (ops int64) {
 		// merge time, before the aliased antecedence edges can close a
 		// cycle (see TakeIDConflict). Stable (collected) copies can no
 		// longer be compared.
-		if n := g.lookup(d.ID); n != nil && conflicts(n.h.det(), d) {
-			g.latch(n.h.det(), d)
+		if n := g.lookup(d.ID); n != nil && conflicts(n.h.Det(), d) {
+			g.latch(n.h.Det(), d)
 		}
 		return 1
 	}
 	chain := g.chains.row(c)
-	*chain = append(*chain, gnode{h: pack(d)})
+	*chain = append(*chain, gnode{h: event.Pack(d)})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
 	g.held++
 	return 3
@@ -219,7 +219,7 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 	// run is already causally corrupt.
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
-		chainPred := g.lookup(event.EventID{Creator: cur.h.creator, Clock: uint64(cur.h.clock) - 1})
+		chainPred := g.lookup(event.EventID{Creator: cur.h.Creator, Clock: uint64(cur.h.Clock) - 1})
 		if chainPred != nil && chainPred.vc <= 0 {
 			if chainPred.vc == inFlight {
 				panic(antecedenceCycle(chainPred))
@@ -229,8 +229,8 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 			continue
 		}
 		var parent *gnode
-		if cur.h.parentClock != 0 {
-			parent = g.lookup(event.EventID{Creator: cur.h.parentCreator, Clock: uint64(cur.h.parentClock)})
+		if cur.h.ParentClock != 0 {
+			parent = g.lookup(event.EventID{Creator: cur.h.ParentCreator, Clock: uint64(cur.h.ParentClock)})
 		}
 		if parent != nil && parent.vc <= 0 {
 			if parent.vc == inFlight {
@@ -250,14 +250,14 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 			for c, f := range g.clock(parent.vc) {
 				vc[c] = max(vc[c], f)
 			}
-		} else if cur.h.parentClock != 0 {
+		} else if cur.h.ParentClock != 0 {
 			// Parent was garbage collected (stable) or never held: the only
 			// safe knowledge it contributes is its own identity.
-			vc[cur.h.parentCreator] = max(vc[cur.h.parentCreator], cur.h.parentClock)
+			vc[cur.h.ParentCreator] = max(vc[cur.h.ParentCreator], cur.h.ParentClock)
 		}
 		// The node's own entry: always above anything its antecedents know
 		// of this creator (an event cannot be in its own causal past).
-		vc[cur.h.creator] = max(vc[cur.h.creator], cur.h.clock)
+		vc[cur.h.Creator] = max(vc[cur.h.Creator], cur.h.Clock)
 		cur.vc = slot
 		stack = stack[:len(stack)-1]
 	}
@@ -268,7 +268,7 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 // antecedenceCycle builds the diagnostic for a cycle found by vcOf (cold
 // path, kept out of the walk so the hot loop allocates nothing).
 func antecedenceCycle(n *gnode) string {
-	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.h.det().ID)
+	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.h.Det().ID)
 }
 
 // knownVec returns dst's direct-exchange knowledge floors, creating them on
@@ -313,7 +313,7 @@ func (g *graph) frontier(dst event.Rank, infer bool) (spans []span, k int) {
 		}
 		// Steady state: the whole chain already known — one tail comparison
 		// instead of a binary search.
-		last := uint64(chain[len(chain)-1].h.clock)
+		last := uint64(chain[len(chain)-1].h.Clock)
 		if last <= threshold {
 			continue
 		}
@@ -334,7 +334,7 @@ func (g *graph) appendSpans(buf []event.Determinant, spans []span) []event.Deter
 	for _, s := range spans {
 		chain := g.chains.rows[s.row]
 		for j := s.from; j < s.to; j++ {
-			buf = append(buf, chain[j].h.det())
+			buf = append(buf, chain[j].h.Det())
 		}
 	}
 	return buf
@@ -391,7 +391,7 @@ func (g *graph) HeldFor(creator event.Rank) []event.Determinant {
 	chain, _ := g.chains.lookup(creator)
 	out := make([]event.Determinant, len(chain))
 	for i := range chain {
-		out[i] = chain[i].h.det()
+		out[i] = chain[i].h.Det()
 	}
 	return out
 }
@@ -401,7 +401,7 @@ func (g *graph) All() []event.Determinant {
 	out := make([]event.Determinant, 0, g.held)
 	for _, chain := range g.chains.rows {
 		for i := range chain {
-			out = append(out, chain[i].h.det())
+			out = append(out, chain[i].h.Det())
 		}
 	}
 	return out

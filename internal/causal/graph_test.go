@@ -94,10 +94,10 @@ func TestGraphGCKeepsSuffixesIntact(t *testing.T) {
 		chain, _ := g.chains.lookup(event.Rank(c))
 		for i := range chain {
 			n := &chain[i]
-			if i > 0 && n.h.clock != chain[i-1].h.clock+1 {
+			if i > 0 && n.h.Clock != chain[i-1].h.Clock+1 {
 				t.Fatalf("chain %d not contiguous at %d", c, i)
 			}
-			if id := n.h.det().ID; g.lookup(id) != n {
+			if id := n.h.Det().ID; g.lookup(id) != n {
 				t.Fatalf("lookup inconsistent for %v", id)
 			}
 		}
@@ -176,13 +176,13 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 			latest := lastHeld[dst]
 			if _, held := o.nodes[latest]; !held || latest.Zero() {
 				if len(chain) > 0 {
-					t.Fatalf("trial %d (np %d): rank %d's chain holds %v, want none", trial, np, dst, chain[len(chain)-1].h.det().ID)
+					t.Fatalf("trial %d (np %d): rank %d's chain holds %v, want none", trial, np, dst, chain[len(chain)-1].h.Det().ID)
 				}
 				return
 			}
 			n := &chain[len(chain)-1]
-			if n.h.det().ID != latest {
-				t.Fatalf("trial %d (np %d): rank %d's latest held event is %v, want %v", trial, np, dst, n.h.det().ID, latest)
+			if n.h.Det().ID != latest {
+				t.Fatalf("trial %d (np %d): rank %d's latest held event is %v, want %v", trial, np, dst, n.h.Det().ID, latest)
 			}
 			if got, want := widen(g.vcOf(n)), o.clock(latest); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, latest, got, want)

@@ -56,9 +56,9 @@ func (l *LogOn) AppendPiggybackFor(dst event.Rank, buf []event.Determinant) ([]e
 		r := uint32(h[0])
 		s := &l.runs[r]
 		chain := l.chains.rows[s.row]
-		buf = append(buf, chain[s.from].h.det())
+		buf = append(buf, chain[s.from].h.Det())
 		if s.from++; s.from < s.to {
-			h[0] = runKey(chain[s.from].h.lamport, int(r))
+			h[0] = runKey(chain[s.from].h.Lamport, int(r))
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
@@ -77,7 +77,7 @@ func (l *LogOn) cutRuns(spans []span) {
 	for _, s := range spans {
 		chain := l.chains.rows[s.row]
 		for j := s.from + 1; j < s.to; j++ {
-			if chain[j].h.lamport < chain[j-1].h.lamport {
+			if chain[j].h.Lamport < chain[j-1].h.Lamport {
 				l.runs = append(l.runs, span{s.row, s.from, j})
 				s.from = j
 			}
@@ -85,7 +85,7 @@ func (l *LogOn) cutRuns(spans []span) {
 		l.runs = append(l.runs, s)
 	}
 	for r, s := range l.runs {
-		l.heap = append(l.heap, runKey(l.chains.rows[s.row][s.from].h.lamport, r))
+		l.heap = append(l.heap, runKey(l.chains.rows[s.row][s.from].h.Lamport, r))
 	}
 	for i := len(l.heap)/2 - 1; i >= 0; i-- {
 		siftDown(l.heap, i)

@@ -52,8 +52,6 @@
 package causal
 
 import (
-	"fmt"
-
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
@@ -177,32 +175,4 @@ func (c *conflictLatch) TakeIDConflict() (existing, incoming event.Determinant, 
 // delivery content cannot change replay and is tolerated.
 func conflicts(a, b event.Determinant) bool {
 	return a.Sender != b.Sender || a.SendSeq != b.SendSeq || a.Parent != b.Parent
-}
-
-// heldDet is a determinant as the store holds it, 28 bytes: clocks, send
-// sequence and Lamport value at the wire codec's 32 bits (§III-C), ranks at
-// full width. pack and det convert exactly, zero-clock parents included.
-type heldDet struct {
-	clock, sendSeq, parentClock, lamport uint32
-	creator, sender, parentCreator       event.Rank
-}
-
-func pack(d event.Determinant) heldDet {
-	if (d.ID.Clock|d.SendSeq|d.Parent.Clock|d.Lamport)>>32 != 0 {
-		tooWide(d)
-	}
-	return heldDet{uint32(d.ID.Clock), uint32(d.SendSeq), uint32(d.Parent.Clock), uint32(d.Lamport), d.ID.Creator, d.Sender, d.Parent.Creator}
-}
-
-func (h heldDet) det() event.Determinant {
-	return event.Determinant{ID: event.EventID{Creator: h.creator, Clock: uint64(h.clock)}, Sender: h.sender, SendSeq: uint64(h.sendSeq),
-		Parent: event.EventID{Creator: h.parentCreator, Clock: uint64(h.parentClock)}, Lamport: uint64(h.lamport)}
-}
-
-// tooWide aborts on a determinant pack cannot hold: a creator would need
-// 2³² events first.
-//
-//mpichv:amortized cold abort: the message is built only on the way to a panic
-func tooWide(d event.Determinant) {
-	panic(fmt.Sprintf("causal: %v (lamport %d) has a field beyond the 32-bit held form", d, d.Lamport))
 }

@@ -247,7 +247,7 @@ func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
 		seqTrack:  make([]seqTracker, np),
 		sendSeq:   make([]uint64, np),
 		peerEpoch: make([]int, np),
-		Log:       NewSenderLog(),
+		Log:       new(SenderLog),
 	}
 	n.inboxReady = func() bool { return n.ep.Inbox.Len() > 0 }
 	return n
@@ -693,18 +693,18 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 	if len(entries) == 0 {
 		return
 	}
-	// Copy the burst out of the log: the chain outlives this call, and the
-	// log may be trimmed or appended to meanwhile. The buffer is freshly
+	// Expand the burst out of the log: the chain outlives this call, and
+	// the log may be trimmed or appended to meanwhile. The buffer is freshly
 	// allocated per replay — receivers retain pointers to the
 	// delivered messages, so it must never be recycled — but it is one
 	// allocation per replay set instead of the sequential path's one
 	// escaping copy per message.
-	burst := make([]vproto.Message, 0, len(entries))
+	burst := make([]vproto.Message, len(entries))
 	total := sim.Time(0)
-	for _, m := range entries {
-		m.Replay = true
-		burst = append(burst, m)
-		total += n.transmitCPU(&m)
+	for i, e := range entries {
+		burst[i] = e.Message(n.rank)
+		burst[i].Replay = true
+		total += n.transmitCPU(&burst[i])
 	}
 	if len(burst) == 1 || total == 0 {
 		// Nothing to batch (or a free cost model, where the chain's event

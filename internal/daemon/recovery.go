@@ -92,7 +92,7 @@ func (n *Node) restore(fetchEpoch int, charged bool) *vproto.CheckpointImage {
 	n.ckptRequested = false
 	n.Recording = nil
 	n.RecordedMsgs = nil
-	n.Log = NewSenderLog()
+	n.Log = new(SenderLog)
 
 	fetch := vproto.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch

@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"slices"
 	"sort"
+	"unsafe"
 
 	"mpichv/internal/event"
 	"mpichv/internal/vproto"
@@ -10,98 +12,83 @@ import (
 // SenderLog is the sender-based payload store every message-logging
 // protocol relies on (§III of the paper): each sent message's payload stays
 // in the sender's volatile memory until the receiver's next checkpoint
-// covers it, so a crashed receiver can ask for it to be re-sent.
+// covers it, so a crashed receiver can ask for it to be re-sent. The zero
+// value is an empty log.
 type SenderLog struct {
-	// perDst[d] holds the logged messages sent to rank d, in ascending
-	// send sequence.
-	perDst map[event.Rank][]vproto.Message
-	bytes  int64
+	// rows[i] holds the entries sent to dsts[i], in ascending send
+	// sequence; dsts ascends. A rank sends to few of a wide world's ranks,
+	// so the table is not rank-indexed.
+	dsts  []event.Rank
+	rows  [][]vproto.LogEntry
+	bytes int64
 }
 
-// NewSenderLog returns an empty log.
-func NewSenderLog() *SenderLog {
-	return &SenderLog{perDst: make(map[event.Rank][]vproto.Message)}
-}
-
-// Append stores a copy of m's payload metadata.
+// Append logs m; replay regenerates its piggyback.
 func (l *SenderLog) Append(m vproto.Message) {
-	m.Piggyback = nil // piggyback is regenerated at replay time
-	m.PiggybackBytes = 0
-	l.perDst[m.Dst] = append(l.perDst[m.Dst], m)
+	i, ok := slices.BinarySearch(l.dsts, m.Dst)
+	if !ok {
+		l.dsts, l.rows = slices.Insert(l.dsts, i, m.Dst), slices.Insert(l.rows, i, nil)
+	}
+	l.rows[i] = append(l.rows[i], vproto.NewLogEntry(&m))
 	l.bytes += int64(m.Bytes)
 }
 
 // Bytes reports the volatile memory the log occupies.
 func (l *SenderLog) Bytes() int64 { return l.bytes }
 
+// HeldBytes reports the host memory the rows hold: capacity × entry size.
+func (l *SenderLog) HeldBytes() (b int64) {
+	for _, row := range l.rows {
+		b += int64(cap(row)) * int64(unsafe.Sizeof(vproto.LogEntry{}))
+	}
+	return b
+}
+
 // TrimTo discards payloads sent to dst with sequence ≤ seqFloor: the
 // receiver checkpointed past them (PktCkptGC).
 func (l *SenderLog) TrimTo(dst event.Rank, seqFloor uint64) {
-	entries := l.perDst[dst]
-	cut := 0
-	for cut < len(entries) && entries[cut].SendSeq <= seqFloor {
-		l.bytes -= int64(entries[cut].Bytes)
-		cut++
+	i, ok := slices.BinarySearch(l.dsts, dst)
+	if !ok {
+		return
 	}
-	if cut > 0 {
-		// Compact in place; the slice keeps its capacity for future sends.
-		// The vacated tail is zeroed so trimmed payloads do not stay
-		// reachable past the bytes accounting that released them.
-		kept := copy(entries, entries[cut:])
-		for i := kept; i < len(entries); i++ {
-			entries[i] = vproto.Message{}
-		}
-		l.perDst[dst] = entries[:kept]
+	row, keep := l.rows[i], l.For(dst, seqFloor)
+	for _, e := range row[:len(row)-len(keep)] {
+		l.bytes -= int64(e.Bytes)
 	}
+	// Compact in place, keeping the capacity, the vacated tail zeroed.
+	kept := copy(row, keep)
+	clear(row[kept:])
+	l.rows[i] = row[:kept]
 }
 
 // For returns the logged payloads sent to dst with sequence > seqFloor, in
-// send order — the replay set for dst's recovery. Each destination's
-// entries ascend in send sequence (Append follows the channel counter,
-// Restore rebuilds from an image ordered the same way, TrimTo cuts only a
-// prefix), so the set is a suffix and For returns a view of the log
-// itself, allocating nothing. The view is only valid until the log next
-// changes: replayLogged copies it before any virtual time passes.
-func (l *SenderLog) For(dst event.Rank, seqFloor uint64) []vproto.Message {
-	entries := l.perDst[dst]
-	i := 0
-	for i < len(entries) && entries[i].SendSeq <= seqFloor {
-		i++
-	}
-	return entries[i:]
-}
-
-// Snapshot returns all entries (checkpoint image content), ordered by
-// (destination, send sequence) so identical logs produce identical images
-// regardless of map iteration order, or nil when the log is empty.
-// Per-destination slices are already in send order (Append/TrimTo maintain
-// it), so only the destination keys — at most one per rank — need sorting.
-func (l *SenderLog) Snapshot() []vproto.Message {
-	dsts := make([]event.Rank, 0, len(l.perDst))
-	total := 0
-	for dst, entries := range l.perDst {
-		if len(entries) > 0 {
-			dsts = append(dsts, dst)
-			total += len(entries)
-		}
-	}
-	if total == 0 {
+// send order — the replay set for dst's recovery. It is a suffix of dst's
+// row, so For returns a view of the log itself, allocating nothing. The
+// view is only valid until the log next changes: replayLogged expands it
+// before any virtual time passes.
+func (l *SenderLog) For(dst event.Rank, seqFloor uint64) []vproto.LogEntry {
+	i, ok := slices.BinarySearch(l.dsts, dst)
+	if !ok {
 		return nil
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	out := make([]vproto.Message, 0, total)
-	for _, dst := range dsts {
-		out = append(out, l.perDst[dst]...)
-	}
-	return out
+	row := l.rows[i]
+	return row[sort.Search(len(row), func(j int) bool { return uint64(row[j].SendSeq) > seqFloor }):]
 }
 
-// Restore replaces the log content from a checkpoint image.
-func (l *SenderLog) Restore(entries []vproto.Message) {
-	l.perDst = make(map[event.Rank][]vproto.Message)
-	l.bytes = 0
-	for _, m := range entries {
-		l.perDst[m.Dst] = append(l.perDst[m.Dst], m)
-		l.bytes += int64(m.Bytes)
+// Snapshot returns all entries (checkpoint image content) in the rows'
+// (destination, send sequence) order, or nil when the log is empty.
+func (l *SenderLog) Snapshot() []vproto.LogEntry { return slices.Concat(l.rows...) }
+
+// Restore replaces the log content from a checkpoint image, whose entries
+// are in Snapshot's order. The rows share one copy of them, each capped at
+// its own end, so a row's first Append after it moves that row out.
+func (l *SenderLog) Restore(entries []vproto.LogEntry) {
+	all := slices.Clone(entries)
+	l.dsts, l.rows, l.bytes = nil, nil, 0
+	for i, j := 0, 0; i < len(all); i = j {
+		for j = i; j < len(all) && all[j].Dst == all[i].Dst; j++ {
+			l.bytes += int64(all[j].Bytes)
+		}
+		l.dsts, l.rows = append(l.dsts, all[i].Dst), append(l.rows, all[i:j:j])
 	}
 }

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -16,14 +17,24 @@ func mkMsg(dst event.Rank, seq uint64, bytes int) vproto.Message {
 	}
 }
 
+// rowOf returns the log's own entries for dst.
+func rowOf(l *SenderLog, dst event.Rank) []vproto.LogEntry {
+	if i, ok := slices.BinarySearch(l.dsts, dst); ok {
+		return l.rows[i]
+	}
+	return nil
+}
+
 func TestSenderLogAppendStripsPiggyback(t *testing.T) {
-	l := NewSenderLog()
-	l.Append(mkMsg(1, 1, 100))
+	l := new(SenderLog)
+	m := mkMsg(1, 1, 100)
+	m.PiggybackBytes = 24
+	l.Append(m)
 	got := l.For(1, 0)
 	if len(got) != 1 {
 		t.Fatalf("For = %d entries, want 1", len(got))
 	}
-	if got[0].Piggyback != nil || got[0].PiggybackBytes != 0 {
+	if re := got[0].Message(0); re.Piggyback != nil || re.PiggybackBytes != 0 {
 		t.Error("logged payload must not retain the original piggyback")
 	}
 	if l.Bytes() != 100 {
@@ -32,7 +43,7 @@ func TestSenderLogAppendStripsPiggyback(t *testing.T) {
 }
 
 func TestSenderLogTrimTo(t *testing.T) {
-	l := NewSenderLog()
+	l := new(SenderLog)
 	for seq := uint64(1); seq <= 5; seq++ {
 		l.Append(mkMsg(2, seq, 10))
 	}
@@ -53,7 +64,7 @@ func TestSenderLogTrimTo(t *testing.T) {
 }
 
 func TestSenderLogForFloor(t *testing.T) {
-	l := NewSenderLog()
+	l := new(SenderLog)
 	for seq := uint64(1); seq <= 4; seq++ {
 		l.Append(mkMsg(1, seq, 8))
 	}
@@ -64,14 +75,14 @@ func TestSenderLogForFloor(t *testing.T) {
 }
 
 func TestSenderLogSnapshotRestore(t *testing.T) {
-	l := NewSenderLog()
+	l := new(SenderLog)
 	l.Append(mkMsg(1, 1, 10))
 	l.Append(mkMsg(2, 1, 20))
 	snap := l.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("Snapshot = %d entries", len(snap))
 	}
-	restored := NewSenderLog()
+	restored := new(SenderLog)
 	restored.Restore(snap)
 	if restored.Bytes() != 30 {
 		t.Errorf("restored Bytes = %d, want 30", restored.Bytes())
@@ -81,12 +92,14 @@ func TestSenderLogSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestSenderLogSnapshotDeterministic: checkpoint-image content must not
-// depend on map iteration order — two snapshots of the same log are
-// identical, and entries come out sorted by (dst, send sequence).
+// TestSenderLogSnapshotDeterministic: checkpoint-image content is a
+// function of the log alone — two snapshots of the same log are identical,
+// and entries come out sorted by (dst, send sequence) whatever order the
+// destinations were first sent to.
 func TestSenderLogSnapshotDeterministic(t *testing.T) {
-	l := NewSenderLog()
-	// Interleave many destinations so map iteration order would show.
+	l := new(SenderLog)
+	// Interleave many destinations, each new one inserted ahead of the
+	// rows already there.
 	for seq := uint64(1); seq <= 4; seq++ {
 		for dst := event.Rank(7); dst >= 1; dst-- {
 			l.Append(mkMsg(dst, seq, 8))
@@ -109,17 +122,16 @@ func TestSenderLogSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSenderLogTrimZeroesTail: in-place compaction must not leave trimmed
-// payload entries alive in the slice tail — retained memory past the bytes
-// accounting that released it.
+// TestSenderLogTrimZeroesTail: trimming compacts a row in place, keeping
+// its capacity, and leaves no trimmed entry in the vacated tail.
 func TestSenderLogTrimZeroesTail(t *testing.T) {
-	l := NewSenderLog()
+	l := new(SenderLog)
 	for seq := uint64(1); seq <= 5; seq++ {
 		l.Append(mkMsg(2, seq, 10))
 	}
-	before := l.perDst[2]
+	before := rowOf(l, 2)
 	l.TrimTo(2, 3)
-	entries := l.perDst[2]
+	entries := rowOf(l, 2)
 	if len(entries) != 2 {
 		t.Fatalf("kept %d entries, want 2", len(entries))
 	}
@@ -128,26 +140,27 @@ func TestSenderLogTrimZeroesTail(t *testing.T) {
 	}
 	// The previously occupied tail slots must be zeroed.
 	for i := len(entries); i < len(before); i++ {
-		if before[i].Bytes != 0 || before[i].SendSeq != 0 || before[i].Dst != 0 {
+		if before[i] != (vproto.LogEntry{}) {
 			t.Fatalf("tail slot %d retains %+v after trim", i, before[i])
 		}
 	}
 }
 
 // TestSenderLogForIsAView: serving replay must not allocate per recovery —
-// For returns a suffix of the log's own per-destination slice, not a copy.
+// For returns a suffix of the log's own row for the destination, not a
+// copy.
 func TestSenderLogForIsAView(t *testing.T) {
-	l := NewSenderLog()
+	l := new(SenderLog)
 	for seq := uint64(1); seq <= 4; seq++ {
 		l.Append(mkMsg(1, seq, 8))
 		l.Append(mkMsg(2, seq, 8))
 	}
 	a := l.For(1, 0)
-	if len(a) != 4 || &a[0] != &l.perDst[1][0] {
+	if len(a) != 4 || &a[0] != &rowOf(l, 1)[0] {
 		t.Fatalf("For(1,0) = %d entries, not a view of the log", len(a))
 	}
 	b := l.For(2, 2)
-	if len(b) != 2 || b[0].SendSeq != 3 || &b[0] != &l.perDst[2][2] {
+	if len(b) != 2 || b[0].SendSeq != 3 || &b[0] != &rowOf(l, 2)[2] {
 		t.Fatalf("For(2,2) = %+v, not a view of the log", b)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { l.For(1, 0) }); allocs > 0 {
@@ -157,13 +170,14 @@ func TestSenderLogForIsAView(t *testing.T) {
 
 // TestSenderLogMatchesReference drives seeded random Append / TrimTo /
 // Snapshot / Restore sequences over several destinations against a plain
-// slice of every live entry, and after each step checks For at several
-// floors, Bytes, and the (dst, seq) order of Snapshot.
+// slice of every live message, and after each step checks For at several
+// floors (each entry expanded back into the message it logged), Bytes,
+// and the (dst, seq) order of Snapshot.
 func TestSenderLogMatchesReference(t *testing.T) {
 	const dsts = 4
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewSenderLog()
+		l := new(SenderLog)
 		var ref []vproto.Message // live entries, in append order
 		sendSeq := make([]uint64, dsts)
 		for step := 0; step < 400; step++ {
@@ -172,6 +186,8 @@ func TestSenderLogMatchesReference(t *testing.T) {
 			case op < 6:
 				sendSeq[dst]++
 				m := mkMsg(dst, sendSeq[dst], 1+rng.Intn(64))
+				m.Tag, m.Lamport = rng.Intn(100)-50, rng.Uint64()>>32
+				m.SenderLast = event.EventID{Creator: event.Rank(rng.Intn(dsts)), Clock: rng.Uint64() >> 32}
 				l.Append(m)
 				m.Piggyback = nil
 				ref = append(ref, m)
@@ -194,7 +210,7 @@ func TestSenderLogMatchesReference(t *testing.T) {
 				}
 			default:
 				snap := l.Snapshot()
-				l = NewSenderLog()
+				l = new(SenderLog)
 				l.Restore(snap)
 			}
 
@@ -218,8 +234,8 @@ func TestSenderLogMatchesReference(t *testing.T) {
 						t.Fatalf("seed %d step %d: For(%d,%d) = %d entries, reference %d", seed, step, d, floor, len(got), len(want))
 					}
 					for i := range want {
-						if got[i].SendSeq != want[i].SendSeq || got[i].Bytes != want[i].Bytes || got[i].Piggyback != nil {
-							t.Fatalf("seed %d step %d: For(%d,%d)[%d] = %+v, reference %+v", seed, step, d, floor, i, got[i], want[i])
+						if re := got[i].Message(0); !reflect.DeepEqual(re, want[i]) {
+							t.Fatalf("seed %d step %d: For(%d,%d)[%d] = %+v, reference %+v", seed, step, d, floor, i, re, want[i])
 						}
 					}
 				}

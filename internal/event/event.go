@@ -59,6 +59,37 @@ func (d Determinant) String() string {
 	return fmt.Sprintf("det{%v <- m(%d,%d) parent=%v}", d.ID, d.Sender, d.SendSeq, d.Parent)
 }
 
+// Held is a determinant as a store holds it, 28 bytes: clocks, send
+// sequence and Lamport value at the wire codec's 32 bits (§III-C), ranks at
+// full width. The reducers' antecedence graph and the Event Logger both keep
+// this form; Pack and Det convert exactly, zero-clock parents included.
+type Held struct {
+	Clock, SendSeq, ParentClock, Lamport uint32
+	Creator, Sender, ParentCreator       Rank
+}
+
+// Pack returns d's held form. A field beyond 32 bits fails loudly.
+func Pack(d Determinant) Held {
+	if (d.ID.Clock|d.SendSeq|d.Parent.Clock|d.Lamport)>>32 != 0 {
+		tooWide(d)
+	}
+	return Held{uint32(d.ID.Clock), uint32(d.SendSeq), uint32(d.Parent.Clock), uint32(d.Lamport), d.ID.Creator, d.Sender, d.Parent.Creator}
+}
+
+// Det returns the determinant h holds.
+func (h Held) Det() Determinant {
+	return Determinant{ID: EventID{Creator: h.Creator, Clock: uint64(h.Clock)}, Sender: h.Sender, SendSeq: uint64(h.SendSeq),
+		Parent: EventID{Creator: h.ParentCreator, Clock: uint64(h.ParentClock)}, Lamport: uint64(h.Lamport)}
+}
+
+// tooWide aborts on a determinant Pack cannot hold: a creator would need
+// 2³² events first.
+//
+//mpichv:amortized cold abort: the message is built only on the way to a panic
+func tooWide(d Determinant) {
+	panic(fmt.Sprintf("event: %v (lamport %d) has a field beyond the 32-bit held form", d, d.Lamport))
+}
+
 // Wire-size constants for the two piggyback encodings (§III-C of the paper).
 //
 // Vcausal and Manetho factor determinants by receiver (creator) rank: the

@@ -13,6 +13,7 @@ package eventlogger
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
@@ -54,8 +55,8 @@ type Server struct {
 	cfg Config
 	np  int
 
-	// store[c] holds every determinant created by rank c, in clock order.
-	store [][]event.Determinant
+	// store[c] holds every determinant created by rank c, held, in clock order.
+	store [][]event.Held
 	// stable holds the highest stored clock per creator. Acknowledgments
 	// are charged the dense 4·np encoding (the paper's ack format).
 	stable *sparsevec.Vec
@@ -92,7 +93,7 @@ func New(k *sim.Kernel, net *netmodel.Network, endpoint, np int, cfg Config) *Se
 		ep:     net.Endpoint(endpoint),
 		cfg:    cfg,
 		np:     np,
-		store:  make([][]event.Determinant, np),
+		store:  make([][]event.Held, np),
 		stable: sparsevec.New(np),
 	}
 	s.nextFn, s.finishFn = s.next, s.finish
@@ -164,8 +165,11 @@ func (s *Server) finish() {
 		s.Obs.Record(s.k.Now(), obs.KindELQuery, int(pkt.Creator), 0, "")
 		// Recovery responses are retained by the recovering node
 		// (determinants and stable vector both), so they must carry
-		// freshly allocated slices, never packet scratch.
-		dets := append([]event.Determinant(nil), s.store[pkt.Creator]...)
+		// freshly allocated slices, never packet scratch or the store.
+		dets := make([]event.Determinant, len(s.store[pkt.Creator]))
+		for i, h := range s.store[pkt.Creator] {
+			dets[i] = h.Det()
+		}
 		resp := vproto.GetPacket()
 		resp.Kind = vproto.PktEventQueryResp
 		resp.From = s.ep.ID()
@@ -202,7 +206,7 @@ func (s *Server) storeEvents(ds []event.Determinant) {
 			panic(fmt.Sprintf("eventlogger: gap in event stream of rank %d: have %d, got %d",
 				c, have, d.ID.Clock))
 		}
-		s.store[c] = append(s.store[c], d)
+		s.store[c] = append(s.store[c], event.Pack(d))
 		s.stable.SetMax(int(c), d.ID.Clock)
 		s.EventsStored++
 	}
@@ -214,6 +218,14 @@ func (s *Server) Stable() []uint64 { return s.stable.Dense() }
 // QueueLen returns the number of requests waiting behind the one in service
 // (the gauge the observability sampler reads; MaxQueueLen is its maximum).
 func (s *Server) QueueLen() int { return max(len(s.queue)-1, 0) }
+
+// HeldBytes reports the host memory the store holds: capacity × entry size.
+func (s *Server) HeldBytes() (b int64) {
+	for _, row := range s.store {
+		b += int64(cap(row)) * int64(unsafe.Sizeof(event.Held{}))
+	}
+	return b
+}
 
 // StoredFor returns the number of stored determinants of one creator.
 func (s *Server) StoredFor(c event.Rank) int { return len(s.store[c]) }

@@ -1,6 +1,7 @@
 package eventlogger
 
 import (
+	"slices"
 	"testing"
 
 	"mpichv/internal/event"
@@ -109,6 +110,51 @@ func TestQueryReturnsHistoryAndStableVector(t *testing.T) {
 	}
 	if s.QueriesServed != 1 {
 		t.Fatalf("QueriesServed = %d", s.QueriesServed)
+	}
+}
+
+// TestQueryRoundTripsStore: determinants stored in the held form come back
+// from a query equal to what was shipped, every field included, in a slice
+// the recovering node owns: writing to it leaves the store, and a second
+// query, untouched.
+func TestQueryRoundTripsStore(t *testing.T) {
+	k, net, s := setup(t)
+	var resps []*vproto.Packet
+	net.Endpoint(1).SetHandler(func(d netmodel.Delivery) {
+		if pkt := d.Payload.(*vproto.Packet); pkt.Kind == vproto.PktEventQueryResp {
+			resps = append(resps, pkt)
+		}
+	})
+	net.Endpoint(0).SetHandler(func(netmodel.Delivery) {})
+	want := make([]event.Determinant, 5)
+	for i := range want {
+		c := uint64(i + 1)
+		want[i] = event.Determinant{ID: event.EventID{Creator: 2, Clock: c}, Sender: event.Rank(i % 3), SendSeq: 7 * c,
+			Parent: event.EventID{Creator: event.Rank((i + 1) % 3), Clock: c / 2}, Lamport: 1<<31 + c}
+	}
+	k.At(0, func() { net.Endpoint(0).Send(3, 40, logPacket(0, want[:2]...)) })
+	k.At(sim.Millisecond, func() { net.Endpoint(0).Send(3, 40, logPacket(0, want[2:]...)) })
+	for _, at := range []sim.Time{2 * sim.Millisecond, 3 * sim.Millisecond} {
+		k.At(at, func() {
+			net.Endpoint(1).Send(3, 32, &vproto.Packet{Kind: vproto.PktEventQuery, From: 1, Creator: 2})
+		})
+	}
+	k.Run()
+	if len(resps) != 2 {
+		t.Fatalf("%d query responses, want 2", len(resps))
+	}
+	first := resps[0].Determinants
+	if !slices.Equal(first, want) {
+		t.Fatalf("query returned %v, want %v", first, want)
+	}
+	for i := range first {
+		first[i] = event.Determinant{}
+	}
+	if !slices.Equal(resps[1].Determinants, want) {
+		t.Fatalf("writing to one response changed the next: %v", resps[1].Determinants)
+	}
+	if got := s.StoredFor(2); got != len(want) {
+		t.Fatalf("StoredFor(2) = %d, want %d", got, len(want))
 	}
 }
 

@@ -20,7 +20,8 @@ type Kernel struct {
 	polls     ring[pollTick]
 	pollEvery Time
 	counts    Counts
-	rng       *rand.Rand
+	seed      int64
+	rng       *rand.Rand // built from seed on the first Rand
 	stopped   bool
 	deadline  Time // RunUntil's while it runs, else 0: no Sleep ends in place
 	// held is the last instant at which a lane entry due then kept
@@ -47,7 +48,7 @@ func (k *Kernel) Counts() Counts { return k.counts }
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // DeriveSeed maps a base seed and a stream name to a deterministic
@@ -66,8 +67,13 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand exposes the kernel's deterministic random source. All stochastic
 // decisions in a simulation must draw from this source; anything else breaks
-// reproducibility.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// reproducibility. Few cells draw from it, so it is seeded on first use.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is a programming error and panics: silently reordering time would corrupt

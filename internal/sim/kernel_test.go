@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -168,6 +169,35 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverged at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRandSeededOnFirstUse: the kernel builds its random source lazily, so
+// the draws must not depend on when Rand is first called — before any
+// event runs or after a run — and must be the seed's plain math/rand
+// stream.
+func TestRandSeededOnFirstUse(t *testing.T) {
+	const seed, n = 7, 16
+	draws := func(k *Kernel) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = k.Rand().Int63()
+		}
+		return out
+	}
+	early := NewKernel(seed)
+	first := early.Rand().Int63()
+	early.At(5, func() {})
+	early.Run()
+	late := NewKernel(seed)
+	late.At(5, func() {})
+	late.Run()
+	want := rand.New(rand.NewSource(seed))
+	a, b := append([]int64{first}, draws(early)...), draws(late)
+	for i := range b {
+		if w := want.Int63(); a[i] != w || b[i] != w {
+			t.Fatalf("draw %d: first-called-before-run %d, after-run %d, want %d", i, a[i], b[i], w)
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package vproto
 
 import (
+	"fmt"
 	"sync"
 
 	"mpichv/internal/causal/sparsevec"
@@ -46,6 +47,38 @@ type Message struct {
 	// process — discard the stale incarnation's packets instead of letting
 	// their piggybacks corrupt the antecedence graph.
 	Inc int
+}
+
+// LogEntry is one sender-log entry as the log and a checkpoint image hold
+// it, 28 bytes and pointer-free: what replay needs of a message, at the
+// wire's 32-bit width. The source is the log's owner; Replay, Inc and the
+// piggyback are set again when the entry is re-emitted.
+type LogEntry struct {
+	Dst, LastCreator            event.Rank
+	Tag, Bytes                  int32
+	SendSeq, Lamport, LastClock uint32
+}
+
+// NewLogEntry returns m's log entry. A field beyond its width fails loudly.
+func NewLogEntry(m *Message) LogEntry {
+	if (m.SendSeq|m.Lamport|m.SenderLast.Clock)>>32 != 0 || int(int32(m.Tag)) != m.Tag || int(int32(m.Bytes)) != m.Bytes {
+		tooWide(m)
+	}
+	return LogEntry{m.Dst, m.SenderLast.Creator, int32(m.Tag), int32(m.Bytes), uint32(m.SendSeq), uint32(m.Lamport), uint32(m.SenderLast.Clock)}
+}
+
+// Message expands e into the message src sent.
+func (e LogEntry) Message(src event.Rank) Message {
+	return Message{Src: src, Dst: e.Dst, Tag: int(e.Tag), Bytes: int(e.Bytes), SendSeq: uint64(e.SendSeq), Lamport: uint64(e.Lamport),
+		SenderLast: event.EventID{Creator: e.LastCreator, Clock: uint64(e.LastClock)}}
+}
+
+// tooWide aborts on a message a log entry cannot hold.
+//
+//mpichv:amortized cold abort: the message is built only on the way to a panic
+func tooWide(m *Message) {
+	panic(fmt.Sprintf("vproto: message %d->%d seq %d (tag %d, %d bytes, lamport %d, sender-last %v) has a field beyond the sender log's 32-bit entry",
+		m.Src, m.Dst, m.SendSeq, m.Tag, m.Bytes, m.Lamport, m.SenderLast))
 }
 
 // PacketKind discriminates daemon-to-daemon and daemon-to-server packets.
@@ -237,10 +270,10 @@ type CheckpointImage struct {
 	LastSeqSeen sparsevec.Vec
 	// Determinants are the held causality events at snapshot time.
 	Determinants []event.Determinant
-	// LoggedPayloads are the sender-log entries at snapshot time, so a
-	// restarted process can still serve replay requests from before its
-	// own crash.
-	LoggedPayloads []Message
+	// LoggedPayloads are the sender-log entries at snapshot time, in
+	// (destination, send sequence) order, so a restarted process can still
+	// serve replay requests from before its own crash.
+	LoggedPayloads []LogEntry
 	// ChannelMsgs are in-transit messages recorded by the Chandy-Lamport
 	// marker algorithm (coordinated checkpointing only); they are
 	// re-injected into the receive queue when the image is restored.

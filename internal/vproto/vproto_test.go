@@ -1,7 +1,12 @@
 package vproto
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"mpichv/internal/event"
 )
@@ -30,7 +35,7 @@ func TestPacketKindStrings(t *testing.T) {
 func TestCheckpointImageBytes(t *testing.T) {
 	im := &CheckpointImage{
 		AppBytes:       1000,
-		LoggedPayloads: []Message{{Bytes: 200}, {Bytes: 300}},
+		LoggedPayloads: []LogEntry{{Bytes: 200}, {Bytes: 300}},
 		Determinants: []event.Determinant{
 			{ID: event.EventID{Creator: 0, Clock: 1}},
 			{ID: event.EventID{Creator: 0, Clock: 2}},
@@ -62,5 +67,53 @@ func TestCheckpointImageBytes(t *testing.T) {
 	im.ChannelMsgs = []Message{{Bytes: 256}}
 	if got := im.Bytes(); got != want+2*12+ChannelMsgHeaderBytes+256 {
 		t.Errorf("Bytes with channel msg = %d", got)
+	}
+}
+
+// TestLogEntry checks the sender log's 32-bit entry: its size, an exact
+// round trip of every field replay needs, and a loud failure naming the
+// message for each field one past its range.
+func TestLogEntry(t *testing.T) {
+	if got := unsafe.Sizeof(LogEntry{}); got != 28 {
+		t.Errorf("LogEntry is %d bytes, want 28", got)
+	}
+	for _, m := range []Message{
+		{Src: 3, Dst: math.MaxInt32, Tag: math.MaxInt32, Bytes: math.MaxInt32, SendSeq: math.MaxUint32, Lamport: math.MaxUint32,
+			SenderLast: event.EventID{Creator: math.MaxInt32, Clock: math.MaxUint32}},
+		{Src: 0, Dst: 1, Tag: math.MinInt32, Bytes: 0, SendSeq: 1, SenderLast: event.EventID{Creator: event.NoRank}},
+		{Src: 5, Dst: 2, Tag: 7, Bytes: 1 << 20, SendSeq: 9, Lamport: 40, SenderLast: event.EventID{Creator: 2, Clock: 17}},
+	} {
+		e := NewLogEntry(&m)
+		if e.Dst != m.Dst {
+			t.Errorf("entry of %+v has Dst %d", m, e.Dst)
+		}
+		if got := e.Message(m.Src); !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip of %+v = %+v", m, got)
+		}
+	}
+
+	base := Message{Src: 1, Dst: 2, Tag: 3, Bytes: 64, SendSeq: 4, Lamport: 5, SenderLast: event.EventID{Creator: 2, Clock: 6}}
+	for _, tc := range []struct {
+		field string
+		widen func(*Message)
+	}{
+		{"send seq", func(m *Message) { m.SendSeq = 1 << 32 }},
+		{"lamport", func(m *Message) { m.Lamport = 1 << 32 }},
+		{"sender-last clock", func(m *Message) { m.SenderLast.Clock = 1 << 32 }},
+		{"tag", func(m *Message) { m.Tag = math.MaxInt32 + 1 }},
+		{"negative tag", func(m *Message) { m.Tag = math.MinInt32 - 1 }},
+		{"bytes", func(m *Message) { m.Bytes = math.MaxInt32 + 1 }},
+	} {
+		m := base
+		tc.widen(&m)
+		want := fmt.Sprintf("vproto: message 1->2 seq %d (tag %d, %d bytes, lamport %d, sender-last %v) ", m.SendSeq, m.Tag, m.Bytes, m.Lamport, m.SenderLast)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+					t.Errorf("%s one past its range: recovered %q, want a message starting %q", tc.field, msg, want)
+				}
+			}()
+			NewLogEntry(&m)
+		}()
 	}
 }
