@@ -67,7 +67,7 @@ func TestHotPathAllocations(t *testing.T) {
 	// given (a reducer keeps every determinant) refills a slab or doubles
 	// a slice now and then, which the lint knows as //mpichv:amortized;
 	// the ceilings sit a little above those counts (0 for most rows, 3
-	// for the reducers, 21 for obs/recorder, 4 per replay service). They
+	// for the reducers, 21 for obs/recorder, 1 per replay service). They
 	// count objects, not whole objects per op, so a map that grows on
 	// every op (132 objects in 16,384 reducer ops) does not round to 0.
 	// setup builds the state, runs the body once so that pools and queues
@@ -94,8 +94,8 @@ func TestHotPathAllocations(t *testing.T) {
 		{"event/enc-factored", setupEncoder(event.FactoredSize, event.AppendFactored), 16},
 		{"event/enc-flat", setupEncoder(event.FlatSize, event.AppendFlat), 16},
 		// One op is a whole 64-payload sender-log replay service; the
-		// section runs 256 of them at 4 objects each.
-		{"daemon/replay-serve", setupReplayServe, 4*256 + 16},
+		// section runs 256 of them at 1 object each, the expanded set.
+		{"daemon/replay-serve", setupReplayServe, 256 + 16},
 		{"obs/latency-hist", setupLatencyHist, 16},
 		{"obs/recorder", setupRecorder, 32},
 	}
@@ -224,22 +224,23 @@ func setupKernelScheduleRun(*testing.T) func() uint64 {
 	return cycle
 }
 
-// spawnBatches spawns a process that performs microOps calls of op, parks,
-// and repeats when unparked; it returns the function that runs one batch
-// to completion. The process is unwound when the test ends.
+// spawnBatches spawns a process that performs microOps calls of op, blocks
+// on its own mailbox, and repeats when woken; it returns the function that
+// runs one batch to completion. The process is unwound when the test ends.
 func spawnBatches(t *testing.T, k *sim.Kernel, op func(p *sim.Proc, i int)) func() uint64 {
-	proc := k.Spawn("batch", func(p *sim.Proc) {
+	wake := sim.NewMailbox[struct{}](k)
+	k.Spawn("batch", func(p *sim.Proc) {
 		for {
 			for i := 0; i < microOps; i++ {
 				op(p, i)
 			}
-			p.Park()
+			wake.Get(p)
 		}
 	})
 	t.Cleanup(k.Close)
 	k.Run()
 	return func() uint64 {
-		proc.Unpark()
+		wake.Put(struct{}{})
 		k.Run()
 		return microOps
 	}
@@ -259,34 +260,37 @@ func setupProcSleep(t *testing.T) func() uint64 {
 // predicate stays false, so their ticks share the kernel's poll lane and
 // are re-armed in place. A fifth process's Sleep wake-up lands on every
 // other instant of the grid and sends those ticks through their check
-// event instead. One op is one poll tick.
+// event instead. Each process then blocks on its own mailbox until the
+// next section wakes it. One op is one poll tick.
 func setupProcPoll(t *testing.T) func() uint64 {
 	const pollers, every = 4, 10
 	const ticks = microOps / pollers
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Close)
 	never := func() bool { return false }
-	var procs []*sim.Proc
-	for i := 0; i < pollers; i++ {
-		procs = append(procs, k.Spawn("poller", func(p *sim.Proc) {
+	var wakes []*sim.Mailbox[struct{}]
+	spawn := func(name string, batch func(p *sim.Proc)) {
+		wake := sim.NewMailbox[struct{}](k)
+		wakes = append(wakes, wake)
+		k.Spawn(name, func(p *sim.Proc) {
 			for {
-				p.SleepPolled(ticks*every, every, never)
-				p.Park()
+				batch(p)
+				wake.Get(p)
 			}
-		}))
+		})
 	}
-	procs = append(procs, k.Spawn("sleeper", func(p *sim.Proc) {
-		for {
-			for i := 0; i < ticks/2; i++ {
-				p.Sleep(2 * every)
-			}
-			p.Park()
+	for i := 0; i < pollers; i++ {
+		spawn("poller", func(p *sim.Proc) { p.SleepPolled(ticks*every, every, never) })
+	}
+	spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i < ticks/2; i++ {
+			p.Sleep(2 * every)
 		}
-	}))
+	})
 	k.Run()
 	return func() uint64 {
-		for _, p := range procs {
-			p.Unpark()
+		for _, wake := range wakes {
+			wake.Put(struct{}{})
 		}
 		k.Run()
 		return microOps
@@ -396,7 +400,7 @@ func setupEncoder(size func([]event.Determinant) int, enc func([]byte, []event.D
 
 // setupReplayServe measures full sender-log replay services: a peer's
 // recovery requests the 64-payload replay set and the serving daemon
-// re-transmits it as one batched chain (one park for the whole set).
+// re-sends it through its send path, one CPU charge per payload.
 func setupReplayServe(t *testing.T) func() uint64 {
 	k := sim.NewKernel(1)
 	t.Cleanup(k.Close) // the server never returns

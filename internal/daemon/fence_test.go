@@ -95,11 +95,10 @@ func replayWorld(t *testing.T, entries int) (*sim.Kernel, *Node, *[]sim.Time) {
 	return k, a, times
 }
 
-// TestBatchedReplayPreservesSequentialTiming: the event-chain replay emits
-// every logged payload at exactly the instant the sequential path would
-// have — after the preceding messages' cumulative CPU cost — and blocks
-// the serving process for the set's total CPU time.
-func TestBatchedReplayPreservesSequentialTiming(t *testing.T) {
+// TestReplayPreservesSequentialTiming: replay emits every logged payload
+// after the preceding messages' cumulative CPU cost, and blocks the serving
+// process for the set's total CPU time.
+func TestReplayPreservesSequentialTiming(t *testing.T) {
 	const entries = 16
 	k, a, times := replayWorld(t, entries)
 	var served sim.Time
@@ -136,10 +135,10 @@ func TestBatchedReplayPreservesSequentialTiming(t *testing.T) {
 	}
 }
 
-// TestBatchedReplayAbortsWhenServerDies: a kill landing mid-replay stops
-// the chain where the sequential path would have stopped transmitting —
-// the dead incarnation emits nothing further.
-func TestBatchedReplayAbortsWhenServerDies(t *testing.T) {
+// TestReplayAbortsWhenServerDies: a kill landing mid-replay unwinds the
+// serving process inside a payload's CPU charge — the dead incarnation
+// emits nothing further.
+func TestReplayAbortsWhenServerDies(t *testing.T) {
 	const entries = 16
 	k, a, times := replayWorld(t, entries)
 	var proc *sim.Proc
@@ -154,6 +153,39 @@ func TestBatchedReplayAbortsWhenServerDies(t *testing.T) {
 	k.At(killAt, func() { proc.Kill() })
 	k.Run()
 	if len(*times) != 5 {
-		t.Fatalf("dead server emitted %d messages, want 5 (chain must abort)", len(*times))
+		t.Fatalf("dead server emitted %d messages, want 5 (replay must abort)", len(*times))
+	}
+}
+
+// TestReplayDepartsLikeSend pins the one departure rule of a payload: its
+// CPU charge is a Sleep, so an event another process schedules for the
+// instant the payload is due to leave, after the charge began, runs before
+// the payload is on the wire. A fresh Send and a replayed payload obey it
+// alike.
+func TestReplayDepartsLikeSend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(a *Node)
+	}{
+		{"send", func(a *Node) { a.Send(1, 1, 512) }},
+		{"replay", func(a *Node) { a.replayLogged(1, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, a, _ := replayWorld(t, 4)
+			m := vproto.Message{Src: 0, Dst: 1, Bytes: 512}
+			due := a.transmitCPU(&m)
+			k.Spawn("a", func(p *sim.Proc) {
+				a.Bind(p)
+				tc.send(a)
+			})
+			sent := int64(-1)
+			k.Spawn("other", func(*sim.Proc) {
+				k.At(due, func() { sent = a.Stats().AppMsgsSent })
+			})
+			k.Run()
+			if sent != 0 {
+				t.Fatalf("an event due with the first payload saw %d messages sent, want 0", sent)
+			}
+		})
 	}
 }

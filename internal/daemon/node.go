@@ -149,7 +149,7 @@ type Node struct {
 	awaitCkptAck  bool
 
 	// Recovery state machine (recovery.go): transition is the only writer
-	// of phase, recoveryEpoch, recoveryStart and guarded. recoveryEpoch is
+	// of phase, recoveryEpoch and recoveryStart. recoveryEpoch is
 	// the incarnation number; it tags recovery requests so responses
 	// addressed to a dead incarnation (killed mid-recovery) cannot satisfy
 	// the next incarnation's rendezvous with stale data. charged marks a
@@ -179,18 +179,6 @@ type Node struct {
 	// sequence trackers and the antecedence graph. Daemon-level state: it
 	// survives this node's own restarts.
 	peerEpoch []int
-	// guarded folds the two PktApp admission checks — a live incarnation
-	// fence on any peer, or this node restoring — into one predictable
-	// branch: in a fault-free run neither ever fires, so the application
-	// packet fast path tests a single always-false bool. fenced is the
-	// sticky half (a fence only ever tightens); phaseRestoring is the
-	// transient half, and transition derives guarded from the two.
-	guarded bool
-	fenced  bool
-	// pktObs caches the Proto's PacketObserver extension (set at Bind), so
-	// the per-packet acceptance path pays a nil check instead of a dynamic
-	// interface type assertion.
-	pktObs PacketObserver
 	// fencedRestart marks that this rank's previous incarnation was fenced
 	// while alive (false suspicion); the next PrepareRecovery re-transmits
 	// the restored sender log because of it.
@@ -258,7 +246,6 @@ func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
 func (n *Node) Bind(p *sim.Proc) {
 	n.proc = p
 	n.done = false
-	n.pktObs, _ = n.Proto.(PacketObserver)
 }
 
 // Accessors.
@@ -311,8 +298,6 @@ func (n *Node) NextIncarnation() int { return n.recoveryEpoch + 1 }
 func (n *Node) FenceIncarnation(r event.Rank, inc int) {
 	if inc > n.peerEpoch[r] {
 		n.peerEpoch[r] = inc
-		n.fenced = true
-		n.guarded = true
 	}
 }
 
@@ -340,11 +325,7 @@ func (n *Node) RecvQueueSnapshot() []vproto.Message {
 }
 
 // ChargeCPU blocks the node's process for d of virtual compute time.
-func (n *Node) ChargeCPU(d sim.Time) {
-	if d > 0 {
-		n.proc.Sleep(d)
-	}
-}
+func (n *Node) ChargeCPU(d sim.Time) { n.proc.Sleep(d) }
 
 // SendPacket transmits a control packet to an endpoint, accounting it as
 // protocol control traffic.
@@ -425,21 +406,14 @@ func (n *Node) Send(dst event.Rank, tag int, bytes int) {
 	n.lastSendClock = n.clock
 }
 
-// transmit charges the send-side software costs and puts m on the wire:
-// the re-emission of one logged payload during a peer's recovery.
-func (n *Node) transmit(m *vproto.Message) {
-	n.ChargeCPU(n.transmitCPU(m))
-	n.emit(m)
-}
-
 // transmitCPU is the send-side software cost of one message.
 func (n *Node) transmitCPU(m *vproto.Message) sim.Time {
 	return n.Stack.SendOverhead + n.Stack.PipeOverhead +
 		sim.Time(int64(m.Bytes)*int64(n.Stack.CopyPerByte+n.Stack.PipePerByte))
 }
 
-// emit accounts m and puts it on the wire (the non-blocking half of
-// transmit; the CPU cost must already have been charged).
+// emit accounts m and puts it on the wire; the caller has already charged
+// its CPU cost.
 func (n *Node) emit(m *vproto.Message) {
 	m.Inc = n.recoveryEpoch
 	wire := m.Bytes + n.Stack.HeaderBytes + m.PiggybackBytes
@@ -601,24 +575,19 @@ func (n *Node) process(d netmodel.Delivery) {
 	switch pkt.Kind {
 	case vproto.PktApp:
 		m := pkt.App
-		if n.guarded {
-			// Slow path: a fence is live somewhere or this node is mid
-			// recovery. Fault-free runs never enter here — the admission
-			// checks cost them the single guarded branch above.
-			if m.Inc < n.peerEpoch[m.Src] {
-				// Fenced: the sender incarnation was superseded after a false
-				// suspicion. Its packets — typically released by a healing
-				// partition — must not touch the sequence trackers or reach
-				// the reducers: the replacement incarnation re-creates this
-				// history, possibly with different determinants under the
-				// same IDs.
-				n.stats.FencedStaleMsgs++
-				return
-			}
-			if n.phase == phaseRestoring {
-				n.heldApp = append(n.heldApp, m)
-				return
-			}
+		if m.Inc < n.peerEpoch[m.Src] {
+			// Fenced: the sender incarnation was superseded after a false
+			// suspicion. Its packets — typically released by a healing
+			// partition — must not touch the sequence trackers or reach
+			// the reducers: the replacement incarnation re-creates this
+			// history, possibly with different determinants under the
+			// same IDs.
+			n.stats.FencedStaleMsgs++
+			return
+		}
+		if n.phase == phaseRestoring {
+			n.heldApp = append(n.heldApp, m)
+			return
 		}
 		cpu := n.Stack.RecvOverhead + n.Stack.PipeOverhead +
 			sim.Time(int64(m.Bytes)*int64(n.Stack.CopyPerByte+n.Stack.PipePerByte))
@@ -627,8 +596,8 @@ func (n *Node) process(d netmodel.Delivery) {
 			return // duplicate (replayed or rollback re-sent)
 		}
 		n.recvQ = append(n.recvQ, m)
-		if n.pktObs != nil {
-			n.pktObs.OnPacketAccepted(n, m)
+		if po, ok := n.Proto.(PacketObserver); ok {
+			po.OnPacketAccepted(n, m)
 		}
 
 	case vproto.PktCkptAck:
@@ -672,65 +641,21 @@ func (n *Node) serveDetRequest(req detRequest) {
 	n.replayLogged(requester, req.seqFloor)
 }
 
-// replayLogged re-transmits the logged payloads sent to dst with sequence
-// above seqFloor — the batched sender-log replay of a peer's recovery.
-//
-// The sequential path charged each message's software cost with its own
-// blocking sleep: one kernel timer plus two process switches per logged
-// payload, which under fault storms made replay service the dominant host
-// cost of the recovery path. The batched path gathers the replay set once
-// and hands it to a chain of kernel events: each link emits one message at
-// exactly the virtual instant the sequential path would have (after the
-// preceding messages' cumulative CPU cost), while the serving process
-// parks once for the whole set. Virtual-time behaviour — departure
-// instants, wire occupancy, the serving daemon staying unresponsive for
-// the set's total CPU time — is preserved; only the per-message
-// park/unpark handshakes are batched away. A kill landing mid-replay
-// aborts the chain exactly where the sequential path would have stopped
-// transmitting.
+// replayLogged re-sends the logged payloads sent to dst with sequence
+// above seqFloor, each charged and then emitted as Send does. The log's
+// view is expanded first into one fresh allocation, never recycled:
+// receivers keep pointers to the messages they are delivered.
 func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 	entries := n.Log.For(dst, seqFloor)
-	if len(entries) == 0 {
-		return
-	}
-	// Expand the burst out of the log: the chain outlives this call, and
-	// the log may be trimmed or appended to meanwhile. The buffer is freshly
-	// allocated per replay — receivers retain pointers to the
-	// delivered messages, so it must never be recycled — but it is one
-	// allocation per replay set instead of the sequential path's one
-	// escaping copy per message.
 	burst := make([]vproto.Message, len(entries))
-	total := sim.Time(0)
 	for i, e := range entries {
 		burst[i] = e.Message(n.rank)
 		burst[i].Replay = true
-		total += n.transmitCPU(&burst[i])
 	}
-	if len(burst) == 1 || total == 0 {
-		// Nothing to batch (or a free cost model, where the chain's event
-		// deferral would not be equivalent): transmit inline.
-		for i := range burst {
-			n.transmit(&burst[i])
-		}
-		return
+	for i := range burst {
+		n.ChargeCPU(n.transmitCPU(&burst[i]))
+		n.emit(&burst[i])
 	}
-	p := n.proc
-	idx := 0
-	var link func()
-	link = func() {
-		if n.proc != p || p.Killed() || p.Finished() {
-			return // the serving incarnation died mid-replay: stop emitting
-		}
-		n.emit(&burst[idx])
-		idx++
-		if idx < len(burst) {
-			n.k.After(n.transmitCPU(&burst[idx]), link)
-			return
-		}
-		p.Unpark()
-	}
-	n.k.After(n.transmitCPU(&burst[0]), link)
-	p.Park()
 }
 
 // RequestCheckpoint marks a checkpoint request to be honoured at the next

@@ -153,9 +153,9 @@ func TestNodeDuplicateSuppression(t *testing.T) {
 	k.Spawn("a", func(p *sim.Proc) {
 		a.Bind(p)
 		a.Send(1, 0, 10)
-		// Re-emit the same logged message (replay path).
-		m := vproto.Message{Src: 0, Dst: 1, Tag: 0, Bytes: 10, SendSeq: 1, Replay: true}
-		a.transmit(&m)
+		// Re-send the same message from the sender log (replay path).
+		a.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 0, Bytes: 10, SendSeq: 1})
+		a.replayLogged(1, 0)
 	})
 	got := 0
 	k.Spawn("b", func(p *sim.Proc) {

@@ -38,8 +38,8 @@ var phaseEdges = [phaseCount][phaseCount]bool{
 
 // transition is the only writer of the recovery phase, and of everything
 // that must move in step with it: the incarnation epoch (bumped on entry to
-// restoring), the guarded admission flag, the recovery probes and the
-// timeline's phase events. An edge outside phaseEdges is a bug and panics.
+// restoring), the recovery probes and the timeline's phase events. An
+// edge outside phaseEdges is a bug and panics.
 func (n *Node) transition(to phase) {
 	from := n.phase
 	if !phaseEdges[from][to] {
@@ -69,7 +69,6 @@ func (n *Node) transition(to phase) {
 		n.Obs.Record(now, obs.KindRecoveryEnd, rank, 0, "")
 	}
 	n.phase = to
-	n.guarded = n.fenced || to == phaseRestoring
 }
 
 // restore opens a new incarnation: it enters phaseRestoring, resets the

@@ -8,13 +8,16 @@ import (
 	"testing"
 
 	"mpichv/internal/event"
+	"mpichv/internal/netmodel"
 	"mpichv/internal/obs"
+	"mpichv/internal/sim"
+	"mpichv/internal/vproto"
 )
 
 // TestTransitionTable drives the transition function over every ordered
-// phase pair: an edge in phaseEdges must keep guarded == fenced ||
-// restoring, bump the epoch exactly on entry to restoring and emit exactly
-// its phase events; an edge outside it must panic and change nothing.
+// phase pair: an edge in phaseEdges must bump the epoch exactly on entry
+// to restoring and emit exactly its phase events; an edge outside it must
+// panic and change nothing.
 func TestTransitionTable(t *testing.T) {
 	// Timeline events per legal edge; entering restoring aborts whatever
 	// the dead incarnation was doing, so it never emits an end event.
@@ -32,52 +35,80 @@ func TestTransitionTable(t *testing.T) {
 	}
 	for from := phaseUp; from < phaseCount; from++ {
 		for to := phaseUp; to < phaseCount; to++ {
-			for _, fenced := range []bool{false, true} {
-				_, n, _ := twoNodes(t)
-				n.Obs = obs.NewRecorder()
-				n.phase, n.charged, n.recoveryEpoch = from, true, 7
+			_, n, _ := twoNodes(t)
+			n.Obs = obs.NewRecorder()
+			n.phase, n.charged, n.recoveryEpoch = from, true, 7
+			want, legal := wantEvents[[2]phase{from, to}]
+			if legal != phaseEdges[from][to] {
+				t.Fatalf("edge %d→%d: table says legal=%v, test expects %v", from, to, phaseEdges[from][to], legal)
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				n.transition(to)
+				return
+			}()
+			if panicked == legal {
+				t.Fatalf("edge %d→%d: panicked=%v, legal=%v", from, to, panicked, legal)
+			}
+			if !legal {
+				if n.phase != from || n.recoveryEpoch != 7 || n.Obs.Len() != 0 {
+					t.Fatalf("illegal edge %d→%d mutated the node", from, to)
+				}
+				continue
+			}
+			if n.phase != to {
+				t.Fatalf("edge %d→%d left phase %d", from, to, n.phase)
+			}
+			wantEpoch, wantRecoveries := 7, 0
+			if to == phaseRestoring {
+				wantEpoch, wantRecoveries = 8, 1
+			}
+			if n.recoveryEpoch != wantEpoch || n.stats.Recoveries != wantRecoveries {
+				t.Fatalf("edge %d→%d: epoch %d recoveries %d, want %d/%d",
+					from, to, n.recoveryEpoch, n.stats.Recoveries, wantEpoch, wantRecoveries)
+			}
+			var got []obs.Kind
+			for _, ev := range n.Obs.Events() {
+				got = append(got, ev.Kind)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("edge %d→%d emitted %v, want %v", from, to, got, want)
+			}
+		}
+	}
+}
+
+// TestAdmissionTable drives process over every phase × whether the
+// application packet's sender incarnation is fenced: a fenced packet is
+// dropped and counted in every phase, and a current one is held while the
+// node restores and queued for matching otherwise.
+func TestAdmissionTable(t *testing.T) {
+	for ph := phaseUp; ph < phaseCount; ph++ {
+		for _, fenced := range []bool{false, true} {
+			k, _, n := twoNodes(t)
+			k.Spawn("b", func(p *sim.Proc) {
+				n.Bind(p)
+				n.phase = ph
+				n.FenceIncarnation(0, 1)
+				pkt := vproto.GetPacket()
+				pkt.Kind = vproto.PktApp
+				pkt.App = &vproto.Message{Src: 0, Dst: 1, Bytes: 10, SendSeq: 1, Inc: 1}
 				if fenced {
-					n.FenceIncarnation(1, 1)
+					pkt.App.Inc = 0
 				}
-				want, legal := wantEvents[[2]phase{from, to}]
-				if legal != phaseEdges[from][to] {
-					t.Fatalf("edge %d→%d: table says legal=%v, test expects %v", from, to, phaseEdges[from][to], legal)
-				}
-				panicked := func() (p bool) {
-					defer func() { p = recover() != nil }()
-					n.transition(to)
-					return
-				}()
-				if panicked == legal {
-					t.Fatalf("edge %d→%d: panicked=%v, legal=%v", from, to, panicked, legal)
-				}
-				if !legal {
-					if n.phase != from || n.recoveryEpoch != 7 || n.Obs.Len() != 0 {
-						t.Fatalf("illegal edge %d→%d mutated the node", from, to)
-					}
-					continue
-				}
-				if n.phase != to {
-					t.Fatalf("edge %d→%d left phase %d", from, to, n.phase)
-				}
-				if n.guarded != (fenced || to == phaseRestoring) {
-					t.Fatalf("edge %d→%d fenced=%v: guarded=%v", from, to, fenced, n.guarded)
-				}
-				wantEpoch, wantRecoveries := 7, 0
-				if to == phaseRestoring {
-					wantEpoch, wantRecoveries = 8, 1
-				}
-				if n.recoveryEpoch != wantEpoch || n.stats.Recoveries != wantRecoveries {
-					t.Fatalf("edge %d→%d: epoch %d recoveries %d, want %d/%d",
-						from, to, n.recoveryEpoch, n.stats.Recoveries, wantEpoch, wantRecoveries)
-				}
-				var got []obs.Kind
-				for _, ev := range n.Obs.Events() {
-					got = append(got, ev.Kind)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("edge %d→%d emitted %v, want %v", from, to, got, want)
-				}
+				n.process(netmodel.Delivery{Src: 0, Bytes: 10, Payload: pkt})
+			})
+			k.Run()
+			got := [3]int{len(n.heldApp), len(n.recvQ), int(n.stats.FencedStaleMsgs)}
+			want := [3]int{0, 1, 0} // held, queued, dropped
+			switch {
+			case fenced:
+				want = [3]int{0, 0, 1}
+			case ph == phaseRestoring:
+				want = [3]int{1, 0, 0}
+			}
+			if got != want {
+				t.Errorf("phase %d fenced=%v: held, queued, dropped = %v, want %v", ph, fenced, got, want)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func TestCloseEndsEveryBlockedState(t *testing.T) {
 		{name: "Sleep", until: 10, block: func(p *Proc, _ *Mailbox[int]) { p.Sleep(Second) }},
 		{name: "SleepPolled", until: 10, block: func(p *Proc, _ *Mailbox[int]) { p.SleepPolled(Second, 3, never) }},
 		{name: "Mailbox.Get", until: 10, block: func(p *Proc, mb *Mailbox[int]) { mb.Get(p) }},
-		{name: "Park", until: 10, block: func(p *Proc, _ *Mailbox[int]) { p.Park() }},
+		{name: "Park", until: 10, block: func(p *Proc, _ *Mailbox[int]) { p.park() }},
 		{name: "killed, not yet unwound", until: 10, after: (*Proc).Kill, block: func(p *Proc, _ *Mailbox[int]) { p.Sleep(Second) }},
 	}
 	for _, st := range states {

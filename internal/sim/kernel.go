@@ -250,8 +250,8 @@ func (k *Kernel) laneFirst() bool {
 }
 
 // Close ends every process that has not finished — never started, blocked
-// in Sleep, SleepPolled, Mailbox.Get or Park, or killed but not yet unwound
-// — by unwinding it with ErrKilled, so that a finished simulation leaves no
+// in Sleep, SleepPolled or Mailbox.Get, or killed but not yet unwound —
+// by unwinding it with ErrKilled, so that a finished simulation leaves no
 // coroutine, and nothing reachable from one, behind. A panic from a process
 // body's deferred calls surfaces here; calling Close again resumes with the
 // remaining processes. Closing twice is a no-op. A closed kernel must not

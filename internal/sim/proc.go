@@ -227,18 +227,6 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Park blocks the process until another activity calls Unpark, or until it
-// is killed (unwinding with ErrKilled). It is the low-level primitive for
-// callers that drive a process's progress from kernel events — e.g. the
-// daemon's batched sender-log replay, which blocks the serving process
-// once while an event chain emits the replay set.
-func (p *Proc) Park() { p.park() }
-
-// Unpark schedules a parked process to resume at the current virtual time.
-// It must only be called on a process currently blocked in Park (calling
-// it on a running or finished process corrupts the scheduler handshake).
-func (p *Proc) Unpark() { p.unpark() }
-
 // Kill marks p dead and, if it is parked, wakes it so that it unwinds with
 // ErrKilled. Killing an already-dead process is a no-op. Kill must be called
 // from kernel context or from another process (never from p itself).

@@ -102,7 +102,7 @@ func TestSleepInPlaceGuards(t *testing.T) {
 		},
 		{
 			name: "deferred call during Close", drive: run, parks: 2,
-			body: deferredSleep(func(p *Proc, _ func(Time)) { p.Park() }),
+			body: deferredSleep(func(p *Proc, _ func(Time)) { p.park() }),
 		},
 	}
 	for _, c := range cases {

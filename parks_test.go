@@ -5,6 +5,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
+	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
 
@@ -70,5 +71,51 @@ func TestParksPerMessage(t *testing.T) {
 	}
 	if perMsg > maxParksPerMsg {
 		t.Errorf("%.2f parks per application message, want at most %v", perMsg, maxParksPerMsg)
+	}
+}
+
+// TestRecoveryParks is the switch census of Figure 10's crash grid: BT and
+// LU class A and CG class B at the figure's process counts, Vcausal with
+// and without the Event Logger, rank 0 killed at the midpoint of the
+// cell's fault-free run, no checkpoints and a 100 ms restart. It counts
+// the parks, in-place sleeps and application messages of the crashed
+// runs, where survivors re-send their logged payloads, a path Figure 7's
+// census never takes. The counts are pinned exactly, like the parks
+// census beside it, and CI prints the census line beside that one.
+func TestRecoveryParks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 24 cells of Figure 10 twice (~2 s)")
+	}
+	const wantParks, wantInPlace, wantMsgs = 1241027, 386645, 334240
+	grid := []struct {
+		bench, class string
+		nps          []int
+	}{{"bt", "A", []int{4, 9, 16, 25}}, {"cg", "B", []int{2, 4, 8, 16}}, {"lu", "A", []int{2, 4, 8, 16}}}
+	var parks, inPlace, msgs int
+	for _, g := range grid {
+		for _, np := range g.nps {
+			for _, el := range []bool{true, false} {
+				spec := workload.Spec{Bench: g.bench, Class: g.class, NP: np}
+				cfg := cluster.Config{NP: np, Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: el, RestartDelay: 100 * sim.Millisecond}
+				free := cluster.New(cfg)
+				mid := free.Run(workload.Build(spec).Programs, harness.DefaultMaxVirtual).MustCompleted() / 2
+				free.Close()
+
+				c := cluster.New(cfg)
+				d := c.PrepareRun(workload.Build(spec).Programs)
+				d.ScheduleFault(mid, 0)
+				d.Launch()
+				c.RunLaunched(harness.DefaultMaxVirtual).MustCompleted()
+				counts := c.K.Counts()
+				parks += counts.Parks
+				inPlace += counts.InPlaceSleeps
+				msgs += int(c.AggregateStats().AppMsgsSent)
+				c.Close()
+			}
+		}
+	}
+	t.Logf("recovery parks: %d parks, %d in-place sleeps, %d messages (Figure 10's 24 crash cells)", parks, inPlace, msgs)
+	if parks != wantParks || inPlace != wantInPlace || msgs != wantMsgs {
+		t.Errorf("%d parks, %d in-place sleeps, %d messages; want %d, %d, %d", parks, inPlace, msgs, wantParks, wantInPlace, wantMsgs)
 	}
 }
