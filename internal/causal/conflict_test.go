@@ -24,7 +24,7 @@ func TestMergeDetectsIDConflict(t *testing.T) {
 			r := New(name, 0, 4)
 			orig := det(2, 5, 3, 7)
 			r.Merge(2, []event.Determinant{det(2, 4, 3, 6), orig})
-			if _, _, ok := r.TakeIDConflict(); ok {
+			if _, ok := r.TakeIDConflict(); ok {
 				t.Fatal("clean merge latched a conflict")
 			}
 
@@ -32,14 +32,14 @@ func TestMergeDetectsIDConflict(t *testing.T) {
 			// of a regressed incarnation of rank 2.
 			forged := det(2, 5, 1, 9)
 			r.Merge(1, []event.Determinant{forged})
-			existing, incoming, ok := r.TakeIDConflict()
+			latched, ok := r.TakeIDConflict()
 			if !ok {
 				t.Fatal("re-created determinant ID not latched")
 			}
-			if existing != orig || incoming != forged {
-				t.Fatalf("latched (%v, %v), want (%v, %v)", existing, incoming, orig, forged)
+			if latched != orig {
+				t.Fatalf("latched %v, want the held copy %v", latched, orig)
 			}
-			if _, _, again := r.TakeIDConflict(); again {
+			if _, again := r.TakeIDConflict(); again {
 				t.Fatal("latch not cleared by TakeIDConflict")
 			}
 
@@ -70,7 +70,7 @@ func TestExactDuplicateIsNotAConflict(t *testing.T) {
 		r.Merge(2, ds)
 		r.Merge(1, ds) // same content via another path
 		r.AddLocal(det(0, 1, 2, 9))
-		if _, _, ok := r.TakeIDConflict(); ok {
+		if _, ok := r.TakeIDConflict(); ok {
 			t.Fatalf("%s: exact duplicates latched a conflict", name)
 		}
 	}
@@ -84,7 +84,7 @@ func TestConflictBelowStabilityHorizonUndetectable(t *testing.T) {
 		r.Merge(2, []event.Determinant{det(2, 1, 3, 1)})
 		r.Stable(stableVec(0, 0, 1, 0))
 		r.Merge(1, []event.Determinant{det(2, 1, 1, 8)}) // would conflict if held
-		if _, _, ok := r.TakeIDConflict(); ok {
+		if _, ok := r.TakeIDConflict(); ok {
 			t.Fatalf("%s: latched a conflict against a collected determinant", name)
 		}
 	}

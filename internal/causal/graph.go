@@ -1,8 +1,6 @@
 package causal
 
 import (
-	"fmt"
-
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
@@ -34,7 +32,8 @@ import (
 // not computed, inFlight on vcOf's stack, > 0 the arena slot holding its
 // causal past as np 32-bit words. vcOf visits the chain predecessor before
 // the parent, lets a parent absent when the clock is computed contribute
-// only its own identity, and never recomputes a clock: under an Event
+// only its own identity, treats an antecedent already on its stack as
+// absent (an ID conflict), and never recomputes a clock: under an Event
 // Logger the cached value depends on what had been collected when it was
 // computed, so any other order or a re-evaluation would move the
 // piggybacks and with them every table. The arena costs 4·np bytes per
@@ -45,8 +44,8 @@ import (
 // arrays, knownBy holding one only per active peer. The *op counts* the
 // reducers charge are computed arithmetically over the world size.
 type graph struct {
-	// conflictLatch latches determinant-ID conflicts found by insert
-	// (TakeIDConflict).
+	// conflictLatch latches determinant-ID conflicts found by insert and
+	// vcOf (TakeIDConflict).
 	conflictLatch
 
 	np int
@@ -93,8 +92,8 @@ type gnode struct {
 }
 
 // inFlight marks a node whose clock computation is on vcOf's explicit
-// stack; reaching one again means the antecedence edges form a cycle —
-// corrupted causality, not a legal graph state.
+// stack; reaching one again means the antecedence edges form a cycle (see
+// vcOf).
 const inFlight = -1
 
 // arenaBlockWords is the clock arena granularity (32 KB of 32-bit words):
@@ -184,12 +183,11 @@ func (g *graph) insert(d event.Determinant) (ops int64) {
 	if d.ID.Clock <= g.lastHeld.Get(int(c)) || d.ID.Clock <= g.stable.Get(int(c)) {
 		// Duplicate or already stable. A copy still held is compared
 		// against the incoming content: a mismatch means the creator
-		// re-created this ID after a regressed recovery — caught here, at
-		// merge time, before the aliased antecedence edges can close a
-		// cycle (see TakeIDConflict). Stable (collected) copies can no
-		// longer be compared.
+		// re-created this ID after a regressed recovery (see
+		// TakeIDConflict). Stable (collected) copies can no longer be
+		// compared.
 		if n := g.lookup(d.ID); n != nil && conflicts(n.h.Det(), d) {
-			g.latch(n.h.Det(), d)
+			g.latch(n.h.Det())
 		}
 		return 1
 	}
@@ -211,34 +209,37 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 	}
 	n.vc = inFlight
 	stack := append(g.vcStack[:0], n)
-	// Dependency pushes guard against antecedence cycles: a legal causal
-	// graph is a DAG, but determinant IDs re-created by an incarnation
-	// that restored regressed state (an undetected determinant loss under
-	// concurrent failures) can alias old and new events, closing a cycle.
-	// Walking one would grow the stack forever — fail loudly instead; the
-	// run is already causally corrupt.
+	// A legal causal graph is a DAG, but determinant IDs re-created by an
+	// incarnation that restored regressed state (an undetected determinant
+	// loss under concurrent failures) can alias old and new events into a
+	// cycle. An antecedent already in flight closes one. That is the ID
+	// conflict insert catches when the content differs, so its ID is
+	// latched the same way (TakeIDConflict), and the walk treats the
+	// antecedent as absent, so every node still gets a clock.
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		chainPred := g.lookup(event.EventID{Creator: cur.h.Creator, Clock: uint64(cur.h.Clock) - 1})
 		if chainPred != nil && chainPred.vc <= 0 {
-			if chainPred.vc == inFlight {
-				panic(antecedenceCycle(chainPred))
+			if chainPred.vc == 0 {
+				chainPred.vc = inFlight
+				stack = append(stack, chainPred)
+				continue
 			}
-			chainPred.vc = inFlight
-			stack = append(stack, chainPred)
-			continue
+			g.latch(chainPred.h.Det())
+			chainPred = nil
 		}
 		var parent *gnode
 		if cur.h.ParentClock != 0 {
 			parent = g.lookup(event.EventID{Creator: cur.h.ParentCreator, Clock: uint64(cur.h.ParentClock)})
 		}
 		if parent != nil && parent.vc <= 0 {
-			if parent.vc == inFlight {
-				panic(antecedenceCycle(parent))
+			if parent.vc == 0 {
+				parent.vc = inFlight
+				stack = append(stack, parent)
+				continue
 			}
-			parent.vc = inFlight
-			stack = append(stack, parent)
-			continue
+			g.latch(parent.h.Det())
+			parent = nil
 		}
 		slot, vc := g.newClock()
 		if chainPred != nil {
@@ -251,8 +252,9 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 				vc[c] = max(vc[c], f)
 			}
 		} else if cur.h.ParentClock != 0 {
-			// Parent was garbage collected (stable) or never held: the only
-			// safe knowledge it contributes is its own identity.
+			// Parent was garbage collected (stable), never held, or is on
+			// the walk's stack: the only safe knowledge it contributes is
+			// its own identity.
 			vc[cur.h.ParentCreator] = max(vc[cur.h.ParentCreator], cur.h.ParentClock)
 		}
 		// The node's own entry: always above anything its antecedents know
@@ -263,12 +265,6 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 	}
 	g.vcStack = stack
 	return g.clock(n.vc)
-}
-
-// antecedenceCycle builds the diagnostic for a cycle found by vcOf (cold
-// path, kept out of the walk so the hot loop allocates nothing).
-func antecedenceCycle(n *gnode) string {
-	return fmt.Sprintf("causal: antecedence cycle at %v — determinant IDs re-created after a regressed recovery (lost determinants)", n.h.Det().ID)
 }
 
 // knownVec returns dst's direct-exchange knowledge floors, creating them on

@@ -3,7 +3,6 @@ package causal
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"mpichv/internal/causal/sparsevec"
@@ -246,25 +245,40 @@ func widen(vc []uint32) []uint64 {
 	return out
 }
 
-// TestGraphAntecedenceCyclePanics closes a two-node cycle (each event names
-// the other as its parent, as IDs re-created after a regressed recovery can)
-// and requires vcOf to fail loudly, and the in-flight marks it leaves behind
-// not to survive into nodes later created in the same chain positions.
-func TestGraphAntecedenceCyclePanics(t *testing.T) {
+// TestGraphAntecedenceCycleLatches closes a two-node cycle (each event
+// names the other as its parent, as IDs re-created after a regressed
+// recovery can) and requires vcOf to latch the node it meets twice as an
+// ID conflict, finish with a clock for both nodes and none left in flight,
+// and allocate nothing once warm. Nodes later created in the same chain
+// positions start uncomputed.
+func TestGraphAntecedenceCycleLatches(t *testing.T) {
 	g := newGraph(2)
 	a, b := event.EventID{Creator: 0, Clock: 1}, event.EventID{Creator: 1, Clock: 1}
 	g.insert(event.Determinant{ID: a, Sender: 1, SendSeq: 1, Parent: b, Lamport: 1})
 	g.insert(event.Determinant{ID: b, Sender: 0, SendSeq: 1, Parent: a, Lamport: 1})
-	func() {
-		defer func() {
-			if msg, _ := recover().(string); !strings.HasPrefix(msg, "causal: antecedence cycle at "+a.String()) {
-				t.Fatalf("vcOf on a cycle: recovered %q", msg)
-			}
-		}()
+	if got := g.vcOf(g.lookup(a)); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("vc(%v) = %v, want [1 1]", a, got)
+	}
+	if d, ok := g.TakeIDConflict(); !ok || d.ID != a {
+		t.Fatalf("latched %v (ok %v), want %v, the node the walk met twice", d.ID, ok, a)
+	}
+	for _, id := range []event.EventID{a, b} {
+		if vc := g.lookup(id).vc; vc <= 0 {
+			t.Fatalf("node %v left with clock state %d, want a computed clock", id, vc)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range []event.EventID{a, b} {
+			n := g.lookup(id)
+			g.slotFree = append(g.slotFree, n.vc)
+			n.vc = 0
+		}
 		g.vcOf(g.lookup(a))
-	}()
-	if g.lookup(a).vc != inFlight || g.lookup(b).vc != inFlight {
-		t.Fatal("the walk should have died with both nodes in flight")
+		if _, ok := g.TakeIDConflict(); !ok {
+			t.Fatal("a warm cycle walk latched nothing")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm cycle walk allocates %.1f objects, want 0", allocs)
 	}
 	g.Stable(stableVec(1, 1))
 	a.Clock, b.Clock = 2, 2

@@ -103,15 +103,16 @@ type Reducer interface {
 	PiggybackBytes(ds []event.Determinant) int
 
 	// TakeIDConflict returns and clears the first determinant-ID conflict
-	// observed since the last call: an incoming determinant whose
-	// (creator, clock) was already held with different content. A conflict
-	// means the creator recovered from regressed state and re-created IDs
-	// — an undetected determinant loss upstream; the daemon classifies it
-	// as such before the corrupt antecedence information can grow into a
-	// graph cycle. The conflicting insert itself is dropped (the held copy
-	// wins), so the reducer's own invariants still hold when the caller
-	// chooses to continue.
-	TakeIDConflict() (existing, incoming event.Determinant, ok bool)
+	// observed since the last call: a held determinant whose (creator,
+	// clock) arrived again with different content (Merge), or whose
+	// antecedence edges closed a cycle (AppendPiggybackFor). Either means
+	// the creator recovered from regressed state and re-created IDs — an
+	// undetected determinant loss upstream; the daemon classifies it as
+	// such. The conflicting insert itself is dropped (the held copy wins),
+	// and a cycle walk treats the node it met twice as absent, so the
+	// reducer's own invariants still hold when the caller chooses to
+	// continue.
+	TakeIDConflict() (det event.Determinant, ok bool)
 }
 
 // New constructs the reducer named name ("vcausal", "manetho" or "logon")
@@ -143,29 +144,27 @@ func log2ceil(n int) int64 {
 }
 
 // conflictLatch records the first determinant-ID conflict a reducer
-// observes, for the daemon to collect after the merge (TakeIDConflict).
-// Latching only the first keeps the duplicate fast path to one comparison;
-// once a conflict exists the run's outcome is decided anyway.
+// observes, for the daemon to collect after a merge or an emission
+// (TakeIDConflict). Latching only the first keeps the duplicate fast path
+// to one comparison; once a conflict exists the run's outcome is decided
+// anyway.
 type conflictLatch struct {
-	existing, incoming event.Determinant
-	set                bool
+	det event.Determinant
+	set bool
 }
 
-func (c *conflictLatch) latch(existing, incoming event.Determinant) {
+func (c *conflictLatch) latch(d event.Determinant) {
 	if !c.set {
-		c.existing, c.incoming, c.set = existing, incoming, true
+		c.det, c.set = d, true
 	}
 }
 
 // TakeIDConflict implements Reducer for every reducer, through the store
 // they embed.
-func (c *conflictLatch) TakeIDConflict() (existing, incoming event.Determinant, ok bool) {
-	if !c.set {
-		return event.Determinant{}, event.Determinant{}, false
-	}
-	existing, incoming = c.existing, c.incoming
-	c.existing, c.incoming, c.set = event.Determinant{}, event.Determinant{}, false
-	return existing, incoming, true
+func (c *conflictLatch) TakeIDConflict() (event.Determinant, bool) {
+	d, ok := c.det, c.set
+	*c = conflictLatch{}
+	return d, ok
 }
 
 // conflicts reports whether two determinants under the same ID disagree on

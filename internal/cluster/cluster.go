@@ -138,11 +138,6 @@ type Cluster struct {
 	// down is the availability accounting, fed by trackLifecycle (always on
 	// — it costs a few comparisons per lifecycle event, not per message).
 	down obs.Downtime
-	// announcedEpoch[r] is the incarnation of rank r the dispatcher has
-	// announced to the peers (0 until a false suspicion forces one); the
-	// witness scan uses it to mirror the receivers' fence on in-flight
-	// traffic.
-	announcedEpoch []int
 }
 
 // New builds a cluster per cfg. Endpoint layout: 0..NP-1 computing nodes,
@@ -205,7 +200,6 @@ func New(cfg Config) *Cluster {
 	c.recoveredAt = times[cfg.NP : 2*cfg.NP]
 	c.suspectedAt = times[2*cfg.NP : 3*cfg.NP]
 	c.down = obs.NewDowntime(times[3*cfg.NP:])
-	c.announcedEpoch = make([]int, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
 		c.killedAt[r], c.recoveredAt[r], c.suspectedAt[r] = -1, -1, -1
 	}
@@ -225,6 +219,12 @@ func New(cfg Config) *Cluster {
 		})
 	}
 
+	// Determinant loss is a first-class outcome: recoveries check missing
+	// determinants against the whole deployment and report a genuine loss
+	// to the cluster instead of panicking.
+	lossCheck := func(creator event.Rank, from, to uint64) []bool {
+		return daemon.Witnessed(c.Nodes, net, creator, from, to)
+	}
 	for r := 0; r < cfg.NP; r++ {
 		proto := protoFor(cfg, event.Rank(r))
 		n := daemon.NewNode(k, net, event.Rank(r), cfg.NP, stack, proto)
@@ -234,10 +234,7 @@ func New(cfg Config) *Cluster {
 		if wantEL {
 			n.ELEndpoint = eventlogger.EndpointFor(c.ELs, event.Rank(r))
 		}
-		// Determinant loss is a first-class outcome: recoveries check
-		// missing determinants against the whole deployment and report a
-		// genuine loss to the cluster instead of panicking.
-		n.LossCheck = c.witnessed
+		n.LossCheck = lossCheck
 		n.OnDeterminantLoss = c.recordDetLoss
 		n.Obs = c.Timeline
 		c.Nodes = append(c.Nodes, n)

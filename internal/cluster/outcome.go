@@ -6,7 +6,6 @@ import (
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
 	"mpichv/internal/failure"
-	"mpichv/internal/netmodel"
 	"mpichv/internal/obs"
 	"mpichv/internal/sim"
 )
@@ -147,39 +146,6 @@ func (c *Cluster) concurrentDead(victim event.Rank) []event.Rank {
 	return dead
 }
 
-// witnessed is every node's LossCheck: an omniscient, side-effect-free
-// scan over all nodes for surviving copies of creator's determinants with
-// clocks in [from, to], returned as a bitmap indexed clock-from. Recovery
-// collection already covers everything peers *respond* with; this
-// additionally sees latent copies still sitting in queued piggybacks,
-// distinguishing a benign late merge from a genuine loss. One linear pass
-// per node keeps the probe cheap against the unbounded held sets of
-// EL-less deployments.
-func (c *Cluster) witnessed(creator event.Rank, from, to uint64) []bool {
-	out := make([]bool, to-from+1)
-	mark := func(clock uint64) { out[clock-from] = true }
-	for _, n := range c.Nodes {
-		if n.Rank() == creator {
-			continue
-		}
-		n.MarkWitnessedDeterminants(creator, from, to, mark)
-	}
-	// Messages between send and arrival exist only on the wire; a
-	// piggyback copy riding one still reaches a live peer, so it counts
-	// as a witness too — unless its sender incarnation has been fenced
-	// (the packet will be discarded on arrival, so its copies are lost,
-	// not latent). Deliveries held on a partitioned link are still in
-	// flight and still count: a heal re-delivers them.
-	c.Net.RangeInFlight(func(d netmodel.Delivery) bool {
-		if src, inc, ok := daemon.AppIncarnation(d); ok && inc < c.announcedEpoch[src] {
-			return true
-		}
-		daemon.MarkWitnessedInDelivery(d, creator, from, to, mark)
-		return true
-	})
-	return out
-}
-
 // trackLifecycle subscribes to the dispatcher's event stream: every event
 // reaches the timeline and the availability accounting; kill and recovery
 // times feed determinant-loss diagnostics; a fence event (a
@@ -202,7 +168,6 @@ func (c *Cluster) trackLifecycle(d *failure.Dispatcher) {
 			c.recoveredAt[ev.Rank] = ev.T
 		case obs.KindFenced:
 			next := c.Nodes[ev.Rank].NextIncarnation()
-			c.announcedEpoch[ev.Rank] = next
 			c.Nodes[ev.Rank].MarkFencedRestart()
 			for r, n := range c.Nodes {
 				if r != ev.Rank {

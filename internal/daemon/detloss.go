@@ -46,11 +46,13 @@ type DeterminantLoss struct {
 	// replay tail below LastSendClock.
 	Gap bool `json:"gap"`
 	// Conflict is true when the loss was detected as a determinant-ID
-	// conflict at antecedence-graph merge time: a survivor held a
-	// determinant under the same (creator, clock) with different content,
-	// which means the creator recovered from regressed state (an earlier
-	// undetected loss) and re-created IDs. MissingFrom/MissingTo bound the
-	// conflicting clock; the detecting rank is recorded in Detector.
+	// conflict in a reducer: at merge, a held determinant arrived again
+	// under the same (creator, clock) with different content; at
+	// emission, antecedence edges closed a cycle through a held
+	// determinant. Either means the creator recovered from regressed state
+	// (an earlier undetected loss) and re-created IDs. MissingFrom and
+	// MissingTo bound the conflicting clock; the detecting rank is
+	// recorded in Detector.
 	Conflict bool `json:"conflict,omitempty"`
 	// Detector is the rank that observed a Conflict (the victim itself for
 	// the gap and truncation forms).
@@ -66,7 +68,7 @@ type DeterminantLoss struct {
 func (dl DeterminantLoss) String() string {
 	if dl.Conflict {
 		return fmt.Sprintf(
-			"rank %d re-created determinant ID (creator %d, clock %d) with different content — regressed recovery after an undetected loss (detected by rank %d at merge; concurrently dead peers %v)",
+			"rank %d re-created determinant ID (creator %d, clock %d) with different content — regressed recovery after an undetected loss (detected by rank %d at merge or emission; concurrently dead peers %v)",
 			dl.Victim, dl.Victim, dl.MissingFrom, dl.Detector, dl.DeadPeers)
 	}
 	form := "truncated"
@@ -124,7 +126,8 @@ func assembleReplay(collected, replay []event.Determinant, creator event.Rank, b
 // held only by peers that crashed and restored regressed state. A clock
 // some survivor does witness is merely latent (it reaches the reducers
 // through normal piggyback flow), which is the benign single-failure case
-// and must not be flagged. Detection needs the cluster's omniscient scan.
+// and must not be flagged. Detection needs the deployment-wide scan
+// (Witnessed).
 // Stacks that create no determinants never advance lastSend past 0.
 func (n *Node) unwitnessedTail(lastClock, lastSend uint64) (cut DeterminantLoss) {
 	if n.LossCheck == nil || lastSend <= lastClock {
@@ -164,90 +167,70 @@ func (n *Node) reportDeterminantLoss(dl DeterminantLoss) {
 	}
 }
 
-// MarkWitnessedDeterminants calls mark(clock) for every determinant of
-// creator with clock in [from, to] that any volatile state of this node
-// still witnesses: the protocol's held set, the piggyback of a
-// delivered-but-unconsumed message, a held application packet, or an inbox
-// packet not yet accepted. Packets from a fenced sender incarnation do not
-// count: they will be discarded at acceptance, so a copy riding one is
-// lost, not latent. The cluster's loss check scans survivors with it — one
-// linear pass per node, so a recovery probing a wide missing range stays
-// cheap even against the unbounded held sets of EL-less deployments. The
-// scan is a pure read: it charges no CPU and draws no randomness, so runs
-// that complete are unaffected by it.
-func (n *Node) MarkWitnessedDeterminants(creator event.Rank, from, to uint64, mark func(uint64)) {
+// Witnessed is the deployment's loss check (Node.LossCheck): a pure scan
+// of nodes (indexed by rank) and net for surviving copies of creator's
+// determinants with clocks in [from, to], returned as a bitmap indexed
+// clock-from. Recovery collection already covers everything peers respond
+// with; this additionally sees latent copies in every other node's
+// protocol state, delivered-but-unconsumed messages, held application
+// packets and inbox, and on the wire, distinguishing a benign late merge
+// from a genuine loss. A copy riding a packet its destination will discard
+// (fenced) is lost, not latent; a delivery held on a downed link still
+// counts, since a heal releases it. One linear pass per node keeps the
+// probe cheap against the unbounded held sets of EL-less deployments. It
+// charges no CPU and draws no randomness, so runs that complete are
+// unaffected by it.
+func Witnessed(nodes []*Node, net *netmodel.Network, creator event.Rank, from, to uint64) []bool {
+	out := make([]bool, to-from+1)
 	markPB := func(pb []event.Determinant) {
 		for _, d := range pb {
 			if d.ID.Creator == creator && d.ID.Clock >= from && d.ID.Clock <= to {
-				mark(d.ID.Clock)
+				out[d.ID.Clock-from] = true
 			}
 		}
 	}
-	markPB(n.Proto.HeldFor(creator))
-	for _, m := range n.recvQ {
-		markPB(m.Piggyback)
-	}
-	for _, m := range n.heldApp {
-		if m.Inc < n.peerEpoch[m.Src] {
-			continue // fenced at flush time, never merged
+	// markApp asks the packet's destination, the daemon that applies the
+	// fence on arrival.
+	markApp := func(d netmodel.Delivery) bool {
+		if pkt, ok := d.Payload.(*vproto.Packet); ok && pkt.Kind == vproto.PktApp && !nodes[pkt.App.Dst].fenced(pkt.App) {
+			markPB(pkt.App.Piggyback)
 		}
-		markPB(m.Piggyback)
-	}
-	n.ep.Inbox.Range(func(d netmodel.Delivery) bool {
-		if src, inc, ok := AppIncarnation(d); ok && inc < n.peerEpoch[src] {
-			return true // fenced at acceptance, never merged
-		}
-		MarkWitnessedInDelivery(d, creator, from, to, mark)
 		return true
-	})
-}
-
-// AppIncarnation extracts the sender rank and incarnation of the
-// application packet carried by a delivery (ok is false for control
-// packets). The cluster's witness scan uses it to skip in-flight traffic
-// from fenced incarnations.
-func AppIncarnation(d netmodel.Delivery) (src event.Rank, inc int, ok bool) {
-	pkt, isPkt := d.Payload.(*vproto.Packet)
-	if !isPkt || pkt.Kind != vproto.PktApp {
-		return 0, 0, false
 	}
-	return pkt.App.Src, pkt.App.Inc, true
+	for _, n := range nodes {
+		if n.rank == creator {
+			continue
+		}
+		markPB(n.Proto.HeldFor(creator))
+		for _, m := range n.recvQ {
+			markPB(m.Piggyback)
+		}
+		for _, m := range n.heldApp {
+			if !n.fenced(m) {
+				markPB(m.Piggyback)
+			}
+		}
+		n.ep.Inbox.Range(markApp)
+	}
+	net.RangeInFlight(markApp)
+	return out
 }
 
-// ReportDeterminantIDConflict classifies a determinant-ID conflict found at
-// antecedence-graph merge time — a survivor already held existing under the
-// same (creator, clock) as incoming with different content. Only a creator
-// that recovered from regressed state after an undetected determinant loss
-// re-creates IDs, so the conflict is the loss's downstream signature; it is
-// reported through the standard determinant-loss outcome (and halts the
-// detecting incarnation, exactly like a first-hand loss) instead of the
-// antecedence-cycle abort it would otherwise grow into.
-func (n *Node) ReportDeterminantIDConflict(existing, incoming event.Determinant) {
+// ReportDeterminantIDConflict classifies a determinant-ID conflict a
+// reducer latched at merge or emission (causal.Reducer.TakeIDConflict):
+// det's (creator, clock) was re-created, which only a creator that
+// recovered from regressed state after an undetected determinant loss
+// does. The conflict is the loss's downstream signature, so it is reported
+// through the standard determinant-loss outcome and halts the detecting
+// incarnation, exactly like a first-hand loss.
+func (n *Node) ReportDeterminantIDConflict(det event.Determinant) {
 	n.reportDeterminantLoss(DeterminantLoss{
-		Victim:      existing.ID.Creator,
+		Victim:      det.ID.Creator,
 		Detector:    n.rank,
 		Incarnation: n.recoveryEpoch,
-		MissingFrom: existing.ID.Clock,
-		MissingTo:   existing.ID.Clock,
+		MissingFrom: det.ID.Clock,
+		MissingTo:   det.ID.Clock,
 		Lost:        1,
 		Conflict:    true,
 	})
-}
-
-// MarkWitnessedInDelivery applies the witness scan to one network
-// delivery: if it carries an application packet, every piggybacked
-// determinant of creator with clock in [from, to] is reported to mark.
-// The cluster layer also runs it over in-flight traffic
-// (netmodel.RangeInFlight) — a piggyback copy that exists only on the
-// wire still reaches a live peer, so it is latent, not lost.
-func MarkWitnessedInDelivery(d netmodel.Delivery, creator event.Rank, from, to uint64, mark func(uint64)) {
-	pkt, ok := d.Payload.(*vproto.Packet)
-	if !ok || pkt.Kind != vproto.PktApp {
-		return
-	}
-	for _, det := range pkt.App.Piggyback {
-		if det.ID.Creator == creator && det.ID.Clock >= from && det.ID.Clock <= to {
-			mark(det.ID.Clock)
-		}
-	}
 }

@@ -60,9 +60,7 @@ func TestReportDeterminantIDConflictHaltsAndClassifies(t *testing.T) {
 	reached := false
 	k.Spawn("a", func(p *sim.Proc) {
 		a.Bind(p)
-		existing := event.Determinant{ID: event.EventID{Creator: 1, Clock: 9}, Sender: 0, SendSeq: 4}
-		incoming := event.Determinant{ID: event.EventID{Creator: 1, Clock: 9}, Sender: 0, SendSeq: 6}
-		a.ReportDeterminantIDConflict(existing, incoming)
+		a.ReportDeterminantIDConflict(event.Determinant{ID: event.EventID{Creator: 1, Clock: 9}, Sender: 0, SendSeq: 4})
 		reached = true // must be unreachable: the incarnation halts
 	})
 	k.Run()

@@ -187,10 +187,10 @@ type Node struct {
 	// LossCheck, when set, reports which of creator's determinants with
 	// clocks in [from, to] — missing from this node's reassembled replay
 	// set — are still witnessed anywhere else in the deployment (bitmap
-	// indexed clock-from). The cluster layer installs an omniscient scan
-	// over all nodes; a missing determinant that is witnessed will still
-	// be merged through normal piggyback flow, while an unwitnessed one is
-	// lost for good.
+	// indexed clock-from). The deployment installs Witnessed over all its
+	// nodes; a missing determinant that is witnessed will still be merged
+	// through normal piggyback flow, while an unwitnessed one is lost for
+	// good.
 	LossCheck func(creator event.Rank, from, to uint64) []bool
 	// OnDeterminantLoss, when set, receives determinant-loss diagnostics
 	// detected during PrepareRecovery instead of the legacy panic; the
@@ -300,6 +300,11 @@ func (n *Node) FenceIncarnation(r event.Rank, inc int) {
 		n.peerEpoch[r] = inc
 	}
 }
+
+// fenced reports whether m comes from a sender incarnation this daemon no
+// longer accepts (peerEpoch): the one fence rule, applied on arrival, to
+// packets held while restoring, and by the witness scan (Witnessed).
+func (n *Node) fenced(m *vproto.Message) bool { return m.Inc < n.peerEpoch[m.Src] }
 
 // MarkFencedRestart tells the node its previous incarnation was fenced
 // while alive, so the next PrepareRecovery re-transmits the restored sender
@@ -575,7 +580,7 @@ func (n *Node) process(d netmodel.Delivery) {
 	switch pkt.Kind {
 	case vproto.PktApp:
 		m := pkt.App
-		if m.Inc < n.peerEpoch[m.Src] {
+		if n.fenced(m) {
 			// Fenced: the sender incarnation was superseded after a false
 			// suspicion. Its packets — typically released by a healing
 			// partition — must not touch the sequence trackers or reach

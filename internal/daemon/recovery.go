@@ -277,7 +277,7 @@ func (n *Node) flushHeldApp() {
 	held := n.heldApp
 	n.heldApp = nil
 	for _, m := range held {
-		if m.Inc < n.peerEpoch[m.Src] {
+		if n.fenced(m) {
 			n.stats.FencedStaleMsgs++
 			continue // fenced while held (see process PktApp)
 		}

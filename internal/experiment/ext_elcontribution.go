@@ -167,7 +167,7 @@ func extELCReport(cfg extELCConfig) *Report {
 			fmt.Sprintf("each cell: trials lost / %d storm trials (identical storm per trial across", cfg.trials),
 			"stacks: Poisson bursts felling NP/4 adjacent ranks per arrival); 'div' counts",
 			fmt.Sprintf("runs still pending at %dx the stack's fault-free time; a regressed", extELCDivergence),
-			"incarnation re-creating determinant IDs is caught at graph-merge time and",
+			"incarnation re-creating determinant IDs is caught at merge or emission and",
 			"counted as lost (conflict form) rather than corrupting causality silently",
 			"expected shape: without the Event Logger, concurrent failures destroy every copy",
 			"of some determinants (held only by crashed peers) and recovery reports a loss;",

@@ -60,6 +60,7 @@ func (v *Vcausal) Held() int { return v.reducer.Held() }
 // payload, and return the serialization and logging CPU time.
 func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) sim.Time {
 	pb, ops := v.reducer.AppendPiggybackFor(m.Dst, v.getPBBuf())
+	v.checkIDConflict(n)
 	m.Piggyback = pb
 	m.PiggybackBytes = v.reducer.PiggybackBytes(pb)
 
@@ -69,13 +70,13 @@ func (v *Vcausal) PreSend(n *daemon.Node, m *vproto.Message) sim.Time {
 }
 
 // checkIDConflict collects a determinant-ID conflict latched by the last
-// reducer merge and reports it as a determinant loss: a re-created ID is
-// the merge-time signature of a peer's regressed recovery, classified here
-// before the aliased antecedence edges can grow into a graph-cycle abort.
-// The report halts the detecting incarnation (it does not return).
+// reducer merge or emission and reports it as a determinant loss: a
+// re-created ID is the signature of a regressed recovery. The report halts
+// the detecting incarnation (it does not return), so a conflict met while
+// building a piggyback stops the send before it leaves.
 func (v *Vcausal) checkIDConflict(n *daemon.Node) {
-	if existing, incoming, ok := v.reducer.TakeIDConflict(); ok {
-		n.ReportDeterminantIDConflict(existing, incoming)
+	if d, ok := v.reducer.TakeIDConflict(); ok {
+		n.ReportDeterminantIDConflict(d)
 	}
 }
 
