@@ -151,11 +151,26 @@ func runWithCrash(t *testing.T, stack, reducer string, useEL bool, crashAt sim.T
 	}
 	d.Launch()
 	end := c.RunLaunched(30 * sim.Minute).MustCompleted()
-	logs := make([]map[int64]daemon.DeliveryRecord, np)
-	for r := 0; r < np; r++ {
-		logs[r] = c.Nodes[r].Deliveries
+	return foldDeliveries(t, fmt.Sprintf("%s/%s/el=%v crash at %v", stack, reducer, useEL, crashAt), c), end
+}
+
+// foldDeliveries checks every node's delivery log — each consumption at a
+// step, in every incarnation, must equal the first one — and returns, per
+// rank, step → that consumption.
+func foldDeliveries(t *testing.T, name string, c *Cluster) []map[int64]daemon.DeliveryRecord {
+	t.Helper()
+	logs := make([]map[int64]daemon.DeliveryRecord, len(c.Nodes))
+	for r, n := range c.Nodes {
+		logs[r] = make(map[int64]daemon.DeliveryRecord)
+		for _, d := range n.Deliveries {
+			if first, ok := logs[r][d.Step]; !ok {
+				logs[r][d.Step] = d
+			} else if d != first {
+				t.Fatalf("%s: rank %d step %d replay consumed %+v, original %+v", name, r, d.Step, d, first)
+			}
+		}
 	}
-	return logs, end
+	return logs
 }
 
 func compareDeliveryLogs(t *testing.T, name string, ref, got []map[int64]daemon.DeliveryRecord) {
@@ -251,6 +266,7 @@ func TestMultipleFaultsMessageLogging(t *testing.T) {
 	d.ScheduleFault(110*sim.Millisecond, 0)
 	d.Launch()
 	c.RunLaunched(30 * sim.Minute).MustCompleted()
+	foldDeliveries(t, "multiple faults", c)
 	if d.Kills < 2 {
 		t.Fatalf("expected at least 2 kills, got %d", d.Kills)
 	}
@@ -278,11 +294,7 @@ func TestGenGuardOverlappingKillsSameRank(t *testing.T) {
 	if d.Kills != 2 || d.Restarts != 1 {
 		t.Fatalf("kills=%d restarts=%d, want 2 kills and exactly 1 respawn", d.Kills, d.Restarts)
 	}
-	logs := make([]map[int64]daemon.DeliveryRecord, np)
-	for r := 0; r < np; r++ {
-		logs[r] = c.Nodes[r].Deliveries
-	}
-	compareDeliveryLogs(t, "gen-guard", ref, logs)
+	compareDeliveryLogs(t, "gen-guard", ref, foldDeliveries(t, "gen-guard", c))
 }
 
 // TestCoordinatedSecondFaultInsideRestartDelay: under rollback-all, a
@@ -310,11 +322,7 @@ func TestCoordinatedSecondFaultInsideRestartDelay(t *testing.T) {
 	if d.Restarts != np {
 		t.Fatalf("restarts = %d, want %d (single rollback wave; first one superseded)", d.Restarts, np)
 	}
-	logs := make([]map[int64]daemon.DeliveryRecord, np)
-	for r := 0; r < np; r++ {
-		logs[r] = c.Nodes[r].Deliveries
-	}
-	compareDeliveryLogs(t, "coordinated-overlap", ref, logs)
+	compareDeliveryLogs(t, "coordinated-overlap", ref, foldDeliveries(t, "coordinated-overlap", c))
 }
 
 // TestFaultDuringCheckpoint kills the rank that is inside its checkpoint
@@ -341,9 +349,5 @@ func TestFaultDuringCheckpoint(t *testing.T) {
 	if c.Nodes[0].Stats().Recoveries != 1 {
 		t.Fatalf("rank 0 recoveries = %d, want 1", c.Nodes[0].Stats().Recoveries)
 	}
-	logs := make([]map[int64]daemon.DeliveryRecord, np)
-	for r := 0; r < np; r++ {
-		logs[r] = c.Nodes[r].Deliveries
-	}
-	compareDeliveryLogs(t, "fault-mid-checkpoint", ref, logs)
+	compareDeliveryLogs(t, "fault-mid-checkpoint", ref, foldDeliveries(t, "fault-mid-checkpoint", c))
 }

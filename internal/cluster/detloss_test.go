@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"mpichv/internal/daemon"
@@ -71,7 +70,9 @@ func TestConcurrentKillNoELLosesDeterminants(t *testing.T) {
 // TestConcurrentKillWithELCompletes: the same storm with the Event Logger
 // deployed recovers and completes — the EL's contribution, measured.
 func TestConcurrentKillWithELCompletes(t *testing.T) {
-	c := New(elStudyConfig(true))
+	cfg := elStudyConfig(true)
+	cfg.RecordDeliveries = true
+	c := New(cfg)
 	d := c.PrepareRun(elStudyPrograms(40))
 	d.ScheduleFault(8*sim.Millisecond, 0)
 	d.ScheduleFault(8*sim.Millisecond, 1)
@@ -83,6 +84,7 @@ func TestConcurrentKillWithELCompletes(t *testing.T) {
 	if c.DetLoss != nil {
 		t.Fatalf("EL-enabled run recorded a loss: %v", c.DetLoss)
 	}
+	foldDeliveries(t, "concurrent kill", c)
 }
 
 // TestSingleKillNoELIsNotLoss: with all witnesses alive, a lone failure
@@ -147,37 +149,4 @@ func TestReplayGapIsDeterminantLossOutcome(t *testing.T) {
 	if dl.MissingFrom != 2 || dl.MissingTo != 2 || dl.Lost != 1 {
 		t.Errorf("gap range = [%d,%d] lost %d, want exactly clock 2", dl.MissingFrom, dl.MissingTo, dl.Lost)
 	}
-}
-
-// TestDeterminantLossWithoutHandlerPanics: bare-daemon deployments (no
-// cluster handler installed) keep the legacy loud panic.
-func TestDeterminantLossWithoutHandlerPanics(t *testing.T) {
-	c := New(elStudyConfig(false))
-	for _, n := range c.Nodes {
-		n.OnDeterminantLoss = nil
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("determinant loss without a handler did not panic")
-		}
-		if !strings.Contains(sprint(r), "recovery hole") {
-			t.Fatalf("panic %v does not mention the recovery hole", r)
-		}
-	}()
-	d := c.PrepareRun(elStudyPrograms(40))
-	d.ScheduleFault(8*sim.Millisecond, 0)
-	d.ScheduleFault(8*sim.Millisecond, 1)
-	d.Launch()
-	c.RunLaunched(30 * sim.Minute)
-}
-
-func sprint(v any) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	if e, ok := v.(error); ok {
-		return e.Error()
-	}
-	return ""
 }

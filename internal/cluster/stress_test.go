@@ -38,11 +38,7 @@ func TestStressRandomFaultSchedules(t *testing.T) {
 		}
 		d.Launch()
 		c.RunLaunched(30 * sim.Minute).MustCompleted()
-		logs := make([]map[int64]daemon.DeliveryRecord, np)
-		for r := 0; r < np; r++ {
-			logs[r] = c.Nodes[r].Deliveries
-		}
-		return logs
+		return foldDeliveries(t, fmt.Sprintf("%s/el=%v faults %v", reducer, useEL, faults), c)
 	}
 
 	rng := rand.New(rand.NewSource(2026))
@@ -95,11 +91,7 @@ func TestStressCoordinatedRandomFaults(t *testing.T) {
 		}
 		d.Launch()
 		c.RunLaunched(30 * sim.Minute).MustCompleted()
-		logs := make([]map[int64]daemon.DeliveryRecord, np)
-		for r := 0; r < np; r++ {
-			logs[r] = c.Nodes[r].Deliveries
-		}
-		return logs
+		return foldDeliveries(t, fmt.Sprintf("coordinated faults %v", faults), c)
 	}
 	ref := runOne(nil)
 	rng := rand.New(rand.NewSource(7))

@@ -93,8 +93,7 @@ func (dl DeterminantLoss) String() string {
 // a Gap loss) means later determinants survived without their antecedents —
 // every copy of the missing ones died with crashed peers. That is not a
 // simulator bug but the paper's known limitation of EL-less causal logging
-// under concurrent failures, so it is reported as a first-class outcome (or,
-// without a handler, the legacy panic).
+// under concurrent failures, so it is reported as a first-class outcome.
 func assembleReplay(collected, replay []event.Determinant, creator event.Rank, base uint64) (all, own []event.Determinant, gap DeterminantLoss) {
 	slices.SortStableFunc(collected, func(a, b event.Determinant) int {
 		return cmp.Or(cmp.Compare(a.ID.Creator, b.ID.Creator), cmp.Compare(a.ID.Clock, b.ID.Clock))
@@ -151,13 +150,9 @@ func (n *Node) unwitnessedTail(lastClock, lastSend uint64) (cut DeterminantLoss)
 // and halts the incarnation: its replay set is incomplete, so resuming the
 // program would either violate replay invariants or silently re-execute a
 // history that surviving peers already depend on. The handler (installed by
-// the cluster layer) records the outcome and normally stops the kernel.
-// Without a handler the legacy behaviour — a loud panic — is preserved for
-// bare-daemon deployments.
+// the cluster layer on every node) records the outcome and stops the
+// kernel.
 func (n *Node) reportDeterminantLoss(dl DeterminantLoss) {
-	if n.OnDeterminantLoss == nil {
-		panic(fmt.Sprintf("daemon: recovery hole: %v", dl))
-	}
 	n.OnDeterminantLoss(dl)
 	// Halt forever (until killed or the kernel stops). The quantum is far
 	// beyond any experiment's virtual cap.

@@ -15,8 +15,6 @@
 package daemon
 
 import (
-	"fmt"
-
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 	"mpichv/internal/netmodel"
@@ -31,6 +29,7 @@ const AnySource = event.Rank(-1)
 
 // DeliveryRecord identifies the message consumed at one program step.
 type DeliveryRecord struct {
+	Step    int64
 	Src     event.Rank
 	SendSeq uint64
 }
@@ -192,9 +191,9 @@ type Node struct {
 	// through normal piggyback flow, while an unwitnessed one is lost for
 	// good.
 	LossCheck func(creator event.Rank, from, to uint64) []bool
-	// OnDeterminantLoss, when set, receives determinant-loss diagnostics
-	// detected during PrepareRecovery instead of the legacy panic; the
-	// reporting incarnation halts afterwards (see reportDeterminantLoss).
+	// OnDeterminantLoss receives determinant-loss diagnostics; the reporting
+	// incarnation halts afterwards (see reportDeterminantLoss). cluster.New
+	// installs it on every node.
 	OnDeterminantLoss func(DeterminantLoss)
 
 	// Obs, when non-nil, receives recovery-phase and checkpoint timeline
@@ -213,12 +212,12 @@ type Node struct {
 	// Log is the sender-based payload log (message-logging stacks).
 	Log *SenderLog
 
-	// RecordDeliveries enables the per-step delivery log used by
-	// consistency tests: replayed executions must consume the same message
-	// at every program step as the original run.
+	// RecordDeliveries enables the delivery log used by consistency tests:
+	// replayed executions must consume the same message at every program
+	// step as the original run.
 	RecordDeliveries bool
-	// Deliveries maps program step → delivered (sender, send sequence).
-	Deliveries map[int64]DeliveryRecord
+	// Deliveries lists every consumption in order, re-executions included.
+	Deliveries []DeliveryRecord
 
 	stats trace.Stats
 	done  bool
@@ -450,36 +449,24 @@ func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 			n.recvQ = append(n.recvQ[:i], n.recvQ[i+1:]...)
 			n.Proto.OnDeliver(n, m)
 			if n.RecordDeliveries {
-				if n.Deliveries == nil {
-					n.Deliveries = make(map[int64]DeliveryRecord)
-				}
-				rec := DeliveryRecord{Src: m.Src, SendSeq: m.SendSeq}
-				if prev, ok := n.Deliveries[n.step]; ok && prev != rec {
-					panic(fmt.Sprintf("daemon: rank %d step %d replay consumed %+v, original %+v",
-						n.rank, n.step, rec, prev))
-				}
-				n.Deliveries[n.step] = rec
+				n.Deliveries = append(n.Deliveries, DeliveryRecord{Step: n.step, Src: m.Src, SendSeq: m.SendSeq})
 			}
 			return m
 		}
 		n.WaitPacket()
-		// The daemon can honour a checkpoint request while the application
-		// is blocked waiting for a message (in the real system the daemon
-		// checkpoints the process regardless of what the MPI call is
-		// doing). The in-progress Recv has already been counted in step, so
-		// the image must exclude it: on restore the Recv re-executes and
-		// consumes its message.
-		if n.checkpointDue() {
-			n.ckptRequested = false
-			n.step--
-			n.Proto.TakeSnapshot(n)
-			n.step++
-		}
+		// The daemon honours a checkpoint request while the application
+		// waits, as the real daemon checkpoints the process whatever the MPI
+		// call is doing. The image excludes the in-progress Recv, already
+		// counted in step: on restore the Recv re-executes.
+		n.step--
+		n.maybeCheckpoint()
+		n.step++
 	}
 }
 
 // match returns the index of the first queued message deliverable to a
-// Recv(src, tag) call, honouring replay order, or -1.
+// Recv(src, tag) call, or -1. During replay only the message the next
+// collected determinant names is: the one place replay order is enforced.
 func (n *Node) match(src event.Rank, tag int) int {
 	if n.Replaying() {
 		want := n.replayDets[n.replayIdx]
@@ -499,18 +486,14 @@ func (n *Node) match(src event.Rank, tag int) int {
 }
 
 // CreateDeterminant assigns the reception determinant for a just-delivered
-// message: a fresh event in normal operation, or the next collected
-// determinant during replay (conformance is asserted). Protocol OnDeliver
-// hooks call this exactly once per delivered message. The boolean reports
-// whether the determinant is new (and should be shipped to the Event
-// Logger).
+// message: a fresh event in normal operation, or during replay the next
+// collected determinant, the one match picked m by. Protocol OnDeliver
+// hooks, which only Recv calls, call this exactly once per delivered
+// message. The boolean reports whether the determinant is new (and should
+// be shipped to the Event Logger).
 func (n *Node) CreateDeterminant(m *vproto.Message) (event.Determinant, bool) {
 	if n.Replaying() {
 		d := n.replayDets[n.replayIdx]
-		if d.Sender != m.Src || d.SendSeq != m.SendSeq {
-			panic(fmt.Sprintf("daemon: replay divergence on rank %d: determinant %v vs message src=%d seq=%d",
-				n.rank, d, m.Src, m.SendSeq))
-		}
 		n.replayIdx++
 		n.clock = d.ID.Clock
 		n.lastEvent = d.ID

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"slices"
 	"testing"
 
 	"mpichv/internal/causal/sparsevec"
@@ -33,6 +34,17 @@ func twoNodes(t *testing.T) (*sim.Kernel, *Node, *Node) {
 	a := NewNode(k, net, 0, 2, Vdaemon(), &nullProto{})
 	b := NewNode(k, net, 1, 2, Vdaemon(), &nullProto{})
 	return k, a, b
+}
+
+// nullNodes builds np nullProto nodes on one np-endpoint network.
+func nullNodes(np int) (*sim.Kernel, *netmodel.Network, []*Node) {
+	k := sim.NewKernel(1)
+	net := netmodel.New(k, netmodel.FastEthernet(), np)
+	nodes := make([]*Node, np)
+	for r := range nodes {
+		nodes[r] = NewNode(k, net, event.Rank(r), np, Vdaemon(), &nullProto{})
+	}
+	return k, net, nodes
 }
 
 func TestNodeSendRecv(t *testing.T) {
@@ -200,25 +212,45 @@ func TestBuildImageCapturesRecvQueue(t *testing.T) {
 	}
 }
 
-func TestReplayDivergencePanics(t *testing.T) {
-	k, a, b := twoNodes(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("replay divergence did not panic")
-		}
-	}()
+// TestReplayOrdersRecvBySenderSequence: during replay, Recv consumes the
+// messages in the order of the collected determinants, not in arrival
+// order, and hands each delivery the determinant that names it.
+func TestReplayOrdersRecvBySenderSequence(t *testing.T) {
+	k, _, nodes := nullNodes(3)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	// The original run consumed rank 2's message first; here it arrives
+	// second, since rank 2 computes before sending.
+	replay := []event.Determinant{
+		{ID: event.EventID{Creator: 1, Clock: 1}, Sender: 2, SendSeq: 1, Lamport: 4},
+		{ID: event.EventID{Creator: 1, Clock: 2}, Sender: 0, SendSeq: 1, Lamport: 5},
+	}
+	b.replayDets = slices.Clone(replay)
+	b.phase = phaseReplaying
 	k.Spawn("a", func(p *sim.Proc) {
 		a.Bind(p)
 		a.Send(1, 0, 10)
 	})
+	k.Spawn("c", func(p *sim.Proc) {
+		c.Bind(p)
+		c.Compute(sim.Millisecond)
+		c.Send(1, 0, 10)
+	})
+	var order []event.Rank
 	k.Spawn("b", func(p *sim.Proc) {
 		b.Bind(p)
-		// Install a replay expectation that cannot match message (0, seq 1).
-		b.replayDets = []event.Determinant{{
-			ID: event.EventID{Creator: 1, Clock: 1}, Sender: 0, SendSeq: 99,
-		}}
-		m := &vproto.Message{Src: 0, SendSeq: 1}
-		b.CreateDeterminant(m)
+		for range replay {
+			order = append(order, b.Recv(AnySource, 0).Src)
+		}
 	})
 	k.Run()
+	if !slices.Equal(order, []event.Rank{2, 0}) {
+		t.Fatalf("consumed senders %v, want [2 0] (replay order, not arrival order)", order)
+	}
+	if got := b.Proto.(*nullProto).dets; !slices.Equal(got, replay) {
+		t.Fatalf("determinants %v, want the replay set %v", got, replay)
+	}
+	if b.Replaying() || b.phase != phaseUp || b.Clock() != 2 || b.Lamport() != 5 {
+		t.Fatalf("after replay: replaying=%v phase=%d clock=%d lamport=%d, want false, up, 2, 5",
+			b.Replaying(), b.phase, b.Clock(), b.Lamport())
+	}
 }

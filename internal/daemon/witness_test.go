@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpichv/internal/event"
-	"mpichv/internal/netmodel"
 	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
@@ -17,12 +16,7 @@ import (
 // packet is; the same packet from the current incarnation is a witness,
 // and so is a delivery held on a downed link, which a heal releases.
 func TestWitnessedAppliesTheArrivalFence(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := netmodel.New(k, netmodel.FastEthernet(), 3)
-	nodes := make([]*Node, 3)
-	for r := range nodes {
-		nodes[r] = NewNode(k, net, event.Rank(r), 3, Vdaemon(), &nullProto{})
-	}
+	k, net, nodes := nullNodes(3)
 	nodes[0].FenceIncarnation(1, 1)
 	nodes[2].FenceIncarnation(1, 1)
 	send := func(inc int, clock uint64) {

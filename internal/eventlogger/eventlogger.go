@@ -192,6 +192,11 @@ func (s *Server) finish() {
 	}
 }
 
+// storeEvents appends determinants to their creators' rows. Its gap panic
+// is a code invariant that no input reaches: a rank ships in clock order
+// over a FIFO rank→logger link, which no fault plan severs or degrades and
+// netmodel never drops from, and a new incarnation's query queues behind
+// its predecessor's ships. FuzzPlan asserts every store gapless.
 func (s *Server) storeEvents(ds []event.Determinant) {
 	for _, d := range ds {
 		c := d.ID.Creator

@@ -92,8 +92,8 @@ func TestPartitionBlackoutStallsAndHeals(t *testing.T) {
 // the partition outlasts the detector, a live rank is declared dead and
 // its replacement starts recovering, the link heals after recovery began,
 // and the fenced stale incarnation's released traffic is discarded. The
-// run completes consistently (delivery recording would panic on any
-// replay divergence) with the structured false-suspicion outcome.
+// run completes consistently (every step consumes what its first
+// execution did) with the structured false-suspicion outcome.
 func TestPartitionFalseSuspicionFencesStaleTraffic(t *testing.T) {
 	plan := &faultplan.Plan{
 		Partitions: []faultplan.Partition{{
@@ -131,6 +131,7 @@ func TestPartitionFalseSuspicionFencesStaleTraffic(t *testing.T) {
 	}
 	// MustCompleted treats a survived false suspicion as completion.
 	res.MustCompleted()
+	checkDeliveries(t, c)
 }
 
 // TestDegradeLinkSlowsTheRun: a degraded pair completes, slower than the

@@ -8,6 +8,8 @@ import (
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/daemon"
+	"mpichv/internal/event"
+	"mpichv/internal/eventlogger"
 	"mpichv/internal/failure"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/mpi"
@@ -51,13 +53,32 @@ func faultedConfig(plan *faultplan.Plan, seed int64) cluster.Config {
 	}
 }
 
-// runPlan executes the deployment to completion and returns the cluster.
+// checkDeliveries fails unless every consumption at a step, in every
+// incarnation of every rank, equals the first one (RecordDeliveries).
+func checkDeliveries(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	for r, n := range c.Nodes {
+		first := make(map[int64]daemon.DeliveryRecord)
+		for _, d := range n.Deliveries {
+			if f, ok := first[d.Step]; !ok {
+				first[d.Step] = d
+			} else if d != f {
+				t.Fatalf("rank %d step %d replay consumed %+v, original %+v", r, d.Step, d, f)
+			}
+		}
+	}
+}
+
+// runPlan executes the deployment to completion, checks its delivery
+// logs and returns the cluster.
 func runPlan(t *testing.T, cfg cluster.Config, iters int) *cluster.Cluster {
 	t.Helper()
+	cfg.RecordDeliveries = true
 	c := cluster.New(cfg)
 	d := c.PrepareRun(ringPrograms(cfg.NP, iters, 256))
 	d.Launch()
 	c.RunLaunched(30 * sim.Minute).MustCompleted()
+	checkDeliveries(t, c)
 	return c
 }
 
@@ -352,14 +373,33 @@ func TestValidateRejectsBadBursts(t *testing.T) {
 	mustReject(t, bad)
 }
 
+// fuzzStacks are FuzzPlan's five Event-Logger-backed configurations of
+// the ring, picked by the byte after the plan; a missing byte reads as 0,
+// the first.
+var fuzzStacks = []struct {
+	stack, reducer string
+	els            int
+}{
+	{cluster.StackVcausal, "vcausal", 1},
+	{cluster.StackVcausal, "manetho", 1},
+	{cluster.StackVcausal, "logon", 1},
+	{cluster.StackPessimistic, "", 1},
+	{cluster.StackVcausal, "vcausal", 2}, // under SyncBroadcast
+}
+
 // FuzzPlan decodes bytes into a plan on the 4-rank ring (correlated kills,
 // one partition, one degrade, one outage, one storm, one cascade and a
-// restart-delay distribution) and demands that Validate never panic and
-// that every plan it accepts runs, without a panic, to a typed outcome.
-// The seed corpus is the ext-faultstorm and ext-partition scenarios with
-// seconds rescaled to milliseconds and ranks folded onto the ring.
+// restart-delay distribution) and one of fuzzStacks, and demands that
+// Validate never panic and that every plan it accepts runs, without a
+// panic, to a typed outcome. Replay must consume what the first execution
+// of each step consumed, and every Event Logger's store must be gapless:
+// it holds clocks 1..stable of each rank it serves. The seed corpus is the
+// ext-faultstorm and ext-partition scenarios with seconds rescaled to
+// milliseconds and ranks folded onto the ring (the first configuration),
+// then one of them under each other configuration.
 func FuzzPlan(f *testing.F) {
 	ms := sim.Millisecond
+	var last []byte
 	ring := [][]int{{0}, {1, 2, 3}}
 	for _, p := range []faultplan.Plan{
 		// ext-faultstorm: poisson-storm, correlated, cascade,
@@ -402,20 +442,42 @@ func FuzzPlan(f *testing.F) {
 		if err := back.Validate(4); err != nil {
 			f.Fatalf("seed %+v decodes to a plan Validate rejects: %v", p, err)
 		}
+		last = c.buf
 		f.Add(c.buf)
+	}
+	// The last seed, restart-jitter's four-kill storm, under every other
+	// configuration.
+	for stack := 1; stack < len(fuzzStacks); stack++ {
+		f.Add(append(slices.Clone(last), byte(stack)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p faultplan.Plan
-		(&planCodec{buf: data}).plan(&p)
+		var stack int
+		dec := &planCodec{buf: data}
+		dec.plan(&p)
+		dec.upTo(&stack, len(fuzzStacks)-1)
 		if p.Validate(4) != nil {
 			return
 		}
-		c := cluster.New(faultedConfig(&p, 1))
+		cfg := faultedConfig(&p, 1)
+		fs := fuzzStacks[stack]
+		cfg.Stack, cfg.Reducer, cfg.EventLoggers = fs.stack, fs.reducer, fs.els
+		cfg.ELSync = eventlogger.SyncBroadcast // read only with two loggers
+		cfg.RecordDeliveries = true
+		c := cluster.New(cfg)
 		defer c.Close()
 		d := c.PrepareRun(ringPrograms(4, 60, 256))
 		d.Launch()
 		if res := c.RunLaunched(30 * sim.Minute); res.Outcome == "" {
-			t.Fatalf("run ended without an outcome; plan %+v", p)
+			t.Fatalf("run ended without an outcome; stack %+v plan %+v", fs, p)
+		}
+		checkDeliveries(t, c)
+		for r := range c.Nodes {
+			el := c.ELs[r%len(c.ELs)] // eventlogger.EndpointFor's assignment
+			if got, want := el.StoredFor(event.Rank(r)), el.Stable()[r]; uint64(got) != want {
+				t.Fatalf("logger stores %d determinants of rank %d, stable clock %d; stack %+v plan %+v",
+					got, r, want, fs, p)
+			}
 		}
 	})
 }
