@@ -34,6 +34,38 @@ func ringPrograms(np, iters, bytes int) []failure.Program {
 	return progs
 }
 
+// fanInPrograms: rank 0 hands a token to one peer per iteration, in
+// descending rank order, and takes the reply with Recv(AnySource). One
+// reply is in flight at a time, so every free execution consumes the
+// replies in token order. A recovering rank 0 instead finds the peers'
+// logged replies re-sent together, in the ascending order it asked the
+// peers in, and only the replay set restores the original order.
+func fanInPrograms(np, iters, bytes int) []failure.Program {
+	holder := func(it int) int { return np - 1 - it%(np-1) }
+	progs := make([]failure.Program, np)
+	progs[0] = func(n *daemon.Node) {
+		c := mpi.NewComm(n)
+		for it := 0; it < iters; it++ {
+			c.Compute(200 * sim.Microsecond)
+			c.Send(holder(it), 2, 16)
+			c.Recv(mpi.AnySource, 1)
+		}
+	}
+	for r := 1; r < np; r++ {
+		progs[r] = func(n *daemon.Node) {
+			c := mpi.NewComm(n)
+			for it := 0; it < iters; it++ {
+				if holder(it) == c.Rank() {
+					c.Recv(0, 2)
+					c.Compute(100 * sim.Microsecond)
+					c.Send(0, 1, bytes)
+				}
+			}
+		}
+	}
+	return progs
+}
+
 func pingPongPrograms(reps, bytes int) []failure.Program {
 	return []failure.Program{
 		func(n *daemon.Node) {
@@ -132,6 +164,12 @@ func TestELReducesPiggybackBytes(t *testing.T) {
 // rank 0, returning the per-rank delivery logs.
 func runWithCrash(t *testing.T, stack, reducer string, useEL bool, crashAt sim.Time) ([]map[int64]daemon.DeliveryRecord, sim.Time) {
 	t.Helper()
+	return runProgramsWithCrash(t, ringPrograms(4, 120, 512), stack, reducer, useEL, crashAt)
+}
+
+// runProgramsWithCrash is runWithCrash for any 4-rank programs.
+func runProgramsWithCrash(t *testing.T, progs []failure.Program, stack, reducer string, useEL bool, crashAt sim.Time) ([]map[int64]daemon.DeliveryRecord, sim.Time) {
+	t.Helper()
 	const np = 4
 	cfg := Config{
 		NP: np, Stack: stack, Reducer: reducer, UseEL: useEL,
@@ -145,7 +183,7 @@ func runWithCrash(t *testing.T, stack, reducer string, useEL bool, crashAt sim.T
 		cfg.CkptInterval = 10 * sim.Millisecond
 	}
 	c := New(cfg)
-	d := c.PrepareRun(ringPrograms(np, 120, 512))
+	d := c.PrepareRun(progs)
 	if crashAt > 0 {
 		d.ScheduleFault(crashAt, 0)
 	}
@@ -206,10 +244,18 @@ func TestCrashRecoveryMatchesFaultFree(t *testing.T) {
 		{StackVcausal, "logon", false},
 		{StackPessimistic, "", true},
 	} {
-		name := fmt.Sprintf("%s/%s/el=%v", tc.stack, tc.reducer, tc.useEL)
-		ref, _ := runWithCrash(t, tc.stack, tc.reducer, tc.useEL, 0)
-		got, _ := runWithCrash(t, tc.stack, tc.reducer, tc.useEL, 40*sim.Millisecond)
-		compareDeliveryLogs(t, name, ref, got)
+		for _, prog := range []struct {
+			name  string
+			progs []failure.Program
+		}{
+			{"ring", ringPrograms(4, 120, 512)},
+			{"fan-in", fanInPrograms(4, 120, 512)},
+		} {
+			name := fmt.Sprintf("%s: %s/%s/el=%v", prog.name, tc.stack, tc.reducer, tc.useEL)
+			ref, _ := runProgramsWithCrash(t, prog.progs, tc.stack, tc.reducer, tc.useEL, 0)
+			got, _ := runProgramsWithCrash(t, prog.progs, tc.stack, tc.reducer, tc.useEL, 40*sim.Millisecond)
+			compareDeliveryLogs(t, name, ref, got)
+		}
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 type DeterminantLoss struct {
 	// Victim is the recovering rank whose replay set is incomplete.
 	Victim event.Rank `json:"victim"`
-	// Incarnation is the victim's recovery epoch at detection.
+	// Incarnation is the detecting rank's recovery epoch: the victim's, or
+	// for a Conflict the Detector's.
 	Incarnation int `json:"incarnation"`
 	// BaseClock is the event clock of the restored checkpoint image
 	// (replay was supposed to cover clocks BaseClock+1 onward).
@@ -129,7 +130,7 @@ func assembleReplay(collected, replay []event.Determinant, creator event.Rank, b
 // (Witnessed).
 // Stacks that create no determinants never advance lastSend past 0.
 func (n *Node) unwitnessedTail(lastClock, lastSend uint64) (cut DeterminantLoss) {
-	if n.LossCheck == nil || lastSend <= lastClock {
+	if lastSend <= lastClock {
 		return cut
 	}
 	for i, w := range n.LossCheck(n.rank, lastClock+1, lastSend) {

@@ -91,8 +91,12 @@ type PacketObserver interface {
 	OnPacketAccepted(n *Node, m *vproto.Message)
 }
 
-// Node is one computing node of the MPICH-V deployment.
+// Node is one computing node of the MPICH-V deployment. Its state has three
+// lifetimes: wiring, set when the deployment is built; daemon state, which
+// outlives the application process; and the embedded incarnation, the
+// process's volatile state, which a restart replaces whole (restore).
 type Node struct {
+	// Wiring.
 	k   *sim.Kernel
 	net *netmodel.Network
 	ep  *netmodel.Endpoint
@@ -113,11 +117,77 @@ type Node struct {
 	// in checkpoint images (set by the workload).
 	AppStateBytes int64
 
-	proc *sim.Proc
 	// inboxReady is Compute's poll predicate (a delivered packet waits),
 	// built once so that pacing a computation allocates nothing.
 	inboxReady func() bool
 
+	// LossCheck reports which of creator's determinants with clocks in
+	// [from, to] — missing from this node's reassembled replay set — are
+	// still witnessed anywhere else in the deployment (bitmap indexed
+	// clock-from). cluster.New installs Witnessed over all its nodes; a
+	// missing determinant that is witnessed will still be merged through
+	// normal piggyback flow, while an unwitnessed one is lost for good.
+	LossCheck func(creator event.Rank, from, to uint64) []bool
+	// OnDeterminantLoss receives determinant-loss diagnostics; the reporting
+	// incarnation halts afterwards (see reportDeterminantLoss). cluster.New
+	// installs it on every node.
+	OnDeterminantLoss func(DeterminantLoss)
+
+	// Obs, when non-nil, receives recovery-phase and checkpoint timeline
+	// events. Emission sites sit only on cold paths (recovery boundaries,
+	// checkpoint transactions); the per-message paths carry none, and a nil
+	// recorder costs one branch per site.
+	Obs *obs.Recorder
+
+	// RecordDeliveries enables the delivery log used by consistency tests:
+	// replayed executions must consume the same message at every program
+	// step as the original run.
+	RecordDeliveries bool
+
+	// Daemon state: each field survives a restart on purpose.
+
+	// proc and done are the running incarnation's; Bind sets them before
+	// restore runs.
+	proc *sim.Proc
+	done bool
+	// The recovery state machine (recovery.go; transition writes both).
+	// recoveryEpoch numbers incarnations: it tags recovery requests so a
+	// dead incarnation's responses cannot satisfy the next one's rendezvous.
+	phase         phase
+	recoveryEpoch int
+	// heldApp buffers phaseRestoring's application arrivals; a kill
+	// mid-restore leaves them to the next incarnation's flush.
+	heldApp []*vproto.Message
+	// heldDetReqs buffers service requests from other recovering ranks
+	// that arrived while this node was itself dead or restoring: serving
+	// them before the sender log and protocol state are back would replay
+	// from empty state and strand the peer's recovery forever.
+	heldDetReqs []detRequest
+	// peerEpoch[r] is the lowest incarnation of rank r this daemon still
+	// accepts application packets from. It stays zero — and the fence
+	// inert — until the dispatcher fences a falsely suspected rank and the
+	// deployment announces the replacement incarnation (FenceIncarnation):
+	// from then on the stale incarnation's packets, including the ones a
+	// healed partition releases, are discarded instead of corrupting the
+	// sequence trackers and the antecedence graph.
+	peerEpoch []int
+	// fencedRestart marks that this rank's previous incarnation was fenced
+	// while alive (false suspicion); the next PrepareRecovery re-transmits
+	// the restored sender log because of it.
+	fencedRestart bool
+	// Deliveries lists every consumption in order, re-executions included.
+	Deliveries []DeliveryRecord
+	// stats sums the probes over incarnations.
+	stats trace.Stats
+
+	incarnation
+}
+
+// incarnation is the volatile state of one run of the application process.
+// restore replaces it with a fresh value that keeps only the storage of
+// seqTrack and sendSeq (restoreImage overwrites every entry) and of the two
+// determinant buffers.
+type incarnation struct {
 	// MPI receive machinery.
 	recvQ    []*vproto.Message
 	seqTrack []seqTracker
@@ -147,60 +217,16 @@ type Node struct {
 	ckptEpoch     int
 	awaitCkptAck  bool
 
-	// Recovery state machine (recovery.go): transition is the only writer
-	// of phase, recoveryEpoch and recoveryStart. recoveryEpoch is
-	// the incarnation number; it tags recovery requests so responses
-	// addressed to a dead incarnation (killed mid-recovery) cannot satisfy
-	// the next incarnation's rendezvous with stale data. charged marks a
-	// recovery that feeds the recovery probes.
-	phase         phase
-	recoveryEpoch int
-	recoveryStart sim.Time
+	// This incarnation's recovery: charged marks one that feeds the
+	// recovery probes, recoveryStart is when it entered restoring.
 	charged       bool
+	recoveryStart sim.Time
 	// Recovery rendezvous state, filled by recoveryResponse while the
-	// recovery steps wait; heldApp buffers phaseRestoring's arrivals.
+	// recovery steps wait.
 	pendingImage   *vproto.CheckpointImage
 	collectedDets  []event.Determinant
 	collectedStab  *sparsevec.Vec
 	detRespsWanted int
-	heldApp        []*vproto.Message
-	// heldDetReqs buffers service requests from other recovering ranks
-	// that arrived while this node was itself dead or restoring: serving
-	// them before the sender log and protocol state are back would replay
-	// from empty state and strand the peer's recovery forever.
-	heldDetReqs []detRequest
-	// peerEpoch[r] is the lowest incarnation of rank r this daemon still
-	// accepts application packets from. It stays zero — and the fence
-	// inert — until the dispatcher fences a falsely suspected rank and the
-	// deployment announces the replacement incarnation (FenceIncarnation):
-	// from then on the stale incarnation's packets, including the ones a
-	// healed partition releases, are discarded instead of corrupting the
-	// sequence trackers and the antecedence graph. Daemon-level state: it
-	// survives this node's own restarts.
-	peerEpoch []int
-	// fencedRestart marks that this rank's previous incarnation was fenced
-	// while alive (false suspicion); the next PrepareRecovery re-transmits
-	// the restored sender log because of it.
-	fencedRestart bool
-
-	// LossCheck, when set, reports which of creator's determinants with
-	// clocks in [from, to] — missing from this node's reassembled replay
-	// set — are still witnessed anywhere else in the deployment (bitmap
-	// indexed clock-from). The deployment installs Witnessed over all its
-	// nodes; a missing determinant that is witnessed will still be merged
-	// through normal piggyback flow, while an unwitnessed one is lost for
-	// good.
-	LossCheck func(creator event.Rank, from, to uint64) []bool
-	// OnDeterminantLoss receives determinant-loss diagnostics; the reporting
-	// incarnation halts afterwards (see reportDeterminantLoss). cluster.New
-	// installs it on every node.
-	OnDeterminantLoss func(DeterminantLoss)
-
-	// Obs, when non-nil, receives recovery-phase and checkpoint timeline
-	// events. Emission sites sit only on cold paths (recovery boundaries,
-	// checkpoint transactions); the per-message paths carry none, and a nil
-	// recorder costs one branch per site.
-	Obs *obs.Recorder
 
 	// Coordinated-protocol channel recording (Chandy-Lamport); managed by
 	// the coordinated stack through the hook calls but stored here so the
@@ -211,16 +237,6 @@ type Node struct {
 
 	// Log is the sender-based payload log (message-logging stacks).
 	Log *SenderLog
-
-	// RecordDeliveries enables the delivery log used by consistency tests:
-	// replayed executions must consume the same message at every program
-	// step as the original run.
-	RecordDeliveries bool
-	// Deliveries lists every consumption in order, re-executions included.
-	Deliveries []DeliveryRecord
-
-	stats trace.Stats
-	done  bool
 }
 
 // NewNode builds a node bound to endpoint rank of net.
@@ -231,10 +247,12 @@ func NewNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int,
 		rank: rank, np: np,
 		Stack: stack, Proto: proto,
 		ELEndpoint: -1, CkptEndpoint: -1,
-		seqTrack:  make([]seqTracker, np),
-		sendSeq:   make([]uint64, np),
 		peerEpoch: make([]int, np),
-		Log:       new(SenderLog),
+		incarnation: incarnation{
+			seqTrack: make([]seqTracker, np),
+			sendSeq:  make([]uint64, np),
+			Log:      new(SenderLog),
+		},
 	}
 	n.inboxReady = func() bool { return n.ep.Inbox.Len() > 0 }
 	return n
@@ -264,9 +282,6 @@ func (n *Node) Network() *netmodel.Network { return n.net }
 // Stats returns the node's measurement probes.
 func (n *Node) Stats() *trace.Stats { return &n.stats }
 
-// Step returns the number of completed MPI operations.
-func (n *Node) Step() int64 { return n.step }
-
 // Skipping reports whether the node is fast-forwarding to its checkpointed
 // program position.
 func (n *Node) Skipping() bool { return n.step < n.skipUntil }
@@ -274,12 +289,6 @@ func (n *Node) Skipping() bool { return n.step < n.skipUntil }
 // Replaying reports whether deliveries are being conformed to collected
 // determinants.
 func (n *Node) Replaying() bool { return n.replayIdx < len(n.replayDets) }
-
-// LastEvent returns the node's latest nondeterministic event id.
-func (n *Node) LastEvent() event.EventID { return n.lastEvent }
-
-// Lamport returns the node's current Lamport clock.
-func (n *Node) Lamport() uint64 { return n.lamport }
 
 // Clock returns the node's nondeterministic-event clock (the number of
 // reception determinants it has created).

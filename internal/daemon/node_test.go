@@ -36,13 +36,18 @@ func twoNodes(t *testing.T) (*sim.Kernel, *Node, *Node) {
 	return k, a, b
 }
 
-// nullNodes builds np nullProto nodes on one np-endpoint network.
+// nullNodes builds np nullProto nodes on one np-endpoint network, wired to
+// the deployment's loss check as cluster.New wires its nodes.
 func nullNodes(np int) (*sim.Kernel, *netmodel.Network, []*Node) {
 	k := sim.NewKernel(1)
 	net := netmodel.New(k, netmodel.FastEthernet(), np)
 	nodes := make([]*Node, np)
+	lossCheck := func(creator event.Rank, from, to uint64) []bool {
+		return Witnessed(nodes, net, creator, from, to)
+	}
 	for r := range nodes {
 		nodes[r] = NewNode(k, net, event.Rank(r), np, Vdaemon(), &nullProto{})
+		nodes[r].LossCheck = lossCheck
 	}
 	return k, net, nodes
 }
@@ -116,8 +121,8 @@ func TestNodeDeterminantCounters(t *testing.T) {
 	if b.Clock() != 3 {
 		t.Errorf("clock = %d, want 3", b.Clock())
 	}
-	if b.LastEvent() != (event.EventID{Creator: 1, Clock: 3}) {
-		t.Errorf("lastEvent = %v", b.LastEvent())
+	if b.lastEvent != (event.EventID{Creator: 1, Clock: 3}) {
+		t.Errorf("lastEvent = %v", b.lastEvent)
 	}
 }
 
@@ -138,8 +143,8 @@ func TestNodeLamportPropagation(t *testing.T) {
 	k.Run()
 	// a's reception of b's message: b had lamport 1 -> a's event lamport 2;
 	// b's second reception: a's lamport 2 -> lamport 3.
-	if b.Lamport() != 3 {
-		t.Fatalf("b.Lamport = %d, want 3", b.Lamport())
+	if b.lamport != 3 {
+		t.Fatalf("b.Lamport = %d, want 3", b.lamport)
 	}
 }
 
@@ -155,8 +160,8 @@ func TestNodeComputeAdvancesClock(t *testing.T) {
 	if at != 5*sim.Millisecond {
 		t.Fatalf("compute ended at %v", at)
 	}
-	if a.Step() != 1 {
-		t.Fatalf("step = %d, want 1", a.Step())
+	if a.step != 1 {
+		t.Fatalf("step = %d, want 1", a.step)
 	}
 }
 
@@ -249,8 +254,8 @@ func TestReplayOrdersRecvBySenderSequence(t *testing.T) {
 	if got := b.Proto.(*nullProto).dets; !slices.Equal(got, replay) {
 		t.Fatalf("determinants %v, want the replay set %v", got, replay)
 	}
-	if b.Replaying() || b.phase != phaseUp || b.Clock() != 2 || b.Lamport() != 5 {
+	if b.Replaying() || b.phase != phaseUp || b.Clock() != 2 || b.lamport != 5 {
 		t.Fatalf("after replay: replaying=%v phase=%d clock=%d lamport=%d, want false, up, 2, 5",
-			b.Replaying(), b.phase, b.Clock(), b.Lamport())
+			b.Replaying(), b.phase, b.Clock(), b.lamport)
 	}
 }

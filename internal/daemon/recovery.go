@@ -14,7 +14,7 @@ type phase uint8
 
 const (
 	phaseUp phase = iota // free execution
-	// phaseRestoring: volatile state is reset and the checkpoint image is
+	// phaseRestoring: the incarnation is fresh and the checkpoint image is
 	// being fetched. Application packets are buffered in heldApp until the
 	// image (and with it the duplicate-suppression floors) is restored —
 	// accepting them earlier would corrupt the trackers.
@@ -71,27 +71,19 @@ func (n *Node) transition(to phase) {
 	n.phase = to
 }
 
-// restore opens a new incarnation: it enters phaseRestoring, resets the
-// volatile state, fetches and restores the checkpoint image fetchEpoch
-// selects, and flushes what was held meanwhile. charged is false for a
-// coordinated-rollback peer: its restart is not a recovery of its own.
+// restore opens a new incarnation: it replaces the dead one's volatile
+// state, enters phaseRestoring, fetches and restores the checkpoint image
+// fetchEpoch selects, and flushes what was held meanwhile. charged is false
+// for a coordinated-rollback peer: its restart is not a recovery of its own.
 func (n *Node) restore(fetchEpoch int, charged bool) *vproto.CheckpointImage {
-	n.charged = charged
+	n.incarnation = incarnation{
+		charged:  charged,
+		seqTrack: n.seqTrack, sendSeq: n.sendSeq,
+		replayDets: n.replayDets[:0], collectedDets: n.collectedDets[:0],
+		Log: new(SenderLog),
+	}
 	n.transition(phaseRestoring)
 	n.drainForRecovery()
-	n.recvQ = nil
-	n.replayDets = n.replayDets[:0]
-	n.replayIdx = 0
-	n.step = 0
-	n.skipUntil = 0
-	n.clock, n.lamport = 0, 0
-	n.lastSendClock = 0
-	clear(n.sendSeq)
-	n.lastEvent = event.EventID{}
-	n.ckptRequested = false
-	n.Recording = nil
-	n.RecordedMsgs = nil
-	n.Log = new(SenderLog)
 
 	fetch := vproto.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch
@@ -132,13 +124,13 @@ func (n *Node) recoveryResponse(pkt *vproto.Packet) {
 	}
 }
 
-// PrepareRecovery resets volatile state at the start of a restarted
+// PrepareRecovery replaces the volatile state at the start of a restarted
 // incarnation, restores the checkpoint image, collects determinants (from
 // the Event Logger if deployed, otherwise from every surviving peer),
 // requests payload replay and installs the replay set. It must be called
 // before the application program runs.
 func (n *Node) PrepareRecovery() {
-	// The dead incarnation's watermarks, read before the volatile reset:
+	// The dead incarnation's watermarks, read before restore replaces it:
 	// how far its event clock ran, and the highest clock a peer witnessed
 	// through one of its sends. The determinant-loss detector compares the
 	// reassembled replay set against them.
@@ -297,14 +289,11 @@ func (n *Node) flushHeldApp() {
 	}
 }
 
-// restoreImage installs a checkpoint image over restore's reset state.
+// restoreImage installs a checkpoint image over restore's fresh incarnation.
 func (n *Node) restoreImage(im *vproto.CheckpointImage) {
 	n.skipUntil = im.Step
 	n.clock = im.Clock
-	im.SendSeqs.Range(func(c int, f uint64) bool {
-		n.sendSeq[c] = f
-		return true
-	})
+	im.SendSeqs.FillDense(n.sendSeq)
 	n.lamport = im.Lamport
 	if im.Clock > 0 {
 		n.lastEvent = event.EventID{Creator: n.rank, Clock: im.Clock}

@@ -78,7 +78,8 @@ type Storm struct {
 }
 
 // CorrelatedKill fells several ranks in the same instant — the model of a
-// shared failure domain (one switch, one power rail, one chassis).
+// shared failure domain (one switch, one power rail, one chassis). Each
+// rank is listed once.
 type CorrelatedKill struct {
 	At    sim.Time
 	Ranks []int
@@ -347,8 +348,9 @@ func (p *Plan) compile(np int) ([]op, error) {
 	for i, ck := range p.Correlated {
 		what = fmt.Sprintf("correlated kill %d", i)
 		fail(len(ck.Ranks) == 0, "no ranks")
-		for _, r := range ck.Ranks {
+		for j, r := range ck.Ranks {
 			rank("victim", r)
+			fail(slices.Contains(ck.Ranks[:j], r), "rank %d listed twice", r)
 		}
 		emit(ck.At, opKill, i, ck.Ranks)
 	}

@@ -113,6 +113,9 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: faultplan.VictimFixed, Rank: 99}}},
 		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second}}},
 		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second, Ranks: []int{12}}}},
+		// A rank listed twice would be killed twice in one instant: two
+		// kills counted and recorded, the first respawn superseded.
+		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second, Ranks: []int{1, 2, 1}}}},
 		{Cascades: []faultplan.Cascade{{Trigger: "reboot"}}},
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnKill, Delay: -sim.Second}}},
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnKill, OfRank: -1}}},
@@ -396,7 +399,8 @@ var fuzzStacks = []struct {
 // it holds clocks 1..stable of each rank it serves. The seed corpus is the
 // ext-faultstorm and ext-partition scenarios with seconds rescaled to
 // milliseconds and ranks folded onto the ring (the first configuration),
-// then one of them under each other configuration.
+// then restart-jitter under each other configuration and storm-outage
+// under the other two reducers.
 func FuzzPlan(f *testing.F) {
 	ms := sim.Millisecond
 	var last []byte
@@ -417,10 +421,7 @@ func FuzzPlan(f *testing.F) {
 				Victims: faultplan.VictimFixed, Rank: 0, MaxFires: 1,
 			}},
 		},
-		{
-			Storms:  []faultplan.Storm{{Poisson: true, MeanInterval: 12 * ms, Victims: faultplan.VictimRoundRobin}},
-			Outages: []faultplan.Outage{{Target: faultplan.OutageEventLogger, At: 15 * ms, Duration: 2 * ms}},
-		},
+		stormOutage,
 		// ext-partition: kill, blackout, false-suspect, degraded-link,
 		// restart-jitter.
 		{Correlated: []faultplan.CorrelatedKill{{At: 10 * ms, Ranks: []int{0}}}},
@@ -446,9 +447,14 @@ func FuzzPlan(f *testing.F) {
 		f.Add(c.buf)
 	}
 	// The last seed, restart-jitter's four-kill storm, under every other
-	// configuration.
+	// configuration; storm-outage under the other two reducers.
 	for stack := 1; stack < len(fuzzStacks); stack++ {
 		f.Add(append(slices.Clone(last), byte(stack)))
+	}
+	c, p := planCodec{enc: true}, stormOutage
+	c.plan(&p)
+	for _, stack := range []byte{1, 2} {
+		f.Add(append(slices.Clone(c.buf), stack))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p faultplan.Plan
@@ -459,27 +465,58 @@ func FuzzPlan(f *testing.F) {
 		if p.Validate(4) != nil {
 			return
 		}
-		cfg := faultedConfig(&p, 1)
-		fs := fuzzStacks[stack]
-		cfg.Stack, cfg.Reducer, cfg.EventLoggers = fs.stack, fs.reducer, fs.els
-		cfg.ELSync = eventlogger.SyncBroadcast // read only with two loggers
-		cfg.RecordDeliveries = true
-		c := cluster.New(cfg)
-		defer c.Close()
-		d := c.PrepareRun(ringPrograms(4, 60, 256))
-		d.Launch()
-		if res := c.RunLaunched(30 * sim.Minute); res.Outcome == "" {
-			t.Fatalf("run ended without an outcome; stack %+v plan %+v", fs, p)
-		}
-		checkDeliveries(t, c)
-		for r := range c.Nodes {
-			el := c.ELs[r%len(c.ELs)] // eventlogger.EndpointFor's assignment
-			if got, want := el.StoredFor(event.Rank(r)), el.Stable()[r]; uint64(got) != want {
-				t.Fatalf("logger stores %d determinants of rank %d, stable clock %d; stack %+v plan %+v",
-					got, r, want, fs, p)
-			}
-		}
+		fuzzRun(t, p, stack)
 	})
+}
+
+// stormOutage is ext-faultstorm's storm-outage scenario folded onto the
+// ring: a round-robin storm with an Event Logger outage inside it.
+var stormOutage = faultplan.Plan{
+	Storms:  []faultplan.Storm{{Poisson: true, MeanInterval: 12 * sim.Millisecond, Victims: faultplan.VictimRoundRobin}},
+	Outages: []faultplan.Outage{{Target: faultplan.OutageEventLogger, At: 15 * sim.Millisecond, Duration: 2 * sim.Millisecond}},
+}
+
+// fuzzRun runs plan p on the ring under fuzzStacks[stack] and applies
+// FuzzPlan's checks: a typed outcome, replay consuming what each step's
+// first execution consumed, and gapless logger stores. It returns the
+// run's aggregate stats.
+func fuzzRun(t *testing.T, p faultplan.Plan, stack int) trace.Stats {
+	t.Helper()
+	cfg := faultedConfig(&p, 1)
+	fs := fuzzStacks[stack]
+	cfg.Stack, cfg.Reducer, cfg.EventLoggers = fs.stack, fs.reducer, fs.els
+	cfg.ELSync = eventlogger.SyncBroadcast // read only with two loggers
+	cfg.RecordDeliveries = true
+	c := cluster.New(cfg)
+	defer c.Close()
+	d := c.PrepareRun(ringPrograms(4, 60, 256))
+	d.Launch()
+	if res := c.RunLaunched(30 * sim.Minute); res.Outcome == "" {
+		t.Fatalf("run ended without an outcome; stack %+v plan %+v", fs, p)
+	}
+	checkDeliveries(t, c)
+	for r := range c.Nodes {
+		el := c.ELs[r%len(c.ELs)] // eventlogger.EndpointFor's assignment
+		if got, want := el.StoredFor(event.Rank(r)), el.Stable()[r]; uint64(got) != want {
+			t.Fatalf("logger stores %d determinants of rank %d, stable clock %d; stack %+v plan %+v",
+				got, r, want, fs, p)
+		}
+	}
+	return c.AggregateStats()
+}
+
+// TestReducersDivergeOnStormOutage keeps FuzzPlan's reducer axis biting:
+// on the storm-outage seed, the three reducer configurations must not all
+// piggyback the same bytes.
+func TestReducersDivergeOnStormOutage(t *testing.T) {
+	var bytes [3]int64
+	for stack := range bytes {
+		bytes[stack] = fuzzRun(t, stormOutage, stack).PiggybackBytes
+	}
+	if bytes[0] == bytes[1] && bytes[1] == bytes[2] {
+		t.Fatalf("vcausal, manetho and logon all piggybacked %d bytes", bytes[0])
+	}
+	t.Logf("piggyback bytes: vcausal %d, manetho %d, logon %d", bytes[0], bytes[1], bytes[2])
 }
 
 // fuzzTick is FuzzPlan's time unit: a signed 16-bit count of ticks spans

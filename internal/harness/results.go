@@ -4,7 +4,9 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -123,8 +125,14 @@ func (r *Results) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// CSV serializes the sweep as one row per cell. Probe columns are the
-// sorted union of probe names across cells.
+// statsColumns are trace.Stats' csv-tagged fields in struct order: the
+// CSV's stats columns, each an integer count or nanosecond duration.
+var statsColumns = slices.DeleteFunc(reflect.VisibleFields(reflect.TypeFor[trace.Stats]()),
+	func(f reflect.StructField) bool { return f.Tag.Get("csv") == "" })
+
+// CSV serializes the sweep as one row per cell. The stats columns come
+// from trace.Stats' csv tags; probe columns are the sorted union of probe
+// names across cells.
 func (r *Results) CSV() (string, error) {
 	probeSet := map[string]bool{}
 	for i := range r.Cells {
@@ -132,22 +140,14 @@ func (r *Results) CSV() (string, error) {
 			probeSet[name] = true
 		}
 	}
-	probes := make([]string, 0, len(probeSet))
-	for name := range probeSet {
-		probes = append(probes, name)
-	}
-	sort.Strings(probes)
+	probes := slices.Sorted(maps.Keys(probeSet))
 
 	header := []string{
 		"sweep", "index", "id", "workload", "stack", "variant", "np", "seed",
 		"completed", "outcome", "elapsed_ns", "mflops",
-		"app_bytes_sent", "app_msgs_sent", "piggyback_bytes", "piggyback_events",
-		"header_bytes", "control_bytes", "control_msgs",
-		"send_piggyback_ns", "recv_piggyback_ns",
-		"events_created", "events_logged",
-		"max_held_determinants", "max_sender_log_bytes",
-		"recovery_event_collection_ns", "recovery_total_ns", "recoveries",
-		"checkpoints", "checkpoint_bytes",
+	}
+	for _, f := range statsColumns {
+		header = append(header, f.Tag.Get("csv"))
 	}
 	header = append(header, probes...)
 	header = append(header, "error")
@@ -167,24 +167,10 @@ func (r *Results) CSV() (string, error) {
 			string(c.Outcome),
 			strconv.FormatInt(int64(c.Elapsed), 10),
 			formatFloat(c.Mflops),
-			strconv.FormatInt(c.Stats.AppBytesSent, 10),
-			strconv.FormatInt(c.Stats.AppMsgsSent, 10),
-			strconv.FormatInt(c.Stats.PiggybackBytes, 10),
-			strconv.FormatInt(c.Stats.PiggybackEvents, 10),
-			strconv.FormatInt(c.Stats.HeaderBytes, 10),
-			strconv.FormatInt(c.Stats.ControlBytes, 10),
-			strconv.FormatInt(c.Stats.ControlMsgs, 10),
-			strconv.FormatInt(int64(c.Stats.SendPiggybackTime), 10),
-			strconv.FormatInt(int64(c.Stats.RecvPiggybackTime), 10),
-			strconv.FormatInt(c.Stats.EventsCreated, 10),
-			strconv.FormatInt(c.Stats.EventsLogged, 10),
-			strconv.Itoa(c.Stats.MaxHeldDeterminants),
-			strconv.FormatInt(c.Stats.MaxSenderLogBytes, 10),
-			strconv.FormatInt(int64(c.Stats.RecoveryEventCollection), 10),
-			strconv.FormatInt(int64(c.Stats.RecoveryTotal), 10),
-			strconv.Itoa(c.Stats.Recoveries),
-			strconv.Itoa(c.Stats.Checkpoints),
-			strconv.FormatInt(c.Stats.CheckpointBytes, 10),
+		}
+		stats := reflect.ValueOf(&c.Stats).Elem()
+		for _, f := range statsColumns {
+			row = append(row, strconv.FormatInt(stats.FieldByIndex(f.Index).Int(), 10))
 		}
 		for _, name := range probes {
 			v, ok := c.Probes[name]

@@ -7,46 +7,48 @@ import "mpichv/internal/sim"
 
 // Stats accumulates one process's protocol measurements over a run. All
 // fields are plain counters written from simulator context (single
-// threaded), read after the run completes.
+// threaded), read after the run completes. A csv tag names the field's
+// column in a sweep's CSV (harness.Results.CSV).
 type Stats struct {
 	// Application traffic (payloads the MPI program asked to move).
-	AppBytesSent int64
-	AppMsgsSent  int64
+	AppBytesSent int64 `csv:"app_bytes_sent"`
+	AppMsgsSent  int64 `csv:"app_msgs_sent"`
 
 	// Protocol overhead on the wire.
-	PiggybackBytes  int64 // causality bytes attached to app messages
-	PiggybackEvents int64 // determinants attached to app messages
-	HeaderBytes     int64 // fixed per-message protocol headers
-	ControlBytes    int64 // Event Logger / checkpoint / replay traffic
-	ControlMsgs     int64
+	PiggybackBytes  int64 `csv:"piggyback_bytes"`  // causality bytes attached to app messages
+	PiggybackEvents int64 `csv:"piggyback_events"` // determinants attached to app messages
+	HeaderBytes     int64 `csv:"header_bytes"`     // fixed per-message protocol headers
+	ControlBytes    int64 `csv:"control_bytes"`    // Event Logger / checkpoint / replay traffic
+	ControlMsgs     int64 `csv:"control_msgs"`
 
 	// Piggyback management time (the paper's Figure 8): virtual CPU time
 	// spent preparing causality information at send and integrating it at
 	// receive.
-	SendPiggybackTime sim.Time
-	RecvPiggybackTime sim.Time
+	SendPiggybackTime sim.Time `csv:"send_piggyback_ns"`
+	RecvPiggybackTime sim.Time `csv:"recv_piggyback_ns"`
 
 	// Event accounting.
-	EventsCreated int64 // reception determinants created locally
-	EventsLogged  int64 // determinants shipped to the Event Logger
+	EventsCreated int64 `csv:"events_created"` // reception determinants created locally
+	EventsLogged  int64 `csv:"events_logged"`  // determinants shipped to the Event Logger
 
 	// FencedStaleMsgs counts application packets discarded because their
 	// sender incarnation was fenced after a false suspicion (stale traffic
-	// released by a healing partition).
+	// released by a healing partition). Untagged: it is the fenced_stale
+	// probe.
 	FencedStaleMsgs int64
 
 	// Memory occupancy high-water marks.
-	MaxHeldDeterminants int   // reducer volatile memory, in events
-	MaxSenderLogBytes   int64 // sender-based payload log
+	MaxHeldDeterminants int   `csv:"max_held_determinants"` // reducer volatile memory, in events
+	MaxSenderLogBytes   int64 `csv:"max_sender_log_bytes"`  // sender-based payload log
 
 	// Recovery timers (the paper's Figure 10).
-	RecoveryEventCollection sim.Time // time to recover all events to replay
-	RecoveryTotal           sim.Time // checkpoint fetch + events + replay
-	Recoveries              int
+	RecoveryEventCollection sim.Time `csv:"recovery_event_collection_ns"` // time to recover all events to replay
+	RecoveryTotal           sim.Time `csv:"recovery_total_ns"`            // checkpoint fetch + events + replay
+	Recoveries              int      `csv:"recoveries"`
 
 	// Checkpointing.
-	Checkpoints     int
-	CheckpointBytes int64
+	Checkpoints     int   `csv:"checkpoints"`
+	CheckpointBytes int64 `csv:"checkpoint_bytes"`
 }
 
 // Add accumulates o into s (used to aggregate per-process stats into a

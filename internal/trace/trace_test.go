@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"mpichv/internal/sim"
@@ -36,6 +37,20 @@ func TestAddAccumulates(t *testing.T) {
 	}
 	if a.Recoveries != 3 {
 		t.Errorf("Recoveries = %d", a.Recoveries)
+	}
+}
+
+// TestAddCoversEveryField sets each Stats field in turn on the addend alone:
+// the total must take it, by sum or by max, and leave every other field
+// zero. A field added to Stats but not to Add fails here.
+func TestAddCoversEveryField(t *testing.T) {
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Stats]()) {
+		var total, o Stats
+		reflect.ValueOf(&o).Elem().FieldByIndex(f.Index).SetInt(3)
+		total.Add(&o)
+		if total != o {
+			t.Errorf("Add does not carry %s: total %+v, addend %+v", f.Name, total, o)
+		}
 	}
 }
 
