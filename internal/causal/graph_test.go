@@ -291,3 +291,137 @@ func TestGraphAntecedenceCycleLatches(t *testing.T) {
 		t.Fatalf("vc(%v) = %v, want [2 2]", b, got)
 	}
 }
+
+// TestStoreOrderAcrossWords activates creators out of rank order across
+// 64-rank boundaries of a 130-rank world — descending first, then
+// interleaved — with gapped chains, and requires every read of the store to
+// equal a naive reference in ascending creator order: each piggyback,
+// All and HeldFor. An acknowledgement that empties some chains and cuts
+// others inside a gap must count as ops exactly the nodes it collected, and
+// chains active again after it must come back in rank order.
+func TestStoreOrderAcrossWords(t *testing.T) {
+	const np, src = 130, event.Rank(3)
+	for _, name := range Names() {
+		r := New(name, 0, np)
+		held := make([][]uint64, np) // reference: held clocks per creator
+		stable := make([]uint64, np)
+		sent := map[event.Rank][]uint64{} // highest clock sent per dst and creator
+		add := func(c event.Rank, clocks ...uint64) {
+			var ds []event.Determinant
+			for _, k := range clocks {
+				// Lamport values rise with the creator, so LogOn's
+				// emission order is the factored order too.
+				ds = append(ds, event.Determinant{ID: event.EventID{Creator: c, Clock: k}, Sender: src, SendSeq: k, Lamport: uint64(c)<<16 | k})
+				held[c] = append(held[c], k)
+			}
+			r.Merge(src, ds)
+		}
+		want := func(skip event.Rank, floor []uint64) []event.EventID {
+			var out []event.EventID
+			for c, clocks := range held {
+				for _, k := range clocks {
+					if event.Rank(c) != skip && k > stable[c] && (floor == nil || k > floor[c]) {
+						out = append(out, event.EventID{Creator: event.Rank(c), Clock: k})
+					}
+				}
+			}
+			return out
+		}
+		idsOf := func(ds []event.Determinant) []event.EventID {
+			var out []event.EventID
+			for _, d := range ds {
+				out = append(out, d.ID)
+			}
+			return out
+		}
+		check := func(step string, dsts ...event.Rank) {
+			t.Helper()
+			for _, dst := range dsts {
+				floor := sent[dst]
+				if floor == nil {
+					floor = make([]uint64, np)
+					sent[dst] = floor
+				}
+				exp := want(dst, floor)
+				pb, _ := r.AppendPiggybackFor(dst, nil)
+				if got := idsOf(pb); !slices.Equal(got, exp) {
+					t.Fatalf("%s %s: piggyback to %d = %v, want %v", name, step, dst, got, exp)
+				}
+				for _, id := range exp {
+					floor[id.Creator] = max(floor[id.Creator], id.Clock)
+				}
+			}
+			if got, exp := idsOf(r.All()), want(event.NoRank, nil); !slices.Equal(got, exp) {
+				t.Fatalf("%s %s: All = %v, want %v", name, step, got, exp)
+			}
+			for c := range held {
+				var exp []uint64
+				for _, k := range held[c] {
+					if k > stable[c] {
+						exp = append(exp, k)
+					}
+				}
+				var got []uint64
+				for _, d := range r.HeldFor(event.Rank(c)) {
+					if d.ID.Creator != event.Rank(c) {
+						t.Fatalf("%s %s: HeldFor(%d) returned %v", name, step, c, d.ID)
+					}
+					got = append(got, d.ID.Clock)
+				}
+				if !slices.Equal(got, exp) {
+					t.Fatalf("%s %s: HeldFor(%d) = %v, want %v", name, step, c, got, exp)
+				}
+			}
+		}
+
+		// Descending activation, across both word boundaries.
+		add(129, 1, 2, 4, 7, 8)
+		add(128, 3)
+		add(100, 1, 2, 3)
+		add(65, 2, 5)
+		add(64, 1)
+		add(63, 1, 2, 3, 9)
+		add(40, 1)
+		add(1, 1, 3)
+		add(0, 4, 5)
+		check("descending", 1, 99)
+		// Interleaved: new creators on both sides of each boundary, and
+		// existing chains grown with gaps.
+		add(127, 1)
+		add(2, 1, 2)
+		add(66, 1, 4)
+		add(129, 9, 12)
+		add(62, 2)
+		add(0, 6)
+		add(64, 3)
+		check("interleaved", 1, 64, 128)
+
+		// An acknowledgement that empties 128, 65 and 2, cuts 129 and 63
+		// inside a gap and 0 at a node, and leaves the rest.
+		ack := sparsevec.New(np)
+		for c, f := range map[int]uint64{129: 5, 128: 3, 65: 9, 63: 8, 2: 2, 0: 5, 100: 0} {
+			ack.SetMax(c, f)
+		}
+		collected := 0
+		for c := range held {
+			for _, k := range held[c] {
+				if k > stable[c] && k <= ack.Get(c) {
+					collected++
+				}
+			}
+			stable[c] = max(stable[c], ack.Get(c))
+		}
+		before := r.Held()
+		if ops := r.Stable(ack); ops != int64(collected) || before-r.Held() != collected {
+			t.Fatalf("%s: Stable reported %d ops and dropped %d held, want %d collected", name, ops, before-r.Held(), collected)
+		}
+		check("after the ack", 99)
+
+		// Emptied chains active again, and a new creator between them.
+		add(128, 7)
+		add(2, 3)
+		add(99, 1)
+		add(65, 11)
+		check("reactivated", 1, 64, 99, 128, 5)
+	}
+}

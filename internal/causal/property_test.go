@@ -3,6 +3,7 @@ package causal
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpichv/internal/event"
@@ -216,6 +217,16 @@ func TestPropertyCompletenessWithEL(t *testing.T) {
 	}
 }
 
+// TestPropertyWideWorld runs the random exchanges in a world wider than
+// two 64-rank words, with and without an Event Logger, so sends, merges
+// and acknowledgements touch creators on both sides of each word boundary.
+func TestPropertyWideWorld(t *testing.T) {
+	for _, name := range Names() {
+		runRandomExchanges(t, name, 130, 600, 0, 5)
+		runRandomExchanges(t, name, 130, 600, 9, 6)
+	}
+}
+
 func TestPropertyLargerWorld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
@@ -301,10 +312,13 @@ func TestPropertyPiggybackVolumeOrdering(t *testing.T) {
 }
 
 // FuzzReducers drives the three reducers over one identical history decoded
-// from the input: byte 0 picks the world size (2–12); then each byte below
-// 224 is a send (src and dst from its value) and each byte from 224 up is
-// an Event Logger acknowledgment, whose next np bytes pick a prefix of
-// each creator's events. Every delivery checks the driver's invariants;
+// from the input: byte 0 picks the world size (2–12, or from 252 up one of
+// the wide worlds 63, 64, 65 and 129); then each byte below 224 is a send
+// (src and dst from its value) and each byte from 224 up is an Event Logger
+// acknowledgment, whose next bytes pick a prefix of each creator's events.
+// A small world's sends and acknowledgements reach every rank; a wide
+// world's reach the ranks at its ends, its middle and both sides of each
+// 64-rank boundary (wideRanks). Every delivery checks the driver's invariants;
 // every send also checks that Manetho and LogOn emit the same set. Until
 // the first acknowledgment, that set must also be within what Vcausal
 // emits now or sent to dst before: Vcausal assumes the least knowledge.
@@ -315,7 +329,7 @@ func TestPropertyPiggybackVolumeOrdering(t *testing.T) {
 // completeness check.
 func FuzzReducers(f *testing.F) {
 	r := rand.New(rand.NewSource(7))
-	for _, np := range []byte{0, 3, 10} {
+	for _, np := range []byte{0, 3, 10, 252, 254, 255} {
 		seed := []byte{np}
 		for range 300 {
 			seed = append(seed, byte(r.Intn(256)))
@@ -327,7 +341,8 @@ func FuzzReducers(f *testing.F) {
 			return
 		}
 		script = script[:min(len(script), 2048)]
-		np := 2 + int(script[0])%11
+		np, ranks := worldOf(script[0])
+		n := len(ranks)
 		var ds [3]*driver
 		for k, name := range Names() {
 			ds[k] = newDriver(t, name, np)
@@ -335,10 +350,11 @@ func FuzzReducers(f *testing.F) {
 		dv, acked := ds[0], false
 		for i := 1; i < len(script); i++ {
 			if b := int(script[i]); b < 224 {
-				src, dst := b%np, b/np%(np-1)
-				if dst >= src {
-					dst++
+				si, di := b%n, b/n%(n-1)
+				if di >= si {
+					di++
 				}
+				src, dst := ranks[si], ranks[di]
 				var pbs [3][]event.Determinant
 				for k, d := range ds {
 					pbs[k], _ = d.rs[src].AppendPiggybackFor(event.Rank(dst), nil)
@@ -358,7 +374,7 @@ func FuzzReducers(f *testing.F) {
 				continue
 			}
 			vec := make([]uint64, np)
-			for c := range vec {
+			for _, c := range ranks {
 				if i+1 < len(script) {
 					i++
 					vec[c] = dv.stable[c] + uint64(script[i])%(dv.clock[c]-dv.stable[c]+1)
@@ -373,4 +389,31 @@ func FuzzReducers(f *testing.F) {
 			d.checkCompleteness()
 		}
 	})
+}
+
+// worldOf decodes FuzzReducers' header byte into the world size and the
+// ranks its sends and acknowledgements reach.
+func worldOf(b byte) (np int, ranks []int) {
+	if b < 252 {
+		np = 2 + int(b)%11
+		for r := range np {
+			ranks = append(ranks, r)
+		}
+		return np, ranks
+	}
+	np = []int{63, 64, 65, 129}[b-252]
+	return np, wideRanks(np)
+}
+
+// wideRanks returns the ranks of a wide world a fuzzed history reaches: its
+// ends, its middle, and the ranks on both sides of each 64-rank boundary.
+func wideRanks(np int) []int {
+	var ranks []int
+	for _, r := range []int{0, 1, 62, 63, 64, 65, 127, 128, np / 2, np - 2, np - 1} {
+		if r < np && !slices.Contains(ranks, r) {
+			ranks = append(ranks, r)
+		}
+	}
+	slices.Sort(ranks)
+	return ranks
 }
