@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"math/bits"
+
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
 )
@@ -28,7 +30,9 @@ import (
 //
 // Layout. A held determinant costs no heap object and no pointer: chains
 // are value slices of gnode in rankTable rows, collected by
-// copy-compaction. A node is 32 bytes, an event.Held and vc, its clock state: 0
+// copy-compaction. A bitmap marks the non-empty chains: a send or an ack
+// walks np/64 words and the live chains, in ascending rank order (the
+// factored emission order). A node is 32 bytes, an event.Held and vc, its clock state: 0
 // not computed, inFlight on vcOf's stack, > 0 the arena slot holding its
 // causal past as np 32-bit words. vcOf visits the chain predecessor before
 // the parent, lets a parent absent when the clock is computed contribute
@@ -51,8 +55,11 @@ type graph struct {
 	np int
 
 	// chains holds, per active creator, the live nodes of that creator in
-	// clock order (a suffix above the stability horizon).
+	// clock order (a suffix above the stability horizon). Bit c of live is
+	// set while creator c's chain is non-empty; walking the words and their
+	// set bits in turn visits the live chains in ascending rank order.
 	chains rankTable[[]gnode]
+	live   []uint64
 
 	// knownBy holds, per active peer, the floors of what that peer is known
 	// to hold from direct exchanges: what we sent it and what it sent us.
@@ -140,9 +147,20 @@ func (g *graph) newClock() (int32, []uint32) {
 }
 
 // after returns the index of the first node of chain with a clock above
-// clock, len(chain) when none: the suffix a holder of clock lacks.
+// clock, len(chain) when none: the suffix a holder of clock lacks. In a
+// chain without gaps (last − first = len − 1) that is the distance from
+// the first clock; only a chain with gaps is searched.
 func after(chain []gnode, clock uint64) int {
-	lo, hi := 0, len(chain)
+	n := len(chain)
+	if n == 0 || clock < uint64(chain[0].h.Clock) {
+		return 0
+	}
+	if first, last := uint64(chain[0].h.Clock), uint64(chain[n-1].h.Clock); clock >= last {
+		return n
+	} else if last-first == uint64(n-1) {
+		return int(clock-first) + 1
+	}
+	lo, hi := 1, n-1
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if uint64(chain[mid].h.Clock) > clock {
@@ -156,23 +174,26 @@ func after(chain []gnode, clock uint64) int {
 
 // lookup returns the held node with the given event ID, or nil. The
 // pointer is into the creator's chain: valid until the next insert or
-// Stable. In a chain without gaps the distance from the first clock is the
-// index; otherwise the chain is searched.
+// Stable.
 //
 //mpichv:noalloc
 func (g *graph) lookup(id event.EventID) *gnode {
 	chain, _ := g.chains.lookup(id.Creator)
-	if len(chain) == 0 || id.Clock < uint64(chain[0].h.Clock) {
-		return nil
-	}
-	i := id.Clock - uint64(chain[0].h.Clock)
-	if i >= uint64(len(chain)) || uint64(chain[i].h.Clock) != id.Clock {
-		i = uint64(after(chain, id.Clock-1))
-	}
-	if i < uint64(len(chain)) && uint64(chain[i].h.Clock) == id.Clock {
+	if i := after(chain, id.Clock-1); i < len(chain) && uint64(chain[i].h.Clock) == id.Clock {
 		return &chain[i]
 	}
 	return nil
+}
+
+// liveChain returns creator c's chain row and marks it live.
+//
+//mpichv:amortized the live bitmap is sized with the first chain and rows are created once per newly active creator
+func (g *graph) liveChain(c event.Rank) *[]gnode {
+	if g.live == nil {
+		g.live = make([]uint64, (g.np+63)/64)
+	}
+	g.live[c>>6] |= 1 << (c & 63)
+	return g.chains.row(c, g.np)
 }
 
 // insert adds d to the store if it is neither held nor stable. The returned
@@ -191,7 +212,7 @@ func (g *graph) insert(d event.Determinant) (ops int64) {
 		}
 		return 1
 	}
-	chain := g.chains.row(c)
+	chain := g.liveChain(c)
 	*chain = append(*chain, gnode{h: event.Pack(d)})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
 	g.held++
@@ -272,7 +293,7 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 //
 //mpichv:amortized one vector allocation per newly active peer, reused for the rest of the run
 func (g *graph) knownVec(dst event.Rank) *sparsevec.Vec {
-	known := g.knownBy.row(dst)
+	known := g.knownBy.row(dst, g.np)
 	if *known == nil {
 		*known = sparsevec.New(g.np)
 	}
@@ -281,7 +302,7 @@ func (g *graph) knownVec(dst event.Rank) *sparsevec.Vec {
 
 // frontier returns the held determinants dst is not believed to hold, as
 // chain suffixes in factored order, with their count, and commits them
-// to knownBy[dst]. Each active chain's threshold is the max, at that
+// to knownBy[dst]. Each live chain's threshold is the max, at that
 // chain's creator, of dst's direct-exchange knowledge, the stability
 // horizon and — only when infer is set — the causal past of dst's latest
 // held event. A process knows its own events, so dst's chain is skipped.
@@ -295,31 +316,35 @@ func (g *graph) frontier(dst event.Rank, infer bool) (spans []span, k int) {
 			vc = g.vcOf(&chain[len(chain)-1])
 		}
 	}
-	for i, key := range g.chains.keys {
-		chain := g.chains.rows[i]
-		if len(chain) == 0 || event.Rank(key) == dst {
-			continue
+	for w, word := range g.live {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			if event.Rank(key) == dst {
+				continue
+			}
+			i := g.chains.slot(event.Rank(key))
+			chain := g.chains.rows[i]
+			threshold := g.stable.Get(key)
+			if known != nil {
+				threshold = max(threshold, known.Get(key))
+			}
+			if vc != nil {
+				threshold = max(threshold, uint64(vc[key]))
+			}
+			// Steady state: the whole chain already known — one tail
+			// comparison instead of a search.
+			last := uint64(chain[len(chain)-1].h.Clock)
+			if last <= threshold {
+				continue
+			}
+			from := after(chain, threshold)
+			out = append(out, span{int32(i), int32(from), int32(len(chain))})
+			k += len(chain) - from
+			if known == nil {
+				known = g.knownVec(dst)
+			}
+			known.SetMax(key, last)
 		}
-		threshold := g.stable.Get(int(key))
-		if known != nil {
-			threshold = max(threshold, known.Get(int(key)))
-		}
-		if vc != nil {
-			threshold = max(threshold, uint64(vc[key]))
-		}
-		// Steady state: the whole chain already known — one tail comparison
-		// instead of a binary search.
-		last := uint64(chain[len(chain)-1].h.Clock)
-		if last <= threshold {
-			continue
-		}
-		from := after(chain, threshold)
-		out = append(out, span{int32(i), int32(from), int32(len(chain))})
-		k += len(chain) - from
-		if known == nil {
-			known = g.knownVec(dst)
-		}
-		known.SetMax(int(key), last)
 	}
 	g.spans = out[:0]
 	return out, k
@@ -351,7 +376,8 @@ func (g *graph) mergeLearn(src event.Rank, ds []event.Determinant) {
 }
 
 // Stable implements Reducer: it raises the horizon to vec and collects, in
-// one walk over the active chains, every node at or below it.
+// one walk over the live chains, every node at or below it. A chain it
+// empties leaves the live set.
 //
 //mpichv:noalloc
 func (g *graph) Stable(vec *sparsevec.Vec) int64 {
@@ -360,21 +386,29 @@ func (g *graph) Stable(vec *sparsevec.Vec) int64 {
 	}
 	g.stable.MaxFrom(vec)
 	ops := int64(0)
-	for i, key := range g.chains.keys {
-		chain := g.chains.rows[i]
-		cut := after(chain, g.stable.Get(int(key)))
-		if cut == 0 {
-			continue
-		}
-		for j := range cut {
-			if chain[j].vc > 0 {
-				g.slotFree = append(g.slotFree, chain[j].vc)
+	for w, word := range g.live {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			i := g.chains.slot(event.Rank(key))
+			chain := g.chains.rows[i]
+			cut := after(chain, g.stable.Get(key))
+			if cut == 0 {
+				continue
 			}
+			if cut == len(chain) {
+				g.live[w] &^= 1 << (key & 63)
+			}
+			for j := range cut {
+				if chain[j].vc > 0 {
+					g.slotFree = append(g.slotFree, chain[j].vc)
+				}
+			}
+			// Compact in place: the slice keeps its capacity for future
+			// appends.
+			g.chains.rows[i] = chain[:copy(chain, chain[cut:])]
+			g.held -= cut
+			ops += int64(cut)
 		}
-		// Compact in place: the slice keeps its capacity for future appends.
-		g.chains.rows[i] = chain[:copy(chain, chain[cut:])]
-		g.held -= cut
-		ops += int64(cut)
 	}
 	return ops
 }
@@ -395,9 +429,12 @@ func (g *graph) HeldFor(creator event.Rank) []event.Determinant {
 // All implements Reducer.
 func (g *graph) All() []event.Determinant {
 	out := make([]event.Determinant, 0, g.held)
-	for _, chain := range g.chains.rows {
-		for i := range chain {
-			out = append(out, chain[i].h.Det())
+	for w, word := range g.live {
+		for ; word != 0; word &= word - 1 {
+			key := w<<6 | bits.TrailingZeros64(word)
+			for _, n := range g.chains.rows[g.chains.slot(event.Rank(key))] {
+				out = append(out, n.h.Det())
+			}
 		}
 	}
 	return out

@@ -2,66 +2,52 @@ package causal
 
 import "mpichv/internal/event"
 
-// rankTable is the sparse per-rank row store behind the reducers' store
-// (its per-creator chains and per-peer knowledge vectors): a pair of
-// parallel arrays sorted by rank, holding one row of T per rank that has
-// ever been touched, so that reducer state and iteration cost track the set
-// of *active* ranks, not the world size. Iteration over keys/rows is in
-// ascending rank order, keeping every consumer deterministic and giving the
-// factored emission order.
+// rankTable is the per-rank row store behind the reducers' store (its
+// per-creator chains and per-peer knowledge vectors): a dense rank→row
+// index over rows kept in activation order. Rows are append-only, so a row
+// index never shifts and a lookup is one load. The index costs 4 bytes per
+// world rank and is allocated with the first row, so a table never
+// touched costs nothing. Rank-ordered iteration is the caller's (the
+// store's live-chain bitmap).
 type rankTable[T any] struct {
-	keys []int32
-	rows []T
+	index []int32 // index[r] is rank r's row + 1, 0 when r has none
+	rows  []T
 }
 
-// search returns the slot of rank r, or the insertion point and false.
+// slot returns rank r's row index, -1 when r has no row.
 //
 //mpichv:noalloc
-func (t *rankTable[T]) search(r event.Rank) (int, bool) {
-	lo, hi := 0, len(t.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.keys[mid] < int32(r) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (t *rankTable[T]) slot(r event.Rank) int {
+	if int(r) < len(t.index) {
+		return int(t.index[r]) - 1
 	}
-	return lo, lo < len(t.keys) && t.keys[lo] == int32(r)
+	return -1
 }
 
 // lookup returns rank r's row value (the zero value when absent).
 //
 //mpichv:noalloc
 func (t *rankTable[T]) lookup(r event.Rank) (T, bool) {
-	if i, ok := t.search(r); ok {
+	if i := t.slot(r); i >= 0 {
 		return t.rows[i], true
 	}
 	var zero T
 	return zero, false
 }
 
-// row returns a pointer to rank r's row, creating a zero-value row if
-// needed. The pointer is valid until the next row insertion.
+// row returns a pointer to rank r's row in a world of np ranks, appending
+// a zero-value row if needed. The pointer is valid until the next row
+// insertion.
 //
-//mpichv:amortized one insertion per newly active rank; steady state is a binary search returning an existing row
-func (t *rankTable[T]) row(r event.Rank) *T {
-	// Append fast path: ranks mostly activate in ascending order.
-	if n := len(t.keys); n == 0 || t.keys[n-1] < int32(r) {
-		var zero T
-		t.keys = append(t.keys, int32(r))
-		t.rows = append(t.rows, zero)
-		return &t.rows[n]
+//mpichv:amortized the index is allocated with the first row and rows grow by append, one per newly active rank; steady state is an index load
+func (t *rankTable[T]) row(r event.Rank, np int) *T {
+	if t.index == nil {
+		t.index = make([]int32, np)
 	}
-	i, ok := t.search(r)
-	if !ok {
+	if t.index[r] == 0 {
 		var zero T
-		t.keys = append(t.keys, 0)
 		t.rows = append(t.rows, zero)
-		copy(t.keys[i+1:], t.keys[i:])
-		copy(t.rows[i+1:], t.rows[i:])
-		t.keys[i] = int32(r)
-		t.rows[i] = zero
+		t.index[r] = int32(len(t.rows))
 	}
-	return &t.rows[i]
+	return &t.rows[t.index[r]-1]
 }
