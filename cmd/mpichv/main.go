@@ -59,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ckpt > 0 {
 		cfg.CkptPolicy = checkpoint.PolicyRoundRobin
 		cfg.CkptInterval = sim.Time(*ckpt)
-		if *stack == cluster.StackCoordinated {
-			cfg.CkptPolicy = checkpoint.PolicyCoordinated
-		}
 	}
 
 	b, c, err := construct(cfg, func() *workload.Instance {

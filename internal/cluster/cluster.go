@@ -58,7 +58,8 @@ type Config struct {
 	EL eventlogger.Config
 
 	// CkptPolicy and CkptInterval drive the checkpoint scheduler.
-	// PolicyNone / zero interval disables checkpointing.
+	// PolicyNone / zero interval disables checkpointing. The coordinated
+	// stack turns any other policy into PolicyCoordinated's waves.
 	CkptPolicy   checkpoint.Policy
 	CkptInterval sim.Time
 
@@ -73,11 +74,12 @@ type Config struct {
 	Faults *faultplan.Plan
 
 	// Horizon, when positive, is an always-on run's planned end: the
-	// kernel stops at this virtual time even if programs are still
-	// pending, and the run classifies as OutcomeHorizon rather than
-	// OutcomeDiverged. Service workloads use it as their evaluation
-	// window's hard edge; batch runs that finish earlier stop at
-	// completion as usual. Zero keeps the legacy run-to-completion mode.
+	// kernel stops at this virtual time if events are still pending, and
+	// the run classifies as OutcomeHorizon rather than OutcomeDiverged.
+	// It keeps no run alive: a run whose queue drains earlier, with
+	// programs parked, is OutcomeDeadlock. Service workloads use it as
+	// their evaluation window's hard edge; batch runs that finish earlier
+	// stop at completion as usual. Zero keeps the run-to-completion mode.
 	Horizon sim.Time
 
 	// AppStateBytes is the modeled checkpoint image size of the
@@ -297,12 +299,11 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 	c.trackLifecycle(d)
 	c.startSampler()
 	if c.Cfg.Horizon > 0 {
-		// The horizon is a scheduled stop, not a RunUntil cap: a pending
-		// kernel event guarantees virtual time reaches the horizon even
-		// when every remaining process is parked (a drained queue would
-		// otherwise end the run early at an arbitrary instant), which is
-		// what lets Outcome classify the cut as planned.
-		c.K.At(c.Cfg.Horizon, c.K.Stop)
+		// The horizon is a background stop, not a RunUntil cap: it cuts a
+		// run still busy there, which Outcome classifies as planned, but
+		// it does not keep a run alive, so a queue that drains first is a
+		// deadlock at that instant.
+		c.K.Background(c.Cfg.Horizon, c.K.Stop)
 	}
 	if c.Cfg.Faults != nil {
 		eng, err := faultplan.Apply(faultplan.Targets{

@@ -397,3 +397,27 @@ func TestFaultDuringCheckpoint(t *testing.T) {
 	}
 	compareDeliveryLogs(t, "fault-mid-checkpoint", ref, foldDeliveries(t, "fault-mid-checkpoint", c))
 }
+
+// TestDeadlockBeforeHorizon: a planned horizon does not keep a stuck run
+// alive. Two ranks that each wait for the other drain the queue at once,
+// which is a deadlock there and then; a run still busy at the horizon is
+// cut there as planned.
+func TestDeadlockBeforeHorizon(t *testing.T) {
+	const horizon = 10 * sim.Second
+	for _, tc := range []struct {
+		name string
+		prog failure.Program
+		want Outcome
+		end  sim.Time
+	}{
+		{"crossed-recv", func(n *daemon.Node) { n.Recv(1-n.Rank(), 0) }, OutcomeDeadlock, 0},
+		{"busy", func(n *daemon.Node) { n.Compute(2 * horizon) }, OutcomeHorizon, horizon},
+	} {
+		c := New(Config{NP: 2, Stack: StackVdummy, Horizon: horizon})
+		run := c.Run([]failure.Program{tc.prog, tc.prog}, 10*sim.Minute)
+		c.Close()
+		if run.Outcome != tc.want || run.End != tc.end {
+			t.Errorf("%s: outcome %q at %v, want %q at %v", tc.name, run.Outcome, run.End, tc.want, tc.end)
+		}
+	}
+}

@@ -41,8 +41,8 @@ const (
 	// OutcomeDiverged: the run was still pending at its virtual-time cap.
 	OutcomeDiverged Outcome = "diverged"
 	// OutcomeDeadlock: the kernel ran out of events with programs still
-	// pending, before its cap and without being stopped — every blocked
-	// rank waits for something no future event can bring.
+	// pending, before its cap or horizon and without being stopped —
+	// every blocked rank waits for something no future event can bring.
 	OutcomeDeadlock Outcome = "deadlock"
 )
 

@@ -228,12 +228,14 @@ type incarnation struct {
 	collectedStab  *sparsevec.Vec
 	detRespsWanted int
 
-	// Coordinated-protocol channel recording (Chandy-Lamport); managed by
-	// the coordinated stack through the hook calls but stored here so the
-	// daemon can re-inject recorded messages on restore.
-	Recording     map[event.Rank]bool
-	RecordedMsgs  []vproto.Message
-	MarkersWanted int
+	// Coordinated-protocol channel recording (Chandy-Lamport): the
+	// channels whose marker is still due and the messages recorded on
+	// them. The coordinated stack manages them through the hook calls.
+	// They sit in the incarnation so that a restart drops a dead
+	// incarnation's cut at once: markers are handled during the image
+	// fetch, before the protocol's Restore runs.
+	Recording    map[event.Rank]bool
+	RecordedMsgs []vproto.Message
 
 	// Log is the sender-based payload log (message-logging stacks).
 	Log *SenderLog
@@ -647,7 +649,6 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 	burst := make([]vproto.Message, len(entries))
 	for i, e := range entries {
 		burst[i] = e.Message(n.rank)
-		burst[i].Replay = true
 	}
 	for i := range burst {
 		n.ChargeCPU(n.transmitCPU(&burst[i]))

@@ -51,16 +51,16 @@ func SetRunnerOptions(o harness.Options) { runnerOpts = o }
 func sweep(spec *harness.SweepSpec) *harness.Results { return harness.Run(spec, runnerOpts) }
 
 // ckptBudget gives every stack Figure 1's checkpoint budget: the same
-// per-process period, so coordinated checkpointing snapshots the whole
-// machine once per period and the logging stacks checkpoint one rank at a
-// time, round-robin.
+// per-process period, so the logging stacks checkpoint one rank at a time,
+// round-robin, and coordinated checkpointing snapshots the whole machine
+// once per period (cluster.New turns its policy into the coordinated
+// wave).
 func ckptBudget(c *harness.Cell) {
 	const period = 10 * sim.Second
-	if c.Stack.Stack == cluster.StackCoordinated {
-		c.Config.CkptPolicy, c.Config.CkptInterval = checkpoint.PolicyCoordinated, period
-		return
-	}
 	c.Config.CkptPolicy, c.Config.CkptInterval = checkpoint.PolicyRoundRobin, period/sim.Time(c.Config.NP)
+	if c.Stack.Stack == cluster.StackCoordinated {
+		c.Config.CkptInterval = period
+	}
 }
 
 // planTune resolves every (workload, variant) fault plan once, before the

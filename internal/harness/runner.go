@@ -131,9 +131,6 @@ func execute(cell *Cell, opts Options) (cr CellResult) {
 
 	in := cell.Workload.Build()
 	cfg := cell.Config
-	if in.AppStateBytes > 0 {
-		cfg.AppStateBytes = in.AppStateBytes
-	}
 	if opts.TraceDir != "" {
 		cfg.Trace = true
 	}

@@ -149,8 +149,8 @@ type Cell struct {
 	Workload Workload
 	Stack    Stack
 	Variant  Variant
-	// Config is the resolved deployment. AppStateBytes is left to the
-	// built instance unless the workload overrides it.
+	// Config is the resolved deployment. The checkpoint image size is
+	// the built instance's, which its programs set on their nodes.
 	Config cluster.Config
 	// Fault schedule (copied from the variant; Tune may adjust it).
 	FaultAt    sim.Time

@@ -19,8 +19,8 @@ type Coordinated struct {
 	pending *vproto.CheckpointImage
 	// doneEpoch is the latest wave this node completed.
 	doneEpoch int
-	// earlyMarkers counts markers that arrived for an epoch before this
-	// node took its own snapshot of that epoch.
+	// earlyMarkers lists, per epoch, the senders whose marker arrived
+	// before this node took its own snapshot of that epoch.
 	earlyMarkers map[int][]event.Rank
 }
 
@@ -71,8 +71,7 @@ func (c *Coordinated) onMarker(n *daemon.Node, from event.Rank, epoch int) {
 	}
 	if n.Recording[from] {
 		delete(n.Recording, from)
-		n.MarkersWanted--
-		if n.MarkersWanted == 0 {
+		if len(n.Recording) == 0 {
 			c.finish(n)
 		}
 	}
@@ -90,26 +89,19 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 	// as they arrive, until every marker is in.
 	c.pending = n.BuildImage()
 
+	// Record every channel but this rank's own and those whose marker
+	// came early; the cut is complete when the set is empty.
 	n.Recording = make(map[event.Rank]bool, n.NP())
 	n.RecordedMsgs = nil
-	n.MarkersWanted = 0
-	early := c.earlyMarkers[epoch]
-	delete(c.earlyMarkers, epoch)
-	isEarly := func(r event.Rank) bool {
-		for _, e := range early {
-			if e == r {
-				return true
-			}
-		}
-		return false
-	}
 	for r := 0; r < n.NP(); r++ {
-		if event.Rank(r) == n.Rank() || isEarly(event.Rank(r)) {
-			continue
+		if event.Rank(r) != n.Rank() {
+			n.Recording[event.Rank(r)] = true
 		}
-		n.Recording[event.Rank(r)] = true
-		n.MarkersWanted++
 	}
+	for _, r := range c.earlyMarkers[epoch] {
+		delete(n.Recording, r)
+	}
+	delete(c.earlyMarkers, epoch)
 	for r := 0; r < n.NP(); r++ {
 		if event.Rank(r) == n.Rank() {
 			continue
@@ -120,7 +112,7 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 		pkt.Epoch = epoch
 		n.SendPacket(r, 16, pkt)
 	}
-	if n.MarkersWanted == 0 {
+	if len(n.Recording) == 0 {
 		c.finish(n)
 	}
 }

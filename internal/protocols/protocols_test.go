@@ -207,3 +207,72 @@ func TestPessimisticBlocksUntilAck(t *testing.T) {
 			bSecondSend, ackDelay)
 	}
 }
+
+// TestCoordinatedCut drives one rank's Chandy-Lamport cut through the
+// protocol hooks: a marker that arrives before the local snapshot leaves
+// its sender's channel out of the recording, a message from a channel
+// still recording joins the image's channel state, a stale marker is
+// ignored, and a snapshot whose markers all came early ships at once.
+func TestCoordinatedCut(t *testing.T) {
+	const np, server = 3, 3
+	k := sim.NewKernel(1)
+	net := netmodel.New(k, netmodel.FastEthernet(), np+1)
+	proto := NewCoordinated()
+	n := newNode(k, net, 0, np, proto)
+	n.CkptEndpoint = server
+	var stored []*vproto.CheckpointImage
+	net.Endpoint(server).SetHandler(func(d netmodel.Delivery) {
+		if pkt := d.Payload.(*vproto.Packet); pkt.Kind == vproto.PktCkptStore {
+			stored = append(stored, pkt.Image)
+		}
+	})
+	marker := func(from event.Rank, epoch int) {
+		proto.OnControl(n, &vproto.Packet{Kind: vproto.PktMarker, Rank: from, Epoch: epoch})
+	}
+	ship := func() int { k.Run(); return len(stored) }
+
+	// Wave 1: rank 1's marker beats the local snapshot.
+	marker(1, 1)
+	if n.CheckpointEpoch() != 1 {
+		t.Fatalf("an early marker requested epoch %d, want 1", n.CheckpointEpoch())
+	}
+	proto.TakeSnapshot(n)
+	if n.Recording[1] || !n.Recording[2] || len(n.Recording) != 1 {
+		t.Fatalf("recording %v after rank 1's early marker, want only rank 2", n.Recording)
+	}
+	proto.OnPacketAccepted(n, &vproto.Message{Src: 1, Dst: 0, Tag: 7, Bytes: 10, SendSeq: 1})
+	proto.OnPacketAccepted(n, &vproto.Message{Src: 2, Dst: 0, Tag: 8, Bytes: 20, SendSeq: 1})
+	marker(1, 1) // a second marker on a closed channel changes nothing
+	if ship() != 0 {
+		t.Fatal("the snapshot shipped before rank 2's marker")
+	}
+	marker(2, 1)
+	if ship() != 1 {
+		t.Fatalf("%d images stored after the last marker, want 1", len(stored))
+	}
+	im := stored[0]
+	if im.Epoch != 1 || len(im.ChannelMsgs) != 1 || im.ChannelMsgs[0].Src != 2 || im.ChannelMsgs[0].Tag != 8 {
+		t.Fatalf("image epoch %d channel state %+v, want epoch 1 with rank 2's tag-8 message only", im.Epoch, im.ChannelMsgs)
+	}
+	if n.Recording != nil || n.RecordedMsgs != nil {
+		t.Errorf("a shipped cut left recording %v and %d recorded messages", n.Recording, len(n.RecordedMsgs))
+	}
+
+	// A stale marker from the shipped wave requests nothing.
+	n.RequestCheckpoint(0)
+	marker(2, 1)
+	if n.CheckpointEpoch() != 0 || ship() != 1 {
+		t.Errorf("a stale marker requested epoch %d and left %d images, want 0 and 1", n.CheckpointEpoch(), len(stored))
+	}
+
+	// Wave 2: both markers come before the snapshot, which ships at once.
+	marker(1, 2)
+	marker(2, 2)
+	proto.TakeSnapshot(n)
+	if ship() != 2 || stored[1].Epoch != 2 {
+		t.Fatalf("all-early wave: %d images stored, want the epoch-2 image shipped at once", len(stored))
+	}
+	if got := n.Stats().Checkpoints; got != 2 {
+		t.Errorf("Checkpoints = %d, want 2", got)
+	}
+}

@@ -38,9 +38,6 @@ type Message struct {
 	Piggyback      []event.Determinant
 	PiggybackBytes int
 
-	// Replay marks a message re-sent from a sender log during recovery.
-	Replay bool
-
 	// Inc is the sender's incarnation (recovery epoch) at transmission.
 	// Receivers that have been told a higher incarnation of the sender is
 	// live — the dispatcher announces it when it fences a falsely suspected
@@ -51,7 +48,7 @@ type Message struct {
 
 // LogEntry is one sender-log entry as the log and a checkpoint image hold
 // it, 28 bytes and pointer-free: what replay needs of a message, at the
-// wire's 32-bit width. The source is the log's owner; Replay, Inc and the
+// wire's 32-bit width. The source is the log's owner; Inc and the
 // piggyback are set again when the entry is re-emitted.
 type LogEntry struct {
 	Dst, LastCreator            event.Rank
@@ -102,7 +99,7 @@ const (
 	// and payload replay in general).
 	PktDetRequest
 	// PktDetResponse answers a PktDetRequest with determinants; logged
-	// payloads are re-sent separately as PktApp messages with Replay set.
+	// payloads are re-sent separately as PktApp messages.
 	PktDetResponse
 	// PktCkptStore ships a checkpoint image to the checkpoint server.
 	PktCkptStore

@@ -226,47 +226,38 @@ func BuildService(cfg ServiceConfig) *Instance {
 		})
 	}
 
-	in := &Instance{
-		Spec:          Spec{Bench: "service", NP: cfg.NP},
-		AppStateBytes: cfg.AppStateBytes,
-		Service:       stats,
-	}
-	for rank := 0; rank < cfg.NP; rank++ {
-		script := ops[rank]
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			for _, op := range script {
-				switch op.kind {
-				case opIssue:
-					// Pace to the nominal issue time. The wait is computed
-					// from the local clock, never skipped (op counts must
-					// match across re-executions — Compute(0) still counts
-					// a step), and collapses to zero when the client is
-					// catching up after a stall.
-					wait := op.at - n.Now()
-					if wait < 0 {
-						wait = 0
-					}
-					c.Compute(wait)
-					c.Send(op.req.server, ServiceReqTag+op.req.gk, cfg.ReqBytes)
-				case opServe:
-					c.Recv(op.req.client, ServiceReqTag+op.req.gk)
-					c.Compute(cfg.ServiceTime)
-					c.Send(op.req.client, ServiceRespTag+op.req.gk, cfg.RespBytes)
-				case opCollect:
-					c.Recv(op.req.server, ServiceRespTag+op.req.gk)
-					// Record only live consumptions: during checkpoint
-					// fast-forward the Recv returns a placeholder without
-					// touching the network, and the original execution
-					// already observed this request.
-					if !n.Skipping() {
-						stats.observe(op.req.gk, n.Now()-op.req.at)
-					}
+	in := spmd(Spec{Bench: "service", NP: cfg.NP}, 0, cfg.AppStateBytes, func(n *daemon.Node, c *mpi.Comm) {
+		for _, op := range ops[c.Rank()] {
+			switch op.kind {
+			case opIssue:
+				// Pace to the nominal issue time. The wait is computed
+				// from the local clock, never skipped (op counts must
+				// match across re-executions — Compute(0) still counts
+				// a step), and collapses to zero when the client is
+				// catching up after a stall.
+				wait := op.at - n.Now()
+				if wait < 0 {
+					wait = 0
+				}
+				c.Compute(wait)
+				c.Send(op.req.server, ServiceReqTag+op.req.gk, cfg.ReqBytes)
+			case opServe:
+				c.Recv(op.req.client, ServiceReqTag+op.req.gk)
+				c.Compute(cfg.ServiceTime)
+				c.Send(op.req.client, ServiceRespTag+op.req.gk, cfg.RespBytes)
+			case opCollect:
+				c.Recv(op.req.server, ServiceRespTag+op.req.gk)
+				// Record only live consumptions: during checkpoint
+				// fast-forward the Recv returns a placeholder without
+				// touching the network, and the original execution
+				// already observed this request.
+				if !n.Skipping() {
+					stats.observe(op.req.gk, n.Now()-op.req.at)
 				}
 			}
-		})
-	}
+		}
+	})
+	in.Service = stats
 	return in
 }
 

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"mpichv/internal/daemon"
-	"mpichv/internal/failure"
 	"mpichv/internal/mpi"
 	"mpichv/internal/sim"
 )
@@ -17,32 +16,18 @@ import (
 // exact scenario, so tuning it here keeps what CI smokes and what the unit
 // tests prove in lockstep.
 func BuildWitnessPair(iters int) *Instance {
-	programs := []failure.Program{
-		func(n *daemon.Node) { // rank 0: the victim
-			c := mpi.NewComm(n)
-			for i := 0; i < iters; i++ {
-				c.Compute(500 * sim.Microsecond)
+	return spmd(Spec{Bench: "custom", NP: 3}, 0, 8<<20, func(_ *daemon.Node, c *mpi.Comm) {
+		for i := 0; i < iters; i++ {
+			c.Compute(500 * sim.Microsecond)
+			switch c.Rank() {
+			case 0: // the victim
 				c.Recv(2, 0)
 				c.Send(1, 0, 256)
-			}
-		},
-		func(n *daemon.Node) { // rank 1: the only witness
-			c := mpi.NewComm(n)
-			for i := 0; i < iters; i++ {
-				c.Compute(500 * sim.Microsecond)
+			case 1: // the only witness
 				c.Recv(0, 0)
-			}
-		},
-		func(n *daemon.Node) { // rank 2: the feeder
-			c := mpi.NewComm(n)
-			for i := 0; i < iters; i++ {
-				c.Compute(500 * sim.Microsecond)
+			case 2: // the feeder
 				c.Send(0, 0, 256)
 			}
-		},
-	}
-	return &Instance{
-		Spec:     Spec{Bench: "custom", NP: 3},
-		Programs: programs,
-	}
+		}
+	})
 }

@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mpichv/internal/daemon"
 	"mpichv/internal/failure"
@@ -48,8 +49,8 @@ type Instance struct {
 	Programs []failure.Program
 	// TotalFlops is the (scaled) operation count, for Mflop/s reporting.
 	TotalFlops float64
-	// AppStateBytes is the per-process application state (checkpoint image
-	// contribution).
+	// AppStateBytes is each rank's checkpoint image size. The programs
+	// read it when they run, so a value set after the build counts.
 	AppStateBytes int64
 	// Service is the request/response latency collector of a service
 	// build (BuildService); nil for batch benchmarks. It holds one run's
@@ -89,6 +90,19 @@ func Build(spec Spec) *Instance {
 		panic("workload: use BuildPingPong for the NetPIPE benchmark")
 	}
 	panic("workload: unknown benchmark " + spec.Bench)
+}
+
+// spmd returns an instance of spec in which every rank runs body over its
+// own communicator. Each incarnation first sets its node's checkpoint
+// image size from the instance: this is the one place a workload sets it.
+func spmd(spec Spec, flops float64, stateBytes int64, body func(n *daemon.Node, c *mpi.Comm)) *Instance {
+	in := &Instance{Spec: spec, TotalFlops: flops, AppStateBytes: stateBytes}
+	run := func(n *daemon.Node) {
+		n.AppStateBytes = in.AppStateBytes
+		body(n, mpi.NewComm(n))
+	}
+	in.Programs = slices.Repeat([]failure.Program{run}, spec.NP)
+	return in
 }
 
 // flopsTime converts a per-process flop count into compute time.
@@ -151,34 +165,26 @@ func buildBTSP(spec Spec, p btspParams) *Instance {
 	}
 	p.iters *= spec.IterScale
 	p.totalFlops *= float64(spec.IterScale)
-	np := spec.NP
-	perIter := flopsTime(p.totalFlops / float64(p.iters) / float64(np))
-	in := &Instance{Spec: spec, TotalFlops: p.totalFlops, AppStateBytes: p.stateBytes}
-	for r := 0; r < np; r++ {
-		r := r
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			row, col := r/side, r%side
-			east := row*side + (col+1)%side
-			west := row*side + (col-1+side)%side
-			south := ((row+1)%side)*side + col
-			north := ((row-1+side)%side)*side + col
-			for it := 0; it < p.iters; it++ {
-				c.Compute(perIter)
-				// Face exchanges in the three ADI sweeps (modeled as the
-				// four torus neighbours; sends are eager so computation
-				// overlaps the transfers, as the paper notes for BT).
-				for _, nb := range []int{east, west, south, north} {
-					c.Send(nb, 10, p.faceBytes)
-				}
-				for range []int{east, west, south, north} {
-					c.Recv(mpi.AnySource, 10)
-				}
+	perIter := flopsTime(p.totalFlops / float64(p.iters) / float64(spec.NP))
+	return spmd(spec, p.totalFlops, p.stateBytes, func(_ *daemon.Node, c *mpi.Comm) {
+		row, col := c.Rank()/side, c.Rank()%side
+		east := row*side + (col+1)%side
+		west := row*side + (col-1+side)%side
+		south := ((row+1)%side)*side + col
+		north := ((row-1+side)%side)*side + col
+		for it := 0; it < p.iters; it++ {
+			c.Compute(perIter)
+			// Face exchanges in the three ADI sweeps (modeled as the
+			// four torus neighbours; sends are eager so computation
+			// overlaps the transfers, as the paper notes for BT).
+			for _, nb := range []int{east, west, south, north} {
+				c.Send(nb, 10, p.faceBytes)
 			}
-		})
-	}
-	return in
+			for range []int{east, west, south, north} {
+				c.Recv(mpi.AnySource, 10)
+			}
+		}
+	})
 }
 
 // --- CG: latency-driven point-to-point exchanges on a power-of-two
@@ -200,28 +206,22 @@ func buildCG(spec Spec) *Instance {
 		stateBytes = int64(400<<20) / int64(np)
 	}
 	perIter := flopsTime(totalFlops / float64(iters) / float64(np))
-	in := &Instance{Spec: spec, TotalFlops: totalFlops, AppStateBytes: stateBytes}
-	for r := 0; r < np; r++ {
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			for it := 0; it < iters; it++ {
-				c.Compute(perIter)
-				// Transpose exchanges across the two halves of the proc row.
-				if np > 1 {
-					c.Sendrecv(c.Rank()^1, exchBytes, c.Rank()^1, 20)
-					if np >= 4 {
-						p := c.Rank() ^ (np / 2)
-						c.Sendrecv(p, exchBytes, p, 21)
-					}
+	return spmd(spec, totalFlops, stateBytes, func(_ *daemon.Node, c *mpi.Comm) {
+		for it := 0; it < iters; it++ {
+			c.Compute(perIter)
+			// Transpose exchanges across the two halves of the proc row.
+			if np > 1 {
+				c.Sendrecv(c.Rank()^1, exchBytes, c.Rank()^1, 20)
+				if np >= 4 {
+					p := c.Rank() ^ (np / 2)
+					c.Sendrecv(p, exchBytes, p, 21)
 				}
-				// Dot-product reductions dominate the latency budget.
-				c.Allreduce(8)
-				c.Allreduce(8)
 			}
-		})
-	}
-	return in
+			// Dot-product reductions dominate the latency budget.
+			c.Allreduce(8)
+			c.Allreduce(8)
+		}
+	})
 }
 
 // --- LU: 2D pipelined wavefront with a large number of small messages.
@@ -258,66 +258,60 @@ func buildLU(spec Spec) *Instance {
 	}
 	perChunk := flopsTime(chunkFlops)
 	perTail := flopsTime(tailFlops)
-	in := &Instance{Spec: spec, TotalFlops: totalFlops, AppStateBytes: stateBytes}
-	for r := 0; r < np; r++ {
-		r := r
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			row, col := r/px, r%px
-			north, south := -1, -1
-			west, east := -1, -1
-			if row > 0 {
-				north = (row-1)*px + col
-			}
-			if row < py-1 {
-				south = (row+1)*px + col
-			}
-			if col > 0 {
-				west = r - 1
-			}
-			if col < px-1 {
-				east = r + 1
-			}
-			for it := 0; it < iters; it++ {
-				// Lower sweep: wavefront from the north-west corner.
-				for k := 0; k < chunks; k++ {
-					if north >= 0 {
-						c.Recv(north, 30)
-					}
-					if west >= 0 {
-						c.Recv(west, 31)
-					}
-					c.Compute(perChunk)
-					if south >= 0 {
-						c.Send(south, 30, planeBytes)
-					}
-					if east >= 0 {
-						c.Send(east, 31, planeBytes)
-					}
+	return spmd(spec, totalFlops, stateBytes, func(_ *daemon.Node, c *mpi.Comm) {
+		r := c.Rank()
+		row, col := r/px, r%px
+		north, south := -1, -1
+		west, east := -1, -1
+		if row > 0 {
+			north = (row-1)*px + col
+		}
+		if row < py-1 {
+			south = (row+1)*px + col
+		}
+		if col > 0 {
+			west = r - 1
+		}
+		if col < px-1 {
+			east = r + 1
+		}
+		for it := 0; it < iters; it++ {
+			// Lower sweep: wavefront from the north-west corner.
+			for k := 0; k < chunks; k++ {
+				if north >= 0 {
+					c.Recv(north, 30)
 				}
-				// Upper sweep: wavefront from the south-east corner.
-				for k := 0; k < chunks; k++ {
-					if south >= 0 {
-						c.Recv(south, 32)
-					}
-					if east >= 0 {
-						c.Recv(east, 33)
-					}
-					c.Compute(perChunk)
-					if north >= 0 {
-						c.Send(north, 32, planeBytes)
-					}
-					if west >= 0 {
-						c.Send(west, 33, planeBytes)
-					}
+				if west >= 0 {
+					c.Recv(west, 31)
 				}
-				c.Compute(perTail)
-				c.Allreduce(40)
+				c.Compute(perChunk)
+				if south >= 0 {
+					c.Send(south, 30, planeBytes)
+				}
+				if east >= 0 {
+					c.Send(east, 31, planeBytes)
+				}
 			}
-		})
-	}
-	return in
+			// Upper sweep: wavefront from the south-east corner.
+			for k := 0; k < chunks; k++ {
+				if south >= 0 {
+					c.Recv(south, 32)
+				}
+				if east >= 0 {
+					c.Recv(east, 33)
+				}
+				c.Compute(perChunk)
+				if north >= 0 {
+					c.Send(north, 32, planeBytes)
+				}
+				if west >= 0 {
+					c.Send(west, 33, planeBytes)
+				}
+			}
+			c.Compute(perTail)
+			c.Allreduce(40)
+		}
+	})
 }
 
 // --- FT: all-to-all transposes with heavy per-iteration computation.
@@ -335,19 +329,13 @@ func buildFT(spec Spec) *Instance {
 	totalFlops := 7.16e9 / 4 * float64(spec.IterScale)
 	stateBytes := int64(400<<20) / 4 / int64(np)
 	perIter := flopsTime(totalFlops / float64(iters) / float64(np))
-	in := &Instance{Spec: spec, TotalFlops: totalFlops, AppStateBytes: stateBytes}
-	for r := 0; r < np; r++ {
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			for it := 0; it < iters; it++ {
-				c.Compute(perIter)
-				c.Alltoall(pairBytes)
-				c.Allreduce(16)
-			}
-		})
-	}
-	return in
+	return spmd(spec, totalFlops, stateBytes, func(_ *daemon.Node, c *mpi.Comm) {
+		for it := 0; it < iters; it++ {
+			c.Compute(perIter)
+			c.Alltoall(pairBytes)
+			c.Allreduce(16)
+		}
+	})
 }
 
 // --- MG: V-cycle multigrid with neighbour exchanges whose sizes halve at
@@ -364,57 +352,40 @@ func buildMG(spec Spec) *Instance {
 	totalFlops := 3.625e9 * float64(spec.IterScale)
 	stateBytes := int64(450<<20) / int64(np)
 	perLevel := flopsTime(totalFlops / float64(iters) / float64(np) / float64(2*levels))
-	in := &Instance{Spec: spec, TotalFlops: totalFlops, AppStateBytes: stateBytes}
 	dims := log2(np)
-	for r := 0; r < np; r++ {
-		in.Programs = append(in.Programs, func(n *daemon.Node) {
-			n.AppStateBytes = in.AppStateBytes
-			c := mpi.NewComm(n)
-			for it := 0; it < iters; it++ {
-				// Down the V-cycle (restriction) and back up (prolongation).
-				for pass := 0; pass < 2; pass++ {
-					for lvl := 0; lvl < levels; lvl++ {
-						bytes := baseBytes >> lvl
-						if bytes < 64 {
-							bytes = 64
-						}
-						c.Compute(perLevel)
-						if np > 1 {
-							partner := c.Rank() ^ (1 << (lvl % dims))
-							c.Sendrecv(partner, bytes, partner, 40+lvl)
-						}
+	return spmd(spec, totalFlops, stateBytes, func(_ *daemon.Node, c *mpi.Comm) {
+		for it := 0; it < iters; it++ {
+			// Down the V-cycle (restriction) and back up (prolongation).
+			for pass := 0; pass < 2; pass++ {
+				for lvl := 0; lvl < levels; lvl++ {
+					bytes := baseBytes >> lvl
+					if bytes < 64 {
+						bytes = 64
+					}
+					c.Compute(perLevel)
+					if np > 1 {
+						partner := c.Rank() ^ (1 << (lvl % dims))
+						c.Sendrecv(partner, bytes, partner, 40+lvl)
 					}
 				}
-				c.Allreduce(8)
 			}
-		})
-	}
-	return in
+			c.Allreduce(8)
+		}
+	})
 }
 
 // BuildPingPong constructs the NetPIPE benchmark: reps ping-pong rounds of
 // the given payload between ranks 0 and 1.
 func BuildPingPong(bytes, reps int) *Instance {
-	in := &Instance{
-		Spec:          Spec{Bench: "pingpong", NP: 2},
-		TotalFlops:    0,
-		AppStateBytes: 8 << 20,
-	}
-	in.Programs = []failure.Program{
-		func(n *daemon.Node) {
-			c := mpi.NewComm(n)
-			for i := 0; i < reps; i++ {
+	return spmd(Spec{Bench: "pingpong", NP: 2}, 0, 8<<20, func(_ *daemon.Node, c *mpi.Comm) {
+		for i := 0; i < reps; i++ {
+			if c.Rank() == 0 {
 				c.Send(1, 0, bytes)
 				c.Recv(1, 0)
-			}
-		},
-		func(n *daemon.Node) {
-			c := mpi.NewComm(n)
-			for i := 0; i < reps; i++ {
+			} else {
 				c.Recv(0, 0)
 				c.Send(0, 0, bytes)
 			}
-		},
-	}
-	return in
+		}
+	})
 }

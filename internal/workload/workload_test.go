@@ -43,6 +43,32 @@ func TestAllBenchmarksCompleteOnVdummy(t *testing.T) {
 	}
 }
 
+// TestImageSizeSetByPrograms: every builder's programs set their node's
+// checkpoint image size from the instance when they run, so a size set
+// after the build (a harness override) reaches every node.
+func TestImageSizeSetByPrograms(t *testing.T) {
+	const size = 12345
+	for _, in := range []*Instance{
+		Build(Spec{Bench: "bt", Class: "A", NP: 4}), Build(Spec{Bench: "sp", Class: "A", NP: 4}),
+		Build(Spec{Bench: "cg", Class: "A", NP: 2}), Build(Spec{Bench: "lu", Class: "A", NP: 2}),
+		Build(Spec{Bench: "ft", Class: "A", NP: 2}), Build(Spec{Bench: "mg", Class: "A", NP: 2}),
+		BuildPingPong(64, 3), BuildWitnessPair(3),
+		BuildService(ServiceConfig{NP: 2, RatePerRank: 100, Window: 50 * sim.Millisecond}),
+	} {
+		if in.AppStateBytes <= 0 {
+			t.Errorf("%v states no image size", in.Spec)
+		}
+		in.AppStateBytes = size
+		_, c := runInstance(t, in, cluster.StackVdummy, "", false)
+		for r, n := range c.Nodes {
+			if n.AppStateBytes != size {
+				t.Errorf("%v: rank %d image size %d, want %d", in.Spec, r, n.AppStateBytes, size)
+			}
+		}
+		c.Close()
+	}
+}
+
 func TestBenchmarksRunUnderCausalProtocols(t *testing.T) {
 	for _, reducer := range []string{"vcausal", "manetho", "logon"} {
 		for _, useEL := range []bool{true, false} {
