@@ -371,6 +371,48 @@ func TestCoordinatedSecondFaultInsideRestartDelay(t *testing.T) {
 	compareDeliveryLogs(t, "coordinated-overlap", ref, foldDeliveries(t, "coordinated-overlap", c))
 }
 
+// TestCoordinatedWaveAfterFinish: a rank whose program has finished still
+// answers a coordinated wave. Rank 0 sends once and ends before the first
+// wave; rank 1 computes on for 100 ms. Fault-free, waves complete after
+// rank 0 finished; with rank 1 killed at 50 ms, the rollback lands on such
+// a wave, so rank 0 stays finished and rank 1 does not consume again.
+func TestCoordinatedWaveAfterFinish(t *testing.T) {
+	progs := []failure.Program{
+		func(n *daemon.Node) { n.Send(1, 0, 1024) },
+		func(n *daemon.Node) {
+			n.Recv(0, 0)
+			for i := 0; i < 100; i++ {
+				n.Compute(sim.Millisecond)
+			}
+		},
+	}
+	run := func(crashAt sim.Time) *Cluster {
+		c := New(Config{
+			NP: 2, Stack: StackCoordinated,
+			CkptPolicy: checkpoint.PolicyCoordinated, CkptInterval: 10 * sim.Millisecond,
+			RecordDeliveries: true,
+			AppStateBytes:    64 << 10,
+		})
+		d := c.PrepareRun(progs)
+		if crashAt > 0 {
+			d.ScheduleFault(crashAt, 1)
+		}
+		d.Launch()
+		c.RunLaunched(30 * sim.Minute).MustCompleted()
+		return c
+	}
+	if e := run(0).CkptServer.CompleteEpoch(); e < 1 {
+		t.Fatalf("fault-free: newest complete wave %d, want one taken after rank 0 finished", e)
+	}
+	c := run(50 * sim.Millisecond)
+	if c.Dispatcher.Kills != 1 {
+		t.Fatalf("kills = %d, want 1", c.Dispatcher.Kills)
+	}
+	if sent, got := c.Nodes[0].Stats().AppMsgsSent, len(c.Nodes[1].Deliveries); sent != 1 || got != 1 {
+		t.Fatalf("after the rollback rank 0 sent %d messages and rank 1 consumed %d, want 1 and 1", sent, got)
+	}
+}
+
 // TestFaultDuringCheckpoint kills the rank that is inside its checkpoint
 // transaction (store issued, ack pending): recovery must restore a
 // consistent image — either the previous one or the one committed by the

@@ -83,14 +83,6 @@ type Protocol interface {
 	HeldFor(creator event.Rank) []event.Determinant
 }
 
-// PacketObserver is an optional Protocol extension invoked when an
-// application packet is accepted by the daemon (before MPI matching). The
-// coordinated stack uses it to record in-transit messages for the
-// Chandy-Lamport channel state.
-type PacketObserver interface {
-	OnPacketAccepted(n *Node, m *vproto.Message)
-}
-
 // Node is one computing node of the MPICH-V deployment. Its state has three
 // lifetimes: wiring, set when the deployment is built; daemon state, which
 // outlives the application process; and the embedded incarnation, the
@@ -230,10 +222,11 @@ type incarnation struct {
 
 	// Coordinated-protocol channel recording (Chandy-Lamport): the
 	// channels whose marker is still due and the messages recorded on
-	// them. The coordinated stack manages them through the hook calls.
-	// They sit in the incarnation so that a restart drops a dead
-	// incarnation's cut at once: markers are handled during the image
-	// fetch, before the protocol's Restore runs.
+	// them. The coordinated stack opens and closes the set; the daemon
+	// records each accepted message from a channel in it. They sit in the
+	// incarnation so that a restart drops a dead incarnation's cut at
+	// once: markers are handled during the image fetch, before the
+	// protocol's Restore runs.
 	Recording    map[event.Rank]bool
 	RecordedMsgs []vproto.Message
 
@@ -322,12 +315,12 @@ func (n *Node) fenced(m *vproto.Message) bool { return m.Inc < n.peerEpoch[m.Src
 // announcement.
 func (n *Node) MarkFencedRestart() { n.fencedRestart = true }
 
-// RecvQueueSnapshot returns copies of the currently delivered, unconsumed
+// recvQueueSnapshot returns copies of the currently delivered, unconsumed
 // application messages (Chandy-Lamport channel-state seeding). Piggyback
 // slices are deep-copied: the live messages' buffers return to the
 // piggyback free list once delivered, and a checkpoint image must not alias
 // recycled memory.
-func (n *Node) RecvQueueSnapshot() []vproto.Message {
+func (n *Node) recvQueueSnapshot() []vproto.Message {
 	out := make([]vproto.Message, 0, len(n.recvQ))
 	for _, m := range n.recvQ {
 		cp := *m
@@ -595,9 +588,12 @@ func (n *Node) process(d netmodel.Delivery) {
 			return // duplicate (replayed or rollback re-sent)
 		}
 		n.recvQ = append(n.recvQ, m)
-		if po, ok := n.Proto.(PacketObserver); ok {
-			po.OnPacketAccepted(n, m)
+		if n.Recording[m.Src] {
+			n.RecordedMsgs = append(n.RecordedMsgs, *m)
 		}
+
+	case vproto.PktCkptRequest:
+		n.RequestCheckpoint(pkt.Epoch)
 
 	case vproto.PktCkptAck:
 		n.awaitCkptAck = false
@@ -657,7 +653,8 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 }
 
 // RequestCheckpoint marks a checkpoint request to be honoured at the next
-// operation boundary (set from protocol OnControl hooks).
+// operation boundary: the scheduler's PktCkptRequest, or a coordinated
+// marker that arrives ahead of it. A later request overwrites the epoch.
 func (n *Node) RequestCheckpoint(epoch int) {
 	n.ckptRequested = true
 	n.ckptEpoch = epoch
@@ -707,7 +704,7 @@ func (n *Node) BuildImage() *vproto.CheckpointImage {
 	// application are daemon state: they are inside the duplicate
 	// suppression floors, so they must travel with the image or they would
 	// be lost on restore.
-	im.ChannelMsgs = n.RecvQueueSnapshot()
+	im.ChannelMsgs = n.recvQueueSnapshot()
 	// The sender log travels too, so a restarted process can still serve
 	// replay requests from before its own crash (nil when empty).
 	im.LoggedPayloads = n.Log.Snapshot()

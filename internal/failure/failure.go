@@ -183,38 +183,28 @@ func (d *Dispatcher) Kill(r int) {
 		return
 	}
 	d.Kills++
+	// The victims: rank r, or under rollback-all every rank — including
+	// ones whose program already finished, because the restored global
+	// state predates their completion. Their completion is revoked now, so
+	// fault targeting sees them as running during the restart window
+	// rather than only once the respawn binds.
+	lo, hi := r, r+1
 	if d.Coordinated {
-		// Rollback-all: every rank — including ones whose program already
-		// finished — returns to the last complete checkpoint wave, because
-		// the restored global state predates their completion.
-		for i := range d.procs {
-			d.gen[i]++
-			d.restarting[i] = true
-			// A finished rank rolls back too: its completion is revoked
-			// now, so fault targeting sees it as running during the
-			// restart window rather than only once the respawn binds.
-			d.nodes[i].Unfinish()
-			d.procs[i].Kill()
-		}
-		d.emit(obs.KindKill, r)
-		gen := append([]int64(nil), d.gen...)
-		d.k.After(d.restartDelay(), func() {
-			for i := range d.nodes {
-				if d.gen[i] == gen[i] {
-					d.spawn(i, true, i == r)
-				}
-			}
-		})
-		return
+		lo, hi = 0, len(d.nodes)
 	}
-	d.gen[r]++
-	gen := d.gen[r]
-	d.restarting[r] = true
-	d.procs[r].Kill()
+	for i := lo; i < hi; i++ {
+		d.gen[i]++
+		d.restarting[i] = true
+		d.nodes[i].Unfinish()
+		d.procs[i].Kill()
+	}
 	d.emit(obs.KindKill, r)
+	gen := append([]int64(nil), d.gen[lo:hi]...)
 	d.k.After(d.restartDelay(), func() {
-		if d.gen[r] == gen {
-			d.spawn(r, true, true)
+		for i := lo; i < hi; i++ {
+			if d.gen[i] == gen[i-lo] {
+				d.spawn(i, true, i == r)
+			}
 		}
 	})
 }

@@ -1,19 +1,19 @@
 package protocols
 
 import (
-	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/daemon"
 	"mpichv/internal/event"
-	"mpichv/internal/sim"
 	"mpichv/internal/vproto"
 )
 
 // Coordinated is the Chandy-Lamport coordinated checkpointing V-protocol
-// (the Figure 1 baseline). There is no message logging: a checkpoint
-// scheduler periodically triggers a marker flood that cuts a consistent
-// global snapshot, recording in-transit messages as channel state. On any
-// failure, every process rolls back to the latest complete wave.
+// (the Figure 1 baseline). There is no message logging, so the logging
+// hooks are Vdummy's: a checkpoint scheduler periodically triggers a
+// marker flood that cuts a consistent global snapshot, and the daemon
+// records in-transit messages as channel state. On any failure, every
+// process rolls back to the latest complete wave.
 type Coordinated struct {
+	Vdummy
 	// pending is the local image of the in-progress wave, shipped once all
 	// markers arrive.
 	pending *vproto.CheckpointImage
@@ -29,30 +29,9 @@ func NewCoordinated() *Coordinated {
 	return &Coordinated{earlyMarkers: make(map[int][]event.Rank)}
 }
 
-// PreSend implements daemon.Protocol: nothing to do (no logging).
-func (*Coordinated) PreSend(*daemon.Node, *vproto.Message) sim.Time { return 0 }
-
-// OnDeliver implements daemon.Protocol: no determinants are created; the
-// channel recording happens at packet acceptance (OnPacketAccepted).
-func (*Coordinated) OnDeliver(*daemon.Node, *vproto.Message) {}
-
-// OnPacketAccepted implements daemon.PacketObserver: while a snapshot is in
-// progress, messages from channels that have not yet delivered their marker
-// belong to the snapshot's channel state.
-func (c *Coordinated) OnPacketAccepted(n *daemon.Node, m *vproto.Message) {
-	if c.pending != nil && n.Recording[m.Src] {
-		n.RecordedMsgs = append(n.RecordedMsgs, *m)
-	}
-}
-
 // OnControl implements daemon.Protocol.
 func (c *Coordinated) OnControl(n *daemon.Node, pkt *vproto.Packet) {
-	switch pkt.Kind {
-	case vproto.PktCkptRequest:
-		if pkt.Epoch > c.doneEpoch && (c.pending == nil || c.pending.Epoch < pkt.Epoch) {
-			n.RequestCheckpoint(pkt.Epoch)
-		}
-	case vproto.PktMarker:
+	if pkt.Kind == vproto.PktMarker {
 		c.onMarker(n, event.Rank(pkt.Rank), pkt.Epoch)
 	}
 }
@@ -64,9 +43,13 @@ func (c *Coordinated) onMarker(n *daemon.Node, from event.Rank, epoch int) {
 	if c.pending == nil || c.pending.Epoch != epoch {
 		// Marker before our own snapshot of this wave: remember it and make
 		// sure the snapshot is scheduled (the scheduler's request may still
-		// be in flight).
+		// be in flight). A finished program never reaches another operation
+		// boundary, and its state is final: it snapshots at once.
 		c.earlyMarkers[epoch] = append(c.earlyMarkers[epoch], from)
 		n.RequestCheckpoint(epoch)
+		if n.Done() {
+			c.TakeSnapshot(n)
+		}
 		return
 	}
 	if n.Recording[from] {
@@ -89,29 +72,26 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 	// as they arrive, until every marker is in.
 	c.pending = n.BuildImage()
 
-	// Record every channel but this rank's own and those whose marker
-	// came early; the cut is complete when the set is empty.
+	// Record every channel but this rank's own, sending each its marker,
+	// then drop those whose marker came early; the cut is complete when
+	// the set is empty.
 	n.Recording = make(map[event.Rank]bool, n.NP())
 	n.RecordedMsgs = nil
-	for r := 0; r < n.NP(); r++ {
-		if event.Rank(r) != n.Rank() {
-			n.Recording[event.Rank(r)] = true
-		}
-	}
-	for _, r := range c.earlyMarkers[epoch] {
-		delete(n.Recording, r)
-	}
-	delete(c.earlyMarkers, epoch)
 	for r := 0; r < n.NP(); r++ {
 		if event.Rank(r) == n.Rank() {
 			continue
 		}
+		n.Recording[event.Rank(r)] = true
 		pkt := vproto.GetPacket()
 		pkt.Kind = vproto.PktMarker
 		pkt.Rank = n.Rank()
 		pkt.Epoch = epoch
 		n.SendPacket(r, 16, pkt)
 	}
+	for _, r := range c.earlyMarkers[epoch] {
+		delete(n.Recording, r)
+	}
+	delete(c.earlyMarkers, epoch)
 	if len(n.Recording) == 0 {
 		c.finish(n)
 	}
@@ -136,18 +116,9 @@ func (c *Coordinated) finish(n *daemon.Node) {
 	n.SendPacket(n.CkptEndpoint, int(im.Bytes()), pkt)
 }
 
-// Snapshot implements daemon.Protocol (no protocol state beyond channels).
-func (*Coordinated) Snapshot(*daemon.Node, *vproto.CheckpointImage) {}
-
 // Restore implements daemon.Protocol.
 func (c *Coordinated) Restore(n *daemon.Node, im *vproto.CheckpointImage) {
 	c.pending = nil
 	c.earlyMarkers = make(map[int][]event.Rank)
 	c.doneEpoch = im.Epoch
 }
-
-// Integrate implements daemon.Protocol (nothing to integrate).
-func (*Coordinated) Integrate(*daemon.Node, []event.Determinant, *sparsevec.Vec) {}
-
-// HeldFor implements daemon.Protocol.
-func (*Coordinated) HeldFor(event.Rank) []event.Determinant { return nil }

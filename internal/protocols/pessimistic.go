@@ -14,7 +14,12 @@ import (
 // not send a message until all of its own events have been acknowledged as
 // safely stored. No causality is ever piggybacked; the price is a
 // synchronous wait on the Event Logger round-trip in the send path.
+//
+// Snapshot and HeldFor are Vdummy's: the daemon's image (clock, floors,
+// sender log) is the whole pessimistic state, and a pessimistic node holds
+// no peer's determinants, since every one lives at the Event Logger.
 type Pessimistic struct {
+	Vdummy
 	ackedOwn uint64 // highest own-event clock acknowledged by the EL
 }
 
@@ -53,22 +58,16 @@ func (p *Pessimistic) OnDeliver(n *daemon.Node, m *vproto.Message) {
 
 // OnControl implements daemon.Protocol.
 func (p *Pessimistic) OnControl(n *daemon.Node, pkt *vproto.Packet) {
-	switch pkt.Kind {
-	case vproto.PktEventAck:
-		if v := pkt.StableVec.Get(int(n.Rank())); v > p.ackedOwn {
-			p.ackedOwn = v
-		}
-	case vproto.PktCkptRequest:
-		n.RequestCheckpoint(pkt.Epoch)
+	if pkt.Kind != vproto.PktEventAck {
+		return
+	}
+	if v := pkt.StableVec.Get(int(n.Rank())); v > p.ackedOwn {
+		p.ackedOwn = v
 	}
 }
 
 // TakeSnapshot implements daemon.Protocol (uncoordinated blocking store).
 func (*Pessimistic) TakeSnapshot(n *daemon.Node) { n.TakeCheckpoint() }
-
-// Snapshot implements daemon.Protocol: the daemon's image (clock, floors,
-// sender log) is the whole pessimistic state.
-func (*Pessimistic) Snapshot(*daemon.Node, *vproto.CheckpointImage) {}
 
 // Restore implements daemon.Protocol.
 func (p *Pessimistic) Restore(n *daemon.Node, im *vproto.CheckpointImage) {
@@ -84,7 +83,3 @@ func (p *Pessimistic) Integrate(n *daemon.Node, ds []event.Determinant, stable *
 		}
 	}
 }
-
-// HeldFor implements daemon.Protocol: pessimistic nodes hold no peers'
-// determinants (everything lives at the Event Logger).
-func (*Pessimistic) HeldFor(event.Rank) []event.Determinant { return nil }

@@ -15,11 +15,21 @@ func newNode(k *sim.Kernel, net *netmodel.Network, rank event.Rank, np int, prot
 	return daemon.NewNode(k, net, rank, np, daemon.Vdaemon(), proto)
 }
 
+// TestVdummyIsInert: Vdummy adds nothing to a message, and a checkpoint
+// request, which the daemon takes for every stack, is honoured at b's
+// Recv by a snapshot that stores nothing.
 func TestVdummyIsInert(t *testing.T) {
+	const server = 2
 	k := sim.NewKernel(1)
-	net := netmodel.New(k, netmodel.FastEthernet(), 2)
+	net := netmodel.New(k, netmodel.FastEthernet(), 3)
 	a := newNode(k, net, 0, 2, NewVdummy())
 	b := newNode(k, net, 1, 2, NewVdummy())
+	a.CkptEndpoint, b.CkptEndpoint = server, server
+	var toServer int
+	net.Endpoint(server).SetHandler(func(netmodel.Delivery) { toServer++ })
+	k.At(0, func() {
+		net.Endpoint(server).Send(1, 16, &vproto.Packet{Kind: vproto.PktCkptRequest, From: server, Epoch: 1})
+	})
 	k.Spawn("a", func(p *sim.Proc) { a.Bind(p); a.Send(1, 0, 100) })
 	k.Spawn("b", func(p *sim.Proc) { b.Bind(p); b.Recv(0, 0) })
 	k.Run()
@@ -28,6 +38,13 @@ func TestVdummyIsInert(t *testing.T) {
 	}
 	if a.Stats().PiggybackBytes != 0 || a.Log.Bytes() != 0 {
 		t.Error("vdummy produced protocol overhead")
+	}
+	if b.CheckpointEpoch() != 1 {
+		t.Fatalf("b's daemon holds checkpoint epoch %d, want the request's 1", b.CheckpointEpoch())
+	}
+	if toServer != 0 || b.Stats().Checkpoints != 0 || b.Stats().ControlMsgs != 0 {
+		t.Errorf("vdummy answered a checkpoint request: %d packets to the server, %d checkpoints, %d control messages",
+			toServer, b.Stats().Checkpoints, b.Stats().ControlMsgs)
 	}
 }
 
@@ -209,10 +226,11 @@ func TestPessimisticBlocksUntilAck(t *testing.T) {
 }
 
 // TestCoordinatedCut drives one rank's Chandy-Lamport cut through the
-// protocol hooks: a marker that arrives before the local snapshot leaves
-// its sender's channel out of the recording, a message from a channel
-// still recording joins the image's channel state, a stale marker is
-// ignored, and a snapshot whose markers all came early ships at once.
+// protocol hooks and the daemon: a marker that arrives before the local
+// snapshot leaves its sender's channel out of the recording, a message the
+// daemon accepts from a channel still recording joins the image's channel
+// state, a stale marker is ignored, and a snapshot whose markers all came
+// early ships at once.
 func TestCoordinatedCut(t *testing.T) {
 	const np, server = 3, 3
 	k := sim.NewKernel(1)
@@ -240,8 +258,15 @@ func TestCoordinatedCut(t *testing.T) {
 	if n.Recording[1] || !n.Recording[2] || len(n.Recording) != 1 {
 		t.Fatalf("recording %v after rank 1's early marker, want only rank 2", n.Recording)
 	}
-	proto.OnPacketAccepted(n, &vproto.Message{Src: 1, Dst: 0, Tag: 7, Bytes: 10, SendSeq: 1})
-	proto.OnPacketAccepted(n, &vproto.Message{Src: 2, Dst: 0, Tag: 8, Bytes: 20, SendSeq: 1})
+	// One message on each channel; the daemon accepts both and records
+	// only the one from rank 2, whose channel is still recording.
+	for _, m := range []*vproto.Message{
+		{Src: 1, Dst: 0, Tag: 7, Bytes: 10, SendSeq: 1},
+		{Src: 2, Dst: 0, Tag: 8, Bytes: 20, SendSeq: 1},
+	} {
+		net.Endpoint(int(m.Src)).Send(0, m.Bytes, &vproto.Packet{Kind: vproto.PktApp, From: int(m.Src), App: m})
+	}
+	k.Spawn("n", func(p *sim.Proc) { n.Bind(p); n.WaitPacket(); n.WaitPacket() })
 	marker(1, 1) // a second marker on a closed channel changes nothing
 	if ship() != 0 {
 		t.Fatal("the snapshot shipped before rank 2's marker")

@@ -88,7 +88,7 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	pbLen := len(m.Piggyback)
 	// The piggyback is fully absorbed into the reducer: recycle its buffer
 	// for this node's own sends. Messages aliased into checkpoint images
-	// carry deep copies (see Node.RecvQueueSnapshot), so no live reference
+	// carry deep copies (see Node.BuildImage), so no live reference
 	// remains.
 	v.putPBBuf(m.Piggyback)
 	m.Piggyback = nil
@@ -116,12 +116,9 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 
 // OnControl implements daemon.Protocol.
 func (v *Vcausal) OnControl(n *daemon.Node, pkt *vproto.Packet) {
-	switch pkt.Kind {
-	case vproto.PktEventAck:
+	if pkt.Kind == vproto.PktEventAck {
 		ops := v.reducer.Stable(pkt.StableVec)
 		n.ChargeCPU(sim.Time(ops) * daemon.CostPerOp)
-	case vproto.PktCkptRequest:
-		n.RequestCheckpoint(pkt.Epoch)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 // Vdummy is the trivial V-protocol: every hook is a no-op. It measures the
 // raw performance of the generic communication layer, equivalent to the
 // MPICH-P4 reference implementation running through the Vdaemon.
+// Coordinated and Pessimistic embed it for the hooks they leave empty.
 type Vdummy struct{}
 
 // NewVdummy returns the no-fault-tolerance protocol.
@@ -27,11 +28,11 @@ func (*Vdummy) PreSend(*daemon.Node, *vproto.Message) sim.Time { return 0 }
 // OnDeliver implements daemon.Protocol.
 func (*Vdummy) OnDeliver(*daemon.Node, *vproto.Message) {}
 
-// OnControl implements daemon.Protocol: no checkpointing either, so the
-// scheduler's requests are ignored.
+// OnControl implements daemon.Protocol.
 func (*Vdummy) OnControl(*daemon.Node, *vproto.Packet) {}
 
-// TakeSnapshot implements daemon.Protocol.
+// TakeSnapshot implements daemon.Protocol: no checkpointing either, so a
+// request the daemon takes from the scheduler stores nothing.
 func (*Vdummy) TakeSnapshot(*daemon.Node) {}
 
 // Snapshot implements daemon.Protocol.
