@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // construct builds the workload and the cluster. Both reject an unknown
-// benchmark, stack or reducer name, or a process count the benchmark
+// benchmark, class, stack or reducer name, or a process count the benchmark
 // cannot be laid out on, by panicking with a message: here those values
 // are user input, so the message comes back as an error.
 func construct(cfg cluster.Config, build func() *workload.Instance) (b *workload.Instance, c *cluster.Cluster, err error) {

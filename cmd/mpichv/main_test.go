@@ -20,6 +20,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-stack nope", "mpichv: cluster: unknown stack \"nope\"\n"},
 		{"-reducer nope", "mpichv: causal: unknown reducer nope\n"},
 		{"-bench bt -np 5", "mpichv: workload: bt requires a square process count, got 5\n"},
+		{"-bench cg -class C", "mpichv: workload: unknown class \"C\" (want A or B)\n"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

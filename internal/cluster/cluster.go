@@ -52,8 +52,9 @@ type Config struct {
 	// Event Loggers ("exchange" or "broadcast"; default exchange).
 	ELSync eventlogger.SyncPolicy
 
-	// Net is the wire model; zero value selects Fast Ethernet.
-	Net netmodel.Config
+	// HalfDuplex runs the Fast-Ethernet wire half duplex, as the P4 stack
+	// always does (the duplex ablation).
+	HalfDuplex bool
 	// EL is the Event Logger service model; zero value selects the default.
 	EL eventlogger.Config
 
@@ -63,7 +64,8 @@ type Config struct {
 	CkptPolicy   checkpoint.Policy
 	CkptInterval sim.Time
 
-	// RestartDelay models fault detection plus relaunch (default 250 ms).
+	// RestartDelay models fault detection plus relaunch (default
+	// failure.DefaultRestartDelay).
 	RestartDelay sim.Time
 
 	// Faults, when non-nil, is a declarative multi-failure scenario
@@ -151,16 +153,12 @@ func New(cfg Config) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	// An all-zero cost model means "use the default"; a wire model with
-	// zero bandwidth is degenerate, so it is replaced too.
-	if cfg.Net.BandwidthBps == 0 {
-		cfg.Net = netmodel.FastEthernet()
-	}
+	// An all-zero cost model means "use the default".
 	if cfg.EL == (eventlogger.Config{}) {
 		cfg.EL = eventlogger.DefaultConfig()
 	}
 	if cfg.RestartDelay == 0 {
-		cfg.RestartDelay = 250 * sim.Millisecond
+		cfg.RestartDelay = failure.DefaultRestartDelay
 	}
 	if cfg.AppStateBytes == 0 {
 		cfg.AppStateBytes = 8 << 20
@@ -179,15 +177,11 @@ func New(cfg Config) *Cluster {
 	}
 
 	stack := stackFor(cfg.Stack)
-	if stack.HalfDuplex {
-		cfg.Net.FullDuplex = false
-	}
-
 	k := sim.NewKernel(cfg.Seed)
 	elFirst := cfg.NP
 	ckptEndpoint := cfg.NP + cfg.EventLoggers
 	schedEndpoint := ckptEndpoint + 1
-	net := netmodel.New(k, cfg.Net, schedEndpoint+1)
+	net := netmodel.New(k, netmodel.Config{FullDuplex: !(cfg.HalfDuplex || stack.HalfDuplex)}, schedEndpoint+1)
 
 	c := &Cluster{Cfg: cfg, K: k, Net: net}
 	if cfg.Trace {

@@ -128,6 +128,35 @@ func TestPingPongLatencyOrdering(t *testing.T) {
 	}
 }
 
+// TestHalfDuplexReachesTheWire: two ranks send each other 1 MB at once.
+// Full duplex carries both directions together; half duplex gives each
+// node one medium, so the exchange takes about twice as long. P4 cannot
+// exploit duplex links, so it is half duplex with or without the flag.
+func TestHalfDuplexReachesTheWire(t *testing.T) {
+	exchange := func(stack string, halfDuplex bool) sim.Time {
+		progs := make([]failure.Program, 2)
+		for r := range progs {
+			progs[r] = func(n *daemon.Node) {
+				c := mpi.NewComm(n)
+				c.Send(1-c.Rank(), 0, 1<<20)
+				c.Recv(1-c.Rank(), 0)
+			}
+		}
+		c := New(Config{NP: 2, Stack: stack, HalfDuplex: halfDuplex})
+		defer c.Close()
+		return c.Run(progs, sim.Minute).MustCompleted()
+	}
+	full, half := exchange(StackVdummy, false), exchange(StackVdummy, true)
+	if r := float64(half) / float64(full); r < 1.8 || r > 2.2 {
+		t.Errorf("Vdummy exchange: half duplex %v, full duplex %v (ratio %.2f, want about 2)", half, full, r)
+	}
+	p4, p4Half := exchange(StackP4, false), exchange(StackP4, true)
+	if p4 != p4Half || float64(p4) < 1.7*float64(full) {
+		t.Errorf("P4 exchange: %v, %v with the flag, Vdummy full duplex %v: want P4 half duplex either way", p4, p4Half, full)
+	}
+	t.Logf("Vdummy full %v half %v, P4 %v", full, half, p4)
+}
+
 func TestEventLoggerStoresAllEvents(t *testing.T) {
 	const np = 4
 	c := New(Config{NP: np, Stack: StackVcausal, Reducer: "manetho", UseEL: true})

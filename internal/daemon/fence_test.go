@@ -122,7 +122,7 @@ func TestReplayPreservesSequentialTiming(t *testing.T) {
 	prev := sim.Time(0)
 	for i, at := range *times {
 		depart := sim.Time(i+1) * perMsg
-		want := depart + net.Config().Latency + ser
+		want := depart + netmodel.Latency + ser
 		if want < prev+ser {
 			want = prev + ser
 		}

@@ -23,30 +23,28 @@ import (
 	"mpichv/internal/vproto"
 )
 
-// Config sets the server's service costs.
+// The service's fixed costs: every configuration in use shares them.
+const (
+	// PerEvent is the storage cost per determinant in a request.
+	PerEvent = 8 * sim.Microsecond
+	// AckOverheadBytes is the ack packet size beyond the stable vector.
+	AckOverheadBytes = 16
+)
+
+// Config sets the server's varying service cost.
 type Config struct {
 	// PerPacket is the fixed cost of handling one request (select wakeup,
 	// read, dispatch).
 	PerPacket sim.Time
-	// PerEvent is the storage cost per determinant in a request.
-	PerEvent sim.Time
-	// AckOverheadBytes is the ack packet size beyond the stable vector.
-	AckOverheadBytes int
 }
 
-// DefaultConfig returns service costs calibrated so that a single Event
-// Logger comfortably absorbs BT/CG-class traffic (a few thousand events
-// per second) but lags under the aggregate event rate of LU on 16 nodes
-// (~20k events/s against a ~26k events/s service capacity): acknowledgments
-// fall behind the send rate and piggybacks can no longer be fully
-// eliminated — the paper's LU.16 observation.
-func DefaultConfig() Config {
-	return Config{
-		PerPacket:        30 * sim.Microsecond,
-		PerEvent:         8 * sim.Microsecond,
-		AckOverheadBytes: 16,
-	}
-}
+// DefaultConfig returns the per-request cost calibrated, with PerEvent,
+// so that a single Event Logger comfortably absorbs BT/CG-class traffic (a
+// few thousand events per second) but lags under the aggregate event rate
+// of LU on 16 nodes (~20k events/s against a ~26k events/s service
+// capacity): acknowledgments fall behind the send rate and piggybacks can
+// no longer be fully eliminated — the paper's LU.16 observation.
+func DefaultConfig() Config { return Config{PerPacket: 30 * sim.Microsecond} }
 
 // Server is the Event Logger.
 type Server struct {
@@ -134,7 +132,7 @@ func (s *Server) next() {
 	}
 	service := s.cfg.PerPacket
 	if pkt := s.queue[0]; pkt.Kind == vproto.PktEventLog {
-		service += sim.Time(len(pkt.Determinants)) * s.cfg.PerEvent
+		service += sim.Time(len(pkt.Determinants)) * PerEvent
 	}
 	s.k.After(service, s.finishFn)
 }
@@ -153,7 +151,7 @@ func (s *Server) finish() {
 		ack.Kind = vproto.PktEventAck
 		ack.From = s.ep.ID()
 		ack.AckVec(s.np).CopyFrom(s.stable)
-		s.ep.Send(pkt.From, s.cfg.AckOverheadBytes+4*s.np, ack)
+		s.ep.Send(pkt.From, AckOverheadBytes+4*s.np, ack)
 
 	case vproto.PktELSync:
 		// Only entries for creators the peer is authoritative for can
@@ -176,7 +174,7 @@ func (s *Server) finish() {
 		resp.Determinants = dets
 		resp.StableVec = s.stable.Clone()
 		resp.Incarnation = pkt.Incarnation // requester discards responses to a dead incarnation
-		s.ep.Send(pkt.From, event.FactoredSize(dets)+s.cfg.AckOverheadBytes+4*s.np, resp)
+		s.ep.Send(pkt.From, event.FactoredSize(dets)+AckOverheadBytes+4*s.np, resp)
 
 	default:
 		panic(fmt.Sprintf("eventlogger: unexpected packet kind %v", pkt.Kind))

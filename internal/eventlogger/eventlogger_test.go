@@ -177,7 +177,7 @@ func TestServiceTimeSerializesRequests(t *testing.T) {
 	if len(ackTimes) != 10 {
 		t.Fatalf("%d acks", len(ackTimes))
 	}
-	minGap := cfg.PerPacket + cfg.PerEvent
+	minGap := cfg.PerPacket + PerEvent
 	for i := 1; i < len(ackTimes); i++ {
 		if gap := ackTimes[i] - ackTimes[i-1]; gap < minGap {
 			t.Fatalf("ack gap %v < service time %v", gap, minGap)
@@ -209,7 +209,7 @@ func TestMaxQueueTracksBacklog(t *testing.T) {
 
 // wire is the one-way delivery time of a b-byte message over idle links.
 func wire(net *netmodel.Network, b int) sim.Time {
-	return net.SerializationTime(b) + net.Config().Latency
+	return net.SerializationTime(b) + netmodel.Latency
 }
 
 // recordAcks collects the instants at which endpoint 0 receives packets.
@@ -228,7 +228,7 @@ func TestOutageDelaysArrivingRequest(t *testing.T) {
 	k.At(0, func() { s.Suspend(outage) })
 	k.At(sim.Millisecond, func() { net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 1))) })
 	k.Run()
-	want := outage + cfg.PerPacket + cfg.PerEvent + wire(net, cfg.AckOverheadBytes+4*3)
+	want := outage + cfg.PerPacket + PerEvent + wire(net, AckOverheadBytes+4*3)
 	if len(*acks) != 1 || (*acks)[0] != want {
 		t.Fatalf("acks at %v, want [%v]", *acks, want)
 	}
@@ -240,8 +240,8 @@ func TestSuspendDuringServiceDelaysQueuedRequest(t *testing.T) {
 	k, net, s := setup(t)
 	cfg := DefaultConfig()
 	acks := recordAcks(k, net)
-	service := cfg.PerPacket + cfg.PerEvent
-	ack := wire(net, cfg.AckOverheadBytes+4*3)
+	service := cfg.PerPacket + PerEvent
+	ack := wire(net, AckOverheadBytes+4*3)
 	arrive := wire(net, 40)
 	outage := 5 * sim.Millisecond
 	k.At(0, func() {
@@ -274,7 +274,7 @@ func TestSuspendExtendsOutageForWaitingRequest(t *testing.T) {
 	k.At(sim.Millisecond, func() { net.Endpoint(0).Send(3, 40, logPacket(0, det(0, 1))) })
 	k.At(5*sim.Millisecond, func() { s.Suspend(20 * sim.Millisecond) })
 	k.Run()
-	want := 25*sim.Millisecond + cfg.PerPacket + cfg.PerEvent + wire(net, cfg.AckOverheadBytes+4*3)
+	want := 25*sim.Millisecond + cfg.PerPacket + PerEvent + wire(net, AckOverheadBytes+4*3)
 	if len(*acks) != 1 || (*acks)[0] != want {
 		t.Fatalf("acks at %v, want [%v]", *acks, want)
 	}

@@ -7,7 +7,6 @@ import (
 	"mpichv/internal/cluster"
 	"mpichv/internal/eventlogger"
 	"mpichv/internal/harness"
-	"mpichv/internal/netmodel"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
@@ -29,11 +28,7 @@ func extELServiceSweepReport() *Report {
 	for i, perPacket := range extELServiceTimes {
 		variants[i] = harness.Variant{
 			Key: fmt.Sprintf("svc-%dus", int64(perPacket)),
-			EL: eventlogger.Config{
-				PerPacket:        perPacket * sim.Microsecond,
-				PerEvent:         8 * sim.Microsecond,
-				AckOverheadBytes: 16,
-			},
+			EL:  eventlogger.Config{PerPacket: perPacket * sim.Microsecond},
 		}
 	}
 	res := sweep(&harness.SweepSpec{
@@ -131,16 +126,7 @@ var extDuplexSpecs = []workload.Spec{
 // It runs the duplex ablation as one sweep: benchmarks × Vdummy × {full,
 // half} duplex wire models.
 func extDuplexAblationReport() *Report {
-	variants := make([]harness.Variant, 2)
-	for i, duplex := range []bool{true, false} {
-		net := netmodel.FastEthernet()
-		net.FullDuplex = duplex
-		key := "full-duplex"
-		if !duplex {
-			key = "half-duplex"
-		}
-		variants[i] = harness.Variant{Key: key, Net: &net}
-	}
+	variants := []harness.Variant{{Key: "full-duplex"}, {Key: "half-duplex", HalfDuplex: true}}
 	res := sweep(&harness.SweepSpec{
 		Name:       "ext-duplex",
 		Workloads:  nasWorkloads(extDuplexSpecs),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpichv/internal/cluster"
+	"mpichv/internal/failure"
 	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
@@ -17,11 +18,6 @@ var extFaultstormStacks = append(elStacks,
 	harness.Stack{Label: "Pessimistic (EL)", Stack: cluster.StackPessimistic, UseEL: true},
 	harness.Stack{Label: "Coordinated (C/L)", Stack: cluster.StackCoordinated},
 )
-
-// extFaultstormRestart is the cluster's default detection + relaunch
-// delay; cascade delays below are chosen relative to it so faults land
-// inside restart and recovery windows.
-const extFaultstormRestart = 250 * sim.Millisecond
 
 // extFaultstormDivergence caps a scenario run at this multiple of the
 // stack's own fault-free duration; a run still pending then is reported as
@@ -81,7 +77,7 @@ var extFaultstormScenarios = []scenario{
 			Cascades: []faultplan.Cascade{
 				{
 					Trigger: faultplan.OnKill, OfRank: faultplan.OnlyRank(0),
-					Delay:   extFaultstormRestart / 2,
+					Delay:   failure.DefaultRestartDelay / 2,
 					Victims: faultplan.VictimFixed, Rank: 0,
 					MaxFires: 1,
 				},

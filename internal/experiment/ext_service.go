@@ -30,7 +30,7 @@ const extServiceSeed = 2907
 type extServiceScenario struct {
 	key string
 	// restart overrides the detection+relaunch delay for this scenario
-	// (0 = the cluster default, 250 ms).
+	// (0 = failure.DefaultRestartDelay).
 	restart sim.Time
 	// plan resolves per NP (partition groups depend on the rank set).
 	plan func(np int) *faultplan.Plan

@@ -17,6 +17,10 @@ import (
 // daemon finishes any recovery procedure.
 type Program func(n *daemon.Node)
 
+// DefaultRestartDelay is the fault detection plus relaunch time a
+// deployment assumes unless it sets its own.
+const DefaultRestartDelay = 250 * sim.Millisecond
+
 // Dispatcher supervises the MPI run.
 type Dispatcher struct {
 	k        *sim.Kernel
@@ -73,7 +77,7 @@ func NewDispatcher(k *sim.Kernel, nodes []*daemon.Node, programs []Program) *Dis
 		nodes:        nodes,
 		programs:     programs,
 		procs:        make([]*sim.Proc, len(nodes)),
-		RestartDelay: 250 * sim.Millisecond,
+		RestartDelay: DefaultRestartDelay,
 		gen:          make([]int64, len(nodes)),
 		restarting:   make([]bool, len(nodes)),
 	}

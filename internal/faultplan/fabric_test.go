@@ -170,10 +170,10 @@ func TestSameInstantOpsKeepPlanOrder(t *testing.T) {
 			Target: faultplan.OutageEventLogger, At: at, Duration: sim.Millisecond,
 		}},
 		Partitions: []faultplan.Partition{{
-			Key: "cut", At: at, Groups: [][]int{{0}, {1, 2, 3}}, Duration: sim.Millisecond,
+			At: at, Groups: [][]int{{0}, {1, 2, 3}}, Duration: sim.Millisecond,
 		}},
 		Degrades: []faultplan.DegradeLink{{
-			Key: "slow", At: at, From: 0, To: 1, LatencyFactor: 2,
+			At: at, From: 0, To: 1, LatencyFactor: 2,
 		}},
 	}
 	cfg := faultedConfig(plan, 3)

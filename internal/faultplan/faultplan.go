@@ -48,8 +48,6 @@ const (
 
 // Storm is a stochastic fault-arrival process.
 type Storm struct {
-	// Key names the storm in diagnostics (optional).
-	Key string
 	// Poisson selects exponential inter-arrival times with mean
 	// MeanInterval; otherwise arrivals are uniform on
 	// [MinInterval, MaxInterval].
@@ -112,8 +110,6 @@ func OnlyRank(r int) int { return r + 1 }
 
 // Cascade schedules a follow-on fault Delay after a trigger event.
 type Cascade struct {
-	// Key names the cascade in diagnostics (optional).
-	Key     string
 	Trigger Trigger
 	// OfRank filters the trigger: the zero value matches events of every
 	// rank; OnlyRank(r) restricts to rank r. Ignored for
@@ -165,9 +161,7 @@ type Outage struct {
 // may not overlap, so a partition's cut links come back only through its
 // own heal.
 type Partition struct {
-	// Key names the partition in diagnostics (optional).
-	Key string
-	At  sim.Time
+	At sim.Time
 	// Groups are the isolated rank sets. A rank listed in one group loses
 	// its links to every rank of every other group.
 	Groups [][]int
@@ -192,8 +186,6 @@ type Partition struct {
 // per-delivery jitter drawn uniformly from [0, Jitter] out of a
 // deterministic per-link stream.
 type DegradeLink struct {
-	// Key names the degradation in diagnostics (optional).
-	Key      string
 	At       sim.Time
 	From, To int
 	Both     bool
@@ -530,11 +522,11 @@ func Apply(t Targets, p *Plan) (*Engine, error) {
 	// Storm first arrivals are scheduled ahead of every op, so they win
 	// same-instant ties.
 	for i := range p.Storms {
-		e.storms[i].rng = subRNG(seed, fmt.Sprintf("storm|%d|%s", i, p.Storms[i].Key))
+		e.storms[i].rng = subRNG(seed, fmt.Sprintf("storm|%d|", i))
 		e.startStorm(i)
 	}
 	for i := range p.Cascades {
-		e.cascades[i].rng = subRNG(seed, fmt.Sprintf("cascade|%d|%s", i, p.Cascades[i].Key))
+		e.cascades[i].rng = subRNG(seed, fmt.Sprintf("cascade|%d|", i))
 	}
 	if len(p.Cascades) > 0 {
 		t.Dispatcher.Observe(func(ev obs.Event) {
@@ -595,7 +587,7 @@ func (e *Engine) apply(o op) {
 		pt := &e.plan.Partitions[o.idx]
 		net.Partition(pt.Groups)
 		e.PartitionsApplied++
-		e.t.Recorder.Record(now, obs.KindPartitionCut, -1, int64(o.idx), pt.Key)
+		e.t.Recorder.Record(now, obs.KindPartitionCut, -1, int64(o.idx), "")
 	case opSuspect:
 		for _, r := range o.ranks {
 			d.Suspect(r)
@@ -604,17 +596,17 @@ func (e *Engine) apply(o op) {
 		pt := &e.plan.Partitions[o.idx]
 		net.HealPartition(pt.Groups)
 		e.BlackoutSpan += pt.Duration
-		e.t.Recorder.Record(now, obs.KindPartitionHeal, -1, int64(o.idx), pt.Key)
+		e.t.Recorder.Record(now, obs.KindPartitionHeal, -1, int64(o.idx), "")
 	case opDegrade:
 		// The jitter stream is derived per plan component and per
 		// direction, so one degraded pair's draws perturb nothing else.
 		dg := &e.plan.Degrades[o.idx]
-		jseed := sim.DeriveSeed(e.seed, fmt.Sprintf("degrade|%d|%s", o.idx, dg.Key))
+		jseed := sim.DeriveSeed(e.seed, fmt.Sprintf("degrade|%d|", o.idx))
 		e.degradeGen[o.idx][0] = net.DegradeLink(dg.From, dg.To, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
 		if dg.Both {
 			e.degradeGen[o.idx][1] = net.DegradeLink(dg.To, dg.From, dg.LatencyFactor, dg.BandwidthFactor, dg.Jitter, jseed)
 		}
-		e.t.Recorder.Record(now, obs.KindDegrade, -1, int64(o.idx), dg.Key)
+		e.t.Recorder.Record(now, obs.KindDegrade, -1, int64(o.idx), "")
 	case opClear:
 		// The clear ends this window and nothing else: it never un-severs
 		// a link a partition downed in the meantime, and a later degrade
@@ -625,7 +617,7 @@ func (e *Engine) apply(o op) {
 		if dg.Both {
 			net.ClearDegrade(dg.To, dg.From, e.degradeGen[o.idx][1])
 		}
-		e.t.Recorder.Record(now, obs.KindDegradeClear, -1, int64(o.idx), dg.Key)
+		e.t.Recorder.Record(now, obs.KindDegradeClear, -1, int64(o.idx), "")
 	}
 }
 

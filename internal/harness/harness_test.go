@@ -401,11 +401,14 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		},
 		Stacks: []Stack{{Key: "vc", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
 		Variants: []Variant{
-			{Key: "faulted", FaultAt: 5 * sim.Millisecond, RestartDelay: 5 * sim.Millisecond},
+			{Key: "faulted", RestartDelay: 5 * sim.Millisecond},
 			{Key: "capped"},
 		},
 		Tune: func(c *Cell) {
-			if c.Variant.Key == "capped" {
+			switch c.Variant.Key {
+			case "faulted":
+				c.FaultAt = 5 * sim.Millisecond
+			case "capped":
 				c.MaxVirtual = 5 * sim.Millisecond
 			}
 		},

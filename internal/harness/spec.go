@@ -15,7 +15,6 @@ import (
 	"mpichv/internal/cluster"
 	"mpichv/internal/eventlogger"
 	"mpichv/internal/faultplan"
-	"mpichv/internal/netmodel"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
@@ -98,7 +97,7 @@ func (w Workload) Build() *workload.Instance {
 
 // Variant is one point of the remaining configuration axis: checkpoint
 // policy, fault schedule, Event Logger deployment and service model, and
-// the wire model. The zero value is the fault-free default deployment.
+// the wire's duplex. The zero value is the fault-free default deployment.
 type Variant struct {
 	// Key is the stable identifier; empty defaults to "base".
 	Key string
@@ -107,13 +106,12 @@ type Variant struct {
 	CkptPolicy   checkpoint.Policy
 	CkptInterval sim.Time
 
-	// Fault schedule: kill rank 0 once at FaultAt, or kill round-robin
-	// every FaultEvery (either may be zero).
-	FaultAt    sim.Time
+	// FaultEvery kills round-robin every FaultEvery (zero: never). A
+	// single kill of rank 0 is Cell.FaultAt, which Tune sets.
 	FaultEvery sim.Time
 	// Faults is a declarative multi-failure scenario (storms, correlated
 	// kills, cascades, server outages) compiled onto the cell's
-	// dispatcher; it composes with FaultAt/FaultEvery. The plan is
+	// dispatcher; it composes with Cell.FaultAt and FaultEvery. The plan is
 	// read-only and safely shared by every cell referencing the variant.
 	Faults *faultplan.Plan
 	// RestartDelay models detection plus relaunch (0 = cluster default).
@@ -124,8 +122,8 @@ type Variant struct {
 	ELSync       eventlogger.SyncPolicy
 	EL           eventlogger.Config
 
-	// Net overrides the wire model (nil = Fast Ethernet).
-	Net *netmodel.Config
+	// HalfDuplex runs the wire half duplex (cluster.Config.HalfDuplex).
+	HalfDuplex bool
 
 	// Horizon, when positive, plans the run's end at this virtual time
 	// (cluster.Config.Horizon): an always-on cell still pending there is
@@ -152,7 +150,8 @@ type Cell struct {
 	// Config is the resolved deployment. The checkpoint image size is
 	// the built instance's, which its programs set on their nodes.
 	Config cluster.Config
-	// Fault schedule (copied from the variant; Tune may adjust it).
+	// Fault schedule: kill rank 0 once at FaultAt (set by Tune), and
+	// round-robin every FaultEvery (copied from the variant).
 	FaultAt    sim.Time
 	FaultEvery sim.Time
 	// MaxVirtual is the virtual-time cap; runs still pending at the cap
@@ -231,10 +230,8 @@ func (s *SweepSpec) Cells() []Cell {
 					EventLoggers: v.EventLoggers,
 					ELSync:       v.ELSync,
 					EL:           v.EL,
+					HalfDuplex:   v.HalfDuplex,
 					Horizon:      v.Horizon,
-				}
-				if v.Net != nil {
-					cfg.Net = *v.Net
 				}
 				if s.BaseSeed != 0 {
 					cfg.Seed = sim.DeriveSeed(s.BaseSeed, id)
@@ -259,7 +256,6 @@ func (s *SweepSpec) Cells() []Cell {
 					Stack:      st,
 					Variant:    v,
 					Config:     cfg,
-					FaultAt:    v.FaultAt,
 					FaultEvery: v.FaultEvery,
 					MaxVirtual: maxV,
 					Probes:     s.Probes,

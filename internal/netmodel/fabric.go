@@ -202,7 +202,7 @@ func (n *Network) HealLink(src, dst int) {
 	for _, ev := range held {
 		// An outage that healed into a still-degraded link releases the
 		// held burst at the degraded rates, like every later send.
-		ser, lat := l.cost(n.SerializationTime(ev.d.Bytes), n.cfg.Latency)
+		ser, lat := l.cost(n.SerializationTime(ev.d.Bytes), Latency)
 		n.arrive(ev, now+lat, ser)
 	}
 	n.ReleasedDeliveries += int64(len(held))

@@ -10,10 +10,8 @@ import (
 // half-duplex medium: a transmit issued while the node's single medium is
 // still busy receiving departs only when the receive completes.
 func TestHalfDuplexTxRxExclusion(t *testing.T) {
-	cfg := testConfig()
-	cfg.FullDuplex = false
 	k := sim.NewKernel(1)
-	n := New(k, cfg, 3)
+	n := New(k, Config{FullDuplex: false}, 3)
 	const bytes = 100_000
 	ser := n.SerializationTime(bytes)
 
@@ -23,25 +21,25 @@ func TestHalfDuplexTxRxExclusion(t *testing.T) {
 	k.At(0, func() { n.Endpoint(0).Send(1, bytes, nil) })
 	// While 1 is still receiving (its rx link is busy until Latency+ser),
 	// it tries to transmit to 2: the send must wait for its own rx.
-	k.At(cfg.Latency, func() { n.Endpoint(1).Send(2, bytes, nil) })
+	k.At(Latency, func() { n.Endpoint(1).Send(2, bytes, nil) })
 	k.Run()
 
 	// Departure = end of 1's receive (Latency+ser), then Latency+ser to 2.
-	want := (cfg.Latency + ser) + cfg.Latency + ser
+	want := (Latency + ser) + Latency + ser
 	if reply != want {
 		t.Fatalf("half-duplex transmit delivered at %v, want %v (tx must wait for rx)", reply, want)
 	}
 
-	// The same schedule on full-duplex departs at cfg.Latency immediately.
+	// The same schedule on full-duplex departs at Latency immediately.
 	k2 := sim.NewKernel(1)
-	n2 := New(k2, testConfig(), 3)
+	n2 := New(k2, FastEthernet(), 3)
 	var reply2 sim.Time
 	n2.Endpoint(2).SetHandler(func(d Delivery) { reply2 = k2.Now() })
 	n2.Endpoint(1).SetHandler(func(d Delivery) {})
 	k2.At(0, func() { n2.Endpoint(0).Send(1, bytes, nil) })
-	k2.At(cfg.Latency, func() { n2.Endpoint(1).Send(2, bytes, nil) })
+	k2.At(Latency, func() { n2.Endpoint(1).Send(2, bytes, nil) })
 	k2.Run()
-	if want2 := cfg.Latency + cfg.Latency + ser; reply2 != want2 {
+	if want2 := Latency + Latency + ser; reply2 != want2 {
 		t.Fatalf("full-duplex transmit delivered at %v, want %v", reply2, want2)
 	}
 }
@@ -51,7 +49,7 @@ func TestHalfDuplexTxRxExclusion(t *testing.T) {
 // queueing on heal — two held messages serialize on the destination link.
 func TestDownLinkHoldsUntilHeal(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	const bytes = 100_000
 	ser := n.SerializationTime(bytes)
 
@@ -86,7 +84,7 @@ func TestDownLinkHoldsUntilHeal(t *testing.T) {
 	}
 	// First release: heal + latency + ser; second queues behind it on the
 	// receive link.
-	if want := healAt + n.Config().Latency + ser; times[0] != want {
+	if want := healAt + Latency + ser; times[0] != want {
 		t.Fatalf("first release at %v, want %v", times[0], want)
 	}
 	if times[1]-times[0] != ser {
@@ -102,7 +100,7 @@ func TestDownLinkHoldsUntilHeal(t *testing.T) {
 // ends empty.
 func TestHeldDeliveryPoolReuse(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	delivered := 0
 	n.Endpoint(1).SetHandler(func(d Delivery) { delivered++ })
 
@@ -139,10 +137,10 @@ func TestHeldDeliveryPoolReuse(t *testing.T) {
 // the bandwidth factor, and only on the degraded pair.
 func TestDegradedLinkScaling(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 3)
+	n := New(k, FastEthernet(), 3)
 	const bytes = 100_000
 	ser := n.SerializationTime(bytes)
-	lat := n.Config().Latency
+	lat := Latency
 
 	var slow, normal sim.Time
 	n.Endpoint(1).SetHandler(func(d Delivery) { slow = k.Now() })
@@ -170,7 +168,7 @@ func TestDegradedLinkScaling(t *testing.T) {
 // slow link remains); a further heal clears it fully.
 func TestHealRestoresPendingDegrade(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	n.DegradeLink(0, 1, 4, 0.25, 0, 0)
 	n.DownLink(0, 1)
 	if got := n.Link(0, 1).State(); got != LinkDown {
@@ -184,7 +182,7 @@ func TestHealRestoresPendingDegrade(t *testing.T) {
 	n.Endpoint(1).SetHandler(func(d Delivery) { at = k.Now() })
 	k.At(0, func() { n.Endpoint(0).Send(1, 100_000, nil) })
 	k.Run()
-	if want := 4*n.Config().Latency + 4*n.SerializationTime(100_000); at != want {
+	if want := 4*Latency + 4*n.SerializationTime(100_000); at != want {
 		t.Fatalf("post-heal delivery at %v, want degraded timing %v", at, want)
 	}
 	n.HealLink(0, 1)
@@ -198,7 +196,7 @@ func TestHealRestoresPendingDegrade(t *testing.T) {
 // generation cannot clobber a newer window's factors.
 func TestClearDegradeRespectsOwnershipAndPartitions(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	gen1 := n.DegradeLink(0, 1, 4, 0.25, 0, 0)
 	n.DownLink(0, 1)
 	k.At(0, func() { n.Endpoint(0).Send(1, 100, nil) })
@@ -234,7 +232,7 @@ func TestClearDegradeRespectsOwnershipAndPartitions(t *testing.T) {
 // bandwidth, like any later send.
 func TestHeldReleaseUsesDegradedRates(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	const bytes = 100_000
 	var at sim.Time
 	n.Endpoint(1).SetHandler(func(d Delivery) { at = k.Now() })
@@ -246,7 +244,7 @@ func TestHeldReleaseUsesDegradedRates(t *testing.T) {
 		n.HealLink(0, 1)
 	})
 	k.Run()
-	want := healAt + 4*n.Config().Latency + 4*n.SerializationTime(bytes)
+	want := healAt + 4*Latency + 4*n.SerializationTime(bytes)
 	if at != want {
 		t.Fatalf("held delivery released at %v, want degraded-rate %v", at, want)
 	}
@@ -258,7 +256,7 @@ func TestHeldReleaseUsesDegradedRates(t *testing.T) {
 func TestFabricDeterminism(t *testing.T) {
 	run := func(seed int64) []sim.Time {
 		k := sim.NewKernel(1)
-		n := New(k, testConfig(), 2)
+		n := New(k, FastEthernet(), 2)
 		var times []sim.Time
 		n.Endpoint(1).SetHandler(func(d Delivery) { times = append(times, k.Now()) })
 		n.DegradeLink(0, 1, 2, 0.5, 500*sim.Microsecond, seed)
@@ -295,7 +293,7 @@ func TestFabricDeterminism(t *testing.T) {
 // by HealPartition.
 func TestPartitionSeversOnlyCrossGroupLinks(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 5) // 0,1 | 2,3 partitioned; 4 unlisted
+	n := New(k, FastEthernet(), 5) // 0,1 | 2,3 partitioned; 4 unlisted
 	groups := [][]int{{0, 1}, {2, 3}}
 	got := make(map[int]int)
 	for i := 0; i < 5; i++ {

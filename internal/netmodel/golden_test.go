@@ -17,10 +17,8 @@ import (
 // state and then heals again, and competing senders queued on one receiver
 // while a partition heals.
 func goldenScript(fullDuplex bool) string {
-	cfg := FastEthernet()
-	cfg.FullDuplex = fullDuplex
 	k := sim.NewKernel(1)
-	n := New(k, cfg, 6)
+	n := New(k, Config{FullDuplex: fullDuplex}, 6)
 	var b strings.Builder
 	section := "healthy"
 	for i := range n.Size() {

@@ -26,35 +26,31 @@ import (
 	"mpichv/internal/sim"
 )
 
-// Config describes the physical network.
-type Config struct {
+// The wire is the paper's one testbed: 100 Mbit/s switched Fast Ethernet.
+const (
 	// Latency is the one-way zero-byte delivery time: propagation, switch
 	// transit and the store-and-forward of the first frame.
-	Latency sim.Time
+	Latency = 51 * sim.Microsecond
 	// BandwidthBps is the link signalling rate in bits per second.
-	BandwidthBps int64
+	BandwidthBps = 100_000_000
 	// MTU is the maximum payload carried per frame.
-	MTU int
+	MTU = 1460
 	// FrameOverhead is the non-payload bytes per frame (Ethernet framing,
 	// preamble, inter-frame gap, IP and TCP headers).
-	FrameOverhead int
+	FrameOverhead = 78
+)
+
+// Config describes what varies between networks on that wire.
+type Config struct {
 	// FullDuplex selects whether a node can transmit and receive at the
 	// same time.
 	FullDuplex bool
 }
 
-// FastEthernet returns the 100 Mbit/s switched-Ethernet configuration used
-// by the paper's 32-node cluster (full-duplex; for MPICH-P4, which cannot
-// exploit duplex links, cluster.New turns FullDuplex off).
-func FastEthernet() Config {
-	return Config{
-		Latency:       51 * sim.Microsecond,
-		BandwidthBps:  100_000_000,
-		MTU:           1460,
-		FrameOverhead: 78,
-		FullDuplex:    true,
-	}
-}
+// FastEthernet returns the full-duplex configuration of the paper's
+// 32-node cluster (for MPICH-P4, which cannot exploit duplex links,
+// cluster.New turns FullDuplex off).
+func FastEthernet() Config { return Config{FullDuplex: true} }
 
 // Delivery is one message arriving at an endpoint.
 type Delivery struct {
@@ -65,9 +61,9 @@ type Delivery struct {
 
 // Network is a set of endpoints joined by one switch.
 type Network struct {
-	k   *sim.Kernel
-	cfg Config
-	eps []*Endpoint
+	k          *sim.Kernel
+	fullDuplex bool
+	eps        []*Endpoint
 
 	// links is the per-ordered-pair fabric (see fabric.go). It stays nil —
 	// and costs one nil check per send — until a link is first mutated, so
@@ -170,10 +166,7 @@ type Endpoint struct {
 
 // New builds a network of n endpoints over kernel k.
 func New(k *sim.Kernel, cfg Config, n int) *Network {
-	if cfg.BandwidthBps <= 0 || cfg.MTU <= 0 {
-		panic("netmodel: bandwidth and MTU must be positive")
-	}
-	net := &Network{k: k, cfg: cfg}
+	net := &Network{k: k, fullDuplex: cfg.FullDuplex}
 	for i := 0; i < n; i++ {
 		net.eps = append(net.eps, &Endpoint{
 			net:   net,
@@ -183,9 +176,6 @@ func New(k *sim.Kernel, cfg Config, n int) *Network {
 	}
 	return net
 }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Size returns the number of endpoints.
 func (n *Network) Size() int { return len(n.eps) }
@@ -202,18 +192,18 @@ func (n *Network) Endpoint(i int) *Endpoint {
 
 // WireBytes returns the on-wire size of a b-byte message including framing.
 func (n *Network) WireBytes(b int) int64 {
-	frames := (b + n.cfg.MTU - 1) / n.cfg.MTU
+	frames := (b + MTU - 1) / MTU
 	if frames == 0 {
 		frames = 1
 	}
-	return int64(b) + int64(frames)*int64(n.cfg.FrameOverhead)
+	return int64(b) + int64(frames)*FrameOverhead
 }
 
 // SerializationTime returns the time the link is occupied transmitting a
-// b-byte message.
+// b-byte message. The per-byte time is folded first (80 ns at 100 Mbit/s),
+// so a multi-gigabyte checkpoint image does not overflow the product.
 func (n *Network) SerializationTime(b int) sim.Time {
-	wire := n.WireBytes(b)
-	return sim.Time(wire * 8 * int64(sim.Second) / n.cfg.BandwidthBps)
+	return sim.Time(n.WireBytes(b) * (8 * int64(sim.Second) / BandwidthBps))
 }
 
 // ID returns the endpoint's index in the network.
@@ -241,7 +231,7 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 	}
 
 	lnk := n.link(ep.id, dst)
-	ser, lat := lnk.cost(n.SerializationTime(bytes), n.cfg.Latency)
+	ser, lat := lnk.cost(n.SerializationTime(bytes), Latency)
 
 	// Transmit side: wait for our transmit link before the first bit
 	// departs. On a half-duplex medium rxFree is the one medium's
@@ -249,7 +239,7 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 	// queue behind the transmit (see arrive) and the next transmit waits
 	// for any receive.
 	depart := max(k.Now(), ep.txFree)
-	if !n.cfg.FullDuplex {
+	if !n.fullDuplex {
 		depart = max(depart, ep.rxFree)
 		ep.rxFree = depart + ser
 	}

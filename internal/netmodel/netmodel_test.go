@@ -7,14 +7,9 @@ import (
 	"mpichv/internal/sim"
 )
 
-func testConfig() Config {
-	cfg := FastEthernet()
-	return cfg
-}
-
 func TestWireBytesFraming(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	cases := []struct {
 		payload int
 		frames  int
@@ -22,7 +17,7 @@ func TestWireBytesFraming(t *testing.T) {
 		{0, 1}, {1, 1}, {1460, 1}, {1461, 2}, {2920, 2}, {1_000_000, 685},
 	}
 	for _, c := range cases {
-		want := int64(c.payload) + int64(c.frames)*78
+		want := int64(c.payload) + int64(c.frames)*FrameOverhead
 		if got := n.WireBytes(c.payload); got != want {
 			t.Errorf("WireBytes(%d) = %d, want %d", c.payload, got, want)
 		}
@@ -31,12 +26,12 @@ func TestWireBytesFraming(t *testing.T) {
 
 func TestSmallMessageLatency(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	var at sim.Time
 	n.Endpoint(1).SetHandler(func(d Delivery) { at = k.Now() })
 	k.At(0, func() { n.Endpoint(0).Send(1, 1, nil) })
 	k.Run()
-	want := n.Config().Latency + n.SerializationTime(1)
+	want := Latency + n.SerializationTime(1)
 	if at != want {
 		t.Fatalf("1-byte delivery at %v, want %v", at, want)
 	}
@@ -48,7 +43,7 @@ func TestSmallMessageLatency(t *testing.T) {
 
 func TestLargeMessageBandwidth(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	const bytes = 8 << 20
 	var at sim.Time
 	n.Endpoint(1).SetHandler(func(d Delivery) { at = k.Now() })
@@ -63,7 +58,7 @@ func TestLargeMessageBandwidth(t *testing.T) {
 
 func TestSenderSerializesItsOwnMessages(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 3)
+	n := New(k, FastEthernet(), 3)
 	var first, second sim.Time
 	n.Endpoint(1).SetHandler(func(d Delivery) { first = k.Now() })
 	n.Endpoint(2).SetHandler(func(d Delivery) { second = k.Now() })
@@ -81,7 +76,7 @@ func TestSenderSerializesItsOwnMessages(t *testing.T) {
 
 func TestReceiverLinkContention(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 3)
+	n := New(k, FastEthernet(), 3)
 	var times []sim.Time
 	n.Endpoint(2).SetHandler(func(d Delivery) { times = append(times, k.Now()) })
 	const bytes = 100_000
@@ -100,10 +95,8 @@ func TestReceiverLinkContention(t *testing.T) {
 }
 
 func TestHalfDuplexBlocksSendDuringReceive(t *testing.T) {
-	cfg := testConfig()
-	cfg.FullDuplex = false
 	k := sim.NewKernel(1)
-	n := New(k, cfg, 2)
+	n := New(k, Config{FullDuplex: false}, 2)
 	const bytes = 1_000_000
 
 	var reply sim.Time
@@ -123,7 +116,7 @@ func TestHalfDuplexBlocksSendDuringReceive(t *testing.T) {
 
 	// Full-duplex run for comparison.
 	k2 := sim.NewKernel(1)
-	n2 := New(k2, testConfig(), 2)
+	n2 := New(k2, FastEthernet(), 2)
 	var reply2 sim.Time
 	n2.Endpoint(0).SetHandler(func(d Delivery) { reply2 = k2.Now() })
 	n2.Endpoint(1).SetHandler(func(d Delivery) { n2.Endpoint(1).Send(0, bytes, nil) })
@@ -140,7 +133,7 @@ func TestHalfDuplexBlocksSendDuringReceive(t *testing.T) {
 
 func TestLoopbackBypassesNIC(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	var at sim.Time
 	n.Endpoint(0).SetHandler(func(d Delivery) { at = k.Now() })
 	k.At(0, func() { n.Endpoint(0).Send(0, 1<<20, nil) })
@@ -152,7 +145,7 @@ func TestLoopbackBypassesNIC(t *testing.T) {
 
 func TestInboxDeliveryAndStats(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	var got Delivery
 	k.Spawn("recv", func(p *sim.Proc) {
 		got = n.Endpoint(1).Inbox.Get(p)
@@ -166,7 +159,7 @@ func TestInboxDeliveryAndStats(t *testing.T) {
 
 func TestSerializationTimeMonotonic(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	f := func(a, b uint16) bool {
 		x, y := int(a), int(b)
 		if x > y {
@@ -175,6 +168,24 @@ func TestSerializationTimeMonotonic(t *testing.T) {
 		return n.SerializationTime(x) <= n.SerializationTime(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint images reach gigabytes (BT.B's is 1.26 GB): the time
+	// must stay positive, increasing and 80 ns per wire byte up to 4 GiB.
+	prev := sim.Time(0)
+	for _, b := range []int{1 << 30, 6 << 30 / 5, 2 << 30} {
+		ser := n.SerializationTime(b)
+		if ser <= prev || ser != sim.Time(n.WireBytes(b)*80) {
+			t.Fatalf("SerializationTime(%d) = %v after %v, want %v", b, ser, prev, sim.Time(n.WireBytes(b)*80))
+		}
+		prev = ser
+	}
+	big := func(a, b uint32) bool {
+		x, y := int(min(a, b)), int(max(a, b))
+		sx, sy := n.SerializationTime(x), n.SerializationTime(y)
+		return sx > 0 && sx <= sy && sy == sim.Time(n.WireBytes(y)*80)
+	}
+	if err := quick.Check(big, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,6 +197,6 @@ func TestEndpointOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	k := sim.NewKernel(1)
-	n := New(k, testConfig(), 2)
+	n := New(k, FastEthernet(), 2)
 	n.Endpoint(5)
 }

@@ -66,10 +66,13 @@ func (in *Instance) Mflops(elapsed sim.Time) float64 {
 	return in.TotalFlops / elapsed.Seconds() / 1e6
 }
 
-// Build constructs the named benchmark instance. It panics on unknown
-// benchmarks or unsupported process counts — specs are static experiment
-// configuration.
+// Build constructs the named benchmark instance. It panics on an unknown
+// benchmark or class and on unsupported process counts — specs are static
+// experiment configuration.
 func Build(spec Spec) *Instance {
+	if spec.Class != "A" && spec.Class != "B" && spec.Bench != "pingpong" {
+		panic(fmt.Sprintf("workload: unknown class %q (want A or B)", spec.Class))
+	}
 	if spec.IterScale == 0 {
 		spec.IterScale = 1
 	}

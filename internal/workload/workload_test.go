@@ -126,12 +126,12 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestInvalidProcessCountsPanic(t *testing.T) {
-	cases := []Spec{{Bench: "bt", Class: "A", NP: 6}, {Bench: "cg", Class: "A", NP: 3}, {Bench: "lu", Class: "A", NP: 5}}
+	cases := []Spec{{Bench: "bt", Class: "A", NP: 6}, {Bench: "cg", Class: "A", NP: 3}, {Bench: "lu", Class: "A", NP: 5}, {Bench: "cg", Class: "C", NP: 4}}
 	for _, s := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%v: no panic for invalid NP", s)
+					t.Errorf("%v: no panic for invalid NP or class", s)
 				}
 			}()
 			Build(s)
