@@ -39,7 +39,7 @@ type Scheduler struct {
 	epoch    int
 
 	// waveObservers are notified after each wave's requests are issued
-	// (fault-scenario engines use this to land faults mid-checkpoint).
+	// (the cluster records the wave on its timeline).
 	waveObservers []func(epoch int)
 
 	// tickFn and waveFn are the timer's events, built once.

@@ -288,7 +288,6 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 	d := failure.NewDispatcher(c.K, c.Nodes, programs)
 	d.Coordinated = c.Cfg.Stack == StackCoordinated
 	d.RestartDelay = c.Cfg.RestartDelay
-	d.OnAllDone = c.K.Stop
 	c.Dispatcher = d
 	c.trackLifecycle(d)
 	c.startSampler()
@@ -303,7 +302,6 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 		eng, err := faultplan.Apply(faultplan.Targets{
 			Kernel:       c.K,
 			Dispatcher:   d,
-			Scheduler:    c.Scheduler,
 			CkptServer:   c.CkptServer,
 			Network:      c.Net,
 			Seed:         c.Cfg.Seed,

@@ -20,30 +20,7 @@ import (
 
 // extELCStacks pairs each reducer with and without the Event Logger so the
 // loss fractions isolate the EL's contribution.
-var extELCStacks = []harness.Stack{causalStacks[0], causalStacks[3], causalStacks[1], causalStacks[4]}
-
-// extELCWorkload is one row of the grid: a workload plus its per-trial
-// fault plan and run budget.
-type extELCWorkload struct {
-	w harness.Workload
-	// planFor builds trial i's fault plan for the row's NP. Plans carry
-	// explicit seeds, so every stack of a (workload, trial) pair samples
-	// the identical storm — the EL/no-EL pairing compares outcomes under
-	// the same failure sequence.
-	planFor func(np, trial int) *faultplan.Plan
-	// maxVirtual fixes the faulted cells' cap; 0 derives it from the
-	// stack's fault-free baseline (× extELCDivergence).
-	maxVirtual sim.Time
-}
-
-// extELCConfig sizes one EL-contribution run; the full experiment and the
-// CI smoke variant share the machinery.
-type extELCConfig struct {
-	name      string
-	workloads []extELCWorkload
-	stacks    []harness.Stack
-	trials    int
-}
+var extELCStacks = stacksNamed("Vcausal (EL)", "Vcausal (no EL)", "Manetho (EL)", "Manetho (no EL)")
 
 // extELCDivergence caps a storm run at this multiple of the stack's own
 // fault-free duration.
@@ -74,79 +51,20 @@ func extELCBurstStorm(np, trial int) *faultplan.Plan {
 	}
 }
 
-// extELCWitnessKill is the deterministic minimal scenario (used by the CI
-// smoke): the victim's determinants have exactly one witness, and a
-// correlated kill fells both — certain loss without an EL, certain
-// recovery with one.
-func extELCWitnessKill(_, _ int) *faultplan.Plan {
-	return &faultplan.Plan{
-		Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0, 1}}},
-	}
-}
-
-// extELCLossWorkload wraps the shared minimal determinant-loss topology
-// (see workload.BuildWitnessPair) for the sweep grid.
-func extELCLossWorkload() harness.Workload {
-	return harness.Workload{
-		Key:  "witness-pair.3",
-		Make: func() *workload.Instance { return workload.BuildWitnessPair(40) },
-	}
-}
-
-func extELCFull() extELCConfig {
-	return extELCConfig{
-		name: "ext-elcontribution",
-		workloads: []extELCWorkload{
-			{w: harness.Workload{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
-			{w: harness.Workload{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
-		},
-		stacks: extELCStacks,
-		trials: 6,
-	}
-}
-
-func extELCSmoke() extELCConfig {
-	return extELCConfig{
-		name: "ext-elcontribution-smoke",
-		workloads: []extELCWorkload{
-			// The engineered witness-pair scenario loses determinants
-			// deterministically (CI asserts the outcome appears), while a
-			// short BT row exercises the stochastic storm path.
-			{w: extELCLossWorkload(), planFor: extELCWitnessKill, maxVirtual: 30 * sim.Minute},
-			{w: harness.Workload{Key: "bt.A.9x2", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 2}, AppStateBytes: 1 << 20}, planFor: extELCBurstStorm},
-		},
-		stacks: extELCStacks[:2], // Vcausal with and without EL
-		trials: 2,
-	}
-}
-
-// extELContributionReport runs the full EL-contribution grid: fault-free
-// baselines, then the correlated burst-storm trials; it tabulates the
-// per-stack determinant-loss fraction.
-func extELContributionReport() *Report { return extELCReport(extELCFull()) }
-
-// extELContributionSmokeReport is the CI-sized variant: the deterministic
-// witness-pair loss scenario plus one short BT storm row, Vcausal only.
-func extELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
-
-func extELCReport(cfg extELCConfig) *Report {
-	// One variant per trial; the plan and cap resolve per workload.
-	variants := make([]harness.Variant, cfg.trials)
+// extELCSweep is the grid both sizes share: one variant per storm trial,
+// each faulted cell capped at extELCDivergence times its stack's
+// fault-free time. Plans carry explicit seeds, so every stack of a
+// (workload, trial) pair samples the identical storm — the EL/no-EL
+// pairing compares outcomes under the same failure sequence.
+func extELCSweep(name string, stacks []harness.Stack, trials int, workloads ...harness.Workload) faultedSweep {
+	variants := make([]harness.Variant, trials)
 	for i := range variants {
 		variants[i] = harness.Variant{Key: fmt.Sprintf("storm-%d", i+1)}
 	}
-	workloads := make([]harness.Workload, len(cfg.workloads))
-	rows := make(map[string]extELCWorkload)
-	caps := make(map[string]sim.Time)
-	for i, ew := range cfg.workloads {
-		workloads[i] = ew.w
-		rows[ew.w.Key] = ew
-		caps[ew.w.Key] = ew.maxVirtual
-	}
-	run := faultedSweep{
-		name:      cfg.name,
+	return faultedSweep{
+		name:      name,
 		workloads: workloads,
-		stacks:    cfg.stacks,
+		stacks:    stacks,
 		seed:      2607,
 		probes: []string{
 			harness.ProbeDetLossCount, harness.ProbeLostClockSpan,
@@ -154,17 +72,52 @@ func extELCReport(cfg extELCConfig) *Report {
 		},
 		variants: variants,
 		planFor: func(w harness.Workload, np, trial int) *faultplan.Plan {
-			return rows[w.Key].planFor(np, trial)
+			if w.Key == witnessPair.Key {
+				// The victim and its one witness fall in one correlated
+				// kill: certain loss without an EL, certain recovery with
+				// one.
+				return &faultplan.Plan{
+					Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0, 1}}},
+				}
+			}
+			return extELCBurstStorm(np, trial)
 		},
 		factor: extELCDivergence,
-		caps:   caps,
-	}.run()
+	}
+}
 
+func extELCFull() faultedSweep {
+	return extELCSweep("ext-elcontribution", extELCStacks, 6,
+		harness.Workload{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20},
+		harness.Workload{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20})
+}
+
+// extELCSmoke is the CI-sized variant: the engineered witness-pair row
+// loses determinants deterministically (CI asserts the outcome appears),
+// while a short BT row exercises the stochastic storm path; Vcausal with
+// and without the EL, two trials.
+func extELCSmoke() faultedSweep {
+	f := extELCSweep("ext-elcontribution-smoke", extELCStacks[:2], 2, witnessPair,
+		harness.Workload{Key: "bt.A.9x2", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 2}, AppStateBytes: 1 << 20})
+	f.caps = map[string]sim.Time{witnessPair.Key: 30 * sim.Minute}
+	return f
+}
+
+// extELContributionReport runs the full EL-contribution grid: fault-free
+// baselines, then the correlated burst-storm trials; it tabulates the
+// per-stack determinant-loss fraction.
+func extELContributionReport() *Report { return extELCReport(extELCFull()) }
+
+// extELContributionSmokeReport is the CI-sized variant.
+func extELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
+
+func extELCReport(f faultedSweep) *Report {
+	run, trials := f.run(), len(f.variants)
 	t := &Table{
 		Title:  "EL contribution: determinant-loss fraction under correlated burst storms",
-		Header: stackHeader(cfg.stacks, "Workload"),
+		Header: stackHeader(f.stacks, "Workload"),
 		Notes: []string{
-			fmt.Sprintf("each cell: trials lost / %d storm trials (identical storm per trial across", cfg.trials),
+			fmt.Sprintf("each cell: trials lost / %d storm trials (identical storm per trial across", trials),
 			"stacks: Poisson bursts felling NP/4 adjacent ranks per arrival); 'div' counts",
 			fmt.Sprintf("runs still pending at %dx the stack's fault-free time; a regressed", extELCDivergence),
 			"incarnation re-creating determinant IDs is caught at merge or emission and",
@@ -175,11 +128,11 @@ func extELCReport(cfg extELCConfig) *Report {
 			"the paper's argument for the EL, quantified",
 		},
 	}
-	for _, w := range workloads {
+	for _, w := range f.workloads {
 		row := []string{w.Key}
-		for _, st := range cfg.stacks {
+		for _, st := range f.stacks {
 			lost, diverged := 0, 0
-			for _, v := range variants {
+			for _, v := range f.variants {
 				cr := run.faulted.Get(w.Key, st.Label, v.Key)
 				switch {
 				case cr == nil:
@@ -190,7 +143,7 @@ func extELCReport(cfg extELCConfig) *Report {
 					diverged++
 				}
 			}
-			cell := fmt.Sprintf("%d/%d lost", lost, cfg.trials)
+			cell := fmt.Sprintf("%d/%d lost", lost, trials)
 			if diverged > 0 {
 				cell += fmt.Sprintf(", %d div", diverged)
 			}
@@ -198,5 +151,5 @@ func extELCReport(cfg extELCConfig) *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: cfg.name, Table: t, Sweeps: run.sweeps()}
+	return &Report{Name: f.name, Table: t, Sweeps: run.sweeps()}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
@@ -42,13 +40,6 @@ func extNP64SmokeReport() *Report {
 			"expected shape: EL acknowledgments keep the share small for all three reducers",
 		},
 	}
-	for _, spec := range extNP64Specs {
-		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range elStacks {
-			cr := res.MustGet(spec.String(), sc.Label, "base")
-			row = append(row, pct(cr.Stats.PiggybackShare()))
-		}
-		t.AddRow(row...)
-	}
+	specRows(t, res, extNP64Specs, elStacks, piggybackShare)
 	return &Report{Name: "ext-np64-smoke", Table: t, Sweeps: []*harness.Results{res}}
 }

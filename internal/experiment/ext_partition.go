@@ -85,10 +85,7 @@ func extPartitionScenarios(np int) []scenario {
 					MinInterval: 6 * sim.Second, MaxInterval: 10 * sim.Second,
 					Victims: faultplan.VictimRoundRobin, MaxKills: 4,
 				}},
-				RestartDelay: faultplan.DelayDist{
-					Dist: faultplan.DistUniform,
-					Min:  100 * sim.Millisecond, Max: 600 * sim.Millisecond,
-				},
+				RestartDelay: faultplan.DelayDist{Min: 100 * sim.Millisecond, Max: 600 * sim.Millisecond},
 			},
 		},
 	}
@@ -105,40 +102,41 @@ func isolateRank0(np int) [][]int {
 	return [][]int{{0}, rest}
 }
 
-// extPartitionConfig sizes one partition-extension run; the full
-// experiment and the CI smoke variant share the machinery.
-type extPartitionConfig struct {
-	name      string
-	workloads []harness.Workload
-	stacks    []harness.Stack
-	// restart overrides the constant restart delay (0 = the cluster
-	// default; the restart-jitter scenario replaces it with a
-	// distribution).
-	restart sim.Time
-	// scenariosFor builds the variant axis for one workload's NP.
-	scenariosFor func(np int) []scenario
-	// caps fixes the faulted cells' cap per workload; the rest derive it
-	// from the stack's fault-free baseline (x extPartitionDivergence).
-	caps map[string]sim.Time
-}
-
-func extPartitionFull() extPartitionConfig {
-	return extPartitionConfig{
-		name: "ext-partition",
-		workloads: []harness.Workload{
-			{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20},
-			{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20},
+// extPartitionSweep is the grid both sizes share: the scenarios resolved
+// at each workload's NP, each faulted cell capped at
+// extPartitionDivergence times its stack's fault-free time.
+func extPartitionSweep(name string, stacks []harness.Stack, scenarios func(np int) []scenario, workloads ...harness.Workload) faultedSweep {
+	variants, planFor := scenarioAxis(workloads, scenarios)
+	return faultedSweep{
+		name:      name,
+		workloads: workloads,
+		stacks:    stacks,
+		seed:      2905,
+		probes: []string{
+			harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
+			harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
+			harness.ProbeHeldDeliveries,
+			harness.ProbeKills, harness.ProbePlanKills,
+			harness.ProbeMTTR, harness.ProbeDowntime,
+			harness.ProbeAvailability,
 		},
-		stacks:       elStacks,
-		scenariosFor: extPartitionScenarios,
+		variants: variants,
+		planFor:  planFor,
+		factor:   extPartitionDivergence,
 	}
 }
 
+func extPartitionFull() faultedSweep {
+	return extPartitionSweep("ext-partition", elStacks, extPartitionScenarios,
+		harness.Workload{Key: "bt.A.9x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 9, IterScale: 4}, AppStateBytes: 1 << 20},
+		harness.Workload{Key: "bt.A.16x4", Spec: workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4}, AppStateBytes: 1 << 20})
+}
+
 // extPartitionSmoke is the CI-sized variant: the witness-pair topology
-// with a compressed timeline, deterministic across worker-pool widths,
-// guaranteed to exercise a confirmed false suspicion and the stale-traffic
-// fence.
-func extPartitionSmoke() extPartitionConfig {
+// with a compressed timeline and a 3 ms restart delay, deterministic
+// across worker-pool widths, guaranteed to exercise a confirmed false
+// suspicion and the stale-traffic fence. Vcausal and Manetho only.
+func extPartitionSmoke() faultedSweep {
 	scen := func(np int) []scenario {
 		return []scenario{
 			{
@@ -163,17 +161,10 @@ func extPartitionSmoke() extPartitionConfig {
 			},
 		}
 	}
-	return extPartitionConfig{
-		name: "ext-partition-smoke",
-		workloads: []harness.Workload{{
-			Key:  "witness-pair.3",
-			Make: func() *workload.Instance { return workload.BuildWitnessPair(40) },
-		}},
-		stacks:       elStacks[:2], // Vcausal and Manetho
-		restart:      3 * sim.Millisecond,
-		scenariosFor: scen,
-		caps:         map[string]sim.Time{"witness-pair.3": 30 * sim.Minute},
-	}
+	f := extPartitionSweep("ext-partition-smoke", elStacks[:2], scen, witnessPair)
+	f.restart = 3 * sim.Millisecond
+	f.caps = map[string]sim.Time{witnessPair.Key: 30 * sim.Minute}
+	return f
 }
 
 // extPartitionReport runs the full partition-vs-kill grid: fault-free
@@ -181,43 +172,14 @@ func extPartitionSmoke() extPartitionConfig {
 // slowdowns with partition diagnostics.
 func extPartitionReport() *Report { return partitionReport(extPartitionFull()) }
 
-// extPartitionSmokeReport is the CI-sized variant (witness-pair topology,
-// kill vs false-suspect, Vcausal and Manetho only).
+// extPartitionSmokeReport is the CI-sized variant.
 func extPartitionSmokeReport() *Report { return partitionReport(extPartitionSmoke()) }
 
-func partitionReport(cfg extPartitionConfig) *Report {
-	// The variant axis is the scenario key; the plan resolves per workload
-	// (partition groups depend on NP).
-	first := cfg.scenariosFor(cfg.workloads[0].NP())
-	variants := make([]harness.Variant, len(first))
-	for i, sc := range first {
-		variants[i] = harness.Variant{Key: sc.key}
-	}
-	run := faultedSweep{
-		name:      cfg.name,
-		workloads: cfg.workloads,
-		stacks:    cfg.stacks,
-		seed:      2905,
-		probes: []string{
-			harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
-			harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
-			harness.ProbeHeldDeliveries,
-			harness.ProbeKills, harness.ProbePlanKills,
-			harness.ProbeMTTR, harness.ProbeDowntime,
-			harness.ProbeAvailability,
-		},
-		restart:  cfg.restart,
-		variants: variants,
-		planFor: func(_ harness.Workload, np, i int) *faultplan.Plan {
-			return cfg.scenariosFor(np)[i].plan
-		},
-		factor: extPartitionDivergence,
-		caps:   cfg.caps,
-	}.run()
-
+func partitionReport(f faultedSweep) *Report {
+	run := f.run()
 	t := &Table{
 		Title:  "Partitions vs kills: slowdown (%) under link-fabric faults",
-		Header: stackHeader(cfg.stacks, "Workload", "Scenario"),
+		Header: stackHeader(f.stacks, "Workload", "Scenario"),
 		Notes: []string{
 			"100% = fault-free execution time of the same stack; cells show slowdown and",
 			"diagnostics: fs = confirmed false suspicions (live rank declared dead, stale",
@@ -239,14 +201,14 @@ func partitionReport(cfg extPartitionConfig) *Report {
 		}
 		return ""
 	}
-	for _, w := range cfg.workloads {
-		for _, v := range variants {
+	for _, w := range f.workloads {
+		for _, v := range f.variants {
 			row := []string{w.Key, v.Key}
-			for _, st := range cfg.stacks {
+			for _, st := range f.stacks {
 				row = append(row, run.slowdown(w.Key, st.Label, v.Key, note))
 			}
 			t.AddRow(row...)
 		}
 	}
-	return &Report{Name: cfg.name, Table: t, Sweeps: run.sweeps()}
+	return &Report{Name: f.name, Table: t, Sweeps: run.sweeps()}
 }

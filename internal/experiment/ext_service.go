@@ -26,25 +26,18 @@ import (
 // attributable to the protocol and the faults alone.
 const extServiceSeed = 2907
 
-// extServiceScenario is one point of the fault axis.
-type extServiceScenario struct {
-	key string
-	// restart overrides the detection+relaunch delay for this scenario
-	// (0 = failure.DefaultRestartDelay).
-	restart sim.Time
-	// plan resolves per NP (partition groups depend on the rank set).
-	plan func(np int) *faultplan.Plan
-}
-
 // extServiceConfig sizes one service-extension run; the full experiment
 // and the CI smoke variant share the machinery.
 type extServiceConfig struct {
-	name      string
-	nps       []int
-	stacks    []harness.Stack
-	service   func(np int) workload.ServiceConfig
-	horizon   sim.Time
-	scenarios []extServiceScenario
+	name    string
+	nps     []int
+	stacks  []harness.Stack
+	service func(np int) workload.ServiceConfig
+	horizon sim.Time
+	// scenarios is the fault axis at one NP (partition groups depend on
+	// the rank set); a scenario's restart of 0 keeps
+	// failure.DefaultRestartDelay.
+	scenarios func(np int) []scenario
 	// ckptInterval is the flat round-robin checkpoint period (every
 	// stack is a causal one, so there is no coordinated budget to match).
 	ckptInterval sim.Time
@@ -74,40 +67,38 @@ func extServiceFull() extServiceConfig {
 			}
 		},
 		horizon: 15 * sim.Minute,
-		scenarios: []extServiceScenario{
-			{key: "fault-free"},
-			{
-				// Rolling single-rank kills every 20-40 s with realistic
-				// 2 s detection+relaunch: recovery happens under live load,
-				// so its cost lands in the latency tail.
-				key:     "storm",
-				restart: 2 * sim.Second,
-				plan: func(np int) *faultplan.Plan {
-					return &faultplan.Plan{
+		scenarios: func(np int) []scenario {
+			return []scenario{
+				{key: "fault-free"},
+				{
+					// Rolling single-rank kills every 20-40 s with realistic
+					// 2 s detection+relaunch: recovery happens under live
+					// load, so its cost lands in the latency tail.
+					key:     "storm",
+					restart: 2 * sim.Second,
+					plan: &faultplan.Plan{
 						Storms: []faultplan.Storm{{
 							MinInterval: 20 * sim.Second, MaxInterval: 40 * sim.Second,
 							Victims: faultplan.VictimRoundRobin, MaxKills: 16,
 						}},
-					}
+					},
 				},
-			},
-			{
-				// A partition isolates rank 0 past the detector's patience:
-				// the live rank is falsely declared dead, its replacement
-				// recovers, and the healed link's stale traffic is fenced —
-				// all while requests keep arriving.
-				key: "partition",
-				plan: func(np int) *faultplan.Plan {
-					return &faultplan.Plan{
+				{
+					// A partition isolates rank 0 past the detector's
+					// patience: the live rank is falsely declared dead, its
+					// replacement recovers, and the healed link's stale
+					// traffic is fenced — all while requests keep arriving.
+					key: "partition",
+					plan: &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           5 * sim.Minute,
 							Groups:       isolateRank0(np),
 							Duration:     800 * sim.Millisecond,
 							SuspectAfter: 400 * sim.Millisecond,
 						}},
-					}
+					},
 				},
-			},
+			}
 		},
 		// A flat 5 s cadence instead of fig01's NP-scaled budget: frequent
 		// enough to bound storm replay to a few seconds of log, sparse
@@ -134,37 +125,35 @@ func extServiceSmoke() extServiceConfig {
 			}
 		},
 		horizon: 2 * sim.Second,
-		scenarios: []extServiceScenario{
-			{key: "fault-free"},
-			{
-				key:     "storm",
-				restart: 5 * sim.Millisecond,
-				plan: func(np int) *faultplan.Plan {
-					return &faultplan.Plan{
+		scenarios: func(np int) []scenario {
+			return []scenario{
+				{key: "fault-free"},
+				{
+					key:     "storm",
+					restart: 5 * sim.Millisecond,
+					plan: &faultplan.Plan{
 						Storms: []faultplan.Storm{{
 							MinInterval: 30 * sim.Millisecond, MaxInterval: 60 * sim.Millisecond,
 							Victims: faultplan.VictimRoundRobin, MaxKills: 3,
 						}},
-					}
+					},
 				},
-			},
-			{
-				// Suspect at 50 ms, fence + respawn at 55 ms (5 ms restart
-				// delay), heal at 70 ms: the healed link releases the stale
-				// incarnation's traffic after recovery began.
-				key:     "partition",
-				restart: 5 * sim.Millisecond,
-				plan: func(np int) *faultplan.Plan {
-					return &faultplan.Plan{
+				{
+					// Suspect at 50 ms, fence + respawn at 55 ms (5 ms
+					// restart delay), heal at 70 ms: the healed link releases
+					// the stale incarnation's traffic after recovery began.
+					key:     "partition",
+					restart: 5 * sim.Millisecond,
+					plan: &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           40 * sim.Millisecond,
 							Groups:       isolateRank0(np),
 							Duration:     30 * sim.Millisecond,
 							SuspectAfter: 10 * sim.Millisecond,
 						}},
-					}
+					},
 				},
-			},
+			}
 		},
 		ckptInterval: 50 * sim.Millisecond,
 	}
@@ -191,23 +180,11 @@ func serviceReport(cfg extServiceConfig) *Report {
 		}
 	}
 
-	variants := make([]harness.Variant, len(cfg.scenarios))
-	for i, sc := range cfg.scenarios {
-		variants[i] = harness.Variant{
-			Key:          sc.key,
-			Horizon:      cfg.horizon,
-			RestartDelay: sc.restart,
-			CkptPolicy:   checkpoint.PolicyRoundRobin,
-			CkptInterval: cfg.ckptInterval,
-		}
+	variants, planFor := scenarioAxis(workloads, cfg.scenarios)
+	for i := range variants {
+		v := &variants[i]
+		v.Horizon, v.CkptPolicy, v.CkptInterval = cfg.horizon, checkpoint.PolicyRoundRobin, cfg.ckptInterval
 	}
-	// Plans resolve per workload: partition groups depend on NP.
-	plans := planTune(workloads, variants, func(_ harness.Workload, np, i int) *faultplan.Plan {
-		if plan := cfg.scenarios[i].plan; plan != nil {
-			return plan(np)
-		}
-		return nil
-	})
 
 	spec := &harness.SweepSpec{
 		Name:      cfg.name,
@@ -222,7 +199,7 @@ func serviceReport(cfg extServiceConfig) *Report {
 			harness.ProbeKills, harness.ProbePlanKills,
 			harness.ProbeFalseSuspicions,
 		},
-		Tune: plans,
+		Tune: planTune(workloads, variants, planFor),
 	}
 	res := sweep(spec)
 

@@ -53,7 +53,7 @@ var bandwidthSizes = []int{1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20
 
 // fig06bStacks is Figure 6(b)'s protocol axis.
 var fig06bStacks = append([]harness.Stack{{Label: "RAW TCP", Stack: cluster.StackRawTCP}},
-	allStacks[0], allStacks[1], allStacks[2], allStacks[3], allStacks[6], allStacks[7])
+	stacksNamed("MPICH-P4", "MPICH-Vdummy", "Vcausal (EL)", "Manetho (EL)", "Manetho (no EL)", "LogOn (no EL)")...)
 
 // fig06bReport reproduces Figure 6(b): ping-pong bandwidth versus
 // message size for raw TCP, P4, Vdummy and the causal variants.

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"mpichv/internal/harness"
 )
 
@@ -36,13 +34,10 @@ func fig07Report() *Report {
 			"same events (flat encoding); LU.16 keeps a large residual even with EL (EL saturation)",
 		},
 	}
-	for _, spec := range fig07Specs {
-		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range causalStacks {
-			cr := res.MustGet(spec.String(), sc.Label, "base")
-			row = append(row, pct(cr.Stats.PiggybackShare()))
-		}
-		t.AddRow(row...)
-	}
+	specRows(t, res, fig07Specs, causalStacks, piggybackShare)
 	return &Report{Name: "fig7", Table: t, Sweeps: []*harness.Results{res}}
 }
+
+// piggybackShare renders a cell's piggybacked bytes as a percentage of its
+// application bytes.
+func piggybackShare(cr *harness.CellResult) string { return pct(cr.Stats.PiggybackShare()) }

@@ -41,16 +41,9 @@ func fig08aReport() *Report {
 			"LogOn loses to Manetho on LU without EL (many large piggybacks to sort)",
 		},
 	}
-	for _, spec := range fig08Specs {
-		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range causalStacks {
-			cr := res.MustGet(spec.String(), sc.Label, "base")
-			row = append(row,
-				fmt.Sprintf("%.4g", cr.Stats.SendPiggybackTime.Seconds()),
-				fmt.Sprintf("%.4g", cr.Stats.RecvPiggybackTime.Seconds()))
-		}
-		t.AddRow(row...)
-	}
+	specRows(t, res, fig08Specs, causalStacks,
+		func(cr *harness.CellResult) string { return fmt.Sprintf("%.4g", cr.Stats.SendPiggybackTime.Seconds()) },
+		func(cr *harness.CellResult) string { return fmt.Sprintf("%.4g", cr.Stats.RecvPiggybackTime.Seconds()) })
 	return &Report{Name: "fig8a", Table: t, Sweeps: []*harness.Results{res}}
 }
 
@@ -66,15 +59,9 @@ func fig08bReport() *Report {
 			"and message rate; largest for LU.16 without EL (paper: up to 41.5%)",
 		},
 	}
-	for _, spec := range fig08Specs {
-		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range causalStacks {
-			cr := res.MustGet(spec.String(), sc.Label, "base")
-			total := cr.Elapsed * sim.Time(spec.NP)
-			share := float64(cr.Stats.SendPiggybackTime+cr.Stats.RecvPiggybackTime) / float64(total)
-			row = append(row, pct(share))
-		}
-		t.AddRow(row...)
-	}
+	specRows(t, res, fig08Specs, causalStacks, func(cr *harness.CellResult) string {
+		total := cr.Elapsed * sim.Time(cr.NP)
+		return pct(float64(cr.Stats.SendPiggybackTime+cr.Stats.RecvPiggybackTime) / float64(total))
+	})
 	return &Report{Name: "fig8b", Table: t, Sweeps: []*harness.Results{res}}
 }

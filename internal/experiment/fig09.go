@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"mpichv/internal/harness"
 )
 
@@ -41,13 +39,6 @@ func fig09Report() *Report {
 			"Vdummy can beat P4 where the pattern exploits full-duplex links",
 		},
 	}
-	for _, spec := range specs {
-		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
-		for _, sc := range allStacks {
-			cr := res.MustGet(spec.String(), sc.Label, "base")
-			row = append(row, f1(cr.Mflops))
-		}
-		t.AddRow(row...)
-	}
+	specRows(t, res, specs, allStacks, func(cr *harness.CellResult) string { return f1(cr.Mflops) })
 	return &Report{Name: "fig9", Table: t, Sweeps: []*harness.Results{res}}
 }

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"slices"
+
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
 	"mpichv/internal/faultplan"
@@ -28,6 +31,24 @@ var (
 	// causalStacks.
 	elStacks = causalStacks[:3:3]
 )
+
+// stacksNamed picks allStacks entries by label, in the order given; an
+// unknown label panics at start-up.
+func stacksNamed(labels ...string) []harness.Stack {
+	out := make([]harness.Stack, len(labels))
+	for i, label := range labels {
+		out[i] = allStacks[slices.IndexFunc(allStacks, func(st harness.Stack) bool { return st.Label == label })]
+	}
+	return out
+}
+
+// witnessPair is the minimal determinant-loss topology both fault smokes
+// run (see workload.BuildWitnessPair): the victim's determinants have
+// exactly one witness.
+var witnessPair = harness.Workload{
+	Key:  "witness-pair.3",
+	Make: func() *workload.Instance { return workload.BuildWitnessPair(40) },
+}
 
 // nasWorkloads converts NAS specs into harness form, keyed "bench.Class.NP".
 func nasWorkloads(specs []workload.Spec) []harness.Workload {
@@ -179,10 +200,24 @@ func (r *faultedRun) slowdown(w, stack, variant string, note func(*harness.CellR
 	return cell
 }
 
-// scenario is one named point of a fault axis.
+// scenario is one named point of a fault axis; restart, when set,
+// overrides the detection+relaunch delay under it.
 type scenario struct {
-	key  string
-	plan *faultplan.Plan
+	key     string
+	plan    *faultplan.Plan
+	restart sim.Time
+}
+
+// scenarioAxis turns a per-NP scenario list into a sweep's variant axis,
+// keyed at the first workload's NP, and the planFor resolving variant i's
+// plan at each workload's own NP (partition groups and bursts follow it).
+func scenarioAxis(workloads []harness.Workload, at func(np int) []scenario) ([]harness.Variant, func(harness.Workload, int, int) *faultplan.Plan) {
+	first := at(workloads[0].NP())
+	variants := make([]harness.Variant, len(first))
+	for i, sc := range first {
+		variants[i] = harness.Variant{Key: sc.key, RestartDelay: sc.restart}
+	}
+	return variants, func(_ harness.Workload, np, i int) *faultplan.Plan { return at(np)[i].plan }
 }
 
 // stackHeader is a table header: the lead columns, then one per stack.
@@ -197,6 +232,21 @@ func stackHeader(stacks []harness.Stack, lead ...string) []string {
 type benchGroup struct {
 	bench, class string
 	nps          []int
+}
+
+// specRows adds one row per NAS spec to t: "bench.Class", the process
+// count, then each column function applied to every stack's cell in res.
+func specRows(t *Table, res *harness.Results, specs []workload.Spec, stacks []harness.Stack, cols ...func(*harness.CellResult) string) {
+	for _, spec := range specs {
+		row := []string{spec.Bench + "." + spec.Class, fmt.Sprintf("%d", spec.NP)}
+		for _, st := range stacks {
+			cr := res.MustGet(spec.String(), st.Label, "base")
+			for _, col := range cols {
+				row = append(row, col(cr))
+			}
+		}
+		t.AddRow(row...)
+	}
 }
 
 // groupSpecs flattens a figure's panels into the sweep's workload axis.

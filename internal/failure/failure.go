@@ -21,7 +21,8 @@ type Program func(n *daemon.Node)
 // deployment assumes unless it sets its own.
 const DefaultRestartDelay = 250 * sim.Millisecond
 
-// Dispatcher supervises the MPI run.
+// Dispatcher supervises the MPI run. It stops its kernel the moment the
+// last program completes.
 type Dispatcher struct {
 	k        *sim.Kernel
 	nodes    []*daemon.Node
@@ -51,10 +52,6 @@ type Dispatcher struct {
 
 	// observers receive lifecycle events (fault-scenario engines, tests).
 	observers []func(obs.Event)
-
-	// OnAllDone, when set, is invoked as soon as every program completes
-	// (typically kernel.Stop).
-	OnAllDone func()
 
 	// Kills and Restarts count fault injections and relaunches.
 	Kills    int64
@@ -151,8 +148,8 @@ func (d *Dispatcher) spawn(r int, recovery, crashed bool) {
 		prog(n)
 		n.Finish()
 		d.emit(obs.KindFinished, r)
-		if d.OnAllDone != nil && d.AllDone() {
-			d.OnAllDone()
+		if d.AllDone() {
+			d.k.Stop()
 		}
 		// Keep the daemon alive after the program ends: peers that are
 		// still running may need this node's held determinants and logged
@@ -216,9 +213,7 @@ func (d *Dispatcher) Kill(r int) {
 // restartDelay resolves the detection-plus-relaunch delay for one fault.
 func (d *Dispatcher) restartDelay() sim.Time {
 	if d.RestartDelayFn != nil {
-		if delay := d.RestartDelayFn(); delay > 0 {
-			return delay
-		}
+		return d.RestartDelayFn()
 	}
 	return d.RestartDelay
 }

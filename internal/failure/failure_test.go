@@ -61,19 +61,21 @@ func TestLaunchRunsAllPrograms(t *testing.T) {
 	}
 }
 
-func TestOnAllDoneFires(t *testing.T) {
+// TestLastCompletionStopsKernel: the dispatcher stops its kernel when the
+// last program completes, so Run returns then although a later event is
+// still pending.
+func TestLastCompletionStopsKernel(t *testing.T) {
 	k, nodes := testWorld(t, 2)
 	progs := []Program{
 		func(n *daemon.Node) { n.Compute(sim.Millisecond) },
 		func(n *daemon.Node) { n.Compute(2 * sim.Millisecond) },
 	}
 	d := NewDispatcher(k, nodes, progs)
-	var firedAt sim.Time
-	d.OnAllDone = func() { firedAt = k.Now() }
+	late := false
+	k.At(sim.Second, func() { late = true })
 	d.Launch()
-	k.Run()
-	if firedAt != 2*sim.Millisecond {
-		t.Fatalf("OnAllDone fired at %v, want 2ms", firedAt)
+	if end := k.Run(); end != 2*sim.Millisecond || late {
+		t.Fatalf("Run returned at %v (later event ran: %v), want 2ms with it pending", end, late)
 	}
 }
 

@@ -96,12 +96,13 @@ func TestSuspectOnFinishedOrRestartingIsNoOp(t *testing.T) {
 
 // TestSuspectCompletedBehindPartition: the suspected process finishes its
 // program during the detection window — there is nothing to recover, no
-// respawn happens, and the completion stands.
+// respawn happens, and the completion stands. Rank 1 outlasts the window,
+// so the kernel is still running when the suspicion resolves.
 func TestSuspectCompletedBehindPartition(t *testing.T) {
 	k, nodes := suspectWorld(t, 2)
 	progs := []Program{
 		func(n *daemon.Node) { n.Compute(time5ms) },
-		func(n *daemon.Node) { n.Compute(time5ms) },
+		func(n *daemon.Node) { n.Compute(20 * sim.Millisecond) },
 	}
 	d := NewDispatcher(k, nodes, progs)
 	d.RestartDelay = 10 * sim.Millisecond

@@ -39,11 +39,9 @@ func TestValidateRejectsBadFabricOps(t *testing.T) {
 			{At: 2 * sim.Second, Groups: [][]int{{2}, {3}}, Duration: sim.Second},
 			{At: sim.Second, Groups: [][]int{{0}, {1}}, Duration: sim.Second},
 		}},
-		// Restart-delay distributions.
-		{RestartDelay: faultplan.DelayDist{Dist: "gamma", Value: sim.Second}},
-		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistConstant}},
-		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistExponential}},
-		{RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: sim.Second, Max: sim.Millisecond}},
+		// Restart-delay distributions: a set one needs 0 < Min <= Max.
+		{RestartDelay: faultplan.DelayDist{Min: 0, Max: sim.Second}},
+		{RestartDelay: faultplan.DelayDist{Min: sim.Second, Max: sim.Millisecond}},
 	}
 	mustReject(t, bad)
 	good := faultplan.Plan{
@@ -53,7 +51,7 @@ func TestValidateRejectsBadFabricOps(t *testing.T) {
 		}},
 		Degrades: []faultplan.DegradeLink{{From: 0, To: 1, Both: true,
 			LatencyFactor: 2, BandwidthFactor: 0.5, Jitter: sim.Microsecond}},
-		RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: sim.Millisecond, Max: sim.Second},
+		RestartDelay: faultplan.DelayDist{Min: sim.Millisecond, Max: sim.Second},
 	}
 	if err := good.Validate(4); err != nil {
 		t.Fatalf("good fabric plan rejected: %v", err)
@@ -207,10 +205,7 @@ func TestRestartDelayDistributionDeterministic(t *testing.T) {
 				{At: 4 * sim.Millisecond, Ranks: []int{1}},
 				{At: 12 * sim.Millisecond, Ranks: []int{2}},
 			},
-			RestartDelay: faultplan.DelayDist{
-				Dist: faultplan.DistUniform,
-				Min:  2 * sim.Millisecond, Max: 40 * sim.Millisecond,
-			},
+			RestartDelay: faultplan.DelayDist{Min: 2 * sim.Millisecond, Max: 40 * sim.Millisecond},
 		}
 	}
 	elapsed := func(planSeed int64) sim.Time {

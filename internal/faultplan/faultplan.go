@@ -4,7 +4,7 @@
 // Plan expresses the fault environments that stress that claim — fault
 // storms, correlated multi-rank kills (a switch or power-rail failure),
 // cascades triggered by recovery-path events (a fault landing inside a
-// restart window or mid-checkpoint), stable-server outages, network
+// restart window or while it recovers), stable-server outages, network
 // partitions and degraded links.
 //
 // A Plan is pure data and read-only after Apply: the same Plan value can be
@@ -42,7 +42,7 @@ const (
 	VictimRoundRobin VictimPolicy = "rr"
 	// VictimRandom picks uniformly among the still-running ranks.
 	VictimRandom VictimPolicy = "random"
-	// VictimFixed always targets the component's Rank field.
+	// VictimFixed always targets the cascade's Rank field.
 	VictimFixed VictimPolicy = "fixed"
 )
 
@@ -55,14 +55,12 @@ type Storm struct {
 	MeanInterval sim.Time
 	MinInterval  sim.Time
 	MaxInterval  sim.Time
-	// Start and End bound the active window. End 0 means "until the
-	// application completes".
+	// Start opens the active window, which lasts until the application
+	// completes.
 	Start sim.Time
-	End   sim.Time
-	// Victims selects the target rank per arrival (default round-robin);
-	// Rank is the VictimFixed target.
+	// Victims selects the target rank per arrival: VictimRoundRobin (the
+	// default) or VictimRandom.
 	Victims VictimPolicy
-	Rank    int
 	// Burst is the number of distinct ranks each arrival fells in the same
 	// instant (0 and 1 both mean single kills) — a stochastic shared
 	// failure domain. Bursts are the storm shape biased toward overlapping
@@ -98,10 +96,6 @@ const (
 	OnRestart Trigger = "restart"
 	// OnRecovered fires when a rank's recovery procedure completes.
 	OnRecovered Trigger = "recovered"
-	// OnCheckpointWave fires when the checkpoint scheduler issues a wave;
-	// a small Delay lands the cascaded fault mid-checkpoint, while images
-	// are being built and stored.
-	OnCheckpointWave Trigger = "ckpt-wave"
 )
 
 // OnlyRank encodes a cascade trigger-rank filter: Cascade.OfRank's zero
@@ -112,8 +106,7 @@ func OnlyRank(r int) int { return r + 1 }
 type Cascade struct {
 	Trigger Trigger
 	// OfRank filters the trigger: the zero value matches events of every
-	// rank; OnlyRank(r) restricts to rank r. Ignored for
-	// OnCheckpointWave, which has no rank.
+	// rank; OnlyRank(r) restricts to rank r.
 	OfRank int
 	// Delay separates the trigger from the cascaded fault.
 	Delay sim.Time
@@ -201,41 +194,12 @@ type DegradeLink struct {
 	Duration sim.Time
 }
 
-// Distribution names for RestartDelay draws.
-const (
-	// DistConstant redraws the same Value per fault (equivalent to the
-	// dispatcher's constant, but recorded in the plan).
-	DistConstant = "const"
-	// DistUniform draws uniformly from [Min, Max].
-	DistUniform = "uniform"
-	// DistExponential draws exponentially with mean Value.
-	DistExponential = "exp"
-)
-
 // DelayDist is a restart-delay distribution: the detection-plus-relaunch
-// time drawn per fault from the plan's own deterministic stream, replacing
-// the deployment-wide constant. The zero value keeps the constant.
+// time drawn per fault, uniformly on [Min, Max], from the plan's own
+// deterministic stream, replacing the deployment-wide constant. The zero
+// value keeps the constant.
 type DelayDist struct {
-	// Dist selects the distribution ("" = unset, DistConstant, DistUniform,
-	// DistExponential).
-	Dist string
-	// Value is the constant value (DistConstant) or the mean
-	// (DistExponential).
-	Value sim.Time
-	// Min and Max bound DistUniform.
 	Min, Max sim.Time
-}
-
-// draw samples one restart delay.
-func (dd DelayDist) draw(rng *rand.Rand) sim.Time {
-	switch dd.Dist {
-	case DistUniform:
-		return uniform(rng, dd.Min, dd.Max)
-	case DistExponential:
-		return max(sim.Time(rng.ExpFloat64()*float64(dd.Value)), 1)
-	default: // DistConstant
-		return dd.Value
-	}
 }
 
 // uniform draws from [lo, hi].
@@ -316,12 +280,6 @@ func (p *Plan) compile(np int) ([]op, error) {
 	rank := func(role string, r int) {
 		fail(r < 0 || (np > 0 && r >= np), "%s rank %d out of range (np=%d)", role, r, np)
 	}
-	victims := func(pol VictimPolicy, r int) {
-		fail(!slices.Contains([]VictimPolicy{"", VictimRoundRobin, VictimRandom, VictimFixed}, pol), "unknown victim policy %q", pol)
-		if pol == VictimFixed {
-			rank("victim", r)
-		}
-	}
 	emit := func(at sim.Time, kind opKind, i int, ranks []int) {
 		fail(at < 0, "negative time %v", at)
 		ops = append(ops, op{at: at, kind: kind, idx: i, ranks: ranks})
@@ -331,10 +289,8 @@ func (p *Plan) compile(np int) ([]op, error) {
 		fail(s.Poisson && s.MeanInterval <= 0, "Poisson storm needs MeanInterval > 0")
 		fail(!s.Poisson && (s.MinInterval <= 0 || s.MaxInterval < s.MinInterval), "uniform storm needs 0 < MinInterval <= MaxInterval")
 		fail(s.Start < 0, "negative Start %v", s.Start)
-		fail(s.End != 0 && s.End < s.Start, "End %v before Start %v", s.End, s.Start)
-		victims(s.Victims, s.Rank)
+		fail(!slices.Contains([]VictimPolicy{"", VictimRoundRobin, VictimRandom}, s.Victims), "victim policy %q is not rr or random", s.Victims)
 		fail(s.Burst < 0, "negative Burst %d", s.Burst)
-		fail(s.Burst > 1 && s.Victims == VictimFixed, "Burst %d needs distinct victims; VictimFixed names one rank", s.Burst)
 		fail(np > 0 && s.Burst > np, "Burst %d exceeds np %d", s.Burst, np)
 	}
 	for i, ck := range p.Correlated {
@@ -348,9 +304,9 @@ func (p *Plan) compile(np int) ([]op, error) {
 	}
 	for i, cs := range p.Cascades {
 		what = fmt.Sprintf("cascade %d", i)
-		fail(!slices.Contains([]Trigger{OnKill, OnRestart, OnRecovered, OnCheckpointWave}, cs.Trigger), "unknown trigger %q", cs.Trigger)
+		fail(!slices.Contains([]Trigger{OnKill, OnRestart, OnRecovered}, cs.Trigger), "unknown trigger %q", cs.Trigger)
 		fail(cs.OfRank < 0, "negative OfRank %d (0 matches any rank; use OnlyRank(r) to filter)", cs.OfRank)
-		if cs.OfRank > 0 && cs.Trigger != OnCheckpointWave {
+		if cs.OfRank > 0 {
 			rank("trigger (OnlyRank)", cs.OfRank-1)
 		}
 		fail(cs.Delay < 0, "negative Delay")
@@ -360,7 +316,10 @@ func (p *Plan) compile(np int) ([]op, error) {
 		fail(cs.Trigger == OnKill && cs.Delay == 0 && cs.MaxFires == 0,
 			"OnKill with Delay 0 and unlimited MaxFires would livelock at one instant; set Delay > 0 or MaxFires > 0")
 		fail(!(cs.Probability >= 0 && cs.Probability <= 1), "Probability %v outside [0, 1]", cs.Probability)
-		victims(cs.Victims, cs.Rank)
+		fail(!slices.Contains([]VictimPolicy{"", VictimRoundRobin, VictimRandom, VictimFixed}, cs.Victims), "unknown victim policy %q", cs.Victims)
+		if cs.Victims == VictimFixed {
+			rank("victim", cs.Rank)
+		}
 	}
 	for i, o := range p.Outages {
 		what = fmt.Sprintf("outage %d", i)
@@ -412,11 +371,9 @@ func (p *Plan) compile(np int) ([]op, error) {
 			emit(dg.At+dg.Duration, opClear, i, nil)
 		}
 	}
-	if dd := p.RestartDelay; dd.Dist != "" {
+	if dd := p.RestartDelay; dd != (DelayDist{}) {
 		what = "restart delay"
-		fail(!slices.Contains([]string{DistConstant, DistUniform, DistExponential}, dd.Dist), "unknown distribution %q", dd.Dist)
-		fail(dd.Dist != DistUniform && dd.Value <= 0, "%s distribution needs Value > 0", dd.Dist)
-		fail(dd.Dist == DistUniform && (dd.Min <= 0 || dd.Max < dd.Min), "uniform distribution needs 0 < Min <= Max")
+		fail(dd.Min <= 0 || dd.Max < dd.Min, "needs 0 < Min <= Max")
 	}
 	return ops, err
 }
@@ -446,8 +403,6 @@ func suspectSet(groups [][]int) []int {
 type Targets struct {
 	Kernel     *sim.Kernel
 	Dispatcher *failure.Dispatcher
-	// Scheduler feeds OnCheckpointWave cascades (nil: they never fire).
-	Scheduler *checkpoint.Scheduler
 	// EventLoggers are suspended by OutageEventLogger (empty: skipped).
 	EventLoggers []*eventlogger.Server
 	// CkptServer is suspended by OutageCkptServer (nil: skipped).
@@ -500,10 +455,9 @@ type generator struct {
 
 // Apply validates the plan and compiles it onto the deployment: its timed
 // components become kernel events, storms schedule their first arrival,
-// cascades subscribe to the dispatcher's lifecycle stream (and the
-// scheduler's wave stream). Call it after the dispatcher exists and before
-// the kernel runs; kills that fire before Launch are deferred by the
-// dispatcher to launch time.
+// cascades subscribe to the dispatcher's lifecycle stream. Call it after
+// the dispatcher exists and before the kernel runs; kills that fire before
+// Launch are deferred by the dispatcher to launch time.
 func Apply(t Targets, p *Plan) (*Engine, error) {
 	if t.Kernel == nil || t.Dispatcher == nil {
 		return nil, fmt.Errorf("faultplan: Apply needs a kernel and a dispatcher")
@@ -534,16 +488,13 @@ func Apply(t Targets, p *Plan) (*Engine, error) {
 				e.fireCascades(trig, ev.Rank)
 			}
 		})
-		if t.Scheduler != nil {
-			t.Scheduler.ObserveWaves(func(int) { e.fireCascades(OnCheckpointWave, -1) })
-		}
 	}
 	for _, o := range ops {
 		t.Kernel.At(o.at, func() { e.apply(o) })
 	}
-	if p.RestartDelay.Dist != "" {
-		dd, rng := p.RestartDelay, subRNG(seed, "restart-delay")
-		t.Dispatcher.RestartDelayFn = func() sim.Time { return dd.draw(rng) }
+	if dd := p.RestartDelay; dd != (DelayDist{}) {
+		rng := subRNG(seed, "restart-delay")
+		t.Dispatcher.RestartDelayFn = func() sim.Time { return uniform(rng, dd.Min, dd.Max) }
 	}
 	return e, nil
 }
@@ -640,7 +591,7 @@ func (e *Engine) startStorm(i int) {
 	burst := max(s.Burst, 1)
 	var arrive func()
 	arrive = func() {
-		if e.t.Dispatcher.AllDone() || (s.End > 0 && e.t.Kernel.Now() > s.End) {
+		if e.t.Dispatcher.AllDone() {
 			return
 		}
 		// A burst fells distinct ranks in the same instant (a shared
@@ -649,7 +600,7 @@ func (e *Engine) startStorm(i int) {
 		// excluded from the rest of the burst.
 		var chosen []int
 		for len(chosen) < burst && !capped() {
-			v := e.pick(s.Victims, s.Rank, g, chosen)
+			v := e.pick(s.Victims, 0, g, chosen)
 			if v < 0 {
 				break
 			}
@@ -678,7 +629,7 @@ func (e *Engine) fireCascades(trig Trigger, rank int) {
 		c, g := &e.plan.Cascades[i], &e.cascades[i]
 		// The probability draw comes last: only a matching cascade under
 		// its cap consumes its stream.
-		if c.Trigger != trig || (c.OfRank != 0 && rank >= 0 && c.OfRank != OnlyRank(rank)) ||
+		if c.Trigger != trig || (c.OfRank != 0 && c.OfRank != OnlyRank(rank)) ||
 			(c.MaxFires > 0 && g.count >= c.MaxFires) ||
 			(c.Probability > 0 && c.Probability < 1 && g.rng.Float64() >= c.Probability) {
 			continue

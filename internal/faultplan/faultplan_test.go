@@ -105,12 +105,12 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Storms: []faultplan.Storm{{Poisson: true}}},
 		{Storms: []faultplan.Storm{{MinInterval: 0, MaxInterval: sim.Second}}},
 		{Storms: []faultplan.Storm{{MinInterval: 2 * sim.Second, MaxInterval: sim.Second}}},
-		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Start: sim.Second, End: sim.Millisecond}}},
 		// A negative Start schedules the first arrival before the run
 		// begins (FuzzPlan's first crasher).
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Start: -sim.Second}}},
 		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: "nearest"}}},
-		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: faultplan.VictimFixed, Rank: 99}}},
+		// A storm draws its victims; only a cascade names a fixed one.
+		{Storms: []faultplan.Storm{{Poisson: true, MeanInterval: sim.Second, Victims: faultplan.VictimFixed}}},
 		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second}}},
 		{Correlated: []faultplan.CorrelatedKill{{At: sim.Second, Ranks: []int{12}}}},
 		// A rank listed twice would be killed twice in one instant: two
@@ -121,6 +121,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnKill, OfRank: -1}}},
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnKill, Probability: 1.5}}},
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnRestart, OfRank: faultplan.OnlyRank(9)}}},
+		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnRestart, Victims: faultplan.VictimFixed, Rank: 9}}},
 		// Unbounded OnKill cascade with zero delay: would re-kill at the
 		// same virtual instant forever (livelock).
 		{Cascades: []faultplan.Cascade{{Trigger: faultplan.OnKill}}},
@@ -222,20 +223,6 @@ func TestCorrelatedKillAndCascade(t *testing.T) {
 	}
 }
 
-func TestCheckpointWaveCascade(t *testing.T) {
-	plan := &faultplan.Plan{
-		Cascades: []faultplan.Cascade{{
-			Trigger:  faultplan.OnCheckpointWave,
-			Delay:    200 * sim.Microsecond, // lands while the image is stored
-			MaxFires: 1,
-		}},
-	}
-	c := runPlan(t, faultedConfig(plan, 11), 150)
-	if c.Faults.Kills != 1 {
-		t.Fatalf("ckpt-wave cascade kills = %d, want 1", c.Faults.Kills)
-	}
-}
-
 func TestCascadeProbabilityZeroOneSemantics(t *testing.T) {
 	// Probability 0 (zero value) means "always": with one trigger the
 	// cascade must fire.
@@ -289,14 +276,15 @@ func TestOutageSkippedWithoutService(t *testing.T) {
 	}
 }
 
-// TestVictimPoliciesSkipFinishedRanks drives a fixed-victim storm at a
-// rank that finishes quickly: every arrival after its completion must be
-// recorded as a miss, not re-kill the finished program.
+// TestVictimPoliciesSkipFinishedRanks aims a fixed-victim cascade at a
+// rank that finished long before: the cascaded kill must be recorded as a
+// miss, not re-run the finished program.
 func TestVictimPoliciesSkipFinishedRanks(t *testing.T) {
 	plan := &faultplan.Plan{
-		Storms: []faultplan.Storm{{
-			MinInterval: 30 * sim.Millisecond, MaxInterval: 30 * sim.Millisecond,
-			Victims: faultplan.VictimFixed, Rank: 1,
+		Correlated: []faultplan.CorrelatedKill{{At: 30 * sim.Millisecond, Ranks: []int{0}}},
+		Cascades: []faultplan.Cascade{{
+			Trigger: faultplan.OnKill, Delay: sim.Millisecond,
+			Victims: faultplan.VictimFixed, Rank: 1, MaxFires: 1,
 		}},
 	}
 	cfg := cluster.Config{NP: 2, Stack: cluster.StackVdummy, Faults: plan, Seed: 1}
@@ -308,7 +296,7 @@ func TestVictimPoliciesSkipFinishedRanks(t *testing.T) {
 				n.Compute(sim.Millisecond)
 			}
 		},
-		func(n *daemon.Node) { // rank 1: finishes before the first arrival
+		func(n *daemon.Node) { // rank 1: finishes before the first kill
 			runs++
 			n.Compute(sim.Millisecond)
 		},
@@ -319,11 +307,8 @@ func TestVictimPoliciesSkipFinishedRanks(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("finished rank re-ran %d times", runs)
 	}
-	if c.Faults.Kills != 0 {
-		t.Fatalf("storm killed a finished rank %d times", c.Faults.Kills)
-	}
-	if c.Faults.VictimMisses == 0 {
-		t.Fatal("expected victim misses once the fixed target finished")
+	if c.Faults.Kills != 1 || c.Faults.VictimMisses != 1 {
+		t.Fatalf("plan kills %d, victim misses %d; want rank 0's kill and the cascade's miss", c.Faults.Kills, c.Faults.VictimMisses)
 	}
 }
 
@@ -368,7 +353,6 @@ func TestValidateRejectsBadBursts(t *testing.T) {
 	var bad []faultplan.Plan
 	for _, s := range []faultplan.Storm{
 		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: -1},
-		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: 2, Victims: faultplan.VictimFixed},
 		{MinInterval: sim.Millisecond, MaxInterval: sim.Millisecond, Burst: 9},
 	} {
 		bad = append(bad, faultplan.Plan{Storms: []faultplan.Storm{s}})
@@ -433,7 +417,7 @@ func FuzzPlan(f *testing.F) {
 		}}},
 		{
 			Storms:       []faultplan.Storm{{MinInterval: 6 * ms, MaxInterval: 10 * ms, Victims: faultplan.VictimRoundRobin, MaxKills: 4}},
-			RestartDelay: faultplan.DelayDist{Dist: faultplan.DistUniform, Min: ms / 10, Max: 6 * ms / 10},
+			RestartDelay: faultplan.DelayDist{Min: ms / 10, Max: 6 * ms / 10},
 		},
 	} {
 		c := planCodec{enc: true}
@@ -630,10 +614,6 @@ func codeEnum[T ~string](c *planCodec, v *T, names ...T) {
 	}
 }
 
-func (c *planCodec) victims(v *faultplan.VictimPolicy) {
-	codeEnum(c, v, "", faultplan.VictimRoundRobin, faultplan.VictimRandom, faultplan.VictimFixed)
-}
-
 func (c *planCodec) plan(p *faultplan.Plan) {
 	seed := int(p.Seed)
 	c.u8(&seed)
@@ -676,25 +656,20 @@ func (c *planCodec) plan(p *faultplan.Plan) {
 		c.time(&s.MinInterval)
 		c.time(&s.MaxInterval)
 		c.time(&s.Start)
-		c.time(&s.End)
-		c.victims(&s.Victims)
-		c.i8(&s.Rank)
+		codeEnum(c, &s.Victims, "", faultplan.VictimRoundRobin, faultplan.VictimRandom)
 		c.i8(&s.Burst)
 		c.capped(&s.MaxKills, 8)
 	}
 	for i := range codeLen(c, &p.Cascades, 1) {
 		cs := &p.Cascades[i]
-		codeEnum(c, &cs.Trigger, faultplan.OnKill, faultplan.OnRestart, faultplan.OnRecovered, faultplan.OnCheckpointWave)
+		codeEnum(c, &cs.Trigger, faultplan.OnKill, faultplan.OnRestart, faultplan.OnRecovered)
 		c.i8(&cs.OfRank)
 		c.time(&cs.Delay)
 		c.ratio(&cs.Probability, 128)
-		c.victims(&cs.Victims)
+		codeEnum(c, &cs.Victims, "", faultplan.VictimRoundRobin, faultplan.VictimRandom, faultplan.VictimFixed)
 		c.i8(&cs.Rank)
 		c.capped(&cs.MaxFires, 4)
 	}
-	dd := &p.RestartDelay
-	codeEnum(c, &dd.Dist, "", faultplan.DistConstant, faultplan.DistUniform, faultplan.DistExponential)
-	c.time(&dd.Value)
-	c.time(&dd.Min)
-	c.time(&dd.Max)
+	c.time(&p.RestartDelay.Min)
+	c.time(&p.RestartDelay.Max)
 }
