@@ -23,7 +23,7 @@ type cutOracle struct {
 	issuedAt []sim.Time // issuedAt[e-1] is when wave e's requests went out
 	complete map[int]bool
 	// orphanWaves counts completed waves in which some image accepted a
-	// message its sender's image had not yet sent.
+	// message its sender's image had not yet sent; each is an error.
 	orphanWaves int
 }
 
@@ -50,7 +50,7 @@ func (o *cutOracle) check() {
 				sent := w[event.Rank(s)].SendSeqs.Get(r)
 				if last > sent {
 					orphan = true
-					o.t.Logf("%s: wave %d: rank %d's image accepted %d messages from rank %d, whose image sent %d (orphan)",
+					o.t.Errorf("%s: wave %d: rank %d's image accepted %d messages from rank %d, whose image sent %d (orphan)",
 						o.name, e, r, last, s, sent)
 				}
 				var inTransit []uint64
@@ -138,16 +138,12 @@ func ring(np, iters int) []failure.Program {
 }
 
 // TestCoordinatedWavesAreConsistentCuts runs the consistent-cut oracle over
-// a 4-rank ring, fault-free and with a kill, and over a run where rank 0
-// finishes before the first wave. A rank that never answers a wave breaks
-// no cut; it only stops every later wave from completing, which the
-// fault-free liveness check catches.
-//
-// Known defect: a marker that beats a rank's own snapshot does not stop
-// its daemon accepting that channel's later messages before the snapshot,
-// so the snapshot can hold a message its sender's image has not sent. The
-// rolled-back ring shows it in four waves; orphans caps the count so that
-// a fix lowers it and nothing raises it.
+// a 4-rank ring, fault-free and with a kill, over a run where rank 0
+// finishes before the first wave, and over one where a marker and the
+// messages after it on its channel reach rank 1 inside one Compute, which
+// only a snapshot at the first marker keeps out of the cut. A rank that
+// never answers a wave breaks no cut; it only stops every later wave from
+// completing, which the fault-free liveness check catches.
 func TestCoordinatedWavesAreConsistentCuts(t *testing.T) {
 	early := []failure.Program{
 		func(n *daemon.Node) { n.Send(1, 0, 1024) },
@@ -158,23 +154,33 @@ func TestCoordinatedWavesAreConsistentCuts(t *testing.T) {
 			}
 		},
 	}
+	midCompute := []failure.Program{
+		func(n *daemon.Node) {
+			for i := 0; i < 200; i++ {
+				n.Compute(200 * sim.Microsecond)
+				n.Send(1, 0, 1024)
+			}
+		},
+		func(n *daemon.Node) {
+			for i := 0; i < 200; i++ {
+				n.Compute(2 * sim.Millisecond)
+				n.Recv(0, 0)
+			}
+		},
+	}
 	for _, tc := range []struct {
-		name    string
-		progs   []failure.Program
-		image   int64
-		killAt  sim.Time
-		orphans int
+		name   string
+		progs  []failure.Program
+		image  int64
+		killAt sim.Time
 	}{
-		{"ring", ring(4, 150), 16 << 10, 0, 0},
-		{"ring-kill", ring(4, 150), 16 << 10, 70 * sim.Millisecond, 4},
-		{"early-finish", early, 64 << 10, 0, 0},
+		{"ring", ring(4, 150), 16 << 10, 0},
+		{"ring-kill", ring(4, 150), 16 << 10, 70 * sim.Millisecond},
+		{"early-finish", early, 64 << 10, 0},
+		{"marker-mid-compute", midCompute, 16 << 10, 0},
 	} {
-		o := runChecked(t, tc.name, tc.progs, tc.image, tc.killAt)
-		if len(o.complete) == 0 {
+		if o := runChecked(t, tc.name, tc.progs, tc.image, tc.killAt); len(o.complete) == 0 {
 			t.Errorf("%s: no wave completed", tc.name)
-		}
-		if o.orphanWaves > tc.orphans {
-			t.Errorf("%s: %d waves hold an orphan, want at most %d", tc.name, o.orphanWaves, tc.orphans)
 		}
 	}
 }

@@ -195,8 +195,9 @@ type incarnation struct {
 	// reassemble it (the determinant-loss detector's watermark).
 	lastSendClock uint64
 
-	// Program position: step counts completed MPI operations; operations
-	// with step < skipUntil are fast-forwarded after a restart.
+	// Program position: step counts completed MPI operations, each as it
+	// finishes; operations started with step < skipUntil are
+	// fast-forwarded after a restart.
 	step      int64
 	skipUntil int64
 
@@ -280,6 +281,10 @@ func (n *Node) Stats() *trace.Stats { return &n.stats }
 // Skipping reports whether the node is fast-forwarding to its checkpointed
 // program position.
 func (n *Node) Skipping() bool { return n.step < n.skipUntil }
+
+// Restoring reports whether the node's incarnation is still fetching its
+// checkpoint image: its state is not yet the one a snapshot may record.
+func (n *Node) Restoring() bool { return n.phase == phaseRestoring }
 
 // Replaying reports whether deliveries are being conformed to collected
 // determinants.
@@ -384,22 +389,19 @@ const computeChunk = 500 * sim.Microsecond
 // Compute models d of application computation.
 func (n *Node) Compute(d sim.Time) {
 	n.maybeCheckpoint()
-	n.step++
-	if n.step <= n.skipUntil {
-		return
-	}
-	for d > 0 {
+	for !n.Skipping() && d > 0 {
 		d = n.proc.SleepPolled(d, computeChunk, n.inboxReady)
 		n.drain()
 	}
+	n.step++
 }
 
 // Send transmits an application message of the given payload size.
 func (n *Node) Send(dst event.Rank, tag int, bytes int) {
 	n.maybeCheckpoint()
 	n.drain()
-	n.step++
-	if n.step <= n.skipUntil {
+	if n.Skipping() {
+		n.step++
 		return
 	}
 	n.sendSeq[dst]++
@@ -412,6 +414,7 @@ func (n *Node) Send(dst event.Rank, tag int, bytes int) {
 	// Updated only after the packet reached the wire: a kill inside the
 	// send's CPU charge means the piggyback was never witnessed.
 	n.lastSendClock = n.clock
+	n.step++
 }
 
 // transmitCPU is the send-side software cost of one message.
@@ -442,8 +445,8 @@ func (n *Node) emit(m *vproto.Message) {
 // dictate the delivery order instead.
 func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 	n.maybeCheckpoint()
-	n.step++
-	if n.step <= n.skipUntil {
+	if n.Skipping() {
+		n.step++
 		return &vproto.Message{Src: src, Dst: n.rank, Tag: tag}
 	}
 	for {
@@ -451,6 +454,7 @@ func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 		if i := n.match(src, tag); i >= 0 {
 			m := n.recvQ[i]
 			n.recvQ = append(n.recvQ[:i], n.recvQ[i+1:]...)
+			n.step++
 			n.Proto.OnDeliver(n, m)
 			if n.RecordDeliveries {
 				n.Deliveries = append(n.Deliveries, DeliveryRecord{Step: n.step, Src: m.Src, SendSeq: m.SendSeq})
@@ -460,11 +464,9 @@ func (n *Node) Recv(src event.Rank, tag int) *vproto.Message {
 		n.WaitPacket()
 		// The daemon honours a checkpoint request while the application
 		// waits, as the real daemon checkpoints the process whatever the MPI
-		// call is doing. The image excludes the in-progress Recv, already
-		// counted in step: on restore the Recv re-executes.
-		n.step--
+		// call is doing: the Recv has not completed, so on restore it
+		// re-executes.
 		n.maybeCheckpoint()
-		n.step++
 	}
 }
 
@@ -654,7 +656,8 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 
 // RequestCheckpoint marks a checkpoint request to be honoured at the next
 // operation boundary: the scheduler's PktCkptRequest, or a coordinated
-// marker that arrives ahead of it. A later request overwrites the epoch.
+// wave's first marker, which snapshots at once unless the node is
+// restoring. A later request overwrites the epoch.
 func (n *Node) RequestCheckpoint(epoch int) {
 	n.ckptRequested = true
 	n.ckptEpoch = epoch
@@ -679,12 +682,13 @@ func (n *Node) maybeCheckpoint() {
 func (n *Node) CheckpointEpoch() int { return n.ckptEpoch }
 
 // BuildImage assembles a checkpoint image of the current state, including
-// the protocol's contribution.
+// the protocol's contribution. One taken while fast-forwarding records the
+// restored position.
 func (n *Node) BuildImage() *vproto.CheckpointImage {
 	im := &vproto.CheckpointImage{
 		Rank:     n.rank,
 		Epoch:    n.ckptEpoch,
-		Step:     n.step,
+		Step:     max(n.step, n.skipUntil),
 		AppBytes: n.AppStateBytes,
 		Clock:    n.clock,
 		Lamport:  n.lamport,

@@ -217,6 +217,50 @@ func TestBuildImageCapturesRecvQueue(t *testing.T) {
 	}
 }
 
+// imageOnMarker records a daemon image whenever a marker is handled, as a
+// coordinated rank does at a wave's first marker.
+type imageOnMarker struct {
+	nullProto
+	im *vproto.CheckpointImage
+}
+
+func (p *imageOnMarker) OnControl(n *Node, pkt *vproto.Packet) {
+	if pkt.Kind == vproto.PktMarker {
+		p.im = n.BuildImage()
+	}
+}
+
+// TestMarkerWhileFastForwardingImagesRestoredStep: a marker handled while
+// the node fast-forwards to its restored position yields an image at that
+// position, not at the operations re-run so far.
+func TestMarkerWhileFastForwardingImagesRestoredStep(t *testing.T) {
+	k, a, b := twoNodes(t)
+	proto := &imageOnMarker{}
+	b.Proto = proto
+	b.skipUntil = 3
+	k.Spawn("a", func(p *sim.Proc) {
+		a.Bind(p)
+		pkt := vproto.GetPacket()
+		pkt.Kind = vproto.PktMarker
+		a.SendPacket(1, 16, pkt)
+	})
+	k.Spawn("b", func(p *sim.Proc) {
+		b.Bind(p)
+		b.ChargeCPU(sim.Millisecond) // the marker arrives meanwhile
+		b.Send(0, 0, 10)             // fast-forwarded; its drain handles the marker
+	})
+	k.Run()
+	if proto.im == nil {
+		t.Fatal("marker not handled")
+	}
+	if proto.im.Step != 3 || b.step != 1 {
+		t.Fatalf("image step %d, node step %d; want 3 and 1", proto.im.Step, b.step)
+	}
+	if b.Stats().AppMsgsSent != 0 {
+		t.Fatalf("fast-forwarded send emitted %d messages", b.Stats().AppMsgsSent)
+	}
+}
+
 // TestReplayOrdersRecvBySenderSequence: during replay, Recv consumes the
 // messages in the order of the collected determinants, not in arrival
 // order, and hands each delivery the determinant that names it.

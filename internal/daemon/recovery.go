@@ -234,8 +234,13 @@ func (n *Node) requestFromPeers(wantDets bool) {
 
 // PrepareRollback resets the node to its latest consistent-wave checkpoint
 // (coordinated checkpointing: every process rolls back on any failure).
-// crashed marks the node whose failure triggered the rollback.
+// crashed marks the node whose failure triggered the rollback. Every rank
+// restarts together, so a peer's packet from below this node's next
+// incarnation was sent by the dead run: accepted, it would be an orphan.
 func (n *Node) PrepareRollback(crashed bool) {
+	for r := range n.np {
+		n.FenceIncarnation(event.Rank(r), n.NextIncarnation())
+	}
 	n.restore(vproto.FetchLatestWave, crashed)
 	n.transition(phaseUp)
 }

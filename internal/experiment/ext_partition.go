@@ -144,6 +144,7 @@ func extPartitionSmoke() faultedSweep {
 				plan: &faultplan.Plan{
 					Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0}}},
 				},
+				restart: 3 * sim.Millisecond,
 			},
 			{
 				// Suspect at 10 ms, fence + respawn at 13 ms (3 ms restart
@@ -158,11 +159,11 @@ func extPartitionSmoke() faultedSweep {
 						SuspectAfter: 2 * sim.Millisecond,
 					}},
 				},
+				restart: 3 * sim.Millisecond,
 			},
 		}
 	}
 	f := extPartitionSweep("ext-partition-smoke", elStacks[:2], scen, witnessPair)
-	f.restart = 3 * sim.Millisecond
 	f.caps = map[string]sim.Time{witnessPair.Key: 30 * sim.Minute}
 	return f
 }

@@ -52,13 +52,12 @@ func TestFaultedSweepCaps(t *testing.T) {
 		name:      "caps",
 		workloads: []harness.Workload{witness("scaled"), witness("fixed")},
 		stacks:    []harness.Stack{causalStacks[0], causalStacks[3]}, // Vcausal with and without the EL
-		variants:  []harness.Variant{{Key: "kill"}},
+		variants:  []harness.Variant{{Key: "kill", RestartDelay: 3 * sim.Millisecond}},
 		planFor: func(harness.Workload, int, int) *faultplan.Plan {
 			return &faultplan.Plan{Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0}}}}
 		},
-		factor:  5,
-		caps:    map[string]sim.Time{"fixed": fixed},
-		restart: 3 * sim.Millisecond,
+		factor: 5,
+		caps:   map[string]sim.Time{"fixed": fixed},
 	}
 
 	caps := make(map[string]sim.Time) // faulted cell ID -> MaxVirtual

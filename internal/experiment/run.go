@@ -112,7 +112,6 @@ type faultedSweep struct {
 	stacks    []harness.Stack
 	seed      int64
 	probes    []string
-	restart   sim.Time // detection + relaunch delay; 0 = cluster default
 	variants  []harness.Variant
 	// planFor, when set, resolves variant i's fault plan for one
 	// workload; otherwise plans ride on the variants.
@@ -142,9 +141,6 @@ func (f faultedSweep) run() *faultedRun {
 			Probes:     f.probes,
 			Tune: func(c *harness.Cell) {
 				ckptBudget(c)
-				if f.restart > 0 {
-					c.Config.RestartDelay = f.restart
-				}
 				if tune != nil {
 					tune(c)
 				}

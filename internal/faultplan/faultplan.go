@@ -413,8 +413,8 @@ type Targets struct {
 	// Seed is the fallback RNG seed when the plan's own Seed is 0.
 	Seed int64
 	// Recorder, when non-nil, receives fabric and outage timeline events
-	// (Arg = plan component index, Note = component key; an outage records
-	// its duration and target instead), all emitted by apply.
+	// (Arg = plan component index; an outage records its duration and
+	// target instead), all emitted by apply.
 	Recorder *obs.Recorder
 }
 

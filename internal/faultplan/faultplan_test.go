@@ -360,9 +360,9 @@ func TestValidateRejectsBadBursts(t *testing.T) {
 	mustReject(t, bad)
 }
 
-// fuzzStacks are FuzzPlan's five Event-Logger-backed configurations of
-// the ring, picked by the byte after the plan; a missing byte reads as 0,
-// the first.
+// fuzzStacks are FuzzPlan's configurations of the ring, picked by the
+// byte after the plan (a missing byte reads as 0, the first): five backed
+// by Event Loggers, and coordinated checkpointing, which has none.
 var fuzzStacks = []struct {
 	stack, reducer string
 	els            int
@@ -372,19 +372,20 @@ var fuzzStacks = []struct {
 	{cluster.StackVcausal, "logon", 1},
 	{cluster.StackPessimistic, "", 1},
 	{cluster.StackVcausal, "vcausal", 2}, // under SyncBroadcast
+	{cluster.StackCoordinated, "", 0},
 }
 
 // FuzzPlan decodes bytes into a plan on the 4-rank ring (correlated kills,
 // one partition, one degrade, one outage, one storm, one cascade and a
 // restart-delay distribution) and one of fuzzStacks, and demands that
 // Validate never panic and that every plan it accepts runs, without a
-// panic, to a typed outcome. Replay must consume what the first execution
-// of each step consumed, and every Event Logger's store must be gapless:
-// it holds clocks 1..stable of each rank it serves. The seed corpus is the
-// ext-faultstorm and ext-partition scenarios with seconds rescaled to
-// milliseconds and ranks folded onto the ring (the first configuration),
-// then restart-jitter under each other configuration and storm-outage
-// under the other two reducers.
+// panic, to a typed outcome. Replay or re-execution must consume what the
+// first execution of each step consumed, and every Event Logger's store
+// must be gapless: it holds clocks 1..stable of each rank it serves. The
+// seed corpus is the ext-faultstorm and ext-partition scenarios with
+// seconds rescaled to milliseconds and ranks folded onto the ring (the
+// first configuration), then restart-jitter under each other
+// configuration and storm-outage under the other two reducers.
 func FuzzPlan(f *testing.F) {
 	ms := sim.Millisecond
 	var last []byte
@@ -483,6 +484,9 @@ func fuzzRun(t *testing.T, p faultplan.Plan, stack int) trace.Stats {
 	}
 	checkDeliveries(t, c)
 	for r := range c.Nodes {
+		if fs.els == 0 {
+			break
+		}
 		el := c.ELs[r%len(c.ELs)] // eventlogger.EndpointFor's assignment
 		if got, want := el.StoredFor(event.Rank(r)), el.Stable()[r]; uint64(got) != want {
 			t.Fatalf("logger stores %d determinants of rank %d, stable clock %d; stack %+v plan %+v",

@@ -94,8 +94,6 @@ func eventArgs(ev Event) map[string]any {
 	switch ev.Kind {
 	case KindCkptEnd:
 		return map[string]any{"image_bytes": ev.Arg}
-	case KindPartitionHeal, KindDegradeClear:
-		return map[string]any{"spec": ev.Note}
 	case KindDetLoss:
 		return map[string]any{"lost_clocks": ev.Arg}
 	case KindCkptWave:

@@ -63,21 +63,21 @@ func chromeScript() (events []Event, np int, end sim.Time) {
 
 	// Rank 3: suspected behind a partition, fenced, and finishing in the
 	// middle of its recovery.
-	at(30*ms, KindPartitionCut, -1, 0, "p0")
+	at(30*ms, KindPartitionCut, -1, 0, "")
 	at(31*ms, KindSuspect, 3, 0, "")
 	at(33*ms, KindFenced, 3, 0, "")
 	at(33*ms, KindRestart, 3, 0, "")
 	at(33*ms, KindRecoveryBegin, 3, 0, "")
 	at(33*ms, KindCollectBegin, 3, 0, "")
-	at(35*ms, KindPartitionHeal, -1, 0, "p0")
+	at(35*ms, KindPartitionHeal, -1, 0, "")
 	at(36*ms, KindFinished, 3, 0, "")
 
 	// Fabric: a degrade and its clear; a partition and a degrade still
 	// open at the end.
-	at(40*ms, KindDegrade, -1, 0, "d0")
-	at(45*ms, KindDegradeClear, -1, 0, "d0")
-	at(50*ms, KindDegrade, -1, 2, "d2")
-	at(50*ms, KindPartitionCut, -1, 1, "p1")
+	at(40*ms, KindDegrade, -1, 0, "")
+	at(45*ms, KindDegradeClear, -1, 0, "")
+	at(50*ms, KindDegrade, -1, 2, "")
+	at(50*ms, KindPartitionCut, -1, 1, "")
 
 	// Services, the Event Logger and the gauges.
 	at(55*ms, KindOutage, -1, int64(4*ms), "event-logger")

@@ -19,15 +19,10 @@ type Coordinated struct {
 	pending *vproto.CheckpointImage
 	// doneEpoch is the latest wave this node completed.
 	doneEpoch int
-	// earlyMarkers lists, per epoch, the senders whose marker arrived
-	// before this node took its own snapshot of that epoch.
-	earlyMarkers map[int][]event.Rank
 }
 
 // NewCoordinated returns the coordinated-checkpointing stack.
-func NewCoordinated() *Coordinated {
-	return &Coordinated{earlyMarkers: make(map[int][]event.Rank)}
-}
+func NewCoordinated() *Coordinated { return new(Coordinated) }
 
 // OnControl implements daemon.Protocol.
 func (c *Coordinated) OnControl(n *daemon.Node, pkt *vproto.Packet) {
@@ -36,21 +31,20 @@ func (c *Coordinated) OnControl(n *daemon.Node, pkt *vproto.Packet) {
 	}
 }
 
+// onMarker applies Chandy and Lamport's rule: a wave's first marker records
+// the local state at once, mid-operation if need be, before the daemon
+// accepts anything more on that channel. A restoring rank has no state to
+// record yet: its request waits for the first operation boundary.
 func (c *Coordinated) onMarker(n *daemon.Node, from event.Rank, epoch int) {
-	if epoch <= c.doneEpoch {
-		return // stale marker from a wave we already shipped
+	if epoch <= c.doneEpoch || (c.pending != nil && epoch < c.pending.Epoch) {
+		return // a wave already shipped, or one the pending wave superseded
 	}
 	if c.pending == nil || c.pending.Epoch != epoch {
-		// Marker before our own snapshot of this wave: remember it and make
-		// sure the snapshot is scheduled (the scheduler's request may still
-		// be in flight). A finished program never reaches another operation
-		// boundary, and its state is final: it snapshots at once.
-		c.earlyMarkers[epoch] = append(c.earlyMarkers[epoch], from)
 		n.RequestCheckpoint(epoch)
-		if n.Done() {
-			c.TakeSnapshot(n)
+		if n.Restoring() {
+			return
 		}
-		return
+		c.TakeSnapshot(n)
 	}
 	if n.Recording[from] {
 		delete(n.Recording, from)
@@ -60,8 +54,9 @@ func (c *Coordinated) onMarker(n *daemon.Node, from event.Rank, epoch int) {
 	}
 }
 
-// TakeSnapshot implements daemon.Protocol: the Chandy-Lamport snapshot at
-// an operation boundary — image now, markers out, record until markers in.
+// TakeSnapshot implements daemon.Protocol: the Chandy-Lamport snapshot —
+// image now, markers out, record until markers in. The scheduler's request
+// lands at an operation boundary, a marker wherever the daemon handles it.
 func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 	epoch := n.CheckpointEpoch()
 	if epoch <= c.doneEpoch || (c.pending != nil && c.pending.Epoch >= epoch) {
@@ -72,9 +67,8 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 	// as they arrive, until every marker is in.
 	c.pending = n.BuildImage()
 
-	// Record every channel but this rank's own, sending each its marker,
-	// then drop those whose marker came early; the cut is complete when
-	// the set is empty.
+	// Record every channel but this rank's own, sending each its marker;
+	// the cut is complete when the set is empty.
 	n.Recording = make(map[event.Rank]bool, n.NP())
 	n.RecordedMsgs = nil
 	for r := 0; r < n.NP(); r++ {
@@ -88,12 +82,8 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 		pkt.Epoch = epoch
 		n.SendPacket(r, 16, pkt)
 	}
-	for _, r := range c.earlyMarkers[epoch] {
-		delete(n.Recording, r)
-	}
-	delete(c.earlyMarkers, epoch)
 	if len(n.Recording) == 0 {
-		c.finish(n)
+		c.finish(n) // a lone rank's cut has no channel
 	}
 }
 
@@ -119,6 +109,5 @@ func (c *Coordinated) finish(n *daemon.Node) {
 // Restore implements daemon.Protocol.
 func (c *Coordinated) Restore(n *daemon.Node, im *vproto.CheckpointImage) {
 	c.pending = nil
-	c.earlyMarkers = make(map[int][]event.Rank)
 	c.doneEpoch = im.Epoch
 }

@@ -226,11 +226,11 @@ func TestPessimisticBlocksUntilAck(t *testing.T) {
 }
 
 // TestCoordinatedCut drives one rank's Chandy-Lamport cut through the
-// protocol hooks and the daemon: a marker that arrives before the local
-// snapshot leaves its sender's channel out of the recording, a message the
-// daemon accepts from a channel still recording joins the image's channel
-// state, a stale marker is ignored, and a snapshot whose markers all came
-// early ships at once.
+// protocol hooks and the daemon: a wave's first marker records the local
+// state at once and leaves its sender's channel out of the recording, a
+// message the daemon accepts from a channel still recording joins the
+// image's channel state, and a marker from a shipped wave or from one
+// older than the pending wave is ignored.
 func TestCoordinatedCut(t *testing.T) {
 	const np, server = 3, 3
 	k := sim.NewKernel(1)
@@ -249,14 +249,13 @@ func TestCoordinatedCut(t *testing.T) {
 	}
 	ship := func() int { k.Run(); return len(stored) }
 
-	// Wave 1: rank 1's marker beats the local snapshot.
+	// Wave 1: rank 1's marker comes first and snapshots at once.
 	marker(1, 1)
 	if n.CheckpointEpoch() != 1 {
-		t.Fatalf("an early marker requested epoch %d, want 1", n.CheckpointEpoch())
+		t.Fatalf("the first marker set epoch %d, want 1", n.CheckpointEpoch())
 	}
-	proto.TakeSnapshot(n)
 	if n.Recording[1] || !n.Recording[2] || len(n.Recording) != 1 {
-		t.Fatalf("recording %v after rank 1's early marker, want only rank 2", n.Recording)
+		t.Fatalf("recording %v after rank 1's first marker, want only rank 2", n.Recording)
 	}
 	// One message on each channel; the daemon accepts both and records
 	// only the one from rank 2, whose channel is still recording.
@@ -290,14 +289,70 @@ func TestCoordinatedCut(t *testing.T) {
 		t.Errorf("a stale marker requested epoch %d and left %d images, want 0 and 1", n.CheckpointEpoch(), len(stored))
 	}
 
-	// Wave 2: both markers come before the snapshot, which ships at once.
-	marker(1, 2)
+	// Wave 3 opens on rank 1's marker; rank 2's marker of the older wave 2
+	// is ignored, and its wave-3 marker completes the cut.
+	marker(1, 3)
 	marker(2, 2)
-	proto.TakeSnapshot(n)
-	if ship() != 2 || stored[1].Epoch != 2 {
-		t.Fatalf("all-early wave: %d images stored, want the epoch-2 image shipped at once", len(stored))
+	if n.CheckpointEpoch() != 3 || !n.Recording[2] || ship() != 1 {
+		t.Fatalf("an older wave's marker set epoch %d, recording %v, %d images; want 3, rank 2 still due, 1",
+			n.CheckpointEpoch(), n.Recording, len(stored))
+	}
+	marker(2, 3)
+	if ship() != 2 || stored[1].Epoch != 3 {
+		t.Fatalf("%d images stored, want the epoch-3 image second", len(stored))
 	}
 	if got := n.Stats().Checkpoints; got != 2 {
 		t.Errorf("Checkpoints = %d, want 2", got)
+	}
+}
+
+// TestCoordinatedMarkerWhileRestoring: a marker that reaches a rank still
+// fetching its rollback image records no state, since the rank has none
+// yet; the snapshot waits for the first operation boundary after the
+// restore.
+func TestCoordinatedMarkerWhileRestoring(t *testing.T) {
+	const np, server = 3, 3
+	k := sim.NewKernel(1)
+	net := netmodel.New(k, netmodel.FastEthernet(), np+1)
+	n := newNode(k, net, 0, np, NewCoordinated())
+	n.CkptEndpoint = server
+	var restored sim.Time
+	var markers []sim.Time // arrivals of rank 0's markers at ranks 1 and 2
+	for r := 1; r < np; r++ {
+		net.Endpoint(r).SetHandler(func(d netmodel.Delivery) {
+			if d.Payload.(*vproto.Packet).Kind == vproto.PktMarker {
+				markers = append(markers, k.Now())
+			}
+		})
+	}
+	net.Endpoint(server).SetHandler(func(d netmodel.Delivery) {
+		fetch := d.Payload.(*vproto.Packet)
+		if fetch.Kind != vproto.PktCkptFetch {
+			return
+		}
+		// Rank 1's wave-5 marker lands during the fetch.
+		net.Endpoint(1).Send(0, 16, &vproto.Packet{Kind: vproto.PktMarker, Rank: 1, Epoch: 5})
+		inc := fetch.Incarnation
+		k.After(sim.Millisecond, func() {
+			net.Endpoint(server).Send(0, 32, &vproto.Packet{Kind: vproto.PktCkptImage, From: server, Incarnation: inc})
+		})
+	})
+	k.Spawn("n", func(p *sim.Proc) {
+		n.Bind(p)
+		n.PrepareRollback(false)
+		restored = n.Now()
+		n.Compute(0)
+	})
+	k.Run()
+	if len(markers) != np-1 {
+		t.Fatalf("rank 0 sent %d markers, want %d", len(markers), np-1)
+	}
+	for _, at := range markers {
+		if at < restored {
+			t.Fatalf("a marker arrived at %v, before the restore ended at %v", at, restored)
+		}
+	}
+	if n.CheckpointEpoch() != 5 {
+		t.Fatalf("snapshot epoch %d, want the marker's 5", n.CheckpointEpoch())
 	}
 }
