@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,91 +39,120 @@ import (
 	"mpichv/internal/profile"
 )
 
-func main() {
-	figs := flag.String("fig", "all", "comma-separated figures to regenerate (e.g. \"6a,7\"), or \"all\"")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	parallel := flag.Int("parallel", 0, "sweep worker-pool size (0 = one per CPU)")
-	jsonOut := flag.Bool("json", false, "emit structured sweep results as JSON")
-	csvOut := flag.Bool("csv", false, "emit structured sweep results as CSV")
-	outDir := flag.String("out", "", "directory for -json/-csv files (empty = stdout, suppressing tables)")
-	traceDir := flag.String("trace", "", "directory for per-cell run timelines (JSONL + Chrome trace-event; empty = no tracing)")
-	quiet := flag.Bool("q", false, "suppress progress reporting on stderr")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it returns the exit status — 2, with one line on
+// stderr, for a bad flag or -fig value, and 1 for a failed experiment or
+// write. Figure 8's sweep is memoised per process (fig08.go's
+// sync.OnceValue), so a second run in one process that reaches fig8a or
+// fig8b gets the first run's results: run -fig all once per process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	figs := fs.String("fig", "all", "comma-separated figures to regenerate (e.g. \"6a,7\"), or \"all\"")
+	list := fs.Bool("list", false, "list available experiments and exit")
+	parallel := fs.Int("parallel", 0, "sweep worker-pool size (0 = one per CPU)")
+	jsonOut := fs.Bool("json", false, "emit structured sweep results as JSON")
+	csvOut := fs.Bool("csv", false, "emit structured sweep results as CSV")
+	outDir := fs.String("out", "", "directory for -json/-csv files (empty = stdout, suppressing tables)")
+	traceDir := fs.String("trace", "", "directory for per-cell run timelines (JSONL + Chrome trace-event; empty = no tracing)")
+	quiet := fs.Bool("q", false, "suppress progress reporting on stderr")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
+	fs.SetOutput(stderr)
+	fs.Usage = func() {} // Parse reports a bad flag in one line
+	err := fs.Parse(args)
+	if err == flag.ErrHelp {
+		fs.PrintDefaults()
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
 
 	if *list {
 		all, _ := resolveFigures("all")
 		for _, e := range all {
-			fmt.Println(e.Name)
+			fmt.Fprintln(stdout, e.Name)
 		}
-		return
+		return 0
 	}
 
 	exps, err := resolveFigures(*figs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "%v (try -list)\n", err)
+		return 2
 	}
 
 	opts := harness.Options{Parallel: *parallel, TraceDir: *traceDir}
 	if !*quiet {
 		opts.OnProgress = func(p harness.Progress) {
 			if p.Err != "" {
-				fmt.Fprintf(os.Stderr, "  cell error: %s: cell %q: %s\n", p.Sweep, p.Cell.ID, p.Err)
+				fmt.Fprintf(stderr, "  cell error: %s: cell %q: %s\n", p.Sweep, p.Cell.ID, p.Err)
 			}
 			if p.Done == p.Total || p.Done%25 == 0 {
-				fmt.Fprintf(os.Stderr, "  [%s] %d/%d cells\n", p.Sweep, p.Done, p.Total)
+				fmt.Fprintf(stderr, "  [%s] %d/%d cells\n", p.Sweep, p.Done, p.Total)
 			}
 		}
 	}
 	experiment.SetRunnerOptions(opts)
 
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, format+"\n", args...)
+		return 1
+	}
 	if err := prepareOutDir(*outDir); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	// Structured output on stdout replaces the tables; with -out the
 	// tables stay on stdout and files carry the structured results.
 	printTables := !(*jsonOut || *csvOut) || *outDir != ""
+	emit := func(name string, data []byte, err error) error {
+		if err != nil {
+			return err
+		}
+		if *outDir == "" {
+			_, err := stdout.Write(data)
+			return err
+		}
+		return os.WriteFile(filepath.Join(*outDir, name), data, 0o644)
+	}
 
 	for _, e := range exps {
 		start := time.Now()
 		rep, err := generate(e.Run)
 		if err != nil {
-			fatal("experiment %s failed: %v", e.Name, err)
+			return fail("experiment %s failed: %v", e.Name, err)
 		}
 		if printTables {
-			fmt.Println(rep.Table.Render())
+			fmt.Fprintln(stdout, rep.Table.Render())
 		}
 		for _, res := range rep.Sweeps {
 			if *jsonOut {
 				data, err := res.JSON()
-				if err != nil {
-					fatal("marshal %s: %v", res.Name, err)
+				if err := emit(res.Name+".json", append(data, '\n'), err); err != nil {
+					return fail("json %s: %v", res.Name, err)
 				}
-				emit(*outDir, res.Name+".json", append(data, '\n'))
 			}
 			if *csvOut {
 				data, err := res.CSV()
-				if err != nil {
-					fatal("csv %s: %v", res.Name, err)
+				if err := emit(res.Name+".csv", []byte(data), err); err != nil {
+					return fail("csv %s: %v", res.Name, err)
 				}
-				emit(*outDir, res.Name+".csv", []byte(data))
 			}
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[%s regenerated in %.1fs]\n", e.Name, time.Since(start).Seconds())
+			fmt.Fprintf(stderr, "[%s regenerated in %.1fs]\n", e.Name, time.Since(start).Seconds())
 		}
 	}
-	// fatal exits skip this: a failed run leaves no usable profile.
+	// An early return skips this: a failed run leaves no usable profile.
 	if err := stopProfiles(); err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
+	return 0
 }
 
 // resolveFigures expands the -fig flag into registry entries: "all" (every
@@ -186,22 +216,4 @@ func generate(gen func() *experiment.Report) (rep *experiment.Report, err error)
 		}
 	}()
 	return gen(), nil
-}
-
-// emit writes structured output to dir/name, or to stdout when dir is
-// empty.
-func emit(dir, name string, data []byte) {
-	if dir == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal("write %s: %v", path, err)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

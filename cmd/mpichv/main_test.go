@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -75,5 +80,57 @@ func TestRunReportsOneJob(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNP256Digests runs one CG cell with the Event Logger at NP 256 per
+// reducer, the width where every clock vector being an np-word array costs
+// the most, and requires each report, without its host wall-clock text, to
+// match its line in testdata/mpichv-np256.sha256.
+func TestNP256Digests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three NP-256 runs (~5 s); run without -short")
+	}
+	wall, wallLine := regexp.MustCompile(`  \(wall [^)]*\)`), regexp.MustCompile(`.*\(wall .*`)
+	outputs := map[string][]byte{}
+	for _, r := range []string{"vcausal", "manetho", "logon"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields("-bench cg -np 256 -el -reducer "+r), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit status %d, stderr %q", r, code, stderr.String())
+		}
+		t.Logf("NP 256 %s: %s", r, wallLine.FindString(stdout.String()))
+		outputs["out/np256-"+r+".txt"] = wall.ReplaceAll(stdout.Bytes(), nil)
+	}
+	checkSums(t, "../../testdata/mpichv-np256.sha256", outputs)
+}
+
+// checkSums compares outputs (path → content) with the sha256sum-format
+// file sumFile: every listed path must be produced with its digest, and
+// every output must be listed. A mismatch prints the line to paste.
+func checkSums(t *testing.T, sumFile string, outputs map[string][]byte) {
+	t.Helper()
+	data, err := os.ReadFile(sumFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		sum, path, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", sumFile, line)
+		}
+		want[path] = sum
+	}
+	for _, path := range slices.Sorted(maps.Keys(outputs)) {
+		got := fmt.Sprintf("%x", sha256.Sum256(outputs[path]))
+		if sum, ok := want[path]; !ok {
+			t.Errorf("%s does not list %s; add:\n%s  %s", sumFile, path, got, path)
+		} else if sum != got {
+			t.Errorf("%s: %s moved; new line:\n%s  %s", sumFile, path, got, path)
+		}
+		delete(want, path)
+	}
+	for _, path := range slices.Sorted(maps.Keys(want)) {
+		t.Errorf("%s: %s is listed but was not written", sumFile, path)
 	}
 }

@@ -201,9 +201,9 @@ func Witnessed(nodes []*Node, net *netmodel.Network, creator event.Rank, from, t
 		for _, m := range n.recvQ {
 			markPB(m.Piggyback)
 		}
-		for _, m := range n.heldApp {
-			if !n.fenced(m) {
-				markPB(m.Piggyback)
+		for _, pkt := range n.held {
+			if pkt.Kind == vproto.PktApp && !n.fenced(pkt.App) {
+				markPB(pkt.App.Piggyback)
 			}
 		}
 		n.ep.Inbox.Range(markApp)

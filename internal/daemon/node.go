@@ -147,9 +147,9 @@ type Node struct {
 	// dead incarnation's responses cannot satisfy the next one's rendezvous.
 	phase         phase
 	recoveryEpoch int
-	// heldApp buffers phaseRestoring's application arrivals; a kill
-	// mid-restore leaves them to the next incarnation's flush.
-	heldApp []*vproto.Message
+	// held buffers phaseRestoring's messages and markers in arrival order;
+	// a kill mid-restore leaves them to the next incarnation's flush.
+	held []*vproto.Packet
 	// heldDetReqs buffers service requests from other recovering ranks
 	// that arrived while this node was itself dead or restoring: serving
 	// them before the sender log and protocol state are back would replay
@@ -225,9 +225,7 @@ type incarnation struct {
 	// channels whose marker is still due and the messages recorded on
 	// them. The coordinated stack opens and closes the set; the daemon
 	// records each accepted message from a channel in it. They sit in the
-	// incarnation so that a restart drops a dead incarnation's cut at
-	// once: markers are handled during the image fetch, before the
-	// protocol's Restore runs.
+	// incarnation so that a restart drops a dead incarnation's cut at once.
 	Recording    map[event.Rank]bool
 	RecordedMsgs []vproto.Message
 
@@ -281,10 +279,6 @@ func (n *Node) Stats() *trace.Stats { return &n.stats }
 // Skipping reports whether the node is fast-forwarding to its checkpointed
 // program position.
 func (n *Node) Skipping() bool { return n.step < n.skipUntil }
-
-// Restoring reports whether the node's incarnation is still fetching its
-// checkpoint image: its state is not yet the one a snapshot may record.
-func (n *Node) Restoring() bool { return n.phase == phaseRestoring }
 
 // Replaying reports whether deliveries are being conformed to collected
 // determinants.
@@ -580,19 +574,21 @@ func (n *Node) process(d netmodel.Delivery) {
 			return
 		}
 		if n.phase == phaseRestoring {
-			n.heldApp = append(n.heldApp, m)
+			n.held = append(n.held, &vproto.Packet{Kind: pkt.Kind, App: m})
 			return
 		}
 		cpu := n.Stack.RecvOverhead + n.Stack.PipeOverhead +
 			sim.Time(int64(m.Bytes)*int64(n.Stack.CopyPerByte+n.Stack.PipePerByte))
 		n.ChargeCPU(cpu)
-		if !n.seqTrack[m.Src].accept(m.SendSeq) {
-			return // duplicate (replayed or rollback re-sent)
+		n.enqueue(m)
+
+	case vproto.PktMarker:
+		if n.phase == phaseRestoring {
+			// No state to record yet: the marker keeps its place (flushHeld).
+			n.held = append(n.held, &vproto.Packet{Kind: pkt.Kind, Rank: pkt.Rank, Epoch: pkt.Epoch})
+			return
 		}
-		n.recvQ = append(n.recvQ, m)
-		if n.Recording[m.Src] {
-			n.RecordedMsgs = append(n.RecordedMsgs, *m)
-		}
+		n.Proto.OnControl(n, pkt)
 
 	case vproto.PktCkptRequest:
 		n.RequestCheckpoint(pkt.Epoch)
@@ -607,7 +603,7 @@ func (n *Node) process(d netmodel.Delivery) {
 		req := detRequestFrom(pkt)
 		if n.phase == phaseRestoring {
 			// Our own sender log and protocol state are not restored yet;
-			// serve the peer once they are (flushHeldApp).
+			// serve the peer once they are (flushHeld).
 			n.heldDetReqs = append(n.heldDetReqs, req)
 			return
 		}
@@ -618,6 +614,18 @@ func (n *Node) process(d netmodel.Delivery) {
 
 	default:
 		n.Proto.OnControl(n, pkt)
+	}
+}
+
+// enqueue queues m unless it is a duplicate (replayed or rollback
+// re-sent), and records it while its channel is in a cut.
+func (n *Node) enqueue(m *vproto.Message) {
+	if !n.seqTrack[m.Src].accept(m.SendSeq) {
+		return
+	}
+	n.recvQ = append(n.recvQ, m)
+	if n.Recording[m.Src] {
+		n.RecordedMsgs = append(n.RecordedMsgs, *m)
 	}
 }
 
@@ -656,8 +664,8 @@ func (n *Node) replayLogged(dst event.Rank, seqFloor uint64) {
 
 // RequestCheckpoint marks a checkpoint request to be honoured at the next
 // operation boundary: the scheduler's PktCkptRequest, or a coordinated
-// wave's first marker, which snapshots at once unless the node is
-// restoring. A later request overwrites the epoch.
+// wave's first marker, which also snapshots at once. A later request
+// overwrites the epoch.
 func (n *Node) RequestCheckpoint(epoch int) {
 	n.ckptRequested = true
 	n.ckptEpoch = epoch

@@ -15,9 +15,9 @@ type phase uint8
 const (
 	phaseUp phase = iota // free execution
 	// phaseRestoring: the incarnation is fresh and the checkpoint image is
-	// being fetched. Application packets are buffered in heldApp until the
-	// image (and with it the duplicate-suppression floors) is restored —
-	// accepting them earlier would corrupt the trackers.
+	// being fetched. Application packets and markers are buffered in held
+	// until the image (and with it the duplicate-suppression floors) is
+	// restored — accepting them earlier would corrupt the trackers.
 	phaseRestoring
 	phaseCollecting // state restored; collecting determinants, assembling the replay set
 	phaseReplaying  // deliveries conform to the collected determinants
@@ -97,7 +97,7 @@ func (n *Node) restore(fetchEpoch int, charged bool) *vproto.CheckpointImage {
 	im := n.pendingImage
 	n.pendingImage = nil
 	n.restoreImage(im)
-	n.flushHeldApp()
+	n.flushHeld()
 	return im
 }
 
@@ -266,20 +266,21 @@ func (n *Node) drainForRecovery() {
 	}
 }
 
-// flushHeldApp re-runs acceptance for application packets that arrived
-// while the checkpoint image was being fetched, now that the
-// duplicate-suppression floors are authoritative, and serves the det
-// requests of concurrently recovering peers from the restored state.
-func (n *Node) flushHeldApp() {
-	held := n.heldApp
-	n.heldApp = nil
-	for _, m := range held {
-		if n.fenced(m) {
-			n.stats.FencedStaleMsgs++
-			continue // fenced while held (see process PktApp)
-		}
-		if n.seqTrack[m.Src].accept(m.SendSeq) {
-			n.recvQ = append(n.recvQ, m)
+// flushHeld replays, in arrival order, the packets held during the image
+// fetch now that the duplicate-suppression floors are authoritative —
+// messages re-run acceptance, markers reach the protocol — and serves the
+// det requests of concurrently recovering peers from the restored state.
+func (n *Node) flushHeld() {
+	held := n.held
+	n.held = nil
+	for _, pkt := range held {
+		switch {
+		case pkt.Kind == vproto.PktMarker:
+			n.Proto.OnControl(n, pkt)
+		case n.fenced(pkt.App):
+			n.stats.FencedStaleMsgs++ // fenced while held (see process PktApp)
+		default:
+			n.enqueue(pkt.App)
 		}
 	}
 	// Served one at a time, popping before the serve: serveDetRequest

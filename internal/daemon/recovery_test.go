@@ -99,7 +99,7 @@ func TestAdmissionTable(t *testing.T) {
 				n.process(netmodel.Delivery{Src: 0, Bytes: 10, Payload: pkt})
 			})
 			k.Run()
-			got := [3]int{len(n.heldApp), len(n.recvQ), int(n.stats.FencedStaleMsgs)}
+			got := [3]int{len(n.held), len(n.recvQ), int(n.stats.FencedStaleMsgs)}
 			want := [3]int{0, 1, 0} // held, queued, dropped
 			switch {
 			case fenced:

@@ -33,17 +33,14 @@ func (c *Coordinated) OnControl(n *daemon.Node, pkt *vproto.Packet) {
 
 // onMarker applies Chandy and Lamport's rule: a wave's first marker records
 // the local state at once, mid-operation if need be, before the daemon
-// accepts anything more on that channel. A restoring rank has no state to
-// record yet: its request waits for the first operation boundary.
+// accepts anything more on that channel. A restoring rank's daemon holds
+// markers among its messages, in arrival order, until its image is in.
 func (c *Coordinated) onMarker(n *daemon.Node, from event.Rank, epoch int) {
 	if epoch <= c.doneEpoch || (c.pending != nil && epoch < c.pending.Epoch) {
 		return // a wave already shipped, or one the pending wave superseded
 	}
 	if c.pending == nil || c.pending.Epoch != epoch {
 		n.RequestCheckpoint(epoch)
-		if n.Restoring() {
-			return
-		}
 		c.TakeSnapshot(n)
 	}
 	if n.Recording[from] {

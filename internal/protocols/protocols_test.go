@@ -307,9 +307,11 @@ func TestCoordinatedCut(t *testing.T) {
 }
 
 // TestCoordinatedMarkerWhileRestoring: a marker that reaches a rank still
-// fetching its rollback image records no state, since the rank has none
-// yet; the snapshot waits for the first operation boundary after the
-// restore.
+// fetching its rollback image keeps its place among the messages held with
+// it. Once the image is installed the held stream is replayed in arrival
+// order, so the marker records the state between the sender's pre-marker
+// and post-marker messages and closes the sender's channel, and the wave
+// completes when the last marker arrives.
 func TestCoordinatedMarkerWhileRestoring(t *testing.T) {
 	const np, server = 3, 3
 	k := sim.NewKernel(1)
@@ -325,23 +327,42 @@ func TestCoordinatedMarkerWhileRestoring(t *testing.T) {
 			}
 		})
 	}
+	var stored []*vproto.CheckpointImage
+	// Sent by the incarnation the rollback fences peers at.
+	app := func(from event.Rank, seq uint64) {
+		m := &vproto.Message{Src: from, Dst: 0, Tag: int(seq), Bytes: 10, SendSeq: seq, Inc: 1}
+		net.Endpoint(int(from)).Send(0, m.Bytes, &vproto.Packet{Kind: vproto.PktApp, From: int(from), App: m})
+	}
+	marker := func(from event.Rank) {
+		net.Endpoint(int(from)).Send(0, 16, &vproto.Packet{Kind: vproto.PktMarker, Rank: from, Epoch: 5})
+	}
 	net.Endpoint(server).SetHandler(func(d netmodel.Delivery) {
-		fetch := d.Payload.(*vproto.Packet)
-		if fetch.Kind != vproto.PktCkptFetch {
-			return
+		pkt := d.Payload.(*vproto.Packet)
+		switch pkt.Kind {
+		case vproto.PktCkptStore:
+			stored = append(stored, pkt.Image)
+		case vproto.PktCkptFetch:
+			// Rank 1's wave-5 marker lands during the fetch, between two of
+			// its messages.
+			app(1, 1)
+			marker(1)
+			app(1, 2)
+			inc := pkt.Incarnation
+			k.After(sim.Millisecond, func() {
+				net.Endpoint(server).Send(0, 32, &vproto.Packet{Kind: vproto.PktCkptImage, From: server, Incarnation: inc})
+			})
 		}
-		// Rank 1's wave-5 marker lands during the fetch.
-		net.Endpoint(1).Send(0, 16, &vproto.Packet{Kind: vproto.PktMarker, Rank: 1, Epoch: 5})
-		inc := fetch.Incarnation
-		k.After(sim.Millisecond, func() {
-			net.Endpoint(server).Send(0, 32, &vproto.Packet{Kind: vproto.PktCkptImage, From: server, Incarnation: inc})
-		})
 	})
 	k.Spawn("n", func(p *sim.Proc) {
 		n.Bind(p)
 		n.PrepareRollback(false)
 		restored = n.Now()
 		n.Compute(0)
+		if n.Recording[1] || !n.Recording[2] {
+			t.Errorf("recording %v at the first boundary, want only rank 2", n.Recording)
+		}
+		marker(2)
+		n.WaitPacket()
 	})
 	k.Run()
 	if len(markers) != np-1 {
@@ -352,7 +373,10 @@ func TestCoordinatedMarkerWhileRestoring(t *testing.T) {
 			t.Fatalf("a marker arrived at %v, before the restore ended at %v", at, restored)
 		}
 	}
-	if n.CheckpointEpoch() != 5 {
-		t.Fatalf("snapshot epoch %d, want the marker's 5", n.CheckpointEpoch())
+	if len(stored) != 1 || stored[0].Epoch != 5 {
+		t.Fatalf("%d images stored, want the one of wave 5", len(stored))
+	}
+	if ch := stored[0].ChannelMsgs; len(ch) != 1 || ch[0].Src != 1 || ch[0].SendSeq != 1 {
+		t.Errorf("channel state %+v, want rank 1's pre-marker message only", ch)
 	}
 }
