@@ -5,23 +5,22 @@
 //
 // Usage:
 //
-//	experiments [-fig 1|6a|6b|7|8a|8b|9|10[,...]] [-parallel N]
-//	            [-json] [-csv] [-out DIR] [-trace DIR] [-q]
+//	experiments [-fig 1|6a|6b|7|8|9|10[,...]] [-parallel N]
+//	            [-out DIR] [-trace DIR] [-q]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	experiments -list
 //
 // -parallel sets the worker-pool width (0 = GOMAXPROCS); every cell of a
 // figure's sweep grid is an independent simulation, so -parallel 1 and
-// -parallel N produce identical tables and results. -json and -csv emit
-// the structured sweep results behind each table: into DIR as one
-// <sweep>.json / <sweep>.csv file per sweep when -out is given, otherwise
-// to stdout (suppressing the tables). -trace enables the observability
-// layer and writes one JSONL timeline plus one Chrome trace-event file
-// (Perfetto-viewable) per cell into DIR/<sweep>/; tracing only observes,
-// so traced results are identical to untraced ones. -cpuprofile and
-// -memprofile write pprof profiles of the whole invocation (host CPU
-// samples; the heap after a final collection, with cumulative allocation
-// counts), for `go tool pprof`.
+// -parallel N produce identical tables and results. -out writes the
+// structured sweep results behind the tables into DIR, one <sweep>.json
+// and one <sweep>.csv file per sweep; the tables stay on stdout. -trace
+// enables the observability layer and writes one JSONL timeline plus one
+// Chrome trace-event file (Perfetto-viewable) per cell into DIR/<sweep>/;
+// tracing only observes, so traced results are identical to untraced
+// ones. -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation (host CPU samples; the heap after a final collection, with
+// cumulative allocation counts), for `go tool pprof`.
 package main
 
 import (
@@ -43,29 +42,24 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: it returns the exit status — 2, with one line on
 // stderr, for a bad flag or -fig value, and 1 for a failed experiment or
-// write. Figure 8's sweep is memoised per process (fig08.go's
-// sync.OnceValue), so a second run in one process that reaches fig8a or
-// fig8b gets the first run's results: run -fig all once per process.
+// write.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	figs := fs.String("fig", "all", "comma-separated figures to regenerate (e.g. \"6a,7\"), or \"all\"")
 	list := fs.Bool("list", false, "list available experiments and exit")
 	parallel := fs.Int("parallel", 0, "sweep worker-pool size (0 = one per CPU)")
-	jsonOut := fs.Bool("json", false, "emit structured sweep results as JSON")
-	csvOut := fs.Bool("csv", false, "emit structured sweep results as CSV")
-	outDir := fs.String("out", "", "directory for -json/-csv files (empty = stdout, suppressing tables)")
+	outDir := fs.String("out", "", "directory for each sweep's JSON and CSV results (empty = tables only)")
 	traceDir := fs.String("trace", "", "directory for per-cell run timelines (JSONL + Chrome trace-event; empty = no tracing)")
 	quiet := fs.Bool("q", false, "suppress progress reporting on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	fs.SetOutput(stderr)
 	fs.Usage = func() {} // Parse reports a bad flag in one line
-	err := fs.Parse(args)
-	if err == flag.ErrHelp {
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
 		fs.PrintDefaults()
 		return 0
-	}
-	if err != nil {
+	case err != nil:
 		return 2
 	}
 
@@ -94,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	experiment.SetRunnerOptions(opts)
 
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, format+"\n", args...)
@@ -107,15 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	// Structured output on stdout replaces the tables; with -out the
-	// tables stay on stdout and files carry the structured results.
-	printTables := !(*jsonOut || *csvOut) || *outDir != ""
-	emit := func(name string, data []byte, err error) error {
+	write := func(name string, data []byte, err error) error {
 		if err != nil {
-			return err
-		}
-		if *outDir == "" {
-			_, err := stdout.Write(data)
 			return err
 		}
 		return os.WriteFile(filepath.Join(*outDir, name), data, 0o644)
@@ -123,25 +109,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, e := range exps {
 		start := time.Now()
-		rep, err := generate(e.Run)
+		rep, err := generate(e.Run, opts)
 		if err != nil {
 			return fail("experiment %s failed: %v", e.Name, err)
 		}
-		if printTables {
-			fmt.Fprintln(stdout, rep.Table.Render())
+		for _, t := range rep.Tables {
+			fmt.Fprintln(stdout, t.Render())
 		}
 		for _, res := range rep.Sweeps {
-			if *jsonOut {
-				data, err := res.JSON()
-				if err := emit(res.Name+".json", append(data, '\n'), err); err != nil {
-					return fail("json %s: %v", res.Name, err)
-				}
+			if *outDir == "" {
+				break
 			}
-			if *csvOut {
-				data, err := res.CSV()
-				if err := emit(res.Name+".csv", []byte(data), err); err != nil {
-					return fail("csv %s: %v", res.Name, err)
-				}
+			data, err := res.JSON()
+			if err := write(res.Name+".json", append(data, '\n'), err); err != nil {
+				return fail("json %s: %v", res.Name, err)
+			}
+			csv, err := res.CSV()
+			if err := write(res.Name+".csv", []byte(csv), err); err != nil {
+				return fail("csv %s: %v", res.Name, err)
 			}
 		}
 		if !*quiet {
@@ -195,7 +180,7 @@ func resolveFigures(figSpec string) ([]experiment.Experiment, error) {
 }
 
 // prepareOutDir creates the -out directory (with parents) when one is
-// requested; the empty value means stdout and needs no preparation.
+// requested; the empty value writes no files and needs no preparation.
 func prepareOutDir(dir string) error {
 	if dir == "" {
 		return nil
@@ -209,11 +194,11 @@ func prepareOutDir(dir string) error {
 // generate runs one report generator, converting the harness's
 // loud-failure panics (a cell that errored or did not complete feeding a
 // table) into a clean CLI error.
-func generate(gen func() *experiment.Report) (rep *experiment.Report, err error) {
+func generate(gen func(harness.Options) *experiment.Report, opts harness.Options) (rep *experiment.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)
 		}
 	}()
-	return gen(), nil
+	return gen(opts), nil
 }

@@ -34,7 +34,7 @@ func TestResolveFigures(t *testing.T) {
 			t.Fatal(err)
 		}
 		// -list prints the same names, so this is also its output.
-		want := []string{"fig1", "fig6a", "fig6b", "fig7", "fig8a", "fig8b", "fig9", "fig10",
+		want := []string{"fig1", "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10",
 			"ext-el", "ext-elsweep", "ext-sched", "ext-duplex", "ext-faultstorm",
 			"ext-elcontribution", "ext-partition", "ext-service"}
 		if !reflect.DeepEqual(got, want) {
@@ -43,11 +43,11 @@ func TestResolveFigures(t *testing.T) {
 	})
 
 	t.Run("short and long forms", func(t *testing.T) {
-		got, err := names(t, "7, fig6a ,8b")
+		got, err := names(t, "7, fig6a ,8")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"fig7", "fig6a", "fig8b"}
+		want := []string{"fig7", "fig6a", "fig8"}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("resolve = %v, want %v", got, want)
 		}
@@ -169,7 +169,7 @@ func TestBehaviourDigests(t *testing.T) {
 		root := t.TempDir()
 		out := filepath.Join(root, "out")
 		start := time.Now()
-		tables := runOK(t, "-fig", "all", "-parallel", "2", "-json", "-csv", "-out", out, "-q")
+		tables := runOK(t, "-fig", "all", "-parallel", "2", "-out", out, "-q")
 		t.Logf("cmd/experiments -fig all -parallel 2: %.3f s wall", time.Since(start).Seconds())
 		if err := os.WriteFile(filepath.Join(out, "tables.txt"), tables, 0o644); err != nil {
 			t.Fatal(err)
@@ -214,7 +214,7 @@ func TestBehaviourDigests(t *testing.T) {
 			trees := make([]map[string][]byte, 2)
 			for i, w := range []struct{ root, width string }{{root, s.width}, {other, "1"}} {
 				dir := filepath.Join(w.root, s.dir)
-				args := []string{"-fig", s.fig, "-parallel", w.width, "-json", "-csv", "-out", dir, "-q"}
+				args := []string{"-fig", s.fig, "-parallel", w.width, "-out", dir, "-q"}
 				if s.traced {
 					args = append(args, "-trace", filepath.Join(dir, "traces"))
 				}

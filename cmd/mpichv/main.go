@@ -28,9 +28,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: it runs the job args describe, prints the report
 // on stdout and returns the exit status — 2, with one line on stderr, for
-// flag values the job cannot be built from.
+// a bad flag or flag values the job cannot be built from.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("mpichv", flag.ExitOnError)
+	fs := flag.NewFlagSet("mpichv", flag.ContinueOnError)
 	bench := fs.String("bench", "cg", "benchmark: bt, sp, cg, lu, ft, mg, pingpong")
 	class := fs.String("class", "A", "NAS class: A or B")
 	np := fs.Int("np", 4, "number of MPI processes")
@@ -44,7 +44,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
-	fs.Parse(args) // exits on error
+	fs.SetOutput(stderr)
+	fs.Usage = func() {} // Parse reports a bad flag in one line
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		fs.PrintDefaults()
+		return 0
+	case err != nil:
+		return 2
+	}
 	if *bench == "pingpong" {
 		*np = 2
 	}

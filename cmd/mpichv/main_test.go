@@ -13,9 +13,10 @@ import (
 	"testing"
 )
 
-// TestRunRejectsBadInput drives the flag values the workload and cluster
-// constructors refuse: each must end in exit status 2 with one
-// "mpichv: …" line on stderr — no panic, no stack trace, no report.
+// TestRunRejectsBadInput drives an unknown flag, a malformed value and the
+// flag values the workload and cluster constructors refuse: each must end
+// in exit status 2 with one line on stderr — no panic, no stack trace, no
+// report.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -26,6 +27,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-reducer nope", "mpichv: causal: unknown reducer nope\n"},
 		{"-bench bt -np 5", "mpichv: workload: bt requires a square process count, got 5\n"},
 		{"-bench cg -class C", "mpichv: workload: unknown class \"C\" (want A or B)\n"},
+		{"-bogus", "flag provided but not defined: -bogus\n"},
+		{"-np x", "invalid value \"x\" for flag -np: parse error\n"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -7,6 +7,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
+	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func TestFig06aLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep regenerates a full figure")
 	}
-	tab := fig06aReport().Table
+	tab := fig06aReport(harness.Options{}).Tables[0]
 	if len(tab.Rows) != 8 {
 		t.Fatalf("got %d rows, want 8", len(tab.Rows))
 	}
@@ -40,7 +41,7 @@ func TestFig06aLatencyShape(t *testing.T) {
 		t.Errorf("P4 (%.1f) < Vdummy (%.1f) < causal+EL (%.1f) violated", p4, vdummy, vcEL)
 	}
 	// With the EL the three protocols are within a few percent of each other.
-	if maxMin := (max3(vcEL, manEL, logEL) - min3(vcEL, manEL, logEL)) / vcEL; maxMin > 0.10 {
+	if maxMin := (max(vcEL, manEL, logEL) - min(vcEL, manEL, logEL)) / vcEL; maxMin > 0.10 {
 		t.Errorf("EL latencies should be close: %.2f %.2f %.2f", vcEL, manEL, logEL)
 	}
 	// Without the EL every protocol is slower than its EL counterpart.
@@ -58,7 +59,7 @@ func TestFig06bBandwidthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	tab := fig06bReport().Table
+	tab := fig06bReport(harness.Options{}).Tables[0]
 	last := len(tab.Rows) - 1
 	raw := cell(t, tab, last, 1)
 	if raw < 85 || raw > 96 {
@@ -72,42 +73,91 @@ func TestFig06bBandwidthShape(t *testing.T) {
 	}
 }
 
+// TestFig07Shape encodes Figure 7's claims on the sweep's raw shares: the
+// EL shrinks every reducer's piggyback share, and without it Vcausal
+// piggybacks at least Manetho's share, and so does LogOn.
 func TestFig07Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
 	}
-	tab := fig07Report().Table
-	for i := range tab.Rows {
-		vcEL, manEL, logEL := cell(t, tab, i, 2), cell(t, tab, i, 3), cell(t, tab, i, 4)
-		vcNo, manNo, logNo := cell(t, tab, i, 5), cell(t, tab, i, 6), cell(t, tab, i, 7)
-		name := tab.Rows[i][0] + "." + tab.Rows[i][1]
-		// EL reduces piggyback volume for every protocol.
-		if vcEL >= vcNo || manEL >= manNo || logEL >= logNo {
-			t.Errorf("%s: EL must reduce piggyback volume (vc %.2f/%.2f man %.2f/%.2f log %.2f/%.2f)",
-				name, vcEL, vcNo, manEL, manNo, logEL, logNo)
+	res := fig07Report(harness.Options{}).Sweeps[0]
+	for _, spec := range fig07Specs {
+		w := spec.String()
+		share := func(stack string) float64 { return completed(t, res, w, stack, "base").Stats.PiggybackShare() }
+		for _, r := range reducers {
+			if el, noEL := share(r+" (EL)"), share(r+" (no EL)"); el >= noEL {
+				t.Errorf("%s %s: EL piggyback share %.3g not below no-EL %.3g", w, r, el, noEL)
+			}
 		}
-		// Vcausal piggybacks the most without EL; LogOn outweighs Manetho.
-		if vcNo < manNo {
-			t.Errorf("%s: Vcausal no-EL (%.2f%%) should exceed Manetho no-EL (%.2f%%)", name, vcNo, manNo)
-		}
-		if logNo < manNo {
-			t.Errorf("%s: LogOn no-EL (%.2f%%) should exceed Manetho no-EL (%.2f%%)", name, logNo, manNo)
+		if vc, man, log := share("Vcausal (no EL)"), share("Manetho (no EL)"), share("LogOn (no EL)"); vc < man || log < man {
+			t.Errorf("%s without EL: Vcausal %.3g, Manetho %.3g, LogOn %.3g; want Vcausal >= Manetho <= LogOn", w, vc, man, log)
 		}
 	}
 }
 
+// TestFig08Shape encodes Figure 8(b)'s claims: the Event Logger never
+// makes causality management costlier, and the cost peaks at lu.A.16
+// without the EL.
+func TestFig08Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid is slow")
+	}
+	res := fig08Report(harness.Options{}).Sweeps[0]
+	peak, peakCell := -1.0, ""
+	for _, spec := range fig08Specs {
+		w := spec.String()
+		cost := func(stack string) float64 {
+			cr := completed(t, res, w, stack, "base")
+			return float64(cr.Stats.SendPiggybackTime+cr.Stats.RecvPiggybackTime) / float64(cr.Elapsed*sim.Time(cr.NP))
+		}
+		for _, r := range reducers {
+			el, noEL := cost(r+" (EL)"), cost(r+" (no EL)")
+			if el > noEL {
+				t.Errorf("%s %s: EL cost %.3g above no-EL %.3g", w, r, el, noEL)
+			}
+			if el > peak {
+				peak, peakCell = el, w+" "+r+" (EL)"
+			}
+			if noEL > peak {
+				peak, peakCell = noEL, w+" "+r+" (no EL)"
+			}
+		}
+	}
+	if !strings.HasPrefix(peakCell, "lu.A.16 ") || !strings.HasSuffix(peakCell, "(no EL)") {
+		t.Errorf("largest cost %.3g at %s; want lu.A.16 in a no-EL column", peak, peakCell)
+	}
+}
+
+// TestFig10Shape encodes Figure 10's claim: recovery with the EL is
+// faster than without.
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery grid is slow")
 	}
-	tab := fig10Report().Table
-	for i := range tab.Rows {
-		withEL, withoutEL := cell(t, tab, i, 2), cell(t, tab, i, 3)
-		if withEL >= withoutEL {
-			t.Errorf("%s.%s: recovery with EL (%.2fms) should beat without (%.2fms)",
-				tab.Rows[i][0], tab.Rows[i][1], withEL, withoutEL)
+	crashed := fig10Report(harness.Options{}).Sweeps[1]
+	for _, spec := range groupSpecs(fig10Groups) {
+		w := spec.String()
+		recovery := func(stack string) float64 {
+			return completed(t, crashed, w, stack, "mid-crash").Probes[harness.ProbeRecoveryEventNs]
+		}
+		if el, noEL := recovery("with EL"), recovery("without EL"); el >= noEL {
+			t.Errorf("%s: recovery with EL %.0f ns not below without %.0f ns", w, el, noEL)
 		}
 	}
+}
+
+// reducers names the causal stacks' reducers in column order.
+var reducers = []string{"Vcausal", "Manetho", "LogOn"}
+
+// completed returns res's cell at (workload, stack, variant), failing the
+// test when the sweep lacks it or the cell did not complete.
+func completed(t *testing.T, res *harness.Results, workload, stack, variant string) *harness.CellResult {
+	t.Helper()
+	cr := res.Get(workload, stack, variant)
+	if cr == nil || !cr.Completed {
+		t.Fatalf("%s: no completed cell %s|%s|%s", res.Name, workload, stack, variant)
+	}
+	return cr
 }
 
 func TestRunSmoke(t *testing.T) {
@@ -133,33 +183,13 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func max3(a, b, c float64) float64 {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
 // TestExtELContributionSmokeShape encodes the EL-contribution claim on
 // the deterministic smoke grid: under the identical correlated kill, the
 // no-EL stack loses determinants in every witness-pair trial while the
 // EL-enabled stack loses none.
 func TestExtELContributionSmokeShape(t *testing.T) {
-	rep := extELContributionSmokeReport()
-	tab := rep.Table
+	rep := extELContributionSmokeReport(harness.Options{})
+	tab := rep.Tables[0]
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -185,46 +215,18 @@ func TestExtELContributionSmokeShape(t *testing.T) {
 	}
 }
 
-// TestFig08Shape encodes Figure 8(b)'s claim: the Event Logger never
-// makes causality management costlier (each reducer's EL column is at or
-// below its no-EL column in every row), and the cost peaks at LU.16
-// without the EL.
-func TestFig08Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full grid is slow")
-	}
-	tab := fig08bReport().Table
-	peak, peakRow, peakCol := -1.0, 0, 0
-	for i, row := range tab.Rows {
-		for r := 0; r < 3; r++ {
-			if el, noEL := cell(t, tab, i, 2+r), cell(t, tab, i, 5+r); el > noEL {
-				t.Errorf("%s.%s %s: EL %.2f%% above no-EL %.2f%%", row[0], row[1], tab.Header[2+r], el, noEL)
-			}
-		}
-		for col := 2; col < len(row); col++ {
-			if v := cell(t, tab, i, col); v > peak {
-				peak, peakRow, peakCol = v, i, col
-			}
-		}
-	}
-	if row := tab.Rows[peakRow]; row[0]+" "+row[1] != "lu.A 16" || peakCol < 5 {
-		t.Errorf("largest cell %.2f%% at %s %s, %s; want lu.A 16 in a no-EL column",
-			peak, row[0], row[1], tab.Header[peakCol])
-	}
-}
-
 // TestExtPartitionSmokeShape encodes the partition smoke's claims: both
 // stacks complete both scenarios, the false suspicion is confirmed once,
 // and the crash-stop row counts exactly one kill.
 func TestExtPartitionSmokeShape(t *testing.T) {
-	rep := extPartitionSmokeReport()
+	rep := extPartitionSmokeReport(harness.Options{})
 	for _, cr := range rep.Sweeps[1].Cells {
 		if !cr.Completed || cr.Err != "" {
 			t.Errorf("%s: completed %v, outcome %q, err %q", cr.ID, cr.Completed, cr.Outcome, cr.Err)
 		}
 	}
 	want := map[string]string{"kill": " (1)", "false-suspect": " (fs 1,"}
-	tab := rep.Table
+	tab := rep.Tables[0]
 	if len(tab.Rows) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(tab.Rows), len(want))
 	}

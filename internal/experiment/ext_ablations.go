@@ -23,7 +23,7 @@ var extELServiceTimes = []sim.Time{5, 15, 30, 60, 120, 240}
 //
 // It runs the EL capacity ablation as one sweep:
 // LU.A.16 × Vcausal+EL × one variant per service time.
-func extELServiceSweepReport() *Report {
+func extELServiceSweepReport(opts harness.Options) *Report {
 	variants := make([]harness.Variant, len(extELServiceTimes))
 	for i, perPacket := range extELServiceTimes {
 		variants[i] = harness.Variant{
@@ -31,14 +31,14 @@ func extELServiceSweepReport() *Report {
 			EL:  eventlogger.Config{PerPacket: perPacket * sim.Microsecond},
 		}
 	}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:       "ext-elsweep",
 		Workloads:  nasWorkloads([]workload.Spec{{Bench: "lu", Class: "A", NP: 16}}),
 		Stacks:     []harness.Stack{{Key: "vcausal-el", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
 		Variants:   variants,
 		MaxVirtual: 100 * sim.Minute,
 		Probes:     []string{harness.ProbeELBacklog},
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Ablation: Event Logger service time vs piggyback elimination (LU.A.16, Vcausal)",
 		Header: []string{"per-request service (µs)", "piggyback %", "max EL backlog", "Mflop/s"},
@@ -56,7 +56,7 @@ func extELServiceSweepReport() *Report {
 			f1(cr.Mflops),
 		)
 	}
-	return &Report{Name: "ext-elsweep", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // extSchedulerPolicies is the checkpoint scheduler axis of §IV-B.3.
@@ -71,7 +71,7 @@ var extSchedulerPolicies = []checkpoint.Policy{
 //
 // It runs the scheduler ablation as one sweep:
 // BT.A.9 × Manetho+EL × one variant per policy.
-func extSchedulerPoliciesReport() *Report {
+func extSchedulerPoliciesReport(opts harness.Options) *Report {
 	variants := make([]harness.Variant, len(extSchedulerPolicies))
 	for i, pol := range extSchedulerPolicies {
 		variants[i] = harness.Variant{
@@ -80,7 +80,7 @@ func extSchedulerPoliciesReport() *Report {
 			CkptInterval: 300 * sim.Millisecond,
 		}
 	}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name: "ext-sched",
 		Workloads: []harness.Workload{{
 			Key:  "bt.A.9",
@@ -91,7 +91,7 @@ func extSchedulerPoliciesReport() *Report {
 		Stacks:     []harness.Stack{{Key: "manetho-el", Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}},
 		Variants:   variants,
 		MaxVirtual: 100 * sim.Minute,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Ablation: checkpoint scheduler policy vs sender-log occupation (BT.A.9, Manetho+EL)",
 		Header: []string{"policy", "checkpoints", "max sender log (KB)", "Mflop/s"},
@@ -109,7 +109,7 @@ func extSchedulerPoliciesReport() *Report {
 			f1(cr.Mflops),
 		)
 	}
-	return &Report{Name: "ext-sched", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // extDuplexSpecs lists the kernels of the duplex ablation.
@@ -125,15 +125,15 @@ var extDuplexSpecs = []workload.Spec{
 //
 // It runs the duplex ablation as one sweep: benchmarks × Vdummy × {full,
 // half} duplex wire models.
-func extDuplexAblationReport() *Report {
+func extDuplexAblationReport(opts harness.Options) *Report {
 	variants := []harness.Variant{{Key: "full-duplex"}, {Key: "half-duplex", HalfDuplex: true}}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:       "ext-duplex",
 		Workloads:  nasWorkloads(extDuplexSpecs),
 		Stacks:     []harness.Stack{{Key: "vdummy", Stack: cluster.StackVdummy}},
 		Variants:   variants,
 		MaxVirtual: 100 * sim.Minute,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Ablation: link duplex mode under the Vdaemon stack (Mflop/s)",
 		Header: []string{"Benchmark", "#proc", "full duplex", "half duplex", "gain"},
@@ -154,5 +154,5 @@ func extDuplexAblationReport() *Report {
 			fmt.Sprintf("%+.1f%%", 100*(mflops[0]/mflops[1]-1)),
 		)
 	}
-	return &Report{Name: "ext-duplex", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }

@@ -33,7 +33,7 @@ var extDistELPoints = []struct {
 //
 // The extension is one sweep: LU.A.16 × Vcausal+EL × one variant per
 // (logger count, sync design) point.
-func extDistributedELReport() *Report {
+func extDistributedELReport(opts harness.Options) *Report {
 	variants := make([]harness.Variant, len(extDistELPoints))
 	for i, pt := range extDistELPoints {
 		variants[i] = harness.Variant{
@@ -42,14 +42,14 @@ func extDistributedELReport() *Report {
 			ELSync:       pt.sync,
 		}
 	}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:       "ext-el",
 		Workloads:  nasWorkloads([]workload.Spec{{Bench: "lu", Class: "A", NP: 16}}),
 		Stacks:     []harness.Stack{{Key: "vcausal-el", Stack: cluster.StackVcausal, Reducer: "vcausal", UseEL: true}},
 		Variants:   variants,
 		MaxVirtual: 100 * sim.Minute,
 		Probes:     []string{harness.ProbeELBacklog},
-	})
+	}, opts)
 	t := &Table{
 		Title: "Extension (paper §VI): distributing the Event Logger — LU.A.16, Vcausal",
 		Header: []string{"Event Loggers", "sync design", "piggyback %", "max EL backlog",
@@ -76,5 +76,5 @@ func extDistributedELReport() *Report {
 			f1(cr.Mflops),
 		)
 	}
-	return &Report{Name: "ext-el", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }

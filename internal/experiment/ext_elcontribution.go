@@ -106,13 +106,15 @@ func extELCSmoke() faultedSweep {
 // extELContributionReport runs the full EL-contribution grid: fault-free
 // baselines, then the correlated burst-storm trials; it tabulates the
 // per-stack determinant-loss fraction.
-func extELContributionReport() *Report { return extELCReport(extELCFull()) }
+func extELContributionReport(opts harness.Options) *Report { return extELCReport(extELCFull(), opts) }
 
 // extELContributionSmokeReport is the CI-sized variant.
-func extELContributionSmokeReport() *Report { return extELCReport(extELCSmoke()) }
+func extELContributionSmokeReport(opts harness.Options) *Report {
+	return extELCReport(extELCSmoke(), opts)
+}
 
-func extELCReport(f faultedSweep) *Report {
-	run, trials := f.run(), len(f.variants)
+func extELCReport(f faultedSweep, opts harness.Options) *Report {
+	run, trials := f.run(opts), len(f.variants)
 	t := &Table{
 		Title:  "EL contribution: determinant-loss fraction under correlated burst storms",
 		Header: stackHeader(f.stacks, "Workload"),
@@ -151,5 +153,5 @@ func extELCReport(f faultedSweep) *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: f.name, Table: t, Sweeps: run.sweeps()}
+	return &Report{Tables: []*Table{t}, Sweeps: run.sweeps()}
 }

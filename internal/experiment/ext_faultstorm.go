@@ -113,7 +113,7 @@ var extFaultstormScenarios = []scenario{
 // failures: Poisson fault storms, correlated multi-rank kills, recovery-
 // triggered cascades, faults aimed into restart/recovery windows, and
 // stable-service outages.
-func extFaultstormReport() *Report {
+func extFaultstormReport(opts harness.Options) *Report {
 	variants := make([]harness.Variant, len(extFaultstormScenarios))
 	for i, sc := range extFaultstormScenarios {
 		variants[i] = harness.Variant{Key: sc.key, Faults: sc.plan}
@@ -126,7 +126,7 @@ func extFaultstormReport() *Report {
 		probes:    []string{harness.ProbeKills, harness.ProbeRestarts, harness.ProbePlanKills},
 		variants:  variants,
 		factor:    extFaultstormDivergence,
-	}.run()
+	}.run(opts)
 
 	t := &Table{
 		Title:  "Fault storms: slowdown (%) of NAS BT.A on 9 nodes under overlapping failures",
@@ -152,7 +152,7 @@ func extFaultstormReport() *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: "ext-faultstorm", Table: t, Sweeps: run.sweeps()}
+	return &Report{Tables: []*Table{t}, Sweeps: run.sweeps()}
 }
 
 // extFaultstormWorkload is BT.A.9 lengthened 4x with a 1 MB checkpoint

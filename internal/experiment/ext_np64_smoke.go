@@ -23,15 +23,15 @@ var extNP64Specs = []workload.Spec{
 // extNP64SmokeReport runs the NP-64 scaling smoke grid: the CG.A.64
 // piggyback sweep across the three reducers (with EL); it tabulates the
 // piggyback share, Figure-7 style.
-func extNP64SmokeReport() *Report {
+func extNP64SmokeReport(opts harness.Options) *Report {
 	// The three reducers with the Event Logger: the EL acks drive the
 	// stable-vector path whose interval coding the smoke guards.
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:       "ext-np64-smoke",
 		Workloads:  nasWorkloads(extNP64Specs),
 		Stacks:     elStacks,
 		MaxVirtual: 30 * sim.Minute,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "NP-64 smoke: piggybacked data as % of exchanged application data (sparse state)",
 		Header: stackHeader(elStacks, "Benchmark", "#proc"),
@@ -41,5 +41,5 @@ func extNP64SmokeReport() *Report {
 		},
 	}
 	specRows(t, res, extNP64Specs, elStacks, piggybackShare)
-	return &Report{Name: "ext-np64-smoke", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }

@@ -171,13 +171,17 @@ func extPartitionSmoke() faultedSweep {
 // extPartitionReport runs the full partition-vs-kill grid: fault-free
 // baselines, then the partition-vs-kill scenarios; it tabulates per-stack
 // slowdowns with partition diagnostics.
-func extPartitionReport() *Report { return partitionReport(extPartitionFull()) }
+func extPartitionReport(opts harness.Options) *Report {
+	return partitionReport(extPartitionFull(), opts)
+}
 
 // extPartitionSmokeReport is the CI-sized variant.
-func extPartitionSmokeReport() *Report { return partitionReport(extPartitionSmoke()) }
+func extPartitionSmokeReport(opts harness.Options) *Report {
+	return partitionReport(extPartitionSmoke(), opts)
+}
 
-func partitionReport(f faultedSweep) *Report {
-	run := f.run()
+func partitionReport(f faultedSweep, opts harness.Options) *Report {
+	run := f.run(opts)
 	t := &Table{
 		Title:  "Partitions vs kills: slowdown (%) under link-fabric faults",
 		Header: stackHeader(f.stacks, "Workload", "Scenario"),
@@ -211,5 +215,5 @@ func partitionReport(f faultedSweep) *Report {
 			t.AddRow(row...)
 		}
 	}
-	return &Report{Name: f.name, Table: t, Sweeps: run.sweeps()}
+	return &Report{Tables: []*Table{t}, Sweeps: run.sweeps()}
 }

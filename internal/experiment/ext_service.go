@@ -162,13 +162,15 @@ func extServiceSmoke() extServiceConfig {
 // extServiceReport runs the full service-SLO grid: the always-on service
 // workload across the causal stacks and fault scenarios; it tabulates the
 // SLO probes.
-func extServiceReport() *Report { return serviceReport(extServiceFull()) }
+func extServiceReport(opts harness.Options) *Report { return serviceReport(extServiceFull(), opts) }
 
 // extServiceSmokeReport is the CI-sized variant (4 ranks, compressed
 // timeline, Vcausal and Manetho only).
-func extServiceSmokeReport() *Report { return serviceReport(extServiceSmoke()) }
+func extServiceSmokeReport(opts harness.Options) *Report {
+	return serviceReport(extServiceSmoke(), opts)
+}
 
-func serviceReport(cfg extServiceConfig) *Report {
+func serviceReport(cfg extServiceConfig, opts harness.Options) *Report {
 	workloads := make([]harness.Workload, len(cfg.nps))
 	for i, np := range cfg.nps {
 		key := fmt.Sprintf("service.%d", np)
@@ -186,7 +188,7 @@ func serviceReport(cfg extServiceConfig) *Report {
 		v.Horizon, v.CkptPolicy, v.CkptInterval = cfg.horizon, checkpoint.PolicyRoundRobin, cfg.ckptInterval
 	}
 
-	spec := &harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:      cfg.name,
 		Workloads: workloads,
 		Stacks:    cfg.stacks,
@@ -200,8 +202,7 @@ func serviceReport(cfg extServiceConfig) *Report {
 			harness.ProbeFalseSuspicions,
 		},
 		Tune: planTune(workloads, variants, planFor),
-	}
-	res := sweep(spec)
+	}, opts)
 
 	t := &Table{
 		Title:  "Always-on service: latency and goodput SLOs under faults",
@@ -227,7 +228,7 @@ func serviceReport(cfg extServiceConfig) *Report {
 			t.AddRow(row...)
 		}
 	}
-	return &Report{Name: cfg.name, Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // extServiceCell renders one grid cell: the SLO figures for any run that

@@ -11,9 +11,7 @@ import (
 // worker-pool width and returns the report plus its serialized sweep.
 func runServiceSmoke(t *testing.T, parallel int) (*Report, []byte) {
 	t.Helper()
-	SetRunnerOptions(harness.Options{Parallel: parallel})
-	defer SetRunnerOptions(harness.Options{})
-	rep := extServiceSmokeReport()
+	rep := extServiceSmokeReport(harness.Options{Parallel: parallel})
 	if len(rep.Sweeps) != 1 {
 		t.Fatalf("smoke report has %d sweeps, want 1", len(rep.Sweeps))
 	}
@@ -78,9 +76,7 @@ func TestExtServiceSmokeShape(t *testing.T) {
 func TestExtServiceSmokeRaceWide(t *testing.T) {
 	_, seq := runServiceSmoke(t, 1)
 
-	SetRunnerOptions(harness.Options{Parallel: 8, TraceDir: t.TempDir()})
-	defer SetRunnerOptions(harness.Options{})
-	rep := extServiceSmokeReport()
+	rep := extServiceSmokeReport(harness.Options{Parallel: 8, TraceDir: t.TempDir()})
 	if len(rep.Sweeps) != 1 {
 		t.Fatalf("smoke report has %d sweeps, want 1", len(rep.Sweeps))
 	}

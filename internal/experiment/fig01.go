@@ -37,9 +37,9 @@ var fig01Intervals = []sim.Time{0, 20 * sim.Second, 12 * sim.Second, 8 * sim.Sec
 // reproduced result is the shape — coordinated checkpointing stops
 // progressing at a fault frequency where message logging still runs, and
 // causal logging tracks or beats pessimistic logging.
-func fig01Report() *Report {
+func fig01Report(opts harness.Options) *Report {
 	f := fig01Sweep()
-	run := f.run()
+	run := f.run(opts)
 
 	t := &Table{
 		Title:  "Figure 1: Slowdown (%) of NAS BT.A on 25 nodes vs fault frequency",
@@ -58,7 +58,7 @@ func fig01Report() *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: "fig1", Table: t, Sweeps: run.sweeps()}
+	return &Report{Tables: []*Table{t}, Sweeps: run.sweeps()}
 }
 
 // fig01Sweep is Figure 1's grid: one variant per fault interval, each

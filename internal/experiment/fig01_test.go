@@ -21,7 +21,7 @@ func TestFig01CausalPointNotPathological(t *testing.T) {
 	for _, interval := range intervals {
 		f.variants = append(f.variants, harness.Variant{Key: interval.String(), FaultEvery: interval})
 	}
-	run := f.run()
+	run := f.run(harness.Options{})
 
 	wl, label := fig01Workload().Key, f.stacks[0].Label
 	base := run.baseline[wl+"|"+label]
@@ -61,13 +61,11 @@ func TestFaultedSweepCaps(t *testing.T) {
 	}
 
 	caps := make(map[string]sim.Time) // faulted cell ID -> MaxVirtual
-	SetRunnerOptions(harness.Options{OnProgress: func(p harness.Progress) {
+	run := f.run(harness.Options{OnProgress: func(p harness.Progress) {
 		if p.Sweep == "caps" {
 			caps[p.Cell.ID] = p.Cell.MaxVirtual
 		}
 	}})
-	defer SetRunnerOptions(harness.Options{})
-	run := f.run()
 
 	if run.base.Name != "caps-baseline" || run.faulted.Name != "caps" {
 		t.Fatalf("sweep names %q, %q; want caps-baseline, caps", run.base.Name, run.faulted.Name)

@@ -23,15 +23,15 @@ const fig06aReps = 500
 //
 // It runs Figure 6(a) as one sweep: stacks × a single 1-byte
 // ping-pong workload.
-func fig06aReport() *Report {
+func fig06aReport(opts harness.Options) *Report {
 	wl := harness.Workload{Key: "pingpong.1B", Make: func() *workload.Instance {
 		return workload.BuildPingPong(1, fig06aReps)
 	}}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:      "fig6a",
 		Workloads: []harness.Workload{wl},
 		Stacks:    latencyStacks,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Figure 6(a): Ping-pong latency over Ethernet 100Mbit/s (µs, one-way)",
 		Header: []string{"MPI implementation", "Latency (µs)"},
@@ -45,7 +45,7 @@ func fig06aReport() *Report {
 		oneWay := cr.Elapsed.Microseconds() / (2 * fig06aReps)
 		t.AddRow(sc.Label, f2(oneWay))
 	}
-	return &Report{Name: "fig6a", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // bandwidthSizes is the message-size sweep of Figure 6(b).
@@ -60,18 +60,18 @@ var fig06bStacks = append([]harness.Stack{{Label: "RAW TCP", Stack: cluster.Stac
 //
 // It runs Figure 6(b) as one sweep: stacks × one ping-pong
 // workload per message size.
-func fig06bReport() *Report {
+func fig06bReport(opts harness.Options) *Report {
 	workloads := make([]harness.Workload, len(bandwidthSizes))
 	for i, size := range bandwidthSizes {
 		workloads[i] = harness.Workload{Key: sizeLabel(size), Make: func() *workload.Instance {
 			return workload.BuildPingPong(size, fig06bReps(size))
 		}}
 	}
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:      "fig6b",
 		Workloads: workloads,
 		Stacks:    fig06bStacks,
-	})
+	}, opts)
 
 	t := &Table{
 		Title:  "Figure 6(b): Ping-pong bandwidth over Ethernet 100Mbit/s (Mbit/s)",
@@ -91,7 +91,7 @@ func fig06bReport() *Report {
 		}
 		t.AddRow(row...)
 	}
-	return &Report{Name: "fig6b", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // fig06bReps shortens the ping-pong at large message sizes.

@@ -19,12 +19,12 @@ var fig07Specs = groupSpecs(fig07Groups)
 // Event Logger.
 //
 // It runs Figure 7 as one sweep: benchmarks × causal stacks.
-func fig07Report() *Report {
-	res := sweep(&harness.SweepSpec{
+func fig07Report(opts harness.Options) *Report {
+	res := harness.Run(&harness.SweepSpec{
 		Name:      "fig7",
 		Workloads: nasWorkloads(fig07Specs),
 		Stacks:    causalStacks,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Figure 7: Piggybacked data as % of total exchanged application data",
 		Header: stackHeader(causalStacks, "Benchmark", "#proc"),
@@ -35,7 +35,7 @@ func fig07Report() *Report {
 		},
 	}
 	specRows(t, res, fig07Specs, causalStacks, piggybackShare)
-	return &Report{Name: "fig7", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }
 
 // piggybackShare renders a cell's piggybacked bytes as a percentage of its

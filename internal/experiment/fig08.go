@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
@@ -11,28 +10,22 @@ import (
 // fig08Specs is Figure 7's grid plus FT.
 var fig08Specs = groupSpecs(append(fig07Groups[:3:3], benchGroup{"ft", "A", []int{2, 4, 8, 16}}))
 
-// fig08Sweep runs the Figure 8 grid (benchmarks × causal stacks) once per
-// process: 8(a) and 8(b) are two renderings of the same 90 deterministic
-// cells, so regenerating both shares one sweep instead of simulating the
-// grid twice.
-var fig08Sweep = sync.OnceValue(func() *harness.Results {
-	return sweep(&harness.SweepSpec{
+// fig08Report reproduces Figure 8 from one sweep (benchmarks × causal
+// stacks): 8(a) is the cumulative virtual CPU time spent preparing
+// piggybacks at send and integrating them at receive, per protocol, with
+// and without Event Logger (seconds; send/recv split); 8(b) is the same
+// causality-management time as a percentage of total execution time.
+func fig08Report(opts harness.Options) *Report {
+	res := harness.Run(&harness.SweepSpec{
 		Name:      "fig8",
 		Workloads: nasWorkloads(fig08Specs),
 		Stacks:    causalStacks,
-	})
-})
-
-// fig08aReport reproduces Figure 8(a): cumulative virtual CPU time
-// spent preparing piggybacks at send and integrating them at receive, per
-// protocol, with and without Event Logger (seconds; send/recv split).
-func fig08aReport() *Report {
-	res := fig08Sweep()
+	}, opts)
 	header := []string{"Benchmark", "#proc"}
 	for _, sc := range causalStacks {
 		header = append(header, sc.Label+" send", sc.Label+" recv")
 	}
-	t := &Table{
+	a := &Table{
 		Title:  "Figure 8(a): Time to manage piggyback information (seconds, send/recv)",
 		Header: header,
 		Notes: []string{
@@ -41,17 +34,10 @@ func fig08aReport() *Report {
 			"LogOn loses to Manetho on LU without EL (many large piggybacks to sort)",
 		},
 	}
-	specRows(t, res, fig08Specs, causalStacks,
+	specRows(a, res, fig08Specs, causalStacks,
 		func(cr *harness.CellResult) string { return fmt.Sprintf("%.4g", cr.Stats.SendPiggybackTime.Seconds()) },
 		func(cr *harness.CellResult) string { return fmt.Sprintf("%.4g", cr.Stats.RecvPiggybackTime.Seconds()) })
-	return &Report{Name: "fig8a", Table: t, Sweeps: []*harness.Results{res}}
-}
-
-// fig08bReport reproduces Figure 8(b): causality-management time as
-// a percentage of total execution time.
-func fig08bReport() *Report {
-	res := fig08Sweep()
-	t := &Table{
+	b := &Table{
 		Title:  "Figure 8(b): Causality computation cost in % of total execution time",
 		Header: stackHeader(causalStacks, "Benchmark", "#proc"),
 		Notes: []string{
@@ -59,9 +45,9 @@ func fig08bReport() *Report {
 			"and message rate; largest for LU.16 without EL (paper: up to 41.5%)",
 		},
 	}
-	specRows(t, res, fig08Specs, causalStacks, func(cr *harness.CellResult) string {
+	specRows(b, res, fig08Specs, causalStacks, func(cr *harness.CellResult) string {
 		total := cr.Elapsed * sim.Time(cr.NP)
 		return pct(float64(cr.Stats.SendPiggybackTime+cr.Stats.RecvPiggybackTime) / float64(total))
 	})
-	return &Report{Name: "fig8b", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{a, b}, Sweeps: []*harness.Results{res}}
 }

@@ -23,13 +23,13 @@ var fig09Groups = []benchGroup{
 //
 // It runs Figure 9 as one sweep: the full NAS panel grid × every
 // stack — the largest grid of the evaluation (27 workloads × 8 stacks).
-func fig09Report() *Report {
+func fig09Report(opts harness.Options) *Report {
 	specs := groupSpecs(fig09Groups)
-	res := sweep(&harness.SweepSpec{
+	res := harness.Run(&harness.SweepSpec{
 		Name:      "fig9",
 		Workloads: nasWorkloads(specs),
 		Stacks:    allStacks,
-	})
+	}, opts)
 	t := &Table{
 		Title:  "Figure 9: NAS benchmark performance (Mflop/s)",
 		Header: stackHeader(allStacks, "Benchmark", "#proc"),
@@ -40,5 +40,5 @@ func fig09Report() *Report {
 		},
 	}
 	specRows(t, res, specs, allStacks, func(cr *harness.CellResult) string { return f1(cr.Mflops) })
-	return &Report{Name: "fig9", Table: t, Sweeps: []*harness.Results{res}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
 }

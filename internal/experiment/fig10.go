@@ -32,19 +32,19 @@ var fig10Stacks = []harness.Stack{
 // measured determinant-collection time. No checkpoints are scheduled: the
 // restarted process reclaims its complete event history, which is exactly
 // the quantity Figure 10 reports ("time to recover all events to replay").
-func fig10Report() *Report {
+func fig10Report(opts harness.Options) *Report {
 	specs := groupSpecs(fig10Groups)
 	workloads := nasWorkloads(specs)
 	stacks := fig10Stacks
 
-	free := sweep(&harness.SweepSpec{
+	free := harness.Run(&harness.SweepSpec{
 		Name:      "fig10-baseline",
 		Workloads: workloads,
 		Stacks:    stacks,
 		Variants:  []harness.Variant{{Key: "fault-free"}},
-	})
+	}, opts)
 
-	crashed := sweep(&harness.SweepSpec{
+	crashed := harness.Run(&harness.SweepSpec{
 		Name:      "fig10-crash",
 		Workloads: workloads,
 		Stacks:    stacks,
@@ -58,7 +58,7 @@ func fig10Report() *Report {
 			// Kill rank 0 at the midpoint of this cell's fault-free run.
 			c.FaultAt = free.MustGet(c.Workload.Key, c.Stack.Label, "fault-free").Elapsed / 2
 		},
-	})
+	}, opts)
 
 	t := &Table{
 		Title:  "Figure 10: Time to recover all events to replay, Vcausal (milliseconds)",
@@ -80,5 +80,5 @@ func fig10Report() *Report {
 		row = append(row, pct(both[0]/both[1]))
 		t.AddRow(row...)
 	}
-	return &Report{Name: "fig10", Table: t, Sweeps: []*harness.Results{free, crashed}}
+	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{free, crashed}}
 }

@@ -2,21 +2,21 @@ package experiment
 
 import "mpichv/internal/harness"
 
-// Report is one experiment artifact: the paper-style table plus the raw
-// sweep results (one per phase) it was rendered from, for machine-readable
-// export.
+// Report is one experiment artifact: the paper-style tables plus the raw
+// sweep results (one per phase) they were rendered from, for
+// machine-readable export.
 type Report struct {
-	Name   string
-	Table  *Table
+	Tables []*Table
 	Sweeps []*harness.Results
 }
 
-// Experiment is one registry entry: a name, its report generator, and
-// whether it is a CI smoke variant, which runs by name but is left out of
-// the listing and of "all".
+// Experiment is one registry entry: a name, its report generator (a
+// function of the worker-pool options its sweeps run with), and whether it
+// is a CI smoke variant, which runs by name but is left out of the listing
+// and of "all".
 type Experiment struct {
 	Name  string
-	Run   func() *Report
+	Run   func(harness.Options) *Report
 	Smoke bool
 }
 
@@ -28,8 +28,7 @@ var Experiments = []Experiment{
 	{Name: "fig6a", Run: fig06aReport},
 	{Name: "fig6b", Run: fig06bReport},
 	{Name: "fig7", Run: fig07Report},
-	{Name: "fig8a", Run: fig08aReport},
-	{Name: "fig8b", Run: fig08bReport},
+	{Name: "fig8", Run: fig08Report},
 	{Name: "fig9", Run: fig09Report},
 	{Name: "fig10", Run: fig10Report},
 	{Name: "ext-el", Run: extDistributedELReport},

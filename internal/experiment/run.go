@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -58,18 +59,6 @@ func nasWorkloads(specs []workload.Spec) []harness.Workload {
 	}
 	return out
 }
-
-// runnerOpts are the harness options every figure sweep runs with; the CLI
-// (and any other embedder) installs parallelism and progress reporting via
-// SetRunnerOptions before regenerating figures.
-var runnerOpts harness.Options
-
-// SetRunnerOptions installs the worker-pool options used by every figure
-// sweep (parallel width, progress and error callbacks, trace directory).
-func SetRunnerOptions(o harness.Options) { runnerOpts = o }
-
-// sweep executes one grid through the shared worker pool options.
-func sweep(spec *harness.SweepSpec) *harness.Results { return harness.Run(spec, runnerOpts) }
 
 // ckptBudget gives every stack Figure 1's checkpoint budget: the same
 // per-process period, so the logging stacks checkpoint one rank at a time,
@@ -129,7 +118,7 @@ type faultedRun struct {
 	baseline      map[string]sim.Time // fault-free Elapsed by "workload|stack label"
 }
 
-func (f faultedSweep) run() *faultedRun {
+func (f faultedSweep) run(opts harness.Options) *faultedRun {
 	spec := func(name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
 		return &harness.SweepSpec{
 			Name:       name,
@@ -148,7 +137,7 @@ func (f faultedSweep) run() *faultedRun {
 		}
 	}
 	r := &faultedRun{baseline: make(map[string]sim.Time)}
-	r.base = sweep(spec(f.name+"-baseline", []harness.Variant{{Key: "fault-free"}}, nil))
+	r.base = harness.Run(spec(f.name+"-baseline", []harness.Variant{{Key: "fault-free"}}, nil), opts)
 	for _, w := range f.workloads {
 		for _, st := range f.stacks {
 			r.baseline[w.Key+"|"+st.Label] = r.base.MustGet(w.Key, st.Label, "fault-free").Elapsed
@@ -158,18 +147,14 @@ func (f faultedSweep) run() *faultedRun {
 	if f.planFor != nil {
 		plan = planTune(f.workloads, f.variants, f.planFor)
 	}
-	name := f.faulted
-	if name == "" {
-		name = f.name
-	}
-	r.faulted = sweep(spec(name, f.variants, func(c *harness.Cell) {
+	r.faulted = harness.Run(spec(cmp.Or(f.faulted, f.name), f.variants, func(c *harness.Cell) {
 		plan(c)
 		if fixed := f.caps[c.Workload.Key]; fixed > 0 {
 			c.MaxVirtual = fixed
 		} else {
 			c.MaxVirtual = r.baseline[c.Workload.Key+"|"+c.Stack.Label] * f.factor
 		}
-	}))
+	}), opts)
 	return r
 }
 

@@ -1,7 +1,7 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation section (§V): one function per artifact, each returning a
-// Report whose Table rows mirror what the paper plots. ARCHITECTURE.md maps
-// each experiment to the modules it exercises.
+// evaluation section (§V): one function of the worker-pool options per
+// artifact, returning a Report whose table rows mirror what the paper
+// plots. ARCHITECTURE.md maps each experiment to the modules it exercises.
 package experiment
 
 import (

@@ -1,7 +1,6 @@
 package mpichv_test
 
 import (
-	"slices"
 	"testing"
 
 	"mpichv/internal/causal"
@@ -67,19 +66,5 @@ func TestExperimentIndexComplete(t *testing.T) {
 	}
 	if len(causal.Names()) != 3 {
 		t.Error("three reducers expected")
-	}
-}
-
-func TestExperimentRunsByName(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment regeneration is slow")
-	}
-	i := slices.IndexFunc(experiment.Experiments, func(e experiment.Experiment) bool { return e.Name == "fig6a" })
-	tab := experiment.Experiments[i].Run().Table
-	if tab == nil || len(tab.Rows) == 0 {
-		t.Fatal("fig6a produced no table")
-	}
-	if out := tab.Render(); len(out) == 0 {
-		t.Fatal("empty render")
 	}
 }
