@@ -5,6 +5,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
+	"mpichv/internal/protocols"
 	"mpichv/internal/workload"
 )
 
@@ -40,5 +41,32 @@ func TestLogFootprint(t *testing.T) {
 	if logHeld != wantLog || elHeld != wantEL || modelled != wantModelled {
 		t.Errorf("sender logs hold %d bytes, the Event Logger %d, modelled sender-log bytes %d; want %d, %d, %d",
 			logHeld, elHeld, modelled, wantLog, wantEL, wantModelled)
+	}
+}
+
+// TestGraphFootprint is the antecedence graph's memory census, pinned like
+// TestLogFootprint's: at the end of Figure 7's LU.A.16 cell with Manetho
+// and no Event Logger, where nothing is ever stable and every determinant
+// stays held, the host bytes the reducers' stores hold (chain capacity
+// times node size plus the clock arena's blocks, summed over every rank).
+// A change to the node, the arena's word or block size, or how chains
+// grow moves it and updates this test in the same diff. CI prints the
+// census line in the test job's summary.
+func TestGraphFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one LU.A.16 cell (~1 s)")
+	}
+	const want = 79003648 // 117,374,976 with 32-bit clock words
+	in := workload.Build(workload.Spec{Bench: "lu", Class: "A", NP: 16})
+	c := cluster.New(cluster.Config{NP: 16, Stack: cluster.StackVcausal, Reducer: "manetho"})
+	defer c.Close()
+	c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
+	var held int64
+	for _, n := range c.Nodes {
+		held += n.Proto.(*protocols.Vcausal).HeldBytes()
+	}
+	t.Logf("held graph bytes: %d (LU.A.16 Manetho without the Event Logger)", held)
+	if held != want {
+		t.Errorf("the antecedence graphs hold %d bytes, want %d", held, want)
 	}
 }

@@ -2,6 +2,7 @@ package causal
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"mpichv/internal/causal/sparsevec"
 	"mpichv/internal/event"
@@ -34,15 +35,16 @@ import (
 // walks np/64 words and the live chains, in ascending rank order (the
 // factored emission order). A node is 32 bytes, an event.Held and vc, its clock state: 0
 // not computed, inFlight on vcOf's stack, > 0 the arena slot holding its
-// causal past as np 32-bit words. vcOf visits the chain predecessor before
+// causal past as np words. vcOf visits the chain predecessor before
 // the parent, lets a parent absent when the clock is computed contribute
 // only its own identity, treats an antecedent already on its stack as
 // absent (an ID conflict), and never recomputes a clock: under an Event
 // Logger the cached value depends on what had been collected when it was
 // computed, so any other order or a re-evaluation would move the
-// piggybacks and with them every table. The arena costs 4·np bytes per
+// piggybacks and with them every table. The arena costs 2·np bytes per
 // held, materialised node, carved lazily from ≈ 32 KB blocks, slots
-// recycled when Stable collects the node.
+// recycled when Stable collects the node. A word is a max of inserted
+// clocks: 16 bits until insert meets one above 65,535 and widens it to 32.
 //
 // Per-rank tables (knownBy, lastHeld, stable) are sparsevec.Vec floor
 // arrays, knownBy holding one only per active peer. The *op counts* the
@@ -72,9 +74,11 @@ type graph struct {
 	held int
 
 	// The clock arena: slot s (1-based) is np words of block
-	// (s-1)>>slotShift. slots counts the slots ever carved, slotFree the
-	// ones Stable took back.
-	arena     [][]uint32
+	// (s-1)>>slotShift, of wide once the graph widened (non-nil), else of
+	// narrow. slots counts the slots ever carved, slotFree the ones Stable
+	// took back.
+	narrow    [][]uint16
+	wide      [][]uint32
 	slotShift uint
 	slots     int32
 	slotFree  []int32
@@ -103,47 +107,58 @@ type gnode struct {
 // vcOf).
 const inFlight = -1
 
-// arenaBlockWords is the clock arena granularity (32 KB of 32-bit words):
+// arenaBlockWords is the clock arena granularity (32 KB of 16-bit words):
 // large enough to amortize the block allocation to noise, small enough not
 // to bloat tiny runs. A world wider than a block gets one slot per block.
-const arenaBlockWords = 8192
+const arenaBlockWords = 16384
 
 func newGraph(np int) graph {
-	g := graph{
-		np:       np,
-		lastHeld: sparsevec.New(np),
-		stable:   sparsevec.New(np),
+	return graph{
+		np:        np,
+		lastHeld:  sparsevec.New(np),
+		stable:    sparsevec.New(np),
+		slotShift: uint(max(bits.Len(uint(arenaBlockWords/np))-1, 0)),
 	}
-	for w := 2 * np; 0 < w && w <= arenaBlockWords; w *= 2 {
-		g.slotShift++
-	}
-	return g
 }
 
-// clock returns the np words of a computed clock.
+// clock returns the np words of a computed clock in the arena's blocks.
 //
 //mpichv:noalloc
-func (g *graph) clock(slot int32) []uint32 {
+func clock[W uint16 | uint32](g *graph, blocks [][]W, slot int32) []W {
 	s := int(slot - 1)
 	off := (s & (1<<g.slotShift - 1)) * g.np
-	return g.arena[s>>g.slotShift][off : off+g.np]
+	return blocks[s>>g.slotShift][off : off+g.np]
 }
 
 // newClock returns a free arena slot and its words, which hold whatever
 // the slot's previous owner left: the caller overwrites all of them.
 //
 //mpichv:amortized arena refill: one make per block of slots, and Stable recycles the slots of collected nodes
-func (g *graph) newClock() (int32, []uint32) {
+func newClock[W uint16 | uint32](g *graph, blocks *[][]W) (int32, []W) {
 	if k := len(g.slotFree); k > 0 {
 		slot := g.slotFree[k-1]
 		g.slotFree = g.slotFree[:k-1]
-		return slot, g.clock(slot)
+		return slot, clock(g, *blocks, slot)
 	}
-	if int(g.slots)>>g.slotShift == len(g.arena) {
-		g.arena = append(g.arena, make([]uint32, g.np<<g.slotShift))
+	if int(g.slots)>>g.slotShift == len(*blocks) {
+		*blocks = append(*blocks, make([]W, g.np<<g.slotShift))
 	}
 	g.slots++
-	return g.slots, g.clock(g.slots)
+	return g.slots, clock(g, *blocks, g.slots)
+}
+
+// widen moves the clock arena to 32-bit words, block for block: every slot
+// keeps its number and every computed clock its value.
+//
+//mpichv:amortized one-time copy: a graph widens once, before it holds its first clock above 65,535, and never narrows
+func (g *graph) widen() {
+	g.wide = make([][]uint32, len(g.narrow)) // non-nil: the graph is wide
+	for i, blk := range g.narrow {
+		for _, w := range blk {
+			g.wide[i] = append(g.wide[i], uint32(w))
+		}
+	}
+	g.narrow = nil
 }
 
 // after returns the index of the first node of chain with a clock above
@@ -212,6 +227,9 @@ func (g *graph) insert(d event.Determinant) (ops int64) {
 		}
 		return 1
 	}
+	if g.wide == nil && max(d.ID.Clock, d.Parent.Clock) >= 1<<16 {
+		g.widen()
+	}
 	chain := g.liveChain(c)
 	*chain = append(*chain, gnode{h: event.Pack(d)})
 	g.lastHeld.SetMax(int(c), d.ID.Clock)
@@ -219,14 +237,14 @@ func (g *graph) insert(d event.Determinant) (ops int64) {
 	return 3
 }
 
-// vcOf returns the vector clock (causal past) of n, computing and caching it
-// on demand. The computation walks antecedence edges iteratively so chains
-// of any length cannot overflow the Go stack.
+// vcOf returns the vector clock (causal past) of n in the arena's blocks,
+// computing and caching it on demand. The computation walks antecedence
+// edges iteratively so chains of any length cannot overflow the Go stack.
 //
 //mpichv:amortized the walk stack grows to the longest dependency path once and is reused; each clock is computed once, into an arena slot
-func (g *graph) vcOf(n *gnode) []uint32 {
+func vcOf[W uint16 | uint32](g *graph, blocks *[][]W, n *gnode) []W {
 	if n.vc > 0 {
-		return g.clock(n.vc)
+		return clock(g, *blocks, n.vc)
 	}
 	n.vc = inFlight
 	stack := append(g.vcStack[:0], n)
@@ -262,30 +280,30 @@ func (g *graph) vcOf(n *gnode) []uint32 {
 			g.latch(parent.h.Det())
 			parent = nil
 		}
-		slot, vc := g.newClock()
+		slot, vc := newClock(g, blocks)
 		if chainPred != nil {
-			copy(vc, g.clock(chainPred.vc))
+			copy(vc, clock(g, *blocks, chainPred.vc))
 		} else {
 			clear(vc)
 		}
 		if parent != nil {
-			for c, f := range g.clock(parent.vc) {
+			for c, f := range clock(g, *blocks, parent.vc) {
 				vc[c] = max(vc[c], f)
 			}
 		} else if cur.h.ParentClock != 0 {
 			// Parent was garbage collected (stable), never held, or is on
 			// the walk's stack: the only safe knowledge it contributes is
 			// its own identity.
-			vc[cur.h.ParentCreator] = max(vc[cur.h.ParentCreator], cur.h.ParentClock)
+			vc[cur.h.ParentCreator] = max(vc[cur.h.ParentCreator], W(cur.h.ParentClock))
 		}
 		// The node's own entry: always above anything its antecedents know
 		// of this creator (an event cannot be in its own causal past).
-		vc[cur.h.Creator] = max(vc[cur.h.Creator], cur.h.Clock)
+		vc[cur.h.Creator] = max(vc[cur.h.Creator], W(cur.h.Clock))
 		cur.vc = slot
 		stack = stack[:len(stack)-1]
 	}
 	g.vcStack = stack
-	return g.clock(n.vc)
+	return clock(g, *blocks, n.vc)
 }
 
 // knownVec returns dst's direct-exchange knowledge floors, creating them on
@@ -308,12 +326,20 @@ func (g *graph) knownVec(dst event.Rank) *sparsevec.Vec {
 // held event. A process knows its own events, so dst's chain is skipped.
 // The spans are scratch, valid until the next frontier, insert or Stable.
 func (g *graph) frontier(dst event.Rank, infer bool) (spans []span, k int) {
+	if g.wide != nil {
+		return frontierIn(g, &g.wide, dst, infer)
+	}
+	return frontierIn(g, &g.narrow, dst, infer)
+}
+
+// frontierIn is frontier over the arena's blocks at their current width.
+func frontierIn[W uint16 | uint32](g *graph, blocks *[][]W, dst event.Rank, infer bool) (spans []span, k int) {
 	out := g.spans[:0]
 	known, _ := g.knownBy.lookup(dst)
-	var vc []uint32
+	var vc []W
 	if infer {
 		if chain, _ := g.chains.lookup(dst); len(chain) > 0 {
-			vc = g.vcOf(&chain[len(chain)-1])
+			vc = vcOf(g, blocks, &chain[len(chain)-1])
 		}
 	}
 	for w, word := range g.live {
@@ -415,6 +441,15 @@ func (g *graph) Stable(vec *sparsevec.Vec) int64 {
 
 // Held implements Reducer.
 func (g *graph) Held() int { return g.held }
+
+// HeldBytes implements Reducer.
+func (g *graph) HeldBytes() int64 {
+	b := int64(2*len(g.narrow)+4*len(g.wide)) * int64(g.np<<g.slotShift)
+	for _, chain := range g.chains.rows {
+		b += int64(cap(chain)) * int64(unsafe.Sizeof(gnode{}))
+	}
+	return b
+}
 
 // HeldFor implements Reducer.
 func (g *graph) HeldFor(creator event.Rank) []event.Determinant {

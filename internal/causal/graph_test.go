@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,9 +63,9 @@ func TestGraphVectorClockMatchesGroundTruth(t *testing.T) {
 			if n == nil {
 				t.Fatalf("trial %d: node %v missing", trial, id)
 			}
-			got := g.vcOf(n)
+			got := clockOf(&g, n)
 			for c := 0; c < np; c++ {
-				if uint64(got[c]) != want[c] {
+				if got[c] != want[c] {
 					t.Fatalf("trial %d: vc(%v)[%d] = %d, want %d", trial, id, c, got[c], want[c])
 				}
 			}
@@ -160,13 +161,28 @@ func (o *oracle) gc(c event.Rank, f uint64) {
 // checks every answer against the oracle. Enough is collected that clocks
 // are computed into recycled slots, which still hold their previous owner's
 // words.
+//
+// In the last six trials the clocks cross 65,535, the largest value a
+// narrow arena word holds, mid-trial: every creator's in five of them, and
+// in the last only rank 0's, whose determinants never reach the graph, so
+// only parent clocks cross. The arena must widen once, after clocks were
+// computed and slots recycled, and every clock stay exact.
 func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
+	const trials, boundary, parentOnly = 36, 30, 35
 	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		np := 4 + r.Intn(37)
 		g := newGraph(np)
 		o := &oracle{np: np, nodes: map[event.EventID]event.Determinant{}, clocks: map[event.EventID][]uint64{}, stable: make([]uint64, np)}
 		clock := make([]uint64, np)
+		for c := range clock {
+			// Creator c crosses 65,535 after about 200 to 400 steps.
+			if trial == parentOnly && c == 0 || trial >= boundary && trial < parentOnly {
+				clock[c] = math.MaxUint16 - uint64(200/np+r.Intn(200/np+1))
+				o.stable[c] = clock[c]
+			}
+		}
+		recycled, widenedAt := 0, -1
 		lastEvt := make([]event.EventID, np)
 		lastHeld := make([]event.EventID, np)
 		check := func(dst int) {
@@ -183,7 +199,7 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 			if n.h.Det().ID != latest {
 				t.Fatalf("trial %d (np %d): rank %d's latest held event is %v, want %v", trial, np, dst, n.h.Det().ID, latest)
 			}
-			if got, want := widen(g.vcOf(n)), o.clock(latest); !slices.Equal(got, want) {
+			if got, want := clockOf(&g, n), o.clock(latest); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, latest, got, want)
 			}
 		}
@@ -201,10 +217,16 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 				Lamport: uint64(step + 1),
 			}
 			lastEvt[dst] = d.ID
-			if r.Intn(8) > 0 {
-				held := g.held
+			if r.Intn(8) > 0 && (trial != parentOnly || dst != 0) {
+				held, narrow := g.held, g.wide == nil
 				if g.insert(d); g.held > held {
 					o.nodes[d.ID], lastHeld[dst] = d, d.ID
+				}
+				if narrow && g.wide != nil {
+					widenedAt = step
+					if g.slots == 0 || recycled == 0 {
+						t.Fatalf("trial %d (np %d): widened at step %d with %d slots carved and %d recycled, want both", trial, np, step, g.slots, recycled)
+					}
 				}
 			}
 			if step%3 == 0 {
@@ -219,11 +241,16 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 						o.gc(event.Rank(c), f)
 					}
 				}
+				free := len(g.slotFree)
 				g.Stable(ack)
+				recycled += len(g.slotFree) - free
 			}
 		}
+		if (widenedAt >= 0) != (trial >= boundary) {
+			t.Fatalf("trial %d (np %d): widened at step %d, want a widening only in the boundary trials", trial, np, widenedAt)
+		}
 		for id := range o.nodes {
-			if got, want := widen(g.vcOf(g.lookup(id))), o.clock(id); !slices.Equal(got, want) {
+			if got, want := clockOf(&g, g.lookup(id)), o.clock(id); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (np %d): vc(%v) = %v, want %v", trial, np, id, got, want)
 			}
 		}
@@ -236,8 +263,16 @@ func TestGraphClocksMatchOracleUnderGC(t *testing.T) {
 	}
 }
 
-// widen returns a 32-bit arena clock as the oracle's 64-bit words.
-func widen(vc []uint32) []uint64 {
+// clockOf returns n's clock, computed at the arena's current width as
+// frontier computes it, as the oracle's 64-bit words.
+func clockOf(g *graph, n *gnode) []uint64 {
+	if g.wide != nil {
+		return words(vcOf(g, &g.wide, n))
+	}
+	return words(vcOf(g, &g.narrow, n))
+}
+
+func words[W uint16 | uint32](vc []W) []uint64 {
 	out := make([]uint64, len(vc))
 	for i, f := range vc {
 		out[i] = uint64(f)
@@ -256,7 +291,7 @@ func TestGraphAntecedenceCycleLatches(t *testing.T) {
 	a, b := event.EventID{Creator: 0, Clock: 1}, event.EventID{Creator: 1, Clock: 1}
 	g.insert(event.Determinant{ID: a, Sender: 1, SendSeq: 1, Parent: b, Lamport: 1})
 	g.insert(event.Determinant{ID: b, Sender: 0, SendSeq: 1, Parent: a, Lamport: 1})
-	if got := g.vcOf(g.lookup(a)); got[0] != 1 || got[1] != 1 {
+	if got := clockOf(&g, g.lookup(a)); got[0] != 1 || got[1] != 1 {
 		t.Fatalf("vc(%v) = %v, want [1 1]", a, got)
 	}
 	if d, ok := g.TakeIDConflict(); !ok || d.ID != a {
@@ -273,7 +308,7 @@ func TestGraphAntecedenceCycleLatches(t *testing.T) {
 			g.slotFree = append(g.slotFree, n.vc)
 			n.vc = 0
 		}
-		g.vcOf(g.lookup(a))
+		vcOf(&g, &g.narrow, g.lookup(a))
 		if _, ok := g.TakeIDConflict(); !ok {
 			t.Fatal("a warm cycle walk latched nothing")
 		}
@@ -287,7 +322,7 @@ func TestGraphAntecedenceCycleLatches(t *testing.T) {
 	if g.lookup(a).vc != 0 || g.lookup(b).vc != 0 {
 		t.Fatal("a node created where an in-flight one was collected must start uncomputed")
 	}
-	if got := g.vcOf(g.lookup(b)); got[0] != 2 || got[1] != 2 {
+	if got := clockOf(&g, g.lookup(b)); got[0] != 2 || got[1] != 2 {
 		t.Fatalf("vc(%v) = %v, want [2 2]", b, got)
 	}
 }

@@ -90,6 +90,9 @@ type Reducer interface {
 	// (the paper's "size of the antecedence graph in the node memory").
 	Held() int
 
+	// HeldBytes reports the host bytes held: chain capacity plus clock arena.
+	HeldBytes() int64
+
 	// HeldFor returns the held determinants created by the given rank in
 	// clock order. Recovery uses it to reclaim a crashed process's events
 	// from survivors when no Event Logger is deployed.

@@ -53,8 +53,10 @@ func NewVcausal(reducerName string, self event.Rank, np int) *Vcausal {
 	return &Vcausal{reducer: causal.New(reducerName, self, np), reducerName: reducerName}
 }
 
-// Held returns the volatile determinant count (the reducer store's size).
-func (v *Vcausal) Held() int { return v.reducer.Held() }
+// Held returns the volatile determinant count (the reducer store's size),
+// HeldBytes the host bytes that store holds.
+func (v *Vcausal) Held() int        { return v.reducer.Held() }
+func (v *Vcausal) HeldBytes() int64 { return v.reducer.HeldBytes() }
 
 // PreSend implements daemon.Protocol: attach the piggyback, log the
 // payload, and return the serialization and logging CPU time.
