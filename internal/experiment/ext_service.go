@@ -201,7 +201,7 @@ func serviceReport(cfg extServiceConfig, opts harness.Options) *Report {
 			harness.ProbeKills, harness.ProbePlanKills,
 			harness.ProbeFalseSuspicions,
 		},
-		Tune: planTune(workloads, variants, planFor),
+		Tune: planTune(variants, planFor),
 	}, opts)
 
 	t := &Table{

@@ -73,20 +73,22 @@ func ckptBudget(c *harness.Cell) {
 	}
 }
 
-// planTune resolves every (workload, variant) fault plan once, before the
-// sweep, and returns the Tune step installing it: plans that depend on the
-// row (partition groups and burst sizes follow NP) are shared read-only
-// by every stack of that row.
-func planTune(workloads []harness.Workload, variants []harness.Variant,
-	planFor func(w harness.Workload, np, variant int) *faultplan.Plan) func(*harness.Cell) {
+// planTune returns the Tune step installing each cell's fault plan. A
+// (workload, variant) plan is resolved on the first cell of its row, at
+// the cell's NP (partition groups and burst sizes follow it), and shared
+// read-only by every stack of that row.
+func planTune(variants []harness.Variant, planFor func(w harness.Workload, np, variant int) *faultplan.Plan) func(*harness.Cell) {
 	plans := make(map[string]*faultplan.Plan)
-	for _, w := range workloads {
-		np := w.NP() // builds a throwaway instance for custom workloads
-		for i, v := range variants {
-			plans[w.Key+"|"+v.Key] = planFor(w, np, i)
+	return func(c *harness.Cell) {
+		key := c.Workload.Key + "|" + c.Variant.Key
+		plan, ok := plans[key]
+		if !ok {
+			i := slices.IndexFunc(variants, func(v harness.Variant) bool { return v.Key == c.Variant.Key })
+			plan = planFor(c.Workload, c.Config.NP, i)
+			plans[key] = plan
 		}
+		c.Config.Faults = plan
 	}
-	return func(c *harness.Cell) { c.Config.Faults = plans[c.Workload.Key+"|"+c.Variant.Key] }
 }
 
 // faultedSweep is the measurement behind Figure 1 and every extension that
@@ -145,7 +147,7 @@ func (f faultedSweep) run(opts harness.Options) *faultedRun {
 	}
 	plan := func(*harness.Cell) {}
 	if f.planFor != nil {
-		plan = planTune(f.workloads, f.variants, f.planFor)
+		plan = planTune(f.variants, f.planFor)
 	}
 	r.faulted = harness.Run(spec(cmp.Or(f.faulted, f.name), f.variants, func(c *harness.Cell) {
 		plan(c)

@@ -85,6 +85,23 @@ func TestCellsExpansion(t *testing.T) {
 	}
 }
 
+// TestCellsBuildsMakeOnce: expanding a grid reads a Make workload's NP
+// from one probe build, however many stacks and variants it crosses.
+func TestCellsBuildsMakeOnce(t *testing.T) {
+	builds := 0
+	spec := smallSpec()
+	spec.Workloads = []Workload{{Key: "pp", Make: func() *workload.Instance {
+		builds++
+		return workload.BuildPingPong(1<<10, 50)
+	}}}
+	if cells := spec.Cells(); len(cells) != 4 {
+		t.Fatalf("got %d cells, want 4 (2 stacks x 2 variants)", len(cells))
+	}
+	if builds != 1 {
+		t.Fatalf("Cells built the workload %d times, want 1", builds)
+	}
+}
+
 func TestDuplicateCellIDsPanic(t *testing.T) {
 	spec := smallSpec()
 	spec.Variants = []Variant{{Key: "same"}, {Key: "same"}}

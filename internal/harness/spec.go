@@ -72,7 +72,8 @@ func (w Workload) key() string {
 	return w.Spec.String()
 }
 
-// NP returns the process count the workload deploys on.
+// NP returns the process count the workload deploys on. For a Make
+// workload it builds an instance to read it.
 func (w Workload) NP() int {
 	if w.Make != nil {
 		return w.Make().NP

@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"mpichv/internal/daemon"
 	"mpichv/internal/mpi"
@@ -105,11 +105,11 @@ const (
 	opCollect
 )
 
-// serviceOp is one entry of a rank's static op script.
+// serviceOp is one entry of a rank's static op script: its kind and the
+// index of the request it acts on.
 type serviceOp struct {
-	at   sim.Time
-	kind int
-	req  serviceRequest
+	kind int32
+	gk   int32
 }
 
 // ServiceStats is the per-build latency collector. It lives outside the
@@ -170,8 +170,12 @@ func (s *ServiceStats) GoodputRPS(end sim.Time) float64 {
 // BuildService constructs the open-loop request/response service
 // workload. Every build with the same config is identical (same schedule,
 // same op scripts); Instance.Service carries the run's latency collector.
-// It panics on degenerate configs — service specs are static experiment
-// configuration, like the NAS builders'.
+// Each rank's script runs in the deadlock-freedom order (nominal time,
+// kind, request index). At a given NP a build takes time linear in its
+// request count, with no sort: the schedule merges the per-rank arrival
+// streams, and the scripts merge three runs the schedule already orders
+// (serviceScripts). It panics on degenerate configs — service specs are
+// static experiment configuration, like the NAS builders'.
 func BuildService(cfg ServiceConfig) *Instance {
 	if cfg.NP < 2 {
 		panic("workload: service requires at least 2 ranks")
@@ -205,29 +209,10 @@ func BuildService(cfg ServiceConfig) *Instance {
 		stats.latency[i] = -1
 	}
 
-	// Expand the schedule into one static op script per rank, ordered by
-	// (nominal time, kind, request index).
-	ops := make([][]serviceOp, cfg.NP)
-	for _, r := range reqs {
-		ops[r.client] = append(ops[r.client], serviceOp{at: r.at, kind: opIssue, req: r})
-		ops[r.server] = append(ops[r.server], serviceOp{at: r.at, kind: opServe, req: r})
-		ops[r.client] = append(ops[r.client], serviceOp{at: r.at + respDelay, kind: opCollect, req: r})
-	}
-	for rank := range ops {
-		script := ops[rank]
-		sort.Slice(script, func(i, j int) bool {
-			if script[i].at != script[j].at {
-				return script[i].at < script[j].at
-			}
-			if script[i].kind != script[j].kind {
-				return script[i].kind < script[j].kind
-			}
-			return script[i].req.gk < script[j].req.gk
-		})
-	}
-
+	ops := serviceScripts(reqs, cfg.NP)
 	in := spmd(Spec{Bench: "service", NP: cfg.NP}, 0, cfg.AppStateBytes, func(n *daemon.Node, c *mpi.Comm) {
 		for _, op := range ops[c.Rank()] {
+			r := &reqs[op.gk]
 			switch op.kind {
 			case opIssue:
 				// Pace to the nominal issue time. The wait is computed
@@ -235,24 +220,24 @@ func BuildService(cfg ServiceConfig) *Instance {
 				// match across re-executions — Compute(0) still counts
 				// a step), and collapses to zero when the client is
 				// catching up after a stall.
-				wait := op.at - n.Now()
+				wait := r.at - n.Now()
 				if wait < 0 {
 					wait = 0
 				}
 				c.Compute(wait)
-				c.Send(op.req.server, ServiceReqTag+op.req.gk, cfg.ReqBytes)
+				c.Send(r.server, ServiceReqTag+r.gk, cfg.ReqBytes)
 			case opServe:
-				c.Recv(op.req.client, ServiceReqTag+op.req.gk)
+				c.Recv(r.client, ServiceReqTag+r.gk)
 				c.Compute(cfg.ServiceTime)
-				c.Send(op.req.client, ServiceRespTag+op.req.gk, cfg.RespBytes)
+				c.Send(r.client, ServiceRespTag+r.gk, cfg.RespBytes)
 			case opCollect:
-				c.Recv(op.req.server, ServiceRespTag+op.req.gk)
+				c.Recv(r.server, ServiceRespTag+r.gk)
 				// Record only live consumptions: during checkpoint
 				// fast-forward the Recv returns a placeholder without
 				// touching the network, and the original execution
 				// already observed this request.
 				if !n.Skipping() {
-					stats.observe(op.req.gk, n.Now()-op.req.at)
+					stats.observe(r.gk, n.Now()-r.at)
 				}
 			}
 		}
@@ -261,44 +246,100 @@ func BuildService(cfg ServiceConfig) *Instance {
 	return in
 }
 
+// serviceScripts expands the schedule into one static op script per rank,
+// each in (nominal time, kind, request index) order. In index order the
+// requests form three runs already in that order: the issues, the serves
+// and the collects (respDelay later). One three-way merge of the runs
+// orders every op of the build, and each rank's script is its
+// subsequence, so it is in order too: O(requests), no sort.
+func serviceScripts(reqs []serviceRequest, np int) [][]serviceOp {
+	// Presize every script from its counts (two ops per issued request,
+	// one per served) and carve them from one buffer.
+	counts := make([]int, np)
+	for _, r := range reqs {
+		counts[r.client] += 2
+		counts[r.server]++
+	}
+	buf := make([]serviceOp, 3*len(reqs))
+	ops := make([][]serviceOp, np)
+	for rank, n := range counts {
+		ops[rank], buf = buf[:0:n], buf[n:]
+	}
+	// Cursors i ≥ j ≥ k: a request is issued before it is served, and
+	// served before it is collected. At equal times the smaller kind
+	// wins; within a run the index order is the time order.
+	n := len(reqs)
+	for i, j, k := 0, 0, 0; k < n; {
+		collectAt := reqs[k].at + respDelay
+		switch {
+		case i < n && reqs[i].at <= reqs[j].at && reqs[i].at <= collectAt:
+			ops[reqs[i].client] = append(ops[reqs[i].client], serviceOp{opIssue, int32(i)})
+			i++
+		case j < n && reqs[j].at <= collectAt:
+			ops[reqs[j].server] = append(ops[reqs[j].server], serviceOp{opServe, int32(j)})
+			j++
+		default:
+			ops[reqs[k].client] = append(ops[reqs[k].client], serviceOp{opCollect, int32(k)})
+			k++
+		}
+	}
+	return ops
+}
+
 // scheduleRequests draws the per-rank Poisson streams and assigns global
 // request indices in arrival order (ties broken by client rank), so index
-// order matches nominal time order.
+// order matches nominal time order. Each stream is drawn in time order
+// and no client repeats an instant (gaps are at least 1 ns), so arrival
+// order is a k-way merge of the streams, each drawn one request ahead.
 func scheduleRequests(cfg ServiceConfig) []serviceRequest {
-	var reqs []serviceRequest
-	for client := 0; client < cfg.NP; client++ {
+	type stream struct {
+		rng  *rand.Rand
+		next serviceRequest // drained once next.at reaches the window
+	}
+	draw := func(s *stream) {
+		gap := sim.Time(s.rng.ExpFloat64() / cfg.RatePerRank * float64(sim.Second))
+		if gap < 1 {
+			gap = 1
+		}
+		s.next.at += gap
+		if s.next.at < cfg.Window {
+			s.next.server = s.rng.Intn(cfg.NP - 1)
+			if s.next.server >= s.next.client {
+				s.next.server++
+			}
+		}
+	}
+	streams := make([]stream, cfg.NP)
+	for client := range streams {
 		// One independent, deterministically derived stream per rank.
-		rng := rand.New(rand.NewSource(mix64(cfg.Seed, int64(client))))
-		t := sim.Time(0)
-		for {
-			gap := sim.Time(rng.ExpFloat64() / cfg.RatePerRank * float64(sim.Second))
-			if gap < 1 {
-				gap = 1
+		s := &streams[client]
+		s.rng = rand.New(rand.NewSource(mix64(cfg.Seed, int64(client))))
+		s.next.client = client
+		draw(s)
+	}
+	// Presize for the expected count plus four standard deviations (1 ns
+	// gaps cap a stream at one request per nanosecond of window).
+	mean := float64(cfg.NP) * min(cfg.RatePerRank*cfg.Window.Seconds(), float64(cfg.Window))
+	reqs := make([]serviceRequest, 0, int(min(mean+4*math.Sqrt(mean), ServiceMaxRequests)))
+	for {
+		best := -1
+		for c := range streams {
+			// Strictly earlier: a tie falls to the lower client.
+			if at := streams[c].next.at; at < cfg.Window && (best < 0 || at < streams[best].next.at) {
+				best = c
 			}
-			t += gap
-			if t >= cfg.Window {
-				break
-			}
-			server := rng.Intn(cfg.NP - 1)
-			if server >= client {
-				server++
-			}
-			reqs = append(reqs, serviceRequest{client: client, server: server, at: t})
 		}
-	}
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].at != reqs[j].at {
-			return reqs[i].at < reqs[j].at
+		if best < 0 {
+			return reqs
 		}
-		return reqs[i].client < reqs[j].client
-	})
-	for i := range reqs {
-		reqs[i].gk = i
+		if len(reqs) == ServiceMaxRequests-1 {
+			panic(fmt.Sprintf("workload: service schedules %d or more requests, the tag-plane width — lower the rate or shorten the window", ServiceMaxRequests))
+		}
+		r := streams[best].next
+		r.gk = len(reqs)
+		reqs = append(reqs, r)
+		draw(&streams[best])
 	}
-	if len(reqs) >= ServiceMaxRequests {
-		panic(fmt.Sprintf("workload: service schedules %d requests, above the %d tag-plane width — lower the rate or shorten the window", len(reqs), ServiceMaxRequests))
-	}
-	return reqs
 }
 
 // mix64 derives a per-rank stream seed from the build seed (splitmix64

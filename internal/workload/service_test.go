@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"mpichv/internal/checkpoint"
@@ -20,6 +22,155 @@ func serviceTestConfig() ServiceConfig {
 		// Keep checkpoint transactions cheap (a 1 MB default image costs
 		// ~80 ms on the wire, which would dominate a 200 ms window).
 		AppStateBytes: 64 << 10,
+	}
+}
+
+// stormConfig is the repository benchmark's service-storm build: NP 9, 2
+// requests/s per rank over a 10-minute window (about 10,900 requests).
+func stormConfig(seed int64) ServiceConfig {
+	return ServiceConfig{
+		NP: 9, Seed: seed, RatePerRank: 2, Window: 10 * sim.Minute,
+		ServiceTime: 5 * sim.Millisecond, ReqBytes: 2 << 10, RespBytes: 8 << 10,
+		AppStateBytes: 128 << 10,
+	}
+}
+
+// referenceSchedule is the sort-based arrival order: every client's
+// stream drawn, then all requests sorted by (time, client).
+func referenceSchedule(cfg ServiceConfig) []serviceRequest {
+	var reqs []serviceRequest
+	for client := 0; client < cfg.NP; client++ {
+		rng := rand.New(rand.NewSource(mix64(cfg.Seed, int64(client))))
+		t := sim.Time(0)
+		for {
+			gap := sim.Time(rng.ExpFloat64() / cfg.RatePerRank * float64(sim.Second))
+			if gap < 1 {
+				gap = 1
+			}
+			t += gap
+			if t >= cfg.Window {
+				break
+			}
+			server := rng.Intn(cfg.NP - 1)
+			if server >= client {
+				server++
+			}
+			reqs = append(reqs, serviceRequest{client: client, server: server, at: t})
+		}
+	}
+	sort.Slice(reqs, func(i, j int) bool {
+		if reqs[i].at != reqs[j].at {
+			return reqs[i].at < reqs[j].at
+		}
+		return reqs[i].client < reqs[j].client
+	})
+	for i := range reqs {
+		reqs[i].gk = i
+	}
+	return reqs
+}
+
+// referenceOp is one op of the sort-based script expansion.
+type referenceOp struct {
+	at   sim.Time
+	kind int32
+	req  serviceRequest
+}
+
+// referenceScripts expands a schedule into per-rank scripts by appending
+// every op and sorting each rank's by (time, kind, request index).
+func referenceScripts(reqs []serviceRequest, np int) [][]referenceOp {
+	ops := make([][]referenceOp, np)
+	for _, r := range reqs {
+		ops[r.client] = append(ops[r.client], referenceOp{r.at, opIssue, r})
+		ops[r.server] = append(ops[r.server], referenceOp{r.at, opServe, r})
+		ops[r.client] = append(ops[r.client], referenceOp{r.at + respDelay, opCollect, r})
+	}
+	for _, script := range ops {
+		sort.Slice(script, func(i, j int) bool {
+			if script[i].at != script[j].at {
+				return script[i].at < script[j].at
+			}
+			if script[i].kind != script[j].kind {
+				return script[i].kind < script[j].kind
+			}
+			return script[i].req.gk < script[j].req.gk
+		})
+	}
+	return ops
+}
+
+// TestServiceBuildMatchesSortReference requires the merged schedule and
+// scripts to equal the sort-based reference element for element. The
+// clamped config draws every gap as 1 ns, so each instant holds one
+// request per client: arrival ties must fall to client order, and a
+// rank's issue must precede its same-instant serves of lower-indexed
+// requests. The dense config lands collects on the instants of issues
+// and serves.
+func TestServiceBuildMatchesSortReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ServiceConfig
+	}{
+		{"storm-seed1", stormConfig(1)},
+		{"storm-seed7", stormConfig(7)},
+		{"test", serviceTestConfig()},
+		{"clamped", ServiceConfig{NP: 5, Seed: 3, RatePerRank: 1e12, Window: 3 * sim.Microsecond}},
+		{"dense", ServiceConfig{NP: 3, Seed: 5, RatePerRank: 1e6, Window: 5 * sim.Millisecond}},
+	} {
+		name, cfg := tc.name, tc.cfg
+		t.Run(name, func(t *testing.T) {
+			want := referenceSchedule(cfg)
+			got := scheduleRequests(cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%d requests, reference has %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %d = %+v, reference %+v", i, got[i], want[i])
+				}
+			}
+			wantOps, gotOps := referenceScripts(want, cfg.NP), serviceScripts(got, cfg.NP)
+			var issueFirst, collectTies int // same-instant ties the config exercises
+			for rank, ref := range wantOps {
+				if len(gotOps[rank]) != len(ref) {
+					t.Fatalf("rank %d: %d ops, reference has %d", rank, len(gotOps[rank]), len(ref))
+				}
+				for i, op := range gotOps[rank] {
+					r := got[op.gk]
+					at := r.at
+					if op.kind == opCollect {
+						at += respDelay
+					}
+					if w := ref[i]; op.kind != w.kind || r != w.req || at != w.at {
+						t.Fatalf("rank %d op %d = kind %d of request %+v at %v, reference kind %d of %+v at %v",
+							rank, i, op.kind, r, at, w.kind, w.req, w.at)
+					}
+					if i > 0 && ref[i-1].at == ref[i].at && ref[i-1].kind != ref[i].kind {
+						if ref[i-1].req.gk > ref[i].req.gk {
+							issueFirst++
+						}
+						if ref[i].kind == opCollect {
+							collectTies++
+						}
+					}
+				}
+			}
+			switch {
+			case name == "clamped" && (issueFirst == 0 || len(got) != cfg.NP*int(cfg.Window-1)):
+				t.Errorf("clamped: %d requests, %d issues ahead of lower-indexed serves; want every gap 1 ns and some", len(got), issueFirst)
+			case name == "dense" && collectTies == 0:
+				t.Error("dense: no collect shares an instant with an issue or serve")
+			}
+		})
+	}
+}
+
+func BenchmarkBuildService(b *testing.B) {
+	cfg := stormConfig(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		BuildService(cfg)
 	}
 }
 
