@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -11,31 +10,19 @@ import (
 	"mpichv/internal/workload"
 )
 
-func cell(t *testing.T, tab *Table, row, col int) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[row][col], "%"), 64)
-	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q not numeric: %v", row, col, tab.Rows[row][col], err)
-	}
-	return v
-}
-
+// TestFig06aLatencyShape encodes Figure 6(a)'s claims on each stack's
+// one-way ping-pong latency, read from the sweep.
 func TestFig06aLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep regenerates a full figure")
 	}
-	tab := fig06aReport(harness.Options{}).Tables[0]
-	if len(tab.Rows) != 8 {
-		t.Fatalf("got %d rows, want 8", len(tab.Rows))
+	res := fig06aReport(harness.Options{}).Sweeps[0]
+	lat := func(stack string) float64 {
+		return completed(t, res, "pingpong.1B", stack, "base").Elapsed.Microseconds() / (2 * fig06aReps)
 	}
-	p4 := cell(t, tab, 0, 1)
-	vdummy := cell(t, tab, 1, 1)
-	vcEL := cell(t, tab, 2, 1)
-	manEL := cell(t, tab, 3, 1)
-	logEL := cell(t, tab, 4, 1)
-	vcNo := cell(t, tab, 5, 1)
-	manNo := cell(t, tab, 6, 1)
-	logNo := cell(t, tab, 7, 1)
+	p4, vdummy := lat("P4"), lat("Vdummy")
+	vcEL, manEL, logEL := lat("Vcausal (EL)"), lat("Manetho (EL)"), lat("LogOn (EL)")
+	vcNo, manNo, logNo := lat("Vcausal (no EL)"), lat("Manetho (no EL)"), lat("LogOn (no EL)")
 
 	if !(p4 < vdummy && vdummy < vcEL) {
 		t.Errorf("P4 (%.1f) < Vdummy (%.1f) < causal+EL (%.1f) violated", p4, vdummy, vcEL)
@@ -55,20 +42,25 @@ func TestFig06aLatencyShape(t *testing.T) {
 	}
 }
 
+// TestFig06bBandwidthShape encodes Figure 6(b)'s claims at the largest
+// message size, read from the sweep: raw TCP peaks near the wire's
+// capacity and the causal stacks share one curve.
 func TestFig06bBandwidthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	tab := fig06bReport(harness.Options{}).Tables[0]
-	last := len(tab.Rows) - 1
-	raw := cell(t, tab, last, 1)
-	if raw < 85 || raw > 96 {
+	res := fig06bReport(harness.Options{}).Sweeps[0]
+	size := bandwidthSizes[len(bandwidthSizes)-1]
+	mbps := func(stack string) float64 {
+		return pingPongMbps(size, completed(t, res, sizeLabel(size), stack, "base").Elapsed)
+	}
+	if raw := mbps("RAW TCP"); raw < 85 || raw > 96 {
 		t.Errorf("raw TCP peak bandwidth %.1f outside [85,96] Mbit/s", raw)
 	}
-	// Causal variants (columns 4..7) should be within 10%% of each other at 8M.
-	for col := 5; col <= 7; col++ {
-		if d := cell(t, tab, last, col) / cell(t, tab, last, 4); d < 0.9 || d > 1.1 {
-			t.Errorf("causal bandwidth curves should coincide at large sizes (col %d ratio %.2f)", col, d)
+	// The causal stacks should be within 10% of Vcausal (EL) at 8M.
+	for _, stack := range []string{"Manetho (EL)", "Manetho (no EL)", "LogOn (no EL)"} {
+		if d := mbps(stack) / mbps("Vcausal (EL)"); d < 0.9 || d > 1.1 {
+			t.Errorf("causal bandwidth curves should coincide at large sizes (%s ratio %.2f)", stack, d)
 		}
 	}
 }

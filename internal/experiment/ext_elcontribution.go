@@ -62,25 +62,30 @@ func extELCSweep(name string, stacks []harness.Stack, trials int, workloads ...h
 		variants[i] = harness.Variant{Key: fmt.Sprintf("storm-%d", i+1)}
 	}
 	return faultedSweep{
-		name:      name,
-		workloads: workloads,
-		stacks:    stacks,
-		seed:      2607,
-		probes: []string{
-			harness.ProbeDetLossCount, harness.ProbeLostClockSpan,
-			harness.ProbeKills, harness.ProbePlanKills,
-		},
-		variants: variants,
-		planFor: func(w harness.Workload, np, trial int) *faultplan.Plan {
-			if w.Key == witnessPair.Key {
-				// The victim and its one witness fall in one correlated
-				// kill: certain loss without an EL, certain recovery with
-				// one.
-				return &faultplan.Plan{
-					Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0, 1}}},
+		SweepSpec: harness.SweepSpec{
+			Name:      name,
+			Workloads: workloads,
+			Stacks:    stacks,
+			Variants:  variants,
+			BaseSeed:  2607,
+			Probes: []string{
+				harness.ProbeDetLossCount, harness.ProbeLostClockSpan,
+				harness.ProbeKills, harness.ProbePlanKills,
+			},
+			Tune: func(c *harness.Cell) {
+				if c.Workload.Key == witnessPair.Key {
+					// The victim and its one witness fall in one correlated
+					// kill: certain loss without an EL, certain recovery with
+					// one.
+					c.Config.Faults = &faultplan.Plan{
+						Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0, 1}}},
+					}
+					return
 				}
-			}
-			return extELCBurstStorm(np, trial)
+				var trial int // storm-N is trial N-1
+				fmt.Sscanf(c.Variant.Key, "storm-%d", &trial)
+				c.Config.Faults = extELCBurstStorm(c.Config.NP, trial-1)
+			},
 		},
 		factor: extELCDivergence,
 	}
@@ -114,10 +119,10 @@ func extELContributionSmokeReport(opts harness.Options) *Report {
 }
 
 func extELCReport(f faultedSweep, opts harness.Options) *Report {
-	run, trials := f.run(opts), len(f.variants)
+	run, trials := f.run(opts), len(f.Variants)
 	t := &Table{
 		Title:  "EL contribution: determinant-loss fraction under correlated burst storms",
-		Header: stackHeader(f.stacks, "Workload"),
+		Header: stackHeader(f.Stacks, "Workload"),
 		Notes: []string{
 			fmt.Sprintf("each cell: trials lost / %d storm trials (identical storm per trial across", trials),
 			"stacks: Poisson bursts felling NP/4 adjacent ranks per arrival); 'div' counts",
@@ -130,11 +135,11 @@ func extELCReport(f faultedSweep, opts harness.Options) *Report {
 			"the paper's argument for the EL, quantified",
 		},
 	}
-	for _, w := range f.workloads {
+	for _, w := range f.Workloads {
 		row := []string{w.Key}
-		for _, st := range f.stacks {
+		for _, st := range f.Stacks {
 			lost, diverged := 0, 0
-			for _, v := range f.variants {
+			for _, v := range f.Variants {
 				cr := run.faulted.Get(w.Key, st.Label, v.Key)
 				switch {
 				case cr == nil:

@@ -8,34 +8,27 @@ import (
 	"mpichv/internal/event"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
-	"mpichv/internal/workload"
 )
 
 // TestELContributionRegressedRecoveryIsALoss reruns the one
 // ext-elcontribution cell whose regressed recovery closes an antecedence
 // cycle: bt.A.16x4 under Manetho without the Event Logger, storm trial 4.
-// The cell ID and seed are the full sweep's. Rank 13 comes back from
-// regressed state and re-creates its own determinant IDs; the cycle walk
-// meets e(13,148) twice while rank 13 builds a piggyback. It must end as a
-// determinant loss of the conflict form, detected before the send leaves,
-// with the storm's concurrently dead peers.
+// It narrows the full sweep to that cell, so the cell ID, the seed, the
+// storm-4 → trial 3 plan, the checkpoint budget and the cap are the
+// production ones. Rank 13 comes back from regressed state and re-creates
+// its own determinant IDs; the cycle walk meets e(13,148) twice while rank
+// 13 builds a piggyback. It must end as a determinant loss of the
+// conflict form, detected before the send leaves, with the storm's
+// concurrently dead peers.
 func TestELContributionRegressedRecoveryIsALoss(t *testing.T) {
-	res := harness.Run(&harness.SweepSpec{
-		Name: "ext-elcontribution",
-		Workloads: []harness.Workload{{
-			Key:           "bt.A.16x4",
-			Spec:          workload.Spec{Bench: "bt", Class: "A", NP: 16, IterScale: 4},
-			AppStateBytes: 1 << 20,
-		}},
-		Stacks:     []harness.Stack{causalStacks[4]},
-		Variants:   []harness.Variant{{Key: "storm-4"}},
-		BaseSeed:   2607,
-		MaxVirtual: 100 * sim.Minute,
-		Tune: func(c *harness.Cell) {
-			ckptBudget(c)
-			c.Config.Faults = extELCBurstStorm(16, 3)
-		},
-	}, harness.Options{})
+	f := extELCFull()
+	f.Workloads = f.Workloads[1:]
+	f.Stacks = stacksNamed("Manetho (no EL)")
+	f.Variants = f.Variants[3:4]
+	if f.Workloads[0].Key != "bt.A.16x4" || f.Variants[0].Key != "storm-4" {
+		t.Fatalf("narrowed to %s %s, want bt.A.16x4 storm-4", f.Workloads[0].Key, f.Variants[0].Key)
+	}
+	res := f.run(harness.Options{}).faulted
 	cr := res.Get("bt.A.16x4", "Manetho (no EL)", "storm-4")
 	if cr == nil {
 		t.Fatal("cell missing from the sweep")

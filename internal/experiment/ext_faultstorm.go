@@ -28,13 +28,13 @@ const extFaultstormDivergence = 8
 // different scenario shape of the faultplan engine. Plans are shared
 // read-only across every cell; each cell samples them with its own derived
 // seed.
-var extFaultstormScenarios = []scenario{
+var extFaultstormScenarios = []harness.Variant{
 	{
 		// Independent faults arriving as a Poisson process across random
 		// ranks — the paper's Figure 1 regime pushed to overlapping
 		// failures.
-		key: "poisson-storm",
-		plan: &faultplan.Plan{
+		Key: "poisson-storm",
+		Faults: &faultplan.Plan{
 			Storms: []faultplan.Storm{{
 				Poisson: true, MeanInterval: 8 * sim.Second,
 				Victims: faultplan.VictimRandom,
@@ -44,8 +44,8 @@ var extFaultstormScenarios = []scenario{
 	{
 		// Shared failure domains: one three-rank kill (a switch) and a
 		// later two-rank kill (a power rail).
-		key: "correlated",
-		plan: &faultplan.Plan{
+		Key: "correlated",
+		Faults: &faultplan.Plan{
 			Correlated: []faultplan.CorrelatedKill{
 				{At: 12 * sim.Second, Ranks: []int{0, 1, 2}},
 				{At: 30 * sim.Second, Ranks: []int{3, 4}},
@@ -55,8 +55,8 @@ var extFaultstormScenarios = []scenario{
 	{
 		// A seed fault whose recovery completion keeps triggering
 		// follow-on faults on other ranks.
-		key: "cascade",
-		plan: &faultplan.Plan{
+		Key: "cascade",
+		Faults: &faultplan.Plan{
 			Correlated: []faultplan.CorrelatedKill{{At: 10 * sim.Second, Ranks: []int{0}}},
 			Cascades: []faultplan.Cascade{{
 				Trigger:     faultplan.OnRecovered,
@@ -71,8 +71,8 @@ var extFaultstormScenarios = []scenario{
 		// inside rank 0's restart window (extending it under the gen
 		// guard) and a second fault on rank 1 while rank 0 is still
 		// executing its recovery procedure.
-		key: "recovery-overlap",
-		plan: &faultplan.Plan{
+		Key: "recovery-overlap",
+		Faults: &faultplan.Plan{
 			Correlated: []faultplan.CorrelatedKill{{At: 10 * sim.Second, Ranks: []int{0}}},
 			Cascades: []faultplan.Cascade{
 				{
@@ -95,8 +95,8 @@ var extFaultstormScenarios = []scenario{
 		// the Event Logger outage stalls acknowledgments (piggybacks
 		// regrow), the checkpoint-server outage stalls stores and
 		// recovery fetches.
-		key: "storm-outage",
-		plan: &faultplan.Plan{
+		Key: "storm-outage",
+		Faults: &faultplan.Plan{
 			Storms: []faultplan.Storm{{
 				Poisson: true, MeanInterval: 12 * sim.Second,
 				Victims: faultplan.VictimRoundRobin,
@@ -114,18 +114,16 @@ var extFaultstormScenarios = []scenario{
 // triggered cascades, faults aimed into restart/recovery windows, and
 // stable-service outages.
 func extFaultstormReport(opts harness.Options) *Report {
-	variants := make([]harness.Variant, len(extFaultstormScenarios))
-	for i, sc := range extFaultstormScenarios {
-		variants[i] = harness.Variant{Key: sc.key, Faults: sc.plan}
-	}
 	run := faultedSweep{
-		name:      "ext-faultstorm",
-		workloads: []harness.Workload{extFaultstormWorkload()},
-		stacks:    extFaultstormStacks,
-		seed:      1905, // each cell samples its plans from its own derived seed
-		probes:    []string{harness.ProbeKills, harness.ProbeRestarts, harness.ProbePlanKills},
-		variants:  variants,
-		factor:    extFaultstormDivergence,
+		SweepSpec: harness.SweepSpec{
+			Name:      "ext-faultstorm",
+			Workloads: []harness.Workload{extFaultstormWorkload()},
+			Stacks:    extFaultstormStacks,
+			Variants:  extFaultstormScenarios,
+			BaseSeed:  1905, // each cell samples its plans from its own derived seed
+			Probes:    []string{harness.ProbeKills, harness.ProbeRestarts, harness.ProbePlanKills},
+		},
+		factor: extFaultstormDivergence,
 	}.run(opts)
 
 	t := &Table{
@@ -145,10 +143,10 @@ func extFaultstormReport(opts harness.Options) *Report {
 	kills := func(cr *harness.CellResult) string {
 		return fmt.Sprintf(" (%d)", int64(cr.Probes[harness.ProbeKills]))
 	}
-	for _, sc := range extFaultstormScenarios {
-		row := []string{sc.key}
+	for _, v := range extFaultstormScenarios {
+		row := []string{v.Key}
 		for _, st := range extFaultstormStacks {
-			row = append(row, run.slowdown(extFaultstormWorkload().Key, st.Label, sc.key, kills))
+			row = append(row, run.slowdown(extFaultstormWorkload().Key, st.Label, v.Key, kills))
 		}
 		t.AddRow(row...)
 	}

@@ -25,12 +25,12 @@ const extPartitionDivergence = 8
 
 // extPartitionScenarios are the fault environments; every partition
 // isolates rank 0 (isolateRank0).
-func extPartitionScenarios(np int) []scenario {
-	return []scenario{
+func extPartitionScenarios(np int) []harness.Variant {
+	return []harness.Variant{
 		{
 			// Crash-stop baseline: the same victim simply dies once.
-			key: "kill",
-			plan: &faultplan.Plan{
+			Key: "kill",
+			Faults: &faultplan.Plan{
 				Correlated: []faultplan.CorrelatedKill{{At: 10 * sim.Second, Ranks: []int{0}}},
 			},
 		},
@@ -38,8 +38,8 @@ func extPartitionScenarios(np int) []scenario {
 			// Transient blackout: the partition heals before the detector's
 			// patience runs out — no kill, no recovery, a pure stall with
 			// every held delivery released on heal.
-			key: "blackout",
-			plan: &faultplan.Plan{
+			Key: "blackout",
+			Faults: &faultplan.Plan{
 				Partitions: []faultplan.Partition{{
 					At:       10 * sim.Second,
 					Groups:   isolateRank0(np),
@@ -53,8 +53,8 @@ func extPartitionScenarios(np int) []scenario {
 			// starts recovering, and the link heals at 800 ms — after
 			// recovery began — releasing the fenced stale incarnation's
 			// traffic into the survivors.
-			key: "false-suspect",
-			plan: &faultplan.Plan{
+			Key: "false-suspect",
+			Faults: &faultplan.Plan{
 				Partitions: []faultplan.Partition{{
 					At:           10 * sim.Second,
 					Groups:       isolateRank0(np),
@@ -66,8 +66,8 @@ func extPartitionScenarios(np int) []scenario {
 		{
 			// Degraded link: the rank 0 <-> rank 1 pair runs at a quarter of
 			// its bandwidth with 4x latency and 100 us of jitter for 20 s.
-			key: "degraded-link",
-			plan: &faultplan.Plan{
+			Key: "degraded-link",
+			Faults: &faultplan.Plan{
 				Degrades: []faultplan.DegradeLink{{
 					At: 5 * sim.Second, From: 0, To: 1, Both: true,
 					LatencyFactor: 4, BandwidthFactor: 0.25,
@@ -79,8 +79,8 @@ func extPartitionScenarios(np int) []scenario {
 			// Stochastic restart delays: a mild uniform storm whose every
 			// fault draws its detection+relaunch time from a uniform
 			// distribution instead of the deployment constant.
-			key: "restart-jitter",
-			plan: &faultplan.Plan{
+			Key: "restart-jitter",
+			Faults: &faultplan.Plan{
 				Storms: []faultplan.Storm{{
 					MinInterval: 6 * sim.Second, MaxInterval: 10 * sim.Second,
 					Victims: faultplan.VictimRoundRobin, MaxKills: 4,
@@ -105,24 +105,26 @@ func isolateRank0(np int) [][]int {
 // extPartitionSweep is the grid both sizes share: the scenarios resolved
 // at each workload's NP, each faulted cell capped at
 // extPartitionDivergence times its stack's fault-free time.
-func extPartitionSweep(name string, stacks []harness.Stack, scenarios func(np int) []scenario, workloads ...harness.Workload) faultedSweep {
-	variants, planFor := scenarioAxis(workloads, scenarios)
+func extPartitionSweep(name string, stacks []harness.Stack, scenarios func(np int) []harness.Variant, workloads ...harness.Workload) faultedSweep {
+	variants, tune := perNP(workloads[0].NP(), scenarios)
 	return faultedSweep{
-		name:      name,
-		workloads: workloads,
-		stacks:    stacks,
-		seed:      2905,
-		probes: []string{
-			harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
-			harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
-			harness.ProbeHeldDeliveries,
-			harness.ProbeKills, harness.ProbePlanKills,
-			harness.ProbeMTTR, harness.ProbeDowntime,
-			harness.ProbeAvailability,
+		SweepSpec: harness.SweepSpec{
+			Name:      name,
+			Workloads: workloads,
+			Stacks:    stacks,
+			Variants:  variants,
+			BaseSeed:  2905,
+			Probes: []string{
+				harness.ProbePartitionCount, harness.ProbeBlackoutSpan,
+				harness.ProbeFalseSuspicions, harness.ProbeFencedStale,
+				harness.ProbeHeldDeliveries,
+				harness.ProbeKills, harness.ProbePlanKills,
+				harness.ProbeMTTR, harness.ProbeDowntime,
+				harness.ProbeAvailability,
+			},
+			Tune: tune,
 		},
-		variants: variants,
-		planFor:  planFor,
-		factor:   extPartitionDivergence,
+		factor: extPartitionDivergence,
 	}
 }
 
@@ -137,21 +139,21 @@ func extPartitionFull() faultedSweep {
 // across worker-pool widths, guaranteed to exercise a confirmed false
 // suspicion and the stale-traffic fence. Vcausal and Manetho only.
 func extPartitionSmoke() faultedSweep {
-	scen := func(np int) []scenario {
-		return []scenario{
+	scen := func(np int) []harness.Variant {
+		return []harness.Variant{
 			{
-				key: "kill",
-				plan: &faultplan.Plan{
+				Key: "kill",
+				Faults: &faultplan.Plan{
 					Correlated: []faultplan.CorrelatedKill{{At: 8 * sim.Millisecond, Ranks: []int{0}}},
 				},
-				restart: 3 * sim.Millisecond,
+				RestartDelay: 3 * sim.Millisecond,
 			},
 			{
 				// Suspect at 10 ms, fence + respawn at 13 ms (3 ms restart
 				// delay), heal at 15 ms: the stale incarnation's held sends
 				// are released after recovery started and must be fenced.
-				key: "false-suspect",
-				plan: &faultplan.Plan{
+				Key: "false-suspect",
+				Faults: &faultplan.Plan{
 					Partitions: []faultplan.Partition{{
 						At:           8 * sim.Millisecond,
 						Groups:       isolateRank0(np),
@@ -159,7 +161,7 @@ func extPartitionSmoke() faultedSweep {
 						SuspectAfter: 2 * sim.Millisecond,
 					}},
 				},
-				restart: 3 * sim.Millisecond,
+				RestartDelay: 3 * sim.Millisecond,
 			},
 		}
 	}
@@ -184,7 +186,7 @@ func partitionReport(f faultedSweep, opts harness.Options) *Report {
 	run := f.run(opts)
 	t := &Table{
 		Title:  "Partitions vs kills: slowdown (%) under link-fabric faults",
-		Header: stackHeader(f.stacks, "Workload", "Scenario"),
+		Header: stackHeader(f.Stacks, "Workload", "Scenario"),
 		Notes: []string{
 			"100% = fault-free execution time of the same stack; cells show slowdown and",
 			"diagnostics: fs = confirmed false suspicions (live rank declared dead, stale",
@@ -206,10 +208,10 @@ func partitionReport(f faultedSweep, opts harness.Options) *Report {
 		}
 		return ""
 	}
-	for _, w := range f.workloads {
-		for _, v := range f.variants {
+	for _, w := range f.Workloads {
+		for _, v := range f.Variants {
 			row := []string{w.Key, v.Key}
-			for _, st := range f.stacks {
+			for _, st := range f.Stacks {
 				row = append(row, run.slowdown(w.Key, st.Label, v.Key, note))
 			}
 			t.AddRow(row...)

@@ -35,9 +35,8 @@ type extServiceConfig struct {
 	service func(np int) workload.ServiceConfig
 	horizon sim.Time
 	// scenarios is the fault axis at one NP (partition groups depend on
-	// the rank set); a scenario's restart of 0 keeps
-	// failure.DefaultRestartDelay.
-	scenarios func(np int) []scenario
+	// the rank set); a RestartDelay of 0 keeps failure.DefaultRestartDelay.
+	scenarios func(np int) []harness.Variant
 	// ckptInterval is the flat round-robin checkpoint period (every
 	// stack is a causal one, so there is no coordinated budget to match).
 	ckptInterval sim.Time
@@ -67,16 +66,16 @@ func extServiceFull() extServiceConfig {
 			}
 		},
 		horizon: 15 * sim.Minute,
-		scenarios: func(np int) []scenario {
-			return []scenario{
-				{key: "fault-free"},
+		scenarios: func(np int) []harness.Variant {
+			return []harness.Variant{
+				{Key: "fault-free"},
 				{
 					// Rolling single-rank kills every 20-40 s with realistic
 					// 2 s detection+relaunch: recovery happens under live
 					// load, so its cost lands in the latency tail.
-					key:     "storm",
-					restart: 2 * sim.Second,
-					plan: &faultplan.Plan{
+					Key:          "storm",
+					RestartDelay: 2 * sim.Second,
+					Faults: &faultplan.Plan{
 						Storms: []faultplan.Storm{{
 							MinInterval: 20 * sim.Second, MaxInterval: 40 * sim.Second,
 							Victims: faultplan.VictimRoundRobin, MaxKills: 16,
@@ -88,8 +87,8 @@ func extServiceFull() extServiceConfig {
 					// patience: the live rank is falsely declared dead, its
 					// replacement recovers, and the healed link's stale
 					// traffic is fenced — all while requests keep arriving.
-					key: "partition",
-					plan: &faultplan.Plan{
+					Key: "partition",
+					Faults: &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           5 * sim.Minute,
 							Groups:       isolateRank0(np),
@@ -125,13 +124,13 @@ func extServiceSmoke() extServiceConfig {
 			}
 		},
 		horizon: 2 * sim.Second,
-		scenarios: func(np int) []scenario {
-			return []scenario{
-				{key: "fault-free"},
+		scenarios: func(np int) []harness.Variant {
+			return []harness.Variant{
+				{Key: "fault-free"},
 				{
-					key:     "storm",
-					restart: 5 * sim.Millisecond,
-					plan: &faultplan.Plan{
+					Key:          "storm",
+					RestartDelay: 5 * sim.Millisecond,
+					Faults: &faultplan.Plan{
 						Storms: []faultplan.Storm{{
 							MinInterval: 30 * sim.Millisecond, MaxInterval: 60 * sim.Millisecond,
 							Victims: faultplan.VictimRoundRobin, MaxKills: 3,
@@ -142,9 +141,9 @@ func extServiceSmoke() extServiceConfig {
 					// Suspect at 50 ms, fence + respawn at 55 ms (5 ms
 					// restart delay), heal at 70 ms: the healed link releases
 					// the stale incarnation's traffic after recovery began.
-					key:     "partition",
-					restart: 5 * sim.Millisecond,
-					plan: &faultplan.Plan{
+					Key:          "partition",
+					RestartDelay: 5 * sim.Millisecond,
+					Faults: &faultplan.Plan{
 						Partitions: []faultplan.Partition{{
 							At:           40 * sim.Millisecond,
 							Groups:       isolateRank0(np),
@@ -182,7 +181,7 @@ func serviceReport(cfg extServiceConfig, opts harness.Options) *Report {
 		}
 	}
 
-	variants, planFor := scenarioAxis(workloads, cfg.scenarios)
+	variants, tune := perNP(cfg.nps[0], cfg.scenarios)
 	for i := range variants {
 		v := &variants[i]
 		v.Horizon, v.CkptPolicy, v.CkptInterval = cfg.horizon, checkpoint.PolicyRoundRobin, cfg.ckptInterval
@@ -201,7 +200,7 @@ func serviceReport(cfg extServiceConfig, opts harness.Options) *Report {
 			harness.ProbeKills, harness.ProbePlanKills,
 			harness.ProbeFalseSuspicions,
 		},
-		Tune: planTune(variants, planFor),
+		Tune: tune,
 	}, opts)
 
 	t := &Table{

@@ -54,7 +54,7 @@ func fig01Report(opts harness.Options) *Report {
 	for i, interval := range fig01Intervals {
 		row := []string{faultsPerMinute(interval)}
 		for _, st := range fig01Stacks {
-			row = append(row, run.slowdown(fig01Workload().Key, st.Label, f.variants[i].Key, nil))
+			row = append(row, run.slowdown(fig01Workload().Key, st.Label, f.Variants[i].Key, nil))
 		}
 		t.AddRow(row...)
 	}
@@ -72,12 +72,14 @@ func fig01Sweep() faultedSweep {
 		}
 	}
 	return faultedSweep{
-		name:      "fig1",
-		faulted:   "fig1-faulted",
-		workloads: []harness.Workload{fig01Workload()},
-		stacks:    fig01Stacks,
-		variants:  variants,
-		factor:    divergenceFactor,
+		SweepSpec: harness.SweepSpec{
+			Name:      "fig1-faulted",
+			Workloads: []harness.Workload{fig01Workload()},
+			Stacks:    fig01Stacks,
+			Variants:  variants,
+		},
+		base:   "fig1-baseline",
+		factor: divergenceFactor,
 	}
 }
 

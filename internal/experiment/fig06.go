@@ -5,6 +5,7 @@ import (
 
 	"mpichv/internal/cluster"
 	"mpichv/internal/harness"
+	"mpichv/internal/sim"
 	"mpichv/internal/workload"
 )
 
@@ -84,14 +85,17 @@ func fig06bReport(opts harness.Options) *Report {
 	for i, size := range bandwidthSizes {
 		row := []string{sizeLabel(size)}
 		for _, sc := range fig06bStacks {
-			cr := res.MustGet(workloads[i].Key, sc.Label, "base")
-			bits := float64(size) * 8 * float64(2*fig06bReps(size))
-			mbps := bits / cr.Elapsed.Seconds() / 1e6
-			row = append(row, f2(mbps))
+			row = append(row, f2(pingPongMbps(size, res.MustGet(workloads[i].Key, sc.Label, "base").Elapsed)))
 		}
 		t.AddRow(row...)
 	}
 	return &Report{Tables: []*Table{t}, Sweeps: []*harness.Results{res}}
+}
+
+// pingPongMbps is the bandwidth of a Figure 6(b) ping-pong of size-byte
+// messages that took elapsed: every round trip moves the message twice.
+func pingPongMbps(size int, elapsed sim.Time) float64 {
+	return float64(size) * 8 * float64(2*fig06bReps(size)) / elapsed.Seconds() / 1e6
 }
 
 // fig06bReps shortens the ping-pong at large message sizes.

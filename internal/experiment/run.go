@@ -7,7 +7,6 @@ import (
 
 	"mpichv/internal/checkpoint"
 	"mpichv/internal/cluster"
-	"mpichv/internal/faultplan"
 	"mpichv/internal/harness"
 	"mpichv/internal/sim"
 	"mpichv/internal/workload"
@@ -73,91 +72,56 @@ func ckptBudget(c *harness.Cell) {
 	}
 }
 
-// planTune returns the Tune step installing each cell's fault plan. A
-// (workload, variant) plan is resolved on the first cell of its row, at
-// the cell's NP (partition groups and burst sizes follow it), and shared
-// read-only by every stack of that row.
-func planTune(variants []harness.Variant, planFor func(w harness.Workload, np, variant int) *faultplan.Plan) func(*harness.Cell) {
-	plans := make(map[string]*faultplan.Plan)
-	return func(c *harness.Cell) {
-		key := c.Workload.Key + "|" + c.Variant.Key
-		plan, ok := plans[key]
-		if !ok {
-			i := slices.IndexFunc(variants, func(v harness.Variant) bool { return v.Key == c.Variant.Key })
-			plan = planFor(c.Workload, c.Config.NP, i)
-			plans[key] = plan
-		}
-		c.Config.Faults = plan
+// perNP is a fault axis whose plans follow the process count (partition
+// groups, burst sizes). It returns at(np) as the sweep's variants, whose
+// keys and restart delays must be the same at every NP, and the Tune step
+// that installs each cell's plan, resolved at the cell's own NP.
+func perNP(np int, at func(np int) []harness.Variant) ([]harness.Variant, func(*harness.Cell)) {
+	return at(np), func(c *harness.Cell) {
+		vs := at(c.Config.NP)
+		c.Config.Faults = vs[slices.IndexFunc(vs, func(v harness.Variant) bool { return v.Key == c.Variant.Key })].Faults
 	}
 }
 
 // faultedSweep is the measurement behind Figure 1 and every extension that
-// reports slowdown under faults. It runs in two phases: a fault-free
-// baseline per (workload, stack), then the faulted grid with each cell
-// capped at factor times its own baseline. A run still pending at the cap
-// has diverged: the protocol stopped making progress at that fault rate.
+// reports slowdown under faults. It runs its spec in two phases: a
+// fault-free baseline per (workload, stack), then the spec's own grid with
+// each cell capped at factor times its own baseline. A run still pending
+// at the cap has diverged: the protocol stopped making progress at that
+// fault rate. Both phases take Figure 1's checkpoint budget (ckptBudget);
+// only the faulted phase then applies the spec's Tune, which may install
+// plans, and the cap.
 type faultedSweep struct {
-	name      string // the baseline sweep is name+"-baseline"
-	faulted   string // the faulted sweep's name; empty means name
-	workloads []harness.Workload
-	stacks    []harness.Stack
-	seed      int64
-	probes    []string
-	variants  []harness.Variant
-	// planFor, when set, resolves variant i's fault plan for one
-	// workload; otherwise plans ride on the variants.
-	planFor func(w harness.Workload, np, variant int) *faultplan.Plan
-	factor  sim.Time
+	harness.SweepSpec
+	base   string // the baseline sweep's name; empty means Name+"-baseline"
+	factor sim.Time
 	// caps fixes the faulted cells' cap per workload key instead of
 	// factor x baseline (for timelines too short to scale from).
 	caps map[string]sim.Time
 }
 
-// faultedRun holds both phases' results and the baseline they were
-// capped from.
-type faultedRun struct {
-	base, faulted *harness.Results
-	baseline      map[string]sim.Time // fault-free Elapsed by "workload|stack label"
-}
+// faultedRun holds both phases' results.
+type faultedRun struct{ base, faulted *harness.Results }
 
 func (f faultedSweep) run(opts harness.Options) *faultedRun {
-	spec := func(name string, variants []harness.Variant, tune func(*harness.Cell)) *harness.SweepSpec {
-		return &harness.SweepSpec{
-			Name:       name,
-			Workloads:  f.workloads,
-			Stacks:     f.stacks,
-			Variants:   variants,
-			BaseSeed:   f.seed,
-			MaxVirtual: 100 * sim.Minute,
-			Probes:     f.probes,
-			Tune: func(c *harness.Cell) {
-				ckptBudget(c)
-				if tune != nil {
-					tune(c)
-				}
-			},
+	base, faulted := f.SweepSpec, f.SweepSpec
+	base.Name = cmp.Or(f.base, f.Name+"-baseline")
+	base.Variants, base.MaxVirtual, base.Tune = []harness.Variant{{Key: "fault-free"}}, 100*sim.Minute, ckptBudget
+	r := &faultedRun{base: harness.Run(&base, opts)}
+	faulted.Tune = func(c *harness.Cell) {
+		ckptBudget(c)
+		if f.Tune != nil {
+			f.Tune(c)
 		}
+		c.MaxVirtual = cmp.Or(f.caps[c.Workload.Key], r.baseline(c.Workload.Key, c.Stack.Label)*f.factor)
 	}
-	r := &faultedRun{baseline: make(map[string]sim.Time)}
-	r.base = harness.Run(spec(f.name+"-baseline", []harness.Variant{{Key: "fault-free"}}, nil), opts)
-	for _, w := range f.workloads {
-		for _, st := range f.stacks {
-			r.baseline[w.Key+"|"+st.Label] = r.base.MustGet(w.Key, st.Label, "fault-free").Elapsed
-		}
-	}
-	plan := func(*harness.Cell) {}
-	if f.planFor != nil {
-		plan = planTune(f.variants, f.planFor)
-	}
-	r.faulted = harness.Run(spec(cmp.Or(f.faulted, f.name), f.variants, func(c *harness.Cell) {
-		plan(c)
-		if fixed := f.caps[c.Workload.Key]; fixed > 0 {
-			c.MaxVirtual = fixed
-		} else {
-			c.MaxVirtual = r.baseline[c.Workload.Key+"|"+c.Stack.Label] * f.factor
-		}
-	}), opts)
+	r.faulted = harness.Run(&faulted, opts)
 	return r
+}
+
+// baseline is the fault-free Elapsed of one (workload, stack) pair.
+func (r *faultedRun) baseline(w, stack string) sim.Time {
+	return r.base.MustGet(w, stack, "fault-free").Elapsed
 }
 
 func (r *faultedRun) sweeps() []*harness.Results { return []*harness.Results{r.base, r.faulted} }
@@ -176,31 +140,11 @@ func (r *faultedRun) slowdown(w, stack, variant string, note func(*harness.CellR
 	case !cr.Completed || cr.Err != "":
 		return "error"
 	}
-	cell := f1(100 * float64(cr.Elapsed) / float64(r.baseline[w+"|"+stack]))
+	cell := f1(100 * float64(cr.Elapsed) / float64(r.baseline(w, stack)))
 	if note != nil {
 		cell += note(cr)
 	}
 	return cell
-}
-
-// scenario is one named point of a fault axis; restart, when set,
-// overrides the detection+relaunch delay under it.
-type scenario struct {
-	key     string
-	plan    *faultplan.Plan
-	restart sim.Time
-}
-
-// scenarioAxis turns a per-NP scenario list into a sweep's variant axis,
-// keyed at the first workload's NP, and the planFor resolving variant i's
-// plan at each workload's own NP (partition groups and bursts follow it).
-func scenarioAxis(workloads []harness.Workload, at func(np int) []scenario) ([]harness.Variant, func(harness.Workload, int, int) *faultplan.Plan) {
-	first := at(workloads[0].NP())
-	variants := make([]harness.Variant, len(first))
-	for i, sc := range first {
-		variants[i] = harness.Variant{Key: sc.key, RestartDelay: sc.restart}
-	}
-	return variants, func(_ harness.Workload, np, i int) *faultplan.Plan { return at(np)[i].plan }
 }
 
 // stackHeader is a table header: the lead columns, then one per stack.
